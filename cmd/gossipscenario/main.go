@@ -170,7 +170,7 @@ func run(ctx context.Context, args []string, sweep bool) error {
 		format   = fs.String("format", "json", "output format: json, csv, ascii")
 		progress = fs.Bool("progress", false, "stream per-cell progress to stderr")
 		curves   = fs.String("curves", "", "also emit merged per-scenario telemetry curves: csv")
-		shards   = fs.Int("shards", 1, "shard kernels per execution (conservative-PDES; 1 = single kernel, 0 = one per core)")
+		shards   = fs.Int("shards", 1, "shard kernels per execution (conservative-PDES; 1 = one shard (default), 0 = one per core)")
 		topoFlag = fs.String("topology", "uniform", "gossip overlay: uniform, kout[:K], ba[:K], wan:ZONES[:K]")
 	)
 	pprof := pprofFlag(fs)

@@ -45,7 +45,7 @@ func main() {
 		pprof    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		metrics  = flag.Bool("metrics", false, "probe the network execution and print its virtual-time curve CSV")
 		trace    = flag.String("trace", "", "write a Chrome trace of the network execution to this file")
-		shards   = flag.Int("shards", 1, "shard kernels for the network execution (conservative-PDES; 1 = single kernel, 0 = one per core)")
+		shards   = flag.Int("shards", 1, "shard kernels for the network execution (conservative-PDES; 1 = one shard (default), 0 = one per core)")
 		topoFlag = flag.String("topology", "uniform", "gossip overlay: uniform, kout[:K], ba[:K], wan:ZONES[:K]")
 	)
 	flag.Parse()

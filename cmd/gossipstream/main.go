@@ -54,7 +54,7 @@ func main() {
 		latLo      = flag.Duration("latency-lo", time.Millisecond, "uniform latency lower bound")
 		latHi      = flag.Duration("latency-hi", 5*time.Millisecond, "uniform latency upper bound")
 		loss       = flag.Float64("loss", 0, "message loss probability")
-		shards     = flag.Int("shards", 1, "shard kernels per execution (conservative-PDES; 1 = single kernel, 0 = one per core)")
+		shards     = flag.Int("shards", 1, "shard kernels per execution (conservative-PDES; 1 = one shard (default), 0 = one per core)")
 		topoFlag   = flag.String("topology", "uniform", "gossip overlay: uniform, kout[:K], ba[:K], wan:ZONES[:K]")
 		batch      = flag.Bool("batch", false, "batched wire digests: one event per round per peer (push/pushpull)")
 		summary    = flag.Bool("summary", false, "summary-only accounting: skip the O(messages) per-message rows")

@@ -199,16 +199,16 @@ func WithObserver(fn Observer) Option { return func(o *runOptions) { o.observer 
 // internally to build its per-scenario summaries.
 func WithoutReports() Option { return func(o *runOptions) { o.noReports = true } }
 
-// WithShards runs Network executions on the conservative-PDES sharded
-// kernel with n shard kernels: members are partitioned across per-core
-// shards that advance in lookahead windows derived from the latency
-// model's floor (see simnet.LatencyFloorer), exchanging cross-shard
-// messages at window barriers. n <= 0 auto-selects GOMAXPROCS at
-// option-apply time. The default (option absent) is the single-kernel
-// runtime, so existing results stay byte-identical; shards=1 runs the
-// sharded code path degenerately and is byte-identical to the single
-// kernel too. Executions whose latency model has no positive floor fall
-// back to one shard. Each replication still runs on one shard group —
+// WithShards runs Network and Stream executions on n shard kernels:
+// members are partitioned across per-core shards that advance in
+// lookahead windows derived from the latency model's floor (see
+// simnet.LatencyFloorer), exchanging cross-shard messages at window
+// barriers. n <= 0 auto-selects GOMAXPROCS at option-apply time. The
+// default (option absent) is one shard — the same executor draining a
+// single kernel — so WithShards(1) changes nothing. A fixed shard count
+// is byte-identical across repeats and hosts; different counts are
+// statistically pinned. Executions whose latency model has no positive
+// floor always run on one shard. Each replication still runs on one shard group —
 // WithShards parallelizes within a run (one n=10⁷ execution across
 // cores), WithWorkers across runs; they compose, but oversubscribe the
 // machine if both are wide.

@@ -43,14 +43,12 @@ func (s Network) run(ctx context.Context, o *runOptions, emit func(Report)) (any
 		return nil, fmt.Errorf("%w: WithTopology conflicts with a caller-set Params.View", ErrInvalidParams)
 	}
 
-	// execute runs one replication on the selected runtime: the
-	// single-kernel executor by default, the conservative-PDES sharded
-	// kernel under WithShards (>1). Shards=1 keeps the single-kernel path
-	// — the two are byte-identical, and the oracle needs no shard arena.
-	// A non-uniform WithTopology overlay is generated per replication from
-	// a non-consuming split of the run's stream, so the uniform spec stays
-	// byte-identical to not setting the option and the overlay is the same
-	// for every shard count.
+	// execute runs one replication on o.shards shard kernels — one when
+	// WithShards is absent. A non-uniform WithTopology overlay is generated
+	// per replication from a non-consuming split of the run's stream, so
+	// the uniform spec stays byte-identical to not setting the option and
+	// the overlay is the same for every shard count.
+	shardOpts := o.shardOptions()
 	execute := func(r *xrand.RNG, arena *core.NetArena, probe *obs.Probe) (core.NetResult, error) {
 		p := s.Params
 		if ov, err := o.topology.Build(p.N, r.Split(topology.Split)); err != nil {
@@ -58,11 +56,7 @@ func (s Network) run(ctx context.Context, o *runOptions, emit func(Report)) (any
 		} else if ov != nil {
 			p.View = ov
 		}
-		if o.shards > 1 {
-			return core.ExecuteOnNetworkSharded(p, s.Net, r, nil, arena.Sharded(o.shards), probe,
-				core.ShardOptions{Shards: o.shards, Progress: shardProgress(o)})
-		}
-		return core.ExecuteOnNetworkProbed(p, s.Net, r, nil, arena, probe)
+		return core.ExecuteOnNetworkSharded(p, s.Net, r, nil, arena, probe, shardOpts)
 	}
 
 	if o.rng != nil {
@@ -109,14 +103,15 @@ func (s Network) run(ctx context.Context, o *runOptions, emit func(Report)) (any
 	return nil, nil
 }
 
-// shardProgress adapts the facade's WithShardProgress callback onto the
-// sharded executor's barrier hook; nil when no observer is set.
-func shardProgress(o *runOptions) func(events uint64, now sim.Time) {
-	if o.shardProgress == nil {
-		return nil
+// shardOptions resolves WithShards and WithShardProgress for the
+// executors: one shard when WithShards is absent (never 0, which the
+// executors read as GOMAXPROCS).
+func (o *runOptions) shardOptions() core.ShardOptions {
+	opts := core.ShardOptions{Shards: max(o.shards, 1)}
+	if fn := o.shardProgress; fn != nil {
+		opts.Progress = func(events uint64, now sim.Time) { fn(events, now.Duration()) }
 	}
-	fn := o.shardProgress
-	return func(events uint64, now sim.Time) { fn(events, now.Duration()) }
+	return opts
 }
 
 func netReport(res NetResult, m *obs.Metrics) Report {

@@ -3,6 +3,7 @@ package gossipkit
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -19,7 +20,7 @@ func shardedNetSpec() Network {
 }
 
 // TestWithShardsDeterministicAndPinned: sharded runs are reproducible,
-// compose with WithProbe and WithRuns, and agree with the single-kernel
+// compose with WithProbe and WithRuns, and agree with the one-shard
 // default on the mask-derived alive count.
 func TestWithShardsDeterministicAndPinned(t *testing.T) {
 	spec := shardedNetSpec()
@@ -40,7 +41,7 @@ func TestWithShardsDeterministicAndPinned(t *testing.T) {
 	}
 	ra, rb := a.Reports[0], base.Reports[0]
 	if ra.AliveCount != rb.AliveCount {
-		t.Errorf("sharded AliveCount %d, single-kernel %d — mask not invariant", ra.AliveCount, rb.AliveCount)
+		t.Errorf("sharded AliveCount %d, one-shard %d — mask not invariant", ra.AliveCount, rb.AliveCount)
 	}
 	if ra.Metrics == nil || ra.Metrics.Totals.Sent == 0 {
 		t.Errorf("sharded probe metrics missing: %+v", ra.Metrics)
@@ -72,5 +73,60 @@ func TestWithShardProgress(t *testing.T) {
 	}
 	if calls == 0 || lastEvents == 0 {
 		t.Fatalf("shard progress never fired (calls=%d events=%d)", calls, lastEvents)
+	}
+}
+
+// TestDefaultIsOneShard pins that every way of not asking for shards means
+// one shard: WithShards absent, WithShards(1), and ScenarioRunConfig.Shards
+// 0 and 1 give byte-equal reports on the Network, Stream and Campaign
+// engines. GOMAXPROCS is raised to 4 so that a zero leaking through to
+// core.EffectiveShards (which reads it as "one shard per core") would run
+// on four shards and move every report — as the explicit four-shard run
+// of each engine shows.
+func TestDefaultIsOneShard(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	crashWave, ok := ScenarioByName("crash-wave")
+	if !ok {
+		t.Fatal("crash-wave missing from the bundled suite")
+	}
+	campaign := func(shards int) Campaign {
+		return Campaign{
+			Scenarios: []*Scenario{crashWave},
+			Config: ScenarioRunConfig{
+				Params: Params{N: 300, Fanout: Poisson(6), AliveRatio: 1},
+				Shards: shards,
+			},
+		}
+	}
+	stream := Stream{Config: testStreamConfig(), Net: testStreamNet()}
+
+	for _, tc := range []struct {
+		name   string
+		engine func(configShards int) Engine
+		four   []Option // how this engine is asked for four shards, beyond configShards
+	}{
+		{"network", func(int) Engine { return shardedNetSpec() }, []Option{WithShards(4)}},
+		{"stream", func(int) Engine { return stream }, []Option{WithShards(4)}},
+		{"campaign", func(shards int) Engine { return campaign(shards) }, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(configShards int, opts ...Option) []Report {
+				out, err := Run(context.Background(), tc.engine(configShards), append(opts, WithSeed(11))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out.Reports
+			}
+			base := run(0)
+			if got := run(0, WithShards(1)); !reflect.DeepEqual(got, base) {
+				t.Errorf("WithShards(1) diverged from the option-absent run:\n got %+v\nwant %+v", got, base)
+			}
+			if got := run(1); !reflect.DeepEqual(got, base) {
+				t.Errorf("Shards: 1 diverged from Shards: 0:\n got %+v\nwant %+v", got, base)
+			}
+			if four := run(4, tc.four...); reflect.DeepEqual(four, base) {
+				t.Error("a four-shard run reproduced the default: this test cannot see a leaked zero")
+			}
+		})
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"gossipkit/internal/core"
 	"gossipkit/internal/obs"
 	"gossipkit/internal/runpool"
 	"gossipkit/internal/scenario"
@@ -194,6 +193,7 @@ func (s Stream) run(ctx context.Context, o *runOptions, emit func(Report)) (any,
 		return nil, fmt.Errorf("%w: WithTopology conflicts with a caller-set Config.View", ErrInvalidParams)
 	}
 
+	shardOpts := o.shardOptions()
 	execute := func(r *xrand.RNG, arena *stream.Arena, probe *obs.StreamProbe) (stream.Result, error) {
 		cfg := s.Config
 		if o.noReports {
@@ -207,11 +207,7 @@ func (s Stream) run(ctx context.Context, o *runOptions, emit func(Report)) (any,
 		} else if ov != nil {
 			cfg.View = ov
 		}
-		if o.shards > 1 {
-			return stream.RunSharded(cfg, s.Net, r, nil, arena, probe,
-				core.ShardOptions{Shards: o.shards, Progress: shardProgress(o)})
-		}
-		return stream.RunProbed(cfg, s.Net, r, nil, arena, probe)
+		return stream.RunSharded(cfg, s.Net, r, nil, arena, probe, shardOpts)
 	}
 
 	if o.rng != nil {

@@ -98,7 +98,7 @@ func TestStreamEngineShardsCompose(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(single.Reports[0].Detail, sharded.Reports[0].Detail) {
-		t.Fatal("WithShards(1) diverged from the single-kernel run")
+		t.Fatal("WithShards(1) diverged from the default run")
 	}
 	multi, err := Run(context.Background(), spec, WithSeed(7), WithShards(3))
 	if err != nil {
@@ -107,7 +107,7 @@ func TestStreamEngineShardsCompose(t *testing.T) {
 	m := multi.Reports[0].Detail.(StreamResult)
 	s := single.Reports[0].Detail.(StreamResult)
 	if len(m.Messages) != len(s.Messages) || m.AliveCount != s.AliveCount {
-		t.Fatal("sharded schedule or mask diverged from single-kernel run")
+		t.Fatal("sharded schedule or mask diverged from the one-shard run")
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"gossipkit/internal/bitset"
@@ -43,13 +42,14 @@ type NetResult struct {
 // inside scheduled events or before the run starts.
 type NetRun struct {
 	// Kernel is the discrete-event driver; hooks schedule future actions
-	// with Kernel.At / Kernel.After. On a sharded execution this is the
-	// control kernel: its events fire at window barriers with every shard
-	// worker parked, which is exactly when shard state is safely mutable.
+	// with Kernel.At / Kernel.After. It is the execution's control kernel
+	// (RunState.Control): on more than one shard its events fire at window
+	// barriers with every shard worker parked, which is exactly when shard
+	// state is safely mutable.
 	Kernel *sim.Kernel
 	// Net is the network fabric under execution (crash, restart,
-	// partition, loss and latency swaps) — a single *simnet.Network or
-	// the sharded *simnet.ShardedNet, behind one control surface.
+	// partition, loss and latency swaps): the executors' *simnet.ShardedNet
+	// or a round-driven front end's single *simnet.Network.
 	Net simnet.Fabric
 	// View is the membership view targets are drawn from; scenario churn
 	// mutates it when it is a *membership.PartialViews.
@@ -132,81 +132,142 @@ func (nr *NetRun) Restartable(id int) bool { return nr.mask.Alive(id) }
 // it forwards it again (re-gossip). Crashed nodes cannot publish.
 func (nr *NetRun) Publish(id int) { nr.publish(id) }
 
-// NetArena holds the reusable per-run state of network executions: the
-// kernel (event queue, calendar buckets), the network (packed up flags,
-// pooled message slots), the failure mask (packed alive flags plus its
-// sampling scratch), and the per-member receive bitset and target buffer.
-// One arena serves many runs — the scenario sweep workers recycle one arena
-// each — and after the first run at a given shape an execution performs
-// zero O(n)-sized allocations: every piece of run state is redrawn in
-// place. An arena is single-goroutine state; never share one across
-// workers.
+// NetArena pools the per-run state of network executions for every shard
+// count: the shard kernels (event queue, calendar buckets) and the control
+// kernel, the fabric with one network per shard (packed up flags, pooled
+// message slots), the failure mask (packed alive flags plus its sampling
+// scratch), and each shard's receive bitset, target buffer, counters and
+// streaming matrices. One arena serves many runs — the scenario sweep
+// workers recycle one arena each — and after the first run at a given
+// shape an execution performs zero O(n)-sized allocations: every piece of
+// run state is redrawn in place. An arena is single-goroutine state
+// between runs (an execution itself fans out to its shard workers); never
+// share one across sweep workers.
 type NetArena struct {
-	kernel   *sim.Kernel
-	net      *simnet.Network
+	shards   int // shard count of the next execution; the pools below never shrink
+	kernels  []*sim.Kernel
+	ctl      *sim.Kernel // control kernel of runs on more than one shard
+	net      *simnet.ShardedNet
 	mask     *failure.Mask
-	received bitset.Bits
-	targets  []int
-	sharded  *ShardArena
-	msgBits  *MessageBits // per-message delivery matrix (streaming runs)
-	nackBits *MessageBits // pending-repair matrix (push-pull streaming runs)
+	states   []shardState
+	msgBits  []*MessageBits // per-shard delivery matrices (streaming runs)
+	nackBits []*MessageBits // per-shard pending-repair matrices (push-pull)
 }
 
-// Sharded leases the arena's pooled sharded-execution state, sized for
-// the given shard count — the seam sweep workers recycle sharded runs
-// through without a second arena parameter. A nil receiver returns nil
-// (ExecuteOnNetworkSharded builds a throwaway arena).
-func (a *NetArena) Sharded(shards int) *ShardArena {
+// NewNetArena returns an empty arena sized for one shard; buffers grow on
+// first use.
+func NewNetArena() *NetArena {
+	a := &NetArena{net: simnet.NewShardedNet(), mask: &failure.Mask{}}
+	return a.Sharded(1)
+}
+
+// Sharded sizes the arena for executions on the given shard count,
+// retaining every pooled buffer, and returns it. A nil receiver returns
+// nil (executors build a throwaway arena).
+func (a *NetArena) Sharded(shards int) *NetArena {
 	if a == nil {
 		return nil
 	}
-	if a.sharded == nil {
-		a.sharded = NewShardArena(shards)
-	} else {
-		a.sharded.ensure(shards)
+	a.shards = shards
+	for len(a.kernels) < shards {
+		a.kernels = append(a.kernels, sim.New())
+		a.states = append(a.states, shardState{})
+		a.msgBits = append(a.msgBits, &MessageBits{})
+		a.nackBits = append(a.nackBits, &MessageBits{})
 	}
-	return a.sharded
+	if shards > 1 && a.ctl == nil {
+		a.ctl = sim.New()
+	}
+	return a
 }
 
-// NewNetArena returns an empty arena; buffers grow on first use.
-func NewNetArena() *NetArena {
-	return &NetArena{kernel: sim.New(), mask: &failure.Mask{}, targets: make([]int, 0, 16)}
-}
-
-// RunState is the leased per-run state a simulation front end builds an
-// execution from: a Reset kernel, a Reset network, the pooled failure mask
-// (fill it before use), and the cleared first-receipt bitset. The lease is
-// valid until the arena's next Lease (or ExecuteOnNetworkArena) call.
+// RunState is the pooled state a simulation front end builds one execution
+// from, on as many shards as the arena was last sized for.
 type RunState struct {
-	Kernel   *sim.Kernel
-	Net      *simnet.Network
-	Mask     *failure.Mask
+	// Kernels are the shard kernels, one per shard.
+	Kernels []*sim.Kernel
+	// Control carries coordinator-side events (scenario actions). On one
+	// shard it is Kernels[0] itself, so control events interleave with
+	// deliveries on one clock; on more it is a kernel of its own whose
+	// events fire at window barriers.
+	Control *sim.Kernel
+	// Net is the fabric; Net.Shard(s) is shard s's network.
+	Net  *simnet.ShardedNet
+	Mask *failure.Mask
+	// Received is shard 0's first-receipt bitset — the whole group's on a
+	// one-shard lease.
 	Received *bitset.Bits
+	// Bits and Nacks are the per-shard delivery and pending-repair
+	// matrices of streaming runs, to be Reset by their shard.
+	Bits, Nacks []*MessageBits
 }
 
-// Lease resets the arena's pooled state for a fresh n-node run over netCfg
-// and hands it out. It is the seam non-core executors (the protocol
-// baseline runtime) recycle run state through; this package's own
-// ExecuteOnNetworkArena leases through the same path, so both kinds of run
-// share one arena without interference. Results are byte-identical whether
-// the arena is fresh or recycled.
-func (a *NetArena) Lease(n int, netCfg simnet.Config, netRNG *xrand.RNG) RunState {
-	a.kernel.Reset()
-	if a.net == nil {
-		a.net = simnet.New(a.kernel, n, netRNG, netCfg)
-	} else {
-		a.net.Reset(a.kernel, n, netRNG, netCfg)
+// State hands out the arena's pooled run state for the shard count it was
+// last sized for. Only the control kernel of a multi-shard run comes Reset
+// (the coordinator owns it); everything per-shard — kernel, network,
+// bitsets, matrices — is for the caller to reset from that shard's own
+// goroutine, so each shard first-touches the memory it will run on. The
+// lease is valid until the arena's next State, Lease or executor call.
+func (a *NetArena) State() RunState {
+	k := a.shards
+	ctl := a.kernels[0]
+	if k > 1 {
+		ctl = a.ctl
+		ctl.Reset()
 	}
-	a.received.Reset(n)
-	return RunState{Kernel: a.kernel, Net: a.net, Mask: a.mask, Received: &a.received}
+	return RunState{
+		Kernels: a.kernels[:k], Control: ctl, Net: a.net, Mask: a.mask,
+		Received: &a.states[0].received, Bits: a.msgBits[:k], Nacks: a.nackBits[:k],
+	}
+}
+
+// Lease is State for front ends that run on one shard (the protocol
+// baseline runtime): it sizes the arena for one shard and resets the
+// kernel, the network over netCfg and the first-receipt bitset for a
+// fresh n-node run (fill the mask before use). Results are byte-identical
+// whether the arena is fresh or recycled.
+func (a *NetArena) Lease(n int, netCfg simnet.Config, netRNG *xrand.RNG) RunState {
+	st := a.Sharded(1).State()
+	st.Control.Reset()
+	st.Net.Prepare(1, n, netCfg)
+	st.Net.ResetShard(0, st.Control, netRNG)
+	st.Received.Reset(n)
+	return st
+}
+
+// Pending counts the live events of the execution: on the control kernel,
+// on every shard kernel, and parked in the cross-shard buffers.
+func (st RunState) Pending() int {
+	n := st.Net.Buffered()
+	if st.Control != st.Kernels[0] {
+		n += st.Control.Pending()
+	}
+	for _, k := range st.Kernels {
+		n += k.Pending()
+	}
+	return n
+}
+
+// OnShard runs fn on shard s's clock from a control event. When the
+// control kernel is that shard's kernel fn runs inline; otherwise it is
+// parked on the shard's kernel at the control kernel's current time, which
+// is strictly ahead of the shard's clock (that stopped before the
+// barrier).
+func (st RunState) OnShard(s int, fn func(now sim.Time)) {
+	now := st.Control.Now()
+	if st.Kernels[s] == st.Control {
+		fn(now)
+		return
+	}
+	st.Kernels[s].At(now, func() { fn(now) })
 }
 
 // Targets leases the arena's pooled target-sampling buffer; pair with
 // SetTargets to return the (possibly grown) buffer when the run finishes.
-func (a *NetArena) Targets() []int { return a.targets }
+func (a *NetArena) Targets() []int { return a.states[0].targets }
 
 // SetTargets returns the sampling buffer leased with Targets.
-func (a *NetArena) SetTargets(t []int) { a.targets = t }
+func (a *NetArena) SetTargets(t []int) { a.states[0].targets = t }
 
 // ExecuteOnNetwork runs one execution of the general gossiping algorithm as
 // an event-driven protocol over a simulated network: each first receipt
@@ -214,147 +275,23 @@ func (a *NetArena) SetTargets(t []int) { a.targets = t }
 // latency and loss. With zero latency and no loss the set of members
 // reached is distributed identically to ExecuteOnce (an integration test
 // asserts this); with loss or partitions, the network becomes an additional
-// failure source beyond the paper's model.
+// failure source beyond the paper's model. It is ExecuteOnNetworkSharded
+// on one shard, like the two variants below.
 func ExecuteOnNetwork(p Params, netCfg simnet.Config, r *xrand.RNG) (NetResult, error) {
-	return ExecuteOnNetworkArena(p, netCfg, r, nil, nil)
+	return ExecuteOnNetworkSharded(p, netCfg, r, nil, nil, nil, ShardOptions{Shards: 1})
 }
 
-// ExecuteOnNetworkInjected is ExecuteOnNetwork with a fault-injection hook:
-// after the network and handlers are set up — and before the source
-// publishes at t=0 — inject (if non-nil) is called with the run's NetRun so
-// it can schedule mid-execution actions (crashes, restarts, partitions,
-// loss episodes, extra publishers) on the kernel. The run is a pure
-// function of (p, netCfg, r, inject), so scenarios replay deterministically.
-func ExecuteOnNetworkInjected(p Params, netCfg simnet.Config, r *xrand.RNG, inject func(*NetRun)) (NetResult, error) {
-	return ExecuteOnNetworkArena(p, netCfg, r, inject, nil)
-}
-
-// ExecuteOnNetworkArena is ExecuteOnNetworkInjected with caller-supplied
-// buffer reuse: arena (which may be nil for a throwaway one) carries the
-// kernel, network, and per-member buffers across runs. Results are
-// byte-identical whether an arena is fresh or recycled.
+// ExecuteOnNetworkArena is ExecuteOnNetwork with a fault-injection hook
+// and caller-supplied buffer reuse, both optional (see
+// ExecuteOnNetworkSharded).
 func ExecuteOnNetworkArena(p Params, netCfg simnet.Config, r *xrand.RNG, inject func(*NetRun), arena *NetArena) (NetResult, error) {
-	return ExecuteOnNetworkProbed(p, netCfg, r, inject, arena, nil)
+	return ExecuteOnNetworkSharded(p, netCfg, r, inject, arena, nil, ShardOptions{Shards: 1})
 }
 
-// ExecuteOnNetworkProbed is ExecuteOnNetworkArena under telemetry: probe
-// (which may be nil — the zero-overhead off state) observes the run's
-// virtual-time curves, histograms, and optionally its raw events. The
-// probe never consumes the run's RNG streams and schedules nothing on the
-// kernel, so the NetResult is bit-identical with the probe on or off; the
-// caller snapshots probe.Metrics() afterward.
+// ExecuteOnNetworkProbed is ExecuteOnNetworkArena under telemetry (see
+// ExecuteOnNetworkSharded).
 func ExecuteOnNetworkProbed(p Params, netCfg simnet.Config, r *xrand.RNG, inject func(*NetRun), arena *NetArena, probe *obs.Probe) (NetResult, error) {
-	if err := p.Validate(); err != nil {
-		return NetResult{}, err
-	}
-	if arena == nil {
-		arena = NewNetArena()
-	}
-	st := arena.Lease(p.N, netCfg, r.Split(0xfeed))
-	kernel, nw, mask, received := st.Kernel, st.Net, st.Mask, st.Received
-	kernel.SetBudget(uint64(p.N) * 10000)
-	p.drawMaskInto(mask, r)
-	view := p.view()
-
-	res := NetResult{Result: Result{AliveCount: mask.AliveCount()}}
-	targets := arena.targets
-	defer func() { arena.targets = targets }()
-	probe.Attach(nw, p.N, &res.Delivered)
-
-	forward := func(self int) {
-		f := p.Fanout.Sample(r)
-		targets = view.SampleTargets(targets, self, f, r)
-		res.MessagesSent += len(targets)
-		probe.ObserveFanout(len(targets))
-		for _, v := range targets {
-			if !mask.Alive(v) {
-				res.WastedOnFailed++
-			}
-			nw.Send(simnet.NodeID(self), simnet.NodeID(v), nil)
-		}
-	}
-
-	// from is the forwarding member, or -1 for an out-of-band receipt (an
-	// additional publisher injected by a campaign).
-	receive := func(id, from int, now sim.Time) {
-		received.Set(id)
-		res.Delivered++
-		res.DeliveryLatency.Add(now.Seconds())
-		if d := now.Duration(); d > res.SpreadTime {
-			res.SpreadTime = d
-		}
-		probe.ObserveFirstReceipt(id, from, now)
-		forward(id)
-	}
-
-	// One shared handler for every member (index dispatch on msg.To)
-	// instead of n per-member closures; fail-stop members are crashed at
-	// the network layer, so the handler only ever sees alive-at-delivery
-	// members. (Crashing also counts the paper's "wasted" sends as crash
-	// drops.)
-	nw.RegisterAll(func(now sim.Time, msg simnet.Message) {
-		id := int(msg.To)
-		if received.Get(id) {
-			res.Duplicates++
-			return
-		}
-		receive(id, int(msg.From), now)
-	})
-	for id := 0; id < p.N; id++ {
-		if !mask.Alive(id) {
-			nw.Crash(simnet.NodeID(id))
-		}
-	}
-
-	if inject != nil {
-		inject(&NetRun{
-			Kernel:      kernel,
-			Net:         nw,
-			View:        view,
-			mask:        mask,
-			hasReceived: received.Get,
-			delivered:   func() int { return res.Delivered },
-			publish: func(id int) {
-				if id < 0 || id >= p.N || !nw.Up(simnet.NodeID(id)) || !mask.Alive(id) {
-					return
-				}
-				if received.Get(id) {
-					forward(id) // re-gossip
-					return
-				}
-				receive(id, -1, kernel.Now()) // additional publisher
-			},
-		})
-	}
-
-	// The source initiates at t=0 (unless an injection hook already
-	// published from it directly).
-	if !received.Get(p.Source) {
-		received.Set(p.Source)
-		res.Delivered++
-		probe.ObserveSeed(p.Source)
-		forward(p.Source)
-	}
-	if err := kernel.RunAll(); err != nil {
-		return NetResult{}, fmt.Errorf("core: network execution aborted: %w", err)
-	}
-	probe.Finish(kernel.Now())
-	if res.AliveCount > 0 {
-		res.Reliability = float64(res.Delivered) / float64(res.AliveCount)
-	}
-	for id := 0; id < p.N; id++ {
-		if nw.Up(simnet.NodeID(id)) {
-			res.UpAtEnd++
-			if received.Get(id) {
-				res.DeliveredUp++
-			}
-		}
-	}
-	if res.UpAtEnd > 0 {
-		res.SurvivorReliability = float64(res.DeliveredUp) / float64(res.UpAtEnd)
-	}
-	res.Net = nw.Stats()
-	return res, nil
+	return ExecuteOnNetworkSharded(p, netCfg, r, inject, arena, probe, ShardOptions{Shards: 1})
 }
 
 // TimingEquivalent reruns p under both crash timings with identical

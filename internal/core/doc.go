@@ -17,11 +17,14 @@
 // (failure.Timing); the source never fails.
 //
 // Two executors are provided. ExecuteOnce runs the spread as an untimed BFS
-// (the paper's own setting); ExecuteOnNetwork runs it as a discrete-event
-// protocol over internal/simnet, where latency, loss, partitions, and
-// mid-run fault injection apply. Every execution is a pure function of its
-// Params, seed, and injection hook — results are byte-identical across
-// machines, worker counts, and arena reuse.
+// (the paper's own setting). ExecuteOnNetworkSharded runs it as a
+// discrete-event protocol over internal/simnet, where latency, loss,
+// partitions, and mid-run fault injection apply, on any number of shard
+// kernels; ExecuteOnNetwork, ExecuteOnNetworkArena and
+// ExecuteOnNetworkProbed are that executor on one shard, the default.
+// Every execution is a pure function of its Params, seed, injection hook
+// and shard count — results are byte-identical across machines, worker
+// counts, and arena reuse, and statistically pinned across shard counts.
 //
 // Allocation guarantee: with a recycled NetArena (one per sweep worker),
 // a network execution performs zero O(n)-sized heap allocations — the

@@ -3,10 +3,6 @@ package core
 import (
 	"fmt"
 	"math/bits"
-
-	"gossipkit/internal/failure"
-	"gossipkit/internal/sim"
-	"gossipkit/internal/simnet"
 )
 
 // segTargetWords sizes MessageBits segments: ~2 MB of words each, the
@@ -114,75 +110,11 @@ func (b *MessageBits) CountRow(m int) int {
 	return c
 }
 
-// MessageBits leases the arena's pooled per-message delivery matrix, sized
-// to msgs rows of width bits and cleared. Like every lease it is valid
-// until the next call; the streaming executor redraws it per run with zero
-// warm-state allocations.
+// MessageBits leases shard 0's pooled per-message delivery matrix, sized
+// to msgs rows of width bits and cleared — RunState.Bits[0] after its
+// Reset, for callers that hold no RunState. Like every lease it is valid
+// until the next call.
 func (a *NetArena) MessageBits(msgs, width int) *MessageBits {
-	if a.msgBits == nil {
-		a.msgBits = &MessageBits{}
-	}
-	a.msgBits.Reset(msgs, width)
-	return a.msgBits
-}
-
-// NackBits leases the arena's second pooled per-message matrix — the
-// pending-repair bits of push-pull streaming runs, one bit per (message,
-// member) NACK in flight. A separate lease from MessageBits because one
-// run holds both matrices at once.
-func (a *NetArena) NackBits(msgs, width int) *MessageBits {
-	if a.nackBits == nil {
-		a.nackBits = &MessageBits{}
-	}
-	a.nackBits.Reset(msgs, width)
-	return a.nackBits
-}
-
-// ShardRunState is the sharded counterpart of RunState: the pooled shard
-// and control kernels, the sharded fabric, and the failure mask of one
-// sharded execution, leased to simulation front ends other than this
-// package's own executor (the streaming engine runs its sharded path
-// through it). The caller owns per-shard reset — kernels are handed out
-// as-is so each shard's worker goroutine can Reset its own (first-touch
-// locality), exactly as ExecuteOnNetworkSharded does internally.
-type ShardRunState struct {
-	Kernels []*sim.Kernel
-	Control *sim.Kernel
-	Net     *simnet.ShardedNet
-	Mask    *failure.Mask
-}
-
-// LeaseSharded sizes the arena for `shards` shard kernels and hands out
-// its pooled sharded run state. With one shard the control kernel is the
-// shard kernel, mirroring the byte-identical shards=1 contract of the
-// core executor.
-func (a *ShardArena) LeaseSharded(shards int) ShardRunState {
-	a.ensure(shards)
-	ctl := a.ctl
-	if shards == 1 {
-		ctl = a.kernels[0]
-	}
-	return ShardRunState{Kernels: a.kernels, Control: ctl, Net: a.net, Mask: a.mask}
-}
-
-// ShardMessageBits leases shard s's pooled per-message delivery matrix for
-// a sharded streaming run: msgs rows of width bits (the shard's member
-// block), cleared. Call it from shard s's own goroutine during setup so
-// the matrix is first-touched by the worker that will write it.
-func (a *ShardArena) ShardMessageBits(s, msgs, width int) *MessageBits {
-	if a.msgBits[s] == nil {
-		a.msgBits[s] = &MessageBits{}
-	}
-	a.msgBits[s].Reset(msgs, width)
-	return a.msgBits[s]
-}
-
-// ShardNackBits leases shard s's pooled pending-repair matrix (see
-// NackBits), from the shard's own goroutine like ShardMessageBits.
-func (a *ShardArena) ShardNackBits(s, msgs, width int) *MessageBits {
-	if a.nackBits[s] == nil {
-		a.nackBits[s] = &MessageBits{}
-	}
-	a.nackBits[s].Reset(msgs, width)
-	return a.nackBits[s]
+	a.msgBits[0].Reset(msgs, width)
+	return a.msgBits[0]
 }

@@ -246,13 +246,10 @@ func BenchmarkExecuteOnNetworkTenMillion(b *testing.B) {
 	b.ReportMetric(float64(sent)/b.Elapsed().Seconds(), "msgs/sec")
 }
 
-// BenchmarkExecuteOnNetworkShardedMillion compares the conservative-PDES
-// sharded runtime against the single kernel at n=10⁶. The shards=1
-// sub-benchmark is the overhead claim in README/ROADMAP — the sharded
-// entry point running on one shard must stay within ~5% of
-// BenchmarkExecuteOnNetworkMillion (it executes the identical event
-// stream; the window loop is the only extra cost). Higher shard counts
-// quote the multicore scaling on the host running the benchmark.
+// BenchmarkExecuteOnNetworkShardedMillion quotes the executor's multicore
+// scaling at n=10⁶ on the host running it: shards=1 is the same run as
+// BenchmarkExecuteOnNetworkMillion, higher counts add windows and
+// barriers and spread the members across cores.
 func BenchmarkExecuteOnNetworkShardedMillion(b *testing.B) {
 	counts := []int{1, 2, 4}
 	if p := runtime.GOMAXPROCS(0); p > 4 {
@@ -269,7 +266,7 @@ func BenchmarkExecuteOnNetworkShardedMillion(b *testing.B) {
 // n=10⁷ on every core, ~5.4·10⁷ messages per execution across the shard
 // kernels. Compare against BenchmarkExecuteOnNetworkTenMillion (the
 // single-core ceiling, ~84s/op when it was recorded) for the speedup on
-// a given host. Like its single-kernel sibling it is kept out of CI —
+// a given host. Like its one-shard sibling it is kept out of CI —
 // one iteration needs a few GB of pooled shard state.
 func BenchmarkExecuteOnNetworkShardedTenMillion(b *testing.B) {
 	benchmarkSharded(b, 10_000_000, 0) // 0 = one shard per core
@@ -279,7 +276,7 @@ func benchmarkSharded(b *testing.B, n, shards int) {
 	p := Params{N: n, Fanout: dist.NewPoisson(5), AliveRatio: 0.9}
 	cfg := simnet.Config{Latency: simnet.UniformLatency{Lo: time.Millisecond, Hi: 10 * time.Millisecond}}
 	eff := EffectiveShards(shards, n, cfg)
-	arena := NewShardArena(eff)
+	arena := NewNetArena()
 	r := xrand.New(1)
 	var sent int64
 	b.ReportAllocs()

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"gossipkit/internal/bitset"
-	"gossipkit/internal/failure"
 	"gossipkit/internal/obs"
 	"gossipkit/internal/sim"
 	"gossipkit/internal/simnet"
@@ -35,25 +34,21 @@ type ShardOptions struct {
 	Progress func(events uint64, now sim.Time)
 }
 
-// EffectiveShards resolves the shard count opts-style callers should
-// expect ExecuteOnNetworkSharded to use for a run of n members over cfg:
-// GOMAXPROCS for requests below 1, clamped to n, and 1 whenever the
-// configuration cannot shard (no positive latency floor, or a shared
+// EffectiveShards resolves the shard count ExecuteOnNetworkSharded (and
+// stream.RunSharded) use for a run of n members over cfg: GOMAXPROCS for
+// requests below 1, reduced to the number of member blocks that many
+// shards actually fill (simnet.ShardBlocks — at most n), and 1 whenever
+// the configuration cannot shard (no positive latency floor, or a shared
 // tracer).
 func EffectiveShards(requested, n int, cfg simnet.Config) int {
 	s := requested
 	if s < 1 {
 		s = runtime.GOMAXPROCS(0)
 	}
-	if s > n {
-		s = n
-	}
-	if s < 1 {
-		s = 1
-	}
-	if s > 1 && (cfg.Tracer != nil || latencyFloor(cfg.Latency) <= 0) {
+	if n < 1 || cfg.Tracer != nil || latencyFloor(cfg.Latency) <= 0 {
 		return 1
 	}
+	_, s = simnet.ShardBlocks(n, s)
 	return s
 }
 
@@ -76,11 +71,12 @@ func latencyFloor(m simnet.LatencyModel) time.Duration {
 	return d
 }
 
-// shardState is one shard's private slice of the run state. Everything
-// here is written by the shard's worker goroutine during windows (and by
-// the coordinator only while workers are parked); received is indexed by
-// (id − base) so no two shards ever share a bitset word. The trailing pad
-// keeps neighboring shards' hot counters off each other's cache lines.
+// shardState is one shard's private slice of the run state, pooled on the
+// NetArena. Everything here is written by the shard's worker goroutine
+// during windows (and by the coordinator only while workers are parked);
+// received is indexed by (id − base) so no two shards ever share a bitset
+// word. The trailing pad keeps neighboring shards' hot counters off each
+// other's cache lines.
 type shardState struct {
 	received  bitset.Bits
 	targets   []int
@@ -97,118 +93,69 @@ type shardState struct {
 	_         [64]byte
 }
 
-// ShardArena pools the per-run state of sharded executions — the shard
-// and control kernels, the sharded fabric, the failure mask, and every
-// shard's bitsets and buffers — the sharded counterpart of NetArena. One
-// arena serves many runs; it is single-goroutine state between runs (the
-// execution itself fans out to the shard workers).
-type ShardArena struct {
-	shards   int
-	kernels  []*sim.Kernel
-	ctl      *sim.Kernel
-	net      *simnet.ShardedNet
-	mask     *failure.Mask
-	states   []shardState
-	msgBits  []*MessageBits // per-shard delivery matrices (streaming runs)
-	nackBits []*MessageBits // per-shard pending-repair matrices (push-pull)
-}
-
-// NewShardArena returns an empty arena for the given shard count;
-// buffers grow on first use.
-func NewShardArena(shards int) *ShardArena {
-	a := &ShardArena{mask: &failure.Mask{}, net: simnet.NewShardedNet()}
-	a.ensure(shards)
-	return a
-}
-
-// ensure sizes the arena for `shards` shard kernels, retaining pooled
-// state when the count is unchanged.
-func (a *ShardArena) ensure(shards int) {
-	if a.shards == shards && a.ctl != nil {
-		return
-	}
-	a.shards = shards
-	for len(a.kernels) < shards {
-		a.kernels = append(a.kernels, sim.New())
-	}
-	a.kernels = a.kernels[:shards]
-	if a.ctl == nil {
-		a.ctl = sim.New()
-	}
-	if cap(a.states) < shards {
-		a.states = make([]shardState, shards)
-	}
-	a.states = a.states[:shards]
-	for len(a.msgBits) < shards {
-		a.msgBits = append(a.msgBits, nil)
-	}
-	a.msgBits = a.msgBits[:shards]
-	for len(a.nackBits) < shards {
-		a.nackBits = append(a.nackBits, nil)
-	}
-	a.nackBits = a.nackBits[:shards]
-}
-
-// ExecuteOnNetworkSharded runs one execution of the paper's algorithm on
-// the conservative-PDES sharded runtime: members are partitioned into
-// contiguous blocks across per-core shard kernels, shards advance in
-// lookahead windows derived from the latency model's floor, and
-// cross-shard messages cross at window barriers (see sim.ShardGroup and
-// simnet.ShardedNet). The single-kernel ExecuteOnNetworkProbed is the
-// equivalence oracle.
+// ExecuteOnNetworkSharded runs one execution of the paper's algorithm as
+// an event-driven protocol over the simulated network. It is the one DES
+// executor: members are partitioned into contiguous blocks across
+// opts.Shards shard kernels, shards advance in lookahead windows derived
+// from the latency model's floor, and cross-shard messages cross at window
+// barriers (see sim.ShardGroup and simnet.ShardedNet). On one shard — what
+// ExecuteOnNetwork, ExecuteOnNetworkArena and ExecuteOnNetworkProbed ask
+// for — the group is a single kernel drained in one go, with no windows,
+// barriers or goroutines.
+//
+// inject, if non-nil, is called with the run's NetRun after the network
+// and handlers are set up and before the source publishes at t=0, so it
+// can schedule mid-execution actions (crashes, restarts, partitions, loss
+// episodes, extra publishers) on the control kernel. arena (nil for a
+// throwaway one) carries kernels, networks and per-member buffers across
+// runs. probe (nil is the zero-overhead off state) observes the run's
+// virtual-time curves, histograms and optionally its raw events; it never
+// consumes the run's RNG streams and schedules nothing, so the NetResult
+// is bit-identical with it on or off. On more than one shard it fans out
+// to per-shard child probes and adopts their merged telemetry, without
+// hop histograms: a cross-shard sender's hop count is unknown to the
+// receiving shard.
 //
 // Determinism contract:
-//   - shards=1: byte-identical to ExecuteOnNetworkProbed for the same
-//     (p, netCfg, r, inject) — same RNG layout (the run stream is r, the
-//     network stream r.Split(0xfeed)), same event interleaving (the
-//     control kernel is the shard kernel and the run is a plain drain).
-//   - fixed shards>1: byte-identical across repeated runs and across
-//     hosts — shard s draws from r.Split(shardSplit+s), windows are cut
+//   - a fixed shard count is byte-identical across repeated runs, fresh
+//     and recycled arenas, and hosts, for the same (p, netCfg, r, inject):
+//     shard s draws from r.Split(shardSplit+s) (from r itself on one
+//     shard) and its network from a further Split(0xfeed), windows are cut
 //     at deterministic virtual times, and barriers flush the per-pair
-//     buffers in a fixed order, so scheduling nondeterminism never
-//     reaches the simulation.
-//   - across shard counts: statistically pinned, not byte-identical —
+//     buffers in a fixed order, so scheduling nondeterminism never reaches
+//     the simulation. testdata/oracle.golden pins the one-shard layout.
+//   - different shard counts are statistically pinned, not byte-identical:
 //     the failure mask is identical (drawn from r, which splitting never
-//     advances) but fanout and latency draws come from different
-//     streams, so results agree in distribution (the equivalence tests
-//     pin mean reliability across shard counts).
+//     advances) but fanout and latency draws come from different streams,
+//     so results agree in distribution (the tests pin mean reliability
+//     across shard counts).
 //
-// The probe, when non-nil, fans out to per-shard child probes and
-// adopts their merged telemetry (hop histograms are unavailable for
-// shards>1: a cross-shard sender's hop count is unknown to the receiving
-// shard). opts.Shards below 1 auto-selects GOMAXPROCS; executions whose
-// latency model has no positive floor fall back to one shard.
-func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, inject func(*NetRun), sa *ShardArena, probe *obs.Probe, opts ShardOptions) (NetResult, error) {
+// opts.Shards below 1 auto-selects GOMAXPROCS; see EffectiveShards for the
+// configurations that run on fewer shards than asked.
+func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, inject func(*NetRun), arena *NetArena, probe *obs.Probe, opts ShardOptions) (NetResult, error) {
 	if err := p.Validate(); err != nil {
 		return NetResult{}, err
 	}
 	shards := EffectiveShards(opts.Shards, p.N, netCfg)
-	if sa == nil {
-		sa = NewShardArena(shards)
-	} else {
-		sa.ensure(shards)
+	if arena == nil {
+		arena = NewNetArena()
 	}
-	kernels, ctl, sn, mask := sa.kernels, sa.ctl, sa.net, sa.mask
-	if shards == 1 {
-		// One shard: the control kernel is the shard kernel, so control
-		// events interleave with deliveries exactly as on the single
-		// kernel — the anchor of the byte-identical shards=1 contract.
-		ctl = kernels[0]
-	}
+	rs := arena.Sharded(shards).State()
+	kernels, ctl, sn, mask := rs.Kernels, rs.Control, rs.Net, rs.Mask
+	states := arena.states[:shards]
 	group := sim.NewShardGroup(kernels, ctl, latencyFloor(netCfg.Latency))
-	block := (p.N + shards - 1) / shards
+	sn.Prepare(shards, p.N, netCfg)
+	block := sn.Block()
 
-	// RNG layout. Splits never advance r, so the mask draw below is
-	// independent of the shard count.
-	states := sa.states
-	if shards == 1 {
-		states[0].rng = r
-	} else {
+	// RNG layout. One shard runs on r itself; more draw from splits of r.
+	// Splits never advance r, so the mask draw below is the same for every
+	// shard count.
+	states[0].rng = r
+	if shards > 1 {
 		for s := range states {
 			states[s].rng = r.Split(shardSplit + uint64(s))
 		}
 	}
-	sn.Prepare(shards, p.N, netCfg)
 	group.Each(func(s int) {
 		// Per-shard state is reset on the shard's own goroutine: the
 		// kernel queue, the network's bitsets and pools, and the local
@@ -218,40 +165,29 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 		kernels[s].Reset()
 		kernels[s].SetBudget(uint64(p.N) * 10000)
 		sn.ResetShard(s, kernels[s], st.rng.Split(0xfeed))
-		lo, hi := s*block, min((s+1)*block, p.N)
+		lo, hi := sn.Range(s)
 		st.received.Reset(hi - lo)
 		st.delivered, st.msgs, st.wasted, st.dups = 0, 0, 0, 0
 		st.upAtEnd, st.delivUp = 0, 0
 		st.spread = 0
 		st.lat = stats.Running{}
 	})
-	if shards > 1 {
-		ctl.Reset()
-	}
 	p.drawMaskInto(mask, r)
 	view := p.view()
 
-	if probe != nil {
-		if shards == 1 {
-			states[0].probe = probe
-			probe.Attach(sn.Shard(0), p.N, &states[0].delivered)
-		} else {
-			for s, child := range probe.ShardProbes(shards) {
-				states[s].probe = child
-				child.Attach(sn.Shard(s), p.N, &states[s].delivered)
-			}
+	probes := probe.ShardProbes(shards) // nil for a nil probe
+	for s := range states {
+		states[s].probe = nil
+		if probes != nil {
+			states[s].probe = probes[s]
 		}
-	} else {
-		for s := range states {
-			states[s].probe = nil
-		}
+		states[s].probe.Attach(sn.Shard(s), p.N, &states[s].delivered)
 	}
 
-	// forward and receive mirror the single-kernel executor line for
-	// line; both run on shard s's goroutine (or with every worker parked).
-	var forward func(s, self int)
-	forward = func(s, self int) {
-		st := &states[s]
+	// forward and receive run on shard s's goroutine (or with every worker
+	// parked).
+	forward := func(s, self int) {
+		st, nw := &states[s], sn.Shard(s)
 		f := p.Fanout.Sample(st.rng)
 		st.targets = view.SampleTargets(st.targets, self, f, st.rng)
 		st.msgs += len(st.targets)
@@ -260,9 +196,11 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 			if !mask.Alive(v) {
 				st.wasted++
 			}
-			sn.Shard(s).Send(simnet.NodeID(self), simnet.NodeID(v), nil)
+			nw.Send(simnet.NodeID(self), simnet.NodeID(v), nil)
 		}
 	}
+	// from is the forwarding member, or -1 for an out-of-band receipt (an
+	// additional publisher injected by a campaign).
 	receive := func(s, id, from int, now sim.Time) {
 		st := &states[s]
 		st.received.Set(id - s*block)
@@ -274,10 +212,12 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 		st.probe.ObserveFirstReceipt(id, from, now)
 		forward(s, id)
 	}
-	for s := 0; s < shards; s++ {
-		s := s
-		st := &states[s]
-		base := s * block
+	// One shared handler per shard (index dispatch on msg.To) instead of n
+	// per-member closures; fail-stop members are crashed at the network
+	// layer, so the handler only ever sees alive-at-delivery members.
+	// (Crashing also counts the paper's "wasted" sends as crash drops.)
+	for s := range states {
+		st, base := &states[s], s*block
 		sn.Shard(s).RegisterAll(func(now sim.Time, msg simnet.Message) {
 			id := int(msg.To)
 			if st.received.Get(id - base) {
@@ -288,23 +228,24 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 		})
 	}
 	group.Each(func(s int) {
-		for id := s * block; id < min((s+1)*block, p.N); id++ {
+		for id, hi := sn.Range(s); id < hi; id++ {
 			if !mask.Alive(id) {
 				sn.Shard(s).Crash(simnet.NodeID(id))
 			}
 		}
 	})
 
+	hasReceived := func(id int) bool {
+		s := id / block
+		return states[s].received.Get(id - s*block)
+	}
 	if inject != nil {
 		inject(&NetRun{
-			Kernel: ctl,
-			Net:    sn,
-			View:   view,
-			mask:   mask,
-			hasReceived: func(id int) bool {
-				s := id / block
-				return states[s].received.Get(id - s*block)
-			},
+			Kernel:      ctl,
+			Net:         sn,
+			View:        view,
+			mask:        mask,
+			hasReceived: hasReceived,
 			delivered: func() int {
 				total := 0
 				for s := range states {
@@ -312,45 +253,28 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 				}
 				return total
 			},
-			pending: func() int {
-				n := ctl.Pending() + sn.Buffered()
-				if shards > 1 {
-					for _, k := range kernels {
-						n += k.Pending()
-					}
-				}
-				return n
-			},
+			pending: rs.Pending,
 			publish: func(id int) {
 				if id < 0 || id >= p.N || !sn.Up(simnet.NodeID(id)) || !mask.Alive(id) {
 					return
 				}
 				s := id / block
-				act := func(now sim.Time) {
-					if states[s].received.Get(id - s*block) {
+				rs.OnShard(s, func(now sim.Time) {
+					if hasReceived(id) {
 						forward(s, id) // re-gossip
 						return
 					}
-					receive(s, id, -1, now)
-				}
-				if shards == 1 {
-					act(ctl.Now())
-					return
-				}
-				// The publish must execute on the owning shard's clock:
-				// park it there at the control kernel's current time
-				// (strictly ahead of the shard's clock, which stopped
-				// before the barrier).
-				now := ctl.Now()
-				kernels[s].At(now, func() { act(now) })
+					receive(s, id, -1, now) // additional publisher
+				})
 			},
 		})
 	}
 
-	// The source initiates at t=0 (workers not yet running, so seeding
-	// shard-owned state from here is safe), mirroring the single-kernel
-	// bootstrap: no latency sample for the source.
-	if src := p.Source; !states[src/block].received.Get(src - (src/block)*block) {
+	// The source initiates at t=0 with no latency sample of its own
+	// (unless an injection hook already published from it directly). No
+	// worker is running yet, so seeding shard-owned state from here is
+	// safe.
+	if src := p.Source; !hasReceived(src) {
 		s := src / block
 		states[s].received.Set(src - s*block)
 		states[s].delivered++
@@ -358,37 +282,26 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 		forward(s, src)
 	}
 
-	var runErr error
-	if shards == 1 {
-		runErr = ctl.RunAll()
-	} else {
-		var onBarrier func(now sim.Time, fired uint64)
-		if opts.Progress != nil {
-			onBarrier = func(now sim.Time, fired uint64) { opts.Progress(fired, now) }
-		}
-		runErr = group.Run(sn.Flush, sn.Buffered, onBarrier)
+	var onBarrier func(now sim.Time, fired uint64)
+	if opts.Progress != nil {
+		onBarrier = func(now sim.Time, fired uint64) { opts.Progress(fired, now) }
 	}
-	if runErr != nil {
-		return NetResult{}, fmt.Errorf("core: network execution aborted: %w", runErr)
+	if err := group.Run(sn.Flush, sn.Buffered, onBarrier); err != nil {
+		return NetResult{}, fmt.Errorf("core: network execution aborted: %w", err)
 	}
-	if probe != nil {
-		if shards == 1 {
-			probe.Finish(ctl.Now())
-		} else {
-			for s := range states {
-				states[s].probe.Finish(kernels[s].Now())
-			}
-			probe.AdoptShards()
-		}
+	for s := range states {
+		states[s].probe.Finish(kernels[s].Now())
 	}
+	probe.AdoptShards()
 
 	group.Each(func(s int) {
 		st := &states[s]
 		nw := sn.Shard(s)
-		for id := s * block; id < min((s+1)*block, p.N); id++ {
+		lo, hi := sn.Range(s)
+		for id := lo; id < hi; id++ {
 			if nw.Up(simnet.NodeID(id)) {
 				st.upAtEnd++
-				if st.received.Get(id - s*block) {
+				if st.received.Get(id - lo) {
 					st.delivUp++
 				}
 			}

@@ -1,15 +1,19 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 	"time"
 
 	"gossipkit/internal/dist"
+	"gossipkit/internal/golden"
+	"gossipkit/internal/membership"
 	"gossipkit/internal/obs"
 	"gossipkit/internal/sim"
 	"gossipkit/internal/simnet"
+	"gossipkit/internal/topology"
 	"gossipkit/internal/xrand"
 )
 
@@ -45,42 +49,83 @@ func shardedCampaign(run *NetRun) {
 	})
 }
 
-// TestShardedOneShardMatchesOracle pins the tentpole's shards=1 contract:
-// byte-identical results AND telemetry against ExecuteOnNetworkProbed for
-// the same inputs — reliability, message counts, latency moments, probe
-// curves, histograms, and the event trace.
+// TestShardedOneShardMatchesOracle pins the default (one-shard) executor
+// to the single-kernel executor it replaced. That executor was the
+// documented equivalence oracle; its role survives as data:
+// testdata/oracle.golden holds digests of the NetResult and of
+// probe.Metrics() (curves, latency/hop/fanout histograms, event trace)
+// that the parent commit's single-kernel ExecuteOnNetworkProbed produced
+// for every case below. The committed file must stay the parent's —
+// regenerating it with -update on a later commit defeats the test.
 func TestShardedOneShardMatchesOracle(t *testing.T) {
-	p := shardedTestParams(300)
-	cfg := shardedTestConfig()
-	opts := obs.Options{TraceCapacity: 1 << 14}
+	const n = 300
+	g := golden.Open(t, "testdata/oracle.golden",
+		"core.ExecuteOnNetworkProbed on the single-kernel executor of commit 53dc72f (PR 11),\n"+
+			"the last one that had it. case = inject/fanout/q/latency/view/probe")
+	defer g.Close(t)
 
-	for _, tc := range []struct {
+	fanouts := []struct {
+		name string
+		d    dist.Distribution
+	}{{"poisson", dist.NewPoisson(5)}, {"fixed", dist.NewFixed(4)}}
+	nets := []struct {
+		name string
+		cfg  simnet.Config
+	}{
+		{"uniform", shardedTestConfig()},
+		// No latency floor (no lookahead) and no delay bound (heap queue).
+		{"exponential", simnet.Config{Latency: simnet.ExponentialLatency{Mean: 5 * time.Millisecond}}},
+	}
+	views := []struct {
+		name string
+		view func() membership.View
+	}{
+		{"full", func() membership.View { return nil }},
+		{"partial", func() membership.View { return membership.NewPartialViews(n, 2, xrand.New(98)) }},
+		{"kout", func() membership.View {
+			ov, err := topology.Spec{Kind: topology.KOut, K: 6}.Build(n, xrand.New(99))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ov
+		}},
+	}
+	arena := NewNetArena() // one arena across every case: leases must be result-neutral
+
+	for _, inj := range []struct {
 		name   string
 		inject func(*NetRun)
-	}{
-		{"plain", nil},
-		{"campaign", shardedCampaign},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			oracleProbe := obs.New(opts)
-			want, err := ExecuteOnNetworkProbed(p, cfg, xrand.New(42), tc.inject, nil, oracleProbe)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shardProbe := obs.New(opts)
-			got, err := ExecuteOnNetworkSharded(p, cfg, xrand.New(42), tc.inject, nil, shardProbe, ShardOptions{Shards: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("shards=1 result diverged from oracle:\n got %+v\nwant %+v", got, want)
-			}
-			gm, wm := shardProbe.Metrics(), oracleProbe.Metrics()
-			if !reflect.DeepEqual(gm, wm) {
-				t.Errorf("shards=1 probe metrics diverged from oracle:\n got %+v\nwant %+v", gm, wm)
-			}
-			if wm.Totals.Sent == 0 || len(wm.Infected) == 0 || len(wm.Trace) == 0 {
-				t.Fatalf("degenerate oracle telemetry %+v", wm.Totals)
+	}{{"plain", nil}, {"campaign", shardedCampaign}} {
+		t.Run(inj.name, func(t *testing.T) {
+			for _, f := range fanouts {
+				for _, q := range []float64{0.6, 1} {
+					for _, nc := range nets {
+						for _, v := range views {
+							p := Params{N: n, Fanout: f.d, AliveRatio: q, Source: 1, View: v.view()}
+							key := fmt.Sprintf("%s/%s/q%g/%s/%s", inj.name, f.name, q, nc.name, v.name)
+
+							bare, err := ExecuteOnNetworkProbed(p, nc.cfg, xrand.New(42), inj.inject, arena, nil)
+							if err != nil {
+								t.Fatal(err)
+							}
+							g.Check(t, key+"/bare", fmt.Sprintf("delivered=%d sent=%d result=%s",
+								bare.Delivered, bare.MessagesSent, golden.Digest(bare)))
+
+							p.View = v.view()
+							probe := obs.New(obs.Options{TraceCapacity: 1 << 14})
+							res, err := ExecuteOnNetworkProbed(p, nc.cfg, xrand.New(42), inj.inject, arena, probe)
+							if err != nil {
+								t.Fatal(err)
+							}
+							m := probe.Metrics()
+							if m.Totals.Sent == 0 || len(m.Infected) == 0 || len(m.Trace) == 0 || m.Hops.Total == 0 {
+								t.Fatalf("%s: degenerate telemetry %+v", key, m.Totals)
+							}
+							g.Check(t, key+"/probed", fmt.Sprintf("delivered=%d sent=%d result=%s hops=%v metrics=%s",
+								res.Delivered, res.MessagesSent, golden.Digest(res), m.Hops.Counts, golden.Digest(*m)))
+						}
+					}
+				}
 			}
 		})
 	}
@@ -116,7 +161,7 @@ func TestShardedFixedShardCountDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardedArenaReuseDeterministic pins pooling: a reused ShardArena
+// TestShardedArenaReuseDeterministic pins pooling: a reused arena
 // (including one resized across shard counts) replays a run
 // byte-identically against a fresh arena.
 func TestShardedArenaReuseDeterministic(t *testing.T) {
@@ -127,7 +172,7 @@ func TestShardedArenaReuseDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa := NewShardArena(4)
+	sa := NewNetArena()
 	if _, err := ExecuteOnNetworkSharded(shardedTestParams(100), cfg, xrand.New(1), nil, sa, nil, ShardOptions{Shards: 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -151,13 +196,13 @@ func TestShardedMaskInvariantAcrossShardCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 2, 4} {
+	for _, shards := range []int{2, 4} {
 		res, err := ExecuteOnNetworkSharded(p, cfg, xrand.New(3), nil, nil, nil, ShardOptions{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.AliveCount != base.AliveCount {
-			t.Errorf("shards=%d AliveCount %d, oracle %d — mask not shard-count-invariant",
+			t.Errorf("shards=%d AliveCount %d, one shard %d — mask not shard-count-invariant",
 				shards, res.AliveCount, base.AliveCount)
 		}
 	}
@@ -189,7 +234,7 @@ func TestShardedReliabilityPinnedAcrossShardCounts(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		m := mean(shards)
 		if diff := math.Abs(m - m1); diff > 0.03 {
-			t.Errorf("shards=%d mean reliability %.4f vs single-kernel %.4f (Δ=%.4f > 0.03)",
+			t.Errorf("shards=%d mean reliability %.4f vs one shard %.4f (Δ=%.4f > 0.03)",
 				shards, m, m1, diff)
 		}
 	}
@@ -237,6 +282,7 @@ func TestEffectiveShards(t *testing.T) {
 	}{
 		{"explicit", 4, 100, floored, 4},
 		{"clampToN", 8, 3, floored, 3},
+		{"noEmptyTrailingShard", 4, 5, floored, 3}, // blocks of 2: [0,2) [2,4) [4,5)
 		{"noFloorFallsBack", 4, 100, simnet.Config{}, 1},
 		{"zeroLatencyFallsBack", 4, 100, simnet.Config{Latency: simnet.ConstantLatency{}}, 1},
 		{"tracerFallsBack", 4, 100, simnet.Config{
@@ -253,6 +299,37 @@ func TestEffectiveShards(t *testing.T) {
 	// requested<1 auto-selects GOMAXPROCS (clamped); just pin it's sane.
 	if got := EffectiveShards(0, 1<<20, floored); got < 1 {
 		t.Errorf("auto shard count %d < 1", got)
+	}
+}
+
+// TestShardedSmallGroups runs every small (n, shards) pair through the
+// executor. Whenever (shards−1)·⌈n/shards⌉ > n — (5,4), (9,8), (11,8),
+// (13,6) … — a trailing shard used to own a range starting past n, and
+// sizing its bitset to the negative width panicked on a shard goroutine,
+// which no caller can recover.
+func TestShardedSmallGroups(t *testing.T) {
+	cfg := simnet.Config{Latency: simnet.UniformLatency{Lo: time.Millisecond, Hi: 5 * time.Millisecond}}
+	arena := NewNetArena()
+	for _, n := range []int{1, 2, 3, 5, 9, 11, 13} {
+		for shards := 1; shards <= 8; shards++ {
+			p := Params{N: n, Fanout: dist.NewFixed(2), AliveRatio: 0.8}
+			res, err := ExecuteOnNetworkSharded(p, cfg, xrand.New(uint64(n*100+shards)), nil, arena, nil, ShardOptions{Shards: shards})
+			if n < 2 {
+				if err == nil {
+					t.Errorf("n=%d shards=%d: a one-member group was not rejected", n, shards)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("n=%d shards=%d: %v", n, shards, err)
+			}
+			if res.Delivered < 1 || res.Delivered > res.AliveCount {
+				t.Errorf("n=%d shards=%d: delivered %d of %d alive", n, shards, res.Delivered, res.AliveCount)
+			}
+			if inflight := res.Net.InFlight(); inflight != 0 {
+				t.Errorf("n=%d shards=%d: %d messages in flight at quiescence", n, shards, inflight)
+			}
+		}
 	}
 }
 

@@ -100,9 +100,12 @@ type Probe struct {
 	end    sim.Time
 	totals simnet.Stats
 
-	// Sharded runs: pooled per-shard child probes and their merged
-	// telemetry (see ShardProbes / AdoptShards in shard.go).
+	// Sharded runs (see ShardProbes / AdoptShards in shard.go): the
+	// pooled child probes, the probes leased to the current run — a
+	// prefix of children, or self on one shard — and the merged telemetry.
 	children []*Probe
+	self     [1]*Probe
+	leased   []*Probe
 	adopted  *Metrics
 }
 

@@ -2,38 +2,41 @@ package obs
 
 import "sort"
 
-// ShardProbes leases k child probes for a sharded execution — one per
-// shard kernel, each attached to its shard's network and delivered
-// counter. Children share the parent's options except hop collection,
-// which is disabled for k > 1: a receiving shard cannot know a
-// cross-shard sender's hop count, so hop histograms exist only on
-// single-kernel (and shards=1) runs. Children are pooled on the parent
-// across runs. Call AdoptShards after the run so the parent's Metrics
-// reflects the merged telemetry.
+// ShardProbes leases the k probes of a k-shard execution — one per shard
+// kernel, each to be attached to its shard's network and delivered
+// counter. On one shard that is the parent itself. For k > 1 they are
+// child probes pooled on the parent, sharing its options except hop
+// collection: a receiving shard cannot know a cross-shard sender's hop
+// count, so hop histograms exist only on one-shard runs. Call AdoptShards
+// after the run so the parent's Metrics reflects the merged telemetry.
 func (p *Probe) ShardProbes(k int) []*Probe {
 	if p == nil {
 		return nil
 	}
+	if k == 1 {
+		p.self[0] = p
+		p.leased = p.self[:]
+		return p.leased
+	}
+	opts := p.opts
+	opts.HopBins = -1
 	for len(p.children) < k {
-		opts := p.opts
-		if k > 1 {
-			opts.HopBins = -1
-		}
 		p.children = append(p.children, New(opts))
 	}
-	p.children = p.children[:k]
-	return p.children
+	p.leased = p.children[:k]
+	return p.leased
 }
 
-// AdoptShards merges the children's finished telemetry (ShardProbes →
-// per-child Attach/Finish) into one whole-run Metrics that the parent's
-// Metrics method returns until its next Attach.
+// AdoptShards merges the finished telemetry of the probes last leased with
+// ShardProbes into one whole-run Metrics that the parent's Metrics method
+// returns until its next Attach. On one shard the parent observed the run
+// itself and there is nothing to merge.
 func (p *Probe) AdoptShards() {
-	if p == nil {
+	if p == nil || (len(p.leased) == 1 && p.leased[0] == p) {
 		return
 	}
-	parts := make([]*Metrics, len(p.children))
-	for i, c := range p.children {
+	parts := make([]*Metrics, len(p.leased))
+	for i, c := range p.leased {
 		parts[i] = c.Metrics()
 	}
 	p.adopted = MergeShardMetrics(parts)

@@ -55,7 +55,9 @@ type StreamProbe struct {
 	end    sim.Time
 	totals simnet.Stats
 
-	children []*StreamProbe
+	children []*StreamProbe // pooled child probes of multi-shard runs
+	self     [1]*StreamProbe
+	leased   []*StreamProbe // probes of the current run: children[:k], or self on one shard
 	adopted  *StreamMetrics
 }
 
@@ -291,29 +293,35 @@ func (p *StreamProbe) Metrics() *StreamMetrics {
 	return m
 }
 
-// ShardProbes leases k child streaming probes for a sharded execution,
-// one per shard kernel, pooled on the parent across runs. Call
-// AdoptShards after the run.
+// ShardProbes leases the k streaming probes of a k-shard execution, one
+// per shard kernel: the parent itself on one shard, else child probes
+// pooled on the parent across runs. Call AdoptShards after the run.
 func (p *StreamProbe) ShardProbes(k int) []*StreamProbe {
 	if p == nil {
 		return nil
 	}
+	if k == 1 {
+		p.self[0] = p
+		p.leased = p.self[:]
+		return p.leased
+	}
 	for len(p.children) < k {
 		p.children = append(p.children, NewStream(p.opts))
 	}
-	p.children = p.children[:k]
-	return p.children
+	p.leased = p.children[:k]
+	return p.leased
 }
 
-// AdoptShards merges the children's finished telemetry into one
-// whole-run StreamMetrics that the parent's Metrics returns until its
-// next Attach.
+// AdoptShards merges the finished telemetry of the probes last leased with
+// ShardProbes into one whole-run StreamMetrics that the parent's Metrics
+// returns until its next Attach. On one shard the parent observed the run
+// itself and there is nothing to merge.
 func (p *StreamProbe) AdoptShards() {
-	if p == nil {
+	if p == nil || (len(p.leased) == 1 && p.leased[0] == p) {
 		return
 	}
-	parts := make([]*StreamMetrics, len(p.children))
-	for i, c := range p.children {
+	parts := make([]*StreamMetrics, len(p.leased))
+	for i, c := range p.leased {
 		parts[i] = c.Metrics()
 	}
 	p.adopted = MergeShardStreamMetrics(parts)

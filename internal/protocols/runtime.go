@@ -176,7 +176,7 @@ func RunOnDES(spec Spec, cfg DESConfig, r *xrand.RNG, inject func(*core.NetRun),
 		return DESOutcome{}, fmt.Errorf("protocols: %s: %w", spec.Protocol(), err)
 	}
 	rt := &Runtime{
-		Kernel: st.Kernel, Net: st.Net, RNG: r, Mask: st.Mask,
+		Kernel: st.Control, Net: st.Net.Shard(0), RNG: r, Mask: st.Mask,
 		n: n, source: spec.start(), interval: cfg.interval(),
 		m: spec.newMachine(), recv: st.Received, targets: arena.Targets(),
 		probe: cfg.Probe, round: -1,

@@ -2,7 +2,8 @@
 // simulator: a Scenario scripts a time-varying fault campaign — crash
 // waves, correlated zone failures, partitions that heal, churn bursts,
 // bursty loss episodes, flash-crowd multi-publish — as timestamped Actions
-// applied to a running discrete-event execution (core.ExecuteOnNetworkInjected).
+// applied to a running discrete-event execution through the inject hook of
+// core.ExecuteOnNetworkSharded.
 //
 // The paper models fault tolerance with a single static nonfailed ratio q
 // per execution; scenarios stress-test that model with richer fault

@@ -62,13 +62,12 @@ type RunConfig struct {
 	// Executor selects the protocol under the campaign; nil runs the
 	// paper's algorithm (Params). The comparison grid sets it per row.
 	Executor Executor
-	// Shards selects the execution runtime for the default (paper)
-	// executor: values above 1 run the conservative-PDES sharded kernel
-	// (core.ExecuteOnNetworkSharded) with that many shard kernels, 0 and 1
-	// run the single-kernel oracle — so existing configs and sweep JSON
-	// goldens are byte-identical by default. The sharded runtime falls
-	// back to one shard (still the sharded code path) when the latency
-	// model has no positive floor. Protocol executors ignore it.
+	// Shards is the shard-kernel count core.ExecuteOnNetworkSharded runs
+	// the default (paper) executor on. 0 and 1 both mean one shard — the
+	// default every existing config and sweep JSON golden was produced on;
+	// above that, results are deterministic per shard count and
+	// statistically pinned across counts. A latency model with no positive
+	// floor always runs on one shard. Protocol executors ignore it.
 	Shards int
 	// RoundInterval paces the round ticks of round-driven protocol
 	// executors (the paper's algorithm is purely event-driven and ignores
@@ -175,11 +174,9 @@ func ExecutePaper(cfg RunConfig, r *xrand.RNG, inject func(*core.NetRun), arena 
 	if cfg.PartialViewCopies > 0 && p.View == nil {
 		p.View = membership.NewPartialViews(p.N, cfg.PartialViewCopies, r.Split(0x71e75))
 	}
-	if cfg.Shards > 1 {
-		return core.ExecuteOnNetworkSharded(p, cfg.Net, r, inject, arena.Sharded(cfg.Shards), cfg.Probe,
-			core.ShardOptions{Shards: cfg.Shards})
-	}
-	return core.ExecuteOnNetworkProbed(p, cfg.Net, r, inject, arena, cfg.Probe)
+	// Shards 0 is the default of one shard, not core's "GOMAXPROCS" zero.
+	return core.ExecuteOnNetworkSharded(p, cfg.Net, r, inject, arena, cfg.Probe,
+		core.ShardOptions{Shards: max(cfg.Shards, 1)})
 }
 
 // RunReport is the outcome of one scenario execution.

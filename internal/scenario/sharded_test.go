@@ -1,13 +1,18 @@
 package scenario
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"gossipkit/internal/core"
 	"gossipkit/internal/dist"
+	"gossipkit/internal/golden"
+	"gossipkit/internal/obs"
 )
 
 // shardedAdversarialCampaign is the satellite equivalence campaign: a
@@ -51,32 +56,58 @@ func TestShardedScenarioMatrix(t *testing.T) {
 		}
 		return total / seeds
 	}
-	base := mean(0) // single-kernel oracle
+	base := mean(0) // the default: one shard
 	for _, shards := range []int{2, 4} {
 		m := mean(shards)
 		if diff := math.Abs(m - base); diff > 0.05 {
-			t.Errorf("shards=%d mean reliability %.4f vs oracle %.4f (Δ=%.4f > 0.05)",
+			t.Errorf("shards=%d mean reliability %.4f vs one shard %.4f (Δ=%.4f > 0.05)",
 				shards, m, base, diff)
 		}
 	}
 }
 
-// TestShardedScenarioOneShardMatchesDefault pins that Shards 0 and 1 are
-// the same single-kernel path, and that the sharded path is seed-
-// deterministic under a campaign.
+// TestShardedScenarioOneShardMatchesDefault pins the default runner to
+// the single-kernel executor it used to select. testdata/suite.golden
+// holds, for every bundled campaign, the JSON RunReport and a digest of
+// the probe metrics that the parent commit's single-kernel path produced;
+// Shards 0 (the default) and 1 must both reproduce it, with GOMAXPROCS
+// raised so a zero leaking through to core.EffectiveShards would shard the
+// run. The committed file must stay the parent's — regenerating it with
+// -update on a later commit defeats the test. Fixed Shards>1 is pinned to
+// be seed-deterministic under a campaign.
 func TestShardedScenarioOneShardMatchesDefault(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	g := golden.Open(t, "testdata/suite.golden",
+		"scenario.Run over DefaultSuite() on the single-kernel executor of commit 53dc72f (PR 11),\n"+
+			"the last one that had it. case = scenario name")
+	defer g.Close(t)
+
+	for _, s := range DefaultSuite() {
+		var reports [2]string
+		for shards := range reports {
+			cfg := RunConfig{
+				Params:            core.Params{N: 400, Fanout: dist.NewPoisson(5), AliveRatio: 0.95, Source: 3},
+				PartialViewCopies: 2,
+				Shards:            shards,
+				Probe:             obs.New(obs.Options{TraceCapacity: 1 << 14}),
+			}
+			rep, err := Run(s, cfg, 2008)
+			if err != nil {
+				t.Fatal(err)
+			}
+			js, err := json.Marshal(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reports[shards] = fmt.Sprintf("%s metrics=%s", js, golden.Digest(*rep.Metrics))
+		}
+		if reports[1] != reports[0] {
+			t.Errorf("%s: Shards=1 diverged from the default:\n got %s\nwant %s", s.Name, reports[1], reports[0])
+		}
+		g.Check(t, s.Name, reports[0])
+	}
+
 	s := shardedAdversarialCampaign()
-	base, err := Run(s, shardedScenarioConfig(0), 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := Run(s, shardedScenarioConfig(1), 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(one, base) {
-		t.Errorf("Shards=1 diverged from default:\n got %+v\nwant %+v", one, base)
-	}
 	run2a, err := Run(s, shardedScenarioConfig(2), 77)
 	if err != nil {
 		t.Fatal(err)

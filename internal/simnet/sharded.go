@@ -51,25 +51,38 @@ type ShardedNet struct {
 // NewShardedNet returns an empty sharded fabric; Prepare sizes it.
 func NewShardedNet() *ShardedNet { return &ShardedNet{} }
 
+// ShardBlocks partitions n member ids into contiguous blocks for a run
+// asked to use `shards` shards: block is the block size ⌈n/shards⌉ and
+// used the number of blocks that actually hold a member, ⌈n/block⌉ ≤
+// shards. Executors run on `used` shards, so no shard ever owns an empty
+// range past n (n=5 over 4 shards is three blocks of two, not four).
+func ShardBlocks(n, shards int) (block, used int) {
+	if n < 1 || shards < 1 {
+		panic(fmt.Sprintf("simnet: %d members across %d shards", n, shards))
+	}
+	block = (n + shards - 1) / shards
+	return block, (n + block - 1) / block
+}
+
 // Prepare sizes the fabric for a run over n members on `shards` shards
 // and derives the per-shard configs from cfg, cloning stateful loss
 // models so shards never share mutable model state. Call once per run,
-// before the per-shard ResetShard calls. cfg.Tracer must be nil: a single
-// tracer callback cannot observe concurrent shards (probes attach their
-// own per-shard tracers instead).
+// before the per-shard ResetShard calls. shards must be a count
+// ShardBlocks(n, ·) returns as used — every shard owns at least one
+// member. cfg.Tracer must be nil when shards > 1: a single tracer
+// callback cannot observe concurrent shards (probes attach their own
+// per-shard tracers instead).
 func (sn *ShardedNet) Prepare(shards, n int, cfg Config) {
-	if shards < 1 {
-		panic(fmt.Sprintf("simnet: shard count %d < 1", shards))
-	}
-	if n < shards {
-		panic(fmt.Sprintf("simnet: %d members across %d shards", n, shards))
+	block, used := ShardBlocks(n, shards)
+	if used != shards {
+		panic(fmt.Sprintf("simnet: %d members fill only %d of %d shards", n, used, shards))
 	}
 	if cfg.Tracer != nil && shards > 1 {
 		panic("simnet: a shared Config.Tracer cannot observe a sharded run")
 	}
 	sn.n = n
 	sn.shards = shards
-	sn.block = (n + shards - 1) / shards
+	sn.block = block
 	if cap(sn.nets) < shards {
 		sn.nets = append(sn.nets[:cap(sn.nets)], make([]*Network, shards-cap(sn.nets))...)
 		sn.cfgs = append(sn.cfgs[:cap(sn.cfgs)], make([]Config, shards-cap(sn.cfgs))...)
@@ -188,9 +201,14 @@ func (sn *ShardedNet) Buffered() int {
 // Owner returns the shard owning id's block.
 func (sn *ShardedNet) Owner(id NodeID) int { return int(id) / sn.block }
 
-// Block returns the member-id block size (shard s owns
-// [s·Block, min((s+1)·Block, N))).
+// Block returns the member-id block size.
 func (sn *ShardedNet) Block() int { return sn.block }
+
+// Range returns the member ids [lo, hi) shard s owns:
+// [s·Block, min((s+1)·Block, N)).
+func (sn *ShardedNet) Range(s int) (lo, hi int) {
+	return s * sn.block, min((s+1)*sn.block, sn.n)
+}
 
 // Shards returns the shard count.
 func (sn *ShardedNet) Shards() int { return sn.shards }

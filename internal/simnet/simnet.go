@@ -50,8 +50,8 @@ type LatencyBounder interface {
 // window of the conservative-PDES sharded runtime: events less than the
 // floor apart on different shards cannot influence each other, so shard
 // kernels may advance that far in parallel. Models without a positive
-// floor keep executions on the single kernel (the sharded runtime falls
-// back rather than guessing).
+// floor keep executions on one shard (core.EffectiveShards resolves that
+// rather than guessing a window).
 type LatencyFloorer interface {
 	// LatencyFloor returns the minimum delay the model can draw, and
 	// whether such a floor exists.
@@ -305,8 +305,8 @@ type Network struct {
 	freeSlab []int32
 
 	// route, when installed, intercepts payload-free sends whose
-	// destination lives on another shard (see SetRoute). The single-kernel
-	// hot path pays one nil check for the seam. routeBatch is its SendBatch
+	// destination lives on another shard (see SetRoute). A one-shard run
+	// installs none and pays one nil check for the seam. routeBatch is its SendBatch
 	// sibling.
 	route      func(from, to NodeID, tag int32, sentAt, at sim.Time) bool
 	routeBatch func(from, to NodeID, kind int32, ids []int32, sentAt, at sim.Time) bool

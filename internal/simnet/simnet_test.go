@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -268,136 +267,5 @@ func TestDeterministicReplay(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("replay diverged at %d", i)
 		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// LiveNet
-
-func TestLiveNetSendRecv(t *testing.T) {
-	l := NewLive(2, 8)
-	defer l.Close()
-	if !l.Send(0, 1, "x") {
-		t.Fatal("send failed")
-	}
-	m := <-l.Inbox(1)
-	if m.Payload != "x" || m.From != 0 {
-		t.Fatalf("got %v", m)
-	}
-}
-
-func TestLiveNetCrash(t *testing.T) {
-	l := NewLive(2, 8)
-	defer l.Close()
-	l.Crash(1)
-	if l.Send(0, 1, "x") {
-		t.Error("send to crashed node succeeded")
-	}
-	if l.Send(1, 0, "y") {
-		t.Error("send from crashed node succeeded")
-	}
-	if l.Up(1) || !l.Up(0) {
-		t.Error("Up() wrong")
-	}
-}
-
-func TestLiveNetOverflowDrops(t *testing.T) {
-	l := NewLive(2, 2)
-	defer l.Close()
-	if !l.Send(0, 1, 1) || !l.Send(0, 1, 2) {
-		t.Fatal("fills failed")
-	}
-	if l.Send(0, 1, 3) {
-		t.Error("overflow send succeeded")
-	}
-}
-
-func TestLiveNetBadIDs(t *testing.T) {
-	l := NewLive(2, 2)
-	defer l.Close()
-	if l.Send(-1, 0, nil) || l.Send(0, 7, nil) {
-		t.Error("bad ids accepted")
-	}
-	if l.Up(-1) || l.Up(9) {
-		t.Error("bad ids reported up")
-	}
-	l.Crash(-1) // must not panic
-}
-
-func TestLiveNetCloseIdempotentAndConcurrent(t *testing.T) {
-	l := NewLive(4, 16)
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				l.Send(NodeID(i), NodeID((i+1)%4), j)
-			}
-		}(i)
-	}
-	l.Close()
-	l.Close() // idempotent
-	wg.Wait()
-	if l.Send(0, 1, nil) {
-		t.Error("send after close succeeded")
-	}
-}
-
-func TestLiveNetConcurrentTraffic(t *testing.T) {
-	const n, msgs = 8, 500
-	l := NewLive(n, msgs*n)
-	var wg sync.WaitGroup
-	received := make([]int, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for m := range l.Inbox(NodeID(i)) {
-				_ = m
-				received[i]++
-			}
-		}(i)
-	}
-	var sendWg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		sendWg.Add(1)
-		go func(i int) {
-			defer sendWg.Done()
-			for j := 0; j < msgs; j++ {
-				l.Send(NodeID(i), NodeID(j%n), j)
-			}
-		}(i)
-	}
-	sendWg.Wait()
-	l.Close()
-	wg.Wait()
-	total := 0
-	for _, r := range received {
-		total += r
-	}
-	if total != n*msgs {
-		t.Errorf("received %d messages, want %d", total, n*msgs)
-	}
-}
-
-func BenchmarkNetworkSendDeliver(b *testing.B) {
-	k := sim.New()
-	nw := New(k, 100, xrand.New(1), Config{Latency: ConstantLatency{D: time.Millisecond}})
-	for i := 0; i < 100; i++ {
-		nw.Register(NodeID(i), func(sim.Time, Message) {})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nw.Send(NodeID(i%100), NodeID((i+1)%100), nil)
-		if i%256 == 255 {
-			if err := k.RunAll(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	if err := k.RunAll(); err != nil {
-		b.Fatal(err)
 	}
 }

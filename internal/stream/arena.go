@@ -33,8 +33,9 @@ type runShared struct {
 	pubState []uint8
 }
 
-// Arena pools the reusable state of streaming runs: the underlying
-// core.NetArena (kernels, networks, failure mask, delivery matrices), the
+// Arena pools the reusable state of streaming runs on any shard count:
+// the underlying core.NetArena (kernels, networks, failure mask, delivery
+// matrices), the
 // schedule arrays, the per-shard publish lists, and the workers with
 // their buffers and tallies. One arena serves many runs — after the first
 // run at a given shape an execution performs zero O(n)- or O(M)-sized
@@ -43,7 +44,7 @@ type runShared struct {
 type Arena struct {
 	net     *core.NetArena
 	sh      runShared
-	pubBy   [][]int32 // per-shard publish lists (index 0 doubles as the single-kernel list)
+	pubBy   [][]int32 // per-shard publish lists
 	workers []*worker
 }
 
@@ -109,32 +110,27 @@ func (a *Arena) schedule(cfg Config, interval time.Duration, r *xrand.RNG) *runS
 }
 
 // publishLists partitions the schedule into per-shard publish lists by
-// owning block (shard s owns sources in [s·block, (s+1)·block)); with one
-// shard the single list is the whole schedule in time order. Pooled;
-// valid until the next call.
+// owning block (shard s owns sources in [s·block, (s+1)·block)), each in
+// time order. Pooled; valid until the next call.
 func (a *Arena) publishLists(sh *runShared, shards, block int) [][]int32 {
 	for len(a.pubBy) < shards {
 		a.pubBy = append(a.pubBy, nil)
 	}
-	a.pubBy = a.pubBy[:shards]
 	for s := range a.pubBy {
 		a.pubBy[s] = a.pubBy[s][:0]
 	}
 	for m, src := range sh.source {
-		s := 0
-		if shards > 1 {
-			s = int(src) / block
-		}
+		s := int(src) / block
 		a.pubBy[s] = append(a.pubBy[s], int32(m))
 	}
-	return a.pubBy
+	return a.pubBy[:shards]
 }
 
-// worker leases the pooled worker for shard s, growing the pool as
-// needed. The caller resets it for the run.
-func (a *Arena) worker(s int) *worker {
-	for len(a.workers) <= s {
+// leaseWorkers leases the pooled workers of a run on the given shard
+// count, growing the pool as needed. The caller resets them for the run.
+func (a *Arena) leaseWorkers(shards int) []*worker {
+	for len(a.workers) < shards {
 		a.workers = append(a.workers, &worker{})
 	}
-	return a.workers[s]
+	return a.workers[:shards]
 }

@@ -28,29 +28,21 @@ func batchTestConfig(d Discipline) Config {
 // TestBatchStatisticalPin pins batched wire digests against the per-id
 // format: one wire event per (member, round, peer) consumes the RNG
 // differently, so results are not byte-identical, but over 25 seeds the
-// mean per-message reliability must agree within ±0.05 on both kernels.
+// mean per-message reliability must agree within ±0.05 on one shard and
+// on two.
 // Every batched run must also keep the entry-unit ledger exact.
 func TestBatchStatisticalPin(t *testing.T) {
 	const seeds = 25
 	for _, d := range []Discipline{DisciplinePush, DisciplinePushPull} {
 		t.Run(d.String(), func(t *testing.T) {
-			for _, kernel := range []struct {
-				name   string
-				shards int
-			}{{"single", 0}, {"sharded", 2}} {
+			for _, shards := range []int{1, 2} {
 				var perID, batched float64
 				for seed := uint64(1); seed <= seeds; seed++ {
 					for _, batch := range []bool{false, true} {
 						cfg := batchTestConfig(d)
 						cfg.Batch = batch
-						var res Result
-						var err error
-						if kernel.shards == 0 {
-							res, err = Run(cfg, testNetConfig(), xrand.New(seed))
-						} else {
-							res, err = RunSharded(cfg, testNetConfig(), xrand.New(seed), nil, nil, nil,
-								core.ShardOptions{Shards: kernel.shards})
-						}
+						res, err := RunSharded(cfg, testNetConfig(), xrand.New(seed), nil, nil, nil,
+							core.ShardOptions{Shards: shards})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -74,8 +66,8 @@ func TestBatchStatisticalPin(t *testing.T) {
 				perID /= seeds
 				batched /= seeds
 				if diff := batched - perID; diff > 0.05 || diff < -0.05 {
-					t.Errorf("%s kernel: batched mean reliability %.4f vs per-id %.4f, want within ±0.05",
-						kernel.name, batched, perID)
+					t.Errorf("shards=%d: batched mean reliability %.4f vs per-id %.4f, want within ±0.05",
+						shards, batched, perID)
 				}
 			}
 		})
@@ -83,8 +75,8 @@ func TestBatchStatisticalPin(t *testing.T) {
 }
 
 // TestBatchDeterministic pins the batched format's determinism contract:
-// repeats (cold and warm-arena) are byte-identical, and shards=1 on the
-// sharded runtime reproduces the single-kernel run exactly.
+// repeats (cold and warm-arena) are byte-identical, on one shard and on
+// three.
 func TestBatchDeterministic(t *testing.T) {
 	for _, d := range []Discipline{DisciplinePush, DisciplinePushPull} {
 		t.Run(d.String(), func(t *testing.T) {
@@ -101,14 +93,6 @@ func TestBatchDeterministic(t *testing.T) {
 			}
 			if !reflect.DeepEqual(a, b) {
 				t.Fatal("warm-arena batched run diverged from cold run")
-			}
-			sharded, err := RunSharded(cfg, testNetConfig(), xrand.New(21), nil, nil, nil,
-				core.ShardOptions{Shards: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(a, sharded) {
-				t.Fatal("shards=1 batched run diverged from single-kernel run")
 			}
 			c, err := RunSharded(cfg, testNetConfig(), xrand.New(21), nil, nil, nil,
 				core.ShardOptions{Shards: 3})
@@ -131,7 +115,7 @@ func TestBatchDeterministic(t *testing.T) {
 // TestSummaryOnlyEquivalence: a summary run is the same execution as a
 // full run — same RNG consumption, same schedule, same aggregates — minus
 // the O(messages) per-message rows. Everything except Messages and the
-// mode flag must match exactly, on both kernels and both wire formats.
+// mode flag must match exactly, on both wire formats.
 func TestSummaryOnlyEquivalence(t *testing.T) {
 	for _, batch := range []bool{false, true} {
 		cfg := batchTestConfig(DisciplinePushPull)
@@ -155,15 +139,6 @@ func TestSummaryOnlyEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(full, sum) {
 			t.Errorf("batch=%v: summary aggregates diverged from the full run\nfull: %+v\nsum:  %+v",
 				batch, full, sum)
-		}
-
-		sharded, err := RunSharded(cfg, testNetConfig(), xrand.New(17), nil, nil, nil,
-			core.ShardOptions{Shards: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(sum, sharded) {
-			t.Errorf("batch=%v: shards=1 summary run diverged from single-kernel summary run", batch)
 		}
 	}
 }

@@ -20,10 +20,10 @@
 // pressure evicts per the configured policy, and the run's ledger
 // reconciles publishes, deliveries, evictions and drops exactly.
 //
-// Run executes on a single kernel; RunSharded on the conservative-PDES
-// sharded runtime with the same determinism contract as the core
-// executors: byte-identical for a fixed shard count (shards=1 equals the
-// single kernel), statistically pinned across shard counts. Telemetry
+// RunSharded is the one runner, on the conservative-PDES sharded runtime
+// with the determinism contract of the core executor: byte-identical for
+// a fixed shard count, statistically pinned across shard counts. Run and
+// RunProbed are RunSharded on one shard, the default. Telemetry
 // rides the obs.StreamProbe family (nil probe = zero overhead), and
 // scenario campaigns inject through the same core.NetRun seam as every
 // other execution.

@@ -12,24 +12,48 @@ import (
 	"gossipkit/internal/xrand"
 )
 
-// Run executes one streaming run on a single kernel.
+// Run executes one streaming run on one shard.
 func Run(cfg Config, netCfg simnet.Config, r *xrand.RNG) (Result, error) {
-	return RunProbed(cfg, netCfg, r, nil, nil, nil)
+	return RunSharded(cfg, netCfg, r, nil, nil, nil, core.ShardOptions{Shards: 1})
 }
 
-// RunProbed is Run with the full seam set: inject (non-nil) receives the
-// core.NetRun injection facade before the clock starts, so scenario
-// campaigns drive crash waves and burst loss while the stream is live;
-// arena (non-nil) recycles run state across runs; probe (non-nil)
-// collects streaming telemetry. Results are byte-identical whatever the
-// arena or probe state.
-//
-// RNG layout: the publish schedule comes from r.Split(publishSplit) and
-// the network stream from r.Split(netSplit) — splits never advance r —
-// then the failure mask consumes r and the run continues on r. The same
-// layout anchors the sharded executor's shards=1 equivalence.
+// RunProbed is Run with the full seam set of RunSharded: inject, arena
+// and probe, each optional.
 func RunProbed(cfg Config, netCfg simnet.Config, r *xrand.RNG,
 	inject func(*core.NetRun), arena *Arena, probe *obs.StreamProbe) (Result, error) {
+	return RunSharded(cfg, netCfg, r, inject, arena, probe, core.ShardOptions{Shards: 1})
+}
+
+// RunSharded executes one streaming run. It is the one stream runner, on
+// the same runtime as core.ExecuteOnNetworkSharded: members partitioned
+// into contiguous blocks across opts.Shards shard kernels, lookahead
+// windows from the latency model's floor, cross-shard messages crossing at
+// window barriers — and on one shard (what Run and RunProbed ask for) a
+// single kernel drained in one go.
+//
+// inject (non-nil) receives the core.NetRun injection facade before the
+// clock starts, so scenario campaigns drive crash waves and burst loss
+// while the stream is live; arena (non-nil) recycles run state across
+// runs; probe (non-nil) collects streaming telemetry — on more than one
+// shard through per-shard children whose merged telemetry it adopts, the
+// active-message gauge living on shard 0. Results are byte-identical
+// whatever the arena or probe state.
+//
+// RNG layout: the publish schedule comes from r.Split(publishSplit) —
+// splits never advance r — then the failure mask consumes r. Worker s
+// runs on r.Split(shardSplit+s), or on r itself on one shard, and its
+// network on a further Split(netSplit).
+//
+// Determinism contract (matching core's): a fixed shard count is
+// byte-identical across repeated runs, arenas and hosts
+// (testdata/runprobed.golden pins the one-shard layout); different shard
+// counts share the publish schedule and failure mask and are
+// statistically pinned, because fanout and latency draws come from
+// per-shard streams. opts.Shards below 1 auto-selects GOMAXPROCS; see
+// core.EffectiveShards for the configurations that run on fewer shards
+// than asked.
+func RunSharded(cfg Config, netCfg simnet.Config, r *xrand.RNG,
+	inject func(*core.NetRun), arena *Arena, probe *obs.StreamProbe, opts core.ShardOptions) (Result, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
 		return Result{}, err
@@ -37,9 +61,40 @@ func RunProbed(cfg Config, netCfg simnet.Config, r *xrand.RNG,
 	if arena == nil {
 		arena = NewArena()
 	}
+	shards := core.EffectiveShards(opts.Shards, cfg.N, netCfg)
 	sh := arena.schedule(cfg, cfg.interval(netCfg), r)
-	st := arena.net.Lease(cfg.N, netCfg, r.Split(netSplit))
-	st.Kernel.SetBudget(budget(cfg, sh))
+	st := arena.net.Sharded(shards).State()
+	kernels, ctl, sn := st.Kernels, st.Control, st.Net
+	group := sim.NewShardGroup(kernels, ctl, core.LatencyFloor(netCfg.Latency))
+	sn.Prepare(shards, cfg.N, netCfg)
+	block := sn.Block()
+
+	workers := arena.leaseWorkers(shards)
+	workers[0].rng = r
+	if shards > 1 {
+		for s, w := range workers {
+			w.rng = r.Split(shardSplit + uint64(s))
+		}
+	}
+	pubBy := arena.publishLists(sh, shards, block)
+	bud := budget(cfg, sh)
+	group.Each(func(s int) {
+		// Per-shard state resets on the shard's own goroutine
+		// (first-touch locality of the kernel queue, network pools,
+		// delivery matrix and rumor buffers).
+		w := workers[s]
+		kernels[s].Reset()
+		kernels[s].SetBudget(bud)
+		sn.ResetShard(s, kernels[s], w.rng.Split(netSplit))
+		lo, hi := sn.Range(s)
+		st.Bits[s].Reset(sh.M, hi-lo)
+		var pend *core.MessageBits
+		if cfg.Discipline == DisciplinePushPull {
+			pend = st.Nacks[s]
+			pend.Reset(sh.M, hi-lo)
+		}
+		w.reset(s, lo, hi, sn.Shard(s), sh, st.Bits[s], pend, pubBy[s])
+	})
 	sh.mask = st.Mask
 	sh.mask.FillBernoulli(cfg.N, cfg.AliveRatio, 0, r)
 	sh.view = cfg.View
@@ -47,45 +102,71 @@ func RunProbed(cfg Config, netCfg simnet.Config, r *xrand.RNG,
 		sh.view = membership.NewFullView(cfg.N)
 	}
 
-	w := arena.worker(0)
-	bits := arena.net.MessageBits(sh.M, cfg.N)
-	var pend *core.MessageBits
-	if cfg.Discipline == DisciplinePushPull {
-		pend = arena.net.NackBits(sh.M, cfg.N)
-	}
-	w.reset(0, 0, cfg.N, st.Net, r, sh, bits, pend, probe, arena.publishLists(sh, 1, cfg.N)[0])
-	probe.Attach(st.Net, &w.occ, &w.act)
-	st.Net.RegisterAll(func(now sim.Time, msg simnet.Message) { w.onMessage(now, msg) })
-	st.Net.RegisterBatchAll(func(now sim.Time, from, to simnet.NodeID, kind int32, ids []int32) {
-		w.onBatch(now, from, to, kind, ids)
-	})
-	for id := 0; id < cfg.N; id++ {
-		if !sh.mask.Alive(id) {
-			st.Net.Crash(simnet.NodeID(id))
+	for s, child := range probe.ShardProbes(shards) { // none for a nil probe
+		workers[s].probe = child
+		var act *int64
+		if s == 0 {
+			act = &workers[0].act
 		}
+		child.Attach(sn.Shard(s), &workers[s].occ, act)
 	}
-	w.armPublishes(st.Kernel)
-	w.installTick(st.Kernel)
+
+	for s, w := range workers {
+		sn.Shard(s).RegisterAll(func(now sim.Time, msg simnet.Message) { w.onMessage(now, msg) })
+		sn.Shard(s).RegisterBatchAll(func(now sim.Time, from, to simnet.NodeID, kind int32, ids []int32) {
+			w.onBatch(now, from, to, kind, ids)
+		})
+	}
+	group.Each(func(s int) {
+		for id, hi := sn.Range(s); id < hi; id++ {
+			if !sh.mask.Alive(id) {
+				sn.Shard(s).Crash(simnet.NodeID(id))
+			}
+		}
+		workers[s].armPublishes(kernels[s])
+		workers[s].installTick(kernels[s])
+	})
 
 	if inject != nil {
-		ws := []*worker{w}
-		inject(core.NewNetRunFuncs(st.Kernel, st.Net, sh.view, sh.mask,
-			func(id int) bool { return hasReceivedLatest(sh, ws, cfg.N, id, st.Kernel.Now()) },
-			func() int { return w.firstTotal },
-			nil,
+		inject(core.NewNetRunFuncs(ctl, sn, sh.view, sh.mask,
+			func(id int) bool { return hasReceivedLatest(sh, workers, cfg.N, id, ctl.Now()) },
+			func() int {
+				total := 0
+				for _, w := range workers {
+					total += w.firstTotal
+				}
+				return total
+			},
+			st.Pending,
 			func(id int) {
 				if id < 0 || id >= cfg.N {
 					return
 				}
-				w.scenarioPublish(id, latestPublished(sh, st.Kernel.Now()), st.Kernel.Now())
+				// Latest is resolved at the barrier (workers parked);
+				// the publish itself executes on the owning shard's
+				// clock.
+				latest := latestPublished(sh, ctl.Now())
+				s := id / block
+				st.OnShard(s, func(now sim.Time) { workers[s].scenarioPublish(id, latest, now) })
 			}))
 	}
 
-	if err := st.Kernel.RunAll(); err != nil {
+	var onBarrier func(now sim.Time, fired uint64)
+	if opts.Progress != nil {
+		onBarrier = func(now sim.Time, fired uint64) { opts.Progress(fired, now) }
+	}
+	if err := group.Run(sn.Flush, sn.Buffered, onBarrier); err != nil {
 		return Result{}, fmt.Errorf("stream: execution aborted: %w", err)
 	}
-	probe.Finish(st.Kernel.Now())
-	return reduce(cfg, sh, []*worker{w}, st.Net.Stats(), st.Kernel.Now()), nil
+	end := ctl.Now()
+	for s, w := range workers {
+		w.probe.Finish(kernels[s].Now())
+		if kernels[s].Now() > end {
+			end = kernels[s].Now()
+		}
+	}
+	probe.AdoptShards()
+	return reduce(cfg, sh, workers, sn.Stats(), end), nil
 }
 
 // budget bounds the kernel event count — a runaway guard far above any
@@ -97,8 +178,8 @@ func budget(cfg Config, sh *runShared) uint64 {
 }
 
 // latestPublished returns the most recent schedule index published at or
-// before now (-1 for none), skipping dead-source entries. Callers hold
-// the barrier (workers parked) or the single kernel.
+// before now (-1 for none), skipping dead-source entries. Callers run on
+// the control kernel (workers parked).
 func latestPublished(sh *runShared, now sim.Time) int {
 	i := sort.Search(sh.M, func(j int) bool { return sh.pubTime[j] > now }) - 1
 	for ; i >= 0; i-- {

@@ -1,12 +1,14 @@
 package stream
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
 	"gossipkit/internal/core"
 	"gossipkit/internal/dist"
+	"gossipkit/internal/golden"
 	"gossipkit/internal/obs"
 	"gossipkit/internal/sim"
 	"gossipkit/internal/simnet"
@@ -152,26 +154,109 @@ func TestRunDeterministicAcrossRepeatsAndArenas(t *testing.T) {
 	}
 }
 
+// streamCampaign drives the NetRun seam mid-stream: a crash, a loss
+// episode, and scenario publishes (one data-dependent).
+func streamCampaign(run *core.NetRun) {
+	run.Kernel.At(sim.Time(60*time.Millisecond), func() {
+		run.Net.Crash(simnet.NodeID(7))
+		run.Net.SetLoss(simnet.BernoulliLoss{P: 0.2})
+		run.Publish(40)
+	})
+	run.Kernel.At(sim.Time(140*time.Millisecond), func() {
+		if run.Restartable(7) {
+			run.Net.Restart(simnet.NodeID(7))
+		}
+		run.Net.SetLoss(simnet.BernoulliLoss{P: 0.05})
+		run.Publish(run.Delivered() % 50)
+	})
+}
+
+// TestShardedSingleShardMatchesRunProbed pins the default (one-shard)
+// stream runner to the single-kernel RunProbed it replaced:
+// testdata/runprobed.golden holds digests of the Result (per-message
+// rows, ledger, fabric counters) and of the StreamProbe metrics that the
+// parent commit's single-kernel RunProbed produced for every case below.
+// The committed file must stay the parent's — regenerating it with
+// -update on a later commit defeats the test.
 func TestShardedSingleShardMatchesRunProbed(t *testing.T) {
-	for _, d := range []Discipline{DisciplineEager, DisciplinePush, DisciplinePushPull} {
+	g := golden.Open(t, "testdata/runprobed.golden",
+		"stream.RunProbed on the single-kernel runner of commit 53dc72f (PR 11), the last one\n"+
+			"that had it. case = discipline/wire/rows/inject")
+	defer g.Close(t)
+	netCfg := testNetConfig()
+	netCfg.Loss = simnet.BernoulliLoss{P: 0.05}
+	arena := NewArena() // one arena across every case: leases must be result-neutral
+
+	for _, d := range []Discipline{DisciplineEager, DisciplinePush, DisciplinePushPull, DisciplineFlood} {
 		t.Run(d.String(), func(t *testing.T) {
-			cfg := testConfig()
-			cfg.Discipline = d
-			cfg.AliveRatio = 0.9
-			cfg.BufferCap = 8
-			single, err := Run(cfg, testNetConfig(), xrand.New(5))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sharded, err := RunSharded(cfg, testNetConfig(), xrand.New(5), nil, nil, nil,
-				core.ShardOptions{Shards: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(single, sharded) {
-				t.Fatal("shards=1 result diverged from single-kernel run")
+			for _, batch := range []bool{false, true} {
+				for _, summary := range []bool{false, true} {
+					for _, inj := range []struct {
+						name   string
+						inject func(*core.NetRun)
+					}{{"plain", nil}, {"campaign", streamCampaign}} {
+						cfg := batchTestConfig(d)
+						if d == DisciplineFlood {
+							cfg.Rate = 200 // n sends per receipt: keep the case cheap under -race
+						}
+						cfg.Batch = batch
+						cfg.SummaryOnly = summary
+						wire, rows := "perid", "full"
+						if batch {
+							wire = "batch"
+						}
+						if summary {
+							rows = "summary"
+						}
+						key := fmt.Sprintf("%s/%s/%s/%s", d, wire, rows, inj.name)
+						probe := obs.NewStream(obs.Options{CurveTick: 5 * time.Millisecond})
+						res, err := RunProbed(cfg, netCfg, xrand.New(5), inj.inject, arena, probe)
+						if err != nil {
+							t.Fatal(err)
+						}
+						checkLedger(t, res)
+						g.Check(t, key, fmt.Sprintf("published=%d delivered=%d sent=%d ledger=%+v result=%s metrics=%s",
+							res.Published, res.Delivered, res.MessagesSent, res.Ledger,
+							golden.Digest(res), golden.Digest(*probe.Metrics())))
+					}
+				}
 			}
 		})
+	}
+}
+
+// TestShardedSmallGroups is core's test of the same name on the stream
+// runner, which partitions members with the same arithmetic: no (n,
+// shards) pair may leave a shard with an empty range past n.
+func TestShardedSmallGroups(t *testing.T) {
+	arena := NewArena()
+	for _, n := range []int{1, 2, 3, 5, 9, 11, 13} {
+		for shards := 1; shards <= 8; shards++ {
+			cfg := testConfig()
+			cfg.N = n
+			cfg.Fanout = dist.NewFixed(2)
+			cfg.Discipline = DisciplinePushPull
+			cfg.Duration = 50 * time.Millisecond
+			res, err := RunSharded(cfg, testNetConfig(), xrand.New(uint64(n*100+shards)), nil, arena, nil,
+				core.ShardOptions{Shards: shards})
+			if n < 2 {
+				if err == nil {
+					t.Errorf("n=%d shards=%d: a one-member group was not rejected", n, shards)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("n=%d shards=%d: %v", n, shards, err)
+			}
+			checkLedger(t, res)
+			if res.Published == 0 || res.Delivered > res.Published*res.AliveCount {
+				t.Errorf("n=%d shards=%d: %d receipts of %d messages over %d alive",
+					n, shards, res.Delivered, res.Published, res.AliveCount)
+			}
+			if inflight := res.Net.InFlight(); inflight != 0 {
+				t.Errorf("n=%d shards=%d: %d messages in flight at quiescence", n, shards, inflight)
+			}
+		}
 	}
 }
 

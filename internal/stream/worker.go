@@ -17,9 +17,8 @@ const (
 	pubSkipped       // source dead or crashed at publish time
 )
 
-// worker executes the stream over one contiguous member block — the whole
-// group on a single kernel, one block per shard kernel on the sharded
-// runtime. Everything here is written by the block's goroutine during
+// worker executes the stream over one contiguous member block — one block
+// per shard kernel, the whole group on one shard. Everything here is written by the block's goroutine during
 // windows (and by the coordinator only while workers are parked). The
 // trailing pad keeps neighboring workers' hot counters off each other's
 // cache lines.
@@ -68,13 +67,14 @@ type worker struct {
 	_                          [64]byte
 }
 
-// reset binds the worker to a fresh run over block [base, limit). pend is
+// reset binds the worker to a fresh run over block [base, limit), on the
+// run stream the runner already set in w.rng and with no probe. pend is
 // the leased pending-repair matrix for push-pull runs, nil for every other
 // discipline.
-func (w *worker) reset(s, base, limit int, nw *simnet.Network, rng *xrand.RNG,
-	sh *runShared, bits, pend *core.MessageBits, probe *obs.StreamProbe, pubList []int32) {
+func (w *worker) reset(s, base, limit int, nw *simnet.Network,
+	sh *runShared, bits, pend *core.MessageBits, pubList []int32) {
 	w.s, w.base, w.limit = s, base, limit
-	w.nw, w.rng, w.sh, w.bits, w.probe = nw, rng, sh, bits, probe
+	w.nw, w.sh, w.bits, w.probe = nw, sh, bits, nil
 	w.pend = pend
 	w.pendM, w.pendL = w.pendM[:0], w.pendL[:0]
 	w.pubList = pubList

@@ -26,14 +26,19 @@ for dir in cmd/*/; do
     fi
 done
 # ARCHITECTURE.md must keep the "Parallel kernel" section in sync with the
-# sharded runtime: the section heading plus its load-bearing anchors (the
-# entry point, the fallback resolver, and the determinism contract). A
-# rename in code without the matching doc update fails here.
+# one DES executor: the section heading plus its load-bearing anchors (the
+# entry point, the shard-count resolver and block partition, the pooled
+# state every shard count shares, the two-level determinism contract and
+# the goldens that pin its one-shard case). A rename in code without the
+# matching doc update fails here.
 for anchor in \
     "## Parallel kernel" \
     "ExecuteOnNetworkSharded" \
     "EffectiveShards" \
+    "ShardBlocks" \
+    "core.RunState" \
     "Determinism contract" \
+    "testdata/oracle.golden" \
     "LatencyFloorer"; do
     if ! grep -qs "$anchor" ARCHITECTURE.md; then
         echo "docs-lint: ARCHITECTURE.md lost its Parallel kernel anchor: '$anchor'" >&2
@@ -57,8 +62,9 @@ done
 # Likewise the "Streaming workloads" section and its load-bearing anchors:
 # the tag packing and its boxed-send fallback counter, the message-id cap,
 # the lpbcast eviction policy, the conservation identity, the probe
-# family, and the batched-wire/summary-mode seams (the batch primitive,
-# its entry counters, the slab-leak invariant, and the summary switch).
+# family, the batched-wire/summary-mode seams (the batch primitive, its
+# entry counters, the slab-leak invariant, and the summary switch), and
+# the golden that pins the one-shard runner.
 # Renaming any of these in code without the doc update fails here.
 for anchor in \
     "## Streaming workloads" \
@@ -70,7 +76,8 @@ for anchor in \
     "SendBatch" \
     "BatchEntries" \
     "SlabsInUse" \
-    "SummaryOnly"; do
+    "SummaryOnly" \
+    "testdata/runprobed.golden"; do
     if ! grep -qs "$anchor" ARCHITECTURE.md; then
         echo "docs-lint: ARCHITECTURE.md lost its Streaming workloads anchor: '$anchor'" >&2
         fail=1
