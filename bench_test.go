@@ -7,6 +7,7 @@
 package gossipkit
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -90,23 +91,23 @@ func BenchmarkScenarioSweep(b *testing.B) {
 	suite := DefaultScenarioSuite()
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := ScenarioSweepConfig{
-				Run: ScenarioRunConfig{
+			spec := Campaign{
+				Scenarios: suite,
+				Config: ScenarioRunConfig{
 					Params:            Params{N: 500, Fanout: Poisson(5), AliveRatio: 1},
 					PartialViewCopies: 2,
 				},
-				Seeds:   4,
-				Workers: workers,
 			}
-			cells := len(suite) * cfg.Seeds
+			const seeds = 4
+			cells := len(suite) * seeds
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cfg.BaseSeed = uint64(i + 1)
-				res, err := SweepScenarios(suite, cfg)
+				out, err := RunMany(context.Background(), spec, seeds,
+					WithSeed(uint64(i+1)), WithWorkers(workers))
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(res.Scenarios) != len(suite) {
+				if res := out.Aggregate.(*ScenarioSweepResult); len(res.Scenarios) != len(suite) {
 					b.Fatal("incomplete sweep")
 				}
 			}
@@ -121,10 +122,11 @@ func BenchmarkEndToEndMulticast(b *testing.B) {
 	for _, n := range []int{1000, 2000, 5000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			p := Params{N: n, Fanout: Poisson(4), AliveRatio: 0.9}
+			spec := MonteCarlo{Params: p, Metric: SourceReach}
 			r := NewRNG(1)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Execute(p, r); err != nil {
+				if _, err := Run(context.Background(), spec, WithRNG(r)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -7,8 +7,10 @@ import (
 	"runtime"
 	"time"
 
+	"gossipkit/internal/runpool"
 	"gossipkit/internal/stats"
 	"gossipkit/internal/topology"
+	"gossipkit/internal/xrand"
 )
 
 // Sentinel errors every engine wraps, so callers dispatch with errors.Is
@@ -160,8 +162,7 @@ type runOptions struct {
 	noReports     bool
 	probe         *ProbeOptions // dissemination telemetry (DES engines only)
 	rng           *RNG          // single-run override: execute on this RNG stream
-	arena         *NetArena     // deprecated-shim arena pass-through (Network only)
-	shards        int           // conservative-PDES shard kernels (Network engine)
+	shards        int           // conservative-PDES shard kernels; 0 = option absent (see WithShards)
 	topology      topology.Spec // gossip overlay (zero value = uniform full view)
 	shardProgress func(events uint64, virtualNow time.Duration)
 }
@@ -199,7 +200,7 @@ func WithObserver(fn Observer) Option { return func(o *runOptions) { o.observer 
 // internally to build its per-scenario summaries.
 func WithoutReports() Option { return func(o *runOptions) { o.noReports = true } }
 
-// WithShards runs Network and Stream executions on n shard kernels:
+// WithShards runs each execution on n shard kernels:
 // members are partitioned across per-core shards that advance in
 // lookahead windows derived from the latency model's floor (see
 // simnet.LatencyFloorer), exchanging cross-shard messages at window
@@ -208,10 +209,17 @@ func WithoutReports() Option { return func(o *runOptions) { o.noReports = true }
 // single kernel — so WithShards(1) changes nothing. A fixed shard count
 // is byte-identical across repeats and hosts; different counts are
 // statistically pinned. Executions whose latency model has no positive
-// floor always run on one shard. Each replication still runs on one shard group —
-// WithShards parallelizes within a run (one n=10⁷ execution across
+// floor always run on one shard. Each replication still runs on one shard
+// group — WithShards parallelizes within a run (one n=10⁷ execution across
 // cores), WithWorkers across runs; they compose, but oversubscribe the
 // machine if both are wide.
+//
+// Honored by the Network, Stream, Campaign and Compare engines. Campaign
+// and Compare alternatively take the count on ScenarioRunConfig.Shards
+// (setting both to different values is an error), and there it reaches the
+// paper's algorithm only: protocol executors, like the protocol baseline
+// engines, run on one kernel. The Analytic, MonteCarlo and Success engines
+// have no kernel to shard and ignore it.
 func WithShards(n int) Option {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -247,26 +255,31 @@ func WithShardProgress(fn func(events uint64, virtualNow time.Duration)) Option 
 // specs is an error.
 func WithTopology(t Topology) Option { return func(o *runOptions) { o.topology = t } }
 
-// mergeTopology folds a WithTopology option into a scenario run config
-// (the Campaign and Compare engines), rejecting a conflict with an
-// explicitly-set Config.Topology.
-func mergeTopology(cfg *ScenarioRunConfig, o *runOptions) error {
-	if o.topology.IsUniform() {
-		return nil
+// mergeRunConfig folds the WithTopology and WithShards options into a
+// scenario run config (the Campaign and Compare engines), rejecting an
+// option that conflicts with the explicitly-set Config field.
+func mergeRunConfig(cfg *ScenarioRunConfig, o *runOptions) error {
+	if !o.topology.IsUniform() {
+		if !cfg.Topology.IsUniform() && cfg.Topology != o.topology {
+			return fmt.Errorf("%w: WithTopology(%s) conflicts with Config.Topology %s", ErrInvalidParams, o.topology, cfg.Topology)
+		}
+		cfg.Topology = o.topology
 	}
-	if !cfg.Topology.IsUniform() && cfg.Topology != o.topology {
-		return fmt.Errorf("%w: WithTopology(%s) conflicts with Config.Topology %s", ErrInvalidParams, o.topology, cfg.Topology)
+	if o.shards != 0 {
+		if cfg.Shards != 0 && cfg.Shards != o.shards {
+			return fmt.Errorf("%w: WithShards(%d) conflicts with Config.Shards %d", ErrInvalidParams, o.shards, cfg.Shards)
+		}
+		cfg.Shards = o.shards
 	}
-	cfg.Topology = o.topology
 	return nil
 }
 
 // WithRNG makes a single Run execute on the caller's RNG stream instead of
 // deriving one from WithSeed, consuming randomness exactly where the
-// stream stands — the contract the deprecated Execute/ExecuteOnNetwork
-// shims rely on. Only valid for single executions (not RunMany/WithRuns),
-// and only on engines that consume an RNG directly (MonteCarlo, Network,
-// and the protocol baselines).
+// stream stands, so an execution can be chained after other draws on one
+// stream. Only valid for single executions (not RunMany/WithRuns), and
+// only on engines that consume an RNG directly (MonteCarlo, Network,
+// Stream, and the protocol baselines).
 func WithRNG(r *RNG) Option { return func(o *runOptions) { o.rng = r } }
 
 // Run executes spec once and returns its Outcome: one entry point across
@@ -277,11 +290,10 @@ func WithRNG(r *RNG) Option { return func(o *runOptions) { o.rng = r } }
 //	out, err := gossipkit.Run(ctx, gossipkit.MonteCarlo{Params: p},
 //		gossipkit.WithRuns(1000), gossipkit.WithObserver(progress))
 //
-// A single Run uses the seed exactly as given (so it reproduces the
-// corresponding deprecated single-shot function); WithRuns(n) switches to
-// RunMany's replication-sweep semantics. Engines that declare their own
-// replication structure (Success via SuccessParams.Simulations, Campaign
-// under RunMany) emit one Report per inner replication.
+// WithRuns(n) switches to RunMany's replication-sweep semantics. Engines
+// that declare their own replication structure (Success via
+// SuccessParams.Simulations, Campaign under RunMany) emit one Report per
+// inner replication.
 func Run(ctx context.Context, spec Engine, opts ...Option) (*Outcome, error) {
 	o := &runOptions{runs: 1}
 	for _, opt := range opts {
@@ -372,6 +384,31 @@ func execute(ctx context.Context, spec Engine, o *runOptions) (*Outcome, error) 
 	}
 	out.Aggregate = agg
 	return out, nil
+}
+
+// replicate is the facade's one replication policy, shared by the Network,
+// Stream and protocol engines: o.runs seeded executions on a worker pool,
+// run i on stream xrand.New(o.seed).Split(i) with the worker's pooled state
+// (newState builds a worker's arena and probe on its first run), results
+// handed to reduce in run order. A WithRNG execution is the n = 1 case on
+// the caller's stream; pooled state is result-neutral by the arena
+// contracts, so it takes the same path.
+func replicate[S comparable, T any](ctx context.Context, o *runOptions, newState func() S, run func(r *xrand.RNG, st S) (T, error), reduce func(T)) error {
+	root := xrand.New(o.seed)
+	workers := runpool.Count(o.workers, o.runs)
+	states := make([]S, workers)
+	var unset S
+	return runpool.RunOrdered(ctx, o.runs, workers,
+		func(w, i int) (T, error) {
+			if states[w] == unset {
+				states[w] = newState()
+			}
+			r := o.rng
+			if r == nil {
+				r = root.Split(uint64(i))
+			}
+			return run(r, states[w])
+		}, func(_ int, v T) { reduce(v) })
 }
 
 // canceled wraps a context error so it matches both ErrCanceled and the

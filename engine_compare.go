@@ -75,7 +75,7 @@ func (s Compare) run(ctx context.Context, o *runOptions, emit func(Report)) (any
 	if !o.many {
 		return nil, fmt.Errorf("%w: Compare is a grid sweep; use RunMany (or WithRuns) to set the seeds per cell", ErrInvalidParams)
 	}
-	if err := mergeTopology(&s.Config, o); err != nil {
+	if err := mergeRunConfig(&s.Config, o); err != nil {
 		return nil, err
 	}
 	if len(s.Topologies) > 0 && !s.Config.Topology.IsUniform() {

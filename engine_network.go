@@ -7,7 +7,6 @@ import (
 
 	"gossipkit/internal/core"
 	"gossipkit/internal/obs"
-	"gossipkit/internal/runpool"
 	"gossipkit/internal/sim"
 	"gossipkit/internal/topology"
 	"gossipkit/internal/xrand"
@@ -43,64 +42,41 @@ func (s Network) run(ctx context.Context, o *runOptions, emit func(Report)) (any
 		return nil, fmt.Errorf("%w: WithTopology conflicts with a caller-set Params.View", ErrInvalidParams)
 	}
 
-	// execute runs one replication on o.shards shard kernels — one when
-	// WithShards is absent. A non-uniform WithTopology overlay is generated
-	// per replication from a non-consuming split of the run's stream, so
-	// the uniform spec stays byte-identical to not setting the option and
-	// the overlay is the same for every shard count.
+	// Each replication runs on o.shards shard kernels — one when WithShards
+	// is absent. A non-uniform WithTopology overlay is generated per
+	// replication from a non-consuming split of the run's stream, so the
+	// uniform spec stays byte-identical to not setting the option and the
+	// overlay is the same for every shard count.
 	shardOpts := o.shardOptions()
-	execute := func(r *xrand.RNG, arena *core.NetArena, probe *obs.Probe) (core.NetResult, error) {
-		p := s.Params
-		if ov, err := o.topology.Build(p.N, r.Split(topology.Split)); err != nil {
-			return core.NetResult{}, err
-		} else if ov != nil {
-			p.View = ov
-		}
-		return core.ExecuteOnNetworkSharded(p, s.Net, r, nil, arena, probe, shardOpts)
-	}
-
-	if o.rng != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var probe *obs.Probe
-		if o.probe != nil {
-			probe = obs.New(*o.probe)
-		}
-		res, err := execute(o.rng, o.arena, probe)
-		if err != nil {
-			return nil, err
-		}
-		emit(netReport(res, probe.Metrics()))
-		return nil, nil
-	}
-
-	root := xrand.New(o.seed)
-	workers := runpool.Count(o.workers, o.runs)
-	arenas := make([]*core.NetArena, workers)
-	// One pooled probe per worker, mirroring the arenas; each run's
-	// telemetry is snapshotted on the worker (Metrics deep-copies) before
-	// the probe is re-Attached to the next run.
-	probes := make([]*obs.Probe, workers)
-	type probedResult struct {
-		res     core.NetResult
-		metrics *obs.Metrics
-	}
-	err := runpool.RunOrdered(ctx, o.runs, workers,
-		func(w, run int) (probedResult, error) {
-			if arenas[w] == nil {
-				arenas[w] = core.NewNetArena()
+	return nil, replicate(ctx, o, o.newDESState,
+		func(r *xrand.RNG, st desState) (Report, error) {
+			p := s.Params
+			if ov, err := o.topology.Build(p.N, r.Split(topology.Split)); err != nil {
+				return Report{}, err
+			} else if ov != nil {
+				p.View = ov
 			}
-			if o.probe != nil && probes[w] == nil {
-				probes[w] = obs.New(*o.probe)
-			}
-			res, err := execute(root.Split(uint64(run)), arenas[w], probes[w])
-			return probedResult{res, probes[w].Metrics()}, err
-		}, func(run int, r probedResult) { emit(netReport(r.res, r.metrics)) })
-	if err != nil {
-		return nil, err
+			res, err := core.ExecuteOnNetworkSharded(p, s.Net, r, nil, st.arena, st.probe, shardOpts)
+			return netReport(res, st.probe.Metrics()), err
+		}, emit)
+}
+
+// desState is one worker's pooled run state on the discrete-event engines
+// (Network and the protocol baselines): the arena every run on the worker
+// recycles and, under WithProbe, the probe re-Attached to each run. A
+// run's telemetry is snapshotted on the worker (Metrics deep-copies)
+// before the probe moves on.
+type desState struct {
+	arena *core.NetArena
+	probe *obs.Probe
+}
+
+func (o *runOptions) newDESState() desState {
+	st := desState{arena: core.NewNetArena()}
+	if o.probe != nil {
+		st.probe = obs.New(*o.probe)
 	}
-	return nil, nil
+	return st
 }
 
 // shardOptions resolves WithShards and WithShardProgress for the

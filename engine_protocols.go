@@ -4,10 +4,8 @@ import (
 	"context"
 	"time"
 
-	"gossipkit/internal/core"
 	"gossipkit/internal/obs"
 	"gossipkit/internal/protocols"
-	"gossipkit/internal/runpool"
 	"gossipkit/internal/stats"
 	"gossipkit/internal/xrand"
 )
@@ -265,13 +263,12 @@ func spreadMs(out protocols.DESOutcome) float64 {
 	return float64(out.SpreadTime) / float64(time.Millisecond)
 }
 
-// protocolSweep is the shared replication driver of the protocol engines:
-// every run executes the spec on the discrete-event substrate over net
-// (protocols.RunOnDES), with per-run RNG streams split from the base seed,
-// one run-state arena per worker, and run-ordered emission. A WithRNG
-// single run consumes the caller's stream directly. Under RunMany the
-// per-run results additionally reduce — in run order, so the moments are
-// identical for any worker count — into the ProtocolSweep aggregate.
+// protocolSweep is the protocol engines' shared body: every replication
+// executes the spec on the discrete-event substrate over net
+// (protocols.RunOnDES) under the facade's replication policy (replicate).
+// Under RunMany the per-run results additionally reduce — in run order, so
+// the moments are identical for any worker count — into the ProtocolSweep
+// aggregate.
 func protocolSweep(ctx context.Context, o *runOptions, emit func(Report), spec ProtocolSpec, cfg protocols.DESConfig, mk func(protocols.DESOutcome) Report) (any, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, invalid(err)
@@ -284,48 +281,18 @@ func protocolSweep(ctx context.Context, o *runOptions, emit func(Report), spec P
 	if err := o.topology.Validate(n); err != nil {
 		return nil, invalid(err)
 	}
-	if o.rng != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if o.probe != nil {
-			cfg.Probe = obs.New(*o.probe)
-		}
-		out, err := protocols.RunOnDES(spec, cfg, o.rng, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		rep := mk(out)
-		rep.Metrics = cfg.Probe.Metrics()
-		emit(rep)
-		return nil, nil
-	}
-	root := xrand.New(o.seed)
-	workers := runpool.Count(o.workers, o.runs)
-	arenas := make([]*core.NetArena, workers)
-	// One pooled probe per worker, like the arenas; the Metrics snapshot
-	// is taken on the worker before the probe moves to its next run.
-	probes := make([]*obs.Probe, workers)
 	type probedOutcome struct {
 		out     protocols.DESOutcome
 		metrics *obs.Metrics
 	}
 	var rel, srel, msgs, rounds, spread stats.Running
-	err := runpool.RunOrdered(ctx, o.runs, workers,
-		func(w, run int) (probedOutcome, error) {
-			if arenas[w] == nil {
-				arenas[w] = core.NewNetArena()
-			}
+	err := replicate(ctx, o, o.newDESState,
+		func(r *xrand.RNG, st desState) (probedOutcome, error) {
 			runCfg := cfg
-			if o.probe != nil {
-				if probes[w] == nil {
-					probes[w] = obs.New(*o.probe)
-				}
-				runCfg.Probe = probes[w]
-			}
-			out, err := protocols.RunOnDES(spec, runCfg, root.Split(uint64(run)), nil, arenas[w])
-			return probedOutcome{out, runCfg.Probe.Metrics()}, err
-		}, func(run int, po probedOutcome) {
+			runCfg.Probe = st.probe
+			out, err := protocols.RunOnDES(spec, runCfg, r, nil, st.arena)
+			return probedOutcome{out, st.probe.Metrics()}, err
+		}, func(po probedOutcome) {
 			out := po.out
 			rep := mk(out)
 			rep.Metrics = po.metrics

@@ -61,7 +61,7 @@ func (s Campaign) run(ctx context.Context, o *runOptions, emit func(Report)) (an
 	if o.rng != nil {
 		return nil, fmt.Errorf("%w: the scenario engine derives RNG streams from seeds; use WithSeed", ErrInvalidParams)
 	}
-	if err := mergeTopology(&s.Config, o); err != nil {
+	if err := mergeRunConfig(&s.Config, o); err != nil {
 		return nil, err
 	}
 	for _, q := range s.Qs {
@@ -112,7 +112,7 @@ func (s Campaign) run(ctx context.Context, o *runOptions, emit func(Report)) (an
 	}
 	observe := func(cell int, rep scenario.RunReport) { emit(scenarioReport(rep)) }
 	if grid {
-		cfg := ScenarioGridConfig{
+		cfg := scenario.GridConfig{
 			Run: s.Config, Qs: s.Qs, Fanouts: s.Fanouts,
 			Seeds: o.runs, BaseSeed: o.seed, Workers: o.workers,
 		}
@@ -122,7 +122,7 @@ func (s Campaign) run(ctx context.Context, o *runOptions, emit func(Report)) (an
 		}
 		return res, nil
 	}
-	cfg := ScenarioSweepConfig{Run: s.Config, Seeds: o.runs, BaseSeed: o.seed, Workers: o.workers, Probe: o.probe}
+	cfg := scenario.SweepConfig{Run: s.Config, Seeds: o.runs, BaseSeed: o.seed, Workers: o.workers, Probe: o.probe}
 	res, err := scenario.SweepCtx(ctx, s.Scenarios, cfg, observe)
 	if err != nil {
 		return nil, err

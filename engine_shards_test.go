@@ -2,6 +2,7 @@ package gossipkit
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"runtime"
 	"testing"
@@ -82,7 +83,9 @@ func TestWithShardProgress(t *testing.T) {
 // engines. GOMAXPROCS is raised to 4 so that a zero leaking through to
 // core.EffectiveShards (which reads it as "one shard per core") would run
 // on four shards and move every report — as the explicit four-shard run
-// of each engine shows.
+// of each engine shows. On the Campaign engine WithShards(4) and
+// Config.Shards: 4 are the same request; asking for both with different
+// counts is an error.
 func TestDefaultIsOneShard(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	crashWave, ok := ScenarioByName("crash-wave")
@@ -99,6 +102,7 @@ func TestDefaultIsOneShard(t *testing.T) {
 		}
 	}
 	stream := Stream{Config: testStreamConfig(), Net: testStreamNet()}
+	fours := map[string][]Report{}
 
 	for _, tc := range []struct {
 		name   string
@@ -108,6 +112,7 @@ func TestDefaultIsOneShard(t *testing.T) {
 		{"network", func(int) Engine { return shardedNetSpec() }, []Option{WithShards(4)}},
 		{"stream", func(int) Engine { return stream }, []Option{WithShards(4)}},
 		{"campaign", func(shards int) Engine { return campaign(shards) }, nil},
+		{"campaign-option", func(int) Engine { return campaign(0) }, []Option{WithShards(4)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(configShards int, opts ...Option) []Report {
@@ -124,9 +129,18 @@ func TestDefaultIsOneShard(t *testing.T) {
 			if got := run(1); !reflect.DeepEqual(got, base) {
 				t.Errorf("Shards: 1 diverged from Shards: 0:\n got %+v\nwant %+v", got, base)
 			}
-			if four := run(4, tc.four...); reflect.DeepEqual(four, base) {
+			four := run(4, tc.four...)
+			if reflect.DeepEqual(four, base) {
 				t.Error("a four-shard run reproduced the default: this test cannot see a leaked zero")
 			}
+			fours[tc.name] = four
 		})
+	}
+	if !reflect.DeepEqual(fours["campaign-option"], fours["campaign"]) {
+		t.Errorf("Campaign under WithShards(4) diverged from Config.Shards: 4:\n got %+v\nwant %+v",
+			fours["campaign-option"], fours["campaign"])
+	}
+	if _, err := Run(context.Background(), campaign(2), WithShards(4)); !errors.Is(err, ErrInvalidParams) {
+		t.Errorf("WithShards(4) on Config.Shards: 2: got %v, want ErrInvalidParams", err)
 	}
 }

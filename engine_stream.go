@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"gossipkit/internal/obs"
-	"gossipkit/internal/runpool"
 	"gossipkit/internal/scenario"
 	"gossipkit/internal/stream"
 	"gossipkit/internal/topology"
@@ -194,61 +193,37 @@ func (s Stream) run(ctx context.Context, o *runOptions, emit func(Report)) (any,
 	}
 
 	shardOpts := o.shardOptions()
-	execute := func(r *xrand.RNG, arena *stream.Arena, probe *obs.StreamProbe) (stream.Result, error) {
-		cfg := s.Config
-		if o.noReports {
-			// WithoutReports discards per-run Reports, so per-message rows
-			// would never reach the caller: run in summary mode and skip
-			// the O(messages) Result.Messages allocation entirely.
-			cfg.SummaryOnly = true
-		}
-		if ov, err := o.topology.Build(cfg.N, r.Split(topology.Split)); err != nil {
-			return stream.Result{}, err
-		} else if ov != nil {
-			cfg.View = ov
-		}
-		return stream.RunSharded(cfg, s.Net, r, nil, arena, probe, shardOpts)
-	}
-
-	if o.rng != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var probe *obs.StreamProbe
-		if o.probe != nil {
-			probe = obs.NewStream(*o.probe)
-		}
-		res, err := execute(o.rng, nil, probe)
-		if err != nil {
-			return nil, err
-		}
-		emit(streamReport(res, probe.Metrics()))
-		return nil, nil
-	}
-
-	root := xrand.New(o.seed)
-	workers := runpool.Count(o.workers, o.runs)
-	arenas := make([]*stream.Arena, workers)
-	probes := make([]*obs.StreamProbe, workers)
-	type probedResult struct {
-		res     stream.Result
-		metrics *obs.StreamMetrics
-	}
-	err := runpool.RunOrdered(ctx, o.runs, workers,
-		func(w, run int) (probedResult, error) {
-			if arenas[w] == nil {
-				arenas[w] = stream.NewArena()
+	return nil, replicate(ctx, o,
+		func() streamState {
+			st := streamState{arena: stream.NewArena()}
+			if o.probe != nil {
+				st.probe = obs.NewStream(*o.probe)
 			}
-			if o.probe != nil && probes[w] == nil {
-				probes[w] = obs.NewStream(*o.probe)
+			return st
+		},
+		func(r *xrand.RNG, st streamState) (Report, error) {
+			cfg := s.Config
+			if o.noReports {
+				// WithoutReports discards per-run Reports, so per-message rows
+				// would never reach the caller: run in summary mode and skip
+				// the O(messages) Result.Messages allocation entirely.
+				cfg.SummaryOnly = true
 			}
-			res, err := execute(root.Split(uint64(run)), arenas[w], probes[w])
-			return probedResult{res, probes[w].Metrics()}, err
-		}, func(run int, r probedResult) { emit(streamReport(r.res, r.metrics)) })
-	if err != nil {
-		return nil, err
-	}
-	return nil, nil
+			if ov, err := o.topology.Build(cfg.N, r.Split(topology.Split)); err != nil {
+				return Report{}, err
+			} else if ov != nil {
+				cfg.View = ov
+			}
+			res, err := stream.RunSharded(cfg, s.Net, r, nil, st.arena, st.probe, shardOpts)
+			return streamReport(res, st.probe.Metrics()), err
+		}, emit)
+}
+
+// streamState is one worker's pooled run state on the Stream engine; see
+// desState.
+type streamState struct {
+	arena *stream.Arena
+	probe *obs.StreamProbe
 }
 
 func streamReport(res stream.Result, m *obs.StreamMetrics) Report {

@@ -6,6 +6,9 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"gossipkit/internal/core"
+	"gossipkit/internal/scenario"
 )
 
 func allEngineSpecs() []Engine {
@@ -57,6 +60,19 @@ func TestRunDrivesEveryEngine(t *testing.T) {
 				}
 			}
 		})
+	}
+
+	// A single Campaign Run uses WithSeed verbatim; only sweeps derive
+	// per-cell seeds from it.
+	out, err := Run(context.Background(), Campaign{
+		Scenarios: DefaultScenarioSuite()[1:2],
+		Config:    ScenarioRunConfig{Params: Params{N: 300, Fanout: Poisson(5), AliveRatio: 1}},
+	}, WithSeed(77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := out.Reports[0].Detail.(ScenarioReport); rep.Seed != 77 {
+		t.Errorf("single scenario run used seed %d, want the seed verbatim", rep.Seed)
 	}
 }
 
@@ -215,58 +231,9 @@ func TestInvalidParamsSentinel(t *testing.T) {
 	}
 }
 
-// TestShimEquivalence: the deprecated shims reproduce the direct internal
-// results exactly — Execute/ExecuteOnNetwork consume the caller's RNG
-// stream in place, RunScenario uses the seed verbatim.
-func TestShimEquivalence(t *testing.T) {
-	p := Params{N: 400, Fanout: Poisson(5), AliveRatio: 0.9}
-
-	direct, err := Run(context.Background(), MonteCarlo{Params: p, Metric: SourceReach}, WithRNG(NewRNG(11)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaShim, err := Execute(p, NewRNG(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.Reports[0].Detail.(Result) != viaShim {
-		t.Error("Execute shim diverged from engine run")
-	}
-
-	cfg := NetConfig{Latency: UniformLatency(time.Millisecond, 10*time.Millisecond)}
-	a, err := ExecuteOnNetwork(p, cfg, NewRNG(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(context.Background(), Network{Params: p, Net: cfg}, WithRNG(NewRNG(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b.Reports[0].Detail.(NetResult) {
-		t.Error("ExecuteOnNetwork shim diverged from engine run")
-	}
-
-	s := DefaultScenarioSuite()[1]
-	scfg := ScenarioRunConfig{Params: Params{N: 300, Fanout: Poisson(5), AliveRatio: 1}}
-	r1, err := RunScenario(s, scfg, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Run(context.Background(), Campaign{Scenarios: []*Scenario{s}, Config: scfg}, WithSeed(77))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 != out.Reports[0].Detail.(ScenarioReport) {
-		t.Error("RunScenario shim diverged from engine run")
-	}
-	if r1.Seed != 77 {
-		t.Errorf("single scenario run used seed %d, want the seed verbatim", r1.Seed)
-	}
-}
-
 // TestNetworkEngineMatchesSingleRuns: RunMany's internally pooled arenas
-// must reproduce what fresh per-run executions produce (arena reuse is
-// result-neutral), with run i on the RNG stream split at i.
+// must reproduce what fresh single WithRNG executions produce (arena reuse
+// is result-neutral), with run i on the RNG stream split at i.
 func TestNetworkEngineMatchesSingleRuns(t *testing.T) {
 	p := Params{N: 500, Fanout: Poisson(5), AliveRatio: 0.9}
 	cfg := NetConfig{Latency: UniformLatency(time.Millisecond, 8*time.Millisecond)}
@@ -278,10 +245,11 @@ func TestNetworkEngineMatchesSingleRuns(t *testing.T) {
 	}
 	root := NewRNG(123)
 	for i := 0; i < runs; i++ {
-		want, err := ExecuteOnNetwork(p, cfg, root.Split(uint64(i)))
+		single, err := Run(context.Background(), Network{Params: p, Net: cfg}, WithRNG(root.Split(uint64(i))))
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := single.Reports[0].Detail.(NetResult)
 		if got := out.Reports[i].Detail.(NetResult); got != want {
 			t.Errorf("run %d: pooled-arena result diverged from fresh run", i)
 		}
@@ -289,7 +257,7 @@ func TestNetworkEngineMatchesSingleRuns(t *testing.T) {
 }
 
 // TestCampaignGridAggregate: grid axes produce a ScenarioGridResult whose
-// cells match the deprecated grid sweep byte for byte.
+// cells match the one-worker grid sweep byte for byte.
 func TestCampaignGridAggregate(t *testing.T) {
 	scenarios := DefaultScenarioSuite()[:2]
 	cfg := ScenarioRunConfig{Params: Params{N: 200, Fanout: Poisson(5), AliveRatio: 1}}
@@ -311,19 +279,19 @@ func TestCampaignGridAggregate(t *testing.T) {
 	if out.Runs != 2*2*2*2 {
 		t.Fatalf("outcome saw %d runs, want one per grid execution", out.Runs)
 	}
-	old, err := SweepScenarioGrid(scenarios, ScenarioGridConfig{
+	old, err := scenario.SweepGrid(scenarios, scenario.GridConfig{
 		Run: cfg, Qs: qs, Fanouts: fans, Seeds: 2, BaseSeed: 5, Workers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(grid, old) {
-		t.Error("engine grid diverged from deprecated SweepScenarioGrid")
+		t.Error("engine grid diverged from scenario.SweepGrid")
 	}
 }
 
 // TestSuccessEngineSemantics: Run executes the spec's Simulations count;
-// RunMany overrides it; the aggregate matches the deprecated RunSuccess.
+// RunMany overrides it; the aggregate matches core.RunSuccess.
 func TestSuccessEngineSemantics(t *testing.T) {
 	p := SuccessParams{
 		Params:      Params{N: 300, Fanout: Poisson(5), AliveRatio: 0.9},
@@ -338,7 +306,7 @@ func TestSuccessEngineSemantics(t *testing.T) {
 		t.Errorf("Run emitted %d simulations, want the spec's 5", out.Runs)
 	}
 	agg := out.Aggregate.(SuccessOutcome)
-	old, err := RunSuccess(p, 11)
+	old, err := core.RunSuccess(p, 11)
 	if err != nil {
 		t.Fatal(err)
 	}

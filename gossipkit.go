@@ -116,10 +116,15 @@ func NegBinomialFanout(r int, p float64) Distribution { return dist.NewNegBinomi
 //
 // Kinds: "poisson" (Po(mean)), "fixed" (point mass at ⌊mean⌋),
 // "geometric" (success probability chosen so the mean matches), and
-// "uniform" (uniform on {1..⌊mean⌋}, which needs mean >= 1).
+// "uniform" (uniform on {1..⌊mean⌋}, which needs mean >= 1). The two
+// integer-valued kinds reject a mean above math.MaxInt32.
 func ParseFanout(kind string, mean float64) (Distribution, error) {
 	if mean < 0 || math.IsNaN(mean) || math.IsInf(mean, 0) {
 		return nil, fmt.Errorf("%w: fanout mean %g (want a finite value >= 0)", ErrInvalidParams, mean)
+	}
+	if (kind == "fixed" || kind == "uniform") && mean > math.MaxInt32 {
+		// int(mean) below would overflow into a negative fanout.
+		return nil, fmt.Errorf("%w: %s fanout mean %g exceeds %d", ErrInvalidParams, kind, mean, math.MaxInt32)
 	}
 	switch kind {
 	case "poisson":
@@ -274,9 +279,6 @@ type ScenarioRunConfig = scenario.RunConfig
 // static-q (Eq. 11) and effective-q model comparisons.
 type ScenarioReport = scenario.RunReport
 
-// ScenarioSweepConfig parameterizes a parallel scenario × seed sweep.
-type ScenarioSweepConfig = scenario.SweepConfig
-
 // ScenarioSweepResult aggregates a scenario × seed sweep.
 type ScenarioSweepResult = scenario.SweepResult
 
@@ -294,9 +296,6 @@ func DefaultScenarioSuite() []*Scenario { return scenario.DefaultSuite() }
 
 // ScenarioByName returns the bundled scenario with the given name.
 func ScenarioByName(name string) (*Scenario, bool) { return scenario.ByName(name) }
-
-// ScenarioGridConfig parameterizes a (scenario × q × fanout) sweep grid.
-type ScenarioGridConfig = scenario.GridConfig
 
 // ScenarioGridResult aggregates a grid sweep, one cell per
 // (scenario, q, fanout); its CSV method emits the regression-tracking grid.

@@ -1,6 +1,7 @@
 package gossipkit
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -52,6 +53,49 @@ func TestParseFanout(t *testing.T) {
 	}
 }
 
+// FuzzParseFanout: untrusted (kind, mean) input never panics, every
+// rejection matches ErrInvalidParams, and exactly the documented inputs are
+// rejected — non-finite or negative means, unknown kinds, a uniform mean
+// below 1, and integer-valued kinds whose truncated mean would overflow.
+func FuzzParseFanout(f *testing.F) {
+	for _, kind := range []string{"poisson", "fixed", "geometric", "uniform", "cauchy", ""} {
+		for _, mean := range []float64{0, 0.5, 1, 3.7, 4, -1, 1e19, 1e300,
+			math.MaxInt32, math.MaxInt32 + 1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			f.Add(kind, mean)
+		}
+	}
+	f.Fuzz(func(t *testing.T, kind string, mean float64) {
+		d, err := ParseFanout(kind, mean)
+		integer := kind == "fixed" || kind == "uniform"
+		wantErr := mean < 0 || math.IsNaN(mean) || math.IsInf(mean, 0) ||
+			(kind != "poisson" && kind != "geometric" && !integer) ||
+			(integer && mean > math.MaxInt32) ||
+			(kind == "uniform" && mean < 1)
+		if err != nil {
+			if !wantErr {
+				t.Fatalf("ParseFanout(%q, %g) rejected valid input: %v", kind, mean, err)
+			}
+			if !errors.Is(err, ErrInvalidParams) || d != nil {
+				t.Fatalf("ParseFanout(%q, %g) = %v, %v: want nil and an ErrInvalidParams", kind, mean, d, err)
+			}
+			return
+		}
+		if wantErr {
+			t.Fatalf("ParseFanout(%q, %g) accepted %s", kind, mean, d.Name())
+		}
+		want := mean
+		switch kind {
+		case "fixed":
+			want = math.Floor(mean)
+		case "uniform":
+			want = (1 + math.Floor(mean)) / 2
+		}
+		if got := d.Mean(); math.Abs(got-want) > 1e-9*math.Max(1, want) {
+			t.Fatalf("ParseFanout(%q, %g).Mean() = %g, want %g", kind, mean, got, want)
+		}
+	})
+}
+
 func TestFacadeQuickstartFlow(t *testing.T) {
 	p := Params{N: 1000, Fanout: Poisson(4), AliveRatio: 0.9}
 	pred, err := Predict(p)
@@ -61,10 +105,11 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if pred.Reliability < 0.9 || pred.Reliability > 1 {
 		t.Fatalf("prediction %.4f out of expected band", pred.Reliability)
 	}
-	est, err := MeasureGiantComponent(p, 20, 42)
+	out, err := RunMany(context.Background(), MonteCarlo{Params: p}, 20, WithSeed(42))
 	if err != nil {
 		t.Fatal(err)
 	}
+	est := out.Aggregate.(ComponentEstimate)
 	if math.Abs(est.Mean-pred.Reliability) > 0.03 {
 		t.Errorf("measured %.4f vs predicted %.4f", est.Mean, pred.Reliability)
 	}
@@ -108,11 +153,11 @@ func TestFacadeExecuteAndViews(t *testing.T) {
 	r := NewRNG(7)
 	pv := PartialViews(200, 1, r)
 	p := Params{N: 200, Fanout: Poisson(4), AliveRatio: 1, View: pv}
-	res, err := Execute(p, r)
+	out, err := Run(context.Background(), MonteCarlo{Params: p, Metric: SourceReach}, WithRNG(r))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Delivered < 1 {
+	if res := out.Reports[0].Detail.(Result); res.Delivered < 1 {
 		t.Error("nothing delivered")
 	}
 	full := FullView(200)
@@ -123,25 +168,25 @@ func TestFacadeExecuteAndViews(t *testing.T) {
 
 func TestFacadeNetworkExecution(t *testing.T) {
 	p := Params{N: 300, Fanout: Poisson(5), AliveRatio: 1}
-	res, err := ExecuteOnNetwork(p, NetConfig{}, NewRNG(5))
+	out, err := Run(context.Background(), Network{Params: p}, WithRNG(NewRNG(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Delivered < 1 || res.Net.Sent == 0 {
+	if res := out.Reports[0].Detail.(NetResult); res.Delivered < 1 || res.Net.Sent == 0 {
 		t.Errorf("network execution: %+v", res.Result)
 	}
 }
 
 func TestFacadeSuccessProtocol(t *testing.T) {
-	out, err := RunSuccess(SuccessParams{
+	run, err := Run(context.Background(), Success{Params: SuccessParams{
 		Params:      Params{N: 300, Fanout: Poisson(5), AliveRatio: 0.9},
 		Executions:  5,
 		Simulations: 4,
-	}, 11)
+	}}, WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.ReceiptHistogram.Total() != 4*270 {
+	if out := run.Aggregate.(SuccessOutcome); out.ReceiptHistogram.Total() != 4*270 {
 		t.Errorf("histogram total %d", out.ReceiptHistogram.Total())
 	}
 }

@@ -1,6 +1,7 @@
 package gossipkit
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -31,10 +32,11 @@ func TestIntegrationModelVsSimulationAcrossDistributions(t *testing.T) {
 		d := d
 		t.Run(d.Name(), func(t *testing.T) {
 			p := Params{N: n, Fanout: d, AliveRatio: q}
-			est, err := MeasureGiantComponent(p, 25, 99)
+			out, err := RunMany(context.Background(), MonteCarlo{Params: p}, 25, WithSeed(99))
 			if err != nil {
 				t.Fatal(err)
 			}
+			est := out.Aggregate.(ComponentEstimate)
 			want, err := genfunc.ForwardReach(d.Mean(), q)
 			if err != nil {
 				t.Fatal(err)
@@ -54,10 +56,11 @@ func TestIntegrationOneShotDeliveryMatchesOutbreakModel(t *testing.T) {
 		d := d
 		t.Run(d.Name(), func(t *testing.T) {
 			p := Params{N: n, Fanout: d, AliveRatio: q}
-			est, err := MeasureReliability(p, 300, 7)
+			out, err := RunMany(context.Background(), MonteCarlo{Params: p, Metric: SourceReach}, 300, WithSeed(7))
 			if err != nil {
 				t.Fatal(err)
 			}
+			est := out.Aggregate.(Estimate)
 			want, err := genfunc.ExpectedOneShotReach(d, q)
 			if err != nil {
 				t.Fatal(err)
@@ -70,17 +73,17 @@ func TestIntegrationOneShotDeliveryMatchesOutbreakModel(t *testing.T) {
 }
 
 func TestIntegrationNetworkLossMatchesBondPercolation(t *testing.T) {
-	// ExecuteOnNetwork with Bernoulli loss vs the joint site+bond model:
+	// Network executions with Bernoulli loss vs the joint site+bond model:
 	// the mean one-shot delivery tracks S(z(1−loss), q)².
 	const n, z, q, loss = 1500, 5.0, 0.9, 0.3
 	p := Params{N: n, Fanout: Poisson(z), AliveRatio: q}
 	var acc stats.Running
 	for seed := uint64(0); seed < 40; seed++ {
-		res, err := ExecuteOnNetwork(p, NetConfig{Loss: BernoulliLoss(loss)}, NewRNG(seed))
+		out, err := Run(context.Background(), Network{Params: p, Net: NetConfig{Loss: BernoulliLoss(loss)}}, WithRNG(NewRNG(seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		acc.Add(res.Reliability)
+		acc.Add(out.Reports[0].Reliability)
 	}
 	s, err := genfunc.JointReliability(dist.NewPoisson(z), q, loss)
 	if err != nil {
@@ -98,18 +101,18 @@ func TestIntegrationLatencyDoesNotChangeReach(t *testing.T) {
 	p := Params{N: 800, Fanout: Poisson(4), AliveRatio: 0.9}
 	var zero, lat stats.Running
 	for seed := uint64(0); seed < 25; seed++ {
-		a, err := ExecuteOnNetwork(p, NetConfig{}, NewRNG(seed))
+		a, err := Run(context.Background(), Network{Params: p}, WithRNG(NewRNG(seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		zero.Add(a.Reliability)
-		b, err := ExecuteOnNetwork(p, NetConfig{
+		zero.Add(a.Reports[0].Reliability)
+		b, err := Run(context.Background(), Network{Params: p, Net: NetConfig{
 			Latency: UniformLatency(time.Millisecond, 40*time.Millisecond),
-		}, NewRNG(seed+5000))
+		}}, WithRNG(NewRNG(seed+5000)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		lat.Add(b.Reliability)
+		lat.Add(b.Reports[0].Reliability)
 	}
 	if math.Abs(zero.Mean()-lat.Mean()) > 0.06 {
 		t.Errorf("latency changed reach: %.4f vs %.4f", zero.Mean(), lat.Mean())
@@ -125,10 +128,11 @@ func TestIntegrationDesignLoopClosesEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := Params{N: 3000, Fanout: Poisson(z), AliveRatio: q}
-	est, err := MeasureGiantComponent(p, 30, 3)
+	mc, err := RunMany(context.Background(), MonteCarlo{Params: p}, 30, WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	est := mc.Aggregate.(ComponentEstimate)
 	if math.Abs(est.Mean-target) > 0.01 {
 		t.Errorf("designed for %.3f, measured %.4f (z=%.3f)", target, est.Mean, z)
 	}
@@ -138,15 +142,15 @@ func TestIntegrationDesignLoopClosesEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := RunSuccess(SuccessParams{
+	out, err := Run(context.Background(), Success{Params: SuccessParams{
 		Params:      p,
 		Executions:  tmin,
 		Simulations: 30,
-	}, 13)
+	}}, WithSeed(13))
 	if err != nil {
 		t.Fatal(err)
 	}
-	missFrac := out.ReceiptHistogram.Freq(0)
+	missFrac := out.Aggregate.(SuccessOutcome).ReceiptHistogram.Freq(0)
 	// Eq. 6 guarantees per-member miss prob <= 0.001 under the model's
 	// idealized p_r; the empirical p_r is lower (die-out), so allow an
 	// order of magnitude.

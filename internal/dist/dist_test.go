@@ -1,0 +1,117 @@
+package dist
+
+import (
+	"math"
+	"testing"
+
+	"gossipkit/internal/xrand"
+)
+
+// TestDistributions checks, for every family, the identities the analytic
+// model and the samplers both lean on: the PMF is a probability
+// distribution, Mean() is the PGF's derivative at 1, and Sample draws from
+// the PMF's support with the stated mean.
+func TestDistributions(t *testing.T) {
+	for _, d := range []Distribution{
+		NewPoisson(0),
+		NewPoisson(4),
+		NewPoisson(45), // above the sampler's Knuth branch: drawn as a sum of halves
+		NewFixed(0),
+		NewFixed(3),
+		NewGeometric(0.2),
+		NewGeometric(1),
+		NewUniformRange(1, 5),
+		NewUniformRange(2, 2),
+		NewBinomial(20, 0.3),
+		NewNegBinomial(4, 0.5),
+		NewPowerLaw(2.5, 200),
+		NewMixture([]Distribution{NewPoisson(2), NewFixed(6)}, []float64{7, 3}),
+		NewZeroTruncated(NewPoisson(3.5)),
+		NewZeroTruncated(NewGeometric(0.4)),
+	} {
+		t.Run(d.Name(), func(t *testing.T) {
+			const support = 2000 // every case's mass beyond this is < 1e-15
+			var mass float64
+			for k := -1; k <= support; k++ {
+				p := d.PMF(k)
+				if p < 0 || p > 1 || math.IsNaN(p) {
+					t.Fatalf("PMF(%d) = %g", k, p)
+				}
+				if k < 0 && p != 0 {
+					t.Fatalf("PMF(%d) = %g, want 0 below the support", k, p)
+				}
+				mass += p
+			}
+			if math.Abs(mass-1) > 1e-9 {
+				t.Errorf("PMF sums to %.12f", mass)
+			}
+			if g1 := PGF(d, 1); math.Abs(g1-1) > 1e-9 {
+				t.Errorf("G(1) = %.12f", g1)
+			}
+			mean := d.Mean()
+			if gp := PGFPrime(d, 1); math.Abs(gp-mean) > 1e-9*math.Max(1, mean) {
+				t.Errorf("Mean() = %.12f but G'(1) = %.12f", mean, gp)
+			}
+
+			// Var = G''(1) + G'(1) − G'(1)²; the sample mean of N draws must
+			// sit within 4σ/√N of Mean() (fixed seed, so not flaky).
+			variance := PGFPrime2(d, 1) + mean - mean*mean
+			if variance < -1e-9 {
+				t.Fatalf("variance %g from the PGF derivatives", variance)
+			}
+			const draws = 100_000
+			r := xrand.New(2008)
+			var sum float64
+			for i := 0; i < draws; i++ {
+				k := d.Sample(r)
+				if d.PMF(k) == 0 {
+					t.Fatalf("sampled %d, outside the PMF's support", k)
+				}
+				sum += float64(k)
+			}
+			tol := 4*math.Sqrt(math.Max(variance, 0)/draws) + 1e-12
+			if got := sum / draws; math.Abs(got-mean) > tol {
+				t.Errorf("sample mean %.5f vs Mean() %.5f (4σ tolerance %.5f)", got, mean, tol)
+			}
+		})
+	}
+}
+
+// TestConstructorsRejectOutOfRange: invalid parameters are programmer
+// error and panic (untrusted input goes through gossipkit.ParseFanout,
+// which validates first).
+func TestConstructorsRejectOutOfRange(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, build := range map[string]func(){
+		"Poisson(-1)":        func() { NewPoisson(-1) },
+		"Poisson(NaN)":       func() { NewPoisson(nan) },
+		"Poisson(Inf)":       func() { NewPoisson(inf) },
+		"Fixed(-1)":          func() { NewFixed(-1) },
+		"Geometric(0)":       func() { NewGeometric(0) },
+		"Geometric(1.5)":     func() { NewGeometric(1.5) },
+		"Geometric(NaN)":     func() { NewGeometric(nan) },
+		"Uniform(-1,3)":      func() { NewUniformRange(-1, 3) },
+		"Uniform(4,3)":       func() { NewUniformRange(4, 3) },
+		"Binomial(-1,0.5)":   func() { NewBinomial(-1, 0.5) },
+		"Binomial(5,1.5)":    func() { NewBinomial(5, 1.5) },
+		"Binomial(5,NaN)":    func() { NewBinomial(5, nan) },
+		"NegBinomial(0,0.5)": func() { NewNegBinomial(0, 0.5) },
+		"NegBinomial(2,0)":   func() { NewNegBinomial(2, 0) },
+		"PowerLaw(1,10)":     func() { NewPowerLaw(1, 10) },
+		"PowerLaw(2,0)":      func() { NewPowerLaw(2, 0) },
+		"Mixture(empty)":     func() { NewMixture(nil, nil) },
+		"Mixture(mismatch)":  func() { NewMixture([]Distribution{NewFixed(1)}, []float64{1, 2}) },
+		"Mixture(negative)":  func() { NewMixture([]Distribution{NewFixed(1)}, []float64{-1}) },
+		"Mixture(zero)":      func() { NewMixture([]Distribution{NewFixed(1)}, []float64{0}) },
+		"ZeroTruncated(δ0)":  func() { NewZeroTruncated(NewFixed(0)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			build()
+		}()
+	}
+}

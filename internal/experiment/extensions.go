@@ -166,67 +166,31 @@ func AblationProtocolComparison(cfg Config) (*Figure, error) {
 		msg.Add(3 * 5 * float64(n) * q) // three executions' expected sends
 		pts = append(pts, point{"3x repeated gossip (Eq. 6)", rel.Mean(), msg.Mean()})
 	}
-	// Pbcast-style rounds.
-	{
+	// The related-work families, each on the shared DES runtime over an
+	// ideal network (result-identical to the legacy round loops): pbcast
+	// rounds, anti-entropy push-pull until quiescent, LRG, flooding.
+	arena := core.NewNetArena()
+	for _, b := range []struct {
+		name string
+		spec protocols.Spec
+		salt uint64
+	}{
+		{"pbcast rounds f=3", protocols.PbcastParams{N: n, Fanout: 3, Rounds: 12, AliveRatio: q}, 0x500},
+		{"anti-entropy push-pull", protocols.AntiEntropyParams{N: n, Rounds: 0, Mode: protocols.PushPull, AliveRatio: q}, 0x700},
+		{"LRG deg=8 pg=0.7", protocols.LRGParams{N: n, Degree: 8, GossipProb: 0.7, RepairRounds: 4, AliveRatio: q}, 0x900},
+		{"flooding", protocols.FloodingParams{N: n, AliveRatio: q}, 0xB00},
+	} {
 		var rel, msg stats.Running
 		for i := 0; i < runs; i++ {
-			r := xrand.New(cfg.Seed ^ uint64(0x500+i))
-			res, err := protocols.RunPbcast(protocols.PbcastParams{
-				N: n, Fanout: 3, Rounds: 12, AliveRatio: q,
-			}, r)
+			r := xrand.New(cfg.Seed ^ (b.salt + uint64(i)))
+			out, err := protocols.RunOnDES(b.spec, protocols.DESConfig{}, r, nil, arena)
 			if err != nil {
 				return nil, err
 			}
-			rel.Add(res.Reliability)
-			msg.Add(float64(res.MessagesSent))
+			rel.Add(out.Reliability)
+			msg.Add(float64(out.MessagesSent))
 		}
-		pts = append(pts, point{"pbcast rounds f=3", rel.Mean(), msg.Mean()})
-	}
-	// Anti-entropy push-pull until quiescent.
-	{
-		var rel, msg stats.Running
-		for i := 0; i < runs; i++ {
-			r := xrand.New(cfg.Seed ^ uint64(0x700+i))
-			res, err := protocols.RunAntiEntropy(protocols.AntiEntropyParams{
-				N: n, Rounds: 0, Mode: protocols.PushPull, AliveRatio: q,
-			}, r)
-			if err != nil {
-				return nil, err
-			}
-			rel.Add(res.Reliability)
-			msg.Add(float64(res.MessagesSent))
-		}
-		pts = append(pts, point{"anti-entropy push-pull", rel.Mean(), msg.Mean()})
-	}
-	// LRG.
-	{
-		var rel, msg stats.Running
-		for i := 0; i < runs; i++ {
-			r := xrand.New(cfg.Seed ^ uint64(0x900+i))
-			res, err := protocols.RunLRG(protocols.LRGParams{
-				N: n, Degree: 8, GossipProb: 0.7, RepairRounds: 4, AliveRatio: q,
-			}, r)
-			if err != nil {
-				return nil, err
-			}
-			rel.Add(res.Reliability)
-			msg.Add(float64(res.MessagesSent))
-		}
-		pts = append(pts, point{"LRG deg=8 pg=0.7", rel.Mean(), msg.Mean()})
-	}
-	// Flooding.
-	{
-		var rel, msg stats.Running
-		for i := 0; i < runs; i++ {
-			r := xrand.New(cfg.Seed ^ uint64(0xB00+i))
-			res, err := protocols.RunFlooding(protocols.FloodingParams{N: n, AliveRatio: q}, r)
-			if err != nil {
-				return nil, err
-			}
-			rel.Add(res.Reliability)
-			msg.Add(float64(res.MessagesSent))
-		}
-		pts = append(pts, point{"flooding", rel.Mean(), msg.Mean()})
+		pts = append(pts, point{b.name, rel.Mean(), msg.Mean()})
 	}
 
 	for _, pt := range pts {

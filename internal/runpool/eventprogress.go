@@ -8,8 +8,8 @@ import (
 )
 
 // EventUpdate is one progress snapshot of a single long execution,
-// denominated in kernel events fired rather than completed runs — the
-// sweep Progress tracker is useless for one n=10⁷ run that IS the whole
+// denominated in kernel events fired rather than completed runs — a
+// per-run observer is useless for one n=10⁷ run that IS the whole
 // workload.
 type EventUpdate struct {
 	// Events is the total kernel events fired so far; EstTotal the

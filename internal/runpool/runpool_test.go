@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -275,47 +274,5 @@ func TestPreCanceledContextRunsNothing(t *testing.T) {
 func TestZeroItems(t *testing.T) {
 	if err := Run(context.Background(), 0, 4, func(w, i int) error { return errors.New("never") }, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestProgress: the tracker counts observations, throttles emissions to
-// the interval, and always emits the final item with a complete snapshot.
-func TestProgress(t *testing.T) {
-	var got []Update
-	p := NewProgress(4, time.Hour, func(u Update) { got = append(got, u) })
-	base := time.Now()
-	tick := 0
-	p.now = func() time.Time { tick++; return base.Add(time.Duration(tick) * time.Second) }
-	for i := 0; i < 4; i++ {
-		p.Observe(i)
-	}
-	if len(got) != 1 {
-		t.Fatalf("emitted %d updates, want only the final one under an hour-long throttle", len(got))
-	}
-	u := got[0]
-	if u.Done != 4 || u.Total != 4 {
-		t.Errorf("final update %+v", u)
-	}
-	if u.RatePerSec <= 0 || u.ETA != 0 {
-		t.Errorf("final rate %.2f eta %s", u.RatePerSec, u.ETA)
-	}
-	if s := u.String(); !strings.Contains(s, "4/4 (100.0%)") {
-		t.Errorf("status line %q", s)
-	}
-	if snap := p.Snapshot(); snap.Done != 4 {
-		t.Errorf("snapshot %+v", snap)
-	}
-}
-
-// TestProgressOnPool: wired through Run's observe seam, every item is
-// counted exactly once.
-func TestProgressOnPool(t *testing.T) {
-	p := NewProgress(50, time.Hour, nil)
-	err := Run(context.Background(), 50, 7, func(w, i int) error { return nil }, p.Observe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap := p.Snapshot(); snap.Done != 50 || snap.Total != 50 {
-		t.Errorf("snapshot %+v", snap)
 	}
 }

@@ -7,8 +7,6 @@ import (
 
 	"gossipkit/internal/core"
 	"gossipkit/internal/protocols"
-	"gossipkit/internal/runpool"
-	"gossipkit/internal/stats"
 	"gossipkit/internal/topology"
 	"gossipkit/internal/xrand"
 )
@@ -122,14 +120,14 @@ func Compare(scenarios []*Scenario, cfg CompareConfig) (*CompareResult, error) {
 }
 
 // CompareCtx runs every scenario against every executor for cfg.Seeds
-// seeded replications on a worker pool, each worker recycling one run-state
-// arena across heterogeneous protocol runs (core.NetArena leases are
-// result-neutral). Like the sweeps, the result is deterministic in
-// (scenarios, cfg) for any cfg.Workers: cells are data-independent and
-// reduced in grid order after the pool drains. Context cancellation aborts
-// promptly with ctx.Err(); observe, when non-nil, streams per-cell reports
-// in deterministic cell order (cell = ((ti·|executors|+pi)·|scenarios|+si)·
-// Seeds+ri, with ti always 0 on two-axis grids).
+// seeded replications on a worker pool (see sweepPoints, the shared cell
+// driver), each worker recycling one run-state arena across heterogeneous
+// protocol runs (core.NetArena leases are result-neutral). Like the sweeps,
+// the result is deterministic in (scenarios, cfg) for any cfg.Workers.
+// Context cancellation aborts promptly with ctx.Err(); observe, when
+// non-nil, streams per-cell reports in deterministic cell order
+// (cell = ((ti·|executors|+pi)·|scenarios|+si)·Seeds+ri, with ti always 0
+// on two-axis grids).
 func CompareCtx(ctx context.Context, scenarios []*Scenario, cfg CompareConfig, observe Observer) (*CompareResult, error) {
 	if len(scenarios) == 0 {
 		return nil, fmt.Errorf("scenario: comparison grid has no scenarios")
@@ -137,7 +135,7 @@ func CompareCtx(ctx context.Context, scenarios []*Scenario, cfg CompareConfig, o
 	if len(cfg.Executors) == 0 {
 		return nil, fmt.Errorf("scenario: comparison grid has no executors")
 	}
-	if err := checkSweepShared(cfg.Run); err != nil {
+	if err := CheckShared(cfg.Run); err != nil {
 		return nil, err
 	}
 	// A nil Topologies axis is one implicit row carrying the run config's
@@ -151,36 +149,20 @@ func CompareCtx(ctx context.Context, scenarios []*Scenario, cfg CompareConfig, o
 	if cfg.Seeds < 1 {
 		cfg.Seeds = 1
 	}
-	rows := len(cfg.Executors)
-	cells := len(topos) * rows * len(scenarios) * cfg.Seeds
-	workers := runpool.Count(cfg.Workers, cells)
-
-	// Flattened cell index: ((ti*rows+pi)*len(scenarios)+si)*Seeds+ri.
-	reports := make([]RunReport, cells)
-	lats := make([]stats.Running, cells)
-	arenas := make([]*core.NetArena, workers)
-	var obs func(i int)
-	if observe != nil {
-		obs = func(i int) { observe(i, reports[i]) }
+	// Points in (topology, protocol, scenario) order, so
+	// cell = ((ti*len(Executors)+pi)*len(scenarios)+si)*Seeds+ri.
+	var points []point
+	for _, t := range topos {
+		for _, ex := range cfg.Executors {
+			for si, s := range scenarios {
+				run := cfg.Run
+				run.Executor = ex
+				run.Topology = t
+				points = append(points, point{s, run, func(ri int) uint64 { return cfg.cellSeed(si, ri) }})
+			}
+		}
 	}
-	err := runpool.Run(ctx, cells, workers, func(w, cell int) error {
-		if arenas[w] == nil {
-			arenas[w] = core.NewNetArena()
-		}
-		ri := cell % cfg.Seeds
-		si := cell / cfg.Seeds % len(scenarios)
-		pi := cell / cfg.Seeds / len(scenarios) % rows
-		ti := cell / cfg.Seeds / len(scenarios) / rows
-		run := cfg.Run
-		run.Executor = cfg.Executors[pi]
-		run.Topology = topos[ti]
-		rep, lat, err := runWithLatency(scenarios[si], run, cfg.cellSeed(si, ri), arenas[w])
-		if err != nil {
-			return err
-		}
-		reports[cell], lats[cell] = rep, lat
-		return nil
-	}, obs)
+	sums, _, err := sweepPoints(ctx, points, cfg.Seeds, cfg.Workers, nil, observe)
 	if err != nil {
 		return nil, err
 	}
@@ -197,20 +179,12 @@ func CompareCtx(ctx context.Context, scenarios []*Scenario, cfg CompareConfig, o
 			out.Topologies = append(out.Topologies, t.String())
 		}
 	}
-	for ti, t := range topos {
-		for pi, ex := range cfg.Executors {
-			for si, s := range scenarios {
-				lo := ((ti*rows+pi)*len(scenarios) + si) * cfg.Seeds
-				cell := CompareCell{
-					Protocol: ex.Protocol(),
-					Summary:  summarize(s, reports[lo:lo+cfg.Seeds], lats[lo:lo+cfg.Seeds]),
-				}
-				if labeled {
-					cell.Topology = t.String()
-				}
-				out.Cells = append(out.Cells, cell)
-			}
+	for pi, pt := range points {
+		cell := CompareCell{Protocol: pt.run.Executor.Protocol(), Summary: sums[pi]}
+		if labeled {
+			cell.Topology = pt.run.Topology.String()
 		}
+		out.Cells = append(out.Cells, cell)
 	}
 	return out, nil
 }

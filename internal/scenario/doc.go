@@ -19,9 +19,10 @@
 // (params, scenario, seed): repeated runs with the same seed are
 // byte-identical.
 //
-// The sweep runners (Sweep, SweepScenarioGrid) replicate scenarios × seeds
-// on a worker pool; cells are data-independent and reduced in grid order,
-// so output is byte-identical for any worker count. Each worker recycles
-// one core.NetArena, so after its first run a worker executes campaigns
-// with zero O(n)-sized allocations per run.
+// The sweep runners (Sweep, SweepGrid, Compare) flatten their axes into
+// points and share one cell driver (sweepPoints) that replicates points ×
+// seeds on a worker pool; cells are data-independent and reduced in grid
+// order, so output is byte-identical for any worker count. Each worker
+// recycles one core.NetArena, so after its first run a worker executes
+// campaigns with zero O(n)-sized allocations per run.
 package scenario

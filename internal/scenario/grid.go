@@ -5,10 +5,7 @@ import (
 	"fmt"
 	"strings"
 
-	"gossipkit/internal/core"
 	"gossipkit/internal/dist"
-	"gossipkit/internal/runpool"
-	"gossipkit/internal/stats"
 )
 
 // GridConfig parameterizes a (scenario × q × fanout) sweep grid: every
@@ -70,17 +67,16 @@ func SweepGrid(scenarios []*Scenario, cfg GridConfig) (*GridResult, error) {
 }
 
 // SweepGridCtx replicates every scenario at every (q, fanout) combination
-// for cfg.Seeds seeds on a worker pool, each worker recycling one run-state
-// arena. Like SweepCtx, the result is deterministic in (scenarios, cfg)
-// regardless of cfg.Workers: cells are data-independent and reduced in grid
-// order after the pool drains. Context cancellation aborts promptly with
+// for cfg.Seeds seeds on a worker pool (see sweepPoints, the shared cell
+// driver). Like SweepCtx, the result is deterministic in (scenarios, cfg)
+// regardless of cfg.Workers. Context cancellation aborts promptly with
 // ctx.Err(); observe, when non-nil, streams per-cell reports in
 // deterministic cell order (cell = ((si·|qs|+qi)·|fanouts|+fi)·Seeds+ri).
 func SweepGridCtx(ctx context.Context, scenarios []*Scenario, cfg GridConfig, observe Observer) (*GridResult, error) {
 	if len(scenarios) == 0 {
 		return nil, fmt.Errorf("scenario: empty grid sweep")
 	}
-	if err := checkSweepShared(cfg.Run); err != nil {
+	if err := CheckShared(cfg.Run); err != nil {
 		return nil, err
 	}
 	qs := cfg.Qs
@@ -94,36 +90,20 @@ func SweepGridCtx(ctx context.Context, scenarios []*Scenario, cfg GridConfig, ob
 	if cfg.Seeds < 1 {
 		cfg.Seeds = 1
 	}
-	points := len(scenarios) * len(qs) * len(fanouts)
-	cells := points * cfg.Seeds
-	workers := runpool.Count(cfg.Workers, cells)
-
-	// Flattened cell index: ((si*len(qs)+qi)*len(fanouts)+fi)*Seeds+ri.
-	reports := make([]RunReport, cells)
-	lats := make([]stats.Running, cells)
-	arenas := make([]*core.NetArena, workers)
-	var obs func(i int)
-	if observe != nil {
-		obs = func(i int) { observe(i, reports[i]) }
+	// Points in (scenario, q, fanout) order, so
+	// cell = ((si*len(qs)+qi)*len(fanouts)+fi)*Seeds+ri.
+	var points []point
+	for si, s := range scenarios {
+		for qi, q := range qs {
+			for fi, f := range fanouts {
+				run := cfg.Run
+				run.Params.AliveRatio = q
+				run.Params.Fanout = f
+				points = append(points, point{s, run, func(ri int) uint64 { return cfg.cellSeed(si, qi, fi, ri) }})
+			}
+		}
 	}
-	err := runpool.Run(ctx, cells, workers, func(w, cell int) error {
-		if arenas[w] == nil {
-			arenas[w] = core.NewNetArena()
-		}
-		ri := cell % cfg.Seeds
-		fi := cell / cfg.Seeds % len(fanouts)
-		qi := cell / cfg.Seeds / len(fanouts) % len(qs)
-		si := cell / cfg.Seeds / len(fanouts) / len(qs)
-		run := cfg.Run
-		run.Params.AliveRatio = qs[qi]
-		run.Params.Fanout = fanouts[fi]
-		rep, lat, err := runWithLatency(scenarios[si], run, cfg.cellSeed(si, qi, fi, ri), arenas[w])
-		if err != nil {
-			return err
-		}
-		reports[cell], lats[cell] = rep, lat
-		return nil
-	}, obs)
+	sums, _, err := sweepPoints(ctx, points, cfg.Seeds, cfg.Workers, nil, observe)
 	if err != nil {
 		return nil, err
 	}
@@ -137,17 +117,12 @@ func SweepGridCtx(ctx context.Context, scenarios []*Scenario, cfg GridConfig, ob
 	for _, f := range fanouts {
 		out.Fanouts = append(out.Fanouts, f.Name())
 	}
-	for si, s := range scenarios {
-		for qi, q := range qs {
-			for fi, f := range fanouts {
-				lo := ((si*len(qs)+qi)*len(fanouts) + fi) * cfg.Seeds
-				out.Cells = append(out.Cells, GridCell{
-					Q:       q,
-					Fanout:  f.Name(),
-					Summary: summarize(s, reports[lo:lo+cfg.Seeds], lats[lo:lo+cfg.Seeds]),
-				})
-			}
-		}
+	for pi, pt := range points {
+		out.Cells = append(out.Cells, GridCell{
+			Q:       pt.run.Params.AliveRatio,
+			Fanout:  pt.run.Params.Fanout.Name(),
+			Summary: sums[pi],
+		})
 	}
 	return out, nil
 }

@@ -1,0 +1,82 @@
+package scenario
+
+import (
+	"context"
+
+	"gossipkit/internal/core"
+	"gossipkit/internal/obs"
+	"gossipkit/internal/runpool"
+	"gossipkit/internal/stats"
+)
+
+// point is one (scenario, run config) combination of a sweep, grid or
+// comparison; seed derives the seed of its ri-th replication.
+type point struct {
+	scenario *Scenario
+	run      RunConfig
+	seed     func(ri int) uint64
+}
+
+// sweepPoints is the one cell driver under Sweep, SweepGrid and Compare:
+// it replicates every point for `seeds` derived seeds on a worker pool
+// (cell = pi·seeds + ri) and reduces each point's block of replications
+// into a Summary. Every worker recycles one run-state arena — and, under
+// probe, one pooled obs.Probe re-Attached each run, whose per-run Metrics
+// snapshots ride on the buffered RunReports. Cells are data-independent
+// and both reductions (the summaries and, under probe, the per-point
+// merged curves) happen in cell order after the pool drains, so the result
+// is byte-identical for any worker count. observe, when non-nil, streams
+// per-cell reports in cell order; context cancellation aborts promptly
+// with ctx.Err().
+func sweepPoints(ctx context.Context, points []point, seeds, workers int, probe *obs.Options, observe Observer) ([]Summary, []*obs.Merged, error) {
+	cells := len(points) * seeds
+	workers = runpool.Count(workers, cells)
+	reports := make([]RunReport, cells)
+	lats := make([]stats.Running, cells)
+	arenas := make([]*core.NetArena, workers)
+	probes := make([]*obs.Probe, workers)
+	var observeCell func(i int)
+	if observe != nil {
+		observeCell = func(i int) { observe(i, reports[i]) }
+	}
+	err := runpool.Run(ctx, cells, workers, func(w, cell int) error {
+		if arenas[w] == nil {
+			arenas[w] = core.NewNetArena()
+		}
+		pt := &points[cell/seeds]
+		run := pt.run
+		if probe != nil {
+			if probes[w] == nil {
+				probes[w] = obs.New(*probe)
+			}
+			run.Probe = probes[w]
+		}
+		rep, lat, err := runWithLatency(pt.scenario, run, pt.seed(cell%seeds), arenas[w])
+		if err != nil {
+			return err
+		}
+		reports[cell], lats[cell] = rep, lat
+		return nil
+	}, observeCell)
+	if err != nil {
+		return nil, nil, err
+	}
+
+	sums := make([]Summary, len(points))
+	var curves []*obs.Merged
+	for pi, pt := range points {
+		lo := pi * seeds
+		sums[pi] = summarize(pt.scenario, reports[lo:lo+seeds], lats[lo:lo+seeds])
+		if probe != nil {
+			// Merged in cell order: the merge is order-sensitive, and this
+			// fixed order keeps the curves byte-identical for any worker
+			// count.
+			g := &obs.Merged{}
+			for _, rep := range reports[lo : lo+seeds] {
+				g.Merge(rep.Metrics)
+			}
+			curves = append(curves, g)
+		}
+	}
+	return sums, curves, nil
+}

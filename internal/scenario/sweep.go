@@ -6,9 +6,7 @@ import (
 	"sort"
 	"strings"
 
-	"gossipkit/internal/core"
 	"gossipkit/internal/obs"
-	"gossipkit/internal/runpool"
 	"gossipkit/internal/simnet"
 	"gossipkit/internal/stats"
 )
@@ -137,87 +135,42 @@ func Sweep(scenarios []*Scenario, cfg SweepConfig) (*SweepResult, error) {
 }
 
 // SweepCtx runs every scenario for cfg.Seeds seeded replications on a
-// worker pool and aggregates per-scenario summaries. Results are
-// deterministic in (scenarios, cfg) regardless of cfg.Workers: the grid
-// cells are data-independent (each worker recycles one run-state arena,
-// which is result-neutral) and the reduction happens in grid order after
-// the pool drains. Context cancellation aborts the sweep promptly with
-// ctx.Err(); observe, when non-nil, streams per-cell reports in
-// deterministic cell order.
+// worker pool and aggregates per-scenario summaries (see sweepPoints, the
+// shared cell driver). Results are deterministic in (scenarios, cfg)
+// regardless of cfg.Workers. Context cancellation aborts the sweep
+// promptly with ctx.Err(); observe, when non-nil, streams per-cell reports
+// in deterministic cell order (cell = si·Seeds + ri).
 func SweepCtx(ctx context.Context, scenarios []*Scenario, cfg SweepConfig, observe Observer) (*SweepResult, error) {
 	if len(scenarios) == 0 {
 		return nil, fmt.Errorf("scenario: empty sweep")
 	}
-	if err := checkSweepShared(cfg.Run); err != nil {
+	if err := CheckShared(cfg.Run); err != nil {
 		return nil, err
 	}
 	if cfg.Seeds < 1 {
 		cfg.Seeds = 1
 	}
-	cells := len(scenarios) * cfg.Seeds
-	workers := runpool.Count(cfg.Workers, cells)
-
-	reports := make([]RunReport, cells)
-	lats := make([]stats.Running, cells)
-	// One run-state arena per worker: every run on a worker recycles the
-	// same kernel queue, network buffers, and receive flags. Probes pool
-	// the same way — one per worker, re-Attached each run — and each
-	// run's Metrics snapshot is buffered on its RunReport for the
-	// in-order merge below.
-	arenas := make([]*core.NetArena, workers)
-	probes := make([]*obs.Probe, workers)
-	var observeCell func(i int)
-	if observe != nil {
-		observeCell = func(i int) { observe(i, reports[i]) }
+	points := make([]point, len(scenarios))
+	for si, s := range scenarios {
+		points[si] = point{s, cfg.Run, func(ri int) uint64 { return cfg.cellSeed(si, ri) }}
 	}
-	err := runpool.Run(ctx, cells, workers, func(w, cell int) error {
-		if arenas[w] == nil {
-			arenas[w] = core.NewNetArena()
-		}
-		si, ri := cell/cfg.Seeds, cell%cfg.Seeds
-		run := cfg.Run
-		if cfg.Probe != nil {
-			if probes[w] == nil {
-				probes[w] = obs.New(*cfg.Probe)
-			}
-			run.Probe = probes[w]
-		}
-		rep, lat, err := runWithLatency(scenarios[si], run, cfg.cellSeed(si, ri), arenas[w])
-		if err != nil {
-			return err
-		}
-		reports[cell], lats[cell] = rep, lat
-		return nil
-	}, observeCell)
+	sums, curves, err := sweepPoints(ctx, points, cfg.Seeds, cfg.Workers, cfg.Probe, observe)
 	if err != nil {
 		return nil, err
 	}
 
 	out := &SweepResult{
-		N:        cfg.Run.Params.N,
-		Q:        cfg.Run.Params.AliveRatio,
-		Seeds:    cfg.Seeds,
-		BaseSeed: cfg.BaseSeed,
+		N:         cfg.Run.Params.N,
+		Q:         cfg.Run.Params.AliveRatio,
+		Seeds:     cfg.Seeds,
+		BaseSeed:  cfg.BaseSeed,
+		Scenarios: sums,
+		Curves:    curves,
 	}
 	// Protocol-executor sweeps carry no paper params: the fanout (and N)
 	// live in the executor's spec, so the header fields stay zero.
 	if cfg.Run.Params.Fanout != nil {
 		out.Fanout = cfg.Run.Params.Fanout.Name()
-	}
-	for si, s := range scenarios {
-		lo := si * cfg.Seeds
-		out.Scenarios = append(out.Scenarios,
-			summarize(s, reports[lo:lo+cfg.Seeds], lats[lo:lo+cfg.Seeds]))
-		if cfg.Probe != nil {
-			// Merge replications in cell order — the merge is
-			// order-sensitive only in this fixed order, so the curves are
-			// byte-identical for any worker count.
-			g := &obs.Merged{}
-			for ri := 0; ri < cfg.Seeds; ri++ {
-				g.Merge(reports[lo+ri].Metrics)
-			}
-			out.Curves = append(out.Curves, g)
-		}
 	}
 	return out, nil
 }
@@ -252,16 +205,12 @@ func summarize(s *Scenario, reports []RunReport, lats []stats.Running) Summary {
 	return sum
 }
 
-// CheckShared rejects run-config state sweep workers would mutate
-// concurrently; it is the pre-flight check the facade engines run before
-// dispatching a sweep. See checkSweepShared.
-func CheckShared(run RunConfig) error { return checkSweepShared(run) }
-
-// checkSweepShared rejects run-config state the sweep workers would mutate
-// concurrently: a shared membership view (churn unsubscribes into it) or a
+// CheckShared rejects run-config state the sweep workers would mutate
+// concurrently: a shared membership view (churn unsubscribes into it), a
 // stateful loss model (Gilbert-Elliott advances its channel state on every
-// Drop).
-func checkSweepShared(run RunConfig) error {
+// Drop), or one probe for every worker. Every sweep runs it, and the
+// facade engines run it as their pre-flight check before dispatching one.
+func CheckShared(run RunConfig) error {
 	if run.Params.View != nil {
 		return fmt.Errorf("scenario: sweep cannot share Params.View across workers; set RunConfig.PartialViewCopies so every run builds its own views")
 	}

@@ -1,11 +1,6 @@
 package simnet
 
-import (
-	"time"
-
-	"gossipkit/internal/sim"
-	"gossipkit/internal/stats"
-)
+import "gossipkit/internal/sim"
 
 // EventKind classifies a traced network event.
 type EventKind int
@@ -100,48 +95,4 @@ func (nw *Network) trace(e Event) {
 	if nw.tracer != nil {
 		nw.tracer(e)
 	}
-}
-
-// LatencyRecorder is a Tracer that accumulates delivery latency statistics
-// and per-destination first-delivery times.
-type LatencyRecorder struct {
-	// Latency aggregates transit times (seconds) over all deliveries.
-	Latency stats.Running
-	// FirstDelivery maps each destination to the simulated time of its
-	// first delivery.
-	FirstDelivery map[NodeID]sim.Time
-	// Counts tallies events by kind.
-	Counts map[EventKind]int64
-}
-
-// NewLatencyRecorder returns an empty recorder.
-func NewLatencyRecorder() *LatencyRecorder {
-	return &LatencyRecorder{
-		FirstDelivery: map[NodeID]sim.Time{},
-		Counts:        map[EventKind]int64{},
-	}
-}
-
-// Observe implements Tracer.
-func (lr *LatencyRecorder) Observe(e Event) {
-	lr.Counts[e.Kind]++
-	if e.Kind != EventDelivered {
-		return
-	}
-	lr.Latency.Add(e.At.Sub(e.SentAt).Seconds())
-	if _, ok := lr.FirstDelivery[e.To]; !ok {
-		lr.FirstDelivery[e.To] = e.At
-	}
-}
-
-// SpreadTime returns the latest first-delivery time (zero when nothing was
-// delivered).
-func (lr *LatencyRecorder) SpreadTime() time.Duration {
-	var max sim.Time
-	for _, t := range lr.FirstDelivery {
-		if t > max {
-			max = t
-		}
-	}
-	return max.Duration()
 }

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -11,10 +10,10 @@ import (
 
 func TestTracerSeesAllEventKinds(t *testing.T) {
 	k := sim.New()
-	rec := NewLatencyRecorder()
+	counts := map[EventKind]int64{}
 	nw := New(k, 4, xrand.New(1), Config{
 		Latency: ConstantLatency{D: 5 * time.Millisecond},
-		Tracer:  rec.Observe,
+		Tracer:  func(e Event) { counts[e.Kind]++ },
 	})
 	nw.Register(1, func(sim.Time, Message) {})
 	// Delivered.
@@ -31,28 +30,28 @@ func TestTracerSeesAllEventKinds(t *testing.T) {
 	if err := k.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Counts[EventDelivered] != 1 {
-		t.Errorf("delivered events = %d", rec.Counts[EventDelivered])
+	if counts[EventDelivered] != 1 {
+		t.Errorf("delivered events = %d", counts[EventDelivered])
 	}
-	if rec.Counts[EventSent] != 3 { // the crashed sender's is not "sent"
-		t.Errorf("sent events = %d", rec.Counts[EventSent])
+	if counts[EventSent] != 3 { // the crashed sender's is not "sent"
+		t.Errorf("sent events = %d", counts[EventSent])
 	}
-	if rec.Counts[EventDroppedCrash] != 1 { // no-handler drop at delivery
-		t.Errorf("crash drops = %d", rec.Counts[EventDroppedCrash])
+	if counts[EventDroppedCrash] != 1 { // no-handler drop at delivery
+		t.Errorf("crash drops = %d", counts[EventDroppedCrash])
 	}
-	if rec.Counts[EventDroppedDown] != 1 { // crashed sender, discarded at send
-		t.Errorf("down drops = %d", rec.Counts[EventDroppedDown])
+	if counts[EventDroppedDown] != 1 { // crashed sender, discarded at send
+		t.Errorf("down drops = %d", counts[EventDroppedDown])
 	}
-	if rec.Counts[EventDroppedPartition] != 1 {
-		t.Errorf("partition drops = %d", rec.Counts[EventDroppedPartition])
+	if counts[EventDroppedPartition] != 1 {
+		t.Errorf("partition drops = %d", counts[EventDroppedPartition])
 	}
 	// Per-kind trace counts must reconcile with the Stats counters.
 	st := nw.Stats()
-	if rec.Counts[EventDroppedCrash] != st.DroppedCrash ||
-		rec.Counts[EventDroppedDown] != st.DroppedDown ||
-		rec.Counts[EventDroppedPartition] != st.DroppedPart ||
-		rec.Counts[EventSent] != st.Sent {
-		t.Errorf("trace counts %v do not reconcile with stats %+v", rec.Counts, st)
+	if counts[EventDroppedCrash] != st.DroppedCrash ||
+		counts[EventDroppedDown] != st.DroppedDown ||
+		counts[EventDroppedPartition] != st.DroppedPart ||
+		counts[EventSent] != st.Sent {
+		t.Errorf("trace counts %v do not reconcile with stats %+v", counts, st)
 	}
 }
 
@@ -111,54 +110,6 @@ func TestDrained(t *testing.T) {
 	}
 	if !nw.Drained() {
 		t.Error("not drained after RunAll")
-	}
-}
-
-func TestLatencyRecorderMeasuresTransit(t *testing.T) {
-	k := sim.New()
-	rec := NewLatencyRecorder()
-	nw := New(k, 2, xrand.New(1), Config{
-		Latency: ConstantLatency{D: 30 * time.Millisecond},
-		Tracer:  rec.Observe,
-	})
-	nw.Register(1, func(sim.Time, Message) {})
-	for i := 0; i < 10; i++ {
-		nw.Send(0, 1, i)
-	}
-	if err := k.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Latency.N() != 10 {
-		t.Fatalf("latency samples = %d", rec.Latency.N())
-	}
-	if math.Abs(rec.Latency.Mean()-0.030) > 1e-9 {
-		t.Errorf("mean latency %.6fs, want 0.030", rec.Latency.Mean())
-	}
-	if rec.SpreadTime() != 30*time.Millisecond {
-		t.Errorf("spread time %v", rec.SpreadTime())
-	}
-}
-
-func TestLatencyRecorderFirstDeliveryOnly(t *testing.T) {
-	k := sim.New()
-	rec := NewLatencyRecorder()
-	nw := New(k, 2, xrand.New(1), Config{Tracer: rec.Observe})
-	nw.Register(1, func(sim.Time, Message) {})
-	nw.Send(0, 1, "first")
-	if err := k.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	first := rec.FirstDelivery[1]
-	// Advance time, deliver again; FirstDelivery must not move.
-	k.After(time.Second, func() { nw.Send(0, 1, "second") })
-	if err := k.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if rec.FirstDelivery[1] != first {
-		t.Error("first delivery time moved")
-	}
-	if rec.Counts[EventDelivered] != 2 {
-		t.Errorf("delivered = %d", rec.Counts[EventDelivered])
 	}
 }
 

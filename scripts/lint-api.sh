@@ -1,48 +1,45 @@
 #!/bin/sh
-# lint-api.sh — fail CI when cmd/ or examples/ bypass the facade's engine
-# API.
+# lint-api.sh — fail CI when code outside internal/protocols treats the
+# legacy round loops as an execution path.
 #
-# Two gates, both greps (no linter dependency, runs anywhere a POSIX shell
-# does):
+# One gate, two greps (no linter dependency, runs anywhere a POSIX shell
+# does). The legacy synchronous round loops (protocols.RunPbcast,
+# RunLpbcast, RunAntiEntropy, RunRDG, RunLRG, RunFlooding) are the
+# equivalence ORACLE for the DES protocol runtime and nothing else:
 #
-#   1. The pre-Engine entry points (Execute, ExecuteOnNetwork[Reusing],
-#      MeasureReliability, MeasureGiantComponent, RunSuccess, RunScenario,
-#      SweepScenarios, SweepScenarioGrid, NewNetArena) survive only as
-#      back-compat shims over gossipkit.Run/RunMany; everything the
-#      repository itself ships must sit on the unified engine API.
-#   2. The legacy synchronous round loops (protocols.RunPbcast,
-#      RunLpbcast, RunAntiEntropy, RunRDG, RunLRG, RunFlooding) are the
-#      equivalence ORACLE for the DES protocol runtime, not an execution
-#      path: cmd/ and examples/ must reach the baselines through the
-#      engine specs (Pbcast, ..., Flooding, Compare), which run on the
-#      sim kernel + simnet substrate. Importing internal/protocols from
-#      cmd/ or examples/ is blocked for the same reason — the facade specs
-#      are the only supported protocol surface. (Other internal imports —
-#      the sim/simnet substrate the node demos build on — stay allowed.)
+#   - cmd/, examples/ and internal/experiment must not call them;
+#     experiments run baselines through protocols.RunOnDES, binaries and
+#     examples through the engine specs (Pbcast, ..., Flooding, Compare),
+#     which run on the sim kernel + simnet substrate.
+#   - cmd/ and examples/ must not import internal/protocols at all — the
+#     facade specs are the only supported protocol surface. (Other internal
+#     imports — the sim/simnet substrate the node demos build on — stay
+#     allowed.)
 set -eu
 cd "$(dirname "$0")/.."
 
-deprecated='Execute|ExecuteOnNetwork|ExecuteOnNetworkReusing|MeasureReliability|MeasureGiantComponent|RunSuccess|RunScenario|SweepScenarios|SweepScenarioGrid|NewNetArena'
 legacy_loops='RunPbcast|RunLpbcast|RunAntiEntropy|RunRDG|RunLRG|RunFlooding'
 
-for dir in cmd examples; do
+for dir in cmd examples internal/experiment; do
     if [ ! -d "$dir" ]; then
         echo "api-lint: directory $dir/ not found; the gate has nothing to scan" >&2
         exit 2
     fi
 done
 
-# scan PATTERN LABEL HINT — grep exits 0 on match, 1 on no match, >=2 on
-# error. Only 1 means clean; a hard error (unreadable tree, bad pattern)
-# must fail the gate, not pass it.
+# scan PATTERN LABEL HINT DIR... — grep exits 0 on match, 1 on no match,
+# >=2 on error. Only 1 means clean; a hard error (unreadable tree, bad
+# pattern) must fail the gate, not pass it.
 scan() {
+    pattern=$1 label=$2 hint=$3
+    shift 3
     rc=0
-    hits=$(grep -rnE "$1" cmd examples) || rc=$?
+    hits=$(grep -rnE "$pattern" "$@") || rc=$?
     case $rc in
     0)
-        echo "api-lint: $2:" >&2
+        echo "api-lint: $label:" >&2
         echo "$hits" >&2
-        echo "api-lint: $3" >&2
+        echo "api-lint: $hint" >&2
         exit 1
         ;;
     1) ;;
@@ -53,14 +50,13 @@ scan() {
     esac
 }
 
-scan "gossipkit\.($deprecated)\(" \
-    "deprecated facade shims referenced outside the compat layer" \
-    "migrate to gossipkit.Run/RunMany (see the migration table in README.md)"
 scan "($legacy_loops)\(" \
     "legacy round-loop entry points referenced" \
-    "the pure round loops are the DES runtime's equivalence oracle; use the engine specs (gossipkit.Pbcast, ..., gossipkit.Compare)"
+    "the pure round loops are the DES runtime's equivalence oracle; use the engine specs (gossipkit.Pbcast, ..., gossipkit.Compare) or protocols.RunOnDES" \
+    cmd examples internal/experiment
 scan "\"gossipkit/internal/protocols\"" \
     "internal/protocols imported" \
-    "reach the baselines through the facade engine specs (gossipkit.Pbcast, ..., gossipkit.Compare)"
+    "reach the baselines through the facade engine specs (gossipkit.Pbcast, ..., gossipkit.Compare)" \
+    cmd examples
 
-echo "api-lint: cmd/ and examples/ are clean (no deprecated shims, legacy round loops, or protocols imports)"
+echo "api-lint: cmd/, examples/ and internal/experiment are clean (no legacy round loops; no protocols imports in cmd/ or examples/)"

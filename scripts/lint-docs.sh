@@ -1,5 +1,6 @@
 #!/bin/sh
-# lint-docs.sh — fail CI when a package lacks its doc comment.
+# lint-docs.sh — fail CI when a package lacks its doc comment, or the
+# prose docs lose a load-bearing anchor or name a deleted identifier.
 #
 # Every internal/ package must carry a `// Package <name> ...` comment (by
 # convention in doc.go, but any non-test .go file counts) stating its role,
@@ -83,8 +84,31 @@ for anchor in \
         fail=1
     fi
 done
+# The pre-Engine facade functions, runpool.Progress and
+# simnet.LatencyRecorder are deleted; README and ARCHITECTURE must not
+# describe them as if they existed. (Only names no surviving identifier
+# contains: core.RunSuccess and core.NewNetArena are still real.)
+for gone in \
+    "deprecated\.go" \
+    "SweepScenarios" \
+    "SweepScenarioGrid" \
+    "RunScenario" \
+    "ExecuteOnNetworkReusing" \
+    "MeasureReliability" \
+    "MeasureGiantComponent" \
+    "ScenarioSweepConfig" \
+    "ScenarioGridConfig" \
+    "runpool\.Progress" \
+    "NewProgress" \
+    "LatencyRecorder"; do
+    if hits=$(grep -n "$gone" README.md ARCHITECTURE.md); then
+        echo "docs-lint: README/ARCHITECTURE mention the deleted '$gone':" >&2
+        echo "$hits" >&2
+        fail=1
+    fi
+done
 if [ "$fail" -ne 0 ]; then
-    echo "docs-lint: add the missing package/command comments (doc.go preferred for packages)" >&2
+    echo "docs-lint: add the missing package/command comments (doc.go preferred for packages) and drop mentions of deleted identifiers" >&2
     exit 1
 fi
 echo "docs-lint: all internal packages and cmd binaries documented"
