@@ -99,6 +99,7 @@ type Probe struct {
 
 	end    sim.Time
 	totals simnet.Stats
+	queue  sim.QueueStats
 
 	// Sharded runs (see ShardProbes / AdoptShards in shard.go): the
 	// pooled child probes, the probes leased to the current run — a
@@ -149,6 +150,7 @@ func (p *Probe) Attach(net *simnet.Network, n int, delivered *int) {
 	p.truncated = false
 	p.end = 0
 	p.totals = simnet.Stats{}
+	p.queue = sim.QueueStats{}
 	for k := range p.cnt {
 		p.cnt[k] = 0
 		p.series[k] = p.series[k][:0]
@@ -297,7 +299,8 @@ func (p *Probe) ObserveFanout(k int) {
 // Finish seals the run's telemetry at virtual time now (the executor's
 // kernel time after the drain): it fills the remaining tick bins and
 // appends one trailing sample so the final plateau is always present,
-// then snapshots the network's final counters.
+// then snapshots the network's final counters and its kernel's queue
+// statistics.
 func (p *Probe) Finish(now sim.Time) {
 	if p == nil {
 		return
@@ -309,6 +312,7 @@ func (p *Probe) Finish(now sim.Time) {
 	p.end = now
 	if p.net != nil {
 		p.totals = p.net.Stats()
+		p.queue = p.net.Kernel().QueueStats()
 	}
 }
 

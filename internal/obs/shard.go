@@ -1,6 +1,10 @@
 package obs
 
-import "sort"
+import (
+	"sort"
+
+	"gossipkit/internal/sim"
+)
 
 // ShardProbes leases the k probes of a k-shard execution — one per shard
 // kernel, each to be attached to its shard's network and delivered
@@ -40,6 +44,27 @@ func (p *Probe) AdoptShards() {
 		parts[i] = c.Metrics()
 	}
 	p.adopted = MergeShardMetrics(parts)
+}
+
+// Queues returns each shard kernel's own account of its event queue over
+// the run just finished, in shard order (one entry on one shard): which
+// discipline ran, the geometry the hint gave it, how much it held and
+// retains, and how often it had to grow, rebase or fall back on its
+// overflow heap. It sits beside Metrics rather than in it because the
+// figures describe the arena the run was given — a warm kernel retains
+// more than a fresh one — where Metrics is a pure function of the run.
+func (p *Probe) Queues() []sim.QueueStats {
+	if p == nil {
+		return nil
+	}
+	if len(p.leased) == 0 || p.leased[0] == p {
+		return []sim.QueueStats{p.queue}
+	}
+	qs := make([]sim.QueueStats, len(p.leased))
+	for i, c := range p.leased {
+		qs[i] = c.queue
+	}
+	return qs
 }
 
 // MergeShardMetrics merges per-shard Metrics of one sharded execution

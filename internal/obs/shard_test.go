@@ -120,6 +120,19 @@ func TestShardProbesAdoption(t *testing.T) {
 	if parent.Metrics() != m {
 		t.Error("Metrics should keep returning the adopted snapshot")
 	}
+	// Each shard kernel's queue record rides along, in shard order: the
+	// bounded 2 ms latency put both on the calendar at its smallest
+	// geometry, holding one message at a time.
+	qs := parent.Queues()
+	if len(qs) != 2 {
+		t.Fatalf("%d queue records, want one per shard", len(qs))
+	}
+	for s, q := range qs {
+		if q.Kind != "calendar" || q.NearBuckets != 256 || q.FarSlots != 2 || q.PeakPending != 1 ||
+			q.RetainedBytes == 0 || q.Grows+q.Rebases+q.OverflowAdmits != 0 {
+			t.Errorf("shard %d queue stats %+v", s, q)
+		}
+	}
 
 	// Re-attaching the parent clears the adoption.
 	k := sim.New()
@@ -129,6 +142,9 @@ func TestShardProbesAdoption(t *testing.T) {
 	parent.Finish(0)
 	if got := parent.Metrics(); got == m || got.Totals.Delivered != 0 {
 		t.Errorf("Attach did not clear the adopted snapshot: %+v", got)
+	}
+	if qs := parent.ShardProbes(1)[0].Queues(); len(qs) != 1 || qs[0].Kind != "heap" {
+		t.Errorf("one-shard queue records %+v, want the heap's (no latency bound)", qs)
 	}
 }
 
@@ -143,4 +159,7 @@ func TestShardProbesSingleKeepsHops(t *testing.T) {
 		t.Error("nil probe ShardProbes should be nil")
 	}
 	nilProbe.AdoptShards() // must not panic
+	if nilProbe.Queues() != nil {
+		t.Error("nil probe Queues should be nil")
+	}
 }

@@ -13,11 +13,31 @@
 //
 //   - A flat, value-typed 4-ary min-heap of fixed-size records — the
 //     general-purpose default, O(log n) per operation.
-//   - A CalendarQueue — a bucket ring over simulated time with an overflow
-//     heap, amortized O(1) per operation when event delays stay within a
-//     bounded band. Callers that know their delay bound (simnet, whenever
-//     the latency model is bounded) select it with SetBoundedDelayHint;
-//     the heap remains the fallback and the equivalence oracle.
+//   - A CalendarQueue — time buckets in two tiers with an overflow heap
+//     behind them, amortized O(1) per operation when event delays stay
+//     within a bounded band. Callers that know their delay bound (simnet,
+//     whenever the latency model is bounded) select it with
+//     SetBoundedDelayHint; the heap remains the fallback and the
+//     equivalence oracle.
+//
+// The calendar's tiers partition the future by time range. The near ring
+// holds fine buckets — a handful of records each, sorted when the cursor
+// gathers one — for the two coarse "far slots" of time the cursor is in;
+// it is capped at 4096 buckets so it stays cache-resident at any n. The far
+// ring holds the following K slots as append-only chunk chains: a push
+// there is one read of a slot header from a table of a few KB and one
+// store, and a slot is read back once, sequentially, when the window slides
+// over it and scatters it into the near ring. Later records wait in the
+// overflow heap. The (bound, pending) hint sizes everything: pending picks
+// the number of fine buckets the window is cut into, bound their width,
+// and K is what it takes for the far ring alone to span the window — so a
+// run that keeps to its hint never touches the overflow heap, and a warm
+// kernel re-hinted for a smaller run shrinks to exactly a fresh one's
+// geometry. Only gathered, sorted near buckets are ever popped, which is
+// why the route a record took cannot change the fire order.
+// Kernel.QueueStats reports the geometry chosen, the peak load, the bytes
+// retained and every corrective action (grow, rebase, overflow admission)
+// the queue took on its own.
 //
 // Neither discipline allocates on the hot path: typed events scheduled
 // with Schedule and dispatched to a registered handler by index are plain

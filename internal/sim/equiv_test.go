@@ -243,6 +243,91 @@ func TestCalendarQueueResetRecyclesBuckets(t *testing.T) {
 	}
 }
 
+// TestCalendarRehintShrinks pins the sweep pattern: an arena kernel that
+// ran one n=10⁶ cell and then a run of n=5000 cells must give the small
+// cells the geometry of a fresh queue — not 10⁶-sized rings to probe and
+// clear — and re-hinting within retained capacity must not allocate.
+func TestCalendarRehintShrinks(t *testing.T) {
+	const bound = 10 * time.Millisecond
+	geometry := func(c *CalendarQueue) [6]int {
+		return [6]int{len(c.buckets), len(c.slots), int(c.mask), int(c.farMask), int(c.widthShift), int(c.slotShift)}
+	}
+	k := New()
+	k.SetBoundedDelayHint(bound, 1_000_000)
+	if big, small := geometry(k.cal), geometry(NewCalendarQueue(bound, 5000)); big == small {
+		t.Fatalf("hints of 10⁶ and 5000 pending size the same queue: %v", big)
+	}
+	k.Reset()
+	k.SetBoundedDelayHint(bound, 5000)
+	if got, want := geometry(k.cal), geometry(NewCalendarQueue(bound, 5000)); got != want {
+		t.Errorf("warm queue re-hinted to 5000 pending has geometry %v, a fresh one %v", got, want)
+	}
+	if got, want := k.cal.growAt, NewCalendarQueue(bound, 5000).growAt; got != want {
+		t.Errorf("warm queue grows at %d records, a fresh one at %d", got, want)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		k.Reset()
+		k.SetBoundedDelayHint(bound, 1_000_000)
+		k.Reset()
+		k.SetBoundedDelayHint(bound, 5000)
+	})
+	if allocs != 0 {
+		t.Errorf("re-hinting a warm queue allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestQueueStatsAccountForMemory replays the rumor_1m kernel load — the
+// hint simnet gives an n=10⁶ group under 1–10 ms latency, a million events
+// kept pending — and requires the queue's own record to explain it: the
+// two-tier geometry, no corrective action, and retained storage within
+// 1.5× of the 32-byte records it held at peak.
+func TestQueueStatsAccountForMemory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("pushes 3·2²⁰ events")
+	}
+	const pending, total = 1 << 20, 3 << 20
+	k := New()
+	k.SetBoundedDelayHint(10*time.Millisecond, 1_000_000)
+	delay := func(i int) time.Duration { // 1–10 ms, spread by a Weyl sequence
+		return time.Millisecond + time.Duration(uint32(i)*2654435761%9_000_000)
+	}
+	remaining := total - pending
+	var h HandlerID
+	h = k.RegisterHandler(func(_ Time, node, _ int32) {
+		if remaining > 0 {
+			remaining--
+			k.ScheduleAfter(delay(remaining), h, node, 0)
+		}
+	})
+	for i := 0; i < pending; i++ {
+		k.ScheduleAfter(delay(i), h, int32(i), 0)
+	}
+	if err := k.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	q := k.QueueStats()
+	if q.Kind != "calendar" || q.NearBuckets != 4096 || q.FarSlots != 512 || q.BucketWidth != 16 {
+		t.Errorf("geometry %+v, want 4096 near buckets of 16 ns and 512 far slots", q)
+	}
+	if q.Grows != 0 || q.Rebases != 0 || q.OverflowAdmits != 0 {
+		t.Errorf("a run inside its hint took corrective action: %+v", q)
+	}
+	if q.PeakPending < pending-64 || q.PeakPending > pending {
+		t.Errorf("peak pending %d, want ≈ %d", q.PeakPending, pending)
+	}
+	if limit := int64(q.PeakPending) * recordBytes * 3 / 2; q.RetainedBytes > limit {
+		t.Errorf("queue retains %d bytes for a peak of %d records: %.2f× their size, want ≤ 1.5×",
+			q.RetainedBytes, q.PeakPending, float64(q.RetainedBytes)/float64(int64(q.PeakPending)*recordBytes))
+	}
+	if q.PeakChunks == 0 || q.PeakSegments == 0 {
+		t.Errorf("high-water marks missing: %+v", q)
+	}
+	k.Reset()
+	if q := k.QueueStats(); q.Kind != "heap" || q.NearBuckets != 0 {
+		t.Errorf("after Reset: %+v, want the heap's record", q)
+	}
+}
+
 // TestCalendarOverflowMigration pins the overflow path directly: events
 // scheduled far beyond the bucket window (as scenario campaigns do) must
 // fire interleaved in exact time order with dense near-term traffic, and
@@ -309,6 +394,68 @@ func TestCalendarGrowKeepsOrder(t *testing.T) {
 	}
 }
 
+// TestReviewCalendarBulkSameTimeInsertIntoDrainedBucket pins the capped
+// bubble in CalendarQueue.insert: when the cursor has already gathered a
+// bucket into the sorted scratch and a bulk of records lands on that same
+// bucket — the sharded barrier-flush pattern under constant latency,
+// where a whole wave shares one timestamp and every new seq fires after
+// all its ties — insertion must stay near-linear (the scratch is
+// returned to its segments past maxBubble steps and re-sorted once) and
+// the fire order must remain exactly the reference heap's (at, seq)
+// order.
+func TestReviewCalendarBulkSameTimeInsertIntoDrainedBucket(t *testing.T) {
+	k := New()
+	ref := &oldKernel{}
+	var got, want []int32
+	h := k.RegisterHandler(func(now Time, node, payload int32) {
+		got = append(got, node)
+	})
+	k.SetBoundedDelayHint(5*time.Millisecond, 4096)
+	if k.QueueKind() != "calendar" {
+		t.Fatalf("queue kind %q, want calendar", k.QueueKind())
+	}
+
+	wave := Time(10 * time.Millisecond)
+	id := int32(0)
+	sched := func(at Time) {
+		n := id
+		id++
+		k.Schedule(at, h, n, 0)
+		ref.at(at, func() { want = append(want, n) })
+	}
+	for i := 0; i < 200; i++ {
+		sched(wave)
+	}
+	// Load the wave's bucket into the drain scratch: Run peeks past an
+	// empty horizon, which gathers and sorts the earliest bucket.
+	if err := k.Run(Time(5 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	ref.run(Time(5 * time.Millisecond))
+	// Bulk insert into the gathered bucket: same timestamp (ties firing
+	// after everything buffered — the quadratic case before the cap),
+	// plus stragglers just before and after the wave.
+	for i := 0; i < 400; i++ {
+		sched(wave)
+		if i%50 == 0 {
+			sched(wave - Time(i+1))
+			sched(wave + Time(i+1))
+		}
+	}
+	if err := k.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	ref.run(End)
+	if len(got) != len(want) || len(got) != int(id) {
+		t.Fatalf("fired %d events, reference %d, scheduled %d", len(got), len(want), id)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("fire order diverged at %d: got node %d, reference %d", i, got[i], want[i])
+		}
+	}
+}
+
 // TestCalendarScheduleZeroAlloc pins the calendar hot path at zero heap
 // allocations per event once buckets are warm — the property that lets the
 // bounded-latency band run n=10⁷ without GC pressure.
@@ -317,19 +464,24 @@ func TestCalendarScheduleZeroAlloc(t *testing.T) {
 	k.SetBoundedDelayHint(time.Millisecond, 0)
 	var count int
 	h := k.RegisterHandler(func(_ Time, _, _ int32) { count++ })
+	// Delays of 0–5 ms against a 1 ms hint reach every tier: the near ring's
+	// segment pool, the far ring's chunk pool and the overflow heap.
 	warm := func() {
 		base := k.Now()
 		for i := 0; i < 1024; i++ {
-			k.Schedule(base.Add(time.Duration(i%37)*time.Microsecond), h, int32(i), 0)
+			k.Schedule(base.Add(time.Duration(i%37)*time.Microsecond+time.Duration(i%6)*time.Millisecond), h, int32(i), 0)
+		}
+		if k.cal.farCount == 0 || len(k.cal.overflow) == 0 {
+			t.Fatalf("batch left %d far and %d overflow records, want both tiers in use", k.cal.farCount, len(k.cal.overflow))
 		}
 		if err := k.RunAll(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Warm-up must carry the sliding window across the whole bucket ring
-	// once: a ring slot allocates its record storage the first time the
-	// window reaches it, and is allocation-free from then on.
-	for k.Now() < Time(10*time.Millisecond) {
+	// Warm-up fills the pools: a segment or chunk is allocated the first
+	// time the load needs one more than ever before, and recycled from
+	// then on.
+	for k.Now() < Time(30*time.Millisecond) {
 		warm()
 	}
 	allocs := testing.AllocsPerRun(10, warm)

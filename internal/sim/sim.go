@@ -48,6 +48,9 @@ type record struct {
 	gen     uint32    // slot generation for closure events
 }
 
+// recordBytes is the size of a record, for the queues' memory accounting.
+const recordBytes = 32
+
 // before reports whether a fires before b: earlier time first, scheduling
 // order (seq) breaking ties — the FIFO guarantee.
 func (a record) before(b record) bool {
@@ -91,7 +94,7 @@ type Kernel struct {
 
 	// cal, when useCal is set, replaces the heap as the event queue (see
 	// SetBoundedDelayHint). The object is retained across Reset so its
-	// bucket capacity is recycled by run-scoped arenas.
+	// ring and pool capacity is recycled by run-scoped arenas.
 	cal    *CalendarQueue
 	useCal bool
 
@@ -111,10 +114,7 @@ func New() *Kernel { return &Kernel{} }
 func (k *Kernel) Reset() {
 	k.now = 0
 	k.queue = k.queue[:0]
-	k.useCal = false // revert to the heap until the next delay hint
-	if k.cal != nil {
-		k.cal.clear()
-	}
+	k.useCal = false // revert to the heap until the next delay hint, which empties the calendar
 	k.seq = 0
 	k.fired = 0
 	k.budget = 0
@@ -251,39 +251,18 @@ func (k *Kernel) Pending() int { return k.live }
 // or false if none is queued. The sharded runtime's window computation
 // polls every shard kernel with it at each barrier.
 func (k *Kernel) NextEventTime() (Time, bool) {
-	k.dropCanceled()
-	rec, ok := k.qpeek()
-	if !ok {
-		return 0, false
-	}
-	return rec.at, true
+	head, ok := k.liveHead()
+	return head.at, ok
 }
 
 // Step fires the earliest pending event and returns true, or returns false
 // if no live event is queued.
 func (k *Kernel) Step() bool {
-	for k.qlen() > 0 {
-		rec := k.qpop()
-		if rec.h == closureHandler {
-			s := &k.slots[rec.node]
-			if s.gen != rec.gen {
-				continue // canceled; drop the stale record
-			}
-			fn := s.fn
-			k.releaseSlot(rec.node)
-			k.now = rec.at
-			k.fired++
-			k.live--
-			fn()
-			return true
-		}
-		k.now = rec.at
-		k.fired++
-		k.live--
-		k.handlers[rec.h](rec.at, rec.node, rec.payload)
-		return true
+	head, ok := k.liveHead()
+	if ok {
+		k.fire(head)
 	}
-	return false
+	return ok
 }
 
 // Run fires events until the queue is empty or the horizon is passed
@@ -292,15 +271,14 @@ func (k *Kernel) Step() bool {
 // ErrBudget if the event budget is exhausted first.
 func (k *Kernel) Run(horizon Time) error {
 	for {
-		k.dropCanceled()
-		head, ok := k.qpeek()
+		head, ok := k.liveHead()
 		if !ok || head.at > horizon {
 			return nil
 		}
 		if k.budget > 0 && k.fired >= k.budget {
 			return ErrBudget
 		}
-		k.Step()
+		k.fire(head)
 	}
 }
 
@@ -308,16 +286,33 @@ func (k *Kernel) Run(horizon Time) error {
 // the event budget is exhausted first.
 func (k *Kernel) RunAll() error { return k.Run(End) }
 
-// dropCanceled discards stale records at the top of the heap so the head,
-// if any, is a live event.
-func (k *Kernel) dropCanceled() {
+// liveHead discards stale (canceled) records at the top of the queue and
+// returns the earliest live event without removing it, or false if none is
+// queued.
+func (k *Kernel) liveHead() (record, bool) {
 	for {
 		rec, ok := k.qpeek()
 		if !ok || rec.h != closureHandler || k.slots[rec.node].gen == rec.gen {
-			return
+			return rec, ok
 		}
 		k.qpop()
 	}
+}
+
+// fire removes head — the record liveHead just returned — from the queue
+// and executes it.
+func (k *Kernel) fire(head record) {
+	k.qpop()
+	k.now = head.at
+	k.fired++
+	k.live--
+	if head.h == closureHandler {
+		fn := k.slots[head.node].fn
+		k.releaseSlot(head.node)
+		fn()
+		return
+	}
+	k.handlers[head.h](head.at, head.node, head.payload)
 }
 
 // ---------------------------------------------------------------------------
@@ -359,7 +354,9 @@ func (k *Kernel) releaseSlot(idx int32) {
 // performance advice, not a contract: events scheduled beyond the band
 // spill into the calendar's overflow heap and still fire in exact
 // (at, seq) order, and a low pending estimate merely raises bucket
-// occupancy (the ring also grows itself under load). The hint only takes
+// occupancy (the calendar also halves its bucket width under load). Every
+// size is re-derived from the hint at hand, so a kernel that once ran a
+// large group is no larger for a small one afterwards. The hint only takes
 // effect while the queue is empty (a non-empty queue leaves the discipline
 // unchanged), and Reset reverts to the heap — re-hint after each Reset, as
 // simnet's bounded latency models do automatically.
@@ -385,6 +382,40 @@ func (k *Kernel) QueueKind() string {
 		return "calendar"
 	}
 	return "heap"
+}
+
+// QueueStats is the event queue's own account of a run: the geometry the
+// hint gave it, how much it held, what it retains, and how often it had to
+// correct itself. Everything but Kind and RetainedBytes is the calendar's;
+// the heap has no geometry and keeps no counters.
+type QueueStats struct {
+	Kind string // QueueKind
+
+	NearBuckets int           // fine buckets in the near ring
+	FarSlots    int           // coarse slots in the far ring
+	BucketWidth time.Duration // simulated time per fine bucket
+
+	PeakPending  int // most records queued at once, sampled at each bucket gather
+	PeakSegments int // near-ring record segments in the pool
+	PeakChunks   int // far-ring chunks in use at once
+
+	// RetainedBytes is the storage the queue holds on to for the next run:
+	// rings, segment and chunk pools, scratch and overflow heap.
+	RetainedBytes int64
+
+	Grows          uint64 // bucket-width halvings forced by a low pending hint
+	Rebases        uint64 // window re-anchorings below its start
+	OverflowAdmits uint64 // records that waited in the overflow heap
+}
+
+// QueueStats reports the active queue's statistics since the hint that
+// selected it (calendar) or since Reset (heap). Read it after a run and
+// before the next Reset.
+func (k *Kernel) QueueStats() QueueStats {
+	if k.useCal {
+		return k.cal.queueStats()
+	}
+	return QueueStats{Kind: "heap", RetainedBytes: int64(cap(k.queue)) * recordBytes}
 }
 
 func (k *Kernel) qpush(rec record) {

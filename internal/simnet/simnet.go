@@ -379,13 +379,22 @@ func (nw *Network) Reset(kernel *sim.Kernel, n int, rng *xrand.RNG, cfg Config) 
 		nw.freeSlab = append(nw.freeSlab, int32(i))
 	}
 	nw.deliverID = kernel.RegisterHandler(nw.deliverEvent)
-	// A bounded latency band selects the kernel's calendar queue; anything
-	// unbounded (or zero) keeps the heap. The pending estimate is n: peak
-	// in-flight messages track group size during an epidemic's final
-	// rounds (a few per node, and the ring self-grows past estimate).
+	// The default pending estimate is n: a single rumor's in-flight
+	// messages peak at a few per member. An executor that keeps more in
+	// the air re-hints with its own figure.
+	nw.HintPending(n)
+}
+
+// HintPending sizes the kernel's event queue for about pending messages in
+// flight at once: a bounded latency band selects the calendar queue, whose
+// bucket width and far ring follow from the band and pending (a low figure
+// costs throughput — coarser buckets, then a grow — never correctness);
+// anything unbounded (or zero) keeps the heap. Reset hints n; call this
+// after it, while the kernel's queue is still empty, to correct that.
+func (nw *Network) HintPending(pending int) {
 	if b, ok := nw.latency.(LatencyBounder); ok {
 		if d, ok := b.LatencyBound(); ok && d > 0 {
-			kernel.SetBoundedDelayHint(d, n)
+			nw.kernel.SetBoundedDelayHint(d, pending)
 		}
 	}
 }

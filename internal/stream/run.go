@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"gossipkit/internal/core"
@@ -87,6 +88,15 @@ func RunSharded(cfg Config, netCfg simnet.Config, r *xrand.RNG,
 		kernels[s].SetBudget(bud)
 		sn.ResetShard(s, kernels[s], w.rng.Split(netSplit))
 		lo, hi := sn.Range(s)
+		// A round puts every buffered id of every member of the block in
+		// the air fanout times over — one kernel event per id, or per
+		// batch — which is far more than the one per member the network
+		// assumed.
+		airborne := float64(hi-lo) * cfg.Fanout.Mean()
+		if !cfg.Batch {
+			airborne *= float64(cfg.BufferCap)
+		}
+		sn.Shard(s).HintPending(int(min(airborne, math.MaxInt32)))
 		st.Bits[s].Reset(sh.M, hi-lo)
 		var pend *core.MessageBits
 		if cfg.Discipline == DisciplinePushPull {

@@ -84,6 +84,22 @@ for anchor in \
         fail=1
     fi
 done
+# Likewise the "Calendar queue vs heap" section: the two tiers, the hint
+# that sizes them and the executor-side correction, the run's own queue
+# record, and the fuzz target that locks fire order to the heap.
+for anchor in \
+    "## Calendar queue vs heap" \
+    "near ring" \
+    "far ring" \
+    "SetBoundedDelayHint" \
+    "HintPending" \
+    "QueueStats" \
+    "FuzzCalendarVsHeap"; do
+    if ! grep -qs "$anchor" ARCHITECTURE.md; then
+        echo "docs-lint: ARCHITECTURE.md lost its Calendar queue anchor: '$anchor'" >&2
+        fail=1
+    fi
+done
 # The pre-Engine facade functions, runpool.Progress and
 # simnet.LatencyRecorder are deleted; README and ARCHITECTURE must not
 # describe them as if they existed. (Only names no surviving identifier
