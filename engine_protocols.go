@@ -21,7 +21,8 @@ import (
 // latency models, message loss, and partitions as the paper's algorithm.
 // The zero NetConfig — zero latency, no loss — reproduces the legacy
 // synchronous round loops exactly (internal/protocols pins this per
-// protocol against golden values).
+// protocol against the loops themselves, which compile only under go
+// test, and against golden values).
 
 // PbcastParams configures the Pbcast round-based baseline (Bimodal
 // Multicast, Birman et al.).

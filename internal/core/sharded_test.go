@@ -161,6 +161,58 @@ func TestShardedFixedShardCountDeterministic(t *testing.T) {
 	}
 }
 
+// TestShardedProbeTotalsMatchResult pins the probe's merged network totals
+// to the result's as whole structs at one shard and at two: under ring
+// tracing every send is boxed, and a shard merge that sums only some of
+// the counters (as one did) reports BoxedSends 0 beside the result's
+// thousands.
+func TestShardedProbeTotalsMatchResult(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		probe := obs.New(obs.Options{TraceCapacity: 1 << 10})
+		res, err := ExecuteOnNetworkSharded(shardedTestParams(2000), shardedTestConfig(), xrand.New(7), nil, nil, probe,
+			ShardOptions{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := probe.Metrics().Totals; got != res.Net || got.BoxedSends == 0 {
+			t.Errorf("shards=%d: probe totals %+v, result %+v", shards, got, res.Net)
+		}
+	}
+}
+
+// TestCallerLossModelClonedPerRun pins that a caller-owned stateful loss
+// model is cloned per run at every shard count: one *GilbertElliott in
+// the config and one arena, two same-seed runs, identical results — and
+// the caller's instance still as constructed. The model latches Bad on
+// its first draw and never recovers, so a run that drew from the caller's
+// instance (as the single-kernel executor once did) cannot hide it.
+func TestCallerLossModelClonedPerRun(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		ge := simnet.NewGilbertElliott(1, 0, 0, 1)
+		cfg := shardedTestConfig()
+		cfg.Loss = ge
+		arena := NewNetArena()
+		var runs [2]NetResult
+		for i := range runs {
+			res, err := ExecuteOnNetworkSharded(shardedTestParams(200), cfg, xrand.New(5), nil, arena, nil,
+				ShardOptions{Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[i] = res
+		}
+		if runs[0].Net.DroppedLoss == 0 {
+			t.Fatalf("shards=%d: the loss model was never drawn from: %+v", shards, runs[0].Net)
+		}
+		if !reflect.DeepEqual(runs[0], runs[1]) {
+			t.Errorf("shards=%d: same-seed runs differ:\n %+v\n %+v", shards, runs[0], runs[1])
+		}
+		if *ge != *simnet.NewGilbertElliott(1, 0, 0, 1) {
+			t.Errorf("shards=%d: the caller's loss model was mutated: %+v", shards, *ge)
+		}
+	}
+}
+
 // TestShardedArenaReuseDeterministic pins pooling: a reused arena
 // (including one resized across shard counts) replays a run
 // byte-identically against a fresh arena.

@@ -41,16 +41,9 @@ func (s *Series) merge(vals []int64) {
 	s.pad.Add(final)
 }
 
-// MergedHist sums one histogram across replications.
-type MergedHist struct {
-	// BinWidth is the value width of one bin (latency only; zero for
-	// unit-binned histograms).
-	BinWidth time.Duration
-	// Counts are the summed per-bin counts; Total the summed
-	// observation count.
-	Counts []int64
-	Total  int64
-}
+// MergedHist sums one histogram across replications; the fields are
+// HistSnapshot's.
+type MergedHist HistSnapshot
 
 func (h *MergedHist) merge(s HistSnapshot) {
 	if s.Counts == nil {
@@ -88,28 +81,21 @@ type Merged struct {
 	Latency, Hops, Fanout MergedHist
 }
 
+func (g *Merged) columns() mergedColumns {
+	return mergedColumns{
+		tick: &g.Tick, runs: &g.Runs, truncated: &g.Truncated,
+		series: []*Series{&g.Infected, &g.InFlight, &g.Sent, &g.Delivered,
+			&g.DroppedLoss, &g.DroppedCrash, &g.DroppedDown, &g.DroppedPart},
+		hists: []*MergedHist{&g.Latency, &g.Hops, &g.Fanout},
+	}
+}
+
 // Merge folds one run's Metrics into the aggregate; nil is a no-op (a
 // skipped run).
 func (g *Merged) Merge(m *Metrics) {
-	if m == nil {
-		return
+	if m != nil {
+		g.columns().merge(m.columns())
 	}
-	if g.Runs == 0 {
-		g.Tick = m.Tick
-	}
-	g.Runs++
-	g.Truncated = g.Truncated || m.Truncated
-	g.Infected.merge(m.Infected)
-	g.InFlight.merge(m.InFlight)
-	g.Sent.merge(m.Sent)
-	g.Delivered.merge(m.Delivered)
-	g.DroppedLoss.merge(m.DroppedLoss)
-	g.DroppedCrash.merge(m.DroppedCrash)
-	g.DroppedDown.merge(m.DroppedDown)
-	g.DroppedPart.merge(m.DroppedPart)
-	g.Latency.merge(m.Latency)
-	g.Hops.merge(m.Hops)
-	g.Fanout.merge(m.Fanout)
 }
 
 // CurveCSVHeader is the column header WriteCurveCSV emits.
@@ -120,30 +106,7 @@ const CurveCSVHeader = "label,t_ms,runs,infected_mean,infected_stddev,inflight_m
 // scenario — concatenate into one file). Emit the header once via
 // CurveCSVHeader, or let the first call write it with header=true.
 func (g *Merged) WriteCurveCSV(w io.Writer, label string, header bool) error {
-	if header {
-		if _, err := io.WriteString(w, CurveCSVHeader); err != nil {
-			return err
-		}
-	}
-	tickMs := float64(g.Tick) / float64(time.Millisecond)
-	at := func(s Series, i int) float64 {
-		if i < len(s.Points) {
-			return s.Points[i].Mean()
-		}
-		return 0
-	}
-	for i := range g.Infected.Points {
-		_, err := fmt.Fprintf(w, "%s,%g,%d,%g,%g,%g,%g,%g,%g,%g,%g,%g\n",
-			label, float64(i)*tickMs, g.Infected.Points[i].N(),
-			g.Infected.Points[i].Mean(), g.Infected.Points[i].StdDev(),
-			at(g.InFlight, i), at(g.Sent, i), at(g.Delivered, i),
-			at(g.DroppedLoss, i), at(g.DroppedCrash, i),
-			at(g.DroppedDown, i), at(g.DroppedPart, i))
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return g.columns().writeCurveCSV(w, label, header, CurveCSVHeader)
 }
 
 // InfectedMeans returns the mean infected-count curve as a plain slice —
@@ -155,4 +118,64 @@ func (g *Merged) InfectedMeans() []float64 {
 		out[i] = g.Infected.Points[i].Mean()
 	}
 	return out
+}
+
+// mergedColumns is the replication-side counterpart of columns: pointers
+// into a Merged or StreamMerged, in the same column order as the run
+// snapshot it aggregates, so the fold and the CSV writer are written once.
+type mergedColumns struct {
+	tick      *time.Duration
+	runs      *int
+	truncated *bool
+	series    []*Series
+	hists     []*MergedHist
+}
+
+// merge folds one run's columns into the aggregate.
+func (g mergedColumns) merge(m columns) {
+	if *g.runs == 0 {
+		*g.tick = *m.tick
+	}
+	*g.runs++
+	*g.truncated = *g.truncated || *m.truncated
+	for i, s := range g.series {
+		s.merge(*m.series[i])
+	}
+	for i, h := range g.hists {
+		h.merge(*m.hists[i])
+	}
+}
+
+// writeCurveCSV renders the merged series as CSV, one row per tick of the
+// first column: label, time, run count, the first column's mean and
+// standard deviation, then every other column's mean. head is the header
+// line, written first when header is set.
+func (g mergedColumns) writeCurveCSV(w io.Writer, label string, header bool, head string) error {
+	if header {
+		if _, err := io.WriteString(w, head); err != nil {
+			return err
+		}
+	}
+	tickMs := float64(*g.tick) / float64(time.Millisecond)
+	var row []byte
+	for i := range g.series[0].Points {
+		lead := &g.series[0].Points[i]
+		row = fmt.Appendf(row[:0], "%s,%g,%d,%g,%g", label, float64(i)*tickMs, lead.N(), lead.Mean(), lead.StdDev())
+		for _, s := range g.series[1:] {
+			var mean float64
+			if i < len(s.Points) {
+				mean = s.Points[i].Mean()
+			}
+			row = fmt.Appendf(row, ",%g", mean)
+		}
+		if _, err := w.Write(append(row, '\n')); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Quantile is HistSnapshot.Quantile over a run-merged histogram.
+func (h MergedHist) Quantile(q float64) time.Duration {
+	return HistSnapshot(h).Quantile(q)
 }

@@ -6,6 +6,64 @@ import (
 	"gossipkit/internal/sim"
 )
 
+// frontEnd is what the shard pool needs of a probe front end: P is *Probe
+// or *StreamProbe and M its snapshot type.
+type frontEnd[P, M any] interface {
+	Metrics() M
+	base() *sampler
+	newChild() P
+}
+
+// shardPool leases the probes of a k-shard execution and holds their
+// merged telemetry. On one shard the parent probe observes the run
+// itself — a fresh probe starts out leased to itself — and on more, child
+// probes pooled on the parent across runs each observe one shard kernel.
+type shardPool[P frontEnd[P, M], M any] struct {
+	self     [1]P // the parent
+	children []P
+	leased   []P // the current run's probes: self[:], or children[:k]
+	adopted  M   // the merged whole-run view, until the parent's next Attach
+}
+
+func (sp *shardPool[P, M]) init(parent P) {
+	sp.self[0] = parent
+	sp.leased = sp.self[:]
+}
+
+func (sp *shardPool[P, M]) lease(k int) []P {
+	sp.leased = sp.self[:]
+	if k > 1 {
+		for len(sp.children) < k {
+			sp.children = append(sp.children, sp.self[0].newChild())
+		}
+		sp.leased = sp.children[:k]
+	}
+	return sp.leased
+}
+
+// adopt merges the finished telemetry of the probes last leased into the
+// whole-run view. On one shard the parent observed the run itself and
+// there is nothing to merge.
+func (sp *shardPool[P, M]) adopt(merge func([]M) M) {
+	if len(sp.leased) < 2 {
+		return
+	}
+	parts := make([]M, len(sp.leased))
+	for i, c := range sp.leased {
+		parts[i] = c.Metrics()
+	}
+	sp.adopted = merge(parts)
+}
+
+// queues returns each leased probe's queue record, in shard order.
+func (sp *shardPool[P, M]) queues() []sim.QueueStats {
+	qs := make([]sim.QueueStats, len(sp.leased))
+	for i, c := range sp.leased {
+		qs[i] = c.base().queue
+	}
+	return qs
+}
+
 // ShardProbes leases the k probes of a k-shard execution — one per shard
 // kernel, each to be attached to its shard's network and delivered
 // counter. On one shard that is the parent itself. For k > 1 they are
@@ -17,18 +75,13 @@ func (p *Probe) ShardProbes(k int) []*Probe {
 	if p == nil {
 		return nil
 	}
-	if k == 1 {
-		p.self[0] = p
-		p.leased = p.self[:]
-		return p.leased
-	}
-	opts := p.opts
-	opts.HopBins = -1
-	for len(p.children) < k {
-		p.children = append(p.children, New(opts))
-	}
-	p.leased = p.children[:k]
-	return p.leased
+	return p.shards.lease(k)
+}
+
+func (p *Probe) newChild() *Probe {
+	c := New(p.opts)
+	c.hops = nil
+	return c
 }
 
 // AdoptShards merges the finished telemetry of the probes last leased with
@@ -36,14 +89,9 @@ func (p *Probe) ShardProbes(k int) []*Probe {
 // returns until its next Attach. On one shard the parent observed the run
 // itself and there is nothing to merge.
 func (p *Probe) AdoptShards() {
-	if p == nil || (len(p.leased) == 1 && p.leased[0] == p) {
-		return
+	if p != nil {
+		p.shards.adopt(MergeShardMetrics)
 	}
-	parts := make([]*Metrics, len(p.leased))
-	for i, c := range p.leased {
-		parts[i] = c.Metrics()
-	}
-	p.adopted = MergeShardMetrics(parts)
 }
 
 // Queues returns each shard kernel's own account of its event queue over
@@ -57,109 +105,80 @@ func (p *Probe) Queues() []sim.QueueStats {
 	if p == nil {
 		return nil
 	}
-	if len(p.leased) == 0 || p.leased[0] == p {
-		return []sim.QueueStats{p.queue}
-	}
-	qs := make([]sim.QueueStats, len(p.leased))
-	for i, c := range p.leased {
-		qs[i] = c.queue
-	}
-	return qs
+	return p.shards.queues()
 }
 
 // MergeShardMetrics merges per-shard Metrics of one sharded execution
-// into the whole-run view: curves are summed elementwise (a shard that
-// drained early holds its final value — its state really does stay flat
-// while other shards run on), totals and histograms are summed, and
-// traces are k-way merged by event time. Cumulative per-shard series are
-// exact under summation because every child samples on the same tick
-// grid from virtual time zero. Returns nil for no parts.
+// into the whole-run view: the columns reduce as mergeShards describes,
+// and traces are k-way merged by event time. Returns nil for no parts.
 func MergeShardMetrics(parts []*Metrics) *Metrics {
-	if len(parts) == 0 {
-		return nil
-	}
-	m := &Metrics{Tick: parts[0].Tick}
-	maxLen := 0
+	m := mergeShards(parts)
 	for _, part := range parts {
-		if part.End > m.End {
-			m.End = part.End
-		}
-		m.Truncated = m.Truncated || part.Truncated
-		if n := len(part.Infected); n > maxLen {
-			maxLen = n
-		}
-		m.Totals.Sent += part.Totals.Sent
-		m.Totals.Delivered += part.Totals.Delivered
-		m.Totals.DroppedLoss += part.Totals.DroppedLoss
-		m.Totals.DroppedCrash += part.Totals.DroppedCrash
-		m.Totals.DroppedDown += part.Totals.DroppedDown
-		m.Totals.DroppedPart += part.Totals.DroppedPart
 		m.TraceDropped += part.TraceDropped
-	}
-	series := func(pick func(*Metrics) []int64) []int64 {
-		return sumShardSeries(parts, maxLen, pick)
-	}
-	m.Infected = series(func(p *Metrics) []int64 { return p.Infected })
-	m.InFlight = series(func(p *Metrics) []int64 { return p.InFlight })
-	m.Sent = series(func(p *Metrics) []int64 { return p.Sent })
-	m.Delivered = series(func(p *Metrics) []int64 { return p.Delivered })
-	m.DroppedLoss = series(func(p *Metrics) []int64 { return p.DroppedLoss })
-	m.DroppedCrash = series(func(p *Metrics) []int64 { return p.DroppedCrash })
-	m.DroppedDown = series(func(p *Metrics) []int64 { return p.DroppedDown })
-	m.DroppedPart = series(func(p *Metrics) []int64 { return p.DroppedPart })
-	m.Latency = sumShardHists(parts, func(p *Metrics) HistSnapshot { return p.Latency })
-	m.Hops = sumShardHists(parts, func(p *Metrics) HistSnapshot { return p.Hops })
-	m.Fanout = sumShardHists(parts, func(p *Metrics) HistSnapshot { return p.Fanout })
-	for _, part := range parts {
 		m.Trace = append(m.Trace, part.Trace...)
 	}
-	if m.Trace != nil {
+	if m != nil && m.Trace != nil { // m is nil only for no parts
 		sort.SliceStable(m.Trace, func(i, j int) bool { return m.Trace[i].At < m.Trace[j].At })
 	}
 	return m
 }
 
-// sumShardSeries sums one series across shards, padding shorter shards
+// mergeShards reduces the per-shard snapshots of one sharded execution
+// column by column: curves are summed elementwise (a shard that drained
+// early holds its final value — its state really does stay flat while
+// other shards run on; a gauge only the lead shard maintains passes
+// through), totals and histograms are summed (a histogram no shard
+// collected keeps nil Counts). Cumulative per-shard series are exact
+// under summation because every child samples on the same tick grid from
+// virtual time zero. Returns nil for no parts.
+func mergeShards[T any, M interface {
+	*T
+	columns() columns
+}](parts []M) M {
+	if len(parts) == 0 {
+		return nil
+	}
+	m := M(new(T))
+	dst := m.columns()
+	srcs := make([]columns, len(parts))
+	maxLen := 0
+	for i, part := range parts {
+		c := part.columns()
+		srcs[i] = c
+		*dst.end = max(*dst.end, *c.end)
+		*dst.truncated = *dst.truncated || *c.truncated
+		maxLen = max(maxLen, len(*c.series[0]))
+		dst.totals.Add(*c.totals)
+	}
+	*dst.tick = *srcs[0].tick
+	for i := range dst.series {
+		*dst.series[i] = sumShardSeries(srcs, i, maxLen)
+	}
+	for i, h := range dst.hists {
+		var sum MergedHist
+		for _, c := range srcs {
+			sum.merge(*c.hists[i])
+		}
+		*h = HistSnapshot(sum)
+	}
+	return m
+}
+
+// sumShardSeries sums series i across shards, padding shorter shards
 // with their final value (empty shards contribute zero).
-func sumShardSeries(parts []*Metrics, maxLen int, pick func(*Metrics) []int64) []int64 {
+func sumShardSeries(parts []columns, i, maxLen int) []int64 {
 	if maxLen == 0 {
 		return nil
 	}
 	out := make([]int64, maxLen)
 	for _, part := range parts {
-		s := pick(part)
-		for i := 0; i < maxLen; i++ {
-			switch {
-			case i < len(s):
-				out[i] += s[i]
-			case len(s) > 0:
-				out[i] += s[len(s)-1]
-			}
-		}
-	}
-	return out
-}
-
-// sumShardHists sums one histogram across shards; shards with the
-// collector disabled (nil Counts) are skipped, and the merged histogram
-// is nil-Counts when every shard's was.
-func sumShardHists(parts []*Metrics, pick func(*Metrics) HistSnapshot) HistSnapshot {
-	var out HistSnapshot
-	for _, part := range parts {
-		h := pick(part)
-		if h.Counts == nil {
+		s := *part.series[i]
+		if len(s) == 0 {
 			continue
 		}
-		if out.Counts == nil {
-			out.BinWidth = h.BinWidth
-			out.Counts = make([]int64, len(h.Counts))
+		for j := range out {
+			out[j] += s[min(j, len(s)-1)]
 		}
-		for i := range h.Counts {
-			if i < len(out.Counts) {
-				out.Counts[i] += h.Counts[i]
-			}
-		}
-		out.Total += h.Total
 	}
 	return out
 }

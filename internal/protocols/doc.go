@@ -27,12 +27,15 @@
 //
 // # Two execution substrates, one oracle
 //
-// Every baseline has two executions:
+// Every baseline has two executions, one of which ships:
 //
 //   - The legacy pure round loops (RunPbcast, RunLpbcast, RunAntiEntropy,
 //     RunRDG, RunLRG, RunFlooding): synchronous-round simulations with no
 //     notion of time, latency, or mid-run faults beyond the static mask.
-//     They are kept as the equivalence oracle.
+//     They are the equivalence oracle and nothing else: they live in
+//     oracle_test.go and compile only under go test. Their parameter and
+//     result types stay in the package proper, where the machines use
+//     them.
 //   - The discrete-event runtime (RunOnDES over a Spec): the same
 //     protocol logic driven by the shared sim.Kernel round ticker with
 //     every gossip, digest, NACK, and pull reply routed through a

@@ -1,12 +1,6 @@
 package protocols
 
-import (
-	"fmt"
-
-	"gossipkit/internal/failure"
-	"gossipkit/internal/membership"
-	"gossipkit/internal/xrand"
-)
+import "fmt"
 
 // LpbcastParams configures the lpbcast-style baseline (Eugster et al.,
 // "Lightweight Probabilistic Broadcast", the paper's reference [1]):
@@ -86,83 +80,4 @@ type LpbcastResult struct {
 type lpbcastMember struct {
 	buffer []int32 // event ids currently buffered (payload held)
 	seen   map[int32]bool
-}
-
-// RunLpbcast executes the lpbcast-style protocol and reports per-event
-// delivery. The simulation is synchronous-round over SCAMP partial views.
-func RunLpbcast(p LpbcastParams, r *xrand.RNG) (LpbcastResult, error) {
-	if err := p.Validate(); err != nil {
-		return LpbcastResult{}, err
-	}
-	views := membership.NewPartialViews(p.N, p.ViewCopies, r)
-	views.Shuffle(5, 3, r)
-	mask := failure.ExactMask(p.N, p.AliveRatio, p.Source, r)
-
-	members := make([]lpbcastMember, p.N)
-	for i := range members {
-		members[i].seen = map[int32]bool{}
-	}
-	res := LpbcastResult{AliveCount: mask.AliveCount()}
-	res.DeliveredPerEvent = make([]int, p.Events)
-
-	deliver := func(id int, ev int32) {
-		m := &members[id]
-		if m.seen[ev] {
-			return
-		}
-		m.seen[ev] = true
-		res.DeliveredPerEvent[ev]++
-		m.buffer = append(m.buffer, ev)
-		// Age-out: keep only the newest BufferSize events.
-		if len(m.buffer) > p.BufferSize {
-			m.buffer = m.buffer[len(m.buffer)-p.BufferSize:]
-		}
-	}
-
-	// Inject all events at the source.
-	for e := 0; e < p.Events; e++ {
-		deliver(p.Source, int32(e))
-	}
-
-	type msg struct {
-		to     int
-		events []int32
-	}
-	targets := make([]int, 0, p.Fanout)
-	for round := 0; round < p.Rounds; round++ {
-		var outbox []msg
-		for id := 0; id < p.N; id++ {
-			m := &members[id]
-			if !mask.Alive(id) || len(m.buffer) == 0 {
-				continue
-			}
-			targets = views.SampleTargets(targets, id, p.Fanout, r)
-			payload := append([]int32(nil), m.buffer...)
-			for _, t := range targets {
-				outbox = append(outbox, msg{to: t, events: payload})
-				res.MessagesSent++
-			}
-		}
-		for _, mg := range outbox {
-			if !mask.Alive(mg.to) {
-				continue
-			}
-			for _, ev := range mg.events {
-				deliver(mg.to, ev)
-			}
-		}
-	}
-
-	var sum float64
-	min := 1.0
-	for _, d := range res.DeliveredPerEvent {
-		rel := float64(d) / float64(res.AliveCount)
-		sum += rel
-		if rel < min {
-			min = rel
-		}
-	}
-	res.MeanReliability = sum / float64(p.Events)
-	res.MinReliability = min
-	return res, nil
 }

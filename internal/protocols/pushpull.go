@@ -1,11 +1,6 @@
 package protocols
 
-import (
-	"fmt"
-
-	"gossipkit/internal/failure"
-	"gossipkit/internal/xrand"
-)
+import "fmt"
 
 // Mode selects the anti-entropy exchange direction (Demers et al., the
 // paper's reference [2]).
@@ -77,83 +72,4 @@ type AntiEntropyResult struct {
 	// InfectedPerRound[r] is the cumulative infected alive count after
 	// round r (index 0 = before any round).
 	InfectedPerRound []int
-}
-
-// RunAntiEntropy executes the epidemic. With Rounds == 0 it runs until a
-// round makes no progress (guaranteed to terminate: infections are
-// monotone). Each contact costs one message (plus one for the reply that
-// pull/push-pull semantics imply; counted as 2 for Pull and PushPull).
-func RunAntiEntropy(p AntiEntropyParams, r *xrand.RNG) (AntiEntropyResult, error) {
-	if err := p.Validate(); err != nil {
-		return AntiEntropyResult{}, err
-	}
-	mask := failure.ExactMask(p.N, p.AliveRatio, p.Source, r)
-	res := AntiEntropyResult{Result: Result{AliveCount: mask.AliveCount()}}
-	infected := make([]bool, p.N)
-	infected[p.Source] = true
-	res.Delivered = 1
-	res.InfectedPerRound = append(res.InfectedPerRound, 1)
-
-	msgCost := 1
-	if p.Mode != Push {
-		msgCost = 2
-	}
-	maxRounds := p.Rounds
-	if maxRounds == 0 {
-		maxRounds = 40 * p.N // generous; progress check below breaks out
-	}
-	for round := 0; round < maxRounds; round++ {
-		res.Rounds++
-		progress := false
-		// Synchronous round semantics: exchanges see the state at the
-		// start of the round (standard in the anti-entropy analyses).
-		snapshot := append([]bool(nil), infected...)
-		for id := 0; id < p.N; id++ {
-			if !mask.Alive(id) {
-				continue
-			}
-			peer := id
-			for peer == id {
-				peer = r.Intn(p.N)
-			}
-			res.MessagesSent += msgCost
-			if !mask.Alive(peer) {
-				continue
-			}
-			switch p.Mode {
-			case Push:
-				if snapshot[id] && !infected[peer] {
-					infected[peer] = true
-					res.Delivered++
-					progress = true
-				}
-			case Pull:
-				if snapshot[peer] && !infected[id] {
-					infected[id] = true
-					res.Delivered++
-					progress = true
-				}
-			case PushPull:
-				if snapshot[id] && !infected[peer] {
-					infected[peer] = true
-					res.Delivered++
-					progress = true
-				}
-				if snapshot[peer] && !infected[id] {
-					infected[id] = true
-					res.Delivered++
-					progress = true
-				}
-			}
-		}
-		res.InfectedPerRound = append(res.InfectedPerRound, res.Delivered)
-		if res.Delivered == res.AliveCount {
-			break
-		}
-		if p.Rounds == 0 && !progress {
-			break
-		}
-	}
-	finish(&res.Result)
-	return res, nil
 }

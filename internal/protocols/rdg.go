@@ -1,12 +1,6 @@
 package protocols
 
-import (
-	"fmt"
-
-	"gossipkit/internal/failure"
-	"gossipkit/internal/membership"
-	"gossipkit/internal/xrand"
-)
+import "fmt"
 
 // RDGParams configures the Route-Driven-Gossip-style baseline (Luo,
 // Eugster & Hubaux, the paper's reference [8]): a "pure gossip" protocol
@@ -77,115 +71,4 @@ type RDGResult struct {
 	// AwareMisses is the number of members that learned the packet id
 	// (via digests) but never obtained the payload.
 	AwareMisses int
-}
-
-// RunRDG executes the protocol. During push rounds, holders gossip the
-// payload; every push also spreads the packet *id* (a digest), making
-// recipients "aware". During recovery rounds, aware-but-missing members
-// pull from a random view neighbor (NACK), succeeding if the neighbor
-// holds the payload.
-func RunRDG(p RDGParams, r *xrand.RNG) (RDGResult, error) {
-	if err := p.Validate(); err != nil {
-		return RDGResult{}, err
-	}
-	views := membership.NewPartialViews(p.N, p.ViewCopies, r)
-	views.Shuffle(5, 3, r)
-	mask := failure.ExactMask(p.N, p.AliveRatio, p.Source, r)
-
-	res := RDGResult{Result: Result{AliveCount: mask.AliveCount()}}
-	has := make([]bool, p.N)       // holds payload
-	aware := make([]bool, p.N)     // knows the packet id
-	provider := make([]int32, p.N) // who advertised the id to us
-	for i := range provider {
-		provider[i] = -1
-	}
-	has[p.Source] = true
-	aware[p.Source] = true
-	res.Delivered = 1
-	res.DeliveredByPush = 1
-
-	// Push phase. RDG gossips data packets AND packet-id digests: holders
-	// push the payload to Fanout targets; aware non-holders forward the
-	// digest (ids ride on every gossip message in RDG), so awareness
-	// outruns the payload and seeds the NACK-based recovery.
-	targets := make([]int, 0, p.Fanout)
-	for round := 0; round < p.PushRounds; round++ {
-		res.Rounds++
-		type push struct {
-			from, to int
-			payload  bool
-		}
-		var pushes []push
-		for id := 0; id < p.N; id++ {
-			if !mask.Alive(id) || !aware[id] {
-				continue
-			}
-			targets = views.SampleTargets(targets, id, p.Fanout, r)
-			for _, t := range targets {
-				withPayload := has[id] && (p.PayloadProb == 0 || r.Bool(p.PayloadProb))
-				pushes = append(pushes, push{from: id, to: t, payload: withPayload})
-				res.MessagesSent++
-			}
-		}
-		for _, ps := range pushes {
-			if !mask.Alive(ps.to) {
-				continue
-			}
-			if !aware[ps.to] || !has[ps.to] {
-				provider[ps.to] = int32(ps.from)
-			}
-			aware[ps.to] = true
-			if ps.payload && !has[ps.to] {
-				has[ps.to] = true
-				res.Delivered++
-				res.DeliveredByPush++
-			}
-		}
-	}
-	// Recovery phase: aware-but-missing members NACK their provider (who
-	// advertised the id); the pull succeeds when the provider holds the
-	// payload by now. Failed pulls re-aim at a random view member.
-	// Provider possession is evaluated against the round-start state
-	// (synchronous-round semantics, like the LRG repair snapshot): a
-	// member recovered this round serves pulls from the next round on,
-	// which is also exactly what the message-based DES runtime produces.
-	var snapshot []bool
-	for round := 0; round < p.RecoveryRounds; round++ {
-		res.Rounds++
-		snapshot = append(snapshot[:0], has...)
-		recovered := 0
-		for id := 0; id < p.N; id++ {
-			if !mask.Alive(id) || has[id] || !aware[id] {
-				continue
-			}
-			target := int(provider[id])
-			if target < 0 || !mask.Alive(target) || !snapshot[target] {
-				targets = views.SampleTargets(targets, id, 1, r)
-				if len(targets) != 1 {
-					continue
-				}
-				target = targets[0]
-			}
-			res.MessagesSent++ // the NACK
-			if mask.Alive(target) && snapshot[target] {
-				res.MessagesSent++ // the retransmission
-				has[id] = true
-				res.Delivered++
-				res.DeliveredByPull++
-				recovered++
-			} else {
-				provider[id] = int32(target) // remember for next round
-			}
-		}
-		if recovered == 0 && round > 0 {
-			break
-		}
-	}
-	for id := 0; id < p.N; id++ {
-		if mask.Alive(id) && aware[id] && !has[id] {
-			res.AwareMisses++
-		}
-	}
-	finish(&res.Result)
-	return res, nil
 }

@@ -39,6 +39,14 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 // Std returns d as a time.Duration.
 func (d Duration) Std() time.Duration { return time.Duration(d) }
 
+// maxSpan bounds every time and interval a spec may carry. Specs arrive
+// from outside the program, and the runner and the fabric add these
+// values to the kernel clock — At+Every, Until+Every, now+Window/2,
+// now+Latency on every hop — so one value near the int64 limit wraps the
+// sum negative and panics the kernel. A thousand hours is far beyond any
+// campaign and leaves room for thousands of such additions.
+const maxSpan = Duration(1000 * time.Hour)
+
 // Op identifies a fault-injection operation.
 type Op string
 
@@ -143,8 +151,8 @@ func (a Action) Validate() error {
 		}
 		return nil
 	case OpLatency:
-		if a.Latency < 0 {
-			return fmt.Errorf("scenario: negative latency %v", a.Latency.Std())
+		if a.Latency < 0 || a.Latency > maxSpan {
+			return fmt.Errorf("scenario: latency %v outside [0, %v]", a.Latency.Std(), maxSpan.Std())
 		}
 		return nil
 	case OpPublish, OpRegossip:
@@ -254,6 +262,9 @@ func (s *Scenario) Validate() error {
 		}
 		if st.Until < 0 {
 			return fmt.Errorf("scenario %q: step %d negative until %v", s.Name, i, st.Until.Std())
+		}
+		if max(st.At, st.Every, st.Until, st.Window) > maxSpan {
+			return fmt.Errorf("scenario %q: step %d has a time beyond %v", s.Name, i, maxSpan.Std())
 		}
 		if st.Until > 0 && st.Every == 0 {
 			return fmt.Errorf("scenario %q: step %d has until without every", s.Name, i)

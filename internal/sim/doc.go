@@ -42,9 +42,9 @@
 // Neither discipline allocates on the hot path: typed events scheduled
 // with Schedule and dispatched to a registered handler by index are plain
 // 32-byte records, which is what makes n=10⁶..10⁷-node network executions
-// feasible. The closure-based At/After/Cancel API remains as a thin
-// compatibility layer for low-rate callers (scenario hooks, examples); it
-// parks the closure in a generation-counted slot table and enqueues a
-// record pointing at the slot, so canceling is O(1) lazy invalidation
-// rather than a queue removal.
+// feasible. The closure-based At/After/Every/Cancel API is the
+// control-event layer for low-rate callers (scenario hooks, round ticks,
+// examples); it parks the closure in a generation-counted slot table and
+// enqueues a record pointing at the slot, so canceling is O(1) lazy
+// invalidation rather than a queue removal.
 package sim

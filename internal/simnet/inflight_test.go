@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -43,5 +44,24 @@ func TestInFlightAccounting(t *testing.T) {
 	}
 	if got := st.InFlight(); got != 0 {
 		t.Fatalf("drained network reports InFlight() = %d", got)
+	}
+}
+
+// TestStatsAddSumsEveryField walks Stats by reflection, so a counter
+// added to the struct but not to Add — the one per-field sum every shard
+// reduction goes through — fails here rather than reading zero in a
+// merged total.
+func TestStatsAddSumsEveryField(t *testing.T) {
+	var a, b Stats
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		av.Field(i).SetInt(int64(i + 1))
+		bv.Field(i).SetInt(int64(100 * (i + 1)))
+	}
+	a.Add(b)
+	for i := 0; i < av.NumField(); i++ {
+		if got, want := av.Field(i).Int(), int64(101*(i+1)); got != want {
+			t.Errorf("Stats.Add: %s = %d, want %d", av.Type().Field(i).Name, got, want)
+		}
 	}
 }

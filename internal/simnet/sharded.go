@@ -267,20 +267,7 @@ func (sn *ShardedNet) SetLatency(l LatencyModel) {
 func (sn *ShardedNet) Stats() Stats {
 	var total Stats
 	for _, nw := range sn.nets {
-		s := nw.Stats()
-		total.Sent += s.Sent
-		total.Delivered += s.Delivered
-		total.DroppedLoss += s.DroppedLoss
-		total.DroppedCrash += s.DroppedCrash
-		total.DroppedDown += s.DroppedDown
-		total.DroppedPart += s.DroppedPart
-		total.BoxedSends += s.BoxedSends
-		total.Batches += s.Batches
-		total.BatchEntries += s.BatchEntries
-		total.BatchesDown += s.BatchesDown
-		total.BatchEntriesDown += s.BatchEntriesDown
-		total.BatchesDelivered += s.BatchesDelivered
-		total.BatchEntriesDelivered += s.BatchEntriesDelivered
+		total.Add(nw.Stats())
 	}
 	return total
 }

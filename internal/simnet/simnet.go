@@ -224,6 +224,24 @@ type Stats struct {
 	BatchEntriesDelivered int64
 }
 
+// Add accumulates o into s field by field — the one place the counters
+// are summed, so a per-shard reduction cannot forget a field added later.
+func (s *Stats) Add(o Stats) {
+	s.Sent += o.Sent
+	s.Delivered += o.Delivered
+	s.DroppedLoss += o.DroppedLoss
+	s.DroppedCrash += o.DroppedCrash
+	s.DroppedDown += o.DroppedDown
+	s.DroppedPart += o.DroppedPart
+	s.BoxedSends += o.BoxedSends
+	s.Batches += o.Batches
+	s.BatchEntries += o.BatchEntries
+	s.BatchesDown += o.BatchesDown
+	s.BatchEntriesDown += o.BatchEntriesDown
+	s.BatchesDelivered += o.BatchesDelivered
+	s.BatchEntriesDelivered += o.BatchEntriesDelivered
+}
+
 // SentEntries returns accepted sends in id-entry units: every non-batch
 // message counts 1 and every batch counts its id-slab length. This is the
 // send-side term of the streaming ledger's entry conservation; for runs

@@ -366,24 +366,86 @@ func TestStreamProbeCollectsCurves(t *testing.T) {
 }
 
 func TestStreamProbeShardedMerge(t *testing.T) {
-	cfg := testConfig()
-	cfg.N = 96
-	cfg.Rate = 500
-	probe := obs.NewStream(obs.Options{CurveTick: 5 * time.Millisecond})
-	res, err := RunSharded(cfg, testNetConfig(), xrand.New(4), nil, nil, probe,
-		core.ShardOptions{Shards: 3})
-	if err != nil {
-		t.Fatal(err)
+	for _, batch := range []bool{false, true} {
+		cfg := testConfig()
+		cfg.N = 96
+		cfg.Rate = 500
+		if batch {
+			// Only the round-driven disciplines have a batched wire.
+			cfg.Discipline, cfg.Batch = DisciplinePushPull, true
+		}
+		probe := obs.NewStream(obs.Options{CurveTick: 5 * time.Millisecond})
+		res, err := RunSharded(cfg, testNetConfig(), xrand.New(4), nil, nil, probe,
+			core.ShardOptions{Shards: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := probe.Metrics()
+		if len(m.Occupancy) == 0 {
+			t.Fatal("merged probe has no occupancy curve")
+		}
+		if pub := m.Published[len(m.Published)-1]; pub != int64(res.Published) {
+			t.Errorf("merged probe published %d, result %d", pub, res.Published)
+		}
+		// Whole-struct: the boxed-send and batch counters merge too.
+		if m.Totals != res.Net {
+			t.Errorf("batch=%v: merged probe totals %+v, result %+v", batch, m.Totals, res.Net)
+		}
+		if batch && m.Totals.BatchEntries == 0 {
+			t.Error("batched run counted no batch entries")
+		}
 	}
-	m := probe.Metrics()
-	if len(m.Occupancy) == 0 {
-		t.Fatal("merged probe has no occupancy curve")
+}
+
+// TestStreamProbeQueues pins StreamProbe.Queues to Probe.Queues' contract:
+// one record per shard kernel, read after the run; the tests' bounded
+// latency puts every kernel on the calendar queue.
+func TestStreamProbeQueues(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		probe := obs.NewStream(obs.Options{})
+		if _, err := RunSharded(testConfig(), testNetConfig(), xrand.New(4), nil, nil, probe,
+			core.ShardOptions{Shards: shards}); err != nil {
+			t.Fatal(err)
+		}
+		qs := probe.Queues()
+		if len(qs) != shards {
+			t.Fatalf("shards=%d: %d queue records", shards, len(qs))
+		}
+		for s, q := range qs {
+			if q.Kind != "calendar" || q.PeakPending == 0 {
+				t.Errorf("shards=%d: shard %d queue stats %+v", shards, s, q)
+			}
+		}
 	}
-	if pub := m.Published[len(m.Published)-1]; pub != int64(res.Published) {
-		t.Errorf("merged probe published %d, result %d", pub, res.Published)
+	if (*obs.StreamProbe)(nil).Queues() != nil {
+		t.Error("nil probe Queues should be nil")
 	}
-	if m.Totals.Sent != res.Net.Sent {
-		t.Errorf("merged probe fabric sent %d, result %d", m.Totals.Sent, res.Net.Sent)
+}
+
+// TestCallerLossModelClonedPerRun is core's test of the same name on the
+// stream runner at one shard: the caller's latching *GilbertElliott stays
+// as constructed across two same-seed runs on one arena.
+func TestCallerLossModelClonedPerRun(t *testing.T) {
+	ge := simnet.NewGilbertElliott(1, 0, 0, 1)
+	netCfg := testNetConfig()
+	netCfg.Loss = ge
+	arena := NewArena()
+	var runs [2]Result
+	for i := range runs {
+		res, err := RunProbed(testConfig(), netCfg, xrand.New(5), nil, arena, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = res
+	}
+	if runs[0].Net.DroppedLoss == 0 {
+		t.Fatalf("the loss model was never drawn from: %+v", runs[0].Net)
+	}
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Error("same-seed runs differ")
+	}
+	if *ge != *simnet.NewGilbertElliott(1, 0, 0, 1) {
+		t.Errorf("the caller's loss model was mutated: %+v", *ge)
 	}
 }
 

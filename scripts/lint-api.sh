@@ -1,26 +1,16 @@
 #!/bin/sh
-# lint-api.sh — fail CI when code outside internal/protocols treats the
-# legacy round loops as an execution path.
+# lint-api.sh — fail CI when a binary or an example reaches past the
+# facade for a baseline protocol.
 #
-# One gate, two greps (no linter dependency, runs anywhere a POSIX shell
-# does). The legacy synchronous round loops (protocols.RunPbcast,
-# RunLpbcast, RunAntiEntropy, RunRDG, RunLRG, RunFlooding) are the
-# equivalence ORACLE for the DES protocol runtime and nothing else:
-#
-#   - cmd/, examples/ and internal/experiment must not call them;
-#     experiments run baselines through protocols.RunOnDES, binaries and
-#     examples through the engine specs (Pbcast, ..., Flooding, Compare),
-#     which run on the sim kernel + simnet substrate.
-#   - cmd/ and examples/ must not import internal/protocols at all — the
-#     facade specs are the only supported protocol surface. (Other internal
-#     imports — the sim/simnet substrate the node demos build on — stay
-#     allowed.)
+# One grep (no linter dependency, runs anywhere a POSIX shell does): cmd/
+# and examples/ must not import internal/protocols — the facade engine
+# specs (Pbcast, ..., Flooding, Compare) are the only supported protocol
+# surface. (Other internal imports — the sim/simnet substrate the node
+# demos build on — stay allowed.)
 set -eu
 cd "$(dirname "$0")/.."
 
-legacy_loops='RunPbcast|RunLpbcast|RunAntiEntropy|RunRDG|RunLRG|RunFlooding'
-
-for dir in cmd examples internal/experiment; do
+for dir in cmd examples; do
     if [ ! -d "$dir" ]; then
         echo "api-lint: directory $dir/ not found; the gate has nothing to scan" >&2
         exit 2
@@ -50,13 +40,9 @@ scan() {
     esac
 }
 
-scan "($legacy_loops)\(" \
-    "legacy round-loop entry points referenced" \
-    "the pure round loops are the DES runtime's equivalence oracle; use the engine specs (gossipkit.Pbcast, ..., gossipkit.Compare) or protocols.RunOnDES" \
-    cmd examples internal/experiment
 scan "\"gossipkit/internal/protocols\"" \
     "internal/protocols imported" \
     "reach the baselines through the facade engine specs (gossipkit.Pbcast, ..., gossipkit.Compare)" \
     cmd examples
 
-echo "api-lint: cmd/, examples/ and internal/experiment are clean (no legacy round loops; no protocols imports in cmd/ or examples/)"
+echo "api-lint: cmd/ and examples/ are clean (no internal/protocols imports)"

@@ -100,8 +100,23 @@ for anchor in \
         fail=1
     fi
 done
-# The pre-Engine facade functions, runpool.Progress and
-# simnet.LatencyRecorder are deleted; README and ARCHITECTURE must not
+# Likewise the "Observability" section: the one instrument under both
+# probes, the stream front end, the queue record both serve, and the one
+# per-field sum of the fabric counters.
+for anchor in \
+    "## Observability" \
+    "sampler" \
+    "StreamProbe" \
+    "Queues" \
+    "Stats.Add"; do
+    if ! grep -qs "$anchor" ARCHITECTURE.md; then
+        echo "docs-lint: ARCHITECTURE.md lost its Observability anchor: '$anchor'" >&2
+        fail=1
+    fi
+done
+# The pre-Engine facade functions, runpool.Progress,
+# simnet.LatencyRecorder, the stream twin of the shard merge and the four
+# histogram-shape probe options are deleted; README and ARCHITECTURE must not
 # describe them as if they existed. (Only names no surviving identifier
 # contains: core.RunSuccess and core.NewNetArena are still real.)
 for gone in \
@@ -116,7 +131,12 @@ for gone in \
     "ScenarioGridConfig" \
     "runpool\.Progress" \
     "NewProgress" \
-    "LatencyRecorder"; do
+    "LatencyRecorder" \
+    "MergeShardStreamMetrics" \
+    "LatencyBinWidth" \
+    "LatencyBins" \
+    "HopBins" \
+    "FanoutBins"; do
     if hits=$(grep -n "$gone" README.md ARCHITECTURE.md); then
         echo "docs-lint: README/ARCHITECTURE mention the deleted '$gone':" >&2
         echo "$hits" >&2
