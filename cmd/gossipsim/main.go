@@ -122,14 +122,14 @@ func run(ctx context.Context, n int, distKind string, fanout, q float64, runs in
 		fmt.Printf("  executions for 99.9%% group success (Eq. 6): %d\n", tmin)
 	}
 
-	if latency > 0 || loss > 0 || metrics || trace != "" || shards != 1 || !topo.IsUniform() {
+	if latency > 0 || loss != 0 || metrics || trace != "" || shards != 1 || !topo.IsUniform() {
 		cfg := gossipkit.NetConfig{}
 		if latency > 0 {
 			cfg.Latency = gossipkit.ConstantLatency(latency)
 		} else if topo.Kind == gossipkit.TopologyWAN {
 			cfg.Latency = gossipkit.WANLatency(n, topo.Zones, time.Millisecond, 10*time.Millisecond)
 		}
-		if loss > 0 {
+		if loss != 0 { // out-of-range and NaN included: the engine rejects them
 			cfg.Loss = gossipkit.BernoulliLoss(loss)
 		}
 		// WithRNG keeps this on the exact stream the pre-engine CLI used

@@ -257,8 +257,12 @@ func WithTopology(t Topology) Option { return func(o *runOptions) { o.topology =
 
 // mergeRunConfig folds the WithTopology and WithShards options into a
 // scenario run config (the Campaign and Compare engines), rejecting an
-// option that conflicts with the explicitly-set Config field.
+// option that conflicts with the explicitly-set Config field — and a
+// Config.Net no engine should run on (validateNet).
 func mergeRunConfig(cfg *ScenarioRunConfig, o *runOptions) error {
+	if err := validateNet(cfg.Net); err != nil {
+		return err
+	}
 	if !o.topology.IsUniform() {
 		if !cfg.Topology.IsUniform() && cfg.Topology != o.topology {
 			return fmt.Errorf("%w: WithTopology(%s) conflicts with Config.Topology %s", ErrInvalidParams, o.topology, cfg.Topology)

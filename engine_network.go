@@ -35,6 +35,9 @@ func (s Network) run(ctx context.Context, o *runOptions, emit func(Report)) (any
 	if err := s.Params.Validate(); err != nil {
 		return nil, invalid(err)
 	}
+	if err := validateNet(s.Net); err != nil {
+		return nil, err
+	}
 	if err := o.topology.Validate(s.Params.N); err != nil {
 		return nil, invalid(err)
 	}

@@ -274,6 +274,9 @@ func protocolSweep(ctx context.Context, o *runOptions, emit func(Report), spec P
 	if err := spec.Validate(); err != nil {
 		return nil, invalid(err)
 	}
+	if err := validateNet(cfg.Net); err != nil {
+		return nil, err
+	}
 	// WithTopology threads through to the DES substrate: the runtime
 	// generates the overlay per run from a non-consuming split, so the
 	// uniform spec keeps the legacy RNG streams byte-identical.

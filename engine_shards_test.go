@@ -144,3 +144,35 @@ func TestDefaultIsOneShard(t *testing.T) {
 		t.Errorf("WithShards(4) on Config.Shards: 2: got %v, want ErrInvalidParams", err)
 	}
 }
+
+// TestCancelledShardedSweepLeavesNoGoroutines: a sharded sweep cancelled
+// mid-flight — replication workers each driving a three-shard run, so
+// window workers are live inside pool workers — returns ErrCanceled and
+// takes every goroutine it started down with it.
+func TestCancelledShardedSweepLeavesNoGoroutines(t *testing.T) {
+	sc := testStreamConfig()
+	sc.N, sc.Discipline, sc.Batch = 256, StreamPushPull, true
+	net := shardedNetSpec()
+	net.Params.N = 3000
+	for _, eng := range []Engine{net, Stream{Config: sc, Net: testStreamNet()}} {
+		before := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		_, err := RunMany(ctx, eng, 200, WithShards(3), WithWorkers(4),
+			WithObserver(func(r Report) {
+				if r.Run == 2 {
+					cancel()
+				}
+			}))
+		cancel()
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("%s: err %v, want ErrCanceled", eng.Name(), err)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%s: %d goroutines before the sweep, %d two seconds after its cancellation", eng.Name(), before, after)
+		}
+	}
+}

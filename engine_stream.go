@@ -185,6 +185,9 @@ func (s Stream) run(ctx context.Context, o *runOptions, emit func(Report)) (any,
 	if err := s.Config.Validate(); err != nil {
 		return nil, invalid(err)
 	}
+	if err := validateNet(s.Net); err != nil {
+		return nil, err
+	}
 	if err := o.topology.Validate(s.Config.N); err != nil {
 		return nil, invalid(err)
 	}

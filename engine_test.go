@@ -3,6 +3,7 @@ package gossipkit
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -228,6 +229,47 @@ func TestInvalidParamsSentinel(t *testing.T) {
 	}
 	if _, err := RunMany(context.Background(), Analytic{Params: Params{N: 100, Fanout: Poisson(4)}}, 3, WithRNG(NewRNG(1))); !errors.Is(err, ErrInvalidParams) {
 		t.Errorf("WithRNG on RunMany: %v", err)
+	}
+}
+
+// TestHostileNumbersRejected: NaN, infinities and out-of-range
+// probabilities arriving from outside (flags, specs) fail validation with
+// ErrInvalidParams on every DES engine that would otherwise panic on a
+// worker goroutine or run silently wrong — and a rate too low to publish
+// anything is a valid empty stream, not an overflowed clock.
+func TestHostileNumbersRejected(t *testing.T) {
+	nan := math.NaN()
+	p := Params{N: 100, Fanout: Poisson(4), AliveRatio: 1}
+	sc := func(mut func(*StreamConfig)) Stream {
+		cfg := testStreamConfig()
+		mut(&cfg)
+		return Stream{Config: cfg, Net: testStreamNet()}
+	}
+	bad := map[string]Engine{
+		"stream rate NaN":  sc(func(c *StreamConfig) { c.Rate = nan }),
+		"stream rate +Inf": sc(func(c *StreamConfig) { c.Rate = math.Inf(1) }),
+		"stream q NaN":     sc(func(c *StreamConfig) { c.AliveRatio = nan }),
+		"lrg prob NaN":     LRG{Params: LRGParams{N: 100, Degree: 6, GossipProb: nan, AliveRatio: 1}},
+		"rdg payload NaN":  RDG{Params: RDGParams{N: 100, Fanout: 3, PushRounds: 3, AliveRatio: 1, PayloadProb: nan}},
+	}
+	for name, loss := range map[string]float64{"7": 7, "NaN": nan, "-3": -3} {
+		net := NetConfig{Latency: ConstantLatency(5 * time.Millisecond), Loss: BernoulliLoss(loss)}
+		bad["network loss "+name] = Network{Params: p, Net: net}
+		bad["stream loss "+name] = Stream{Config: testStreamConfig(), Net: net}
+		bad["pbcast loss "+name] = Pbcast{Params: PbcastParams{N: 100, Fanout: 3, Rounds: 3, AliveRatio: 1}, Net: net}
+		bad["campaign loss "+name] = Campaign{Scenarios: DefaultScenarioSuite()[:1],
+			Config: ScenarioRunConfig{Params: p, Net: net}}
+		bad["compare loss "+name] = Compare{Scenarios: DefaultScenarioSuite()[:1], Paper: true,
+			Config: ScenarioRunConfig{Params: p, Net: net}}
+	}
+	for name, spec := range bad {
+		if _, err := RunMany(context.Background(), spec, 2); !errors.Is(err, ErrInvalidParams) {
+			t.Errorf("%s: err %v, want ErrInvalidParams", name, err)
+		}
+	}
+	out, err := Run(context.Background(), sc(func(c *StreamConfig) { c.Rate = 1e-11 }))
+	if err != nil || out.Reports[0].Detail.(StreamResult).Scheduled != 0 {
+		t.Errorf("rate 1e-11: %v, want a run over an empty schedule", err)
 	}
 }
 

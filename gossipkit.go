@@ -347,5 +347,17 @@ func UniformLatency(lo, hi time.Duration) simnet.LatencyModel {
 	return simnet.UniformLatency{Lo: lo, Hi: hi}
 }
 
-// BernoulliLoss drops each message independently with probability p.
+// BernoulliLoss drops each message independently with probability p. The
+// engines reject a p outside [0, 1] (ErrInvalidParams) when they run.
 func BernoulliLoss(p float64) simnet.LossModel { return simnet.BernoulliLoss{P: p} }
+
+// validateNet is the DES engines' upfront check of the network substrate
+// they were handed: a Bernoulli loss probability must be a probability
+// (simnet draws with it unchecked, so 7 would drop everything and NaN or
+// −3 nothing, silently).
+func validateNet(net NetConfig) error {
+	if b, ok := net.Loss.(simnet.BernoulliLoss); ok && !(b.P >= 0 && b.P <= 1) {
+		return fmt.Errorf("%w: loss probability %g outside [0,1]", ErrInvalidParams, b.P)
+	}
+	return nil
+}

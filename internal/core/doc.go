@@ -26,6 +26,14 @@
 // and shard count — results are byte-identical across machines, worker
 // counts, and arena reuse, and statistically pinned across shard counts.
 //
+// The package also owns the run assembly every DES front end stands on
+// (run.go): NetArena.Begin leases the pooled state as a Run and lays out
+// its random streams, Run.Reset readies each shard, Run.NetRun builds the
+// fault-injection seam, Run.Drive runs the shard group dry and refuses a
+// result whose ledger did not close (ErrOpenLedger). The executor above,
+// internal/stream's runner and internal/protocols' runtime are three
+// front ends on that one sequence.
+//
 // Allocation guarantee: with a recycled NetArena (one per sweep worker),
 // a network execution performs zero O(n)-sized heap allocations — the
 // receive bitset, failure mask, kernel queue, and network state are all

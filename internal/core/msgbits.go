@@ -16,7 +16,7 @@ const segTargetWords = 1 << 18
 // MessageBits is a pooled matrix of per-message delivery bitsets: row m
 // holds one bit per member recording whether that member has received
 // message m. It is the multi-message generalization of the single
-// first-receipt bitset in RunState — streaming workloads (internal/stream)
+// first-receipt bitset in Run — streaming workloads (internal/stream)
 // dedup every (message, member) pair through it. Storage is segment-pooled:
 // rows live in fixed-size word blocks of a power-of-two row count each, so
 // a 10⁶–10⁷-row matrix never demands one giant contiguous allocation and a
@@ -111,9 +111,9 @@ func (b *MessageBits) CountRow(m int) int {
 }
 
 // MessageBits leases shard 0's pooled per-message delivery matrix, sized
-// to msgs rows of width bits and cleared — RunState.Bits[0] after its
-// Reset, for callers that hold no RunState. Like every lease it is valid
-// until the next call.
+// to msgs rows of width bits and cleared — Run.Bits[0] after its Reset,
+// for callers that hold no Run. Like every lease it is valid until the
+// next call.
 func (a *NetArena) MessageBits(msgs, width int) *MessageBits {
 	a.msgBits[0].Reset(msgs, width)
 	return a.msgBits[0]

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"time"
 
 	"gossipkit/internal/bitset"
 	"gossipkit/internal/obs"
@@ -12,64 +10,6 @@ import (
 	"gossipkit/internal/stats"
 	"gossipkit/internal/xrand"
 )
-
-// shardSplit offsets the per-shard RNG split indices on the run's root
-// stream (shard s draws from r.Split(shardSplit+s)); chosen to collide
-// with no other split constant in the tree. Splitting never advances the
-// parent, so the failure mask — drawn from r after the splits — is
-// byte-identical across every shard count.
-const shardSplit = 0x5a7d00
-
-// ShardOptions parameterizes a sharded network execution.
-type ShardOptions struct {
-	// Shards is the shard-kernel count; values below 1 mean
-	// runtime.GOMAXPROCS(0). The executor itself falls back to one shard
-	// when the latency model has no positive floor (no lookahead — see
-	// simnet.LatencyFloorer) or a shared Config.Tracer is installed.
-	Shards int
-	// Progress, if non-nil, observes every window barrier with the
-	// barrier's virtual time and the total kernel events fired so far —
-	// the live-progress source for single long runs. Called from the
-	// coordinator goroutine.
-	Progress func(events uint64, now sim.Time)
-}
-
-// EffectiveShards resolves the shard count ExecuteOnNetworkSharded (and
-// stream.RunSharded) use for a run of n members over cfg: GOMAXPROCS for
-// requests below 1, reduced to the number of member blocks that many
-// shards actually fill (simnet.ShardBlocks — at most n), and 1 whenever
-// the configuration cannot shard (no positive latency floor, or a shared
-// tracer).
-func EffectiveShards(requested, n int, cfg simnet.Config) int {
-	s := requested
-	if s < 1 {
-		s = runtime.GOMAXPROCS(0)
-	}
-	if n < 1 || cfg.Tracer != nil || latencyFloor(cfg.Latency) <= 0 {
-		return 1
-	}
-	_, s = simnet.ShardBlocks(n, s)
-	return s
-}
-
-// LatencyFloor returns the model's guaranteed minimum delay, or 0 when it
-// has none — the lookahead a conservative-PDES front end windows a sharded
-// run with. Exported for sibling DES front ends (the streaming engine).
-func LatencyFloor(m simnet.LatencyModel) time.Duration { return latencyFloor(m) }
-
-// latencyFloor returns the model's guaranteed minimum delay, or 0 when it
-// has none (nil models mean zero latency).
-func latencyFloor(m simnet.LatencyModel) time.Duration {
-	f, ok := m.(simnet.LatencyFloorer)
-	if !ok {
-		return 0
-	}
-	d, ok := f.LatencyFloor()
-	if !ok || d < 0 {
-		return 0
-	}
-	return d
-}
 
 // shardState is one shard's private slice of the run state, pooled on the
 // NetArena. Everything here is written by the shard's worker goroutine
@@ -119,11 +59,11 @@ type shardState struct {
 // Determinism contract:
 //   - a fixed shard count is byte-identical across repeated runs, fresh
 //     and recycled arenas, and hosts, for the same (p, netCfg, r, inject):
-//     shard s draws from r.Split(shardSplit+s) (from r itself on one
-//     shard) and its network from a further Split(0xfeed), windows are cut
-//     at deterministic virtual times, and barriers flush the per-pair
-//     buffers in a fixed order, so scheduling nondeterminism never reaches
-//     the simulation. testdata/oracle.golden pins the one-shard layout.
+//     every shard draws from its own stream of the layout in run.go
+//     (shardSplit, netSplit), windows are cut at deterministic virtual
+//     times, and barriers flush the per-pair buffers in a fixed order, so
+//     scheduling nondeterminism never reaches the simulation.
+//     testdata/oracle.golden pins the one-shard layout.
 //   - different shard counts are statistically pinned, not byte-identical:
 //     the failure mask is identical (drawn from r, which splitting never
 //     advances) but fanout and latency draws come from different streams,
@@ -136,52 +76,30 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 	if err := p.Validate(); err != nil {
 		return NetResult{}, err
 	}
-	shards := EffectiveShards(opts.Shards, p.N, netCfg)
 	if arena == nil {
 		arena = NewNetArena()
 	}
-	rs := arena.Sharded(shards).State()
-	kernels, ctl, sn, mask := rs.Kernels, rs.Control, rs.Net, rs.Mask
-	states := arena.states[:shards]
-	group := sim.NewShardGroup(kernels, ctl, latencyFloor(netCfg.Latency))
-	sn.Prepare(shards, p.N, netCfg)
+	run := arena.Begin(p.N, netCfg, r, opts)
+	sn, mask, states := run.Net, run.Mask, run.states
 	block := sn.Block()
-
-	// RNG layout. One shard runs on r itself; more draw from splits of r.
-	// Splits never advance r, so the mask draw below is the same for every
-	// shard count.
-	states[0].rng = r
-	if shards > 1 {
-		for s := range states {
-			states[s].rng = r.Split(shardSplit + uint64(s))
-		}
-	}
-	group.Each(func(s int) {
-		// Per-shard state is reset on the shard's own goroutine: the
-		// kernel queue, the network's bitsets and pools, and the local
-		// received bitset are first-touched by the topology that runs
-		// them.
+	run.Reset(rumorBudget(p.N), func(s int) {
 		st := &states[s]
-		kernels[s].Reset()
-		kernels[s].SetBudget(uint64(p.N) * 10000)
-		sn.ResetShard(s, kernels[s], st.rng.Split(0xfeed))
 		lo, hi := sn.Range(s)
 		st.received.Reset(hi - lo)
 		st.delivered, st.msgs, st.wasted, st.dups = 0, 0, 0, 0
-		st.upAtEnd, st.delivUp = 0, 0
 		st.spread = 0
 		st.lat = stats.Running{}
+		st.probe = nil
 	})
+	// Drawn only after Reset split the network streams off r's starting
+	// position; no split advances r, so every shard count sees this mask.
 	p.drawMaskInto(mask, r)
+	run.Each(run.CrashFailed)
 	view := p.view()
 
-	probes := probe.ShardProbes(shards) // nil for a nil probe
-	for s := range states {
-		states[s].probe = nil
-		if probes != nil {
-			states[s].probe = probes[s]
-		}
-		states[s].probe.Attach(sn.Shard(s), p.N, &states[s].delivered)
+	for s, child := range probe.ShardProbes(len(states)) { // none for a nil probe
+		states[s].probe = child
+		child.Attach(sn.Shard(s), p.N, &states[s].delivered)
 	}
 
 	// forward and receive run on shard s's goroutine (or with every worker
@@ -213,9 +131,8 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 		forward(s, id)
 	}
 	// One shared handler per shard (index dispatch on msg.To) instead of n
-	// per-member closures; fail-stop members are crashed at the network
+	// per-member closures; mask-failed members are down at the network
 	// layer, so the handler only ever sees alive-at-delivery members.
-	// (Crashing also counts the paper's "wasted" sends as crash drops.)
 	for s := range states {
 		st, base := &states[s], s*block
 		sn.Shard(s).RegisterAll(func(now sim.Time, msg simnet.Message) {
@@ -227,39 +144,24 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 			receive(s, id, int(msg.From), now)
 		})
 	}
-	group.Each(func(s int) {
-		for id, hi := sn.Range(s); id < hi; id++ {
-			if !mask.Alive(id) {
-				sn.Shard(s).Crash(simnet.NodeID(id))
-			}
-		}
-	})
 
 	hasReceived := func(id int) bool {
 		s := id / block
 		return states[s].received.Get(id - s*block)
 	}
 	if inject != nil {
-		inject(&NetRun{
-			Kernel:      ctl,
-			Net:         sn,
-			View:        view,
-			mask:        mask,
-			hasReceived: hasReceived,
-			delivered: func() int {
+		inject(run.NetRun(view, RunHooks{
+			HasReceived: hasReceived,
+			Delivered: func() int {
 				total := 0
 				for s := range states {
 					total += states[s].delivered
 				}
 				return total
 			},
-			pending: rs.Pending,
-			publish: func(id int) {
-				if id < 0 || id >= p.N || !sn.Up(simnet.NodeID(id)) || !mask.Alive(id) {
-					return
-				}
+			Publish: func(id int) {
 				s := id / block
-				rs.OnShard(s, func(now sim.Time) {
+				run.OnShard(s, func(now sim.Time) {
 					if hasReceived(id) {
 						forward(s, id) // re-gossip
 						return
@@ -267,7 +169,7 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 					receive(s, id, -1, now) // additional publisher
 				})
 			},
-		})
+		}))
 	}
 
 	// The source initiates at t=0 with no latency sample of its own
@@ -282,31 +184,13 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 		forward(s, src)
 	}
 
-	var onBarrier func(now sim.Time, fired uint64)
-	if opts.Progress != nil {
-		onBarrier = func(now sim.Time, fired uint64) { opts.Progress(fired, now) }
-	}
-	if err := group.Run(sn.Flush, sn.Buffered, onBarrier); err != nil {
+	if err := run.Drive(); err != nil {
 		return NetResult{}, fmt.Errorf("core: network execution aborted: %w", err)
 	}
 	for s := range states {
-		states[s].probe.Finish(kernels[s].Now())
+		states[s].probe.Finish(run.Kernels[s].Now())
 	}
 	probe.AdoptShards()
-
-	group.Each(func(s int) {
-		st := &states[s]
-		nw := sn.Shard(s)
-		lo, hi := sn.Range(s)
-		for id := lo; id < hi; id++ {
-			if nw.Up(simnet.NodeID(id)) {
-				st.upAtEnd++
-				if st.received.Get(id - lo) {
-					st.delivUp++
-				}
-			}
-		}
-	})
 
 	res := NetResult{Result: Result{AliveCount: mask.AliveCount()}}
 	for s := range states {
@@ -315,19 +199,11 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 		res.MessagesSent += st.msgs
 		res.WastedOnFailed += st.wasted
 		res.Duplicates += st.dups
-		res.UpAtEnd += st.upAtEnd
-		res.DeliveredUp += st.delivUp
 		res.DeliveryLatency.Merge(st.lat)
 		if d := st.spread.Duration(); d > res.SpreadTime {
 			res.SpreadTime = d
 		}
 	}
-	if res.AliveCount > 0 {
-		res.Reliability = float64(res.Delivered) / float64(res.AliveCount)
-	}
-	if res.UpAtEnd > 0 {
-		res.SurvivorReliability = float64(res.DeliveredUp) / float64(res.UpAtEnd)
-	}
-	res.Net = sn.Stats()
+	run.Close(&res)
 	return res, nil
 }

@@ -48,7 +48,8 @@
 // protocol RNG stream in exactly the legacy order and fires deliveries in
 // legacy iteration order, so its results are identical to the oracle's —
 // equiv_test.go pins this per protocol, golden values included. The
-// runtime recycles run state through core.NetArena (zero O(n) allocations
-// on a warm arena) and exposes a core.NetRun so scenario campaigns inject
-// into baseline runs through the same seam as paper runs.
+// runtime is a front end on a one-shard core.Run leased from a
+// core.NetArena (zero O(n) allocations on a warm arena): the run drives
+// the kernel, closes the ledger and builds the core.NetRun through which
+// scenario campaigns inject into baseline runs exactly as into paper runs.
 package protocols

@@ -109,7 +109,7 @@ func (p LRGParams) Validate() error {
 	if p.Degree < 1 || p.Degree >= p.N {
 		return fmt.Errorf("protocols: degree %d out of range", p.Degree)
 	}
-	if p.GossipProb < 0 || p.GossipProb > 1 {
+	if p.GossipProb < 0 || p.GossipProb > 1 || p.GossipProb != p.GossipProb {
 		return fmt.Errorf("protocols: gossip probability %g outside [0,1]", p.GossipProb)
 	}
 	if p.RepairRounds < 0 {

@@ -118,6 +118,7 @@ func TestLRGValidate(t *testing.T) {
 		"degree 0":    {N: 100, Degree: 0, GossipProb: 0.7, AliveRatio: 0.9},
 		"degree >= n": {N: 10, Degree: 10, GossipProb: 0.7, AliveRatio: 0.9},
 		"bad prob":    {N: 100, Degree: 6, GossipProb: 1.2, AliveRatio: 0.9},
+		"NaN prob":    {N: 100, Degree: 6, GossipProb: math.NaN(), AliveRatio: 0.9},
 		"neg repair":  {N: 100, Degree: 6, GossipProb: 0.5, RepairRounds: -1, AliveRatio: 0.9},
 	} {
 		if err := bad.Validate(); err == nil {

@@ -55,7 +55,7 @@ func (p RDGParams) Validate() error {
 	if p.ViewCopies < 0 {
 		return fmt.Errorf("protocols: negative view copies %d", p.ViewCopies)
 	}
-	if p.PayloadProb < 0 || p.PayloadProb > 1 {
+	if p.PayloadProb < 0 || p.PayloadProb > 1 || p.PayloadProb != p.PayloadProb {
 		return fmt.Errorf("protocols: payload probability %g outside [0,1]", p.PayloadProb)
 	}
 	return nil

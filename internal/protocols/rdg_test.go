@@ -1,6 +1,7 @@
 package protocols
 
 import (
+	"math"
 	"testing"
 
 	"gossipkit/internal/stats"
@@ -20,6 +21,7 @@ func TestRDGValidate(t *testing.T) {
 		func(p *RDGParams) { p.AliveRatio = 2 },
 		func(p *RDGParams) { p.Source = -1 },
 		func(p *RDGParams) { p.ViewCopies = -1 },
+		func(p *RDGParams) { p.PayloadProb = math.NaN() },
 	}
 	for i, mut := range muts {
 		p := good

@@ -36,11 +36,10 @@ type DESConfig struct {
 	// synchronous round loop of every protocol exactly.
 	Net simnet.Config
 	// RoundInterval is the simulated-time spacing of gossip round ticks.
-	// Zero defaults to the latency model's bound when it has one
-	// (simnet.LatencyBounder), 20ms for unbounded models, and 1ms with no
-	// latency model at all — so a synchronous-round baseline sees round
-	// r's messages land before round r+1 fires, preserving its round
-	// semantics under latency. Set it below the latency bound to study
+	// Zero derives it from the latency model (simnet.Config.RoundInterval)
+	// so a synchronous-round baseline sees round r's messages land before
+	// round r+1 fires, preserving its round semantics under latency. Set
+	// it below the latency bound to study
 	// pipelining: a round's messages may still be in flight when the next
 	// round fires, which the quiescence checks account for via
 	// simnet.Stats.InFlight.
@@ -61,21 +60,6 @@ type DESConfig struct {
 	// anti-entropy peer picks, LRG's fixed graph, flooding's blast —
 	// through its neighbor sets.
 	Topology topology.Spec
-}
-
-func (c DESConfig) interval() time.Duration {
-	if c.RoundInterval > 0 {
-		return c.RoundInterval
-	}
-	if c.Net.Latency == nil {
-		return time.Millisecond
-	}
-	if b, ok := c.Net.Latency.(simnet.LatencyBounder); ok {
-		if d, bounded := b.LatencyBound(); bounded && d > 0 {
-			return d
-		}
-	}
-	return 20 * time.Millisecond
 }
 
 // Spec is a protocol parameter set that can run on the DES substrate: all
@@ -111,13 +95,13 @@ type machine interface {
 	detail(rt *Runtime) any
 }
 
-// Runtime is the shared round-driver all six baselines execute on: it owns
-// the kernel, the network, the failure mask, and the cross-protocol
-// bookkeeping (first receipts, delivery latency, message counts), while a
-// per-protocol machine supplies the round and delivery logic. Every
-// protocol message is routed through simnet, so latency, loss, partitions,
-// and mid-run crashes apply to the baselines exactly as they do to the
-// paper's algorithm in internal/core.
+// Runtime is the shared round-driver all six baselines execute on: it
+// holds a one-shard core.Run's kernel, network and failure mask and the
+// cross-protocol bookkeeping (first receipts, delivery latency, message
+// counts), while a per-protocol machine supplies the round and delivery
+// logic. Every protocol message is routed through simnet, so latency,
+// loss, partitions, and mid-run crashes apply to the baselines exactly as
+// they do to the paper's algorithm in internal/core.
 type Runtime struct {
 	// Kernel drives the run; Net carries every protocol message; RNG is
 	// the protocol decision stream (legacy-identical order); Mask is the
@@ -149,16 +133,16 @@ type DESOutcome struct {
 }
 
 // RunOnDES executes one run of spec as an event-driven protocol over the
-// simulated network. Protocol decisions consume r exactly as the legacy
-// round loop does (the network's jitter stream is r.Split(0xfeed), which
-// leaves r untouched), so with the zero DESConfig the outcome Detail is
-// identical to the corresponding legacy Run* function — equiv_test.go
-// pins this per protocol. inject, when non-nil, is called with the run's
-// core.NetRun after setup and before the first round tick, so scenario
-// campaigns schedule crashes, partitions, loss episodes, and publishes on
-// baseline runs through the same seam as paper runs. arena (nil for a
-// throwaway one) recycles the kernel, network, mask, and receipt state
-// across runs; results are byte-identical either way.
+// simulated network, on a one-shard core.Run. Protocol decisions consume r
+// exactly as the legacy round loop does (the network's jitter stream is a
+// split of r, which leaves r untouched), so with the zero DESConfig the
+// outcome Detail is identical to the corresponding legacy Run* function —
+// equiv_test.go pins this per protocol. inject, when non-nil, is called
+// with the run's core.NetRun after setup and before the first round tick,
+// so scenario campaigns schedule crashes, partitions, loss episodes, and
+// publishes on baseline runs through the same seam as paper runs. arena
+// (nil for a throwaway one) recycles the kernel, network, mask, and
+// receipt state across runs; results are byte-identical either way.
 func RunOnDES(spec Spec, cfg DESConfig, r *xrand.RNG, inject func(*core.NetRun), arena *core.NetArena) (DESOutcome, error) {
 	if err := spec.Validate(); err != nil {
 		return DESOutcome{}, err
@@ -167,7 +151,7 @@ func RunOnDES(spec Spec, cfg DESConfig, r *xrand.RNG, inject func(*core.NetRun),
 		arena = core.NewNetArena()
 	}
 	n := spec.size()
-	st := arena.Lease(n, cfg.Net, r.Split(0xfeed))
+	run := arena.Lease(n, cfg.Net, r)
 	// The topology split is non-consuming, so the uniform (nil-overlay)
 	// path leaves every protocol decision stream byte-identical to the
 	// legacy-pinned behavior.
@@ -176,37 +160,30 @@ func RunOnDES(spec Spec, cfg DESConfig, r *xrand.RNG, inject func(*core.NetRun),
 		return DESOutcome{}, fmt.Errorf("protocols: %s: %w", spec.Protocol(), err)
 	}
 	rt := &Runtime{
-		Kernel: st.Control, Net: st.Net.Shard(0), RNG: r, Mask: st.Mask,
-		n: n, source: spec.start(), interval: cfg.interval(),
-		m: spec.newMachine(), recv: st.Received, targets: arena.Targets(),
+		Kernel: run.Control, Net: run.Net.Shard(0), RNG: r, Mask: run.Mask,
+		n: n, source: spec.start(), interval: cfg.Net.RoundInterval(cfg.RoundInterval),
+		m: spec.newMachine(), recv: run.Received, targets: arena.Targets(),
 		probe: cfg.Probe, round: -1,
 	}
 	if ov != nil {
 		rt.view = ov
 	}
 	defer func() { arena.SetTargets(rt.targets) }()
-	rt.Kernel.SetBudget(uint64(n) * 10000)
 	rt.probe.Attach(rt.Net, n, &rt.res.Delivered)
 
 	rt.m.init(rt)
 	rt.res.AliveCount = rt.Mask.AliveCount()
-	for id := 0; id < n; id++ {
-		if !rt.Mask.Alive(id) {
-			rt.Net.Crash(simnet.NodeID(id))
-		}
-	}
+	run.CrashFailed(0)
 	rt.Net.RegisterAll(func(now sim.Time, msg simnet.Message) {
 		rt.m.deliver(rt, now, msg)
 	})
 
 	if inject != nil {
-		inject(core.NewNetRun(rt.Kernel, rt.Net, rt.view, rt.Mask, rt.recv, &rt.res.Delivered,
-			func(id int) {
-				if id < 0 || id >= n || !rt.Net.Up(simnet.NodeID(id)) || !rt.Mask.Alive(id) {
-					return
-				}
-				rt.m.publish(rt, id)
-			}))
+		inject(run.NetRun(rt.view, core.RunHooks{
+			HasReceived: rt.recv.Get,
+			Delivered:   func() int { return rt.res.Delivered },
+			Publish:     func(id int) { rt.m.publish(rt, id) },
+		}))
 	}
 
 	// Round ticks fire at t = 0, interval, 2·interval, ... — after any
@@ -219,26 +196,11 @@ func RunOnDES(spec Spec, cfg DESConfig, r *xrand.RNG, inject func(*core.NetRun),
 		round++
 		return cont
 	})
-	if err := rt.Kernel.RunAll(); err != nil {
+	if err := run.Drive(); err != nil {
 		return DESOutcome{}, fmt.Errorf("protocols: %s execution aborted: %w", spec.Protocol(), err)
 	}
 	rt.probe.Finish(rt.Kernel.Now())
-
-	if rt.res.AliveCount > 0 {
-		rt.res.Reliability = float64(rt.res.Delivered) / float64(rt.res.AliveCount)
-	}
-	for id := 0; id < n; id++ {
-		if rt.Net.Up(simnet.NodeID(id)) {
-			rt.res.UpAtEnd++
-			if rt.recv.Get(id) {
-				rt.res.DeliveredUp++
-			}
-		}
-	}
-	if rt.res.UpAtEnd > 0 {
-		rt.res.SurvivorReliability = float64(rt.res.DeliveredUp) / float64(rt.res.UpAtEnd)
-	}
-	rt.res.Net = rt.Net.Stats()
+	run.Close(&rt.res)
 	return DESOutcome{NetResult: rt.res, Detail: rt.m.detail(rt)}, nil
 }
 

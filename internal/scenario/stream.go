@@ -56,7 +56,7 @@ func (e streamExecutor) Execute(cfg RunConfig, r *xrand.RNG, inject func(*core.N
 		}
 	}
 	sc.RoundInterval = resolveInterval(sc.RoundInterval, cfg.RoundInterval)
-	var fabric simnet.Fabric
+	var fabric *simnet.ShardedNet
 	hook := func(nr *core.NetRun) {
 		fabric = nr.Net
 		if inject != nil {
@@ -83,7 +83,7 @@ func resolveInterval(own, campaign time.Duration) time.Duration {
 
 // streamNetResult summarizes a streaming run in single-rumor NetResult
 // terms for the campaign report.
-func streamNetResult(res stream.Result, fabric simnet.Fabric) core.NetResult {
+func streamNetResult(res stream.Result, fabric *simnet.ShardedNet) core.NetResult {
 	out := core.NetResult{
 		SpreadTime:      res.End,
 		DeliveryLatency: res.DeliveryLatency,
@@ -102,7 +102,7 @@ func streamNetResult(res stream.Result, fabric simnet.Fabric) core.NetResult {
 	return out
 }
 
-func upCount(fabric simnet.Fabric) int {
+func upCount(fabric *simnet.ShardedNet) int {
 	if fabric == nil {
 		return 0
 	}

@@ -9,6 +9,11 @@
 // with the zero-value models (constant zero latency, no loss) and extends it
 // with the realism knobs used by the ablation experiments and the examples.
 //
+// A Network is one kernel's worth of members; ShardedNet is the fabric
+// executions run on — one Network per shard kernel (one by default) plus
+// the cross-shard buffers — and the only network type fault-injection
+// hooks see. core.Run alone sizes, resets and flushes it (lint-api.sh).
+//
 // Determinism: a Network is single-goroutine state driven by its kernel;
 // every latency and loss draw comes from the caller-supplied RNG, so a run
 // is a pure function of (config, seed). Latency models that implement

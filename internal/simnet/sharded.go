@@ -35,9 +35,11 @@ type crossMsg struct {
 //
 // Per-shard state is authoritative only for the shard's own block: a
 // shard's up-bitset is consulted for local senders and local delivery
-// targets only, and the Fabric methods route by owner. Mutable loss
-// models are cloned per shard (LossCloner); each shard draws loss and
-// latency from its own RNG stream.
+// targets only, and the control methods (Up, Crash, Restart, the model
+// swaps, Stats, Drained — everything fault-injection hooks drive mid-run)
+// route by owner; call them with the execution quiescent or parked at a
+// window barrier. Mutable loss models are cloned per shard (LossCloner);
+// each shard draws loss and latency from its own RNG stream.
 type ShardedNet struct {
 	n      int
 	shards int
@@ -210,34 +212,31 @@ func (sn *ShardedNet) Range(s int) (lo, hi int) {
 	return s * sn.block, min((s+1)*sn.block, sn.n)
 }
 
-// Shards returns the shard count.
-func (sn *ShardedNet) Shards() int { return sn.shards }
-
 // Shard returns shard s's network (senders local to s emit through it).
 func (sn *ShardedNet) Shard(s int) *Network { return sn.nets[s] }
 
-// N implements Fabric.
+// N returns the number of members.
 func (sn *ShardedNet) N() int { return sn.n }
 
-// Up implements Fabric, consulting the owning shard's authoritative bit.
+// Up consults the owning shard's authoritative bit.
 func (sn *ShardedNet) Up(id NodeID) bool { return sn.nets[sn.Owner(id)].Up(id) }
 
-// Crash implements Fabric on the owning shard.
+// Crash marks id failed on the owning shard.
 func (sn *ShardedNet) Crash(id NodeID) { sn.nets[sn.Owner(id)].Crash(id) }
 
-// Restart implements Fabric on the owning shard.
+// Restart marks id up again on the owning shard.
 func (sn *ShardedNet) Restart(id NodeID) { sn.nets[sn.Owner(id)].Restart(id) }
 
-// SetPartition implements Fabric: every shard consults the same predicate,
-// which must therefore be pure (SplitPartition closures are).
+// SetPartition installs a partition: every shard consults the same
+// predicate, which must therefore be pure (SplitPartition closures are).
 func (sn *ShardedNet) SetPartition(blocked func(a, b NodeID) bool) {
 	for _, nw := range sn.nets {
 		nw.SetPartition(blocked)
 	}
 }
 
-// SetLoss implements Fabric, cloning stateful models per shard exactly as
-// Prepare does for the initial model.
+// SetLoss swaps the loss model, cloning stateful models per shard exactly
+// as Prepare does for the initial model.
 func (sn *ShardedNet) SetLoss(l LossModel) {
 	for _, nw := range sn.nets {
 		m := l
@@ -248,7 +247,7 @@ func (sn *ShardedNet) SetLoss(l LossModel) {
 	}
 }
 
-// SetLatency implements Fabric. Latency models are value-typed and
+// SetLatency swaps the latency model. Latency models are value-typed and
 // stateless, so every shard shares the swapped model. Swapping to a model
 // whose floor is below the run's lookahead does not break causality —
 // cross-shard arrivals inside an already-open window are clamped to the
@@ -259,7 +258,7 @@ func (sn *ShardedNet) SetLatency(l LatencyModel) {
 	}
 }
 
-// Stats implements Fabric: the sum of the per-shard counters. Each
+// Stats returns the sum of the per-shard counters. Each
 // cross-shard message is Sent-counted on its source shard and resolved
 // (delivered or dropped) on its destination shard, so per-shard InFlight
 // is meaningless but the sum — including messages still parked in
@@ -282,8 +281,8 @@ func (sn *ShardedNet) SlabsInUse() int {
 	return total
 }
 
-// Drained implements Fabric: no accepted message is airborne on any shard
-// or parked in a cross-shard buffer.
+// Drained reports that no accepted message is airborne on any shard or
+// parked in a cross-shard buffer.
 func (sn *ShardedNet) Drained() bool {
 	return sn.Stats().InFlight() == 0 && sn.Buffered() == 0
 }

@@ -8,12 +8,6 @@ import (
 	"gossipkit/internal/xrand"
 )
 
-// Both network shapes implement the fabric control surface.
-var (
-	_ Fabric = (*Network)(nil)
-	_ Fabric = (*ShardedNet)(nil)
-)
-
 // newTestShardedNet builds a 2-shard fabric over 8 members (block 4) with
 // fresh kernels, returning the fabric and its kernels.
 func newTestShardedNet(t *testing.T, cfg Config) (*ShardedNet, []*sim.Kernel) {

@@ -154,7 +154,7 @@ type GilbertElliott struct {
 // NewGilbertElliott returns a Gilbert–Elliott model starting in Good state.
 func NewGilbertElliott(pG2B, pB2G, pGood, pBad float64) *GilbertElliott {
 	for _, p := range []float64{pG2B, pB2G, pGood, pBad} {
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) { // NaN fails every comparison
 			panic(fmt.Sprintf("simnet: probability %g outside [0,1]", p))
 		}
 	}
@@ -275,6 +275,26 @@ type Config struct {
 	Loss    LossModel
 	// Tracer, if non-nil, observes every network event synchronously.
 	Tracer Tracer
+}
+
+// RoundInterval resolves the gossip round tick of a round-driven front end
+// (the protocol runtime, the stream engine) over this network: explicit
+// when positive; otherwise the latency model's bound when it has one
+// (LatencyBounder), so round r's messages land before round r+1 fires;
+// 20ms for unbounded models and 1ms with no model at all.
+func (c Config) RoundInterval(explicit time.Duration) time.Duration {
+	if explicit > 0 {
+		return explicit
+	}
+	if c.Latency == nil {
+		return time.Millisecond
+	}
+	if b, ok := c.Latency.(LatencyBounder); ok {
+		if d, bounded := b.LatencyBound(); bounded && d > 0 {
+			return d
+		}
+	}
+	return 20 * time.Millisecond
 }
 
 // inflight is the pooled payload slot of one message in transit. The
@@ -840,25 +860,6 @@ func (nw *Network) SetLatency(l LatencyModel) {
 		l = ConstantLatency{}
 	}
 	nw.latency = l
-}
-
-// Fabric is the network-control surface shared by a single *Network and
-// the sharded fabric (*ShardedNet): everything fault-injection hooks and
-// executors drive mid-run — liveness, partitions, model swaps, counter
-// snapshots — without caring how many kernels carry the traffic. All
-// methods must be called with the execution quiescent or parked at a
-// window barrier (the kernel goroutine for a single network, the control
-// context for a sharded one).
-type Fabric interface {
-	N() int
-	Up(id NodeID) bool
-	Crash(id NodeID)
-	Restart(id NodeID)
-	SetPartition(blocked func(a, b NodeID) bool)
-	SetLoss(l LossModel)
-	SetLatency(l LatencyModel)
-	Stats() Stats
-	Drained() bool
 }
 
 // SplitPartition partitions the nodes into two sides by a membership

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -129,12 +130,16 @@ func TestGilbertElliottBurstiness(t *testing.T) {
 }
 
 func TestGilbertElliottValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewGilbertElliott(1.5, 0, 0, 0)
+	for _, p := range []float64{1.5, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("probability %g: no panic", p)
+				}
+			}()
+			NewGilbertElliott(0, 0, 0, p)
+		}()
+	}
 }
 
 func TestCrashSemantics(t *testing.T) {

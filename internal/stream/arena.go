@@ -83,11 +83,13 @@ func (a *Arena) schedule(cfg Config, interval time.Duration, r *xrand.RNG) *runS
 	t := 0.0 // seconds
 	for len(sh.pubTime) < cfg.MaxMessages {
 		t += rng.ExpFloat64() / cfg.Rate
-		at := sim.Time(t * float64(time.Second))
-		if at.Duration() > cfg.Duration {
+		// Compared as floats — a tiny rate overflows sim.Time; truncated
+		// to whole ns, ns exceeds the window exactly when ≥ Duration+1.
+		ns := t * float64(time.Second)
+		if ns >= float64(cfg.Duration)+1 {
 			break
 		}
-		sh.pubTime = append(sh.pubTime, at)
+		sh.pubTime = append(sh.pubTime, sim.Time(ns))
 		sh.source = append(sh.source, int32(rng.Intn(cfg.Sources)))
 	}
 	sh.M = len(sh.pubTime)

@@ -20,10 +20,12 @@
 // pressure evicts per the configured policy, and the run's ledger
 // reconciles publishes, deliveries, evictions and drops exactly.
 //
-// RunSharded is the one runner, on the conservative-PDES sharded runtime
-// with the determinism contract of the core executor: byte-identical for
-// a fixed shard count, statistically pinned across shard counts. Run and
-// RunProbed are RunSharded on one shard, the default. Telemetry
+// RunSharded is the one runner, a front end on core.Run — the run
+// assembly (lease, random-stream layout, drive, ledger check) it shares
+// with the core executor and the protocol runtime — with the core
+// executor's determinism contract: byte-identical for a fixed shard
+// count, statistically pinned across shard counts. Run and RunProbed are
+// RunSharded on one shard, the default. Telemetry
 // rides the obs.StreamProbe family (nil probe = zero overhead), and
 // scenario campaigns inject through the same core.NetRun seam as every
 // other execution.

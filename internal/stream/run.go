@@ -25,11 +25,9 @@ func RunProbed(cfg Config, netCfg simnet.Config, r *xrand.RNG,
 	return RunSharded(cfg, netCfg, r, inject, arena, probe, core.ShardOptions{Shards: 1})
 }
 
-// RunSharded executes one streaming run. It is the one stream runner, on
-// the same runtime as core.ExecuteOnNetworkSharded: members partitioned
-// into contiguous blocks across opts.Shards shard kernels, lookahead
-// windows from the latency model's floor, cross-shard messages crossing at
-// window barriers — and on one shard (what Run and RunProbed ask for) a
+// RunSharded executes one streaming run. It is the one stream runner, a
+// front end on core.Run like core.ExecuteOnNetworkSharded (see there for
+// the sharded runtime); on one shard — what Run and RunProbed ask for — a
 // single kernel drained in one go.
 //
 // inject (non-nil) receives the core.NetRun injection facade before the
@@ -42,8 +40,7 @@ func RunProbed(cfg Config, netCfg simnet.Config, r *xrand.RNG,
 //
 // RNG layout: the publish schedule comes from r.Split(publishSplit) —
 // splits never advance r — then the failure mask consumes r. Worker s
-// runs on r.Split(shardSplit+s), or on r itself on one shard, and its
-// network on a further Split(netSplit).
+// and its network run on shard s's streams of core.Run's layout.
 //
 // Determinism contract (matching core's): a fixed shard count is
 // byte-identical across repeated runs, arenas and hosts
@@ -62,31 +59,16 @@ func RunSharded(cfg Config, netCfg simnet.Config, r *xrand.RNG,
 	if arena == nil {
 		arena = NewArena()
 	}
-	shards := core.EffectiveShards(opts.Shards, cfg.N, netCfg)
-	sh := arena.schedule(cfg, cfg.interval(netCfg), r)
-	st := arena.net.Sharded(shards).State()
-	kernels, ctl, sn := st.Kernels, st.Control, st.Net
-	group := sim.NewShardGroup(kernels, ctl, core.LatencyFloor(netCfg.Latency))
-	sn.Prepare(shards, cfg.N, netCfg)
+	sh := arena.schedule(cfg, netCfg.RoundInterval(cfg.RoundInterval), r)
+	run := arena.net.Begin(cfg.N, netCfg, r, opts)
+	kernels, ctl, sn := run.Kernels, run.Control, run.Net
 	block := sn.Block()
 
-	workers := arena.leaseWorkers(shards)
-	workers[0].rng = r
-	if shards > 1 {
-		for s, w := range workers {
-			w.rng = r.Split(shardSplit + uint64(s))
-		}
-	}
-	pubBy := arena.publishLists(sh, shards, block)
-	bud := budget(cfg, sh)
-	group.Each(func(s int) {
-		// Per-shard state resets on the shard's own goroutine
-		// (first-touch locality of the kernel queue, network pools,
-		// delivery matrix and rumor buffers).
+	workers := arena.leaseWorkers(len(kernels))
+	pubBy := arena.publishLists(sh, len(kernels), block)
+	run.Reset(budget(cfg, sh), func(s int) {
 		w := workers[s]
-		kernels[s].Reset()
-		kernels[s].SetBudget(bud)
-		sn.ResetShard(s, kernels[s], w.rng.Split(netSplit))
+		w.rng = run.RNG(s)
 		lo, hi := sn.Range(s)
 		// A round puts every buffered id of every member of the block in
 		// the air fanout times over — one kernel event per id, or per
@@ -97,22 +79,22 @@ func RunSharded(cfg Config, netCfg simnet.Config, r *xrand.RNG,
 			airborne *= float64(cfg.BufferCap)
 		}
 		sn.Shard(s).HintPending(int(min(airborne, math.MaxInt32)))
-		st.Bits[s].Reset(sh.M, hi-lo)
+		run.Bits[s].Reset(sh.M, hi-lo)
 		var pend *core.MessageBits
 		if cfg.Discipline == DisciplinePushPull {
-			pend = st.Nacks[s]
+			pend = run.Nacks[s]
 			pend.Reset(sh.M, hi-lo)
 		}
-		w.reset(s, lo, hi, sn.Shard(s), sh, st.Bits[s], pend, pubBy[s])
+		w.reset(s, lo, hi, sn.Shard(s), sh, run.Bits[s], pend, pubBy[s])
 	})
-	sh.mask = st.Mask
+	sh.mask = run.Mask
 	sh.mask.FillBernoulli(cfg.N, cfg.AliveRatio, 0, r)
 	sh.view = cfg.View
 	if sh.view == nil {
 		sh.view = membership.NewFullView(cfg.N)
 	}
 
-	for s, child := range probe.ShardProbes(shards) { // none for a nil probe
+	for s, child := range probe.ShardProbes(len(kernels)) { // none for a nil probe
 		workers[s].probe = child
 		var act *int64
 		if s == 0 {
@@ -127,45 +109,34 @@ func RunSharded(cfg Config, netCfg simnet.Config, r *xrand.RNG,
 			w.onBatch(now, from, to, kind, ids)
 		})
 	}
-	group.Each(func(s int) {
-		for id, hi := sn.Range(s); id < hi; id++ {
-			if !sh.mask.Alive(id) {
-				sn.Shard(s).Crash(simnet.NodeID(id))
-			}
-		}
+	run.Each(func(s int) {
+		run.CrashFailed(s)
 		workers[s].armPublishes(kernels[s])
 		workers[s].installTick(kernels[s])
 	})
 
 	if inject != nil {
-		inject(core.NewNetRunFuncs(ctl, sn, sh.view, sh.mask,
-			func(id int) bool { return hasReceivedLatest(sh, workers, cfg.N, id, ctl.Now()) },
-			func() int {
+		inject(run.NetRun(sh.view, core.RunHooks{
+			HasReceived: func(id int) bool { return hasReceivedLatest(sh, workers, cfg.N, id, ctl.Now()) },
+			Delivered: func() int {
 				total := 0
 				for _, w := range workers {
 					total += w.firstTotal
 				}
 				return total
 			},
-			st.Pending,
-			func(id int) {
-				if id < 0 || id >= cfg.N {
-					return
-				}
+			Publish: func(id int) {
 				// Latest is resolved at the barrier (workers parked);
 				// the publish itself executes on the owning shard's
 				// clock.
 				latest := latestPublished(sh, ctl.Now())
 				s := id / block
-				st.OnShard(s, func(now sim.Time) { workers[s].scenarioPublish(id, latest, now) })
-			}))
+				run.OnShard(s, func(now sim.Time) { workers[s].scenarioPublish(id, latest, now) })
+			},
+		}))
 	}
 
-	var onBarrier func(now sim.Time, fired uint64)
-	if opts.Progress != nil {
-		onBarrier = func(now sim.Time, fired uint64) { opts.Progress(fired, now) }
-	}
-	if err := group.Run(sn.Flush, sn.Buffered, onBarrier); err != nil {
+	if err := run.Drive(); err != nil {
 		return Result{}, fmt.Errorf("stream: execution aborted: %w", err)
 	}
 	end := ctl.Now()

@@ -3,6 +3,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"gossipkit/internal/dist"
@@ -11,17 +12,12 @@ import (
 	"gossipkit/internal/stats"
 )
 
-// RNG split indices on the run's root stream. Splitting never advances
-// the parent, so the publish schedule and the failure mask are identical
-// across every shard count. The constants collide with no other split
-// index in the tree (0xfeed is the network stream, by convention shared
-// with the core executors; the shard split differs from core's on
-// purpose — the streams are unrelated).
-const (
-	publishSplit = 0x97ab31 // publish schedule (times + sources)
-	netSplit     = 0xfeed   // network latency/loss stream
-	shardSplit   = 0x57ea17 // per-shard run streams (shard s: +s)
-)
+// publishSplit is the publish schedule's (times + sources) split index on
+// the run's root stream. Splitting never advances the parent, so the
+// schedule and the failure mask are identical across every shard count;
+// the per-shard run and network streams are core.Run's layout. The index
+// collides with no other split constant in the tree.
+const publishSplit = 0x97ab31
 
 // Message tags pack (message id, message kind) into the simnet tag word:
 // tag = id<<kindBits | kind. Ids at or above simnet's packed-tag band box
@@ -174,8 +170,8 @@ type Config struct {
 	// are neither buffered nor forwarded. Zero defaults to 8.
 	ActiveRounds int
 	// RoundInterval is the gossip round tick; zero derives it from the
-	// latency model exactly as the protocol runtime does (the latency
-	// bound when the model has one, else 20ms; 1ms with no model).
+	// latency model exactly as the protocol runtime does
+	// (simnet.Config.RoundInterval).
 	RoundInterval time.Duration
 	// View is the membership view targets are drawn from; nil means the
 	// full view.
@@ -209,8 +205,8 @@ func (c Config) normalize() (Config, error) {
 	if c.N < 2 {
 		return c, fmt.Errorf("stream: group size %d < 2", c.N)
 	}
-	if c.Rate <= 0 {
-		return c, fmt.Errorf("stream: offered rate %g msgs/s must be positive", c.Rate)
+	if !(c.Rate > 0) || math.IsInf(c.Rate, 0) { // NaN fails every comparison
+		return c, fmt.Errorf("stream: offered rate %g msgs/s must be positive and finite", c.Rate)
 	}
 	if c.Duration <= 0 {
 		return c, fmt.Errorf("stream: publish window %v must be positive", c.Duration)
@@ -233,7 +229,7 @@ func (c Config) normalize() (Config, error) {
 	if c.AliveRatio == 0 {
 		c.AliveRatio = 1
 	}
-	if c.AliveRatio < 0 || c.AliveRatio > 1 {
+	if !(c.AliveRatio >= 0 && c.AliveRatio <= 1) {
 		return c, fmt.Errorf("stream: alive ratio %g outside [0, 1]", c.AliveRatio)
 	}
 	if c.BufferCap == 0 {
@@ -255,25 +251,6 @@ func (c Config) normalize() (Config, error) {
 		return c, fmt.Errorf("stream: view over %d members for group size %d", c.View.N(), c.N)
 	}
 	return c, nil
-}
-
-// interval resolves the round tick, mirroring the protocol runtime's
-// derivation: an explicit RoundInterval wins; otherwise the latency
-// model's bound (so a round's messages land before the next round), 20ms
-// for unbounded models, 1ms with no model.
-func (c Config) interval(netCfg simnet.Config) time.Duration {
-	if c.RoundInterval > 0 {
-		return c.RoundInterval
-	}
-	if netCfg.Latency == nil {
-		return time.Millisecond
-	}
-	if b, ok := netCfg.Latency.(simnet.LatencyBounder); ok {
-		if d, bounded := b.LatencyBound(); bounded && d > 0 {
-			return d
-		}
-	}
-	return 20 * time.Millisecond
 }
 
 // MessageOutcome classifies one scheduled message's fate at quiescence.

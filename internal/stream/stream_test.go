@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -482,10 +483,19 @@ func TestConfigValidation(t *testing.T) {
 		{N: 8, Rate: 1, Duration: time.Second, Fanout: dist.NewFixed(2), AliveRatio: 1.5},
 		{N: 8, Rate: 1, Duration: time.Second, Fanout: dist.NewFixed(2), BufferCap: -1},
 		{N: 8, Rate: 1, Duration: time.Second, Fanout: dist.NewFixed(2), ActiveRounds: -1},
+		{N: 8, Rate: math.NaN(), Duration: time.Second, Fanout: dist.NewFixed(2)},
+		{N: 8, Rate: math.Inf(1), Duration: time.Second, Fanout: dist.NewFixed(2)},
+		{N: 8, Rate: 1, Duration: time.Second, Fanout: dist.NewFixed(2), AliveRatio: math.NaN()},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg, testNetConfig(), xrand.New(1)); err == nil {
 			t.Errorf("config %d: expected validation error", i)
 		}
+	}
+	// A rate so low that the first arrival overflows the virtual clock is
+	// a valid run over an empty schedule, not a panic.
+	tiny := Config{N: 8, Rate: 1e-11, Duration: time.Second, Fanout: dist.NewFixed(2)}
+	if res, err := Run(tiny, testNetConfig(), xrand.New(1)); err != nil || res.Scheduled != 0 {
+		t.Errorf("rate 1e-11: scheduled %d, err %v; want an empty schedule", res.Scheduled, err)
 	}
 }

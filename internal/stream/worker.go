@@ -420,15 +420,12 @@ func (w *worker) tick(now sim.Time) {
 	}
 }
 
-// scenarioPublish is the core.NetRun publish hook for member id: if id
-// lacks the most recently published message (latest, -1 for none) it
-// obtains it out of band — an additional publisher — otherwise it
-// re-gossips its whole buffer in one eager burst. Runs on the worker's
-// own clock.
+// scenarioPublish is the core.NetRun publish hook for member id (up and
+// alive, NetRun.Publish saw to that): if id lacks the most recently
+// published message (latest, -1 for none) it obtains it out of band — an
+// additional publisher — otherwise it re-gossips its whole buffer in one
+// eager burst. Runs on the worker's own clock.
 func (w *worker) scenarioPublish(id, latest int, now sim.Time) {
-	if !w.sh.mask.Alive(id) || !w.nw.Up(simnet.NodeID(id)) {
-		return
-	}
 	if latest >= 0 && !w.bits.Get(latest, w.local(id)) {
 		w.receiveData(id, latest, now, false)
 		return

@@ -1,12 +1,19 @@
 #!/bin/sh
 # lint-api.sh — fail CI when a binary or an example reaches past the
-# facade for a baseline protocol.
+# facade for a baseline protocol, or when a DES front end assembles its
+# own sharded run.
 #
-# One grep (no linter dependency, runs anywhere a POSIX shell does): cmd/
-# and examples/ must not import internal/protocols — the facade engine
-# specs (Pbcast, ..., Flooding, Compare) are the only supported protocol
-# surface. (Other internal imports — the sim/simnet substrate the node
-# demos build on — stay allowed.)
+# Two greps (no linter dependency, runs anywhere a POSIX shell does):
+#
+#   - cmd/ and examples/ must not import internal/protocols — the facade
+#     engine specs (Pbcast, ..., Flooding, Compare) are the only supported
+#     protocol surface. (Other internal imports — the sim/simnet substrate
+#     the node demos build on — stay allowed.)
+#   - outside internal/sim, internal/simnet and internal/core/run.go, no
+#     non-test file builds a shard group, sizes or resets the sharded
+#     fabric, or hands its Flush/Buffered to a group: a run is leased,
+#     laid out, driven and closed by core.Run (NetArena.Begin ... Drive),
+#     and a fourth front end gets its run there, not from a fourth copy.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -45,4 +52,14 @@ scan "\"gossipkit/internal/protocols\"" \
     "reach the baselines through the facade engine specs (gossipkit.Pbcast, ..., gossipkit.Compare)" \
     cmd examples
 
-echo "api-lint: cmd/ and examples/ are clean (no internal/protocols imports)"
+# find, not grep --exclude: the one exempt file is named by path, and
+# stream/run.go must stay in the scan.
+assembly_files=$(find . -name '*.go' ! -name '*_test.go' \
+    ! -path './internal/sim/*' ! -path './internal/simnet/*' ! -path './internal/core/run.go')
+# shellcheck disable=SC2086 # one word per file: the tree has no spaces in paths
+scan 'NewShardGroup\(|\.Prepare\(|\.ResetShard\(|\.(Flush|Buffered)[,)]' \
+    "sharded-run assembly outside internal/core/run.go" \
+    "get the run from core.NetArena.Begin and drive it with Run.Drive" \
+    $assembly_files
+
+echo "api-lint: cmd/ and examples/ are clean (no internal/protocols imports); one run assembly (internal/core/run.go)"

@@ -28,16 +28,19 @@ for dir in cmd/*/; do
 done
 # ARCHITECTURE.md must keep the "Parallel kernel" section in sync with the
 # one DES executor: the section heading plus its load-bearing anchors (the
-# entry point, the shard-count resolver and block partition, the pooled
-# state every shard count shares, the two-level determinism contract and
-# the goldens that pin its one-shard case). A rename in code without the
+# entry point, the shard-count resolver and block partition, the one run
+# assembly every front end and shard count shares — its type, where it
+# opens and where it closes — the two-level determinism contract and the
+# goldens that pin its one-shard case). A rename in code without the
 # matching doc update fails here.
 for anchor in \
     "## Parallel kernel" \
     "ExecuteOnNetworkSharded" \
     "EffectiveShards" \
     "ShardBlocks" \
-    "core.RunState" \
+    "core.Run" \
+    "Begin" \
+    "Drive" \
     "Determinism contract" \
     "testdata/oracle.golden" \
     "LatencyFloorer"; do
@@ -115,10 +118,13 @@ for anchor in \
     fi
 done
 # The pre-Engine facade functions, runpool.Progress,
-# simnet.LatencyRecorder, the stream twin of the shard merge and the four
-# histogram-shape probe options are deleted; README and ARCHITECTURE must not
-# describe them as if they existed. (Only names no surviving identifier
-# contains: core.RunSuccess and core.NewNetArena are still real.)
+# simnet.LatencyRecorder, the stream twin of the shard merge, the four
+# histogram-shape probe options and the pieces the front ends hand-built
+# their runs from before core.Run (RunState, the NetRun constructors, the
+# Fabric interface, the stream's private shard split) are deleted; README
+# and ARCHITECTURE must not describe them as if they existed. (Only names
+# no surviving identifier contains: core.RunSuccess and core.NewNetArena
+# are still real.)
 for gone in \
     "deprecated\.go" \
     "SweepScenarios" \
@@ -136,7 +142,11 @@ for gone in \
     "LatencyBinWidth" \
     "LatencyBins" \
     "HopBins" \
-    "FanoutBins"; do
+    "FanoutBins" \
+    "RunState" \
+    "NewNetRun" \
+    "simnet\.Fabric" \
+    "0x57ea17"; do
     if hits=$(grep -n "$gone" README.md ARCHITECTURE.md); then
         echo "docs-lint: README/ARCHITECTURE mention the deleted '$gone':" >&2
         echo "$hits" >&2
