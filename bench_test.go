@@ -1,9 +1,10 @@
 // Benchmarks regenerating every evaluation artifact of the paper (it has
 // figures only, no numbered tables): Figs. 2–7, plus the ablation studies
-// from DESIGN.md. Each benchmark times one full regeneration of the
-// corresponding figure at a reduced replication scale (benchScale) so the
-// whole suite stays tractable; cmd/experiments -all -scale 1.0 produces the
-// full-scale artifacts recorded in EXPERIMENTS.md.
+// registered beside them in internal/experiment (experiment.All). Each
+// benchmark times one full regeneration of the corresponding figure at a
+// reduced replication scale (benchScale) so the whole suite stays tractable;
+// cmd/experiments -all -scale 1.0 writes the full-scale artifacts, one CSV
+// and one annotated ASCII chart per figure.
 package gossipkit
 
 import (

@@ -1,5 +1,6 @@
 // Command experiments regenerates every figure of the paper (Figs. 2–7)
-// plus the ablation studies in DESIGN.md, writing CSVs and ASCII charts.
+// plus the ablation and extension studies registered with them in
+// internal/experiment (-list prints every id), writing CSVs and ASCII charts.
 //
 // Usage:
 //

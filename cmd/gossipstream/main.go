@@ -129,7 +129,7 @@ func run(ctx context.Context, o options) error {
 	}
 
 	net := gossipkit.NetConfig{Latency: gossipkit.UniformLatency(o.latLo, o.latHi)}
-	if o.loss > 0 {
+	if o.loss != 0 { // out-of-range and NaN included: the engine rejects them
 		net.Loss = gossipkit.BernoulliLoss(o.loss)
 	}
 

@@ -390,28 +390,22 @@ func execute(ctx context.Context, spec Engine, o *runOptions) (*Outcome, error) 
 	return out, nil
 }
 
-// replicate is the facade's one replication policy, shared by the Network,
-// Stream and protocol engines: o.runs seeded executions on a worker pool,
-// run i on stream xrand.New(o.seed).Split(i) with the worker's pooled state
-// (newState builds a worker's arena and probe on its first run), results
-// handed to reduce in run order. A WithRNG execution is the n = 1 case on
-// the caller's stream; pooled state is result-neutral by the arena
+// replicate is the facade's replication policy, shared by the Network,
+// Stream and protocol engines: o.runs seeded executions on
+// runpool.Replicate, run i on stream xrand.New(o.seed).Split(i) with the
+// worker's pooled state (newState builds a worker's arena and probe),
+// results handed to reduce in run order. A WithRNG execution is the n = 1
+// case on the caller's stream; pooled state is result-neutral by the arena
 // contracts, so it takes the same path.
-func replicate[S comparable, T any](ctx context.Context, o *runOptions, newState func() S, run func(r *xrand.RNG, st S) (T, error), reduce func(T)) error {
+func replicate[S, T any](ctx context.Context, o *runOptions, newState func() S, run func(r *xrand.RNG, st S) (T, error), reduce func(T)) error {
 	root := xrand.New(o.seed)
-	workers := runpool.Count(o.workers, o.runs)
-	states := make([]S, workers)
-	var unset S
-	return runpool.RunOrdered(ctx, o.runs, workers,
-		func(w, i int) (T, error) {
-			if states[w] == unset {
-				states[w] = newState()
-			}
+	return runpool.Replicate(ctx, o.runs, o.workers, newState,
+		func(i int, st S) (T, error) {
 			r := o.rng
 			if r == nil {
 				r = root.Split(uint64(i))
 			}
-			return run(r, states[w])
+			return run(r, st)
 		}, func(_ int, v T) { reduce(v) })
 }
 

@@ -3,6 +3,7 @@ package gossipkit
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -321,9 +322,9 @@ func TestCampaignGridAggregate(t *testing.T) {
 	if out.Runs != 2*2*2*2 {
 		t.Fatalf("outcome saw %d runs, want one per grid execution", out.Runs)
 	}
-	old, err := scenario.SweepGrid(scenarios, scenario.GridConfig{
+	old, err := scenario.SweepGridCtx(context.Background(), scenarios, scenario.GridConfig{
 		Run: cfg, Qs: qs, Fanouts: fans, Seeds: 2, BaseSeed: 5, Workers: 1,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +349,7 @@ func TestSuccessEngineSemantics(t *testing.T) {
 		t.Errorf("Run emitted %d simulations, want the spec's 5", out.Runs)
 	}
 	agg := out.Aggregate.(SuccessOutcome)
-	old, err := core.RunSuccess(p, 11)
+	old, err := core.RunSuccessCtx(context.Background(), p, 11, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,5 +407,62 @@ func TestAnalyticAgainstMonteCarlo(t *testing.T) {
 	}
 	if diff := mc.Reliability.Mean - pred.Reliability; diff > 0.03 || diff < -0.03 {
 		t.Errorf("Monte-Carlo %.4f vs analytic %.4f", mc.Reliability.Mean, pred.Reliability)
+	}
+}
+
+// TestEdgeSizes pins the boundary sizes nothing else runs: the two smallest
+// groups, fanouts from zero to beyond the group, an ideal (zero-latency)
+// and a jittered network, more shards than members and an overlay degree
+// no smaller than the group — on every engine that simulates. A
+// combination may be refused, but only as invalid parameters; whatever
+// runs reports a delivery that fits the group.
+func TestEdgeSizes(t *testing.T) {
+	for _, n := range []int{2, 3} {
+		for _, fanout := range []int{0, 1, n, n + 3} {
+			for _, net := range []NetConfig{{}, {Latency: UniformLatency(time.Millisecond, 5*time.Millisecond)}} {
+				for oi, opt := range [][]Option{nil, {WithShards(4)}, {WithTopology(KOutTopology(n + 1))}} {
+					p := Params{N: n, Fanout: FixedFanout(fanout), AliveRatio: 0.7}
+					sc := StreamConfig{N: n, Rate: 200, Duration: 50 * time.Millisecond, Fanout: FixedFanout(fanout), AliveRatio: 0.7}
+					perID, batched := sc, sc
+					perID.Discipline = StreamPushPull
+					batched.Discipline, batched.Batch = StreamFlood, true
+					for _, eng := range []Engine{
+						Network{Params: p, Net: net},
+						MonteCarlo{Params: p, Metric: GiantComponent},
+						MonteCarlo{Params: p, Metric: SourceReach},
+						Success{Params: SuccessParams{Params: p, Executions: 3, Simulations: 2}},
+						Pbcast{Params: PbcastParams{N: n, Fanout: fanout, Rounds: 4, AliveRatio: 0.7}, Net: net},
+						Lpbcast{Params: LpbcastParams{N: n, Fanout: fanout, Rounds: 4, BufferSize: 4, Events: 2, AliveRatio: 0.7, ViewCopies: 1}, Net: net},
+						AntiEntropy{Params: AntiEntropyParams{N: n, Mode: PushPull, AliveRatio: 0.7}, Net: net},
+						RDG{Params: RDGParams{N: n, Fanout: fanout, PushRounds: 3, RecoveryRounds: 2, AliveRatio: 0.7, ViewCopies: 1}, Net: net},
+						LRG{Params: LRGParams{N: n, Degree: n - 1, GossipProb: 0.7, RepairRounds: 2, AliveRatio: 0.7}, Net: net},
+						Flooding{Params: FloodingParams{N: n, AliveRatio: 0.7}, Net: net},
+						Stream{Config: perID, Net: net},
+						Stream{Config: batched, Net: net},
+					} {
+						name := fmt.Sprintf("%s n=%d fanout=%d latency=%v option=%d", eng.Name(), n, fanout, net.Latency != nil, oi)
+						out, err := RunMany(context.Background(), eng, 2, append([]Option{WithSeed(5)}, opt...)...)
+						if err != nil {
+							if !errors.Is(err, ErrInvalidParams) {
+								t.Errorf("%s: error %v, want ErrInvalidParams or a result", name, err)
+							}
+							continue
+						}
+						for _, r := range out.Reports {
+							if !(r.Reliability >= 0 && r.Reliability <= 1) {
+								t.Errorf("%s run %d: reliability %g outside [0,1]", name, r.Run, r.Reliability)
+							}
+							most := r.AliveCount
+							if res, ok := r.Detail.(StreamResult); ok {
+								most *= res.Published // first receipts summed over the run's messages
+							}
+							if r.AliveCount > n || r.Delivered > most {
+								t.Errorf("%s run %d: delivered %d, alive %d of %d", name, r.Run, r.Delivered, r.AliveCount, n)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

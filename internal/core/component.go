@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"gossipkit/internal/failure"
 	"gossipkit/internal/graph"
 	"gossipkit/internal/runpool"
 	"gossipkit/internal/stats"
@@ -25,8 +26,8 @@ import (
 // by the early-die-out mass: a single execution fizzles near the source
 // with probability ≈ 1−S, making E[directed reach] ≈ S² for Poisson, while
 // the giant out-component exists independently of where the source sits.
-// Ablation A6 in DESIGN.md quantifies the gap; both metrics are first-class
-// here.
+// Ablation A6 (experiment.AblationReachVsGiant) quantifies the gap; both
+// metrics are first-class here.
 type ComponentResult struct {
 	// AliveCount is the number of nonfailed members.
 	AliveCount int
@@ -56,7 +57,13 @@ func ComponentReliability(p Params, r *xrand.RNG) (ComponentResult, error) {
 	if err := p.Validate(); err != nil {
 		return ComponentResult{}, err
 	}
-	mask := p.drawMask(r)
+	return componentReliability(p, new(failure.Mask), r), nil
+}
+
+// componentReliability is ComponentReliability for validated p on a mask the
+// caller pools: it is redrawn in place.
+func componentReliability(p Params, mask *failure.Mask, r *xrand.RNG) ComponentResult {
+	p.drawMaskInto(mask, r)
 	view := p.view()
 	g := graph.NewDigraph(p.N)
 	targets := make([]int, 0, 16)
@@ -91,7 +98,7 @@ func ComponentReliability(p Params, r *xrand.RNG) (ComponentResult, error) {
 	if res.AliveCount > 0 {
 		res.Reliability = float64(res.GiantSize) / float64(res.AliveCount)
 	}
-	return res, nil
+	return res
 }
 
 // ComponentEstimate aggregates Monte-Carlo giant-component statistics.
@@ -114,13 +121,6 @@ type ComponentEstimate struct {
 // order, regardless of worker count.
 type ComponentObserver func(run int, res ComponentResult)
 
-// EstimateComponentReliability runs `runs` independent giant-component
-// executions in parallel (deterministic for a given seed); see
-// EstimateComponentReliabilityCtx.
-func EstimateComponentReliability(p Params, runs int, seed uint64) (ComponentEstimate, error) {
-	return EstimateComponentReliabilityCtx(context.Background(), p, runs, seed, 0, nil)
-}
-
 // EstimateComponentReliabilityCtx runs `runs` independent giant-component
 // executions on a worker pool. Run i consumes the RNG stream split at
 // index i and results are reduced in run order, so the estimate is
@@ -135,14 +135,11 @@ func EstimateComponentReliabilityCtx(ctx context.Context, p Params, runs int, se
 		return ComponentEstimate{}, fmt.Errorf("core: run count %d < 1", runs)
 	}
 	root := xrand.New(seed)
-	// Streaming reduction in run order: same accumulation order as a
-	// post-hoc loop over a full result buffer (worker-count-invariant),
-	// without holding all `runs` results live.
 	var rel, reach stats.Running
 	inG := 0
-	err := runpool.RunOrdered(ctx, runs, runpool.Count(workers, runs),
-		func(w, run int) (ComponentResult, error) {
-			return ComponentReliability(p, root.Split(uint64(run)))
+	err := runpool.Replicate(ctx, runs, workers, func() *failure.Mask { return new(failure.Mask) },
+		func(run int, mask *failure.Mask) (ComponentResult, error) {
+			return componentReliability(p, mask, root.Split(uint64(run))), nil
 		}, func(run int, res ComponentResult) {
 			rel.Add(res.Reliability)
 			if res.AliveCount > 0 {

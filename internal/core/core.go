@@ -91,16 +91,10 @@ func (p Params) view() membership.View {
 	return membership.NewFullView(p.N)
 }
 
-// drawMask samples the alive set for one execution.
-func (p Params) drawMask(r *xrand.RNG) *failure.Mask {
-	if p.MaskKind == Bernoulli {
-		return failure.BernoulliMask(p.N, p.AliveRatio, p.Source, r)
-	}
-	return failure.ExactMask(p.N, p.AliveRatio, p.Source, r)
-}
-
-// drawMaskInto redraws a pooled mask in place, consuming the same random
-// stream as drawMask so pooled and fresh runs are byte-identical.
+// drawMaskInto samples the alive set for one execution into m, redrawing it
+// in place. A pooled mask consumes the same random stream as a fresh one
+// (failure.Mask.FillExact, FillBernoulli), so pooled and fresh runs are
+// byte-identical.
 func (p Params) drawMaskInto(m *failure.Mask, r *xrand.RNG) {
 	if p.MaskKind == Bernoulli {
 		m.FillBernoulli(p.N, p.AliveRatio, p.Source, r)
@@ -136,7 +130,7 @@ func ExecuteOnce(p Params, r *xrand.RNG) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
-	return newExecutor(p).run(p.drawMask(r), r), nil
+	return newExecutor(p).execute(r), nil
 }
 
 // ExecuteWithMask runs one execution against a caller-supplied failure
@@ -157,10 +151,12 @@ func ExecuteWithMask(p Params, mask *failure.Mask, r *xrand.RNG) (Result, error)
 
 // executor holds the reusable per-worker buffers for executions. One
 // executor serves many runs of the same Params (same N and view), which
-// keeps the Monte-Carlo inner loop allocation-free.
+// keeps the Monte-Carlo inner loop allocation-free — the failure mask
+// included: execute redraws the executor's own.
 type executor struct {
 	params   Params
 	view     membership.View
+	mask     failure.Mask
 	received []bool
 	depth    []int32
 	queue    []int32
@@ -177,6 +173,12 @@ func newExecutor(p Params) *executor {
 		queue:    make([]int32, 0, p.N),
 		targets:  make([]int, 0, 16),
 	}
+}
+
+// execute redraws the executor's mask from r and runs once against it.
+func (e *executor) execute(r *xrand.RNG) Result {
+	e.params.drawMaskInto(&e.mask, r)
+	return e.run(&e.mask, r)
 }
 
 // run is the heart of the reproduction: a queue-based simulation of the

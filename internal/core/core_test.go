@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -140,7 +141,7 @@ func TestSimulationMatchesAnalyticModel(t *testing.T) {
 		{5000, 2.5, 0.8},
 	} {
 		p := poissonParams(c.n, c.z, c.q)
-		est, err := EstimateComponentReliability(p, 40, 42)
+		est, err := EstimateComponentReliabilityCtx(context.Background(), p, 40, 42, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +167,7 @@ func TestDirectedReachEqualsSTimesOutbreak(t *testing.T) {
 	// source with probability ≈ 1−S), strictly below the paper's S.
 	z, q := 4.0, 0.9
 	p := poissonParams(2000, z, q)
-	est, err := EstimateReliability(p, 400, 13)
+	est, err := EstimateReliabilityCtx(context.Background(), p, 400, 13, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestDirectedReachEqualsSTimesOutbreak(t *testing.T) {
 		t.Errorf("directed mean %.4f should sit below S = %.4f", est.Mean, s)
 	}
 	// The SourceInGiant frequency of the component semantics is S too.
-	cEst, err := EstimateComponentReliability(p, 400, 14)
+	cEst, err := EstimateComponentReliabilityCtx(context.Background(), p, 400, 14, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestFixedFanoutMatchesForwardSpreadNotUndirectedModel(t *testing.T) {
 	// moderate fanout and q=1 (undirected: S=1 for Fixed(3); directed
 	// spread: y = 1-e^{-3y} ≈ 0.941).
 	p := Params{N: 5000, Fanout: dist.NewFixed(3), AliveRatio: 1, Source: 0}
-	est, err := EstimateReliability(p, 40, 7)
+	est, err := EstimateReliabilityCtx(context.Background(), p, 40, 7, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,11 +239,11 @@ func TestMaskKindsAgree(t *testing.T) {
 	pe := poissonParams(2000, 4, 0.8)
 	pb := pe
 	pb.MaskKind = Bernoulli
-	ee, err := EstimateComponentReliability(pe, 40, 11)
+	ee, err := EstimateComponentReliabilityCtx(context.Background(), pe, 40, 11, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eb, err := EstimateComponentReliability(pb, 40, 12)
+	eb, err := EstimateComponentReliabilityCtx(context.Background(), pb, 40, 12, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,18 +272,18 @@ func TestExecuteWithMaskValidation(t *testing.T) {
 
 func TestEstimateReliabilityDeterministic(t *testing.T) {
 	p := poissonParams(500, 4, 0.8)
-	a, err := EstimateReliability(p, 30, 99)
+	a, err := EstimateReliabilityCtx(context.Background(), p, 30, 99, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EstimateReliability(p, 30, 99)
+	b, err := EstimateReliabilityCtx(context.Background(), p, 30, 99, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Errorf("same seed, different estimates:\n%+v\n%+v", a, b)
 	}
-	c, err := EstimateReliability(p, 30, 100)
+	c, err := EstimateReliabilityCtx(context.Background(), p, 30, 100, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +294,7 @@ func TestEstimateReliabilityDeterministic(t *testing.T) {
 
 func TestEstimateReliabilityFields(t *testing.T) {
 	p := poissonParams(500, 4, 0.8)
-	est, err := EstimateReliability(p, 25, 5)
+	est, err := EstimateReliabilityCtx(context.Background(), p, 25, 5, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +307,7 @@ func TestEstimateReliabilityFields(t *testing.T) {
 	if est.CI95 <= 0 || est.MeanMessages <= 0 || est.MeanRounds <= 0 {
 		t.Errorf("degenerate aggregates: %+v", est)
 	}
-	if _, err := EstimateReliability(p, 0, 1); err == nil {
+	if _, err := EstimateReliabilityCtx(context.Background(), p, 0, 1, 0, nil); err == nil {
 		t.Error("zero runs accepted")
 	}
 }
@@ -348,11 +349,11 @@ func TestPartialViewReliabilityClose(t *testing.T) {
 	pFull := poissonParams(n, 4, 0.9)
 	pPart := pFull
 	pPart.View = pv
-	full, err := EstimateReliability(pFull, 30, 21)
+	full, err := EstimateReliabilityCtx(context.Background(), pFull, 30, 21, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := EstimateReliability(pPart, 30, 22)
+	part, err := EstimateReliabilityCtx(context.Background(), pPart, 30, 22, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,11 +365,11 @@ func TestPartialViewReliabilityClose(t *testing.T) {
 func TestRoundsGrowLogarithmically(t *testing.T) {
 	// Gossip spreads in O(log n) hops; doubling n four times should add
 	// only a few rounds.
-	est1, err := EstimateReliability(poissonParams(500, 6, 1), 20, 3)
+	est1, err := EstimateReliabilityCtx(context.Background(), poissonParams(500, 6, 1), 20, 3, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	est2, err := EstimateReliability(poissonParams(8000, 6, 1), 20, 4)
+	est2, err := EstimateReliabilityCtx(context.Background(), poissonParams(8000, 6, 1), 20, 4, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +394,7 @@ func BenchmarkExecuteOnce1000(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ex.run(p.drawMask(r), r)
+		_ = ex.execute(r)
 	}
 }
 
@@ -404,7 +405,7 @@ func BenchmarkExecuteOnce5000(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ex.run(p.drawMask(r), r)
+		_ = ex.execute(r)
 	}
 }
 
@@ -412,7 +413,7 @@ func BenchmarkEstimateReliabilityParallel(b *testing.B) {
 	p := poissonParams(1000, 4, 0.9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EstimateReliability(p, 20, uint64(i)); err != nil {
+		if _, err := EstimateReliabilityCtx(context.Background(), p, 20, uint64(i), 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

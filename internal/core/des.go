@@ -140,21 +140,16 @@ func (a *NetArena) Targets() []int { return a.states[0].targets }
 // SetTargets returns the sampling buffer leased with Targets.
 func (a *NetArena) SetTargets(t []int) { a.states[0].targets = t }
 
-// ExecuteOnNetwork runs one execution of the general gossiping algorithm as
-// an event-driven protocol over a simulated network: each first receipt
-// triggers fanout selection and sends, each send incurs the network's
-// latency and loss. With zero latency and no loss the set of members
-// reached is distributed identically to ExecuteOnce (an integration test
-// asserts this); with loss or partitions, the network becomes an additional
-// failure source beyond the paper's model. It is ExecuteOnNetworkSharded
-// on one shard, like the two variants below.
-func ExecuteOnNetwork(p Params, netCfg simnet.Config, r *xrand.RNG) (NetResult, error) {
-	return ExecuteOnNetworkSharded(p, netCfg, r, nil, nil, nil, ShardOptions{Shards: 1})
-}
-
-// ExecuteOnNetworkArena is ExecuteOnNetwork with a fault-injection hook
-// and caller-supplied buffer reuse, both optional (see
-// ExecuteOnNetworkSharded).
+// ExecuteOnNetworkArena runs one execution of the general gossiping
+// algorithm as an event-driven protocol over a simulated network: each first
+// receipt triggers fanout selection and sends, each send incurs the
+// network's latency and loss. With zero latency and no loss the set of
+// members reached is distributed identically to ExecuteOnce (an integration
+// test asserts this); with loss or partitions, the network becomes an
+// additional failure source beyond the paper's model. It is
+// ExecuteOnNetworkSharded on one shard, like the variant below, with a
+// fault-injection hook and caller-supplied buffer reuse, both optional (see
+// there).
 func ExecuteOnNetworkArena(p Params, netCfg simnet.Config, r *xrand.RNG, inject func(*NetRun), arena *NetArena) (NetResult, error) {
 	return ExecuteOnNetworkSharded(p, netCfg, r, inject, arena, nil, ShardOptions{Shards: 1})
 }
@@ -172,24 +167,14 @@ func TimingEquivalent(p Params, seed uint64) (bool, error) {
 	if err := p.Validate(); err != nil {
 		return false, err
 	}
-	run := func(tm failure.Timing) ([]int32, *failure.Mask, error) {
+	run := func(tm failure.Timing) []int32 {
 		pp := p
 		pp.Timing = tm
-		r := xrand.New(seed)
-		mask := pp.drawMask(r)
 		ex := newExecutor(pp)
-		ex.run(mask, r)
-		out := append([]int32(nil), ex.delivered()...)
-		return out, mask, nil
+		ex.execute(xrand.New(seed))
+		return ex.delivered()
 	}
-	a, _, err := run(failure.BeforeReceive)
-	if err != nil {
-		return false, err
-	}
-	b, _, err := run(failure.AfterReceive)
-	if err != nil {
-		return false, err
-	}
+	a, b := run(failure.BeforeReceive), run(failure.AfterReceive)
 	if len(a) != len(b) {
 		return false, nil
 	}

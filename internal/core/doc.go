@@ -20,11 +20,17 @@
 // (the paper's own setting). ExecuteOnNetworkSharded runs it as a
 // discrete-event protocol over internal/simnet, where latency, loss,
 // partitions, and mid-run fault injection apply, on any number of shard
-// kernels; ExecuteOnNetwork, ExecuteOnNetworkArena and
-// ExecuteOnNetworkProbed are that executor on one shard, the default.
+// kernels; ExecuteOnNetworkArena and ExecuteOnNetworkProbed are that
+// executor on one shard, the default.
 // Every execution is a pure function of its Params, seed, injection hook
 // and shard count — results are byte-identical across machines, worker
 // counts, and arena reuse, and statistically pinned across shard counts.
+//
+// The Monte-Carlo estimators on the untimed executor (EstimateReliabilityCtx,
+// EstimateComponentReliabilityCtx, RunSuccessCtx, MeanTraceRounds) are sweeps
+// on runpool.Replicate: replication i runs on the stream split at index i on
+// its worker's executor, which redraws its own failure mask in place, and
+// results reduce in run order, so an estimate depends on the seed alone.
 //
 // The package also owns the run assembly every DES front end stands on
 // (run.go): NetArena.Begin leases the pooled state as a Run and lays out

@@ -34,12 +34,6 @@ type Estimate struct {
 // worker completed the ordered prefix.
 type RunObserver func(run int, res Result)
 
-// EstimateReliability runs `runs` independent executions of the algorithm
-// and returns aggregate statistics; see EstimateReliabilityCtx.
-func EstimateReliability(p Params, runs int, seed uint64) (Estimate, error) {
-	return EstimateReliabilityCtx(context.Background(), p, runs, seed, 0, nil)
-}
-
 // EstimateReliabilityCtx runs `runs` independent executions of the
 // algorithm on a worker pool and returns aggregate statistics of the
 // directed source reach. Run i consumes the RNG stream split at index i
@@ -55,21 +49,11 @@ func EstimateReliabilityCtx(ctx context.Context, p Params, runs int, seed uint64
 		return Estimate{}, fmt.Errorf("core: run count %d < 1", runs)
 	}
 	root := xrand.New(seed)
-	workers = runpool.Count(workers, runs)
-	exs := make([]*executor, workers)
-	// Streaming reduction in run order: identical float accumulation order
-	// to a post-hoc loop over a full result buffer (so the estimate stays
-	// worker-count-invariant) while keeping only out-of-order completions
-	// live instead of all `runs` results.
 	var rel, msgs, rnds stats.Running
-	err := runpool.RunOrdered(ctx, runs, workers, func(w, run int) (Result, error) {
-		ex := exs[w]
-		if ex == nil {
-			ex = newExecutor(p)
-			exs[w] = ex
-		}
-		r := root.Split(uint64(run))
-		return ex.run(p.drawMask(r), r), nil
+	err := runpool.Replicate(ctx, runs, workers, func() *executor {
+		return newExecutor(p)
+	}, func(run int, ex *executor) (Result, error) {
+		return ex.execute(root.Split(uint64(run))), nil
 	}, func(run int, res Result) {
 		rel.Add(res.Reliability)
 		msgs.Add(float64(res.MessagesSent))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -127,7 +128,7 @@ func TestFuzzSuccessAccounting(t *testing.T) {
 			Simulations:  1 + int(b%4),
 			ResampleMask: d%8 >= 4,
 		}
-		out, err := RunSuccess(p, uint64(c)+1)
+		out, err := RunSuccessCtx(context.Background(), p, uint64(c)+1, 0, nil)
 		if err != nil {
 			t.Logf("success error: %v", err)
 			return false

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
+	"gossipkit/internal/runpool"
 	"gossipkit/internal/xrand"
 )
 
@@ -26,17 +28,21 @@ func TraceRounds(p Params, r *xrand.RNG) (EpidemicTrace, error) {
 	if err := p.Validate(); err != nil {
 		return EpidemicTrace{}, err
 	}
-	ex := newExecutor(p)
-	res := ex.run(p.drawMask(r), r)
+	return newExecutor(p).trace(r), nil
+}
+
+// trace is TraceRounds on a pooled executor.
+func (e *executor) trace(r *xrand.RNG) EpidemicTrace {
+	res := e.execute(r)
 	counts := make([]int, res.Rounds+1)
-	for _, v := range ex.delivered() {
-		counts[ex.depth[v]]++
+	for _, v := range e.delivered() {
+		counts[e.depth[v]]++
 	}
 	// Convert to cumulative.
 	for i := 1; i < len(counts); i++ {
 		counts[i] += counts[i-1]
 	}
-	return EpidemicTrace{Infected: counts, Result: res}, nil
+	return EpidemicTrace{Infected: counts, Result: res}
 }
 
 // RecurrenceModel implements the round-recurrence analysis used by the
@@ -113,8 +119,10 @@ func RoundsToCoverage(n int, z, q, fraction float64, horizon int) (int, error) {
 
 // MeanTraceRounds averages `runs` infection curves (aligned per round,
 // ragged tails padded with each run's final value) — the simulation side
-// of RecurrenceModel. Deterministic for a given seed.
-func MeanTraceRounds(p Params, runs int, seed uint64) ([]float64, error) {
+// of RecurrenceModel. Run i traces the stream split at index i on its
+// worker's executor and the curves are summed in run order, so the mean is
+// deterministic for a given seed; cancellation aborts with ctx.Err().
+func MeanTraceRounds(ctx context.Context, p Params, runs int, seed uint64) ([]float64, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -124,15 +132,16 @@ func MeanTraceRounds(p Params, runs int, seed uint64) ([]float64, error) {
 	root := xrand.New(seed)
 	var curves [][]int
 	maxLen := 0
-	for i := 0; i < runs; i++ {
-		tr, err := TraceRounds(p, root.Split(uint64(i)))
-		if err != nil {
-			return nil, err
-		}
-		curves = append(curves, tr.Infected)
-		if len(tr.Infected) > maxLen {
-			maxLen = len(tr.Infected)
-		}
+	err := runpool.Replicate(ctx, runs, 0, func() *executor {
+		return newExecutor(p)
+	}, func(i int, ex *executor) ([]int, error) {
+		return ex.trace(root.Split(uint64(i))).Infected, nil
+	}, func(_ int, c []int) {
+		curves = append(curves, c)
+		maxLen = max(maxLen, len(c))
+	})
+	if err != nil {
+		return nil, err
 	}
 	mean := make([]float64, maxLen)
 	for _, c := range curves {

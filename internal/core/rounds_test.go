@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -90,7 +91,7 @@ func TestRecurrenceMatchesSimulatedTrace(t *testing.T) {
 	// and comparing plateaus within a die-out allowance.
 	n, z, q := 2000, 5.0, 0.9
 	p := poissonParams(n, z, q)
-	sim, err := MeanTraceRounds(p, 200, 11)
+	sim, err := MeanTraceRounds(context.Background(), p, 200, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +150,11 @@ func TestRoundsToCoverageGrowsLogarithmically(t *testing.T) {
 
 func TestMeanTraceRoundsDeterministic(t *testing.T) {
 	p := poissonParams(300, 4, 0.9)
-	a, err := MeanTraceRounds(p, 10, 5)
+	a, err := MeanTraceRounds(context.Background(), p, 10, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MeanTraceRounds(p, 10, 5)
+	b, err := MeanTraceRounds(context.Background(), p, 10, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestMeanTraceRoundsDeterministic(t *testing.T) {
 			t.Fatalf("diverged at %d", i)
 		}
 	}
-	if _, err := MeanTraceRounds(p, 0, 1); err == nil {
+	if _, err := MeanTraceRounds(context.Background(), p, 0, 1); err == nil {
 		t.Error("zero runs accepted")
 	}
 }

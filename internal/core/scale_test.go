@@ -32,7 +32,7 @@ func TestExecuteOnNetworkAtScale(t *testing.T) {
 	p := Params{N: n, Fanout: dist.NewPoisson(6), AliveRatio: 0.9}
 	cfg := simnet.Config{Latency: simnet.UniformLatency{Lo: time.Millisecond, Hi: 10 * time.Millisecond}}
 
-	fresh, err := ExecuteOnNetwork(p, cfg, xrand.New(11))
+	fresh, err := ExecuteOnNetworkArena(p, cfg, xrand.New(11), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestNetArenaPoolsFailureMask(t *testing.T) {
 	cfg := simnet.Config{Latency: simnet.UniformLatency{Lo: time.Millisecond, Hi: 10 * time.Millisecond}}
 	for _, kind := range []MaskKind{ExactCount, Bernoulli} {
 		p := Params{N: 20_000, Fanout: dist.NewPoisson(5), AliveRatio: 0.7, MaskKind: kind}
-		fresh, err := ExecuteOnNetwork(p, cfg, xrand.New(99))
+		fresh, err := ExecuteOnNetworkArena(p, cfg, xrand.New(99), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,9 +39,8 @@ type shardState struct {
 // opts.Shards shard kernels, shards advance in lookahead windows derived
 // from the latency model's floor, and cross-shard messages cross at window
 // barriers (see sim.ShardGroup and simnet.ShardedNet). On one shard — what
-// ExecuteOnNetwork, ExecuteOnNetworkArena and ExecuteOnNetworkProbed ask
-// for — the group is a single kernel drained in one go, with no windows,
-// barriers or goroutines.
+// ExecuteOnNetworkArena and ExecuteOnNetworkProbed ask for — the group is a
+// single kernel drained in one go, with no windows, barriers or goroutines.
 //
 // inject, if non-nil, is called with the run's NetRun after the network
 // and handlers are set up and before the source publishes at t=0, so it

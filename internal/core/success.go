@@ -24,7 +24,7 @@ type SuccessParams struct {
 	// instead of fixing it per simulation. The paper's Binomial analysis
 	// (X ~ B(t, R)) corresponds to a fixed mask per simulation — each
 	// execution then re-randomizes only the gossip — so false is the
-	// default; true is ablation A3 in DESIGN.md.
+	// default; true is ablation A3 (experiment.AblationFailureMask).
 	ResampleMask bool
 }
 
@@ -95,12 +95,6 @@ type SuccessSim struct {
 // regardless of worker count.
 type SuccessObserver func(sim int, s SuccessSim)
 
-// RunSuccess runs the success protocol and aggregates the receipt-count
-// distribution; see RunSuccessCtx.
-func RunSuccess(p SuccessParams, seed uint64) (SuccessOutcome, error) {
-	return RunSuccessCtx(context.Background(), p, seed, 0, nil)
-}
-
 // RunSuccessCtx runs the success protocol's p.Simulations independent
 // simulations on a worker pool with per-simulation RNG streams, so the
 // outcome depends only on the seed and is identical for any worker count
@@ -112,26 +106,17 @@ func RunSuccessCtx(ctx context.Context, p SuccessParams, seed uint64, workers in
 		return SuccessOutcome{}, err
 	}
 	root := xrand.New(seed)
-	workers = runpool.Count(workers, p.Simulations)
-
 	type worker struct {
 		ex       *executor
 		receipts []int32
 	}
-	ws := make([]*worker, workers)
-	// Streaming reduction in simulation order: identical accumulation
-	// order to a post-hoc loop over a full result buffer, without holding
-	// all p.Simulations receipt histograms live.
 	hist := stats.NewHistogram(p.Executions + 1)
 	successes := 0
 	var relSum float64
-	err := runpool.RunOrdered(ctx, p.Simulations, workers,
-		func(w, s int) (oneSim, error) {
-			wk := ws[w]
-			if wk == nil {
-				wk = &worker{ex: newExecutor(p.Params), receipts: make([]int32, p.N)}
-				ws[w] = wk
-			}
+	err := runpool.Replicate(ctx, p.Simulations, workers,
+		func() worker {
+			return worker{ex: newExecutor(p.Params), receipts: make([]int32, p.N)}
+		}, func(s int, wk worker) (oneSim, error) {
 			return runOneSimulation(p, wk.ex, wk.receipts, root.Split(uint64(s))), nil
 		}, func(s int, sr oneSim) {
 			for k, c := range sr.counts {
@@ -176,11 +161,11 @@ func runOneSimulation(p SuccessParams, ex *executor, receipts []int32, r *xrand.
 	for i := range receipts {
 		receipts[i] = 0
 	}
-	mask := p.drawMask(r)
+	mask := &ex.mask
 	out := oneSim{counts: make([]int64, p.Executions+1)}
 	for t := 0; t < p.Executions; t++ {
-		if p.ResampleMask && t > 0 {
-			mask = p.drawMask(r)
+		if t == 0 || p.ResampleMask {
+			p.drawMaskInto(mask, r)
 		}
 		res := ex.run(mask, r)
 		out.relTotal += res.Reliability

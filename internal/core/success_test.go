@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -43,7 +44,7 @@ func TestSuccessParamsValidate(t *testing.T) {
 
 func TestRunSuccessHistogramAccounting(t *testing.T) {
 	p := successParams(400, 4, 0.9, 10, 8)
-	out, err := RunSuccess(p, 1)
+	out, err := RunSuccessCtx(context.Background(), p, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,10 +69,10 @@ func TestRunSuccessMatchesBinomial(t *testing.T) {
 	// The paper's Fig. 6 claim: X ~ B(t, p_r) where p_r is the
 	// per-execution receipt probability. The honest empirical p_r is the
 	// mean directed-execution reliability (≈ S² for Poisson, because of
-	// early die-outs; see DESIGN.md A6); against that parameter the
+	// early die-outs; see ComponentResult); against that parameter the
 	// receipt distribution must match in mean and be close in shape.
 	p := successParams(2000, 4.0, 0.9, 20, 60)
-	out, err := RunSuccess(p, 7)
+	out, err := RunSuccessCtx(context.Background(), p, 7, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +125,11 @@ func TestRunSuccessPaperOperatingPoints(t *testing.T) {
 	// {f=4.0, q=0.9} and {f=6.0, q=0.6} share zq=3.6 and hence R; their
 	// receipt distributions must be close to each other (paper's
 	// observation), though not identical.
-	a, err := RunSuccess(successParams(2000, 4.0, 0.9, 20, 40), 3)
+	a, err := RunSuccessCtx(context.Background(), successParams(2000, 4.0, 0.9, 20, 40), 3, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSuccess(successParams(2000, 6.0, 0.6, 20, 40), 4)
+	b, err := RunSuccessCtx(context.Background(), successParams(2000, 6.0, 0.6, 20, 40), 4, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +141,11 @@ func TestRunSuccessPaperOperatingPoints(t *testing.T) {
 
 func TestRunSuccessDeterministic(t *testing.T) {
 	p := successParams(300, 4, 0.8, 5, 10)
-	a, err := RunSuccess(p, 17)
+	a, err := RunSuccessCtx(context.Background(), p, 17, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSuccess(p, 17)
+	b, err := RunSuccessCtx(context.Background(), p, 17, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,13 +163,13 @@ func TestRunSuccessResampleMaskLowersPerMemberCounts(t *testing.T) {
 	// Ablation A3: with resampled masks a member is dead in ~1-q of the
 	// executions, so mean X drops from t·R toward t·q·R (it cannot
 	// receive while dead).
-	fixed, err := RunSuccess(successParams(1000, 5, 0.6, 10, 30), 5)
+	fixed, err := RunSuccessCtx(context.Background(), successParams(1000, 5, 0.6, 10, 30), 5, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resampled := successParams(1000, 5, 0.6, 10, 30)
 	resampled.ResampleMask = true
-	res, err := RunSuccess(resampled, 5)
+	res, err := RunSuccessCtx(context.Background(), resampled, 5, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestSuccessRateTracksEq5(t *testing.T) {
 	// needs all ~n·q members to hit. For t large enough the success rate
 	// must approach 1; for t=1 with R<1 it must be ~0 at this scale.
 	pLow := successParams(500, 5, 0.9, 1, 20)
-	low, err := RunSuccess(pLow, 9)
+	low, err := RunSuccessCtx(context.Background(), pLow, 9, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestSuccessRateTracksEq5(t *testing.T) {
 		t.Errorf("t=1 success rate %.2f unexpectedly high", low.SuccessRate)
 	}
 	pHigh := successParams(500, 5, 0.9, 12, 20)
-	high, err := RunSuccess(pHigh, 10)
+	high, err := RunSuccessCtx(context.Background(), pHigh, 10, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestChiSquareIdentifiesParameter(t *testing.T) {
 	// wrong parameters — that is the sense in which the paper's
 	// "simulation tallies with B(20, 0.967)" survives scrutiny.
 	p := successParams(2000, 4.0, 0.9, 50, 50)
-	out, err := RunSuccess(p, 77)
+	out, err := RunSuccessCtx(context.Background(), p, 77, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ func TestRequiredExecutions(t *testing.T) {
 
 func TestRunSuccessRejectsInvalid(t *testing.T) {
 	p := successParams(0, 4, 0.9, 5, 5)
-	if _, err := RunSuccess(p, 1); err == nil {
+	if _, err := RunSuccessCtx(context.Background(), p, 1, 0, nil); err == nil {
 		t.Error("invalid params accepted")
 	}
 }
@@ -278,7 +279,7 @@ func TestExecuteOnNetworkMatchesFastPath(t *testing.T) {
 	var netAcc, fastAcc stats.Running
 	for seed := uint64(0); seed < 15; seed++ {
 		r := xrand.New(seed)
-		nres, err := ExecuteOnNetwork(p, simnet.Config{}, r)
+		nres, err := ExecuteOnNetworkArena(p, simnet.Config{}, r, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,9 +298,9 @@ func TestExecuteOnNetworkMatchesFastPath(t *testing.T) {
 func TestExecuteOnNetworkLatencyPropagates(t *testing.T) {
 	p := poissonParams(300, 5, 1)
 	r := xrand.New(3)
-	res, err := ExecuteOnNetwork(p, simnet.Config{
+	res, err := ExecuteOnNetworkArena(p, simnet.Config{
 		Latency: simnet.ConstantLatency{D: 10 * time.Millisecond},
-	}, r)
+	}, r, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,12 +319,12 @@ func TestExecuteOnNetworkLossReducesReliability(t *testing.T) {
 	p := poissonParams(1000, 3, 1)
 	var clean, lossy stats.Running
 	for seed := uint64(0); seed < 10; seed++ {
-		c, err := ExecuteOnNetwork(p, simnet.Config{}, xrand.New(seed))
+		c, err := ExecuteOnNetworkArena(p, simnet.Config{}, xrand.New(seed), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		clean.Add(c.Reliability)
-		l, err := ExecuteOnNetwork(p, simnet.Config{Loss: simnet.BernoulliLoss{P: 0.4}}, xrand.New(seed))
+		l, err := ExecuteOnNetworkArena(p, simnet.Config{Loss: simnet.BernoulliLoss{P: 0.4}}, xrand.New(seed), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,7 +342,7 @@ func TestExecuteOnNetworkLossReducesReliability(t *testing.T) {
 
 func TestExecuteOnNetworkInvalid(t *testing.T) {
 	p := poissonParams(1, 4, 0.9) // invalid N
-	if _, err := ExecuteOnNetwork(p, simnet.Config{}, xrand.New(1)); err == nil {
+	if _, err := ExecuteOnNetworkArena(p, simnet.Config{}, xrand.New(1), nil, nil); err == nil {
 		t.Error("invalid params accepted")
 	}
 }
@@ -349,7 +350,7 @@ func TestExecuteOnNetworkInvalid(t *testing.T) {
 func BenchmarkRunSuccessFig6(b *testing.B) {
 	p := successParams(2000, 4.0, 0.9, 20, 10)
 	for i := 0; i < b.N; i++ {
-		if _, err := RunSuccess(p, uint64(i)); err != nil {
+		if _, err := RunSuccessCtx(context.Background(), p, uint64(i), 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -359,7 +360,7 @@ func BenchmarkExecuteOnNetwork1000(b *testing.B) {
 	p := poissonParams(1000, 4, 0.9)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := ExecuteOnNetwork(p, simnet.Config{}, xrand.New(uint64(i))); err != nil {
+		if _, err := ExecuteOnNetworkArena(p, simnet.Config{}, xrand.New(uint64(i)), nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,8 +1,14 @@
 // Package experiment defines the reproduction harness: one Experiment per
-// figure of the paper (Figs. 2–7) plus the ablation studies listed in
-// DESIGN.md (A1–A6). Each experiment produces a Figure — named series of
-// (x, y) points with notes — which the harness can emit as CSV or render as
-// an ASCII chart. EXPERIMENTS.md records paper-vs-measured for each.
+// figure of the paper (Figs. 2–7) plus the ablation studies (A1–A9) and the
+// scenario, telemetry and streaming extensions (S1–S3); All is the registry.
+// Each experiment produces a Figure — named series of (x, y) points with
+// notes carrying the paper-vs-measured findings — which the harness can emit
+// as CSV or render as an ASCII chart.
+//
+// Every figure that simulates runs its replications on runpool.Replicate
+// under Config.Ctx, through core's estimators and the scenario sweeps or
+// directly (A7, A9 and S3 set their own per-run seeds): cancellation stops
+// it between replications, and its bytes are the same for any GOMAXPROCS.
 package experiment
 
 import (
@@ -68,7 +74,7 @@ type Figure struct {
 	// and analytic series carry an "analysis" suffix.
 	Series []Series
 	// Notes carries derived scalar findings (critical points, RMSEs,
-	// chi-square statistics) for EXPERIMENTS.md.
+	// chi-square statistics); cmd/experiments writes them under the chart.
 	Notes []string
 }
 

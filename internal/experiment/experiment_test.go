@@ -1,9 +1,13 @@
 package experiment
 
 import (
+	"context"
+	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // testCfg keeps unit-test runtime modest while exercising every code path.
@@ -338,4 +342,50 @@ func TestASCIIOutput(t *testing.T) {
 	if !strings.Contains(out, "hello 42") || !strings.Contains(out, "a") {
 		t.Errorf("ascii output missing pieces:\n%s", out)
 	}
+}
+
+// TestExperimentsHonourCancel: every figure that simulates runs its
+// replications on runpool.Replicate under Config.Ctx, so a cancelled
+// context stops it — before the first replication when already cancelled,
+// and mid-sweep with every worker joined when cancelled from outside.
+func TestExperimentsHonourCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, e := range All() {
+		if e.ID == "fig2" || e.ID == "fig3" {
+			continue // closed-form: nothing to cancel
+		}
+		if _, err := e.Run(Config{Seed: 7, Scale: 0.15, Ctx: ctx}); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s under a cancelled context: error %v, want context.Canceled", e.ID, err)
+		}
+	}
+
+	t.Run("mid-run", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		canceller := make(chan struct{})
+		go func() {
+			defer close(canceller)
+			time.Sleep(20 * time.Millisecond)
+			cancel()
+		}()
+		start := time.Now()
+		_, err := AblationMessageLoss(Config{Seed: 7, Scale: 4, Ctx: ctx})
+		<-canceller
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("error %v, want context.Canceled", err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("returned after %v, want within 1s", d)
+		}
+		// wg.Wait returns at a worker's Done, a moment before the goroutine
+		// itself is gone: give the count that moment.
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("goroutines: %d before the figure, %d two seconds after its cancellation", before, after)
+		}
+	})
 }

@@ -8,6 +8,7 @@ import (
 	"gossipkit/internal/genfunc"
 	"gossipkit/internal/numeric"
 	"gossipkit/internal/protocols"
+	"gossipkit/internal/runpool"
 	"gossipkit/internal/simnet"
 	"gossipkit/internal/stats"
 	"gossipkit/internal/xrand"
@@ -33,16 +34,16 @@ func AblationMessageLoss(cfg Config) (*Figure, error) {
 	anaOneShot := Series{Name: "analysis one-shot ≈ S²"}
 	p := core.Params{N: n, Fanout: dist.NewPoisson(z), AliveRatio: q}
 	for li, loss := range numeric.Linspace(0, 0.7, 8) {
+		netCfg := simnet.Config{Loss: simnet.BernoulliLoss{P: loss}}
 		var acc stats.Running
-		for rI := 0; rI < runs; rI++ {
-			r := xrand.New(cfg.Seed ^ uint64(li*1000+rI+1))
-			res, err := core.ExecuteOnNetwork(p, simnet.Config{
-				Loss: simnet.BernoulliLoss{P: loss},
-			}, r)
-			if err != nil {
-				return nil, err
-			}
-			acc.Add(res.Reliability)
+		err := runpool.Replicate(cfg.ctx(), runs, 0, core.NewNetArena,
+			func(rI int, arena *core.NetArena) (float64, error) {
+				r := xrand.New(cfg.Seed ^ uint64(li*1000+rI+1))
+				res, err := core.ExecuteOnNetworkArena(p, netCfg, r, nil, arena)
+				return res.Reliability, err
+			}, func(_ int, rel float64) { acc.Add(rel) })
+		if err != nil {
+			return nil, err
 		}
 		s, err := genfunc.JointReliability(dist.NewPoisson(z), q, loss)
 		if err != nil {
@@ -80,7 +81,7 @@ func AblationEpidemicCurve(cfg Config) (*Figure, error) {
 	const n, z, q = 2000, 5.0, 0.9
 	p := core.Params{N: n, Fanout: dist.NewPoisson(z), AliveRatio: q}
 	runs := cfg.runs(200, 20)
-	simCurve, err := core.MeanTraceRounds(p, runs, cfg.Seed^0xA8)
+	simCurve, err := core.MeanTraceRounds(cfg.ctx(), p, runs, cfg.Seed^0xA8)
 	if err != nil {
 		return nil, err
 	}
@@ -138,14 +139,15 @@ func AblationProtocolComparison(cfg Config) (*Figure, error) {
 	{
 		var rel, msg stats.Running
 		p := core.Params{N: n, Fanout: dist.NewPoisson(5), AliveRatio: q}
-		for i := 0; i < runs; i++ {
-			r := xrand.New(cfg.Seed ^ uint64(i+1))
-			res, err := core.ExecuteOnce(p, r)
-			if err != nil {
-				return nil, err
-			}
-			rel.Add(res.Reliability)
-			msg.Add(float64(res.MessagesSent))
+		err := runpool.Replicate(cfg.ctx(), runs, 0, func() struct{} { return struct{}{} },
+			func(i int, _ struct{}) (core.Result, error) {
+				return core.ExecuteOnce(p, xrand.New(cfg.Seed^uint64(i+1)))
+			}, func(_ int, res core.Result) {
+				rel.Add(res.Reliability)
+				msg.Add(float64(res.MessagesSent))
+			})
+		if err != nil {
+			return nil, err
 		}
 		pts = append(pts, point{"single-shot gossip Po(5)", rel.Mean(), msg.Mean()})
 	}
@@ -169,7 +171,6 @@ func AblationProtocolComparison(cfg Config) (*Figure, error) {
 	// The related-work families, each on the shared DES runtime over an
 	// ideal network (result-identical to the legacy round loops): pbcast
 	// rounds, anti-entropy push-pull until quiescent, LRG, flooding.
-	arena := core.NewNetArena()
 	for _, b := range []struct {
 		name string
 		spec protocols.Spec
@@ -181,14 +182,16 @@ func AblationProtocolComparison(cfg Config) (*Figure, error) {
 		{"flooding", protocols.FloodingParams{N: n, AliveRatio: q}, 0xB00},
 	} {
 		var rel, msg stats.Running
-		for i := 0; i < runs; i++ {
-			r := xrand.New(cfg.Seed ^ (b.salt + uint64(i)))
-			out, err := protocols.RunOnDES(b.spec, protocols.DESConfig{}, r, nil, arena)
-			if err != nil {
-				return nil, err
-			}
-			rel.Add(out.Reliability)
-			msg.Add(float64(out.MessagesSent))
+		err := runpool.Replicate(cfg.ctx(), runs, 0, core.NewNetArena,
+			func(i int, arena *core.NetArena) (protocols.DESOutcome, error) {
+				r := xrand.New(cfg.Seed ^ (b.salt + uint64(i)))
+				return protocols.RunOnDES(b.spec, protocols.DESConfig{}, r, nil, arena)
+			}, func(_ int, out protocols.DESOutcome) {
+				rel.Add(out.Reliability)
+				msg.Add(float64(out.MessagesSent))
+			})
+		if err != nil {
+			return nil, err
 		}
 		pts = append(pts, point{b.name, rel.Mean(), msg.Mean()})
 	}

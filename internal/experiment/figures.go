@@ -162,7 +162,7 @@ func Fig5b(cfg Config) (*Figure, error) {
 // simulations at n=2000, histogram the per-member receipt count X, and
 // overlay the Binomial references — both the paper's B(20, S) with the
 // model reliability and B(20, p̂_r) with the honest empirical per-execution
-// reliability (they differ by the die-out mass; see DESIGN.md A6).
+// reliability (they differ by the die-out mass; see AblationReachVsGiant).
 func successFigure(cfg Config, id string, fanout, q float64) (*Figure, error) {
 	f := &Figure{
 		ID:     id,

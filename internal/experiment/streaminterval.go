@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"gossipkit/internal/dist"
+	"gossipkit/internal/runpool"
 	"gossipkit/internal/simnet"
 	"gossipkit/internal/stats"
 	"gossipkit/internal/stream"
@@ -51,27 +52,26 @@ func StreamRoundInterval(cfg Config) (*Figure, error) {
 		s := Series{Name: load.name}
 		for ii, ratio := range ratios {
 			interval := time.Duration(ratio * float64(latHi))
+			streamCfg := stream.Config{
+				N: n, Rate: rate, Duration: window,
+				Fanout: dist.NewFixed(fanout), BufferCap: bufCap,
+				Discipline: stream.DisciplinePush, Eviction: stream.EvictAge,
+				ActiveRounds: actives, RoundInterval: interval,
+			}
+			netCfg := simnet.Config{Latency: simnet.UniformLatency{Lo: latLo, Hi: latHi}}
 			var acc stats.Running
 			var evicted, expired int64
-			for rI := 0; rI < runs; rI++ {
-				if err := cfg.ctx().Err(); err != nil {
-					return nil, err
-				}
-				r := xrand.New(cfg.Seed ^ uint64(ri*100000+ii*1000+rI+1))
-				res, err := stream.Run(stream.Config{
-					N: n, Rate: rate, Duration: window,
-					Fanout: dist.NewFixed(fanout), BufferCap: bufCap,
-					Discipline: stream.DisciplinePush, Eviction: stream.EvictAge,
-					ActiveRounds: actives, RoundInterval: interval,
-				}, simnet.Config{
-					Latency: simnet.UniformLatency{Lo: latLo, Hi: latHi},
-				}, r)
-				if err != nil {
-					return nil, err
-				}
-				acc.Add(res.MeanReliability)
-				evicted += res.Ledger.Evicted
-				expired += res.Ledger.Expired
+			err := runpool.Replicate(cfg.ctx(), runs, 0, stream.NewArena,
+				func(rI int, arena *stream.Arena) (stream.Result, error) {
+					r := xrand.New(cfg.Seed ^ uint64(ri*100000+ii*1000+rI+1))
+					return stream.RunProbed(streamCfg, netCfg, r, nil, arena, nil)
+				}, func(_ int, res stream.Result) {
+					acc.Add(res.MeanReliability)
+					evicted += res.Ledger.Evicted
+					expired += res.Ledger.Expired
+				})
+			if err != nil {
+				return nil, err
 			}
 			s.X = append(s.X, ratio)
 			s.Y = append(s.Y, acc.Mean())

@@ -8,11 +8,11 @@
 // Two generators are provided, matching two readings of the paper's
 // "nonfailed member ratio q":
 //
-//   - ExactMask: exactly ⌊n·q⌋ alive members ("it is trivial that the number
-//     of nonfailed nodes equals n*q", paper §4.1) — the default for figure
-//     reproduction.
-//   - BernoulliMask: each member alive independently with probability q —
-//     the percolation model's own assumption.
+//   - ExactMask / Mask.FillExact: exactly ⌊n·q⌋ alive members ("it is
+//     trivial that the number of nonfailed nodes equals n*q", paper §4.1) —
+//     the default for figure reproduction.
+//   - Mask.FillBernoulli: each member alive independently with probability
+//     q — the percolation model's own assumption.
 //
 // For large n the two are interchangeable; both keep the source alive
 // (the paper assumes the source never fails).
@@ -106,16 +106,10 @@ func (m *Mask) FillExact(n int, q float64, protect int, r *xrand.RNG) {
 	}
 }
 
-// BernoulliMask returns a mask where every member other than protect is
-// alive independently with probability q; protect is always alive.
-func BernoulliMask(n int, q float64, protect int, r *xrand.RNG) *Mask {
-	m := &Mask{}
-	m.FillBernoulli(n, q, protect, r)
-	return m
-}
-
-// FillBernoulli redraws m in place as BernoulliMask would, reusing m's bit
-// storage; the random stream is identical to BernoulliMask.
+// FillBernoulli redraws m in place, reusing its bit storage: every member
+// other than protect is alive independently with probability q; protect is
+// always alive. A zero Mask is ready to fill, and the random stream consumed
+// does not depend on what m held before.
 func (m *Mask) FillBernoulli(n int, q float64, protect int, r *xrand.RNG) {
 	checkArgs(n, q, protect)
 	m.alive.Reset(n)

@@ -86,7 +86,8 @@ func TestBernoulliMask(t *testing.T) {
 	q := 0.7
 	var total int
 	for i := 0; i < trials; i++ {
-		m := BernoulliMask(n, q, 5, r)
+		m := new(Mask)
+		m.FillBernoulli(n, q, 5, r)
 		if !m.Alive(5) {
 			t.Fatal("protected member failed")
 		}
@@ -102,11 +103,13 @@ func TestBernoulliMask(t *testing.T) {
 
 func TestBernoulliMaskExtremes(t *testing.T) {
 	r := xrand.New(13)
-	m0 := BernoulliMask(10, 0, 3, r)
+	m0 := new(Mask)
+	m0.FillBernoulli(10, 0, 3, r)
 	if m0.AliveCount() != 1 || !m0.Alive(3) {
 		t.Errorf("q=0: %d alive", m0.AliveCount())
 	}
-	m1 := BernoulliMask(10, 1, 3, r)
+	m1 := new(Mask)
+	m1.FillBernoulli(10, 1, 3, r)
 	if m1.AliveCount() != 10 {
 		t.Errorf("q=1: %d alive", m1.AliveCount())
 	}
@@ -144,7 +147,9 @@ func TestFillMatchesFreshMask(t *testing.T) {
 			if tc.kind == "exact" {
 				return ExactMask(n, tc.q, 0, r)
 			}
-			return BernoulliMask(n, tc.q, 0, r)
+			m := new(Mask)
+			m.FillBernoulli(n, tc.q, 0, r)
+			return m
 		}
 		want := fresh(xrand.New(seed))
 		r := xrand.New(seed)
@@ -178,8 +183,8 @@ func TestValidationPanics(t *testing.T) {
 		func() { ExactMask(10, -0.1, 0, r) },
 		func() { ExactMask(10, 1.5, 0, r) },
 		func() { ExactMask(10, 0.5, 10, r) },
-		func() { BernoulliMask(10, 0.5, -1, r) },
-		func() { BernoulliMask(10, math.NaN(), 0, r) },
+		func() { new(Mask).FillBernoulli(10, 0.5, -1, r) },
+		func() { new(Mask).FillBernoulli(10, math.NaN(), 0, r) },
 	}
 	for i, f := range cases {
 		func() {

@@ -16,7 +16,7 @@
 //     self-consistency condition u = 1 − q + q·G1(u) and evaluating
 //     S = 1 − G0(u)                                          (paper Eq. 4)
 //
-// Erratum handled here (see DESIGN.md §5): the paper prints the condition as
+// Erratum handled here: the paper prints the condition as
 // u = 1 − F1(1) − F1(u); the correct Callaway et al. relation, which the
 // paper's own Poisson result (Eq. 11) requires, is u = 1 − F1(1) + F1(u).
 //
@@ -261,7 +261,7 @@ func PoissonMeanFanout(s, q float64) (float64, error) {
 // independent uniform edge, so only the mean matters). For Poisson fanout
 // this coincides exactly with PoissonReliability; for other distributions it
 // differs from the undirected giant-component model, quantifying the paper's
-// modeling approximation (ablation A1 in DESIGN.md).
+// modeling approximation (ablation A1, experiment.AblationFanoutShape).
 func ForwardReach(meanFanout, q float64) (float64, error) {
 	return PoissonReliability(meanFanout, q)
 }

@@ -83,7 +83,7 @@ func ExpectedOneShotReach(p dist.Distribution, q float64) (float64, error) {
 //	y = 1 − e^{−z·q·(1−loss)·y}
 //
 // with z the mean of P. This is the analytic counterpart of running
-// core.ExecuteOnNetwork with simnet.BernoulliLoss.
+// core.ExecuteOnNetworkArena with simnet.BernoulliLoss.
 func JointReliability(p dist.Distribution, q, loss float64) (float64, error) {
 	if err := checkRatio(q); err != nil {
 		return 0, err

@@ -8,6 +8,8 @@ package protocols
 // degrades the way a real deployment would.
 
 import (
+	"math/bits"
+
 	"gossipkit/internal/graph"
 	"gossipkit/internal/membership"
 	"gossipkit/internal/sim"
@@ -156,7 +158,19 @@ type aeMachine struct {
 	snapshot  []bool // infected state at the latest round tick
 	curve     []int  // cumulative infected after each round
 	progress  bool   // any new infection since the latest tick
+	idle      int    // consecutive idle rounds so far (Rounds: 0 only)
 }
+
+// aePatience is how many consecutive idle rounds — no new infection, nothing
+// airborne — end an until-quiescent run (Rounds: 0) short of full coverage:
+// 4·⌈log₂ n⌉. One idle round proves nothing under failures: while only the
+// source is infected, or one straggler is left, a round whose every useful
+// contact went to a failed peer has probability ≈ e^{−q}, and stopping
+// there delivers to the source alone. 4·⌈log₂ n⌉ such rounds in a row have
+// probability below n^{−5.7q}, and the wait stays inside the O(log n) rounds
+// Doerr et al. prove for fault-tolerant push-pull, so a run whose remaining
+// members cannot be reached (partition, emptied overlay, crash) still ends.
+func aePatience(n int) int { return 4 * bits.Len(uint(n-1)) }
 
 func (m *aeMachine) init(rt *Runtime) {
 	rt.Mask.FillExact(m.p.N, m.p.AliveRatio, m.p.Source, rt.RNG)
@@ -167,7 +181,7 @@ func (m *aeMachine) init(rt *Runtime) {
 	}
 	m.maxRounds = m.p.Rounds
 	if m.maxRounds == 0 {
-		m.maxRounds = 40 * m.p.N // generous; the progress check stops first
+		m.maxRounds = 40 * m.p.N // generous; the idle-round check stops first
 	}
 	m.snapshot = make([]bool, m.p.N)
 	m.curve = append(m.curve, 1)
@@ -181,8 +195,12 @@ func (m *aeMachine) tick(rt *Runtime, round int) bool {
 		if rt.res.Delivered == rt.res.AliveCount {
 			return false
 		}
-		if m.p.Rounds == 0 && !m.progress && rt.inFlight() == 0 {
-			return false // quiescent: no new infections, nothing airborne
+		if m.p.Rounds == 0 {
+			if m.progress || rt.inFlight() > 0 {
+				m.idle = 0
+			} else if m.idle++; m.idle >= aePatience(m.p.N) {
+				return false // quiescent: see aePatience
+			}
 		}
 	}
 	if round >= m.maxRounds {

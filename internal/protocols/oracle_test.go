@@ -156,9 +156,9 @@ func RunFlooding(p FloodingParams, r *xrand.RNG) (Result, error) {
 	return res, nil
 }
 
-// RunAntiEntropy executes the epidemic. With Rounds == 0 it runs until a
-// round makes no progress (guaranteed to terminate: infections are
-// monotone). Each contact costs one message (plus one for the reply that
+// RunAntiEntropy executes the epidemic. With Rounds == 0 it runs until
+// aePatience consecutive rounds make no progress (guaranteed to terminate:
+// infections are monotone). Each contact costs one message (plus one for the reply that
 // pull/push-pull semantics imply; counted as 2 for Pull and PushPull).
 func RunAntiEntropy(p AntiEntropyParams, r *xrand.RNG) (AntiEntropyResult, error) {
 	if err := p.Validate(); err != nil {
@@ -177,8 +177,9 @@ func RunAntiEntropy(p AntiEntropyParams, r *xrand.RNG) (AntiEntropyResult, error
 	}
 	maxRounds := p.Rounds
 	if maxRounds == 0 {
-		maxRounds = 40 * p.N // generous; progress check below breaks out
+		maxRounds = 40 * p.N // generous; the idle-round check below breaks out
 	}
+	idle := 0
 	for round := 0; round < maxRounds; round++ {
 		res.Rounds++
 		progress := false
@@ -227,8 +228,12 @@ func RunAntiEntropy(p AntiEntropyParams, r *xrand.RNG) (AntiEntropyResult, error
 		if res.Delivered == res.AliveCount {
 			break
 		}
-		if p.Rounds == 0 && !progress {
-			break
+		if p.Rounds == 0 {
+			if progress {
+				idle = 0
+			} else if idle++; idle >= aePatience(p.N) {
+				break
+			}
 		}
 	}
 	finish(&res.Result)

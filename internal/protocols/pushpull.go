@@ -34,7 +34,8 @@ func (m Mode) String() string {
 type AntiEntropyParams struct {
 	// N is the group size.
 	N int
-	// Rounds is the number of rounds to run (0 = run until no progress).
+	// Rounds is the number of rounds to run; 0 runs until every alive
+	// member is infected or the run has been idle for aePatience rounds.
 	Rounds int
 	// Mode is the exchange direction.
 	Mode Mode

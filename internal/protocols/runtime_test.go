@@ -1,6 +1,8 @@
 package protocols
 
 import (
+	"fmt"
+	"math/bits"
 	"testing"
 	"time"
 
@@ -77,6 +79,47 @@ func TestDESPartitionBlocksAntiEntropy(t *testing.T) {
 	}
 	if out.Net.DroppedPart == 0 {
 		t.Error("partition never dropped a message")
+	}
+}
+
+// TestAntiEntropyReachesEveryCorrectMember is the external oracle for the
+// until-quiescent mode (Rounds: 0): Doerr et al. prove fault-tolerant
+// push-pull informs every correct member in O(log n) rounds, and push and
+// pull alone do so too once the lone-source and lone-straggler phases are
+// waited out. Every mode, at every alive ratio and size, on every seed, must
+// deliver to all alive members within c·log₂ n rounds plus the patience a
+// run is allowed to idle (aePatience). c = 6 is 1.5× the slowest run
+// measured (push and pull at q = 0.5: mean 3·log₂ n, maximum 4·log₂ n).
+func TestAntiEntropyReachesEveryCorrectMember(t *testing.T) {
+	const c = 6
+	seeds := uint64(100)
+	if testing.Short() {
+		seeds = 20
+	}
+	for _, mode := range []Mode{Push, Pull, PushPull} {
+		for _, q := range []float64{1, 0.7, 0.5} {
+			for _, n := range []int{256, 4096} {
+				t.Run(fmt.Sprintf("%v/q=%g/n=%d", mode, q, n), func(t *testing.T) {
+					t.Parallel()
+					bound := c*bits.Len(uint(n-1)) + aePatience(n)
+					p := AntiEntropyParams{N: n, Rounds: 0, Mode: mode, AliveRatio: q}
+					arena := core.NewNetArena()
+					for seed := uint64(0); seed < seeds; seed++ {
+						out, err := RunOnDES(p, DESConfig{}, xrand.New(seed), nil, arena)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if out.Reliability != 1 {
+							t.Errorf("seed %d: reached %d of %d alive members in %d rounds",
+								seed, out.Delivered, out.AliveCount, out.Rounds)
+						}
+						if out.Rounds > bound {
+							t.Errorf("seed %d: %d rounds, want <= %d", seed, out.Rounds, bound)
+						}
+					}
+				})
+			}
+		}
 	}
 }
 

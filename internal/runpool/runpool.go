@@ -1,14 +1,17 @@
 // Package runpool is the one worker pool every replication sweep in the
-// repository runs on: a bounded pool executing n independent,
-// index-identified work items with three guarantees the engines above it
-// rely on.
+// repository runs on, and Replicate the one way onto it: core's estimators,
+// the facade's engines, the scenario cell driver and the figure harness
+// each hand it a per-worker state constructor, a body for replication i and
+// an in-order reduction (scripts/lint-api.sh keeps library code off Run and
+// RunOrdered, the pool underneath, which the benchmark replays directly).
+// The pool executes n independent, index-identified work items with three
+// guarantees the engines above it rely on.
 //
 // Determinism: item i always runs on worker i mod workers, so per-worker
 // scratch state (executors, run-state arenas) is recycled along the same
 // stride for a given worker count, and — because items are data-independent
-// and callers reduce results in item order (streaming via RunOrdered, or
-// after Run returns) — the reduced result is identical for ANY worker
-// count.
+// and results are reduced in item order — the reduced result is identical
+// for ANY worker count.
 //
 // Ordered observation: the observe callback fires exactly once per
 // completed item in strictly increasing item order, regardless of the
@@ -174,4 +177,22 @@ func RunOrdered[T any](ctx context.Context, n, workers int, body func(w, i int) 
 		mu.Unlock()
 		reduce(i, v)
 	})
+}
+
+// Replicate is the one replication driver: RunOrdered on `workers`
+// goroutines (non-positive means GOMAXPROCS) with each worker's scratch
+// state — an executor, a run-state arena, a probe — built by newState on
+// the worker's first item and recycled along its stride. run(i, st) sees
+// its item and its worker's state, never a worker index, so the reduced
+// result is identical for any worker count as long as run derives item i's
+// random stream from i alone. The error contract is Run's.
+func Replicate[S, T any](ctx context.Context, n, workers int, newState func() S, run func(i int, st S) (T, error), reduce func(i int, v T)) error {
+	workers = Count(workers, n)
+	states := make([]S, workers)
+	return RunOrdered(ctx, n, workers, func(w, i int) (T, error) {
+		if i == w { // worker w's first item
+			states[w] = newState()
+		}
+		return run(i, states[w])
+	}, reduce)
 }

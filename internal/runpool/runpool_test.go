@@ -276,3 +276,62 @@ func TestZeroItems(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReplicate: a worker's state is built once, on the worker's first
+// item, and recycled along its stride — never shared between workers —
+// while results still reduce in item order; a worker count above n builds
+// no spare states, zero items build none, and a pre-cancelled context runs
+// nothing.
+func TestReplicate(t *testing.T) {
+	type state struct{ items []int }
+	const n = 97
+	for _, workers := range []int{1, 3, 8, 200} {
+		var mu sync.Mutex
+		var built []*state
+		var got []int
+		err := Replicate(context.Background(), n, workers, func() *state {
+			st := &state{}
+			mu.Lock()
+			built = append(built, st)
+			mu.Unlock()
+			return st
+		}, func(i int, st *state) (int, error) {
+			st.items = append(st.items, i) // unsynchronized on purpose: -race proves one worker per state
+			return 2 * i, nil
+		}, func(i, v int) {
+			if v != 2*i { // a worker's goroutine: Error, not Fatal
+				t.Errorf("workers=%d: item %d reduced %d", workers, i, v)
+			}
+			got = append(got, i)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range got {
+			if v != i {
+				t.Fatalf("workers=%d: reduction %d was item %d", workers, i, v)
+			}
+		}
+		if want := min(workers, n); len(got) != n || len(built) != want {
+			t.Fatalf("workers=%d: reduced %d of %d items on %d states, want %d", workers, len(got), n, len(built), want)
+		}
+		for _, st := range built {
+			for k, i := range st.items {
+				if i != st.items[0]+k*len(built) {
+					t.Fatalf("workers=%d: a state saw items %v, want one stride", workers, st.items)
+				}
+			}
+		}
+	}
+
+	never := func() int { t.Error("state built for a sweep that runs nothing"); return 0 }
+	run := func(i, st int) (int, error) { return 0, errors.New("never") }
+	if err := Replicate(context.Background(), 0, 4, never, run, func(i, v int) {}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := Replicate(ctx, 50, 4, never, run, func(i, v int) {}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled: err = %v, want context.Canceled", err)
+	}
+}

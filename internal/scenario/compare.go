@@ -66,7 +66,7 @@ type CompareConfig struct {
 	// it. A cell's seed depends only on (scenario, replication) — NOT on
 	// the protocol row — so every protocol faces byte-identical campaign
 	// randomness (the same crash victims at the same instants), and the
-	// paper row reproduces the single-protocol Sweep cells exactly.
+	// paper row reproduces the single-protocol SweepCtx cells exactly.
 	BaseSeed uint64
 	// Workers bounds the worker pool; <= 0 means GOMAXPROCS. The result
 	// is identical for any worker count.
@@ -111,12 +111,6 @@ type CompareResult struct {
 	// Topologies labels the overlay axis; empty for two-axis grids.
 	Topologies []string      `json:"topologies,omitempty"`
 	Cells      []CompareCell `json:"cells"`
-}
-
-// Compare runs every scenario against every executor for cfg.Seeds seeded
-// replications on a worker pool; see CompareCtx.
-func Compare(scenarios []*Scenario, cfg CompareConfig) (*CompareResult, error) {
-	return CompareCtx(context.Background(), scenarios, cfg, nil)
 }
 
 // CompareCtx runs every scenario against every executor for cfg.Seeds

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -35,7 +36,7 @@ func TestCSVEscapesScenarioNames(t *testing.T) {
 	run := RunConfig{Params: core.Params{N: 100, Fanout: dist.NewPoisson(5), AliveRatio: 1}}
 	const want = `"crash, ""wave"""`
 
-	sweep, err := Sweep([]*Scenario{s}, SweepConfig{Run: run, Seeds: 1, BaseSeed: 3})
+	sweep, err := SweepCtx(context.Background(), []*Scenario{s}, SweepConfig{Run: run, Seeds: 1, BaseSeed: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestCSVEscapesScenarioNames(t *testing.T) {
 		t.Errorf("sweep CSV did not escape the name:\n%s", sweep.CSV())
 	}
 
-	grid, err := SweepGrid([]*Scenario{s}, GridConfig{Run: run, Qs: []float64{1}, Seeds: 1, BaseSeed: 3})
+	grid, err := SweepGridCtx(context.Background(), []*Scenario{s}, GridConfig{Run: run, Qs: []float64{1}, Seeds: 1, BaseSeed: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +52,8 @@ func TestCSVEscapesScenarioNames(t *testing.T) {
 		t.Errorf("grid CSV did not escape the name:\n%s", grid.CSV())
 	}
 
-	cmp, err := Compare([]*Scenario{s}, CompareConfig{
-		Run: run, Executors: []Executor{PaperExecutor("paper")}, Seeds: 1, BaseSeed: 3})
+	cmp, err := CompareCtx(context.Background(), []*Scenario{s}, CompareConfig{
+		Run: run, Executors: []Executor{PaperExecutor("paper")}, Seeds: 1, BaseSeed: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

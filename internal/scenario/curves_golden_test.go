@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -44,7 +45,7 @@ crash-wave,120,2,204.5,0.7071067811865476,0,1014,746,0,268,0,0
 	for _, workers := range []int{1, 3} {
 		c := cfg
 		c.Workers = workers
-		res, err := Sweep([]*Scenario{s}, c)
+		res, err := SweepCtx(context.Background(), []*Scenario{s}, c, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,9 +19,9 @@
 // (params, scenario, seed): repeated runs with the same seed are
 // byte-identical.
 //
-// The sweep runners (Sweep, SweepGrid, Compare) flatten their axes into
-// points and share one cell driver (sweepPoints) that replicates points ×
-// seeds on a worker pool; cells are data-independent and reduced in grid
+// The sweep runners (SweepCtx, SweepGridCtx, CompareCtx) flatten their axes
+// into points and share one cell driver (sweepPoints) that replicates points
+// × seeds on runpool.Replicate; cells are data-independent and reduced in grid
 // order, so output is byte-identical for any worker count. Each worker
 // recycles one core.NetArena, so after its first run a worker executes
 // campaigns with zero O(n)-sized allocations per run.

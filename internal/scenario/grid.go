@@ -60,12 +60,6 @@ type GridResult struct {
 	Cells    []GridCell `json:"cells"`
 }
 
-// SweepGrid replicates every scenario at every (q, fanout) combination for
-// cfg.Seeds seeds on a worker pool; see SweepGridCtx.
-func SweepGrid(scenarios []*Scenario, cfg GridConfig) (*GridResult, error) {
-	return SweepGridCtx(context.Background(), scenarios, cfg, nil)
-}
-
 // SweepGridCtx replicates every scenario at every (q, fanout) combination
 // for cfg.Seeds seeds on a worker pool (see sweepPoints, the shared cell
 // driver). Like SweepCtx, the result is deterministic in (scenarios, cfg)

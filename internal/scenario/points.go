@@ -17,47 +17,47 @@ type point struct {
 	seed     func(ri int) uint64
 }
 
-// sweepPoints is the one cell driver under Sweep, SweepGrid and Compare:
-// it replicates every point for `seeds` derived seeds on a worker pool
-// (cell = pi·seeds + ri) and reduces each point's block of replications
-// into a Summary. Every worker recycles one run-state arena — and, under
-// probe, one pooled obs.Probe re-Attached each run, whose per-run Metrics
-// snapshots ride on the buffered RunReports. Cells are data-independent
-// and both reductions (the summaries and, under probe, the per-point
-// merged curves) happen in cell order after the pool drains, so the result
-// is byte-identical for any worker count. observe, when non-nil, streams
-// per-cell reports in cell order; context cancellation aborts promptly
-// with ctx.Err().
+// sweepPoints is the one cell driver under SweepCtx, SweepGridCtx and
+// CompareCtx: it replicates every point for `seeds` derived seeds on
+// runpool.Replicate (cell = pi·seeds + ri) and reduces each point's block
+// of replications into a Summary. A worker's state is one run-state arena
+// and, under probe, one pooled obs.Probe re-Attached each run, whose
+// per-run Metrics snapshots ride on the buffered RunReports. Cells are
+// data-independent and both reductions (the summaries and, under probe,
+// the per-point merged curves) happen in cell order after the pool drains,
+// so the result is byte-identical for any worker count. observe, when
+// non-nil, streams per-cell reports in cell order; context cancellation
+// aborts promptly with ctx.Err().
 func sweepPoints(ctx context.Context, points []point, seeds, workers int, probe *obs.Options, observe Observer) ([]Summary, []*obs.Merged, error) {
 	cells := len(points) * seeds
-	workers = runpool.Count(workers, cells)
 	reports := make([]RunReport, cells)
 	lats := make([]stats.Running, cells)
-	arenas := make([]*core.NetArena, workers)
-	probes := make([]*obs.Probe, workers)
-	var observeCell func(i int)
-	if observe != nil {
-		observeCell = func(i int) { observe(i, reports[i]) }
+	type state struct {
+		arena *core.NetArena
+		probe *obs.Probe
 	}
-	err := runpool.Run(ctx, cells, workers, func(w, cell int) error {
-		if arenas[w] == nil {
-			arenas[w] = core.NewNetArena()
+	type result struct {
+		rep RunReport
+		lat stats.Running
+	}
+	err := runpool.Replicate(ctx, cells, workers, func() state {
+		st := state{arena: core.NewNetArena()}
+		if probe != nil {
+			st.probe = obs.New(*probe)
 		}
+		return st
+	}, func(cell int, st state) (result, error) {
 		pt := &points[cell/seeds]
 		run := pt.run
-		if probe != nil {
-			if probes[w] == nil {
-				probes[w] = obs.New(*probe)
-			}
-			run.Probe = probes[w]
+		run.Probe = st.probe // CheckShared refused a caller-set one
+		rep, lat, err := runWithLatency(pt.scenario, run, pt.seed(cell%seeds), st.arena)
+		return result{rep, lat}, err
+	}, func(cell int, r result) {
+		reports[cell], lats[cell] = r.rep, r.lat
+		if observe != nil {
+			observe(cell, r.rep)
 		}
-		rep, lat, err := runWithLatency(pt.scenario, run, pt.seed(cell%seeds), arenas[w])
-		if err != nil {
-			return err
-		}
-		reports[cell], lats[cell] = rep, lat
-		return nil
-	}, observeCell)
+	})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -153,7 +154,7 @@ func TestGridSweep(t *testing.T) {
 		BaseSeed: 77,
 		Workers:  1,
 	}
-	got, err := SweepGrid(scenarios, cfg)
+	got, err := SweepGridCtx(context.Background(), scenarios, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestGridSweep(t *testing.T) {
 
 	aJSON, _ := json.Marshal(got)
 	cfg.Workers = 4
-	again, err := SweepGrid(scenarios, cfg)
+	again, err := SweepGridCtx(context.Background(), scenarios, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,21 +200,21 @@ func TestGridSweep(t *testing.T) {
 
 // TestGridSweepDefaults: empty Qs/Fanouts fall back to the base Params.
 func TestGridSweepDefaults(t *testing.T) {
-	got, err := SweepGrid([]*Scenario{New("baseline", "")}, GridConfig{
+	got, err := SweepGridCtx(context.Background(), []*Scenario{New("baseline", "")}, GridConfig{
 		Run: testConfig(150), Seeds: 2, BaseSeed: 3,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Cells) != 1 || got.Cells[0].Q != 1 || got.Cells[0].Fanout != "Poisson(5)" {
 		t.Fatalf("default grid: %+v", got.Cells)
 	}
-	if _, err := SweepGrid(nil, GridConfig{Run: testConfig(150)}); err == nil {
+	if _, err := SweepGridCtx(context.Background(), nil, GridConfig{Run: testConfig(150)}, nil); err == nil {
 		t.Error("empty grid sweep accepted")
 	}
 	shared := GridConfig{Run: testConfig(150), Seeds: 1}
 	shared.Run.Params.View = membership.NewPartialViews(150, 2, xrand.New(1))
-	if _, err := SweepGrid([]*Scenario{New("baseline", "")}, shared); err == nil {
+	if _, err := SweepGridCtx(context.Background(), []*Scenario{New("baseline", "")}, shared, nil); err == nil {
 		t.Error("grid sweep accepted a shared membership view")
 	}
 }

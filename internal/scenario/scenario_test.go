@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -123,11 +124,11 @@ func TestSweepWorkerInvariance(t *testing.T) {
 	one.Workers = 1
 	many := base
 	many.Workers = 8
-	a, err := Sweep(suite, one)
+	a, err := SweepCtx(context.Background(), suite, one, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Sweep(suite, many)
+	b, err := SweepCtx(context.Background(), suite, many, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,12 +222,12 @@ func TestSweepRejectsSharedMutableState(t *testing.T) {
 	suite := DefaultSuite()[:1]
 	shared := testConfig(100)
 	shared.Params.View = membership.NewPartialViews(100, 1, xrand.New(1))
-	if _, err := Sweep(suite, SweepConfig{Run: shared, Seeds: 2}); err == nil {
+	if _, err := SweepCtx(context.Background(), suite, SweepConfig{Run: shared, Seeds: 2}, nil); err == nil {
 		t.Error("sweep accepted a shared Params.View")
 	}
 	bursty := testConfig(100)
 	bursty.Net.Loss = simnet.NewGilbertElliott(0.1, 0.3, 0.01, 0.8)
-	if _, err := Sweep(suite, SweepConfig{Run: bursty, Seeds: 2}); err == nil {
+	if _, err := SweepCtx(context.Background(), suite, SweepConfig{Run: bursty, Seeds: 2}, nil); err == nil {
 		t.Error("sweep accepted a shared stateful Gilbert-Elliott loss model")
 	}
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -48,7 +49,7 @@ func TestRegossipHeartbeatGolden(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		c := cfg
 		c.Workers = workers
-		res, err := Sweep([]*Scenario{s}, c)
+		res, err := SweepCtx(context.Background(), []*Scenario{s}, c, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -124,15 +124,9 @@ func (r *SweepResult) CurvesCSV() (string, error) {
 }
 
 // Observer streams completed sweep cells: it is called once per cell, in
-// deterministic cell order (cells are numbered in grid order; for Sweep,
+// deterministic cell order (cells are numbered in grid order; for SweepCtx,
 // cell = si·Seeds + ri), regardless of worker count.
 type Observer func(cell int, rep RunReport)
-
-// Sweep runs every scenario for cfg.Seeds seeded replications on a worker
-// pool and aggregates per-scenario summaries; see SweepCtx.
-func Sweep(scenarios []*Scenario, cfg SweepConfig) (*SweepResult, error) {
-	return SweepCtx(context.Background(), scenarios, cfg, nil)
-}
 
 // SweepCtx runs every scenario for cfg.Seeds seeded replications on a
 // worker pool and aggregates per-scenario summaries (see sweepPoints, the

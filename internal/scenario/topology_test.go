@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"strings"
@@ -112,9 +113,9 @@ func TestTopologyPinnedAcrossWorkers(t *testing.T) {
 		run.Topology = topo
 		var first string
 		for _, workers := range []int{1, 4} {
-			res, err := Sweep([]*Scenario{s}, SweepConfig{
+			res, err := SweepCtx(context.Background(), []*Scenario{s}, SweepConfig{
 				Run: run, Seeds: 25, BaseSeed: 2008, Workers: workers,
-			})
+			}, nil)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", spec, workers, err)
 			}
@@ -209,7 +210,7 @@ func TestTopologyKOutConvergesToUniform(t *testing.T) {
 	mean := func(topo topology.Spec) float64 {
 		cfg := run
 		cfg.Topology = topo
-		res, err := Sweep([]*Scenario{s}, SweepConfig{Run: cfg, Seeds: 100, BaseSeed: 7})
+		res, err := SweepCtx(context.Background(), []*Scenario{s}, SweepConfig{Run: cfg, Seeds: 100, BaseSeed: 7}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

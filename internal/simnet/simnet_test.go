@@ -32,6 +32,23 @@ func TestDeliveryZeroLatency(t *testing.T) {
 	}
 }
 
+// TestZeroLatencyStaysOnHeap guards a measured decision: the heap is the
+// queue for same-timestamp cascades, not a fallback (ARCHITECTURE.md,
+// "Calendar queue vs heap": a cascade of 2·10⁵ events at one instant takes
+// 57 ms on the heap and three minutes on a calendar hinted 1 ms). A network
+// without latency must therefore never hint its kernel onto the calendar,
+// while a bounded positive latency still does.
+func TestZeroLatencyStaysOnHeap(t *testing.T) {
+	for _, cfg := range []Config{{}, {Latency: ConstantLatency{D: 0}}} {
+		if k, _ := newNet(t, 1000, cfg); k.QueueKind() != "heap" {
+			t.Errorf("latency %#v: queue %q, want heap", cfg.Latency, k.QueueKind())
+		}
+	}
+	if k, _ := newNet(t, 1000, Config{Latency: ConstantLatency{D: time.Millisecond}}); k.QueueKind() != "calendar" {
+		t.Errorf("1 ms latency: queue %q, want calendar", k.QueueKind())
+	}
+}
+
 func TestConstantLatencyTiming(t *testing.T) {
 	k, nw := newNet(t, 2, Config{Latency: ConstantLatency{D: 250 * time.Millisecond}})
 	var at sim.Time

@@ -82,7 +82,7 @@ func TestBatchDeterministic(t *testing.T) {
 		t.Run(d.String(), func(t *testing.T) {
 			cfg := batchTestConfig(d)
 			cfg.Batch = true
-			a, err := Run(cfg, testNetConfig(), xrand.New(21))
+			a, err := RunProbed(cfg, testNetConfig(), xrand.New(21), nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,12 +120,12 @@ func TestSummaryOnlyEquivalence(t *testing.T) {
 	for _, batch := range []bool{false, true} {
 		cfg := batchTestConfig(DisciplinePushPull)
 		cfg.Batch = batch
-		full, err := Run(cfg, testNetConfig(), xrand.New(17))
+		full, err := RunProbed(cfg, testNetConfig(), xrand.New(17), nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.SummaryOnly = true
-		sum, err := Run(cfg, testNetConfig(), xrand.New(17))
+		sum, err := RunProbed(cfg, testNetConfig(), xrand.New(17), nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

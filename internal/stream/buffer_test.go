@@ -134,7 +134,7 @@ func TestEvictionPoliciesUnderPressure(t *testing.T) {
 			cfg.Rate = 3000
 			cfg.BufferCap = 3
 			cfg.Eviction = policy
-			a, err := Run(cfg, testNetConfig(), xrand.New(21))
+			a, err := RunProbed(cfg, testNetConfig(), xrand.New(21), nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +142,7 @@ func TestEvictionPoliciesUnderPressure(t *testing.T) {
 			if a.Ledger.Evicted == 0 {
 				t.Fatal("overload run evicted nothing")
 			}
-			b, err := Run(cfg, testNetConfig(), xrand.New(21))
+			b, err := RunProbed(cfg, testNetConfig(), xrand.New(21), nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

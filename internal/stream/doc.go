@@ -24,9 +24,9 @@
 // assembly (lease, random-stream layout, drive, ledger check) it shares
 // with the core executor and the protocol runtime — with the core
 // executor's determinism contract: byte-identical for a fixed shard
-// count, statistically pinned across shard counts. Run and RunProbed are
-// RunSharded on one shard, the default. Telemetry
-// rides the obs.StreamProbe family (nil probe = zero overhead), and
-// scenario campaigns inject through the same core.NetRun seam as every
-// other execution.
+// count, statistically pinned across shard counts. RunProbed is
+// RunSharded on one shard, the default. Telemetry rides the
+// obs.StreamProbe family (nil probe = zero overhead), and scenario
+// campaigns inject through the same core.NetRun seam as every other
+// execution.
 package stream

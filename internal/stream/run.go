@@ -13,13 +13,8 @@ import (
 	"gossipkit/internal/xrand"
 )
 
-// Run executes one streaming run on one shard.
-func Run(cfg Config, netCfg simnet.Config, r *xrand.RNG) (Result, error) {
-	return RunSharded(cfg, netCfg, r, nil, nil, nil, core.ShardOptions{Shards: 1})
-}
-
-// RunProbed is Run with the full seam set of RunSharded: inject, arena
-// and probe, each optional.
+// RunProbed executes one streaming run on one shard, with the full seam
+// set of RunSharded: inject, arena and probe, each optional.
 func RunProbed(cfg Config, netCfg simnet.Config, r *xrand.RNG,
 	inject func(*core.NetRun), arena *Arena, probe *obs.StreamProbe) (Result, error) {
 	return RunSharded(cfg, netCfg, r, inject, arena, probe, core.ShardOptions{Shards: 1})
@@ -27,8 +22,8 @@ func RunProbed(cfg Config, netCfg simnet.Config, r *xrand.RNG,
 
 // RunSharded executes one streaming run. It is the one stream runner, a
 // front end on core.Run like core.ExecuteOnNetworkSharded (see there for
-// the sharded runtime); on one shard — what Run and RunProbed ask for — a
-// single kernel drained in one go.
+// the sharded runtime); on one shard — what RunProbed asks for — a single
+// kernel drained in one go.
 //
 // inject (non-nil) receives the core.NetRun injection facade before the
 // clock starts, so scenario campaigns drive crash waves and burst loss

@@ -194,7 +194,7 @@ type Config struct {
 }
 
 // Validate reports whether the config describes a runnable stream (the
-// facade's upfront parameter check; Run normalizes again internally).
+// facade's upfront parameter check; RunSharded normalizes again internally).
 func (c Config) Validate() error {
 	_, err := c.normalize()
 	return err

@@ -72,7 +72,7 @@ func TestRunLowLoadDeliversEverything(t *testing.T) {
 	// epidemic fixed point 1-e^{-c} — covered by the ledger tests.)
 	cfg := testConfig()
 	cfg.Discipline = DisciplinePush
-	res, err := Run(cfg, testNetConfig(), xrand.New(1))
+	res, err := RunProbed(cfg, testNetConfig(), xrand.New(1), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestRunLedgerAcrossDisciplines(t *testing.T) {
 			cfg.AliveRatio = 0.9
 			cfg.BufferCap = 8
 			cfg.Rate = 800
-			res, err := Run(cfg, testNetConfig(), xrand.New(7))
+			res, err := RunProbed(cfg, testNetConfig(), xrand.New(7), nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +115,7 @@ func TestRunLossAttributesDrops(t *testing.T) {
 	cfg := testConfig()
 	net := testNetConfig()
 	net.Loss = simnet.BernoulliLoss{P: 0.4}
-	res, err := Run(cfg, net, xrand.New(3))
+	res, err := RunProbed(cfg, net, xrand.New(3), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestRunDeterministicAcrossRepeatsAndArenas(t *testing.T) {
 	cfg := testConfig()
 	cfg.AliveRatio = 0.85
 	cfg.BufferCap = 6
-	a, err := Run(cfg, testNetConfig(), xrand.New(11))
+	a, err := RunProbed(cfg, testNetConfig(), xrand.New(11), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestStreamProbeCollectsCurves(t *testing.T) {
 	}
 
 	// The probe must not perturb the stream.
-	bare, err := Run(cfg, testNetConfig(), xrand.New(2))
+	bare, err := RunProbed(cfg, testNetConfig(), xrand.New(2), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,14 +488,14 @@ func TestConfigValidation(t *testing.T) {
 		{N: 8, Rate: 1, Duration: time.Second, Fanout: dist.NewFixed(2), AliveRatio: math.NaN()},
 	}
 	for i, cfg := range bad {
-		if _, err := Run(cfg, testNetConfig(), xrand.New(1)); err == nil {
+		if _, err := RunProbed(cfg, testNetConfig(), xrand.New(1), nil, nil, nil); err == nil {
 			t.Errorf("config %d: expected validation error", i)
 		}
 	}
 	// A rate so low that the first arrival overflows the virtual clock is
 	// a valid run over an empty schedule, not a panic.
 	tiny := Config{N: 8, Rate: 1e-11, Duration: time.Second, Fanout: dist.NewFixed(2)}
-	if res, err := Run(tiny, testNetConfig(), xrand.New(1)); err != nil || res.Scheduled != 0 {
+	if res, err := RunProbed(tiny, testNetConfig(), xrand.New(1), nil, nil, nil); err != nil || res.Scheduled != 0 {
 		t.Errorf("rate 1e-11: scheduled %d, err %v; want an empty schedule", res.Scheduled, err)
 	}
 }

@@ -1,9 +1,9 @@
 #!/bin/sh
 # lint-api.sh — fail CI when a binary or an example reaches past the
-# facade for a baseline protocol, or when a DES front end assembles its
-# own sharded run.
+# facade for a baseline protocol, when a DES front end assembles its own
+# sharded run, or when a sweep goes to the worker pool directly.
 #
-# Two greps (no linter dependency, runs anywhere a POSIX shell does):
+# Three greps (no linter dependency, runs anywhere a POSIX shell does):
 #
 #   - cmd/ and examples/ must not import internal/protocols — the facade
 #     engine specs (Pbcast, ..., Flooding, Compare) are the only supported
@@ -14,6 +14,12 @@
 #     fabric, or hands its Flush/Buffered to a group: a run is leased,
 #     laid out, driven and closed by core.Run (NetArena.Begin ... Drive),
 #     and a fourth front end gets its run there, not from a fourth copy.
+#   - outside internal/runpool, no non-test file calls runpool.Run,
+#     runpool.RunOrdered or runpool.Count: "run N seeded replications on
+#     per-worker state, reduced in run order" is runpool.Replicate, and a
+#     new sweep gets its workers there, not from another hand-kept table
+#     indexed by worker id. (bench/ is its own tree — it replays the pool
+#     itself to time it — and is not scanned.)
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -62,4 +68,10 @@ scan 'NewShardGroup\(|\.Prepare\(|\.ResetShard\(|\.(Flush|Buffered)[,)]' \
     "get the run from core.NetArena.Begin and drive it with Run.Drive" \
     $assembly_files
 
-echo "api-lint: cmd/ and examples/ are clean (no internal/protocols imports); one run assembly (internal/core/run.go)"
+# shellcheck disable=SC2046 # as above
+scan 'runpool\.(Run|RunOrdered|Count)[[(]' \
+    "worker pool used directly outside internal/runpool" \
+    "run the sweep on runpool.Replicate: it owns the worker count, the per-worker state and the run-ordered reduction" \
+    $(find . -name '*.go' ! -name '*_test.go' ! -path './internal/runpool/*' ! -path './bench/*')
+
+echo "api-lint: cmd/ and examples/ are clean (no internal/protocols imports); one run assembly (internal/core/run.go); one replication driver (runpool.Replicate)"

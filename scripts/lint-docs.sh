@@ -1,6 +1,7 @@
 #!/bin/sh
 # lint-docs.sh — fail CI when a package lacks its doc comment, or the
-# prose docs lose a load-bearing anchor or name a deleted identifier.
+# prose docs lose a load-bearing anchor, name a deleted identifier or point
+# at a document that is not in the tree.
 #
 # Every internal/ package must carry a `// Package <name> ...` comment (by
 # convention in doc.go, but any non-test .go file counts) stating its role,
@@ -117,14 +118,30 @@ for anchor in \
         fail=1
     fi
 done
+# Every upper-case *.md a Go file or a prose doc names must exist somewhere
+# in the tree: comments used to send readers to a DESIGN and an EXPERIMENTS
+# document that were never committed. CHANGES.md and ISSUE.md are exempt —
+# the log and the work order name files in order to say they are gone.
+md_scope="--include=*.go --include=*.md --exclude=CHANGES.md --exclude=ISSUE.md --exclude-dir=.git"
+# shellcheck disable=SC2086 # one option per word
+for name in $(grep -rhoE '[A-Z][A-Z0-9_-]*\.md' $md_scope . | sort -u); do
+    if [ -z "$(find . -name "$name" -print -quit)" ]; then
+        echo "docs-lint: '$name' is named but is not in the tree:" >&2
+        grep -rnF "$name" $md_scope . >&2
+        fail=1
+    fi
+done
 # The pre-Engine facade functions, runpool.Progress,
 # simnet.LatencyRecorder, the stream twin of the shard merge, the four
-# histogram-shape probe options and the pieces the front ends hand-built
+# histogram-shape probe options, the pieces the front ends hand-built
 # their runs from before core.Run (RunState, the NetRun constructors, the
-# Fabric interface, the stream's private shard split) are deleted; README
-# and ARCHITECTURE must not describe them as if they existed. (Only names
-# no surviving identifier contains: core.RunSuccess and core.NewNetArena
-# are still real.)
+# Fabric interface, the stream's private shard split), the eight entry
+# points that only forwarded to a surviving form (core's and scenario's
+# non-Ctx twins, core.ExecuteOnNetwork, stream.Run), Params.drawMask and
+# failure.BernoulliMask are deleted; README and ARCHITECTURE must not
+# describe them as if they existed. Where a surviving identifier contains
+# the name (EstimateReliabilityCtx, ExecuteOnNetworkArena, drawMaskInto,
+# ...) the pattern stops at the next letter.
 for gone in \
     "deprecated\.go" \
     "SweepScenarios" \
@@ -146,15 +163,23 @@ for gone in \
     "RunState" \
     "NewNetRun" \
     "simnet\.Fabric" \
-    "0x57ea17"; do
-    if hits=$(grep -n "$gone" README.md ARCHITECTURE.md); then
+    "0x57ea17" \
+    "EstimateReliability([^C]|$)" \
+    "EstimateComponentReliability([^C]|$)" \
+    "RunSuccess([^C]|$)" \
+    "ExecuteOnNetwork([^A-Z]|$)" \
+    "scenario\.(Sweep|SweepGrid|Compare)([^A-Za-z]|$)" \
+    "stream\.Run([^A-Za-z]|$)" \
+    "drawMask([^I]|$)" \
+    "BernoulliMask"; do
+    if hits=$(grep -nE "$gone" README.md ARCHITECTURE.md); then
         echo "docs-lint: README/ARCHITECTURE mention the deleted '$gone':" >&2
         echo "$hits" >&2
         fail=1
     fi
 done
 if [ "$fail" -ne 0 ]; then
-    echo "docs-lint: add the missing package/command comments (doc.go preferred for packages) and drop mentions of deleted identifiers" >&2
+    echo "docs-lint: add the missing package/command comments (doc.go preferred for packages) and drop mentions of deleted identifiers and absent documents" >&2
     exit 1
 fi
 echo "docs-lint: all internal packages and cmd binaries documented"
