@@ -92,7 +92,9 @@ flags (run/sweep):
   -dist NAME            fanout distribution: poisson, fixed, geometric, uniform (default poisson)
   -fanout FLOAT         mean/exact fanout (default 5)
   -q FLOAT              static nonfailed ratio composed with the campaign (default 1)
-  -views INT            SCAMP partial-view extra copies; 0 = full view (default 2)
+  -views INT            SCAMP partial-view extra copies; 0 = full view (default 2).
+                        Every run rebuilds its views: 5 ms at -n 1000, 0.12 s at
+                        -n 10000, 8-10 s at -n 100000 (at 2 copies)
   -seed UINT            base random seed (default 42)
   -seeds INT            replications per scenario (default 1 for run, 10 for sweep)
   -workers INT          worker pool size; 0 = GOMAXPROCS (sweep/grid)
@@ -163,7 +165,7 @@ func run(ctx context.Context, args []string, sweep bool) error {
 		distKind = fs.String("dist", "poisson", "fanout distribution")
 		fanout   = fs.Float64("fanout", 5, "mean fanout")
 		q        = fs.Float64("q", 1, "static nonfailed ratio")
-		views    = fs.Int("views", 2, "SCAMP partial-view extra copies (0 = full view)")
+		views    = fs.Int("views", 2, "SCAMP partial-view extra copies (0 = full view); each run rebuilds them: 0.12 s at -n 10000, 8-10 s at -n 100000")
 		seed     = fs.Uint64("seed", 42, "base random seed")
 		seeds    = fs.Int("seeds", 0, "replications per scenario")
 		workers  = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
@@ -274,7 +276,7 @@ func grid(ctx context.Context, args []string) error {
 		distKind = fs.String("dist", "poisson", "fanout distribution")
 		qsFlag   = fs.String("qs", "0.6,0.8,1.0", "comma-separated nonfailed ratios")
 		fanFlag  = fs.String("fanouts", "3,5,8", "comma-separated mean fanouts")
-		views    = fs.Int("views", 2, "SCAMP partial-view extra copies (0 = full view)")
+		views    = fs.Int("views", 2, "SCAMP partial-view extra copies (0 = full view); each run rebuilds them: 0.12 s at -n 10000, 8-10 s at -n 100000")
 		seed     = fs.Uint64("seed", 42, "base random seed")
 		seeds    = fs.Int("seeds", 5, "replications per grid cell")
 		workers  = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
@@ -365,7 +367,7 @@ func compare(ctx context.Context, args []string) error {
 		fanout    = fs.Float64("fanout", 5, "mean fanout")
 		q         = fs.Float64("q", 1, "static nonfailed ratio")
 		rounds    = fs.Int("rounds", 10, "round budget for round-based baselines")
-		views     = fs.Int("views", 2, "SCAMP partial-view extra copies (0 = full view)")
+		views     = fs.Int("views", 2, "SCAMP partial-view extra copies (0 = full view); each run rebuilds them: 0.12 s at -n 10000, 8-10 s at -n 100000")
 		seed      = fs.Uint64("seed", 42, "base random seed")
 		seeds     = fs.Int("seeds", 5, "replications per (protocol, scenario) cell")
 		workers   = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")

@@ -258,10 +258,14 @@ func WithTopology(t Topology) Option { return func(o *runOptions) { o.topology =
 // mergeRunConfig folds the WithTopology and WithShards options into a
 // scenario run config (the Campaign and Compare engines), rejecting an
 // option that conflicts with the explicitly-set Config field — and a
-// Config.Net no engine should run on (validateNet).
+// Config.Net no engine should run on (validateNet) or a negative
+// PartialViewCopies, which would run on the full view without saying so.
 func mergeRunConfig(cfg *ScenarioRunConfig, o *runOptions) error {
 	if err := validateNet(cfg.Net); err != nil {
 		return err
+	}
+	if cfg.PartialViewCopies < 0 {
+		return fmt.Errorf("%w: partial view copies %d < 0", ErrInvalidParams, cfg.PartialViewCopies)
 	}
 	if !o.topology.IsUniform() {
 		if !cfg.Topology.IsUniform() && cfg.Topology != o.topology {

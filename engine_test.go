@@ -263,6 +263,9 @@ func TestHostileNumbersRejected(t *testing.T) {
 		bad["compare loss "+name] = Compare{Scenarios: DefaultScenarioSuite()[:1], Paper: true,
 			Config: ScenarioRunConfig{Params: p, Net: net}}
 	}
+	negViews := ScenarioRunConfig{Params: p, PartialViewCopies: -3}
+	bad["campaign views -3"] = Campaign{Scenarios: DefaultScenarioSuite()[:1], Config: negViews}
+	bad["compare views -3"] = Compare{Scenarios: DefaultScenarioSuite()[:1], Paper: true, Config: negViews}
 	for name, spec := range bad {
 		if _, err := RunMany(context.Background(), spec, 2); !errors.Is(err, ErrInvalidParams) {
 			t.Errorf("%s: err %v, want ErrInvalidParams", name, err)

@@ -182,8 +182,9 @@ func FullView(n int) membership.View { return membership.NewFullView(n) }
 
 // PartialViews builds SCAMP-style partial membership views (substrate for
 // the paper's assumption that "a scalable membership protocol is
-// available"). c is the number of extra subscription copies; views average
-// (c+1)·ln(n) entries.
+// available"). c is the number of extra subscription copies; views grow
+// with (c+1)·log(n) — the measured mean at c = 2 is 24.1 / 32.4 / 40.2
+// entries (largest 51 / 63 / 76) at n = 10³ / 10⁴ / 10⁵.
 func PartialViews(n, c int, r *RNG) *membership.PartialViews {
 	return membership.NewPartialViews(n, c, r)
 }

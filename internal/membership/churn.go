@@ -43,9 +43,10 @@ func (pv *PartialViews) Unsubscribe(id int, r *xrand.RNG) int {
 }
 
 // Subscribe adds a new member via an existing contact, running the same
-// SCAMP-inspired forwarding as NewPartialViews does at build time. The id
-// must be a currently empty slot (e.g. after Unsubscribe) or an index
-// beyond no view; Subscribe grows the view table as needed.
+// SCAMP-inspired forwarding as NewPartialViews does at build time — the
+// same joiner, after one pass over the views to seed its stamps for this
+// id. The id must be a currently empty slot (e.g. after Unsubscribe) or an
+// index beyond no view; Subscribe grows the view table as needed.
 func (pv *PartialViews) Subscribe(id, contact, copies int, r *xrand.RNG) {
 	for id >= len(pv.views) {
 		pv.views = append(pv.views, nil)
@@ -53,19 +54,14 @@ func (pv *PartialViews) Subscribe(id, contact, copies int, r *xrand.RNG) {
 	if contact < 0 || contact >= len(pv.views) || contact == id {
 		return
 	}
-	targets := append([]int32(nil), pv.views[contact]...)
-	for i := 0; i < copies; i++ {
-		v := pv.views[contact]
-		if len(v) == 0 {
-			break
+	j := joiner{pv: pv, holds: make([]int32, len(pv.views))}
+	for node := range pv.views {
+		j.holds[node] = -1 // no member id is negative
+		if pv.contains(node, id) {
+			j.holds[node] = int32(id)
 		}
-		targets = append(targets, v[r.Intn(len(v))])
 	}
-	pv.add(contact, id)
-	pv.add(id, contact)
-	for _, t := range targets {
-		pv.integrate(int(t), id, r)
-	}
+	j.join(id, contact, copies, r)
 }
 
 // References returns how many views contain id (its in-degree).

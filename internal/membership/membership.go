@@ -10,14 +10,44 @@
 //   - PartialViews: size-bounded local views built by a SCAMP-inspired
 //     subscription process and optionally mixed by Cyclon-style shuffles.
 //     Used by ablation A5 to quantify how partial knowledge perturbs the
-//     model's predictions.
+//     model's predictions, by the scenario runner under PartialViewCopies
+//     and by the lpbcast and RDG baselines, which rebuild them every run.
 //
 // A View's single obligation is target sampling: draw k distinct gossip
 // targets for a member, never including the member itself.
+//
+// # What partial views cost
+//
+// A build is a sequence of keep-or-forward random walks, and its cost is
+// the number of hops they take: 443,823 at n = 10³ with c = 2 extra copies
+// (5.4 ms at ≈ 12 ns a hop), 7.0·10⁶ at n = 10⁴ (0.12 s), 9.5·10⁷ at
+// n = 10⁵ (8–10 s — there every hop is two dependent cache misses over
+// 40 MB of views, ≈ 90 ns). Nothing else in the build is allowed to cost:
+// the walk's membership question is a stamp lookup (joiner.holds), the
+// views are carved out of one arena and spill to the heap through plain
+// append, and there is one walk (joiner.walk) under both NewPartialViews
+// and Subscribe. Shuffle keeps its scratch on the receiver and allocates
+// nothing once warm. SampleTargets only reads the receiver, because one
+// PartialViews is shared by all shard kernels of a run, and allocates
+// nothing into a warm dst.
+//
+// # Why the draws may not change
+//
+// Every result is a function of the order in which the random stream is
+// consumed and of the order of entries inside each view (targets are drawn
+// by position). Golden files and digests pin both: scenario's suite.golden
+// (run under PartialViewCopies 2), the protocols package's 25-seed
+// equivalence with its oracle loops, and the benchmark's compare_grid
+// digest. So an optimisation here may change what a hop costs, never how
+// many hops there are or which draw decides them; reference_test.go keeps
+// the previous implementation as the oracle that
+// TestPartialViewsMatchReference and FuzzPartialViewsVsReference hold this
+// one to. Run them after touching this package.
 package membership
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gossipkit/internal/xrand"
 )
@@ -65,7 +95,34 @@ func (v FullView) SampleTargets(dst []int, self, k int, r *xrand.RNG) []int {
 
 // PartialViews holds one bounded local view per member.
 type PartialViews struct {
+	// views[i] is member i's view, in the order its entries arrived
+	// (targets are drawn by position, so the order is part of the result).
+	// A build carves every view out of one arena as a zero-length row of
+	// fixed capacity; a view that outgrows its row moves to the heap
+	// through plain append, and nothing else knows the difference.
 	views [][]int32
+
+	// Shuffle's working storage, kept across calls so that mixing
+	// allocates nothing once warm. SampleTargets must not touch it: shard
+	// kernels sample one shared PartialViews concurrently.
+	order        []int
+	picks        []int
+	sendA, sendB []int32
+}
+
+// forceStride, when non-zero, replaces rowStride's answer. Only tests set
+// it: strides 1 and 2 make every view outgrow its row.
+var forceStride int
+
+// rowStride is the capacity of one carved row, 2·(c+1)·⌈log₂ n⌉ entries:
+// about twice the mean view size, above the largest view a build was seen
+// to produce (51 / 63 / 76 at n = 10³ / 10⁴ / 10⁵ for c = 2, against rows
+// of 60 / 84 / 102).
+func rowStride(n, c int) int {
+	if forceStride > 0 {
+		return forceStride
+	}
+	return 2 * (c + 1) * bits.Len(uint(n-1))
 }
 
 // NewPartialViews builds per-member views with a SCAMP-inspired
@@ -73,62 +130,124 @@ type PartialViews struct {
 // subscription is forwarded from a random contact to each of the contact's
 // view entries plus c extra copies, and every recipient of a forwarded
 // subscription either keeps it (with probability 1/(1+len(view))) or
-// forwards it to a random view member. The resulting views have mean size
-// about (c+1)·log(n), SCAMP's signature property.
+// forwards it to a random view member. The resulting views grow with
+// (c+1)·log(n), SCAMP's signature property: the measured mean is 24.1 /
+// 32.4 / 40.2 entries at n = 10³ / 10⁴ / 10⁵ for c = 2.
 //
 // c must be >= 0; n >= 2. The process is deterministic given r.
 func NewPartialViews(n, c int, r *xrand.RNG) *PartialViews {
+	pv, _ := buildPartialViews(n, c, r)
+	return pv
+}
+
+// buildPartialViews is NewPartialViews plus the number of random-walk hops
+// the build took, the quantity its cost is proportional to.
+func buildPartialViews(n, c int, r *xrand.RNG) (*PartialViews, int) {
 	if n < 2 {
 		panic(fmt.Sprintf("membership: invalid group size %d", n))
 	}
 	if c < 0 {
 		panic(fmt.Sprintf("membership: invalid copy count %d", c))
 	}
+	s := rowStride(n, c)
+	arena := make([]int32, n*s)
 	pv := &PartialViews{views: make([][]int32, n)}
-	// Bootstrap: member 1 joins via member 0.
-	pv.add(0, 1)
-	pv.add(1, 0)
-	for id := 2; id < n; id++ {
-		contact := r.Intn(id)
-		// The contact keeps the newcomer and forwards the subscription
-		// to all of its view plus c extra random-walk copies.
-		targets := append([]int32(nil), pv.views[contact]...)
-		for i := 0; i < c; i++ {
-			v := pv.views[contact]
-			targets = append(targets, v[r.Intn(len(v))])
-		}
-		pv.add(contact, id)
-		// The newcomer learns the contact.
-		pv.add(id, contact)
-		for _, t := range targets {
-			pv.integrate(int(t), id, r)
-		}
+	for i := range pv.views {
+		pv.views[i] = arena[i*s : i*s : (i+1)*s]
 	}
-	return pv
+	// Bootstrap: member 1 joins via member 0.
+	pv.views[0] = append(pv.views[0], 1)
+	pv.views[1] = append(pv.views[1], 0)
+	// The zeroed stamps read "holds newcomer 0", which nobody asks: the
+	// first newcomer is 2.
+	j := joiner{pv: pv, holds: make([]int32, n)}
+	for id := 2; id < n; id++ {
+		j.join(id, r.Intn(id), c, r)
+	}
+	return pv, j.hops
 }
 
-// integrate runs the SCAMP keep-or-forward random walk for a forwarded
-// subscription of newcomer arriving at node.
-func (pv *PartialViews) integrate(node, newcomer int, r *xrand.RNG) {
-	for hops := 0; hops < 10*len(pv.views); hops++ {
-		if node != newcomer && !pv.contains(node, newcomer) {
-			if r.Float64() < 1/float64(1+len(pv.views[node])) {
-				pv.add(node, newcomer)
-				return
-			}
+// joiner subscribes newcomers. holds is the stamp array that makes the
+// walk's membership question O(1): holds[node] == id exactly when
+// views[node] already holds newcomer id. Stamps are written wherever a join
+// appends the newcomer and are never cleared, which is sound because views
+// only grow during a join and every newcomer of a build has a larger id
+// than the last, so a stale stamp never equals the current one. Subscribe,
+// whose newcomer may be any id, seeds the stamps with one pass instead.
+type joiner struct {
+	pv      *PartialViews
+	holds   []int32
+	targets []int32 // the forwarded copies' first stops, reused per newcomer
+	hops    int
+}
+
+// join subscribes newcomer id through contact: the contact keeps the
+// newcomer, the newcomer learns the contact, and the subscription is
+// forwarded to all of the contact's view plus c extra random-walk copies.
+func (j *joiner) join(id, contact, c int, r *xrand.RNG) {
+	v := j.pv.views[contact]
+	targets := append(j.targets[:0], v...)
+	for i := 0; i < c && len(v) > 0; i++ {
+		targets = append(targets, v[r.Intn(len(v))])
+	}
+	j.targets = targets
+	j.keep(contact, int32(id))
+	j.pv.add(id, contact)
+	for _, t := range targets {
+		j.walk(int(t), int32(id), r)
+	}
+}
+
+// keep appends newcomer id to node's view unless node is the newcomer or
+// already holds it.
+func (j *joiner) keep(node int, id int32) {
+	if int32(node) != id && j.holds[node] != id {
+		j.pv.views[node] = append(j.pv.views[node], id)
+		j.holds[node] = id
+	}
+}
+
+// keepTable[l] is 1/float64(1+l), the probability that a view of l entries
+// keeps a forwarded subscription, computed once by the expression the walk
+// would otherwise evaluate (a float division) on every hop.
+var keepTable = func() (t [256]float64) {
+	for l := range t {
+		t[l] = 1 / float64(1+l)
+	}
+	return t
+}()
+
+func keepProb(l int) float64 {
+	if l < len(keepTable) {
+		return keepTable[l]
+	}
+	return 1 / float64(1+l)
+}
+
+// walk runs the SCAMP keep-or-forward random walk for a forwarded
+// subscription of newcomer id arriving at node: each node it visits keeps
+// the subscription with probability 1/(1+len(view)) — if it may: it is not
+// the newcomer and does not hold it yet — or forwards it to a random view
+// entry. A walk that runs into an empty view or out of hops (a pathological
+// view graph) leaves the subscription where it stands, to preserve
+// connectivity. It is the only walk: a build and a Subscribe differ in how
+// holds was seeded, not here.
+func (j *joiner) walk(node int, id int32, r *xrand.RNG) {
+	views, holds := j.pv.views, j.holds
+	limit := 10 * len(views)
+	hop := 0
+	for ; hop < limit; hop++ {
+		v := views[node]
+		if int32(node) != id && holds[node] != id && r.Float64() < keepProb(len(v)) {
+			break
 		}
-		v := pv.views[node]
 		if len(v) == 0 {
-			pv.add(node, newcomer)
-			return
+			break
 		}
 		node = int(v[r.Intn(len(v))])
 	}
-	// Random walk failed to place the subscription (pathological view
-	// graph); keep it at the current node to preserve connectivity.
-	if node != newcomer {
-		pv.add(node, newcomer)
-	}
+	j.keep(node, id)
+	j.hops += min(hop+1, limit)
 }
 
 func (pv *PartialViews) add(node, member int) {
@@ -163,25 +282,49 @@ func (pv *PartialViews) View(self int) []int {
 }
 
 // SampleTargets implements View by sampling without replacement from self's
-// local view.
+// local view. It only reads the receiver — the indices are drawn straight
+// into dst and mapped to entries in place — because one PartialViews is
+// shared by every shard kernel of a run.
 func (pv *PartialViews) SampleTargets(dst []int, self, k int, r *xrand.RNG) []int {
 	if dst == nil {
 		dst = make([]int, 0, k)
 	}
-	dst = dst[:0]
 	v := pv.views[self]
 	if k >= len(v) {
+		dst = dst[:0]
 		for _, t := range v {
 			dst = append(dst, int(t))
 		}
 		r.Shuffle(len(dst), func(i, j int) { dst[i], dst[j] = dst[j], dst[i] })
 		return dst
 	}
-	// Partial Fisher–Yates over indices via Floyd's algorithm on index
-	// space.
-	idx := r.SampleInts(nil, len(v), k)
-	for _, i := range idx {
-		dst = append(dst, int(v[i]))
+	dst = sampleIndices(dst, len(v), k, r)
+	for i, at := range dst {
+		dst[i] = int(v[at])
+	}
+	return dst
+}
+
+// sampleIndices is r.SampleInts(dst, n, k) — the same draws, the same
+// result — minus the n-sized scratch SampleInts allocates on its dense
+// branch (k·4 > n): a view is tens of entries, so the same partial
+// Fisher–Yates runs over a stack buffer. Sizes beyond the buffer, and the
+// branches that never allocated, go to SampleInts itself.
+func sampleIndices(dst []int, n, k int, r *xrand.RNG) []int {
+	const maxStack = 128
+	k = min(k, n)
+	if k*4 <= n || n > maxStack {
+		return r.SampleInts(dst, n, k)
+	}
+	var perm [maxStack]int32
+	for i := range perm[:n] {
+		perm[i] = int32(i)
+	}
+	dst = dst[:0]
+	for i := 0; i < k; i++ {
+		j := i + r.Intn(n-i)
+		perm[i], perm[j] = perm[j], perm[i]
+		dst = append(dst, int(perm[i]))
 	}
 	return dst
 }
@@ -196,7 +339,10 @@ func (pv *PartialViews) Shuffle(rounds, swap int, r *xrand.RNG) {
 		return
 	}
 	n := len(pv.views)
-	order := make([]int, n)
+	if cap(pv.order) < n {
+		pv.order = make([]int, n)
+	}
+	order := pv.order[:n]
 	for i := range order {
 		order[i] = i
 	}
@@ -215,25 +361,21 @@ func (pv *PartialViews) Shuffle(rounds, swap int, r *xrand.RNG) {
 
 // exchange swaps up to k view entries between a and b.
 func (pv *PartialViews) exchange(a, b, k int, r *xrand.RNG) {
-	sendA := pv.pickEntries(a, k, r)
-	sendB := pv.pickEntries(b, k, r)
-	pv.replaceEntries(a, sendA, sendB, b)
-	pv.replaceEntries(b, sendB, sendA, a)
+	pv.sendA = pv.pickEntries(pv.sendA[:0], a, k, r)
+	pv.sendB = pv.pickEntries(pv.sendB[:0], b, k, r)
+	pv.replaceEntries(a, pv.sendA, pv.sendB, b)
+	pv.replaceEntries(b, pv.sendB, pv.sendA, a)
 }
 
-// pickEntries selects up to k distinct view positions of node and returns
-// the entries.
-func (pv *PartialViews) pickEntries(node, k int, r *xrand.RNG) []int32 {
+// pickEntries selects up to k distinct view positions of node and appends
+// the entries to dst.
+func (pv *PartialViews) pickEntries(dst []int32, node, k int, r *xrand.RNG) []int32 {
 	v := pv.views[node]
-	if k > len(v) {
-		k = len(v)
+	pv.picks = sampleIndices(pv.picks, len(v), k, r)
+	for _, at := range pv.picks {
+		dst = append(dst, v[at])
 	}
-	idx := r.SampleInts(nil, len(v), k)
-	out := make([]int32, 0, k)
-	for _, i := range idx {
-		out = append(out, v[i])
-	}
-	return out
+	return dst
 }
 
 // replaceEntries removes the sent entries from node's view and integrates

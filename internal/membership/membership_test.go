@@ -1,6 +1,7 @@
 package membership
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -232,9 +233,41 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func BenchmarkPartialViewsBuild1000(b *testing.B) {
+// BenchmarkPartialViewsBuild reports what a SCAMP build costs in the unit it
+// is proportional to: random-walk hops. hops/op is a property of the seed,
+// not of the implementation (443,823 at n=1000, c=2, seed 1); ns/hop is
+// what a change to the walk moves. n=10⁵ takes ≈ 10 s an iteration and is
+// skipped under -short.
+func BenchmarkPartialViewsBuild(b *testing.B) {
+	for _, n := range []int{1000, 10000, 100000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			if n > 10000 && testing.Short() {
+				b.Skip("n=10⁵ build skipped under -short")
+			}
+			b.ReportAllocs()
+			hops := 0
+			for i := 0; i < b.N; i++ {
+				_, h := buildPartialViews(n, 2, xrand.New(1))
+				hops += h
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(hops), "ns/hop")
+			b.ReportMetric(float64(hops)/float64(b.N), "hops/op")
+		})
+	}
+}
+
+// BenchmarkPartialViewsShuffle is the mixing every lpbcast and RDG run
+// applies to its fresh views. Each iteration shuffles a fresh build (built
+// off the clock): exchanges always add the peer, so a view set shuffled
+// over and over keeps growing and would measure a moving target.
+func BenchmarkPartialViewsShuffle(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = NewPartialViews(1000, 1, xrand.New(uint64(i)))
+		b.StopTimer()
+		r := xrand.New(1)
+		pv := NewPartialViews(1000, 2, r)
+		b.StartTimer()
+		pv.Shuffle(5, 3, r)
 	}
 }
 
@@ -245,5 +278,36 @@ func BenchmarkFullViewSample(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf = v.SampleTargets(buf, i%5000, 4, r)
+	}
+}
+
+// TestPartialViewsAllocs pins what the arena-carved build and the
+// receiver/caller-owned scratch promise: a build that spills no row makes
+// a fixed handful of objects, a second Shuffle makes none (the first sizes
+// the receiver's scratch), and SampleTargets into a warm dst makes none on
+// any branch — take-all, Floyd (k·4 <= len) and the dense branch between,
+// which sampleIndices replays over a stack buffer instead of letting
+// xrand.SampleInts allocate its len-sized scratch.
+func TestPartialViewsAllocs(t *testing.T) {
+	if a := testing.AllocsPerRun(3, func() { NewPartialViews(1000, 2, xrand.New(1)) }); a > 16 {
+		t.Errorf("NewPartialViews(1000, 2) makes %.0f allocations, want <= 16", a)
+	}
+	r := xrand.New(1)
+	pv := NewPartialViews(1000, 2, r)
+	// AllocsPerRun's warm-up call is the first Shuffle, the measured one the
+	// second. (A third would start spilling rows: exchanges grow views.)
+	if a := testing.AllocsPerRun(1, func() { pv.Shuffle(5, 3, r) }); a != 0 {
+		t.Errorf("second Shuffle(5, 3) makes %.0f allocations, want 0", a)
+	}
+	self := 0
+	for pv.Degree(self) < 12 {
+		self++
+	}
+	d := pv.Degree(self)
+	dst := make([]int, 0, d)
+	for name, k := range map[string]int{"take-all": d + 1, "floyd": d / 4, "dense": d - 1} {
+		if a := testing.AllocsPerRun(100, func() { dst = pv.SampleTargets(dst, self, k, r) }); a != 0 {
+			t.Errorf("SampleTargets(k=%d of %d, %s) makes %.0f allocations, want 0", k, d, name, a)
+		}
 	}
 }

@@ -75,9 +75,3 @@ type LpbcastResult struct {
 	// gossiping member).
 	MessagesSent int
 }
-
-// lpbcastMember is one member's protocol state.
-type lpbcastMember struct {
-	buffer []int32 // event ids currently buffered (payload held)
-	seen   map[int32]bool
-}

@@ -10,6 +10,7 @@ package protocols
 import (
 	"math/bits"
 
+	"gossipkit/internal/bitset"
 	"gossipkit/internal/graph"
 	"gossipkit/internal/membership"
 	"gossipkit/internal/sim"
@@ -287,7 +288,9 @@ func (p LpbcastParams) newMachine() machine { return &lpMachine{p: p} }
 type lpMachine struct {
 	p        LpbcastParams
 	view     membership.View
-	members  []lpbcastMember
+	buffers  [][]int32   // buffers[id]: the event ids id holds a payload for, oldest first
+	seen     bitset.Bits // bit id·Events+e: member id has delivered event e
+	seenCnt  []int32     // seenCnt[id]: how many events id has delivered
 	perEvent []int
 }
 
@@ -304,10 +307,9 @@ func (m *lpMachine) init(rt *Runtime) {
 		m.view = views
 	}
 	rt.Mask.FillExact(m.p.N, m.p.AliveRatio, m.p.Source, rt.RNG)
-	m.members = make([]lpbcastMember, m.p.N)
-	for i := range m.members {
-		m.members[i].seen = map[int32]bool{}
-	}
+	m.buffers = make([][]int32, m.p.N)
+	m.seen.Reset(m.p.N * m.p.Events)
+	m.seenCnt = make([]int32, m.p.N)
 	m.perEvent = make([]int, m.p.Events)
 	rt.seedSource()
 	for e := 0; e < m.p.Events; e++ {
@@ -318,17 +320,19 @@ func (m *lpMachine) init(rt *Runtime) {
 // absorb applies one event delivery at id: dedup, per-event accounting,
 // buffer append with age-out, and the member-level first receipt.
 func (m *lpMachine) absorb(rt *Runtime, id int, ev int32, now sim.Time) {
-	mb := &m.members[id]
-	if mb.seen[ev] {
+	bit := id*m.p.Events + int(ev)
+	if m.seen.Get(bit) {
 		return
 	}
-	mb.seen[ev] = true
+	m.seen.Set(bit)
+	m.seenCnt[id]++
 	m.perEvent[ev]++
-	mb.buffer = append(mb.buffer, ev)
+	buf := append(m.buffers[id], ev)
 	// Age-out: keep only the newest BufferSize events.
-	if len(mb.buffer) > m.p.BufferSize {
-		mb.buffer = mb.buffer[len(mb.buffer)-m.p.BufferSize:]
+	if len(buf) > m.p.BufferSize {
+		buf = buf[len(buf)-m.p.BufferSize:]
 	}
+	m.buffers[id] = buf
 	rt.markReceived(id, now) // no-op after the member's first event
 }
 
@@ -350,12 +354,13 @@ func (m *lpMachine) tick(rt *Runtime, round int) bool {
 // an empty buffer) — the shared send block of round ticks and re-gossip
 // publishes.
 func (m *lpMachine) forward(rt *Runtime, id int) {
-	mb := &m.members[id]
-	if len(mb.buffer) == 0 {
+	buf := m.buffers[id]
+	if len(buf) == 0 {
 		return
 	}
 	rt.targets = m.view.SampleTargets(rt.targets, id, m.p.Fanout, rt.RNG)
-	payload := append([]int32(nil), mb.buffer...)
+	// One snapshot, boxed once: every target's message shares it.
+	var payload any = append([]int32(nil), buf...)
 	for _, t := range rt.targets {
 		rt.res.MessagesSent++
 		rt.Net.Send(simnet.NodeID(id), simnet.NodeID(t), payload)
@@ -370,7 +375,7 @@ func (m *lpMachine) deliver(rt *Runtime, now sim.Time, msg simnet.Message) {
 }
 
 func (m *lpMachine) publish(rt *Runtime, id int) {
-	if len(m.members[id].seen) < m.p.Events {
+	if int(m.seenCnt[id]) < m.p.Events {
 		// Flash crowd: id obtains every event out of band.
 		for e := 0; e < m.p.Events; e++ {
 			m.absorb(rt, id, int32(e), rt.Kernel.Now())

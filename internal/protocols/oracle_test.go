@@ -240,6 +240,12 @@ func RunAntiEntropy(p AntiEntropyParams, r *xrand.RNG) (AntiEntropyResult, error
 	return res, nil
 }
 
+// lpbcastMember is one member's protocol state in the legacy loop.
+type lpbcastMember struct {
+	buffer []int32 // event ids currently buffered (payload held)
+	seen   map[int32]bool
+}
+
 // RunLpbcast executes the lpbcast-style protocol and reports per-event
 // delivery. The simulation is synchronous-round over SCAMP partial views.
 func RunLpbcast(p LpbcastParams, r *xrand.RNG) (LpbcastResult, error) {

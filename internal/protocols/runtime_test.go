@@ -3,6 +3,7 @@ package protocols
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"testing"
 	"time"
 
@@ -172,36 +173,55 @@ func TestDESArenaNeutral(t *testing.T) {
 }
 
 // BenchmarkProtocolOnDES is the CI smoke benchmark for the protocol-on-DES
-// hot path: pbcast rounds over the kernel+simnet substrate with a warm
-// arena, at n=10³ and n=10⁴.
+// hot path with a warm arena: the five specs of the bench's compare grid at
+// n=10³ — one `go test -bench` shows the spread across protocols that
+// `protocols.*_us_per_run` reports, which is SCAMP random-walk hops: lpbcast
+// and RDG build and shuffle fresh partial views every run, the others
+// build none — plus pbcast at n=10⁴. The lpbcast and RDG subs fail above
+// maxMallocs warm mallocs per run: they measure 12,834 (one snapshot and
+// one box per forward, two buffer growths per member) and 47, and made
+// 63,760 and 32,791 when views, shuffle picks, samples, the per-member
+// seen-maps and the per-target payloads were all heap objects.
 func BenchmarkProtocolOnDES(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
-		p := PbcastParams{N: n, Fanout: 4, Rounds: 12, AliveRatio: 0.9}
-		b.Run(sizeName(n), func(b *testing.B) {
+	const n = 1000
+	for _, bc := range []struct {
+		name       string
+		spec       Spec
+		maxMallocs uint64 // 0: not gated
+	}{
+		{"pbcast/n=1000", PbcastParams{N: n, Fanout: 4, Rounds: 10, AliveRatio: 1}, 0},
+		{"lpbcast/n=1000", LpbcastParams{N: n, Fanout: 4, Rounds: 10, BufferSize: 8, Events: 3, AliveRatio: 1, ViewCopies: 2}, 16000},
+		{"antientropy/n=1000", AntiEntropyParams{N: n, Rounds: 10, Mode: PushPull, AliveRatio: 1}, 0},
+		{"rdg/n=1000", RDGParams{N: n, Fanout: 4, PushRounds: 10, RecoveryRounds: 5, AliveRatio: 1, ViewCopies: 2, PayloadProb: 0.8}, 70},
+		{"lrg/n=1000", LRGParams{N: n, Degree: 6, GossipProb: 0.8, RepairRounds: 5, AliveRatio: 1}, 0},
+		{"pbcast/n=10000", PbcastParams{N: 10 * n, Fanout: 4, Rounds: 12, AliveRatio: 0.9}, 0},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
 			arena := core.NewNetArena()
 			r := xrand.New(1)
+			run := func() int {
+				out, err := RunOnDES(bc.spec, DESConfig{}, r, nil, arena)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return out.MessagesSent
+			}
+			run() // warm the arena
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			b.ReportAllocs()
 			b.ResetTimer()
 			msgs := 0
 			for i := 0; i < b.N; i++ {
-				out, err := RunOnDES(p, DESConfig{}, r, nil, arena)
-				if err != nil {
-					b.Fatal(err)
-				}
-				msgs += out.MessagesSent
+				msgs += run()
 			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(msgs)/b.Elapsed().Seconds(), "msgs/sec")
+			perRun := (after.Mallocs - before.Mallocs) / uint64(b.N)
+			if bc.maxMallocs > 0 && perRun > bc.maxMallocs {
+				b.Fatalf("%d mallocs per warm run, gate %d", perRun, bc.maxMallocs)
+			}
 		})
-	}
-}
-
-func sizeName(n int) string {
-	switch n {
-	case 1000:
-		return "n=1000"
-	case 10000:
-		return "n=10000"
-	default:
-		return "n"
 	}
 }

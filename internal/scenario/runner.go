@@ -261,6 +261,9 @@ func runWithLatency(s *Scenario, cfg RunConfig, seed uint64, arena *core.NetAren
 	if err := s.Validate(); err != nil {
 		return RunReport{}, stats.Running{}, err
 	}
+	if cfg.PartialViewCopies < 0 {
+		return RunReport{}, stats.Running{}, fmt.Errorf("scenario: partial view copies %d < 0", cfg.PartialViewCopies)
+	}
 	ex := cfg.executor()
 	n, source := ex.Shape(cfg)
 	root := xrand.New(seed)

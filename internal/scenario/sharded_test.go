@@ -143,3 +143,33 @@ func TestShardedScenarioRecurringAndStall(t *testing.T) {
 		t.Error("nothing delivered")
 	}
 }
+
+// TestPartialViewsSharedAcrossShards: a run's SCAMP views are one value
+// that every shard kernel samples from on its own goroutine, so
+// PartialViews.SampleTargets has to stay read-only on its receiver — a
+// scratch slice kept there to save an allocation is a data race this test
+// (in CI's race-sharded job, five repetitions) exists to catch. The runs
+// must also stay deterministic per shard count.
+func TestPartialViewsSharedAcrossShards(t *testing.T) {
+	cfg := RunConfig{
+		Params:            core.Params{N: 400, Fanout: dist.NewPoisson(5), AliveRatio: 1},
+		PartialViewCopies: 2,
+		Shards:            2,
+	}
+	for _, s := range DefaultSuite()[:3] {
+		a, err := Run(s, cfg, 2008)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Run(s, cfg, 2008)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: two-shard run over partial views not deterministic:\n run1 %+v\n run2 %+v", s.Name, a, b)
+		}
+		if a.Delivered < cfg.Params.N/2 {
+			t.Errorf("%s: delivered %d of %d — the views carried no spread", s.Name, a.Delivered, cfg.Params.N)
+		}
+	}
+}

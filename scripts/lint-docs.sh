@@ -118,6 +118,24 @@ for anchor in \
         fail=1
     fi
 done
+# Likewise the "Membership views" paragraph: the stamp array that answers
+# the walk's membership question, the arena-carved rows and the rule that
+# lets one spill, the one walk, the read-only sampler and the oracle that
+# holds the random stream in place.
+for anchor in \
+    "### Membership views" \
+    "holds" \
+    "stamp" \
+    "Carved rows" \
+    "spill rule" \
+    "joiner.walk" \
+    "SampleTargets" \
+    "TestPartialViewsMatchReference"; do
+    if ! grep -qs "$anchor" ARCHITECTURE.md; then
+        echo "docs-lint: ARCHITECTURE.md lost its Membership views anchor: '$anchor'" >&2
+        fail=1
+    fi
+done
 # Every upper-case *.md a Go file or a prose doc names must exist somewhere
 # in the tree: comments used to send readers to a DESIGN and an EXPERIMENTS
 # document that were never committed. CHANGES.md and ISSUE.md are exempt —
@@ -138,8 +156,10 @@ done
 # Fabric interface, the stream's private shard split), the eight entry
 # points that only forwarded to a surviving form (core's and scenario's
 # non-Ctx twins, core.ExecuteOnNetwork, stream.Run), Params.drawMask and
-# failure.BernoulliMask are deleted; README and ARCHITECTURE must not
-# describe them as if they existed. Where a surviving identifier contains
+# failure.BernoulliMask and membership's linear-scan integrate walk (the
+# stamp-array joiner.walk replaced it; the pattern asks for the call's
+# parenthesis to spare the English verb) are deleted; README and ARCHITECTURE
+# must not describe them as if they existed. Where a surviving identifier contains
 # the name (EstimateReliabilityCtx, ExecuteOnNetworkArena, drawMaskInto,
 # ...) the pattern stops at the next letter.
 for gone in \
@@ -171,7 +191,8 @@ for gone in \
     "scenario\.(Sweep|SweepGrid|Compare)([^A-Za-z]|$)" \
     "stream\.Run([^A-Za-z]|$)" \
     "drawMask([^I]|$)" \
-    "BernoulliMask"; do
+    "BernoulliMask" \
+    "integrate\("; do
     if hits=$(grep -nE "$gone" README.md ARCHITECTURE.md); then
         echo "docs-lint: README/ARCHITECTURE mention the deleted '$gone':" >&2
         echo "$hits" >&2
