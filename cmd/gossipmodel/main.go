@@ -155,6 +155,11 @@ func cmdTable(args []string) error {
 		if err != nil {
 			return fmt.Errorf("bad q value %q: %w", tok, err)
 		}
+		// Every q is checked before the header prints (0.5 is a valid S, so
+		// only q can fail here): a bad one used to leave half a table.
+		if _, err := gossipkit.FanoutForReliability(0.5, v); err != nil {
+			return err
+		}
 		qs = append(qs, v)
 	}
 	fmt.Printf("%-8s", "S")

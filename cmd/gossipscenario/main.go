@@ -34,6 +34,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -182,6 +183,9 @@ func run(ctx context.Context, args []string, sweep bool) error {
 	if err := pprof(); err != nil {
 		return err
 	}
+	if err := checkFormat(*format, "json", "csv", "ascii"); err != nil {
+		return err
+	}
 	if *curves != "" && *curves != "csv" {
 		return fmt.Errorf("unknown -curves format %q (only csv)", *curves)
 	}
@@ -252,8 +256,6 @@ func run(ctx context.Context, args []string, sweep bool) error {
 		fmt.Print(result.CSV())
 	case "ascii":
 		fmt.Print(result.Table())
-	default:
-		return fmt.Errorf("unknown format %q (want json, csv, or ascii)", *format)
 	}
 	if *curves == "csv" {
 		csv, err := result.CurvesCSV()
@@ -288,6 +290,9 @@ func grid(ctx context.Context, args []string) error {
 		return err
 	}
 	if err := pprof(); err != nil {
+		return err
+	}
+	if err := checkFormat(*format, "csv", "json"); err != nil {
 		return err
 	}
 	scenarios, err := selectScenarios(*suite, *name, *spec)
@@ -347,8 +352,6 @@ func grid(ctx context.Context, args []string) error {
 			return err
 		}
 		fmt.Println(string(enc))
-	default:
-		return fmt.Errorf("unknown format %q (want csv or json)", *format)
 	}
 	return nil
 }
@@ -380,6 +383,9 @@ func compare(ctx context.Context, args []string) error {
 		return err
 	}
 	if err := pprof(); err != nil {
+		return err
+	}
+	if err := checkFormat(*format, "csv", "json", "ascii"); err != nil {
 		return err
 	}
 	scenarios, err := selectScenarioList(*names)
@@ -460,10 +466,17 @@ func compare(ctx context.Context, args []string) error {
 		fmt.Println(string(enc))
 	case "ascii":
 		fmt.Print(result.Table())
-	default:
-		return fmt.Errorf("unknown format %q (want csv, json, or ascii)", *format)
 	}
 	return nil
+}
+
+// checkFormat rejects a -format outside want before anything runs: the
+// output switch sits after the whole sweep.
+func checkFormat(format string, want ...string) error {
+	if slices.Contains(want, format) {
+		return nil
+	}
+	return fmt.Errorf("unknown format %q (want %s)", format, strings.Join(want, ", "))
 }
 
 func b2i(b bool) int {

@@ -122,9 +122,9 @@ func run(ctx context.Context, n int, distKind string, fanout, q float64, runs in
 		fmt.Printf("  executions for 99.9%% group success (Eq. 6): %d\n", tmin)
 	}
 
-	if latency > 0 || loss != 0 || metrics || trace != "" || shards != 1 || !topo.IsUniform() {
+	if latency != 0 || loss != 0 || metrics || trace != "" || shards != 1 || !topo.IsUniform() {
 		cfg := gossipkit.NetConfig{}
-		if latency > 0 {
+		if latency != 0 { // negative included: the engine rejects it
 			cfg.Latency = gossipkit.ConstantLatency(latency)
 		} else if topo.Kind == gossipkit.TopologyWAN {
 			cfg.Latency = gossipkit.WANLatency(n, topo.Zones, time.Millisecond, 10*time.Millisecond)

@@ -11,6 +11,7 @@ import (
 
 	"gossipkit/internal/core"
 	"gossipkit/internal/scenario"
+	"gossipkit/internal/simnet"
 )
 
 func allEngineSpecs() []Engine {
@@ -233,8 +234,9 @@ func TestInvalidParamsSentinel(t *testing.T) {
 	}
 }
 
-// TestHostileNumbersRejected: NaN, infinities and out-of-range
-// probabilities arriving from outside (flags, specs) fail validation with
+// TestHostileNumbersRejected: NaN, infinities, out-of-range probabilities
+// and latency models that are not a range of non-negative delays, arriving
+// from outside (flags, specs), fail validation with
 // ErrInvalidParams on every DES engine that would otherwise panic on a
 // worker goroutine or run silently wrong — and a rate too low to publish
 // anything is a valid empty stream, not an overflowed clock.
@@ -253,14 +255,24 @@ func TestHostileNumbersRejected(t *testing.T) {
 		"lrg prob NaN":     LRG{Params: LRGParams{N: 100, Degree: 6, GossipProb: nan, AliveRatio: 1}},
 		"rdg payload NaN":  RDG{Params: RDGParams{N: 100, Fanout: 3, PushRounds: 3, AliveRatio: 1, PayloadProb: nan}},
 	}
+	const ms = time.Millisecond
+	nets := map[string]NetConfig{
+		"latency uniform hi<lo":    {Latency: UniformLatency(5*ms, ms)},
+		"latency uniform lo<0":     {Latency: UniformLatency(-2*ms, 5*ms)},
+		"latency constant <0":      {Latency: ConstantLatency(-5 * ms)},
+		"latency exponential fl<0": {Latency: simnet.ExponentialLatency{Floor: -ms, Mean: ms}},
+		"latency exponential mn<0": {Latency: simnet.ExponentialLatency{Floor: ms, Mean: -ms}},
+	}
 	for name, loss := range map[string]float64{"7": 7, "NaN": nan, "-3": -3} {
-		net := NetConfig{Latency: ConstantLatency(5 * time.Millisecond), Loss: BernoulliLoss(loss)}
-		bad["network loss "+name] = Network{Params: p, Net: net}
-		bad["stream loss "+name] = Stream{Config: testStreamConfig(), Net: net}
-		bad["pbcast loss "+name] = Pbcast{Params: PbcastParams{N: 100, Fanout: 3, Rounds: 3, AliveRatio: 1}, Net: net}
-		bad["campaign loss "+name] = Campaign{Scenarios: DefaultScenarioSuite()[:1],
+		nets["loss "+name] = NetConfig{Latency: ConstantLatency(5 * ms), Loss: BernoulliLoss(loss)}
+	}
+	for name, net := range nets {
+		bad["network "+name] = Network{Params: p, Net: net}
+		bad["stream "+name] = Stream{Config: testStreamConfig(), Net: net}
+		bad["pbcast "+name] = Pbcast{Params: PbcastParams{N: 100, Fanout: 3, Rounds: 3, AliveRatio: 1}, Net: net}
+		bad["campaign "+name] = Campaign{Scenarios: DefaultScenarioSuite()[:1],
 			Config: ScenarioRunConfig{Params: p, Net: net}}
-		bad["compare loss "+name] = Compare{Scenarios: DefaultScenarioSuite()[:1], Paper: true,
+		bad["compare "+name] = Compare{Scenarios: DefaultScenarioSuite()[:1], Paper: true,
 			Config: ScenarioRunConfig{Params: p, Net: net}}
 	}
 	negViews := ScenarioRunConfig{Params: p, PartialViewCopies: -3}

@@ -340,10 +340,12 @@ var (
 	Regossip        = scenario.Regossip
 )
 
-// ConstantLatency delays every message by d.
+// ConstantLatency delays every message by d. The engines reject a negative
+// d (ErrInvalidParams) when they run.
 func ConstantLatency(d time.Duration) simnet.LatencyModel { return simnet.ConstantLatency{D: d} }
 
-// UniformLatency draws per-message delays uniformly from [lo, hi].
+// UniformLatency draws per-message delays uniformly from [lo, hi]. The
+// engines reject lo < 0 or hi < lo (ErrInvalidParams) when they run.
 func UniformLatency(lo, hi time.Duration) simnet.LatencyModel {
 	return simnet.UniformLatency{Lo: lo, Hi: hi}
 }
@@ -355,10 +357,26 @@ func BernoulliLoss(p float64) simnet.LossModel { return simnet.BernoulliLoss{P: 
 // validateNet is the DES engines' upfront check of the network substrate
 // they were handed: a Bernoulli loss probability must be a probability
 // (simnet draws with it unchecked, so 7 would drop everything and NaN or
-// −3 nothing, silently).
+// −3 nothing, silently), and a latency model must describe non-negative
+// delays — simnet reads UniformLatency{Hi < Lo} as the constant Lo, and a
+// negative delay is an event scheduled in the past.
 func validateNet(net NetConfig) error {
 	if b, ok := net.Loss.(simnet.BernoulliLoss); ok && !(b.P >= 0 && b.P <= 1) {
 		return fmt.Errorf("%w: loss probability %g outside [0,1]", ErrInvalidParams, b.P)
+	}
+	switch l := net.Latency.(type) {
+	case simnet.ConstantLatency:
+		if l.D < 0 {
+			return fmt.Errorf("%w: negative latency %v", ErrInvalidParams, l.D)
+		}
+	case simnet.UniformLatency:
+		if l.Lo < 0 || l.Hi < l.Lo {
+			return fmt.Errorf("%w: uniform latency [%v, %v] is not a range of non-negative delays", ErrInvalidParams, l.Lo, l.Hi)
+		}
+	case simnet.ExponentialLatency:
+		if l.Floor < 0 || l.Mean < 0 {
+			return fmt.Errorf("%w: exponential latency floor %v, mean %v: neither may be negative", ErrInvalidParams, l.Floor, l.Mean)
+		}
 	}
 	return nil
 }

@@ -1,6 +1,6 @@
-// Package asciiplot renders simple scatter/line charts and bar charts as
-// text, so the experiment harness can show figure shapes directly in a
-// terminal next to the CSV it writes.
+// Package asciiplot renders simple scatter/line charts as text, so the
+// experiment harness can show figure shapes directly in a terminal next to
+// the CSV it writes.
 package asciiplot
 
 import (
@@ -85,42 +85,6 @@ func Chart(title string, series []Series, w, h int) string {
 	fmt.Fprintf(&b, "%11s%-*.4g%*.4g\n", "", w/2, minX, w-w/2, maxX)
 	for si, s := range series {
 		fmt.Fprintf(&b, "  %c %s\n", markers[si%len(markers)], s.Name)
-	}
-	return b.String()
-}
-
-// Bars renders a labeled horizontal bar chart of values (non-negative).
-func Bars(title string, labels []string, values []float64, width int) string {
-	if width < 10 {
-		width = 10
-	}
-	maxV := 0.0
-	for _, v := range values {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	if maxV == 0 {
-		maxV = 1
-	}
-	labW := 0
-	for _, l := range labels {
-		if len(l) > labW {
-			labW = len(l)
-		}
-	}
-	for i, v := range values {
-		label := ""
-		if i < len(labels) {
-			label = labels[i]
-		}
-		n := int(v / maxV * float64(width))
-		if v > 0 && n == 0 {
-			n = 1
-		}
-		fmt.Fprintf(&b, "%*s │%s %.4g\n", labW, label, strings.Repeat("█", n), v)
 	}
 	return b.String()
 }

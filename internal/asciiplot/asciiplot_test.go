@@ -75,31 +75,3 @@ func TestChartManySeriesMarkerCycle(t *testing.T) {
 		t.Error("12th series missing from legend")
 	}
 }
-
-func TestBars(t *testing.T) {
-	out := Bars("bars", []string{"a", "bb"}, []float64{1, 4}, 20)
-	if !strings.Contains(out, "bars") || !strings.Contains(out, "bb") {
-		t.Errorf("bars output: %q", out)
-	}
-	if !strings.Contains(out, "█") {
-		t.Error("no bars drawn")
-	}
-}
-
-func TestBarsAllZero(t *testing.T) {
-	out := Bars("zeros", []string{"a"}, []float64{0}, 20)
-	if !strings.Contains(out, "0") {
-		t.Errorf("zero bars output: %q", out)
-	}
-}
-
-func TestBarsTinyPositiveVisible(t *testing.T) {
-	out := Bars("tiny", []string{"big", "tiny"}, []float64{1000, 0.001}, 20)
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	if !strings.Contains(lines[2], "█") {
-		t.Error("tiny positive value should draw at least one cell")
-	}
-}

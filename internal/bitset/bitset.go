@@ -76,7 +76,3 @@ func (b *Bits) Count() int {
 	}
 	return c
 }
-
-// Words exposes the packed storage; callers must treat it as read-only.
-// It exists so accounting code can report resident bytes without copying.
-func (b *Bits) Words() []uint64 { return b.words }

@@ -64,9 +64,9 @@ func TestResetReusesStorage(t *testing.T) {
 	var b Bits
 	b.Reset(1024)
 	b.SetAll()
-	words := &b.Words()[0]
+	words := &b.words[0]
 	b.Reset(512)
-	if &b.Words()[0] != words {
+	if &b.words[0] != words {
 		t.Error("Reset to smaller size reallocated")
 	}
 	if b.Count() != 0 {

@@ -259,8 +259,7 @@ func TestExecuteWithMaskValidation(t *testing.T) {
 	if _, err := ExecuteWithMask(p, badSize, r); err == nil {
 		t.Error("mask size mismatch accepted")
 	}
-	deadSource := failure.NewMask(100)
-	deadSource.Kill(0)
+	deadSource := failure.ExactMask(100, 0, 42, r) // q = 0: only member 42 is up, the source (0) is not
 	if _, err := ExecuteWithMask(p, deadSource, r); err == nil {
 		t.Error("dead source accepted")
 	}

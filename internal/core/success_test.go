@@ -54,8 +54,8 @@ func TestRunSuccessHistogramAccounting(t *testing.T) {
 	if out.ReceiptHistogram.Total() != want {
 		t.Errorf("histogram total = %d, want %d", out.ReceiptHistogram.Total(), want)
 	}
-	if out.ReceiptHistogram.Bins() != 11 {
-		t.Errorf("bins = %d, want 11", out.ReceiptHistogram.Bins())
+	if len(out.ReceiptHistogram.Counts()) != 11 {
+		t.Errorf("bins = %d, want 11", len(out.ReceiptHistogram.Counts()))
 	}
 	if out.Simulations != 8 || out.Executions != 10 {
 		t.Errorf("echo fields wrong: %+v", out)

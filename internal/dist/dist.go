@@ -313,83 +313,6 @@ func (u UniformRange) PMF(k int) float64 {
 func (u UniformRange) Sample(r *xrand.RNG) int { return u.lo + r.Intn(u.hi-u.lo+1) }
 
 // ---------------------------------------------------------------------------
-// Binomial
-
-// Binomial is B(n, p).
-type Binomial struct {
-	n int
-	p float64
-}
-
-// NewBinomial returns the binomial distribution with n trials and success
-// probability p.
-func NewBinomial(n int, p float64) Binomial {
-	if n < 0 || p < 0 || p > 1 || math.IsNaN(p) {
-		panic(fmt.Sprintf("dist: invalid binomial B(%d, %g)", n, p))
-	}
-	return Binomial{n: n, p: p}
-}
-
-// Name implements Distribution.
-func (b Binomial) Name() string { return fmt.Sprintf("Binomial(%d,%g)", b.n, b.p) }
-
-// Mean implements Distribution.
-func (b Binomial) Mean() float64 { return float64(b.n) * b.p }
-
-// PMF implements Distribution.
-func (b Binomial) PMF(k int) float64 {
-	if k < 0 || k > b.n {
-		return 0
-	}
-	if b.p == 0 {
-		if k == 0 {
-			return 1
-		}
-		return 0
-	}
-	if b.p == 1 {
-		if k == b.n {
-			return 1
-		}
-		return 0
-	}
-	ln, _ := math.Lgamma(float64(b.n) + 1)
-	lk, _ := math.Lgamma(float64(k) + 1)
-	lnk, _ := math.Lgamma(float64(b.n-k) + 1)
-	return math.Exp(ln - lk - lnk + float64(k)*math.Log(b.p) + float64(b.n-k)*math.Log1p(-b.p))
-}
-
-// Sample implements Distribution.
-func (b Binomial) Sample(r *xrand.RNG) int {
-	k := 0
-	for i := 0; i < b.n; i++ {
-		if r.Bool(b.p) {
-			k++
-		}
-	}
-	return k
-}
-
-// PGFAt returns (1 − p + px)^n.
-func (b Binomial) PGFAt(x float64) float64 { return math.Pow(1-b.p+b.p*x, float64(b.n)) }
-
-// PGFPrimeAt returns np(1 − p + px)^(n-1).
-func (b Binomial) PGFPrimeAt(x float64) float64 {
-	if b.n == 0 {
-		return 0
-	}
-	return float64(b.n) * b.p * math.Pow(1-b.p+b.p*x, float64(b.n-1))
-}
-
-// PGFPrime2At returns n(n-1)p²(1 − p + px)^(n-2).
-func (b Binomial) PGFPrime2At(x float64) float64 {
-	if b.n < 2 {
-		return 0
-	}
-	return float64(b.n) * float64(b.n-1) * b.p * b.p * math.Pow(1-b.p+b.p*x, float64(b.n-2))
-}
-
-// ---------------------------------------------------------------------------
 // Negative binomial
 
 // NegBinomial is the overdispersed NB(r, p) on {0, 1, ...}: the number of
@@ -444,168 +367,6 @@ func (nb NegBinomial) Sample(r *xrand.RNG) int {
 // PGFAt returns (p / (1 − (1−p)x))^r.
 func (nb NegBinomial) PGFAt(x float64) float64 {
 	return math.Pow(nb.p/(1-(1-nb.p)*x), float64(nb.r))
-}
-
-// ---------------------------------------------------------------------------
-// Power law
-
-// PowerLaw is the truncated power law Pr[k] ∝ k^(−alpha) on {1..cutoff},
-// a heavy-tailed fanout used to probe the model outside the paper's
-// Poisson setting.
-type PowerLaw struct {
-	alpha  float64
-	cutoff int
-	pmf    []float64
-	cdf    []float64
-	mean   float64
-}
-
-// NewPowerLaw returns the power law with exponent alpha > 1 truncated at
-// cutoff >= 1.
-func NewPowerLaw(alpha float64, cutoff int) *PowerLaw {
-	if alpha <= 1 || cutoff < 1 {
-		panic(fmt.Sprintf("dist: invalid power law (alpha=%g, cutoff=%d)", alpha, cutoff))
-	}
-	pl := &PowerLaw{alpha: alpha, cutoff: cutoff}
-	pl.pmf = make([]float64, cutoff+1)
-	pl.cdf = make([]float64, cutoff+1)
-	var z float64
-	for k := 1; k <= cutoff; k++ {
-		pl.pmf[k] = math.Pow(float64(k), -alpha)
-		z += pl.pmf[k]
-	}
-	var c float64
-	for k := 1; k <= cutoff; k++ {
-		pl.pmf[k] /= z
-		c += pl.pmf[k]
-		pl.cdf[k] = c
-		pl.mean += float64(k) * pl.pmf[k]
-	}
-	return pl
-}
-
-// Name implements Distribution.
-func (pl *PowerLaw) Name() string { return fmt.Sprintf("PowerLaw(%g,%d)", pl.alpha, pl.cutoff) }
-
-// Mean implements Distribution.
-func (pl *PowerLaw) Mean() float64 { return pl.mean }
-
-// PMF implements Distribution.
-func (pl *PowerLaw) PMF(k int) float64 {
-	if k < 1 || k > pl.cutoff {
-		return 0
-	}
-	return pl.pmf[k]
-}
-
-// Sample implements Distribution (CDF inversion by binary search).
-func (pl *PowerLaw) Sample(r *xrand.RNG) int {
-	u := r.Float64()
-	lo, hi := 1, pl.cutoff
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if pl.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// ---------------------------------------------------------------------------
-// Mixture
-
-// Mixture is a finite mixture of component distributions.
-type Mixture struct {
-	comps   []Distribution
-	weights []float64
-	cum     []float64
-	mean    float64
-}
-
-// NewMixture returns the mixture of comps with the given weights (which are
-// normalized to sum to 1).
-func NewMixture(comps []Distribution, weights []float64) *Mixture {
-	if len(comps) == 0 || len(comps) != len(weights) {
-		panic(fmt.Sprintf("dist: mixture of %d components with %d weights", len(comps), len(weights)))
-	}
-	var total float64
-	for _, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			panic(fmt.Sprintf("dist: negative mixture weight %g", w))
-		}
-		total += w
-	}
-	if total <= 0 {
-		panic("dist: mixture weights sum to zero")
-	}
-	m := &Mixture{
-		comps:   append([]Distribution(nil), comps...),
-		weights: make([]float64, len(weights)),
-		cum:     make([]float64, len(weights)),
-	}
-	var c float64
-	for i, w := range weights {
-		m.weights[i] = w / total
-		c += m.weights[i]
-		m.cum[i] = c
-		m.mean += m.weights[i] * comps[i].Mean()
-	}
-	return m
-}
-
-// Name implements Distribution.
-func (m *Mixture) Name() string { return fmt.Sprintf("Mixture(%d)", len(m.comps)) }
-
-// Mean implements Distribution.
-func (m *Mixture) Mean() float64 { return m.mean }
-
-// PMF implements Distribution.
-func (m *Mixture) PMF(k int) float64 {
-	var p float64
-	for i, c := range m.comps {
-		p += m.weights[i] * c.PMF(k)
-	}
-	return p
-}
-
-// Sample implements Distribution.
-func (m *Mixture) Sample(r *xrand.RNG) int {
-	u := r.Float64()
-	for i, c := range m.cum {
-		if u <= c {
-			return m.comps[i].Sample(r)
-		}
-	}
-	return m.comps[len(m.comps)-1].Sample(r)
-}
-
-// PGFAt returns the weighted sum of component PGFs.
-func (m *Mixture) PGFAt(x float64) float64 {
-	var s float64
-	for i, c := range m.comps {
-		s += m.weights[i] * PGF(c, x)
-	}
-	return s
-}
-
-// PGFPrimeAt returns the weighted sum of component PGF derivatives.
-func (m *Mixture) PGFPrimeAt(x float64) float64 {
-	var s float64
-	for i, c := range m.comps {
-		s += m.weights[i] * PGFPrime(c, x)
-	}
-	return s
-}
-
-// PGFPrime2At returns the weighted sum of component second derivatives.
-func (m *Mixture) PGFPrime2At(x float64) float64 {
-	var s float64
-	for i, c := range m.comps {
-		s += m.weights[i] * PGFPrime2(c, x)
-	}
-	return s
 }
 
 // ---------------------------------------------------------------------------

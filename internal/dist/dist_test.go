@@ -22,10 +22,7 @@ func TestDistributions(t *testing.T) {
 		NewGeometric(1),
 		NewUniformRange(1, 5),
 		NewUniformRange(2, 2),
-		NewBinomial(20, 0.3),
 		NewNegBinomial(4, 0.5),
-		NewPowerLaw(2.5, 200),
-		NewMixture([]Distribution{NewPoisson(2), NewFixed(6)}, []float64{7, 3}),
 		NewZeroTruncated(NewPoisson(3.5)),
 		NewZeroTruncated(NewGeometric(0.4)),
 	} {
@@ -92,17 +89,8 @@ func TestConstructorsRejectOutOfRange(t *testing.T) {
 		"Geometric(NaN)":     func() { NewGeometric(nan) },
 		"Uniform(-1,3)":      func() { NewUniformRange(-1, 3) },
 		"Uniform(4,3)":       func() { NewUniformRange(4, 3) },
-		"Binomial(-1,0.5)":   func() { NewBinomial(-1, 0.5) },
-		"Binomial(5,1.5)":    func() { NewBinomial(5, 1.5) },
-		"Binomial(5,NaN)":    func() { NewBinomial(5, nan) },
 		"NegBinomial(0,0.5)": func() { NewNegBinomial(0, 0.5) },
 		"NegBinomial(2,0)":   func() { NewNegBinomial(2, 0) },
-		"PowerLaw(1,10)":     func() { NewPowerLaw(1, 10) },
-		"PowerLaw(2,0)":      func() { NewPowerLaw(2, 0) },
-		"Mixture(empty)":     func() { NewMixture(nil, nil) },
-		"Mixture(mismatch)":  func() { NewMixture([]Distribution{NewFixed(1)}, []float64{1, 2}) },
-		"Mixture(negative)":  func() { NewMixture([]Distribution{NewFixed(1)}, []float64{-1}) },
-		"Mixture(zero)":      func() { NewMixture([]Distribution{NewFixed(1)}, []float64{0}) },
 		"ZeroTruncated(δ0)":  func() { NewZeroTruncated(NewFixed(0)) },
 	} {
 		func() {

@@ -151,14 +151,6 @@ func (m *Mask) AliveRatio() float64 {
 	return float64(m.count) / float64(m.alive.Len())
 }
 
-// Kill marks member i failed (no-op if already failed).
-func (m *Mask) Kill(i int) {
-	if m.alive.Get(i) {
-		m.alive.Unset(i)
-		m.count--
-	}
-}
-
 // Bits returns the underlying packed alive bitset; callers must treat it
 // as read-only. It exists so hot loops, graph routines, and memory
 // accounting can reach the words without an indirect call per member.

@@ -20,18 +20,6 @@ func TestNewMaskAllAlive(t *testing.T) {
 	}
 }
 
-func TestKill(t *testing.T) {
-	m := NewMask(5)
-	m.Kill(2)
-	m.Kill(2) // idempotent
-	if m.AliveCount() != 4 || m.Alive(2) {
-		t.Errorf("after kill: count=%d alive(2)=%v", m.AliveCount(), m.Alive(2))
-	}
-	if m.AliveRatio() != 0.8 {
-		t.Errorf("ratio = %g", m.AliveRatio())
-	}
-}
-
 func TestExactMaskCount(t *testing.T) {
 	r := xrand.New(1)
 	f := func(nRaw, qRaw, pRaw uint16) bool {
@@ -124,8 +112,7 @@ func TestExactMaskQZeroKeepsSource(t *testing.T) {
 }
 
 func TestBitsIsView(t *testing.T) {
-	m := NewMask(4)
-	m.Kill(1)
+	m := ExactMask(4, 0, 0, xrand.New(1)) // q = 0: only the protected member 0 stays up
 	b := m.Bits()
 	if b.Len() != 4 || b.Get(1) || !b.Get(0) {
 		t.Errorf("bits: len=%d alive={%v,%v,...}", b.Len(), b.Get(0), b.Get(1))

@@ -53,14 +53,8 @@ func New(p dist.Distribution) *Model {
 	return &Model{p: p}
 }
 
-// Dist returns the underlying fanout distribution.
-func (m *Model) Dist() dist.Distribution { return m.p }
-
 // G0 evaluates the degree generating function G0(x) = Σ p_k x^k.
 func (m *Model) G0(x float64) float64 { return dist.PGF(m.p, x) }
-
-// G0Prime evaluates G0'(x).
-func (m *Model) G0Prime(x float64) float64 { return dist.PGFPrime(m.p, x) }
 
 // G1 evaluates the excess-degree generating function
 // G1(x) = G0'(x) / G0'(1).
@@ -111,7 +105,7 @@ func (m *Model) MeanComponentSize(q float64) (float64, error) {
 	if den <= 0 {
 		return math.Inf(1), nil
 	}
-	return q * (1 + q*m.G0Prime(1)/den), nil
+	return q * (1 + q*dist.PGFPrime(m.p, 1)/den), nil
 }
 
 // selfConsistentU solves u = 1 − q + q·G1(u) for the smallest root in
@@ -169,16 +163,6 @@ func (m *Model) Reliability(q float64) (float64, error) {
 	}
 	u := m.selfConsistentU(q)
 	return clamp01(1 - m.G0(u)), nil
-}
-
-// GiantFractionAll returns the giant-component size as a fraction of ALL n
-// members (Callaway et al.'s normalization), q·(1 − G0(u)).
-func (m *Model) GiantFractionAll(q float64) (float64, error) {
-	r, err := m.Reliability(q)
-	if err != nil {
-		return 0, err
-	}
-	return q * r, nil
 }
 
 func checkRatio(q float64) error {
@@ -247,7 +231,7 @@ func PoissonMeanFanout(s, q float64) (float64, error) {
 		return 0, fmt.Errorf("genfunc: reliability %g outside (0,1)", s)
 	}
 	if !(q > 0 && q <= 1) {
-		return 0, fmt.Errorf("%w: got %g", ErrInvalidRatio, q)
+		return 0, fmt.Errorf("genfunc: nonfailed ratio %g outside (0,1]", q)
 	}
 	return -math.Log(1-s) / (q * s), nil
 }

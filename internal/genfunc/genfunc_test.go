@@ -2,6 +2,7 @@ package genfunc
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -209,8 +210,11 @@ func TestPoissonMeanFanoutRejectsBadInput(t *testing.T) {
 	for _, c := range []struct{ s, q float64 }{
 		{0, 0.5}, {1, 0.5}, {1.2, 0.5}, {-0.1, 0.5}, {0.5, 0}, {0.5, 1.5},
 	} {
-		if _, err := PoissonMeanFanout(c.s, c.q); err == nil {
+		_, err := PoissonMeanFanout(c.s, c.q)
+		if err == nil {
 			t.Errorf("PoissonMeanFanout(%g, %g) accepted", c.s, c.q)
+		} else if c.s == 0.5 && !strings.Contains(err.Error(), "(0,1]") {
+			t.Errorf("PoissonMeanFanout(%g, %g): %q does not state the (0,1] bound it enforces", c.s, c.q, err)
 		}
 	}
 }
@@ -262,22 +266,6 @@ func TestInvalidRatios(t *testing.T) {
 		if _, err := PoissonReliability(3, q); err == nil {
 			t.Errorf("PoissonReliability(3, %g) accepted", q)
 		}
-	}
-}
-
-func TestGiantFractionAll(t *testing.T) {
-	m := New(dist.NewPoisson(4))
-	q := 0.7
-	r, err := m.Reliability(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all, err := m.GiantFractionAll(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(all-q*r) > 1e-12 {
-		t.Errorf("GiantFractionAll = %g, want q*R = %g", all, q*r)
 	}
 }
 
@@ -414,23 +402,6 @@ func TestReliabilityQuickProperty(t *testing.T) {
 	}
 }
 
-func TestMixtureReliabilityBetweenComponents(t *testing.T) {
-	// A mixture's giant component lies between the pure components'.
-	lo := New(dist.NewFixed(2))
-	hi := New(dist.NewFixed(8))
-	mix := New(dist.NewMixture(
-		[]dist.Distribution{dist.NewFixed(2), dist.NewFixed(8)},
-		[]float64{0.5, 0.5},
-	))
-	q := 0.9
-	sLo, _ := lo.Reliability(q)
-	sHi, _ := hi.Reliability(q)
-	sMix, _ := mix.Reliability(q)
-	if !(sLo <= sMix+1e-9 && sMix <= sHi+1e-9) {
-		t.Errorf("mixture S=%g not between %g and %g", sMix, sLo, sHi)
-	}
-}
-
 func BenchmarkPoissonReliability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := PoissonReliability(4, 0.9); err != nil {
@@ -441,16 +412,6 @@ func BenchmarkPoissonReliability(b *testing.B) {
 
 func BenchmarkGenericReliabilityPoisson(b *testing.B) {
 	m := New(dist.NewPoisson(4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Reliability(0.9); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGenericReliabilityPowerLaw(b *testing.B) {
-	m := New(dist.NewPowerLaw(2.5, 50))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Reliability(0.9); err != nil {

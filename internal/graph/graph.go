@@ -320,17 +320,3 @@ func DegreeSequence(n int, p dist.Distribution, r *xrand.RNG) []int {
 	}
 	return out
 }
-
-// ErdosRenyi generates G(n, prob) as a symmetric digraph.
-func ErdosRenyi(n int, prob float64, r *xrand.RNG) *Digraph {
-	g := NewDigraph(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if r.Bool(prob) {
-				g.AddArc(u, v)
-				g.AddArc(v, u)
-			}
-		}
-	}
-	return g
-}

@@ -379,17 +379,6 @@ func TestConfigurationModelSitePercolation(t *testing.T) {
 	}
 }
 
-func TestErdosRenyiEdgeCount(t *testing.T) {
-	r := xrand.New(23)
-	n, prob := 300, 0.05
-	g := ErdosRenyi(n, prob, r)
-	wantEdges := float64(n*(n-1)/2) * prob
-	gotEdges := float64(g.Arcs()) / 2
-	if math.Abs(gotEdges-wantEdges) > 5*math.Sqrt(wantEdges) {
-		t.Errorf("edges = %g, want ~%g", gotEdges, wantEdges)
-	}
-}
-
 func TestDegreeSequenceLengthAndLaw(t *testing.T) {
 	r := xrand.New(29)
 	p := dist.NewFixed(7)

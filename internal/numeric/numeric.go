@@ -1,7 +1,6 @@
 // Package numeric provides the small numerical toolkit the analytic model
-// needs: robust 1-D root finding (bisection, Brent, safeguarded Newton),
-// damped fixed-point iteration, and a fixed-step RK4 ODE integrator for the
-// epidemic baseline model.
+// needs: robust 1-D root finding (Brent, safeguarded Newton), damped
+// fixed-point iteration, and the sweep grids of the paper's figures.
 //
 // All routines are pure functions over float64 and deterministic; errors are
 // returned (never panicked) so the model layer can degrade gracefully.
@@ -23,38 +22,6 @@ var ErrNoConverge = errors.New("numeric: iteration did not converge")
 
 // DefaultTol is the default absolute tolerance for the root finders.
 const DefaultTol = 1e-12
-
-// Bisect finds a root of f in [a, b] by bisection. f(a) and f(b) must have
-// opposite signs (or one of them must be zero). The result is within tol of
-// a true root.
-func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if math.Signbit(fa) == math.Signbit(fb) {
-		return 0, fmt.Errorf("%w: f(%g)=%g, f(%g)=%g", ErrNoBracket, a, fa, b, fb)
-	}
-	for i := 0; i < 200; i++ {
-		m := a + (b-a)/2
-		fm := f(m)
-		if fm == 0 || (b-a)/2 < tol {
-			return m, nil
-		}
-		if math.Signbit(fm) == math.Signbit(fa) {
-			a, fa = m, fm
-		} else {
-			b = m
-		}
-	}
-	return a + (b-a)/2, nil // 200 halvings exhaust float64 resolution
-}
 
 // Brent finds a root of f in [a, b] using Brent's method (inverse quadratic
 // interpolation with bisection safeguards). It converges superlinearly on
@@ -195,44 +162,6 @@ func FixedPoint(g func(float64) float64, x0, damping, tol float64, maxIter int) 
 		x = next
 	}
 	return x, ErrNoConverge
-}
-
-// RK4 integrates dy/dt = f(t, y) from t0 to t1 with n fixed steps, starting
-// at y0, and returns the final state. The state is copied internally; f must
-// write derivatives into dydt.
-func RK4(f func(t float64, y, dydt []float64), y0 []float64, t0, t1 float64, n int) []float64 {
-	if n <= 0 {
-		n = 1
-	}
-	dim := len(y0)
-	y := append([]float64(nil), y0...)
-	k1 := make([]float64, dim)
-	k2 := make([]float64, dim)
-	k3 := make([]float64, dim)
-	k4 := make([]float64, dim)
-	tmp := make([]float64, dim)
-	h := (t1 - t0) / float64(n)
-	t := t0
-	for step := 0; step < n; step++ {
-		f(t, y, k1)
-		for i := range tmp {
-			tmp[i] = y[i] + h/2*k1[i]
-		}
-		f(t+h/2, tmp, k2)
-		for i := range tmp {
-			tmp[i] = y[i] + h/2*k2[i]
-		}
-		f(t+h/2, tmp, k3)
-		for i := range tmp {
-			tmp[i] = y[i] + h*k3[i]
-		}
-		f(t+h, tmp, k4)
-		for i := range y {
-			y[i] += h / 6 * (k1[i] + 2*k2[i] + 2*k3[i] + k4[i])
-		}
-		t += h
-	}
-	return y
 }
 
 // Linspace returns n evenly spaced values from lo to hi inclusive.

@@ -4,74 +4,28 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"testing/quick"
 )
 
-func TestBisectSimpleRoots(t *testing.T) {
+func TestBrentKnownRoots(t *testing.T) {
 	cases := []struct {
-		name string
 		f    func(float64) float64
 		a, b float64
 		want float64
 	}{
-		{"linear", func(x float64) float64 { return x - 3 }, 0, 10, 3},
-		{"quadratic", func(x float64) float64 { return x*x - 2 }, 0, 2, math.Sqrt2},
-		{"cosine", math.Cos, 0, 3, math.Pi / 2},
-		{"exp", func(x float64) float64 { return math.Exp(x) - 5 }, 0, 3, math.Log(5)},
+		{func(x float64) float64 { return x*x*x - x - 2 }, 1, 2, 1.5213797068045676},
+		{func(x float64) float64 { return math.Sin(x) - 0.5 }, 0, 1, math.Pi / 6},
+		{func(x float64) float64 { return math.Exp(-x) - x }, 0, 1, 0.5671432904097838}, // the omega constant
 	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			got, err := Bisect(c.f, c.a, c.b, 1e-12)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(got-c.want) > 1e-10 {
-				t.Errorf("root = %.14f, want %.14f", got, c.want)
-			}
-		})
-	}
-}
-
-func TestBisectEndpointRoots(t *testing.T) {
-	f := func(x float64) float64 { return x }
-	if got, err := Bisect(f, 0, 1, 1e-12); err != nil || got != 0 {
-		t.Errorf("root at left endpoint: got %g, err %v", got, err)
-	}
-	if got, err := Bisect(f, -1, 0, 1e-12); err != nil || got != 0 {
-		t.Errorf("root at right endpoint: got %g, err %v", got, err)
-	}
-}
-
-func TestBisectNoBracket(t *testing.T) {
-	f := func(x float64) float64 { return x*x + 1 }
-	if _, err := Bisect(f, -1, 1, 1e-12); !errors.Is(err, ErrNoBracket) {
-		t.Errorf("want ErrNoBracket, got %v", err)
-	}
-}
-
-func TestBrentMatchesBisect(t *testing.T) {
-	fns := []func(float64) float64{
-		func(x float64) float64 { return x*x*x - x - 2 },
-		func(x float64) float64 { return math.Sin(x) - 0.5 },
-		func(x float64) float64 { return math.Exp(-x) - x },
-	}
-	brackets := [][2]float64{{1, 2}, {0, 1}, {0, 1}}
-	for i, f := range fns {
-		a, b := brackets[i][0], brackets[i][1]
-		rb, err := Brent(f, a, b, 1e-13)
+	for i, c := range cases {
+		rb, err := Brent(c.f, c.a, c.b, 1e-13)
 		if err != nil {
 			t.Fatalf("Brent fn %d: %v", i, err)
 		}
-		ri, err := Bisect(f, a, b, 1e-13)
-		if err != nil {
-			t.Fatalf("Bisect fn %d: %v", i, err)
+		if math.Abs(rb-c.want) > 1e-9 {
+			t.Errorf("fn %d: Brent %.14f, want %.14f", i, rb, c.want)
 		}
-		if math.Abs(rb-ri) > 1e-9 {
-			t.Errorf("fn %d: Brent %.14f vs Bisect %.14f", i, rb, ri)
-		}
-		if math.Abs(f(rb)) > 1e-9 {
-			t.Errorf("fn %d: |f(root)| = %g", i, math.Abs(f(rb)))
+		if math.Abs(c.f(rb)) > 1e-9 {
+			t.Errorf("fn %d: |f(root)| = %g", i, math.Abs(c.f(rb)))
 		}
 	}
 }
@@ -155,48 +109,6 @@ func TestFixedPointNoConverge(t *testing.T) {
 	}
 }
 
-func TestRK4ExponentialDecay(t *testing.T) {
-	// dy/dt = -y, y(0) = 1 => y(t) = e^-t.
-	f := func(_ float64, y, dydt []float64) { dydt[0] = -y[0] }
-	y := RK4(f, []float64{1}, 0, 2, 200)
-	if math.Abs(y[0]-math.Exp(-2)) > 1e-8 {
-		t.Errorf("y(2) = %.10f, want %.10f", y[0], math.Exp(-2))
-	}
-}
-
-func TestRK4Harmonic(t *testing.T) {
-	// y'' = -y as a system; energy must be conserved to high accuracy.
-	f := func(_ float64, y, dydt []float64) {
-		dydt[0] = y[1]
-		dydt[1] = -y[0]
-	}
-	y := RK4(f, []float64{1, 0}, 0, 2*math.Pi, 1000)
-	if math.Abs(y[0]-1) > 1e-8 || math.Abs(y[1]) > 1e-8 {
-		t.Errorf("after full period: y = %v, want [1 0]", y)
-	}
-}
-
-func TestRK4SILogistic(t *testing.T) {
-	// The SI epidemic: di/dt = beta i (1-i) has closed form
-	// i(t) = i0 e^{beta t} / (1 - i0 + i0 e^{beta t}).
-	beta, i0 := 1.7, 0.01
-	f := func(_ float64, y, dydt []float64) { dydt[0] = beta * y[0] * (1 - y[0]) }
-	y := RK4(f, []float64{i0}, 0, 5, 500)
-	e := i0 * math.Exp(beta*5) / (1 - i0 + i0*math.Exp(beta*5))
-	if math.Abs(y[0]-e) > 1e-6 {
-		t.Errorf("SI at t=5: %.8f, want %.8f", y[0], e)
-	}
-}
-
-func TestRK4DoesNotMutateInput(t *testing.T) {
-	y0 := []float64{1, 2}
-	f := func(_ float64, y, dydt []float64) { dydt[0], dydt[1] = y[1], -y[0] }
-	_ = RK4(f, y0, 0, 1, 10)
-	if y0[0] != 1 || y0[1] != 2 {
-		t.Errorf("RK4 mutated y0: %v", y0)
-	}
-}
-
 func TestLinspace(t *testing.T) {
 	xs := Linspace(0, 1, 5)
 	want := []float64{0, 0.25, 0.5, 0.75, 1}
@@ -228,20 +140,6 @@ func TestArangePaperSweep(t *testing.T) {
 	}
 }
 
-func TestBisectQuickProperty(t *testing.T) {
-	// For random monotone linear functions the root must be recovered.
-	f := func(slope, root uint16) bool {
-		m := float64(slope%100) + 1
-		r := float64(root%1000)/1000*8 - 4 // in [-4, 4)
-		fn := func(x float64) float64 { return m * (x - r) }
-		got, err := Bisect(fn, -5, 5, 1e-12)
-		return err == nil && math.Abs(got-r) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func BenchmarkBrentPercolationEquation(b *testing.B) {
 	a := 3.6
 	f := func(s float64) float64 { return s - 1 + math.Exp(-a*s) }
@@ -249,13 +147,5 @@ func BenchmarkBrentPercolationEquation(b *testing.B) {
 		if _, err := Brent(f, 1e-12, 1, 1e-14); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkRK4SI(b *testing.B) {
-	f := func(_ float64, y, dydt []float64) { dydt[0] = 1.7 * y[0] * (1 - y[0]) }
-	y0 := []float64{0.01}
-	for i := 0; i < b.N; i++ {
-		_ = RK4(f, y0, 0, 5, 100)
 	}
 }

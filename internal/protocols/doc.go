@@ -18,7 +18,7 @@
 //     pull recovery.
 //   - LRG (Local Retransmission-based Gossip, Jia et al. [9]):
 //     probabilistic flooding over a bounded-degree neighbor overlay with
-//     NACK-style local repair rounds, plus its SI epidemic ODE model.
+//     NACK-style local repair rounds.
 //   - Flooding: the best-effort baseline — forward to every member on
 //     first receipt (fanout n−1), maximal reliability and maximal cost.
 //

@@ -1,10 +1,6 @@
 package protocols
 
-import (
-	"fmt"
-
-	"gossipkit/internal/epidemic"
-)
+import "fmt"
 
 // Result is the common outcome report for baseline protocols.
 type Result struct {
@@ -64,22 +60,6 @@ func (p PbcastParams) Validate() error {
 	return nil
 }
 
-// PbcastPredictedRounds returns the expected number of rounds for push
-// gossip with per-round fanout f to infect a group of n members (the
-// classic log-time bound: ~log_{f+1}(n) growth plus a tail).
-func PbcastPredictedRounds(n, fanout int) int {
-	if n <= 1 || fanout < 1 {
-		return 0
-	}
-	rounds := 0
-	infected := 1.0
-	for infected < float64(n) && rounds < 10*n {
-		infected *= float64(1 + fanout)
-		rounds++
-	}
-	return rounds
-}
-
 // ---------------------------------------------------------------------------
 // LRG: local retransmission + gossip
 
@@ -122,15 +102,6 @@ func (p LRGParams) Validate() error {
 		return fmt.Errorf("protocols: source %d out of range", p.Source)
 	}
 	return nil
-}
-
-// LRGEpidemicFraction integrates the SI balance equation the LRG paper [9]
-// uses, di/dt = beta·i·(1−i), from initial infected fraction i0 over time
-// horizon t, returning the infected fraction. This is the analytic
-// counterpart RunLRG is compared against; the integration lives in
-// internal/epidemic.
-func LRGEpidemicFraction(beta, i0, t float64) (float64, error) {
-	return epidemic.SIFraction(beta, i0, t)
 }
 
 // ---------------------------------------------------------------------------

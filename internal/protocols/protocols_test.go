@@ -90,25 +90,6 @@ func TestPbcastWithFailures(t *testing.T) {
 	}
 }
 
-func TestPbcastPredictedRounds(t *testing.T) {
-	if got := PbcastPredictedRounds(1000, 3); got < 4 || got > 8 {
-		t.Errorf("predicted rounds for n=1000 f=3: %d", got)
-	}
-	if PbcastPredictedRounds(1, 3) != 0 || PbcastPredictedRounds(100, 0) != 0 {
-		t.Error("degenerate inputs should predict 0 rounds")
-	}
-	// Prediction should roughly match simulation.
-	r := xrand.New(9)
-	res, err := RunPbcast(PbcastParams{N: 1000, Fanout: 3, Rounds: 100, AliveRatio: 1}, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred := PbcastPredictedRounds(1000, 3)
-	if res.Rounds > pred*3 {
-		t.Errorf("simulated rounds %d far above prediction %d", res.Rounds, pred)
-	}
-}
-
 func TestLRGValidate(t *testing.T) {
 	good := LRGParams{N: 100, Degree: 6, GossipProb: 0.7, RepairRounds: 2, AliveRatio: 0.9}
 	if err := good.Validate(); err != nil {
@@ -171,32 +152,6 @@ func TestLRGGossipProbMonotone(t *testing.T) {
 	}
 	if !(means[0] <= means[1]+0.02 && means[1] <= means[2]+0.02) {
 		t.Errorf("reliability not monotone in gossip prob: %v", means)
-	}
-}
-
-func TestLRGEpidemicFraction(t *testing.T) {
-	// Closed form: i(t) = i0 e^{bt} / (1 - i0 + i0 e^{bt}).
-	beta, i0, horizon := 2.0, 0.01, 4.0
-	got, err := LRGEpidemicFraction(beta, i0, horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := i0 * math.Exp(beta*horizon) / (1 - i0 + i0*math.Exp(beta*horizon))
-	if math.Abs(got-e) > 1e-6 {
-		t.Errorf("SI fraction %.8f, want %.8f", got, e)
-	}
-	// t=0 returns i0; huge t saturates at 1.
-	if got, _ := LRGEpidemicFraction(beta, 0.25, 0); got != 0.25 {
-		t.Errorf("t=0 fraction %g", got)
-	}
-	if got, _ := LRGEpidemicFraction(3, 0.01, 50); got < 0.999 {
-		t.Errorf("long-horizon fraction %g", got)
-	}
-	if _, err := LRGEpidemicFraction(-1, 0.1, 1); err == nil {
-		t.Error("negative beta accepted")
-	}
-	if _, err := LRGEpidemicFraction(1, 2, 1); err == nil {
-		t.Error("i0 > 1 accepted")
 	}
 }
 

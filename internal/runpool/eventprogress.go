@@ -38,8 +38,8 @@ func (u EventUpdate) String() string {
 // (core.ShardOptions.Progress) into throttled EventUpdates: the runtime
 // reports (events fired, virtual now) at every window barrier, and the
 // tracker emits at most one update per `every` interval. Barriers arrive
-// from the coordinator goroutine only, but Snapshot may poll from any
-// goroutine.
+// from the coordinator goroutine only; the mutex keeps a hook called from
+// elsewhere safe.
 type EventProgress struct {
 	mu       sync.Mutex
 	estTotal int64
@@ -52,10 +52,9 @@ type EventProgress struct {
 	virtual  time.Duration
 }
 
-// NewEventProgress builds a tracker emitting through emit (nil emit just
-// tracks for Snapshot); estTotal is the estimated final event count (0
-// for unknown — updates then omit the percentage); every <= 0 defaults to
-// one second.
+// NewEventProgress builds a tracker emitting through emit; estTotal is the
+// estimated final event count (0 for unknown — updates then omit the
+// percentage); every <= 0 defaults to one second.
 func NewEventProgress(estTotal int64, every time.Duration, emit func(EventUpdate)) *EventProgress {
 	if every <= 0 {
 		every = time.Second
@@ -82,13 +81,6 @@ func (p *EventProgress) ObserveEvents(events uint64, virtual time.Duration) {
 	if fire {
 		p.emit(u)
 	}
-}
-
-// Snapshot returns the current progress without emitting.
-func (p *EventProgress) Snapshot() EventUpdate {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.snapshotLocked()
 }
 
 func (p *EventProgress) snapshotLocked() EventUpdate {

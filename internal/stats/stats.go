@@ -150,24 +150,12 @@ func (h *Histogram) Count(k int) int64 {
 // Total returns the number of observations.
 func (h *Histogram) Total() int64 { return h.total }
 
-// Bins returns the number of bins.
-func (h *Histogram) Bins() int { return len(h.counts) }
-
 // Freq returns the empirical frequency of bin k.
 func (h *Histogram) Freq(k int) float64 {
 	if h.total == 0 {
 		return 0
 	}
 	return float64(h.Count(k)) / float64(h.total)
-}
-
-// Freqs returns all bin frequencies.
-func (h *Histogram) Freqs() []float64 {
-	out := make([]float64, len(h.counts))
-	for i := range out {
-		out[i] = h.Freq(i)
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -194,24 +182,6 @@ func BinomialPMF(n, k int, p float64) float64 {
 	lk, _ := math.Lgamma(float64(k) + 1)
 	lnk, _ := math.Lgamma(float64(n-k) + 1)
 	return math.Exp(ln - lk - lnk + float64(k)*math.Log(p) + float64(n-k)*math.Log1p(-p))
-}
-
-// BinomialCDF returns Pr[X <= k] for X ~ B(n, p).
-func BinomialCDF(n, k int, p float64) float64 {
-	if k < 0 {
-		return 0
-	}
-	if k >= n {
-		return 1
-	}
-	sum := 0.0
-	for i := 0; i <= k; i++ {
-		sum += BinomialPMF(n, i, p)
-	}
-	if sum > 1 {
-		sum = 1
-	}
-	return sum
 }
 
 // BinomialPMFs returns the full PMF vector of B(n, p) over {0..n}.
@@ -434,35 +404,6 @@ func RMSE(a, b []float64) (float64, error) {
 		s += d * d
 	}
 	return math.Sqrt(s / float64(len(a))), nil
-}
-
-// MAE returns the mean absolute error between two equal-length series.
-func MAE(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("stats: length mismatch %d vs %d", len(a), len(b))
-	}
-	if len(a) == 0 {
-		return 0, fmt.Errorf("stats: empty series")
-	}
-	var s float64
-	for i := range a {
-		s += math.Abs(a[i] - b[i])
-	}
-	return s / float64(len(a)), nil
-}
-
-// MaxAbsErr returns the maximum absolute difference between two series.
-func MaxAbsErr(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("stats: length mismatch %d vs %d", len(a), len(b))
-	}
-	var m float64
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > m {
-			m = d
-		}
-	}
-	return m, nil
 }
 
 // Quantile returns the p-quantile (0 <= p <= 1) of xs using linear

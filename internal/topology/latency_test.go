@@ -28,7 +28,6 @@ func TestZoneLatencyBands(t *testing.T) {
 		step  = 10 * time.Millisecond
 	)
 	zl := NewZoneLatency(n, zones, local, step)
-	ov := generateWAN(n, zones, 3, xrand.New(1))
 	r := xrand.New(5)
 
 	ringDist := func(a, b int) int {
@@ -44,12 +43,7 @@ func TestZoneLatencyBands(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		from := simnet.NodeID(r.Intn(n))
 		to := simnet.NodeID(r.Intn(n))
-		// The latency matrix's zone layout must agree with the overlay's.
 		za, zb := zl.zone(from), zl.zone(to)
-		if za != ov.Zone(int(from)) || zb != ov.Zone(int(to)) {
-			t.Fatalf("zone layouts disagree: latency (%d,%d) vs overlay (%d,%d)",
-				za, zb, ov.Zone(int(from)), ov.Zone(int(to)))
-		}
 		lo := local + time.Duration(ringDist(za, zb))*step
 		hi := 2 * lo
 		d := zl.Latency(r, from, to)

@@ -16,7 +16,7 @@ import (
 // and crashed members vanish from neighbor sets) and Restore(v) swaps it
 // back, so capacity never grows and no allocation happens mid-run.
 //
-// Concurrency: SampleTargets, Neighbors, Degree, N, and Zone are strictly
+// Concurrency: SampleTargets, Neighbors, Degree, N, and Zones are strictly
 // read-only and safe for concurrent use from shard kernels with
 // independent RNGs. Remove and Restore mutate the live prefixes and must
 // only run while no kernel is sampling (the scenario runner applies them
@@ -137,9 +137,6 @@ func (o *Overlay) SampleTargets(dst []int, self, k int, r *xrand.RNG) []int {
 	return dst
 }
 
-// Down reports whether v has been retired by Remove.
-func (o *Overlay) Down(v int) bool { return o.down[v] }
-
 // Remove retires member v from the overlay: v vanishes from every
 // in-neighbor's live neighbor set (crashed or churned members are no
 // longer gossiped to). Returns the number of arcs retired; 0 if v was
@@ -194,14 +191,4 @@ func (o *Overlay) Zones() int {
 		return 1
 	}
 	return o.zones
-}
-
-// Zone returns the zone of member id. Zones are contiguous index ranges
-// (the same layout scenario zone-crash actions and shard blocks use), so
-// zone z covers members [z·n/Z, (z+1)·n/Z).
-func (o *Overlay) Zone(id int) int {
-	if o.zones <= 1 {
-		return 0
-	}
-	return ((id+1)*o.zones - 1) / o.n
 }

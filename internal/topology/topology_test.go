@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gossipkit/internal/membership"
+	"gossipkit/internal/simnet"
 	"gossipkit/internal/xrand"
 )
 
@@ -119,8 +120,11 @@ func TestWANProperties(t *testing.T) {
 			if ov.Zones() != tc.zones {
 				t.Fatalf("zones %d, want %d", ov.Zones(), tc.zones)
 			}
+			// The zone map production runs is ZoneLatency's: the overlay's
+			// clusters must be laid out the way the latency matrix reads them.
+			zl := NewZoneLatency(tc.n, tc.zones, 0, 0)
 			for u := 0; u < tc.n; u++ {
-				z := ov.Zone(u)
+				z := zl.zone(simnet.NodeID(u))
 				lo, hi := z*tc.n/tc.zones, (z+1)*tc.n/tc.zones
 				// Zone layout property: the zone formula must invert the
 				// contiguous boundary layout exactly.
@@ -132,7 +136,7 @@ func TestWANProperties(t *testing.T) {
 				// intra-zone.
 				bridges := 0
 				for _, v := range ov.Neighbors(u) {
-					if ov.Zone(int(v)) != z {
+					if zl.zone(simnet.NodeID(v)) != z {
 						bridges++
 					}
 				}
@@ -153,11 +157,11 @@ func TestZoneFormulaBoundaries(t *testing.T) {
 	// For every layout: zone z covers exactly [z·n/Z, (z+1)·n/Z).
 	for _, n := range []int{2, 3, 7, 10, 97, 256, 1000} {
 		for zones := 2; zones <= min(n, 16); zones++ {
-			ov := &Overlay{n: n, zones: zones}
+			zl := NewZoneLatency(n, zones, 0, 0)
 			for z := 0; z < zones; z++ {
 				for u := z * n / zones; u < (z+1)*n/zones; u++ {
-					if got := ov.Zone(u); got != z {
-						t.Fatalf("n=%d Z=%d: Zone(%d) = %d, want %d", n, zones, u, got, z)
+					if got := zl.zone(simnet.NodeID(u)); got != z {
+						t.Fatalf("n=%d Z=%d: zone(%d) = %d, want %d", n, zones, u, got, z)
 					}
 				}
 			}
@@ -175,7 +179,7 @@ func TestOverlayRemoveRestoreRoundTrip(t *testing.T) {
 	retired := 0
 	for _, v := range removed {
 		retired += ov.Remove(v)
-		if !ov.Down(v) {
+		if !ov.down[v] {
 			t.Fatalf("member %d not down after Remove", v)
 		}
 		if again := ov.Remove(v); again != 0 {

@@ -23,8 +23,4 @@
 // allocation-free through SampleIntsVisit/SampleExcludingVisit with a warm
 // Scratch, which also store candidates as int32 to halve resident bytes
 // (the pooled failure-mask redraw is the consumer).
-//
-// xrand.RNG implements math/rand.Source and math/rand.Source64, so it can be
-// dropped into stdlib helpers when convenient, but the methods defined here
-// avoid the extra allocation and locking of math/rand.
 package xrand

@@ -2,8 +2,7 @@ package xrand
 
 import "math"
 
-// Thin wrappers keep the hot sampling paths readable; the compiler inlines
-// them to direct math calls.
+// A thin wrapper keeps the hot sampling paths readable; the compiler inlines
+// it to the direct math call.
 
-func sqrt(x float64) float64 { return math.Sqrt(x) }
-func ln(x float64) float64   { return math.Log(x) }
+func ln(x float64) float64 { return math.Log(x) }

@@ -78,12 +78,6 @@ func (r *RNG) Uint64() uint64 {
 	return bits.RotateLeft64(r.hi^r.lo, -int(r.hi>>58))
 }
 
-// Int63 implements math/rand.Source.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
-// Seed implements math/rand.Source by reseeding the generator.
-func (r *RNG) Seed(seed int64) { *r = *New(uint64(seed)) }
-
 // Uint64n returns a uniform value in [0, n). It panics if n == 0.
 // It uses Lemire's multiply-shift rejection method, which is unbiased.
 func (r *RNG) Uint64n(n uint64) uint64 {
@@ -126,17 +120,6 @@ func (r *RNG) Bool(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := 1; i < n; i++ {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }
 
 // Shuffle pseudo-randomizes the order of n elements using swap.
@@ -364,21 +347,6 @@ func (r *RNG) SampleExcludingVisit(s *Scratch, n, k, excl int, visit func(int)) 
 		}
 		visit(v)
 	})
-}
-
-// NormFloat64 returns a standard normal variate using the polar
-// (Marsaglia) method. It is used by latency models; heavy-duty consumers
-// should prefer the distributions in internal/dist.
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
-			continue
-		}
-		return u * sqrt(-2*ln(s)/s)
-	}
 }
 
 // ExpFloat64 returns an exponential variate with rate 1 (mean 1).

@@ -110,23 +110,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(19)
-	for _, n := range []int{0, 1, 2, 5, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid: %v", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestSampleIntsProperties(t *testing.T) {
 	r := New(23)
 	f := func(nRaw, kRaw uint16) bool {
@@ -275,25 +258,6 @@ func TestBool(t *testing.T) {
 	}
 	if p := float64(hits) / trials; math.Abs(p-0.3) > 0.01 {
 		t.Errorf("Bool(0.3) empirical rate %g", p)
-	}
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(53)
-	const draws = 200000
-	var sum, sumsq float64
-	for i := 0; i < draws; i++ {
-		x := r.NormFloat64()
-		sum += x
-		sumsq += x * x
-	}
-	mean := sum / draws
-	variance := sumsq/draws - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean = %g", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Errorf("normal variance = %g", variance)
 	}
 }
 

@@ -1,9 +1,10 @@
 #!/bin/sh
 # lint-api.sh — fail CI when a binary or an example reaches past the
 # facade for a baseline protocol, when a DES front end assembles its own
-# sharded run, or when a sweep goes to the worker pool directly.
+# sharded run, when a sweep goes to the worker pool directly, or when a
+# package under internal/ is one nothing ships.
 #
-# Three greps (no linter dependency, runs anywhere a POSIX shell does):
+# Four greps (no linter dependency, runs anywhere a POSIX shell does):
 #
 #   - cmd/ and examples/ must not import internal/protocols — the facade
 #     engine specs (Pbcast, ..., Flooding, Compare) are the only supported
@@ -20,6 +21,12 @@
 #     new sweep gets its workers there, not from another hand-kept table
 #     indexed by worker id. (bench/ is its own tree — it replays the pool
 #     itself to time it — and is not scanned.)
+#   - every directory under internal/ is imported by at least one non-test
+#     file outside itself (the facade, a binary, an example, the bench or
+#     another package): a package only its own files and tests reach is an
+#     island — internal/gossipnode, internal/wire and internal/epidemic
+#     were three — and is deleted, not kept. internal/golden, the digest
+#     helper the golden tests share, is the one named exemption.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -74,4 +81,25 @@ scan 'runpool\.(Run|RunOrdered|Count)[[(]' \
     "run the sweep on runpool.Replicate: it owns the worker count, the per-worker state and the run-ordered reduction" \
     $(find . -name '*.go' ! -name '*_test.go' ! -path './internal/runpool/*' ! -path './bench/*')
 
-echo "api-lint: cmd/ and examples/ are clean (no internal/protocols imports); one run assembly (internal/core/run.go); one replication driver (runpool.Replicate)"
+for dir in internal/*/; do
+    pkg=$(basename "$dir")
+    [ "$pkg" = golden ] && continue
+    rc=0
+    # shellcheck disable=SC2046 # as above
+    grep -qF "\"gossipkit/internal/$pkg\"" \
+        $(find . -name '*.go' ! -name '*_test.go' ! -path "./internal/$pkg/*") || rc=$?
+    case $rc in
+    0) ;;
+    1)
+        echo "api-lint: internal/$pkg is imported by no non-test file outside itself" >&2
+        echo "api-lint: give it a caller an entry point reaches, or delete it with its tests" >&2
+        exit 1
+        ;;
+    *)
+        echo "api-lint: grep failed with exit status $rc" >&2
+        exit "$rc"
+        ;;
+    esac
+done
+
+echo "api-lint: cmd/ and examples/ are clean (no internal/protocols imports); one run assembly (internal/core/run.go); one replication driver (runpool.Replicate); no internal/ package is an island"

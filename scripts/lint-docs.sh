@@ -158,7 +158,10 @@ done
 # non-Ctx twins, core.ExecuteOnNetwork, stream.Run), Params.drawMask and
 # failure.BernoulliMask and membership's linear-scan integrate walk (the
 # stamp-array joiner.walk replaced it; the pattern asks for the call's
-# parenthesis to spare the English verb) are deleted; README and ARCHITECTURE
+# parenthesis to spare the English verb), the TCP node island (the node
+# package, its wire codec and its daemon), the SIS/SIR package with the one
+# function that imported it, and the fanout families and round predictor no
+# entry point reached are deleted; README and ARCHITECTURE
 # must not describe them as if they existed. Where a surviving identifier contains
 # the name (EstimateReliabilityCtx, ExecuteOnNetworkArena, drawMaskInto,
 # ...) the pattern stops at the next letter.
@@ -192,7 +195,15 @@ for gone in \
     "stream\.Run([^A-Za-z]|$)" \
     "drawMask([^I]|$)" \
     "BernoulliMask" \
-    "integrate\("; do
+    "integrate\(" \
+    "gossipnode" \
+    "gossipd" \
+    "internal/wire" \
+    "internal/epidemic" \
+    "LRGEpidemicFraction" \
+    "PbcastPredictedRounds" \
+    "NewPowerLaw" \
+    "NewMixture"; do
     if hits=$(grep -nE "$gone" README.md ARCHITECTURE.md); then
         echo "docs-lint: README/ARCHITECTURE mention the deleted '$gone':" >&2
         echo "$hits" >&2
