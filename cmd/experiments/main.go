@@ -24,6 +24,19 @@ import (
 	"gossipkit/internal/obs"
 )
 
+// checkFlags rejects the numeric flags no experiment can honour — a -scale
+// that is NaN, infinite, non-positive or above experiment.MaxScale, a chart
+// without area — before any experiment starts.
+func checkFlags(scale float64, width, height int) error {
+	if !(scale > 0 && scale <= experiment.MaxScale) {
+		return fmt.Errorf("invalid -scale %g: want a number in (0, %g]", scale, experiment.MaxScale)
+	}
+	if width <= 0 || height <= 0 {
+		return fmt.Errorf("invalid chart size -width %d -height %d: both must be positive", width, height)
+	}
+	return nil
+}
+
 func main() {
 	var (
 		list   = flag.Bool("list", false, "list available experiments")
@@ -37,6 +50,10 @@ func main() {
 		pprof  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
+	if err := checkFlags(*scale, *width, *height); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
 	if *pprof != "" {
 		addr, err := obs.StartPprof(*pprof)
 		if err != nil {

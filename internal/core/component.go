@@ -6,6 +6,7 @@ import (
 
 	"gossipkit/internal/failure"
 	"gossipkit/internal/graph"
+	"gossipkit/internal/membership"
 	"gossipkit/internal/runpool"
 	"gossipkit/internal/stats"
 	"gossipkit/internal/xrand"
@@ -51,22 +52,51 @@ type ComponentResult struct {
 // the subcritical regime (where no nontrivial SCC exists).
 const probeCount = 64
 
+// componentScratch is everything one giant-component replication touches
+// besides its Params and its RNG: the failure mask, the gossip graph, the
+// graph searcher and the target and probe buffers. A sweep keeps one per
+// worker, so a warm replication on the full view allocates nothing. Every
+// part is rebuilt from p and r before it is read — the mask redrawn, the
+// graph Reset, the buffers truncated — so a result cannot depend on what
+// the scratch ran before (TestComponentReliabilityPooledMatchesFresh). The
+// zero value is ready to use.
+type componentScratch struct {
+	mask    failure.Mask
+	g       graph.Digraph
+	search  graph.Searcher
+	full    membership.View // the full view over the last p.N that had no View
+	targets []int
+	probes  []int
+}
+
+// view is p.view() without boxing a FullView per replication.
+func (sc *componentScratch) view(p Params) membership.View {
+	if p.View != nil {
+		return p.View
+	}
+	if sc.full == nil || sc.full.N() != p.N {
+		sc.full = p.view()
+	}
+	return sc.full
+}
+
 // ComponentReliability runs one execution in the giant out-component
 // semantics.
 func ComponentReliability(p Params, r *xrand.RNG) (ComponentResult, error) {
 	if err := p.Validate(); err != nil {
 		return ComponentResult{}, err
 	}
-	return componentReliability(p, new(failure.Mask), r), nil
+	return componentReliability(p, new(componentScratch), r), nil
 }
 
-// componentReliability is ComponentReliability for validated p on a mask the
-// caller pools: it is redrawn in place.
-func componentReliability(p Params, mask *failure.Mask, r *xrand.RNG) ComponentResult {
+// componentReliability is ComponentReliability for validated p on a scratch
+// the caller pools.
+func componentReliability(p Params, sc *componentScratch, r *xrand.RNG) ComponentResult {
+	mask, g := &sc.mask, &sc.g
 	p.drawMaskInto(mask, r)
-	view := p.view()
-	g := graph.NewDigraph(p.N)
-	targets := make([]int, 0, 16)
+	view := sc.view(p)
+	g.Reset(p.N)
+	targets := sc.targets
 	res := ComponentResult{AliveCount: mask.AliveCount()}
 	for u := 0; u < p.N; u++ {
 		if !mask.Alive(u) {
@@ -81,19 +111,19 @@ func componentReliability(p Params, mask *failure.Mask, r *xrand.RNG) ComponentR
 			}
 		}
 	}
+	sc.targets = targets
 	// Probe starts for the subcritical fallback: the source plus random
 	// alive members.
-	probes := make([]int, 0, probeCount)
-	probes = append(probes, p.Source)
+	probes := append(sc.probes[:0], p.Source)
 	for len(probes) < probeCount {
 		c := r.Intn(p.N)
 		if mask.Alive(c) {
 			probes = append(probes, c)
 		}
 	}
-	res.GiantSize = graph.LargestOutComponent(g, nil, probes)
-	bfs := graph.NewBFS(p.N)
-	res.SourceReach = bfs.Reachable(g, p.Source, nil)
+	sc.probes = probes
+	res.GiantSize = sc.search.LargestOutComponent(g, nil, probes)
+	res.SourceReach = sc.search.Reachable(g, p.Source, nil)
 	res.SourceInGiant = res.SourceReach >= res.GiantSize && res.GiantSize > 1
 	if res.AliveCount > 0 {
 		res.Reliability = float64(res.GiantSize) / float64(res.AliveCount)
@@ -137,9 +167,9 @@ func EstimateComponentReliabilityCtx(ctx context.Context, p Params, runs int, se
 	root := xrand.New(seed)
 	var rel, reach stats.Running
 	inG := 0
-	err := runpool.Replicate(ctx, runs, workers, func() *failure.Mask { return new(failure.Mask) },
-		func(run int, mask *failure.Mask) (ComponentResult, error) {
-			return componentReliability(p, mask, root.Split(uint64(run))), nil
+	err := runpool.Replicate(ctx, runs, workers, func() *componentScratch { return new(componentScratch) },
+		func(run int, sc *componentScratch) (ComponentResult, error) {
+			return componentReliability(p, sc, root.Split(uint64(run))), nil
 		}, func(run int, res ComponentResult) {
 			rel.Add(res.Reliability)
 			if res.AliveCount > 0 {

@@ -31,6 +31,12 @@
 // on runpool.Replicate: replication i runs on the stream split at index i on
 // its worker's executor, which redraws its own failure mask in place, and
 // results reduce in run order, so an estimate depends on the seed alone.
+// The giant-component estimator's per-worker state is a componentScratch:
+// beside the pooled mask, the gossip graph (a graph.Digraph Reset every
+// replication), a graph.Searcher and the target and probe buffers, so a
+// warm replication on the full view allocates nothing. Every part is
+// rebuilt from (Params, RNG) before it is read, so results do not depend on
+// what the scratch ran before.
 //
 // The package also owns the run assembly every DES front end stands on
 // (run.go): NetArena.Begin leases the pooled state as a Run and lays out

@@ -112,14 +112,19 @@ func PGFPrime2(d Distribution, x float64) float64 {
 // Poisson
 
 // Poisson is the Po(z) fanout of the paper's case study.
-type Poisson struct{ z float64 }
+type Poisson struct {
+	z float64
+	// expNegZ is e^(−z), the stopping threshold of Knuth's product method,
+	// computed once: Sample is called per member per replication.
+	expNegZ float64
+}
 
 // NewPoisson returns the Poisson distribution with mean z >= 0.
 func NewPoisson(z float64) Poisson {
 	if z < 0 || math.IsNaN(z) || math.IsInf(z, 0) {
 		panic(fmt.Sprintf("dist: invalid Poisson mean %g", z))
 	}
-	return Poisson{z: z}
+	return Poisson{z: z, expNegZ: math.Exp(-z)}
 }
 
 // Name implements Distribution.
@@ -144,7 +149,15 @@ func (p Poisson) PMF(k int) float64 {
 }
 
 // Sample implements Distribution.
-func (p Poisson) Sample(r *xrand.RNG) int { return samplePoisson(r, p.z) }
+func (p Poisson) Sample(r *xrand.RNG) int {
+	if p.z <= 0 {
+		return 0
+	}
+	if p.z < knuthBelow {
+		return knuthPoisson(r, p.expNegZ)
+	}
+	return samplePoisson(r, p.z)
+}
 
 // PGFAt returns the closed form e^{z(x-1)}.
 func (p Poisson) PGFAt(x float64) float64 { return math.Exp(p.z * (x - 1)) }
@@ -163,18 +176,27 @@ func samplePoisson(r *xrand.RNG, z float64) int {
 	if z <= 0 {
 		return 0
 	}
-	if z < 30 {
-		l := math.Exp(-z)
-		k := 0
-		prod := r.Float64()
-		for prod > l {
-			k++
-			prod *= r.Float64()
-		}
-		return k
+	if z < knuthBelow {
+		return knuthPoisson(r, math.Exp(-z))
 	}
 	half := z / 2
 	return samplePoisson(r, half) + samplePoisson(r, z-half)
+}
+
+// knuthBelow is the mean from which samplePoisson splits instead of
+// multiplying uniforms.
+const knuthBelow = 30
+
+// knuthPoisson is Knuth's product method for the threshold l = e^(−z): the
+// number of uniforms multiplied before the product falls to l or below.
+func knuthPoisson(r *xrand.RNG, l float64) int {
+	k := 0
+	prod := r.Float64()
+	for prod > l {
+		k++
+		prod *= r.Float64()
+	}
+	return k
 }
 
 // ---------------------------------------------------------------------------

@@ -103,3 +103,41 @@ func TestConstructorsRejectOutOfRange(t *testing.T) {
 		}()
 	}
 }
+
+// refSamplePoisson is Poisson.Sample as it stood before NewPoisson cached
+// e^(−z): the threshold recomputed on every draw.
+func refSamplePoisson(r *xrand.RNG, z float64) int {
+	if z <= 0 {
+		return 0
+	}
+	if z < 30 {
+		l := math.Exp(-z)
+		k := 0
+		prod := r.Float64()
+		for prod > l {
+			k++
+			prod *= r.Float64()
+		}
+		return k
+	}
+	half := z / 2
+	return refSamplePoisson(r, half) + refSamplePoisson(r, z-half)
+}
+
+// TestPoissonSampleMatchesReference holds the cached threshold to the
+// recomputed one draw for draw — same value, same uniforms consumed — on
+// both sides of the Knuth/split boundary and at the degenerate means.
+func TestPoissonSampleMatchesReference(t *testing.T) {
+	for _, z := range []float64{0, 1e-9, 0.3, 5, 29.999, 30, 200} {
+		p := NewPoisson(z)
+		got, want := xrand.New(7), xrand.New(7)
+		for i := 0; i < 5000; i++ {
+			if g, w := p.Sample(got), refSamplePoisson(want, z); g != w {
+				t.Fatalf("z=%g draw %d: %d, reference %d", z, i, g, w)
+			}
+		}
+		if g, w := got.Uint64(), want.Uint64(); g != w {
+			t.Errorf("z=%g: the streams parted (next Uint64 %#x, reference %#x)", z, g, w)
+		}
+	}
+}

@@ -26,7 +26,8 @@ type Config struct {
 	Seed uint64
 	// Scale multiplies the replication counts (20 runs/point, 100
 	// simulations in the paper). 1.0 reproduces the paper's counts; CI
-	// and unit tests use smaller values. Values <= 0 mean 1.0.
+	// and unit tests use smaller values. Values <= 0 mean 1.0 (so does
+	// NaN); values above MaxScale mean MaxScale.
 	Scale float64
 	// Ctx, when non-nil, cancels a running experiment mid-sweep: the
 	// Monte-Carlo and scenario worker pools underneath check it between
@@ -42,13 +43,20 @@ func (c Config) ctx() context.Context {
 	return context.Background()
 }
 
-// runs scales a paper replication count, with a floor.
+// MaxScale is the largest replication scale a Config honours: 10⁶ times the
+// paper's counts is past any run that finishes, and keeps the scaled count
+// an int on every platform.
+const MaxScale = 1e6
+
+// runs scales a paper replication count, with a floor. The product is
+// bounded before it is converted: an out-of-range float→int conversion is
+// platform-dependent (MinInt64 on amd64, saturating on arm64).
 func (c Config) runs(paper, floor int) int {
 	s := c.Scale
-	if s <= 0 {
+	if !(s > 0) { // zero, negative or NaN
 		s = 1
 	}
-	n := int(float64(paper)*s + 0.5)
+	n := int(float64(paper)*min(s, MaxScale) + 0.5)
 	if n < floor {
 		n = floor
 	}

@@ -50,6 +50,24 @@ func TestConfigRuns(t *testing.T) {
 	if got := (Config{}).runs(20, 3); got != 20 {
 		t.Errorf("zero scale (=1.0) runs = %d", got)
 	}
+	// A hostile scale never reaches the float→int conversion unbounded:
+	// NaN is the default like every other non-positive value, and anything
+	// above MaxScale is MaxScale.
+	for _, c := range []struct {
+		scale float64
+		want  int
+	}{
+		{math.NaN(), 20},
+		{math.Inf(-1), 20},
+		{math.Inf(1), 20 * MaxScale},
+		{1e18, 20 * MaxScale},
+		{1e300, 20 * MaxScale},
+		{MaxScale, 20 * MaxScale},
+	} {
+		if got := (Config{Scale: c.scale}).runs(20, 3); got != c.want {
+			t.Errorf("Scale %g: runs = %d, want %d", c.scale, got, c.want)
+		}
+	}
 }
 
 func TestFig2Shape(t *testing.T) {

@@ -29,8 +29,8 @@ func TestDigraphBasics(t *testing.T) {
 	if g.Arcs() != 3 {
 		t.Errorf("arcs = %d, want 3", g.Arcs())
 	}
-	if g.OutDegree(0) != 2 || g.OutDegree(2) != 0 {
-		t.Errorf("out-degrees wrong: %d %d", g.OutDegree(0), g.OutDegree(2))
+	if len(g.Out(0)) != 2 || len(g.Out(2)) != 0 {
+		t.Errorf("out-degrees wrong: %d %d", len(g.Out(0)), len(g.Out(2)))
 	}
 	if len(g.Out(1)) != 1 || g.Out(1)[0] != 2 {
 		t.Errorf("Out(1) = %v", g.Out(1))
@@ -106,26 +106,6 @@ func TestBFSSelfLoopAndParallel(t *testing.T) {
 	b := NewBFS(2)
 	if got := b.Reachable(g, 0, nil); got != 2 {
 		t.Errorf("reach = %d, want 2", got)
-	}
-}
-
-func TestReachableMask(t *testing.T) {
-	g := path(5)
-	b := NewBFS(5)
-	mask := make([]bool, 5)
-	if got := b.ReachableMask(g, 2, mask); got != 3 {
-		t.Errorf("reach = %d", got)
-	}
-	want := []bool{false, false, true, true, true}
-	for i := range want {
-		if mask[i] != want[i] {
-			t.Errorf("mask[%d] = %v, want %v", i, mask[i], want[i])
-		}
-	}
-	// Rerun from another source: mask must be reset.
-	b.ReachableMask(g, 4, mask)
-	if mask[2] || !mask[4] {
-		t.Error("mask not reset between runs")
 	}
 }
 
@@ -286,8 +266,8 @@ func TestGossipGraphFixedFanout(t *testing.T) {
 	r := xrand.New(7)
 	g := GossipGraph(50, dist.NewFixed(3), r)
 	for u := 0; u < 50; u++ {
-		if g.OutDegree(u) != 3 {
-			t.Fatalf("node %d out-degree %d, want 3", u, g.OutDegree(u))
+		if len(g.Out(u)) != 3 {
+			t.Fatalf("node %d out-degree %d, want 3", u, len(g.Out(u)))
 		}
 	}
 }
@@ -296,8 +276,8 @@ func TestGossipGraphFanoutExceedsGroup(t *testing.T) {
 	r := xrand.New(9)
 	g := GossipGraph(5, dist.NewFixed(100), r)
 	for u := 0; u < 5; u++ {
-		if g.OutDegree(u) != 4 {
-			t.Fatalf("node %d out-degree %d, want 4 (all others)", u, g.OutDegree(u))
+		if len(g.Out(u)) != 4 {
+			t.Fatalf("node %d out-degree %d, want 4 (all others)", u, len(g.Out(u)))
 		}
 	}
 }
@@ -311,8 +291,8 @@ func TestConfigurationModelDegreesPreserved(t *testing.T) {
 		t.Errorf("arcs = %d, want 12", g.Arcs())
 	}
 	for i, d := range degrees {
-		if g.OutDegree(i) != d {
-			t.Errorf("node %d degree %d, want %d", i, g.OutDegree(i), d)
+		if len(g.Out(i)) != d {
+			t.Errorf("node %d degree %d, want %d", i, len(g.Out(i)), d)
 		}
 	}
 }
@@ -425,7 +405,7 @@ func BenchmarkUndirectedComponents(b *testing.B) {
 // TestGossipGraphExactDegrees pins GossipGraph's degree semantics: targets
 // come from SampleExcluding (without replacement, remapped around u), so
 // node u's out-neighborhood has no duplicates, never contains u, and
-// OutDegree(u) is exactly min(f_u, n−1) for the fanout draw f_u — no
+// len(Out(u)) is exactly min(f_u, n−1) for the fanout draw f_u — no
 // dedup pass needed by any consumer. The fanout draws are replayed on an
 // identical stream to recover each f_u.
 func TestGossipGraphExactDegrees(t *testing.T) {
@@ -442,9 +422,9 @@ func TestGossipGraphExactDegrees(t *testing.T) {
 			for u := 0; u < n; u++ {
 				f := p.Sample(replay)
 				buf = replay.SampleExcluding(buf, n, f, u)
-				if want := min(f, n-1); g.OutDegree(u) != want {
-					t.Fatalf("n=%d seed=%d: OutDegree(%d) = %d, want min(f=%d, n-1) = %d",
-						n, seed, u, g.OutDegree(u), f, want)
+				if want := min(f, n-1); len(g.Out(u)) != want {
+					t.Fatalf("n=%d seed=%d: len(Out(%d)) = %d, want min(f=%d, n-1) = %d",
+						n, seed, u, len(g.Out(u)), f, want)
 				}
 				seen := make(map[int32]bool)
 				for _, v := range g.Out(u) {

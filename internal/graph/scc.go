@@ -1,39 +1,63 @@
 package graph
 
+// Searcher holds the working storage of the package's searches — Tarjan's
+// index, lowlink and stacks, the BFS marks and the filtered copy a masked
+// giant-component search runs on — so a loop that keeps one per worker
+// searches without allocating once it has seen its largest graph. One
+// Searcher serves graphs of any size in any sequence, one search at a time;
+// what a search returns depends on the graph and the mask only, never on
+// what the Searcher ran before. The zero value is ready to use.
+type Searcher struct {
+	bfs            BFS
+	index, lowlink []int32
+	onStack        []bool // all false between searches
+	stack          []int32
+	frames         []sccFrame
+	work           Digraph
+}
+
+// sccFrame is one node of Tarjan's explicit call stack plus the position in
+// the arc array of its next unexplored arc.
+type sccFrame struct{ v, edge int32 }
+
 // LargestSCC returns a representative node and the size of the largest
 // strongly connected component of g restricted to nodes with
 // active[i] == true (nil active means all nodes). It returns (-1, 0) when
 // no active node exists.
+func LargestSCC(g *Digraph, active []bool) (rep, size int) {
+	return new(Searcher).LargestSCC(g, active)
+}
+
+// LargestSCC is the package-level LargestSCC on s's storage.
 //
 // The implementation is an iterative Tarjan so deep gossip graphs cannot
 // overflow the goroutine stack.
-func LargestSCC(g *Digraph, active []bool) (rep, size int) {
+func (s *Searcher) LargestSCC(g *Digraph, active []bool) (rep, size int) {
 	n := g.N()
-	on := func(i int) bool { return active == nil || active[i] }
+	off, adj := g.csr()
 
 	const unvisited = -1
-	index := make([]int32, n)
-	lowlink := make([]int32, n)
-	onStack := make([]bool, n)
+	if cap(s.index) < n {
+		s.index = make([]int32, n)
+		s.lowlink = make([]int32, n)
+		s.onStack = make([]bool, n)
+		// Neither stack holds a node twice.
+		s.stack = make([]int32, 0, n)
+		s.frames = make([]sccFrame, 0, n)
+	}
+	index, lowlink, onStack := s.index[:n], s.lowlink[:n], s.onStack[:n]
 	for i := range index {
 		index[i] = unvisited
 	}
 	var next int32
-	stack := make([]int32, 0, 64)
-
-	// frame is one node plus the position in its adjacency list.
-	type frame struct {
-		v    int32
-		edge int
-	}
-	var frames []frame
+	stack, frames := s.stack[:0], s.frames[:0]
 
 	rep, size = -1, 0
 	for root := 0; root < n; root++ {
-		if !on(root) || index[root] != unvisited {
+		if active != nil && !active[root] || index[root] != unvisited {
 			continue
 		}
-		frames = append(frames[:0], frame{v: int32(root)})
+		frames = append(frames[:0], sccFrame{v: int32(root), edge: off[root]})
 		index[root] = next
 		lowlink[root] = next
 		next++
@@ -43,12 +67,12 @@ func LargestSCC(g *Digraph, active []bool) (rep, size int) {
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
 			v := f.v
-			adj := g.adj[v]
+			end := off[v+1]
 			advanced := false
-			for f.edge < len(adj) {
+			for f.edge < end {
 				w := adj[f.edge]
 				f.edge++
-				if !on(int(w)) {
+				if active != nil && !active[w] {
 					continue
 				}
 				if index[w] == unvisited {
@@ -57,7 +81,7 @@ func LargestSCC(g *Digraph, active []bool) (rep, size int) {
 					next++
 					stack = append(stack, w)
 					onStack[w] = true
-					frames = append(frames, frame{v: w})
+					frames = append(frames, sccFrame{v: w, edge: off[w]})
 					advanced = true
 					break
 				}
@@ -94,7 +118,15 @@ func LargestSCC(g *Digraph, active []bool) (rep, size int) {
 			}
 		}
 	}
+	s.stack, s.frames = stack, frames
 	return rep, size
+}
+
+// Reachable returns the number of nodes reachable from src in g, src
+// included, calling visit (when non-nil) once per reached node.
+func (s *Searcher) Reachable(g *Digraph, src int, visit func(node int)) int {
+	s.bfs.fit(g.N())
+	return s.bfs.Reachable(g, src, visit)
 }
 
 // Filtered returns a copy of g keeping only arcs whose endpoints are both
@@ -103,18 +135,25 @@ func Filtered(g *Digraph, active []bool) *Digraph {
 	if active == nil {
 		return g
 	}
-	f := NewDigraph(g.N())
+	f := new(Digraph)
+	g.filterInto(f, active)
+	return f
+}
+
+// filterInto rebuilds f as g restricted to arcs between active nodes. The
+// arcs keep their order, so f freezes without sorting.
+func (g *Digraph) filterInto(f *Digraph, active []bool) {
+	f.Reset(g.N())
 	for u := 0; u < g.N(); u++ {
 		if !active[u] {
 			continue
 		}
-		for _, v := range g.adj[u] {
+		for _, v := range g.Out(u) {
 			if active[v] {
 				f.AddArc(u, int(v))
 			}
 		}
 	}
-	return f
 }
 
 // LargestOutComponent returns the size of the largest "out-component" of g
@@ -127,27 +166,35 @@ func Filtered(g *Digraph, active []bool) *Digraph {
 // predicts: the fraction of nonfailed members the message reaches once the
 // spread takes off.
 func LargestOutComponent(g *Digraph, active []bool, probes []int) int {
-	work := Filtered(g, active)
-	rep, size := LargestSCC(work, active)
+	return new(Searcher).LargestOutComponent(g, active, probes)
+}
+
+// LargestOutComponent is the package-level LargestOutComponent on s's
+// storage.
+func (s *Searcher) LargestOutComponent(g *Digraph, active []bool, probes []int) int {
+	work := g
+	if active != nil {
+		work = &s.work
+		g.filterInto(work, active)
+	}
+	rep, size := s.LargestSCC(work, active)
 	if rep < 0 {
 		return 0
 	}
-	bfs := NewBFS(work.N())
 	if size > 1 {
-		return bfs.Reachable(work, rep, nil)
+		return s.Reachable(work, rep, nil)
 	}
-	on := func(i int) bool { return active == nil || active[i] }
 	best := 0
 	for _, p := range probes {
-		if p < 0 || p >= work.N() || !on(p) {
+		if p < 0 || p >= work.N() || active != nil && !active[p] {
 			continue
 		}
-		if c := bfs.Reachable(work, p, nil); c > best {
+		if c := s.Reachable(work, p, nil); c > best {
 			best = c
 		}
 	}
 	if best == 0 {
-		best = bfs.Reachable(work, rep, nil)
+		best = s.Reachable(work, rep, nil)
 	}
 	return best
 }

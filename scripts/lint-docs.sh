@@ -160,8 +160,9 @@ done
 # stamp-array joiner.walk replaced it; the pattern asks for the call's
 # parenthesis to spare the English verb), the TCP node island (the node
 # package, its wire codec and its daemon), the SIS/SIR package with the one
-# function that imported it, and the fanout families and round predictor no
-# entry point reached are deleted; README and ARCHITECTURE
+# function that imported it, the fanout families and round predictor no
+# entry point reached, and the adjacency-list graph's two unreached
+# accessors (BFS.ReachableMask, Digraph.OutDegree) are deleted; README and ARCHITECTURE
 # must not describe them as if they existed. Where a surviving identifier contains
 # the name (EstimateReliabilityCtx, ExecuteOnNetworkArena, drawMaskInto,
 # ...) the pattern stops at the next letter.
@@ -203,7 +204,9 @@ for gone in \
     "LRGEpidemicFraction" \
     "PbcastPredictedRounds" \
     "NewPowerLaw" \
-    "NewMixture"; do
+    "NewMixture" \
+    "ReachableMask" \
+    "OutDegree"; do
     if hits=$(grep -nE "$gone" README.md ARCHITECTURE.md); then
         echo "docs-lint: README/ARCHITECTURE mention the deleted '$gone':" >&2
         echo "$hits" >&2
