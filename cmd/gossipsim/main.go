@@ -87,41 +87,48 @@ func run(ctx context.Context, n int, distKind string, fanout, q float64, runs in
 		}
 	}
 
-	an, err := gossipkit.Run(ctx, gossipkit.Analytic{Params: p})
-	if err != nil {
-		return err
+	steps := []func(ctx context.Context) error{
+		func(ctx context.Context) error {
+			an, err := gossipkit.Run(ctx, gossipkit.Analytic{Params: p})
+			if err != nil {
+				return err
+			}
+			pred := an.Aggregate.(gossipkit.Prediction)
+			fmt.Printf("Gossip(n=%d, P=%s, q=%.3f)\n", n, d.Name(), q)
+			if !topo.IsUniform() {
+				fmt.Printf("  overlay topology          : %s (giant component below is the topology-corrected prediction)\n", topo)
+			}
+			fmt.Printf("  critical ratio q_c        : %.4f (q %s q_c)\n",
+				pred.CriticalRatio, map[bool]string{true: ">", false: "<="}[pred.Supercritical])
+			fmt.Printf("  model reliability R(q,P)  : %.4f\n", pred.Reliability)
+			return nil
+		},
+		func(ctx context.Context) error {
+			giantOut, err := gossipkit.RunMany(ctx, gossipkit.MonteCarlo{Params: p, Metric: gossipkit.GiantComponent},
+				runs, gossipkit.WithSeed(seed), gossipkit.WithObserver(observe), gossipkit.WithTopology(topo))
+			if err != nil {
+				return err
+			}
+			giant := giantOut.Aggregate.(gossipkit.ComponentEstimate)
+			fmt.Printf("  giant component (sim)     : %.4f ± %.4f  [%d runs, paper's metric]\n",
+				giant.Mean, giant.CI95, giant.Runs)
+			return nil
+		},
+		func(ctx context.Context) error {
+			reachOut, err := gossipkit.RunMany(ctx, gossipkit.MonteCarlo{Params: p, Metric: gossipkit.SourceReach},
+				runs, gossipkit.WithSeed(seed+1), gossipkit.WithObserver(observe), gossipkit.WithTopology(topo))
+			if err != nil {
+				return err
+			}
+			est := reachOut.Aggregate.(gossipkit.Estimate)
+			fmt.Printf("  directed reach (sim)      : %.4f ± %.4f  [one multicast's delivery]\n", est.Mean, est.CI95)
+			fmt.Printf("  messages/run              : %.0f   rounds/run: %.1f\n", est.MeanMessages, est.MeanRounds)
+			if tmin, err := gossipkit.ExecutionsForSuccess(p, 0.999); err == nil {
+				fmt.Printf("  executions for 99.9%% group success (Eq. 6): %d\n", tmin)
+			}
+			return nil
+		},
 	}
-	pred := an.Aggregate.(gossipkit.Prediction)
-	fmt.Printf("Gossip(n=%d, P=%s, q=%.3f)\n", n, d.Name(), q)
-	if !topo.IsUniform() {
-		fmt.Printf("  overlay topology          : %s (giant component below is the topology-corrected prediction)\n", topo)
-	}
-	fmt.Printf("  critical ratio q_c        : %.4f (q %s q_c)\n",
-		pred.CriticalRatio, map[bool]string{true: ">", false: "<="}[pred.Supercritical])
-	fmt.Printf("  model reliability R(q,P)  : %.4f\n", pred.Reliability)
-
-	giantOut, err := gossipkit.RunMany(ctx, gossipkit.MonteCarlo{Params: p, Metric: gossipkit.GiantComponent},
-		runs, gossipkit.WithSeed(seed), gossipkit.WithObserver(observe), gossipkit.WithTopology(topo))
-	if err != nil {
-		return err
-	}
-	giant := giantOut.Aggregate.(gossipkit.ComponentEstimate)
-	fmt.Printf("  giant component (sim)     : %.4f ± %.4f  [%d runs, paper's metric]\n",
-		giant.Mean, giant.CI95, giant.Runs)
-
-	reachOut, err := gossipkit.RunMany(ctx, gossipkit.MonteCarlo{Params: p, Metric: gossipkit.SourceReach},
-		runs, gossipkit.WithSeed(seed+1), gossipkit.WithObserver(observe), gossipkit.WithTopology(topo))
-	if err != nil {
-		return err
-	}
-	est := reachOut.Aggregate.(gossipkit.Estimate)
-	fmt.Printf("  directed reach (sim)      : %.4f ± %.4f  [one multicast's delivery]\n", est.Mean, est.CI95)
-	fmt.Printf("  messages/run              : %.0f   rounds/run: %.1f\n", est.MeanMessages, est.MeanRounds)
-
-	if tmin, err := gossipkit.ExecutionsForSuccess(p, 0.999); err == nil {
-		fmt.Printf("  executions for 99.9%% group success (Eq. 6): %d\n", tmin)
-	}
-
 	if latency != 0 || loss != 0 || metrics || trace != "" || shards != 1 || !topo.IsUniform() {
 		cfg := gossipkit.NetConfig{}
 		if latency != 0 { // negative included: the engine rejects it
@@ -155,34 +162,52 @@ func run(ctx context.Context, n int, distKind string, fanout, q float64, runs in
 			}
 			opts = append(opts, gossipkit.WithProbe(po))
 		}
-		out, err := gossipkit.Run(ctx, gossipkit.Network{Params: p, Net: cfg}, opts...)
-		if err != nil {
-			return err
-		}
-		nres := out.Reports[0].Detail.(gossipkit.NetResult)
-		fmt.Printf("  network execution         : reliability %.4f, spread time %v, sent %d, lost %d\n",
-			nres.Reliability, nres.SpreadTime, nres.Net.Sent, nres.Net.DroppedLoss)
-		if metrics {
-			if err := out.Metrics.WriteCurveCSV(os.Stdout, "network", true); err != nil {
-				return err
-			}
-		}
-		if trace != "" {
-			f, err := os.Create(trace)
+		steps = append(steps, func(ctx context.Context) error {
+			out, err := gossipkit.Run(ctx, gossipkit.Network{Params: p, Net: cfg}, opts...)
 			if err != nil {
 				return err
 			}
-			m := out.Reports[0].Metrics
-			if err := gossipkit.WriteChromeTrace(f, m.Trace); err != nil {
-				f.Close()
-				return err
+			nres := out.Reports[0].Detail.(gossipkit.NetResult)
+			fmt.Printf("  network execution         : reliability %.4f, spread time %v, sent %d, lost %d\n",
+				nres.Reliability, nres.SpreadTime, nres.Net.Sent, nres.Net.DroppedLoss)
+			if metrics {
+				if err := out.Metrics.WriteCurveCSV(os.Stdout, "network", true); err != nil {
+					return err
+				}
 			}
-			if err := f.Close(); err != nil {
-				return err
+			if trace != "" {
+				f, err := os.Create(trace)
+				if err != nil {
+					return err
+				}
+				m := out.Reports[0].Metrics
+				if err := gossipkit.WriteChromeTrace(f, m.Trace); err != nil {
+					f.Close()
+					return err
+				}
+				if err := f.Close(); err != nil {
+					return err
+				}
+				if m.TraceDropped > 0 {
+					fmt.Fprintf(os.Stderr, "gossipsim: trace ring dropped %d early events (capacity %d)\n", m.TraceDropped, 1<<16)
+				}
 			}
-			if m.TraceDropped > 0 {
-				fmt.Fprintf(os.Stderr, "gossipsim: trace ring dropped %d early events (capacity %d)\n", m.TraceDropped, 1<<16)
-			}
+			return nil
+		})
+	}
+
+	// Every flag is checked before the first line of output: on a canceled
+	// context each step's facade call validates its spec and stops there.
+	dry, cancel := context.WithCancel(ctx)
+	cancel()
+	for _, step := range steps {
+		if err := step(dry); err != nil && !errors.Is(err, gossipkit.ErrCanceled) {
+			return err
+		}
+	}
+	for _, step := range steps {
+		if err := step(ctx); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -3,6 +3,9 @@ package main
 import (
 	"context"
 	"errors"
+	"math"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -17,4 +20,64 @@ func TestNegativeLatencyRejected(t *testing.T) {
 	if !errors.Is(err, gossipkit.ErrInvalidParams) {
 		t.Errorf("-latency -5ms: error %v, want ErrInvalidParams", err)
 	}
+}
+
+// TestBadFlagsFailBeforeOutput: a flag the facade rejects used to be
+// rejected only after the analytic model and both Monte-Carlo sweeps had run
+// and printed their report (-runs 0 after the analytic section). Every flag
+// is now checked first: the error comes with nothing on stdout. The rows
+// cover each engine the command dry-runs as the first to reject; the
+// analytic row never printed first, as that engine runs first.
+func TestBadFlagsFailBeforeOutput(t *testing.T) {
+	for _, c := range []struct {
+		name    string // the flags, then the engine that rejects them
+		q       float64
+		runs    int
+		latency time.Duration
+		loss    float64
+		topo    string
+	}{
+		{"-q 1.5: analytic", 1.5, 2, 0, 0, "uniform"},
+		{"-runs 0: montecarlo", 0.9, 0, 0, 0, "uniform"},
+		{"-latency 5ms -topology wan:200: montecarlo", 0.9, 2, 5 * time.Millisecond, 0, "wan:200"},
+		{"-latency -1ms: network", 0.9, 2, -time.Millisecond, 0, "uniform"},
+		{"-loss 2: network", 0.9, 2, 0, 2, "uniform"},
+		{"-loss NaN: network", 0.9, 2, 0, math.NaN(), "uniform"},
+	} {
+		topo, err := gossipkit.ParseTopology(c.topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := stdoutOf(t, func() error {
+			return run(context.Background(), 100, "poisson", 4, c.q, c.runs, 42, c.latency, c.loss,
+				false, false, "", 1, topo)
+		})
+		if !errors.Is(err, gossipkit.ErrInvalidParams) {
+			t.Errorf("%s: error %v, want ErrInvalidParams", c.name, err)
+		}
+		if out != "" {
+			t.Errorf("%s: rejected after printing:\n%s", c.name, out)
+		}
+	}
+}
+
+// stdoutOf runs f with os.Stdout sent to a file and returns what f wrote.
+func stdoutOf(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	file, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = file
+	ferr := f()
+	os.Stdout = saved
+	if err := file.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(file.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), ferr
 }

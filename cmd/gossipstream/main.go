@@ -133,16 +133,7 @@ func run(ctx context.Context, o options) error {
 		net.Loss = gossipkit.BernoulliLoss(o.loss)
 	}
 
-	var curvesFile *os.File
-	if o.curves != "" {
-		if curvesFile, err = os.Create(o.curves); err != nil {
-			return err
-		}
-		defer curvesFile.Close()
-	}
-
-	fmt.Print(kneeHeader)
-	for ri, rate := range sweep {
+	cell := func(ctx context.Context, rate float64) (*gossipkit.Outcome, error) {
 		cfg := gossipkit.StreamConfig{
 			N: o.n, Rate: rate, Duration: o.duration,
 			Sources: o.sources, Fanout: d, AliveRatio: o.q,
@@ -163,7 +154,29 @@ func run(ctx context.Context, o options) error {
 					rate, r.Run+1, o.runs, r.Reliability)
 			}))
 		}
-		out, err := gossipkit.RunMany(ctx, gossipkit.Stream{Config: cfg, Net: net}, o.runs, opts...)
+		return gossipkit.RunMany(ctx, gossipkit.Stream{Config: cfg, Net: net}, o.runs, opts...)
+	}
+	// Every rate's cell is checked before the header is written: on a
+	// canceled context the facade validates the spec and stops there.
+	dry, cancel := context.WithCancel(ctx)
+	cancel()
+	for _, rate := range sweep {
+		if _, err := cell(dry, rate); err != nil && !errors.Is(err, gossipkit.ErrCanceled) {
+			return err
+		}
+	}
+
+	var curvesFile *os.File
+	if o.curves != "" {
+		if curvesFile, err = os.Create(o.curves); err != nil {
+			return err
+		}
+		defer curvesFile.Close()
+	}
+
+	fmt.Print(kneeHeader)
+	for ri, rate := range sweep {
+		out, err := cell(ctx, rate)
 		if err != nil {
 			return err
 		}

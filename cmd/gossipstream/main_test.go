@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -48,4 +50,50 @@ func smallOptions() options {
 		runs: 1, seed: 42, latLo: time.Millisecond, latHi: 5 * time.Millisecond,
 		shards: 1, topoFlag: "uniform",
 	}
+}
+
+// TestBadFlagsFailBeforeOutput: a config error used to surface after the
+// CSV header had gone to stdout. Every rate's cell is now checked before the
+// header: the error comes with nothing on stdout.
+func TestBadFlagsFailBeforeOutput(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(*options)
+	}{
+		{"-buffer -1", func(o *options) { o.buffer = -1 }},
+		{"-loss 7", func(o *options) { o.loss = 7 }},
+		{"-runs 0", func(o *options) { o.runs = 0 }},
+		{"-rates 100,400 -q 2", func(o *options) { o.rates, o.q = "100,400", 2 }},
+	} {
+		o := smallOptions()
+		c.edit(&o)
+		out, err := stdoutOf(t, func() error { return run(context.Background(), o) })
+		if !errors.Is(err, gossipkit.ErrInvalidParams) {
+			t.Errorf("%s: error %v, want ErrInvalidParams", c.name, err)
+		}
+		if out != "" {
+			t.Errorf("%s: rejected after printing:\n%s", c.name, out)
+		}
+	}
+}
+
+// stdoutOf runs f with os.Stdout sent to a file and returns what f wrote.
+func stdoutOf(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	file, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = file
+	ferr := f()
+	os.Stdout = saved
+	if err := file.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(file.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), ferr
 }

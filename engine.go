@@ -52,7 +52,10 @@ func invalid(err error) error {
 type Engine interface {
 	// Name identifies the backend in Reports and Outcomes.
 	Name() string
-	// run executes the spec. It must emit one Report per completed
+	// validate makes every check of the spec and the options that needs
+	// no work done; execute runs it before it looks at the context.
+	validate(o *runOptions) error
+	// run executes a validated spec. It must emit one Report per completed
 	// replication, in deterministic order, and may return an
 	// engine-specific aggregate (sealed to this package).
 	run(ctx context.Context, o *runOptions, emit func(Report)) (aggregate any, err error)
@@ -302,6 +305,10 @@ func WithRNG(r *RNG) Option { return func(o *runOptions) { o.rng = r } }
 // that declare their own replication structure (Success via
 // SuccessParams.Simulations, Campaign under RunMany) emit one Report per
 // inner replication.
+//
+// The spec and options are checked before ctx is: a malformed spec fails
+// with ErrInvalidParams even on a canceled context, and a well-formed one
+// with ErrCanceled before any work.
 func Run(ctx context.Context, spec Engine, opts ...Option) (*Outcome, error) {
 	o := &runOptions{runs: 1}
 	for _, opt := range opts {
@@ -313,7 +320,8 @@ func Run(ctx context.Context, spec Engine, opts ...Option) (*Outcome, error) {
 // RunMany executes `runs` seeded replications of spec on a worker pool and
 // aggregates them: per-run RNG streams derive from WithSeed, results
 // reduce in run order, and the Outcome is identical for any WithWorkers
-// count. Cancel ctx to stop a sweep mid-flight (ErrCanceled).
+// count. Cancel ctx to stop a sweep mid-flight (ErrCanceled); as with Run,
+// a malformed spec is ErrInvalidParams whatever the state of ctx.
 func RunMany(ctx context.Context, spec Engine, runs int, opts ...Option) (*Outcome, error) {
 	o := &runOptions{runs: runs, many: true}
 	for _, opt := range opts {
@@ -322,9 +330,12 @@ func RunMany(ctx context.Context, spec Engine, runs int, opts ...Option) (*Outco
 	return execute(ctx, spec, o)
 }
 
-// execute is the shared driver: it validates options, streams Reports to
-// the observer, reduces the generic moments in run order, and maps
-// cancellation onto ErrCanceled.
+// execute is the shared driver: it validates the options and the spec,
+// streams Reports to the observer, reduces the generic moments in run order,
+// and maps cancellation onto ErrCanceled. Validation comes before the
+// cancellation check, so a canceled context is a dry run of every check —
+// which is how a command vets each spec it is about to run before the first
+// one prints anything.
 func execute(ctx context.Context, spec Engine, o *runOptions) (*Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -337,6 +348,9 @@ func execute(ctx context.Context, spec Engine, o *runOptions) (*Outcome, error) 
 	}
 	if o.rng != nil && o.many {
 		return nil, fmt.Errorf("%w: WithRNG applies to single Run executions only", ErrInvalidParams)
+	}
+	if err := spec.validate(o); err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, canceled(err, 0)

@@ -22,13 +22,20 @@ type Analytic struct {
 // Name implements Engine.
 func (Analytic) Name() string { return "analytic" }
 
-func (s Analytic) run(ctx context.Context, o *runOptions, emit func(Report)) (any, error) {
+func (s Analytic) validate(o *runOptions) error {
 	if o.rng != nil {
-		return nil, fmt.Errorf("%w: the analytic engine consumes no randomness; drop WithRNG", ErrInvalidParams)
+		return fmt.Errorf("%w: the analytic engine consumes no randomness; drop WithRNG", ErrInvalidParams)
 	}
 	if !o.topology.IsUniform() {
-		return nil, fmt.Errorf("%w: Eq. 11 assumes uniform target selection; use MonteCarlo with WithTopology for overlay reliability", ErrInvalidParams)
+		return fmt.Errorf("%w: Eq. 11 assumes uniform target selection; use MonteCarlo with WithTopology for overlay reliability", ErrInvalidParams)
 	}
+	if err := s.Params.Validate(); err != nil {
+		return invalid(err)
+	}
+	return nil
+}
+
+func (s Analytic) run(ctx context.Context, o *runOptions, emit func(Report)) (any, error) {
 	pred, err := core.Predict(s.Params)
 	if err != nil {
 		return nil, invalid(err)

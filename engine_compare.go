@@ -44,52 +44,61 @@ type Compare struct {
 // Name implements Engine.
 func (Compare) Name() string { return "compare" }
 
-func (s Compare) run(ctx context.Context, o *runOptions, emit func(Report)) (any, error) {
+func (s Compare) validate(o *runOptions) error {
 	if len(s.Scenarios) == 0 {
-		return nil, fmt.Errorf("%w: comparison has no scenarios", ErrInvalidParams)
+		return fmt.Errorf("%w: comparison has no scenarios", ErrInvalidParams)
 	}
 	if len(s.Protocols) == 0 && !s.Paper {
-		return nil, fmt.Errorf("%w: comparison has no protocols (list baselines or set Paper)", ErrInvalidParams)
+		return fmt.Errorf("%w: comparison has no protocols (list baselines or set Paper)", ErrInvalidParams)
 	}
 	for _, sc := range s.Scenarios {
 		if err := sc.Validate(); err != nil {
-			return nil, invalid(err)
+			return invalid(err)
 		}
 	}
 	for i, p := range s.Protocols {
 		if p == nil {
-			return nil, fmt.Errorf("%w: comparison protocol %d is nil", ErrInvalidParams, i)
+			return fmt.Errorf("%w: comparison protocol %d is nil", ErrInvalidParams, i)
 		}
 		if err := p.Validate(); err != nil {
-			return nil, invalid(err)
+			return invalid(err)
 		}
 	}
 	if o.rng != nil {
-		return nil, fmt.Errorf("%w: the compare engine derives RNG streams from seeds; use WithSeed", ErrInvalidParams)
+		return fmt.Errorf("%w: the compare engine derives RNG streams from seeds; use WithSeed", ErrInvalidParams)
 	}
 	if o.probe != nil {
 		// One merged curve has no meaning across protocol rows; probe a
 		// single protocol's campaign sweep instead.
-		return nil, fmt.Errorf("%w: WithProbe does not compose with the compare grid; probe one protocol's Campaign sweep at a time", ErrInvalidParams)
+		return fmt.Errorf("%w: WithProbe does not compose with the compare grid; probe one protocol's Campaign sweep at a time", ErrInvalidParams)
 	}
 	if !o.many {
-		return nil, fmt.Errorf("%w: Compare is a grid sweep; use RunMany (or WithRuns) to set the seeds per cell", ErrInvalidParams)
+		return fmt.Errorf("%w: Compare is a grid sweep; use RunMany (or WithRuns) to set the seeds per cell", ErrInvalidParams)
 	}
+	if err := mergeRunConfig(&s.Config, o); err != nil {
+		return err
+	}
+	if len(s.Topologies) > 0 && !s.Config.Topology.IsUniform() {
+		return fmt.Errorf("%w: set either Compare.Topologies (grid axis) or Config.Topology (one overlay for every cell), not both", ErrInvalidParams)
+	}
+	if err := scenario.CheckShared(s.Config); err != nil {
+		return invalid(err)
+	}
+	if s.Paper {
+		if err := s.Config.Params.Validate(); err != nil {
+			return invalid(err)
+		}
+	}
+	return nil
+}
+
+func (s Compare) run(ctx context.Context, o *runOptions, emit func(Report)) (any, error) {
+	// validate has checked the merge on its own copy of the spec.
 	if err := mergeRunConfig(&s.Config, o); err != nil {
 		return nil, err
 	}
-	if len(s.Topologies) > 0 && !s.Config.Topology.IsUniform() {
-		return nil, fmt.Errorf("%w: set either Compare.Topologies (grid axis) or Config.Topology (one overlay for every cell), not both", ErrInvalidParams)
-	}
-	if err := scenario.CheckShared(s.Config); err != nil {
-		return nil, invalid(err)
-	}
-
 	var executors []ScenarioExecutor
 	if s.Paper {
-		if err := s.Config.Params.Validate(); err != nil {
-			return nil, invalid(err)
-		}
 		executors = append(executors, scenario.PaperExecutor("paper"))
 	}
 	for _, p := range s.Protocols {

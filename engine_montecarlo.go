@@ -52,22 +52,26 @@ type MonteCarlo struct {
 // Name implements Engine.
 func (s MonteCarlo) Name() string { return "montecarlo:" + s.Metric.String() }
 
-func (s MonteCarlo) run(ctx context.Context, o *runOptions, emit func(Report)) (any, error) {
+func (s MonteCarlo) validate(o *runOptions) error {
 	if err := s.Params.Validate(); err != nil {
-		return nil, invalid(err)
+		return invalid(err)
 	}
 	switch s.Metric {
 	case GiantComponent, SourceReach:
 	default:
-		return nil, fmt.Errorf("%w: unknown Monte-Carlo metric %v", ErrInvalidParams, s.Metric)
+		return fmt.Errorf("%w: unknown Monte-Carlo metric %v", ErrInvalidParams, s.Metric)
 	}
 	if err := o.topology.Validate(s.Params.N); err != nil {
-		return nil, invalid(err)
+		return invalid(err)
 	}
+	if !o.topology.IsUniform() && s.Params.View != nil {
+		return fmt.Errorf("%w: WithTopology conflicts with a caller-set Params.View", ErrInvalidParams)
+	}
+	return nil
+}
+
+func (s MonteCarlo) run(ctx context.Context, o *runOptions, emit func(Report)) (any, error) {
 	if !o.topology.IsUniform() {
-		if s.Params.View != nil {
-			return nil, fmt.Errorf("%w: WithTopology conflicts with a caller-set Params.View", ErrInvalidParams)
-		}
 		// Quenched overlay disorder: one overlay is generated from the base
 		// seed (or, under WithRNG, a non-consuming split of the caller's
 		// stream) and shared read-only across replications, while the

@@ -31,20 +31,23 @@ type Network struct {
 // Name implements Engine.
 func (Network) Name() string { return "network" }
 
-func (s Network) run(ctx context.Context, o *runOptions, emit func(Report)) (any, error) {
+func (s Network) validate(o *runOptions) error {
 	if err := s.Params.Validate(); err != nil {
-		return nil, invalid(err)
+		return invalid(err)
 	}
 	if err := validateNet(s.Net); err != nil {
-		return nil, err
+		return err
 	}
 	if err := o.topology.Validate(s.Params.N); err != nil {
-		return nil, invalid(err)
+		return invalid(err)
 	}
 	if !o.topology.IsUniform() && s.Params.View != nil {
-		return nil, fmt.Errorf("%w: WithTopology conflicts with a caller-set Params.View", ErrInvalidParams)
+		return fmt.Errorf("%w: WithTopology conflicts with a caller-set Params.View", ErrInvalidParams)
 	}
+	return nil
+}
 
+func (s Network) run(ctx context.Context, o *runOptions, emit func(Report)) (any, error) {
 	// Each replication runs on o.shards shard kernels — one when WithShards
 	// is absent. A non-uniform WithTopology overlay is generated per
 	// replication from a non-consuming split of the run's stream, so the

@@ -120,6 +120,8 @@ type Pbcast struct {
 // Name implements Engine.
 func (Pbcast) Name() string { return "pbcast" }
 
+func (s Pbcast) validate(o *runOptions) error { return validateProtocol(o, s.Params, s.Net) }
+
 func (s Pbcast) run(ctx context.Context, o *runOptions, emit func(Report)) (any, error) {
 	return protocolSweep(ctx, o, emit, s.Params, desCfg(s.Net, s.RoundInterval), func(out protocols.DESOutcome) Report {
 		return protocolReport(out, out.Detail.(ProtocolResult))
@@ -141,6 +143,8 @@ type Lpbcast struct {
 
 // Name implements Engine.
 func (Lpbcast) Name() string { return "lpbcast" }
+
+func (s Lpbcast) validate(o *runOptions) error { return validateProtocol(o, s.Params, s.Net) }
 
 func (s Lpbcast) run(ctx context.Context, o *runOptions, emit func(Report)) (any, error) {
 	return protocolSweep(ctx, o, emit, s.Params, desCfg(s.Net, s.RoundInterval), func(out protocols.DESOutcome) Report {
@@ -170,6 +174,8 @@ type AntiEntropy struct {
 // Name implements Engine.
 func (AntiEntropy) Name() string { return "anti-entropy" }
 
+func (s AntiEntropy) validate(o *runOptions) error { return validateProtocol(o, s.Params, s.Net) }
+
 func (s AntiEntropy) run(ctx context.Context, o *runOptions, emit func(Report)) (any, error) {
 	return protocolSweep(ctx, o, emit, s.Params, desCfg(s.Net, s.RoundInterval), func(out protocols.DESOutcome) Report {
 		res := out.Detail.(AntiEntropyResult)
@@ -192,6 +198,8 @@ type RDG struct {
 
 // Name implements Engine.
 func (RDG) Name() string { return "rdg" }
+
+func (s RDG) validate(o *runOptions) error { return validateProtocol(o, s.Params, s.Net) }
 
 func (s RDG) run(ctx context.Context, o *runOptions, emit func(Report)) (any, error) {
 	return protocolSweep(ctx, o, emit, s.Params, desCfg(s.Net, s.RoundInterval), func(out protocols.DESOutcome) Report {
@@ -216,6 +224,8 @@ type LRG struct {
 // Name implements Engine.
 func (LRG) Name() string { return "lrg" }
 
+func (s LRG) validate(o *runOptions) error { return validateProtocol(o, s.Params, s.Net) }
+
 func (s LRG) run(ctx context.Context, o *runOptions, emit func(Report)) (any, error) {
 	return protocolSweep(ctx, o, emit, s.Params, desCfg(s.Net, s.RoundInterval), func(out protocols.DESOutcome) Report {
 		return protocolReport(out, out.Detail.(ProtocolResult))
@@ -237,10 +247,28 @@ type Flooding struct {
 // Name implements Engine.
 func (Flooding) Name() string { return "flooding" }
 
+func (s Flooding) validate(o *runOptions) error { return validateProtocol(o, s.Params, s.Net) }
+
 func (s Flooding) run(ctx context.Context, o *runOptions, emit func(Report)) (any, error) {
 	return protocolSweep(ctx, o, emit, s.Params, desCfg(s.Net, s.RoundInterval), func(out protocols.DESOutcome) Report {
 		return protocolReport(out, out.Detail.(ProtocolResult))
 	})
+}
+
+// validateProtocol is the protocol engines' shared validate: the protocol's
+// parameters, the network and the WithTopology overlay for its group size.
+func validateProtocol(o *runOptions, spec ProtocolSpec, net NetConfig) error {
+	if err := spec.Validate(); err != nil {
+		return invalid(err)
+	}
+	if err := validateNet(net); err != nil {
+		return err
+	}
+	n, _ := protocols.Shape(spec)
+	if err := o.topology.Validate(n); err != nil {
+		return invalid(err)
+	}
+	return nil
 }
 
 // desCfg assembles the DES substrate config of a protocol engine spec.
@@ -271,20 +299,10 @@ func spreadMs(out protocols.DESOutcome) float64 {
 // the moments are identical for any worker count — into the ProtocolSweep
 // aggregate.
 func protocolSweep(ctx context.Context, o *runOptions, emit func(Report), spec ProtocolSpec, cfg protocols.DESConfig, mk func(protocols.DESOutcome) Report) (any, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, invalid(err)
-	}
-	if err := validateNet(cfg.Net); err != nil {
-		return nil, err
-	}
 	// WithTopology threads through to the DES substrate: the runtime
 	// generates the overlay per run from a non-consuming split, so the
 	// uniform spec keeps the legacy RNG streams byte-identical.
 	cfg.Topology = o.topology
-	n, _ := protocols.Shape(spec)
-	if err := o.topology.Validate(n); err != nil {
-		return nil, invalid(err)
-	}
 	type probedOutcome struct {
 		out     protocols.DESOutcome
 		metrics *obs.Metrics

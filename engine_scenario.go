@@ -42,36 +42,36 @@ type Campaign struct {
 // Name implements Engine.
 func (Campaign) Name() string { return "scenario" }
 
-func (s Campaign) run(ctx context.Context, o *runOptions, emit func(Report)) (any, error) {
+func (s Campaign) validate(o *runOptions) error {
 	if len(s.Scenarios) == 0 {
-		return nil, fmt.Errorf("%w: campaign has no scenarios", ErrInvalidParams)
+		return fmt.Errorf("%w: campaign has no scenarios", ErrInvalidParams)
 	}
 	for _, sc := range s.Scenarios {
 		if err := sc.Validate(); err != nil {
-			return nil, invalid(err)
+			return invalid(err)
 		}
 	}
 	if s.Config.Executor == nil {
 		// The paper path runs Config.Params; a protocol executor carries
 		// its own parameters and ignores them.
 		if err := s.Config.Params.Validate(); err != nil {
-			return nil, invalid(err)
+			return invalid(err)
 		}
 	}
 	if o.rng != nil {
-		return nil, fmt.Errorf("%w: the scenario engine derives RNG streams from seeds; use WithSeed", ErrInvalidParams)
+		return fmt.Errorf("%w: the scenario engine derives RNG streams from seeds; use WithSeed", ErrInvalidParams)
 	}
 	if err := mergeRunConfig(&s.Config, o); err != nil {
-		return nil, err
+		return err
 	}
 	for _, q := range s.Qs {
 		if q < 0 || q > 1 || q != q {
-			return nil, fmt.Errorf("%w: grid alive ratio %g outside [0,1]", ErrInvalidParams, q)
+			return fmt.Errorf("%w: grid alive ratio %g outside [0,1]", ErrInvalidParams, q)
 		}
 	}
 	for i, f := range s.Fanouts {
 		if f == nil {
-			return nil, fmt.Errorf("%w: grid fanout %d is nil", ErrInvalidParams, i)
+			return fmt.Errorf("%w: grid fanout %d is nil", ErrInvalidParams, i)
 		}
 	}
 	grid := len(s.Qs) > 0 || len(s.Fanouts) > 0
@@ -79,19 +79,33 @@ func (s Campaign) run(ctx context.Context, o *runOptions, emit func(Report)) (an
 		// A merged curve per scenario has no meaning when the grid also
 		// sweeps q and fanout axes — run the cells of interest as plain
 		// sweeps instead.
-		return nil, fmt.Errorf("%w: WithProbe does not compose with grid axes (Qs/Fanouts); probe each (q, fanout) cell as its own sweep", ErrInvalidParams)
+		return fmt.Errorf("%w: WithProbe does not compose with grid axes (Qs/Fanouts); probe each (q, fanout) cell as its own sweep", ErrInvalidParams)
 	}
 	if grid && s.Config.Executor != nil {
 		// The grid axes override Params.AliveRatio/Fanout per cell, which
 		// protocol executors ignore — the grid would report rows labeled
 		// with different q/fanout values carrying identical results.
-		return nil, fmt.Errorf("%w: grid axes (Qs/Fanouts) sweep the paper's Params, which a protocol executor ignores; use Compare for protocol grids", ErrInvalidParams)
+		return fmt.Errorf("%w: grid axes (Qs/Fanouts) sweep the paper's Params, which a protocol executor ignores; use Compare for protocol grids", ErrInvalidParams)
 	}
-
 	if !o.many {
 		if len(s.Scenarios) != 1 || grid {
-			return nil, fmt.Errorf("%w: Run executes one campaign; use RunMany (or WithRuns) for scenario sweeps and grids", ErrInvalidParams)
+			return fmt.Errorf("%w: Run executes one campaign; use RunMany (or WithRuns) for scenario sweeps and grids", ErrInvalidParams)
 		}
+		return nil
+	}
+	if err := scenario.CheckShared(s.Config); err != nil {
+		return invalid(err)
+	}
+	return nil
+}
+
+func (s Campaign) run(ctx context.Context, o *runOptions, emit func(Report)) (any, error) {
+	// validate has checked the merge on its own copy of the spec.
+	if err := mergeRunConfig(&s.Config, o); err != nil {
+		return nil, err
+	}
+	grid := len(s.Qs) > 0 || len(s.Fanouts) > 0
+	if !o.many {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -107,9 +121,6 @@ func (s Campaign) run(ctx context.Context, o *runOptions, emit func(Report)) (an
 		return nil, nil
 	}
 
-	if err := scenario.CheckShared(s.Config); err != nil {
-		return nil, invalid(err)
-	}
 	observe := func(cell int, rep scenario.RunReport) { emit(scenarioReport(rep)) }
 	if grid {
 		cfg := scenario.GridConfig{

@@ -181,20 +181,23 @@ type Stream struct {
 // Name implements Engine.
 func (Stream) Name() string { return "stream" }
 
-func (s Stream) run(ctx context.Context, o *runOptions, emit func(Report)) (any, error) {
+func (s Stream) validate(o *runOptions) error {
 	if err := s.Config.Validate(); err != nil {
-		return nil, invalid(err)
+		return invalid(err)
 	}
 	if err := validateNet(s.Net); err != nil {
-		return nil, err
+		return err
 	}
 	if err := o.topology.Validate(s.Config.N); err != nil {
-		return nil, invalid(err)
+		return invalid(err)
 	}
 	if !o.topology.IsUniform() && s.Config.View != nil {
-		return nil, fmt.Errorf("%w: WithTopology conflicts with a caller-set Config.View", ErrInvalidParams)
+		return fmt.Errorf("%w: WithTopology conflicts with a caller-set Config.View", ErrInvalidParams)
 	}
+	return nil
+}
 
+func (s Stream) run(ctx context.Context, o *runOptions, emit func(Report)) (any, error) {
 	shardOpts := o.shardOptions()
 	return nil, replicate(ctx, o,
 		func() streamState {

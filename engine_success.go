@@ -28,20 +28,30 @@ type Success struct {
 // Name implements Engine.
 func (Success) Name() string { return "success" }
 
-func (s Success) run(ctx context.Context, o *runOptions, emit func(Report)) (any, error) {
+// params is the spec's SuccessParams with RunMany's simulation count.
+func (s Success) params(o *runOptions) SuccessParams {
 	p := s.Params
 	if o.many {
 		p.Simulations = o.runs
 	}
-	if err := p.Validate(); err != nil {
-		return nil, invalid(err)
+	return p
+}
+
+func (s Success) validate(o *runOptions) error {
+	if err := s.params(o).Validate(); err != nil {
+		return invalid(err)
 	}
 	if o.rng != nil {
-		return nil, fmt.Errorf("%w: the success engine derives RNG streams from seeds; use WithSeed", ErrInvalidParams)
+		return fmt.Errorf("%w: the success engine derives RNG streams from seeds; use WithSeed", ErrInvalidParams)
 	}
 	if !o.topology.IsUniform() {
-		return nil, fmt.Errorf("%w: the success protocol runs on the uniform model; use MonteCarlo or Network with WithTopology for overlay reliability", ErrInvalidParams)
+		return fmt.Errorf("%w: the success protocol runs on the uniform model; use MonteCarlo or Network with WithTopology for overlay reliability", ErrInvalidParams)
 	}
+	return nil
+}
+
+func (s Success) run(ctx context.Context, o *runOptions, emit func(Report)) (any, error) {
+	p := s.params(o)
 	out, err := core.RunSuccessCtx(ctx, p, o.seed, o.workers, func(sim int, ss SuccessSim) {
 		emit(Report{Reliability: ss.MeanReliability, Detail: ss})
 	})

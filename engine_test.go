@@ -180,16 +180,21 @@ func TestPreCanceledContext(t *testing.T) {
 	}
 }
 
-// TestInvalidParamsSentinel: every engine wraps validation failures so
-// errors.Is(err, ErrInvalidParams) holds, with the internal message kept.
-func TestInvalidParamsSentinel(t *testing.T) {
-	bad := []Engine{
+// badEngineSpecs holds one malformed spec per engine, and a few more for
+// the checks that live outside an engine's own parameters.
+func badEngineSpecs() []Engine {
+	p := Params{N: 100, Fanout: Poisson(4), AliveRatio: 0.9}
+	stream := StreamConfig{N: 64, Rate: 100, Duration: 50 * time.Millisecond, Fanout: FixedFanout(3), AliveRatio: 1, BufferCap: -1, ActiveRounds: 8}
+	return []Engine{
 		Analytic{Params: Params{N: 1, Fanout: Poisson(4), AliveRatio: 0.9}},
 		MonteCarlo{Params: Params{N: 100, Fanout: nil, AliveRatio: 0.9}},
 		Network{Params: Params{N: 100, Fanout: Poisson(4), AliveRatio: 1.5}},
+		Network{Params: p, Net: NetConfig{Loss: BernoulliLoss(2)}},
+		Stream{Config: stream},
 		Campaign{Scenarios: nil, Config: ScenarioRunConfig{Params: Params{N: 100, Fanout: Poisson(4), AliveRatio: 1}}},
 		Campaign{Scenarios: DefaultScenarioSuite()[:1],
 			Config: ScenarioRunConfig{Params: Params{N: 1, Fanout: Poisson(4), AliveRatio: 1}}},
+		Compare{Scenarios: DefaultScenarioSuite()[:1], Config: ScenarioRunConfig{Params: p}},
 		Success{Params: SuccessParams{Params: Params{N: 100, Fanout: Poisson(4), AliveRatio: 0.9}, Executions: 0, Simulations: 1}},
 		Pbcast{Params: PbcastParams{N: 100, Fanout: -1, Rounds: 3, AliveRatio: 0.9}},
 		Lpbcast{Params: LpbcastParams{N: 100, Fanout: 3, Rounds: 3, BufferSize: 0, Events: 1, AliveRatio: 0.9}},
@@ -198,7 +203,28 @@ func TestInvalidParamsSentinel(t *testing.T) {
 		LRG{Params: LRGParams{N: 100, Degree: 0, GossipProb: 0.5, AliveRatio: 0.9}},
 		Flooding{Params: FloodingParams{N: 1, AliveRatio: 0.9}},
 	}
-	for _, spec := range bad {
+}
+
+// TestInvalidParamsBeforeCancel: every engine reports a malformed spec as
+// ErrInvalidParams even on a canceled context (TestPreCanceledContext has
+// the well-formed side, ErrCanceled) — the dry run gossipsim and
+// gossipstream make before their first line of output.
+func TestInvalidParamsBeforeCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, spec := range badEngineSpecs() {
+		for _, runs := range []int{1, 3} {
+			if _, err := RunMany(ctx, spec, runs); !errors.Is(err, ErrInvalidParams) {
+				t.Errorf("%s, %d runs, on a canceled context: err %v, want ErrInvalidParams", spec.Name(), runs, err)
+			}
+		}
+	}
+}
+
+// TestInvalidParamsSentinel: every engine wraps validation failures so
+// errors.Is(err, ErrInvalidParams) holds, with the internal message kept.
+func TestInvalidParamsSentinel(t *testing.T) {
+	for _, spec := range badEngineSpecs() {
 		_, err := Run(context.Background(), spec)
 		if err == nil {
 			t.Errorf("%s: invalid spec ran", spec.Name())

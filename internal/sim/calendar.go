@@ -61,8 +61,9 @@ type CalendarQueue struct {
 	nearCount int          // records in buckets + the current-bucket scratch
 	segs      []calSegment // shared segment pool; free segments chain through freeSeg
 	freeSeg   int32
-	cur       []record // the bucket being drained, sorted descending (pop truncates)
-	curAbs    int64    // absolute bucket cur holds, -1 iff cur is empty
+	cur       []record // the bucket being drained, sorted ascending; cur[curHead:] is still queued
+	curHead   int
+	curAbs    int64 // absolute bucket cur holds, -1 iff cur[curHead:] is empty
 
 	// Far tier: far slots [nearSlot+2, nearSlot+2+len(slots)).
 	slots     []farSlot
@@ -233,6 +234,7 @@ func (c *CalendarQueue) clear() {
 	c.segs = c.segs[:0]
 	c.freeSeg = -1
 	c.cur = c.cur[:0]
+	c.curHead = 0
 	c.curAbs = -1
 }
 
@@ -404,27 +406,7 @@ func (c *CalendarQueue) push(rec record) {
 func (c *CalendarQueue) insert(rec record) {
 	abs := c.absBucket(rec.at)
 	if abs == c.curAbs {
-		// Keep descending fire order: bubble the record from the tail
-		// past everything that fires after it. The bubble is capped —
-		// a record that outranks most of the scratch would make bulk
-		// same-bucket insertion quadratic (a sharded barrier flush under
-		// constant latency lands a whole wave on one timestamp, every
-		// new seq firing after all its ties), so past maxBubble steps
-		// the scratch goes back to its segments and the record is
-		// appended; ready() re-sorts the bucket once instead.
-		const maxBubble = 64
-		if n := len(c.cur); n >= maxBubble && c.cur[n-maxBubble].before(rec) {
-			c.flushCur()
-			c.appendRec(abs&c.mask, rec)
-		} else {
-			c.cur = append(c.cur, rec)
-			i := len(c.cur) - 1
-			for i > 0 && c.cur[i-1].before(rec) {
-				c.cur[i] = c.cur[i-1]
-				i--
-			}
-			c.cur[i] = rec
-		}
+		c.insertCur(rec)
 	} else {
 		if c.curAbs >= 0 && abs < c.curAbs {
 			c.flushCur()
@@ -437,14 +419,52 @@ func (c *CalendarQueue) insert(rec record) {
 	}
 }
 
-// flushCur returns the current-bucket scratch's records to their ring
-// slot's segments, surrendering "being drained" status.
+// insertCur places rec in the bucket being drained, keeping it ascending.
+// A record that fires after everything queued there is appended: every
+// push at the current instant is such a record (its seq is the largest),
+// and so is every hop of a cascade that stays inside the bucket, so a
+// same-instant backlog costs O(1) per push. Anything else bubbles in from
+// the tail, and the bubble is capped: past maxBubble steps the scratch goes
+// back to its segments with the record, and ready() re-sorts the bucket
+// once instead.
+func (c *CalendarQueue) insertCur(rec record) {
+	n := len(c.cur)
+	if c.cur[n-1].before(rec) {
+		if n == cap(c.cur) && c.curHead >= n/2 {
+			// Reuse the popped prefix before growing: a bucket that keeps
+			// refilling while it drains stays as large as its backlog.
+			n = copy(c.cur, c.cur[c.curHead:])
+			c.cur = c.cur[:n]
+			c.curHead = 0
+		}
+		c.cur = append(c.cur, rec)
+		return
+	}
+	const maxBubble = 64
+	if n-c.curHead >= maxBubble && rec.before(c.cur[n-maxBubble]) {
+		ring := c.curAbs & c.mask
+		c.flushCur()
+		c.appendRec(ring, rec)
+		return
+	}
+	c.cur = append(c.cur, rec)
+	i := n
+	for i > c.curHead && rec.before(c.cur[i-1]) {
+		c.cur[i] = c.cur[i-1]
+		i--
+	}
+	c.cur[i] = rec
+}
+
+// flushCur returns the current-bucket scratch's queued records to their
+// ring slot's segments, surrendering "being drained" status.
 func (c *CalendarQueue) flushCur() {
 	ring := c.curAbs & c.mask
-	for _, rec := range c.cur {
+	for _, rec := range c.cur[c.curHead:] {
 		c.appendRec(ring, rec)
 	}
 	c.cur = c.cur[:0]
+	c.curHead = 0
 	c.curAbs = -1
 }
 
@@ -601,24 +621,40 @@ func (c *CalendarQueue) peek() (record, bool) {
 		c.reanchor()
 	}
 	c.ready()
-	return c.cur[len(c.cur)-1], true
+	return c.cur[c.curHead], true
 }
 
 // pop removes and returns the earliest record. It must only be called when
 // len() > 0.
 func (c *CalendarQueue) pop() record {
-	if c.nearCount == 0 {
-		c.reanchor()
+	rec, _ := c.popUntil(End)
+	return rec
+}
+
+// popUntil removes and returns the earliest record if it fires at or before
+// horizon. Otherwise it returns false, leaving the queue as peek would: the
+// kernel's event loop makes this its one queue call per event.
+func (c *CalendarQueue) popUntil(horizon Time) (record, bool) {
+	if c.curAbs < 0 || c.firstHint != c.curAbs { // ready's own early return, hoisted
+		if c.nearCount == 0 {
+			if c.farCount == 0 && (len(c.overflow) == 0 || c.overflow[0].at > horizon) {
+				return record{}, false
+			}
+			c.reanchor()
+		}
+		c.ready()
 	}
-	c.ready()
-	n := len(c.cur)
-	rec := c.cur[n-1]
-	c.cur = c.cur[:n-1]
-	if n == 1 {
+	rec := c.cur[c.curHead]
+	if rec.at > horizon {
+		return record{}, false
+	}
+	if c.curHead++; c.curHead == len(c.cur) {
+		c.cur = c.cur[:0]
+		c.curHead = 0
 		c.curAbs = -1
 	}
 	c.nearCount--
-	return rec
+	return rec, true
 }
 
 // queueStats snapshots the calendar's geometry and counters.
@@ -642,29 +678,26 @@ func (c *CalendarQueue) queueStats() QueueStats {
 	}
 }
 
-// sortBucket sorts a gathered bucket descending by fire order (the record
-// that fires first ends up last, so pop is a truncation). Steady-state
-// buckets hold a handful of contiguous records, where insertion sort beats
-// anything indirect — but a bucket is not bounded: a constant-latency
-// model lands a whole message wave on one timestamp (and pushes arrive in
-// ascending seq order, insertion sort's exact worst case against the
-// descending target), which made bucket sorting quadratic in the wave
-// size. Past a small threshold, hand off to the standard pdqsort, which is
-// O(k) on such runs and O(k log k) always.
+// sortBucket sorts a gathered bucket in fire order. Steady-state buckets
+// hold a handful of contiguous records, where insertion sort beats anything
+// indirect — but a bucket is not bounded (a constant-latency model lands a
+// whole message wave on one timestamp), and on a large bucket out of order
+// insertion sort is quadratic. Past a small threshold, hand off to the
+// standard pdqsort, which is O(k) on sorted runs and O(k log k) always.
 func sortBucket(b []record) {
 	if len(b) > 32 {
 		slices.SortFunc(b, func(x, y record) int {
-			if c := cmp.Compare(y.at, x.at); c != 0 {
+			if c := cmp.Compare(x.at, y.at); c != 0 {
 				return c
 			}
-			return cmp.Compare(y.seq, x.seq)
+			return cmp.Compare(x.seq, y.seq)
 		})
 		return
 	}
 	for i := 1; i < len(b); i++ {
 		rec := b[i]
 		j := i
-		for j > 0 && b[j-1].before(rec) {
+		for j > 0 && rec.before(b[j-1]) {
 			b[j] = b[j-1]
 			j--
 		}

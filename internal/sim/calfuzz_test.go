@@ -19,7 +19,7 @@ var fuzzBounds = []time.Duration{50 * time.Microsecond, time.Millisecond, 10 * t
 const fuzzMaxPendingExp = 18
 
 type fuzzEntry struct {
-	kind byte // f typed fire, F closure fire, c cancel, h horizon, n next-event-time, s step
+	kind byte // f typed fire, F closure fire, c cancel, h horizon run (id: ErrBudget), p pending, n next-event-time, s step
 	id   int32
 	at   Time
 }
@@ -51,10 +51,11 @@ func fuzzDelay(bound time.Duration, class, arg int) time.Duration {
 }
 
 // fuzzScript interprets data on a fresh kernel — calendar-backed under the
-// hint the first two bytes select, or the plain heap — and returns what
-// happened, in order. Every decision derives from data and the kernel's own
-// clock, so two kernels that fire in the same order produce the same trace.
-func fuzzScript(data []byte, calendar bool) []fuzzEntry {
+// hint the first two bytes select, or the plain heap — driving every horizon
+// run through run, and returns what happened, in order. Every decision
+// derives from data and the kernel's own clock, so two kernels that fire in
+// the same order produce the same trace.
+func fuzzScript(data []byte, calendar bool, run func(k *Kernel, horizon Time) error) []fuzzEntry {
 	// The engine grows inputs to a megabyte; bound the work per input.
 	data = data[:min(len(data), 2+3*1024)]
 	burst := 1 << 16
@@ -127,8 +128,8 @@ func fuzzScript(data []byte, calendar bool) []fuzzEntry {
 			// clock still sits at the last fired event — the sharded
 			// runtime's barrier pattern.
 			horizon = at(class, arg)
-			_ = k.Run(horizon)
-			trace = append(trace, fuzzEntry{'h', 0, k.Now()})
+			err := run(k, horizon)
+			trace = append(trace, fuzzEntry{'h', int32(btoi(err != nil)), k.Now()})
 		case 7:
 			if t := horizon + 1 + Time(arg); t >= k.Now() {
 				ids++
@@ -150,15 +151,39 @@ func fuzzScript(data []byte, calendar bool) []fuzzEntry {
 				k.Schedule(k.Now().Add(time.Duration(x>>33)%(2*bound)), h, ids, 0)
 			}
 		default:
-			if class%8 == 0 { // rarely: a new run on the warm kernel, re-hinted
+			switch class % 8 {
+			case 0: // rarely: a new run on the warm kernel, re-hinted
 				k.Reset()
 				setup()
+			case 1: // a budget a few events away, often spent exactly at the next horizon
+				k.SetBudget(k.Fired() + uint64(arg%8))
+			case 2:
+				k.SetBudget(0)
 			}
 		}
 	}
-	_ = k.RunAll()
-	trace = append(trace, fuzzEntry{'h', int32(k.Pending()), k.Now()})
+	err := run(k, End)
+	trace = append(trace, fuzzEntry{'h', int32(btoi(err != nil)), k.Now()})
+	// A budget spent above leaves events queued; lift it and drain, so every
+	// queued event fires and is compared whatever the ops did.
+	k.SetBudget(0)
+	err = run(k, End)
+	trace = append(trace, fuzzEntry{'h', int32(btoi(err != nil)), k.Now()}, fuzzEntry{'p', int32(k.Pending()), 0})
 	return trace
+}
+
+// equalTraces fails t at the first entry where got and want differ.
+func equalTraces(t *testing.T, got, want []fuzzEntry, gotName, wantName string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("trace lengths differ: %s %d, %s %d", gotName, len(got), wantName, len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("traces diverge at %d: %s %c %d@%v, %s %c %d@%v", i,
+				gotName, got[i].kind, got[i].id, got[i].at, wantName, want[i].kind, want[i].id, want[i].at)
+		}
+	}
 }
 
 func btoi(b bool) int {
@@ -168,9 +193,10 @@ func btoi(b bool) int {
 	return 0
 }
 
-func FuzzCalendarVsHeap(f *testing.F) {
-	// The fixed cases the differential tests below run, as op streams: the
-	// same 20 seeds, one stream per seed and hint.
+// addFuzzSeeds seeds a fuzz target with the fixed cases the differential
+// tests below run, as op streams (the same 20 seeds, one stream per seed and
+// hint), and with the hand-written patterns the kernel has had trouble with.
+func addFuzzSeeds(f *testing.F) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		r := xrand.New(seed)
 		for hint := 0; hint < len(fuzzBounds); hint++ {
@@ -187,18 +213,18 @@ func FuzzCalendarVsHeap(f *testing.F) {
 	f.Add([]byte{2, 19, 10, 3, 200, 6, 2, 40, 7, 0, 1, 8, 0, 0, 7, 0, 200, 6, 3, 90, 7, 0, 0, 8, 0, 0, 10, 9, 255})
 	// Reset and re-hint from the widest geometry to the narrowest.
 	f.Add([]byte{3, 19, 10, 1, 99, 11, 0, 0, 0, 0, 10, 1, 99, 0, 5, 7, 0})
+	// Four closures, a budget of two events and a cancel of the head, then a
+	// horizon run that spends the budget on its last event (no ErrBudget) and
+	// one that finds it spent with an event due (ErrBudget).
+	f.Add([]byte{1, 9, 3, 2, 10, 3, 2, 20, 3, 2, 30, 3, 2, 40, 11, 1, 2, 5, 0, 0, 6, 2, 31, 6, 2, 41, 8, 0, 0})
+}
+
+func FuzzCalendarVsHeap(f *testing.F) {
+	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		want := fuzzScript(data, false)
-		got := fuzzScript(data, true)
-		if len(got) != len(want) {
-			t.Fatalf("trace lengths differ: calendar %d, heap %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("traces diverge at %d: calendar %c %d@%v, heap %c %d@%v", i,
-					got[i].kind, got[i].id, got[i].at, want[i].kind, want[i].id, want[i].at)
-			}
-		}
+		want := fuzzScript(data, false, (*Kernel).Run)
+		got := fuzzScript(data, true, (*Kernel).Run)
+		equalTraces(t, got, want, "calendar", "heap")
 	})
 }
 

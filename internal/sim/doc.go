@@ -14,11 +14,19 @@
 //   - A flat, value-typed 4-ary min-heap of fixed-size records — the
 //     general-purpose default, O(log n) per operation.
 //   - A CalendarQueue — time buckets in two tiers with an overflow heap
-//     behind them, amortized O(1) per operation when event delays stay
-//     within a bounded band. Callers that know their delay bound (simnet,
-//     whenever the latency model is bounded) select it with
-//     SetBoundedDelayHint; the heap remains the fallback and the
-//     equivalence oracle.
+//     behind them, amortized O(1) per operation when event delays mostly
+//     stay within a band. Callers that know their delay band select it
+//     with SetBoundedDelayHint: simnet does for every latency model with a
+//     bound, and for ExponentialLatency with the quantile Floor + 7·Mean
+//     (the rarer draws beyond it wait in the overflow heap). A push into
+//     the bucket being drained that fires after everything there — every
+//     push at the current instant — is an append, so a zero-delay cascade
+//     costs O(1) per event. The heap serves zero-latency networks and
+//     models of unknown shape, and is the equivalence oracle.
+//
+// Run pops at most one record per event: the earliest record at or before
+// the horizon comes off the queue in one call, a canceled closure record is
+// discarded there, and a live one is dispatched in place.
 //
 // The calendar's tiers partition the future by time range. The near ring
 // holds fine buckets — a handful of records each, sorted when the cursor

@@ -394,15 +394,15 @@ func TestCalendarGrowKeepsOrder(t *testing.T) {
 	}
 }
 
-// TestReviewCalendarBulkSameTimeInsertIntoDrainedBucket pins the capped
-// bubble in CalendarQueue.insert: when the cursor has already gathered a
+// TestReviewCalendarBulkSameTimeInsertIntoDrainedBucket pins the inserts
+// into the bucket being drained: when the cursor has already gathered a
 // bucket into the sorted scratch and a bulk of records lands on that same
 // bucket — the sharded barrier-flush pattern under constant latency,
 // where a whole wave shares one timestamp and every new seq fires after
-// all its ties — insertion must stay near-linear (the scratch is
-// returned to its segments past maxBubble steps and re-sorted once) and
-// the fire order must remain exactly the reference heap's (at, seq)
-// order.
+// all its ties (an append) — with stragglers landing before the wave (a
+// bubble past the whole wave, capped: the scratch goes back to its
+// segments and is re-sorted once), the fire order must remain exactly the
+// reference heap's (at, seq) order.
 func TestReviewCalendarBulkSameTimeInsertIntoDrainedBucket(t *testing.T) {
 	k := New()
 	ref := &oldKernel{}
@@ -426,15 +426,15 @@ func TestReviewCalendarBulkSameTimeInsertIntoDrainedBucket(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		sched(wave)
 	}
-	// Load the wave's bucket into the drain scratch: Run peeks past an
+	// Load the wave's bucket into the drain scratch: Run looks past an
 	// empty horizon, which gathers and sorts the earliest bucket.
 	if err := k.Run(Time(5 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
 	ref.run(Time(5 * time.Millisecond))
 	// Bulk insert into the gathered bucket: same timestamp (ties firing
-	// after everything buffered — the quadratic case before the cap),
-	// plus stragglers just before and after the wave.
+	// after everything buffered), plus stragglers just before and after
+	// the wave.
 	for i := 0; i < 400; i++ {
 		sched(wave)
 		if i%50 == 0 {
@@ -453,6 +453,91 @@ func TestReviewCalendarBulkSameTimeInsertIntoDrainedBucket(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("fire order diverged at %d: got node %d, reference %d", i, got[i], want[i])
 		}
+	}
+}
+
+// cascade runs a fan-out on k: one root event at time 0, every fired event
+// scheduling 8 children delay after itself until total have been scheduled.
+// It returns the wall time of the RunAll and a hash of the fire order.
+func cascade(t testing.TB, k *Kernel, total int, delay time.Duration) (time.Duration, uint64) {
+	t.Helper()
+	scheduled, order := 1, uint64(14695981039346656037)
+	var h HandlerID
+	h = k.RegisterHandler(func(now Time, node, _ int32) {
+		order = (order ^ uint64(node)) * 1099511628211
+		for c := 0; c < 8 && scheduled < total; c++ {
+			k.Schedule(now.Add(delay), h, int32(scheduled), 0)
+			scheduled++
+		}
+	})
+	k.Schedule(0, h, 0, 0)
+	start := time.Now()
+	if err := k.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	if k.Fired() != uint64(total) {
+		t.Fatalf("fired %d of %d cascade events", k.Fired(), total)
+	}
+	return elapsed, order
+}
+
+// cascadeTotal is the size of the same-instant cascades below: the one that
+// used to be quadratic on the calendar (ARCHITECTURE.md, "Why the heap
+// stays": 57 ms on the heap, three minutes on a calendar hinted (1 ms, 1000)).
+const cascadeTotal = 200_000
+
+// cascadeKernel is a fresh kernel on the heap, or on a calendar hinted (1 ms,
+// 1000) — one bucket wide enough to hold a whole +1 ns cascade.
+func cascadeKernel(calendar bool) *Kernel {
+	k := New()
+	if calendar {
+		k.SetBoundedDelayHint(time.Millisecond, 1000)
+	}
+	return k
+}
+
+// TestCalendarSameInstantCascade: at one instant and in +1 ns hops, every
+// push of a zero-delay cascade lands in the bucket being drained and fires
+// after everything there; the calendar fires the heap's order. That each
+// such push costs an append, not a bubble, is a wall-clock property:
+// BenchmarkSameInstantCascade holds it.
+func TestCalendarSameInstantCascade(t *testing.T) {
+	for _, delay := range []time.Duration{0, 1} {
+		_, want := cascade(t, cascadeKernel(false), cascadeTotal, delay)
+		_, got := cascade(t, cascadeKernel(true), cascadeTotal, delay)
+		if got != want {
+			t.Errorf("delay %v: the calendar fired the cascade in another order than the heap", delay)
+		}
+	}
+}
+
+// BenchmarkSameInstantCascade times the cascades of
+// TestCalendarSameInstantCascade on both queues — best of three of each per
+// op, the fastest over all ops — reports ns/event on each and their ratio,
+// and fails if the calendar takes more than twice the heap's time.
+func BenchmarkSameInstantCascade(b *testing.B) {
+	for _, delay := range []time.Duration{0, 1} {
+		b.Run(fmt.Sprintf("delay=%v", delay), func(b *testing.B) {
+			var fastest [2]time.Duration
+			for i := 0; i < b.N; i++ {
+				for rep := 0; rep < 3; rep++ {
+					for q, calendar := range []bool{false, true} {
+						d, _ := cascade(b, cascadeKernel(calendar), cascadeTotal, delay)
+						if fastest[q] == 0 || d < fastest[q] {
+							fastest[q] = d
+						}
+					}
+				}
+			}
+			heap, cal := fastest[0], fastest[1]
+			b.ReportMetric(float64(heap.Nanoseconds())/cascadeTotal, "heap-ns/event")
+			b.ReportMetric(float64(cal.Nanoseconds())/cascadeTotal, "calendar-ns/event")
+			b.ReportMetric(float64(cal)/float64(heap), "calendar/heap")
+			if cal > 2*heap {
+				b.Errorf("cascade of %d events takes %v on the calendar, %v on the heap: more than 2×", cascadeTotal, cal, heap)
+			}
+		})
 	}
 }
 

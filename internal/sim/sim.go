@@ -269,16 +269,34 @@ func (k *Kernel) Step() bool {
 // (events scheduled strictly after horizon remain queued; the clock is left
 // at the later of its current value and the last fired event). It returns
 // ErrBudget if the event budget is exhausted first.
+//
+// Each event costs one queue call: the record at or before the horizon is
+// popped, a canceled closure record is discarded right there, and a live one
+// is dispatched in place.
 func (k *Kernel) Run(horizon Time) error {
 	for {
-		head, ok := k.liveHead()
-		if !ok || head.at > horizon {
+		if k.budget > 0 && k.fired >= k.budget {
+			if head, ok := k.liveHead(); ok && head.at <= horizon {
+				return ErrBudget
+			}
 			return nil
 		}
-		if k.budget > 0 && k.fired >= k.budget {
-			return ErrBudget
+		var rec record
+		if k.useCal {
+			var ok bool
+			if rec, ok = k.cal.popUntil(horizon); !ok {
+				return nil
+			}
+		} else {
+			if len(k.queue) == 0 || k.queue[0].at > horizon {
+				return nil
+			}
+			rec = heapPop(&k.queue)
 		}
-		k.fire(head)
+		if rec.h == closureHandler && k.slots[rec.node].gen != rec.gen {
+			continue // canceled
+		}
+		k.dispatch(rec)
 	}
 }
 
@@ -288,7 +306,8 @@ func (k *Kernel) RunAll() error { return k.Run(End) }
 
 // liveHead discards stale (canceled) records at the top of the queue and
 // returns the earliest live event without removing it, or false if none is
-// queued.
+// queued. NextEventTime, Step and Run's budget check read the head this
+// way; Run's own loop pops without peeking.
 func (k *Kernel) liveHead() (record, bool) {
 	for {
 		rec, ok := k.qpeek()
@@ -303,16 +322,21 @@ func (k *Kernel) liveHead() (record, bool) {
 // and executes it.
 func (k *Kernel) fire(head record) {
 	k.qpop()
-	k.now = head.at
+	k.dispatch(head)
+}
+
+// dispatch executes a live record taken off the queue.
+func (k *Kernel) dispatch(rec record) {
+	k.now = rec.at
 	k.fired++
 	k.live--
-	if head.h == closureHandler {
-		fn := k.slots[head.node].fn
-		k.releaseSlot(head.node)
+	if rec.h == closureHandler {
+		fn := k.slots[rec.node].fn
+		k.releaseSlot(rec.node)
 		fn()
 		return
 	}
-	k.handlers[head.h](head.at, head.node, head.payload)
+	k.handlers[rec.h](rec.at, rec.node, rec.payload)
 }
 
 // ---------------------------------------------------------------------------

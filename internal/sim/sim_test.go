@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"gossipkit/internal/xrand"
 )
 
 func TestEmptyKernel(t *testing.T) {
@@ -246,6 +248,62 @@ func TestDeterministicReplay(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("replay diverged at %d: %v vs %v", i, a[i], b[i])
 		}
+	}
+}
+
+// BenchmarkKernelRun is the event loop's own judge: RunAll over a hold model
+// that keeps n = 5000 typed events pending — des_sweep_5k's group size, one
+// message per member airborne — each fired event scheduling its successor
+// until b.N have fired. The delays are the workload's two latency models
+// drawn as simnet draws them: uniform 1–10 ms on the calendar under its
+// bound, and a 1 ms floor plus Exp(3 ms) both on the calendar under the
+// band simnet hints for it (1 ms + 7·3 ms) and on the heap. One op is one
+// event; a warm kernel makes no allocation.
+func BenchmarkKernelRun(b *testing.B) {
+	const n = 5000
+	uniform := func(r *xrand.RNG) time.Duration { return time.Millisecond + time.Duration(r.Uint64n(9_000_001)) }
+	exponential := func(r *xrand.RNG) time.Duration {
+		return time.Millisecond + time.Duration(r.ExpFloat64()*float64(3*time.Millisecond))
+	}
+	for _, bc := range []struct {
+		name  string
+		band  time.Duration // calendar hint; 0 keeps the heap
+		delay func(*xrand.RNG) time.Duration
+	}{
+		{"calendar-uniform", 10 * time.Millisecond, uniform},
+		{"calendar-exp", 22 * time.Millisecond, exponential},
+		{"heap", 0, exponential},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			k, r := New(), xrand.New(1)
+			var (
+				h         HandlerID
+				remaining int
+			)
+			hold := func(_ Time, node, _ int32) {
+				if remaining > 0 {
+					remaining--
+					k.ScheduleAfter(bc.delay(r), h, node, 0)
+				}
+			}
+			run := func(events int) {
+				k.Reset()
+				k.SetBoundedDelayHint(bc.band, n)
+				h = k.RegisterHandler(hold)
+				remaining = events - n
+				for i := 0; i < min(n, events); i++ {
+					k.ScheduleAfter(bc.delay(r), h, int32(i), 0)
+				}
+				if err := k.RunAll(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			run(20 * n) // warm the queue's pools and the handler table
+			b.ReportAllocs()
+			b.ResetTimer()
+			run(b.N)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+		})
 	}
 }
 

@@ -16,9 +16,10 @@
 //
 // Determinism: a Network is single-goroutine state driven by its kernel;
 // every latency and loss draw comes from the caller-supplied RNG, so a run
-// is a pure function of (config, seed). Latency models that implement
-// LatencyBounder switch the kernel to its calendar event queue — a pure
-// throughput lever that never changes delivery order or results.
+// is a pure function of (config, seed). Latency models with a delay band —
+// a LatencyBounder's bound, ExponentialLatency's Floor + 7·Mean quantile —
+// switch the kernel to its calendar event queue, a pure throughput lever
+// that never changes delivery order or results.
 //
 // Allocation guarantee: the steady-state send→deliver path allocates
 // nothing. Node up/down flags are a packed bitset; payload-free messages

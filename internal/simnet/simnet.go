@@ -424,17 +424,35 @@ func (nw *Network) Reset(kernel *sim.Kernel, n int, rng *xrand.RNG, cfg Config) 
 }
 
 // HintPending sizes the kernel's event queue for about pending messages in
-// flight at once: a bounded latency band selects the calendar queue, whose
-// bucket width and far ring follow from the band and pending (a low figure
-// costs throughput — coarser buckets, then a grow — never correctness);
-// anything unbounded (or zero) keeps the heap. Reset hints n; call this
-// after it, while the kernel's queue is still empty, to correct that.
+// flight at once: a latency model with a delay band (delayBand) selects the
+// calendar queue, whose bucket width and far ring follow from the band and
+// pending (a low figure costs throughput — coarser buckets, then a grow —
+// never correctness); zero latency and models of unknown shape keep the
+// heap. Reset hints n; call this after it, while the kernel's queue is still
+// empty, to correct that.
 func (nw *Network) HintPending(pending int) {
-	if b, ok := nw.latency.(LatencyBounder); ok {
-		if d, ok := b.LatencyBound(); ok && d > 0 {
-			nw.kernel.SetBoundedDelayHint(d, pending)
-		}
+	if d, ok := delayBand(nw.latency); ok {
+		nw.kernel.SetBoundedDelayHint(d, pending)
 	}
+}
+
+// delayBand is the span of delays the calendar is sized for: a
+// LatencyBounder's bound, or for ExponentialLatency — which has none — the
+// quantile Floor + Mean·ln(1/ε) at ε = e⁻⁷ ≈ 10⁻³. A draw past the band
+// still fires in exact (at, seq) order: the calendar's window reaches
+// beyond it, and its overflow heap holds the rest, so the band moves
+// throughput, never fire order. ExponentialLatency stays no LatencyBounder
+// on purpose: Config.RoundInterval paces rounds by that interface.
+func delayBand(m LatencyModel) (time.Duration, bool) {
+	if e, ok := m.(ExponentialLatency); ok {
+		band := float64(e.Floor) + 7*float64(e.Mean) // in float, so a huge Mean cannot wrap
+		return time.Duration(min(band, 1<<62)), band > 0
+	}
+	if b, ok := m.(LatencyBounder); ok {
+		d, bounded := b.LatencyBound()
+		return d, bounded && d > 0
+	}
+	return 0, false
 }
 
 // N returns the number of nodes.

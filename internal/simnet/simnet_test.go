@@ -32,20 +32,106 @@ func TestDeliveryZeroLatency(t *testing.T) {
 	}
 }
 
-// TestZeroLatencyStaysOnHeap guards a measured decision: the heap is the
-// queue for same-timestamp cascades, not a fallback (ARCHITECTURE.md,
-// "Calendar queue vs heap": a cascade of 2·10⁵ events at one instant takes
-// 57 ms on the heap and three minutes on a calendar hinted 1 ms). A network
-// without latency must therefore never hint its kernel onto the calendar,
-// while a bounded positive latency still does.
+// TestZeroLatencyStaysOnHeap guards the queue choice at its edge: a network
+// whose delays have no band to size calendar buckets by — no latency, zero
+// latency, or a model of unknown shape — keeps its kernel on the heap, while
+// a bounded positive latency selects the calendar.
 func TestZeroLatencyStaysOnHeap(t *testing.T) {
-	for _, cfg := range []Config{{}, {Latency: ConstantLatency{D: 0}}} {
+	for _, cfg := range []Config{{}, {Latency: ConstantLatency{D: 0}}, {Latency: jitter{}}} {
 		if k, _ := newNet(t, 1000, cfg); k.QueueKind() != "heap" {
 			t.Errorf("latency %#v: queue %q, want heap", cfg.Latency, k.QueueKind())
 		}
 	}
 	if k, _ := newNet(t, 1000, Config{Latency: ConstantLatency{D: time.Millisecond}}); k.QueueKind() != "calendar" {
 		t.Errorf("1 ms latency: queue %q, want calendar", k.QueueKind())
+	}
+}
+
+// jitter is a latency model simnet knows nothing about: no bound, no floor.
+type jitter struct{}
+
+func (jitter) Latency(r *xrand.RNG, _, _ NodeID) time.Duration {
+	return time.Duration(r.Uint64n(uint64(time.Millisecond)))
+}
+
+// TestExponentialLatencyOnCalendar: ExponentialLatency has no bound, yet its
+// networks run on the calendar, sized for the band Floor + 7·Mean, and the
+// tail past the band waits in the overflow heap without moving a delivery.
+// Round pacing, which reads LatencyBounder, does not move.
+func TestExponentialLatencyOnCalendar(t *testing.T) {
+	type delivery struct {
+		from, to NodeID
+		at       sim.Time
+	}
+	// gossip seeds one message per member and relays three per delivery
+	// until 20 per member have been sent, on the queue the network hinted for
+	// pending messages (Reset's n when 0) or forced onto the heap.
+	gossip := func(n, pending int, lat LatencyModel, heap bool) ([]delivery, sim.QueueStats) {
+		k := sim.New()
+		nw := New(k, n, xrand.New(7), Config{Latency: lat})
+		if pending > 0 {
+			nw.HintPending(pending)
+		}
+		if heap {
+			k.SetBoundedDelayHint(0, 0)
+		}
+		r, sends := xrand.New(11), 20*n
+		var trace []delivery
+		nw.RegisterAll(func(now sim.Time, m Message) {
+			trace = append(trace, delivery{m.From, m.To, now})
+			for i := 0; i < 3 && sends > 0; i++ {
+				sends--
+				nw.SendTag(m.To, NodeID(r.Intn(n)), 0)
+			}
+		})
+		for i := 0; i < n; i++ {
+			nw.SendTag(NodeID(i), NodeID((i+1)%n), 0)
+		}
+		if err := k.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+		return trace, k.QueueStats()
+	}
+
+	var m LatencyModel = ExponentialLatency{Floor: time.Millisecond, Mean: 3 * time.Millisecond}
+	if _, ok := m.(LatencyBounder); ok {
+		t.Error("ExponentialLatency implements LatencyBounder")
+	}
+	if d := (Config{Latency: m}).RoundInterval(0); d != 20*time.Millisecond {
+		t.Errorf("round interval %v, want the unbounded models' 20ms", d)
+	}
+	// The calendar's reach past now is its far ring (1.25 bands, the bucket
+	// width rounded up to a power of two) plus up to two near slots, so the
+	// tail it hands to the overflow heap is thinnest where the band is wide
+	// against a far slot. The last case is that: Floor 0 and a mean whose
+	// band needs no rounding, under a stream-sized pending hint whose far
+	// ring holds 512 slots — about one draw in 6000 overflows.
+	for _, c := range []struct {
+		n, pending int
+		lat        ExponentialLatency
+		overflowed bool
+	}{
+		{2, 0, ExponentialLatency{Floor: time.Millisecond, Mean: 3 * time.Millisecond}, false},
+		{17, 0, ExponentialLatency{Floor: time.Millisecond, Mean: 3 * time.Millisecond}, false},
+		{5000, 0, ExponentialLatency{Floor: time.Millisecond, Mean: 3 * time.Millisecond}, false},
+		{5000, 1 << 20, ExponentialLatency{Mean: 980 * time.Millisecond}, true},
+	} {
+		got, q := gossip(c.n, c.pending, c.lat, false)
+		want, _ := gossip(c.n, c.pending, c.lat, true)
+		if q.Kind != "calendar" {
+			t.Errorf("n=%d %+v: queue %q, want calendar", c.n, c.lat, q.Kind)
+		}
+		if c.overflowed && q.OverflowAdmits == 0 {
+			t.Errorf("n=%d %+v: no delivery past the band went through the overflow heap: %+v", c.n, c.lat, q)
+		}
+		if len(got) != len(want) || len(got) < 20*c.n {
+			t.Fatalf("n=%d %+v: %d deliveries on the calendar, %d on the heap", c.n, c.lat, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d %+v: delivery %d is %+v on the calendar, %+v on the heap", c.n, c.lat, i, got[i], want[i])
+			}
+		}
 	}
 }
 
