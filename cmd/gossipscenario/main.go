@@ -126,234 +126,246 @@ func list() error {
 	return nil
 }
 
-// pprofFlag registers -pprof on a subcommand's FlagSet; the returned
-// starter runs after parsing and brings the endpoint up when set.
-func pprofFlag(fs *flag.FlagSet) func() error {
-	addr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	return func() error {
-		if *addr == "" {
-			return nil
-		}
-		bound, err := gossipkit.StartPprof(*addr)
+// shared holds the flags every subcommand takes, registered with the
+// subcommand's own defaults and help text, and the -format values it
+// accepts (the first is the default).
+type shared struct {
+	fs                       *flag.FlagSet
+	formats                  []string
+	n, views, seeds, workers *int
+	distKind, format         *string
+	seed                     *uint64
+	pprof                    *string
+	progress                 *bool
+}
+
+func newShared(name string, seeds int, seedsHelp, distHelp, formatHelp string, formats ...string) *shared {
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
+	return &shared{
+		fs:       fs,
+		formats:  formats,
+		n:        fs.Int("n", 1000, "group size"),
+		distKind: fs.String("dist", "poisson", distHelp),
+		views:    fs.Int("views", 2, "SCAMP partial-view extra copies (0 = full view); each run rebuilds them: 0.12 s at -n 10000, 8-10 s at -n 100000"),
+		seed:     fs.Uint64("seed", 42, "base random seed"),
+		seeds:    fs.Int("seeds", seeds, seedsHelp),
+		workers:  fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)"),
+		format:   fs.String("format", formats[0], formatHelp),
+		progress: fs.Bool("progress", false, "stream per-cell progress to stderr"),
+		pprof:    fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)"),
+	}
+}
+
+// parse parses args, brings up -pprof when set, and rejects an unknown
+// -format before anything runs: the output switch sits after the sweep.
+func (s *shared) parse(args []string) error {
+	if err := s.fs.Parse(args); err != nil {
+		return err
+	}
+	if *s.pprof != "" {
+		bound, err := gossipkit.StartPprof(*s.pprof)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "gossipscenario: pprof on http://%s/debug/pprof/\n", bound)
-		return nil
 	}
+	if !slices.Contains(s.formats, *s.format) {
+		return fmt.Errorf("unknown format %q (want %s)", *s.format, strings.Join(s.formats, ", "))
+	}
+	return nil
 }
 
-// observer returns a per-cell progress Observer writing to stderr, or nil
-// when progress streaming is off; cells sizes the "i/total" prefix.
-func observer(enabled bool, cells int) gossipkit.Observer {
-	if !enabled {
-		return nil
+// dim is one axis of a subcommand's grid: its length and its name on the
+// stderr summary line.
+type dim struct {
+	n    int
+	name string
+}
+
+// sweep replicates every cell of spec's grid (axes dims) for -seeds seeds,
+// streams per-cell progress to stderr under -progress, prints the
+// aggregate on stdout in -format and returns it.
+func (s *shared) sweep(ctx context.Context, spec gossipkit.Engine, dims []dim, opts ...gossipkit.Option) (any, error) {
+	dims = append(dims, dim{*s.seeds, "seeds"})
+	cells, axes := 1, make([]string, len(dims))
+	for i, d := range dims {
+		cells *= d.n
+		axes[i] = fmt.Sprintf("%d %s", d.n, d.name)
 	}
-	return func(r gossipkit.Report) {
-		det := r.Detail.(gossipkit.ScenarioReport)
-		fmt.Fprintf(os.Stderr, "  cell %d/%d %-18s seed=%d reliability=%.4f spread=%.1fms\n",
-			r.Run+1, cells, det.Scenario, det.Seed, r.Reliability, r.SpreadMs)
+	opts = append(opts, gossipkit.WithSeed(*s.seed), gossipkit.WithWorkers(*s.workers))
+	if *s.progress {
+		opts = append(opts, gossipkit.WithObserver(func(r gossipkit.Report) {
+			det := r.Detail.(gossipkit.ScenarioReport)
+			fmt.Fprintf(os.Stderr, "  cell %d/%d %-18s seed=%d reliability=%.4f spread=%.1fms\n",
+				r.Run+1, cells, det.Scenario, det.Seed, r.Reliability, r.SpreadMs)
+		}))
+	}
+	start := time.Now()
+	out, err := gossipkit.RunMany(ctx, spec, *s.seeds, opts...)
+	if err != nil {
+		return nil, err
+	}
+	elapsed := time.Since(start)
+	w := *s.workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	fmt.Fprintf(os.Stderr, "ran %s = %d executions in %v (%.1f runs/sec, %d workers)\n",
+		strings.Join(axes, " x "), cells, elapsed.Round(time.Millisecond),
+		float64(cells)/elapsed.Seconds(), w)
+
+	switch *s.format {
+	case "json":
+		enc, err := json.MarshalIndent(out.Aggregate, "", "  ")
+		if err != nil {
+			return nil, err
+		}
+		fmt.Println(string(enc))
+	case "csv":
+		fmt.Print(out.Aggregate.(interface{ CSV() string }).CSV())
+	case "ascii":
+		fmt.Print(out.Aggregate.(interface{ Table() string }).Table())
+	}
+	return out.Aggregate, nil
+}
+
+// config is the run configuration the common flags describe at mean
+// fanout fanout and nonfailed ratio q.
+func (s *shared) config(fanout, q float64) (gossipkit.ScenarioRunConfig, error) {
+	d, err := gossipkit.ParseFanout(*s.distKind, fanout)
+	return gossipkit.ScenarioRunConfig{
+		Params:            gossipkit.Params{N: *s.n, Fanout: d, AliveRatio: q},
+		PartialViewCopies: *s.views,
+	}, err
+}
+
+// scenarioFlags registers -suite, -scenario and -spec (run, sweep, grid)
+// and returns the resolver of the one campaign choice they make.
+func scenarioFlags(fs *flag.FlagSet) func() ([]*gossipkit.Scenario, error) {
+	suite := fs.String("suite", "", "run the bundled suite (\"default\")")
+	name := fs.String("scenario", "", "run one bundled scenario by name")
+	spec := fs.String("spec", "", "run a scenario from a JSON spec file")
+	return func() ([]*gossipkit.Scenario, error) {
+		if len(slices.DeleteFunc([]string{*suite, *name, *spec}, func(s string) bool { return s == "" })) > 1 {
+			return nil, fmt.Errorf("choose one of -suite, -scenario, -spec")
+		}
+		switch {
+		case *name != "":
+			s, err := bundledScenario(*name)
+			if err != nil {
+				return nil, err
+			}
+			return []*gossipkit.Scenario{s}, nil
+		case *spec != "":
+			data, err := os.ReadFile(*spec)
+			if err != nil {
+				return nil, err
+			}
+			s, err := gossipkit.ParseScenario(data)
+			if err != nil {
+				return nil, err
+			}
+			return []*gossipkit.Scenario{s}, nil
+		case *suite == "" || *suite == "default":
+			return gossipkit.DefaultScenarioSuite(), nil
+		default:
+			return nil, fmt.Errorf("unknown suite %q (only \"default\" is bundled)", *suite)
+		}
 	}
 }
 
 func run(ctx context.Context, args []string, sweep bool) error {
-	fs := flag.NewFlagSet("gossipscenario", flag.ExitOnError)
+	s := newShared("gossipscenario", 0, "replications per scenario", "fanout distribution",
+		"output format: json, csv, ascii", "json", "csv", "ascii")
 	var (
-		suite    = fs.String("suite", "", "run the bundled suite (\"default\")")
-		name     = fs.String("scenario", "", "run one bundled scenario by name")
-		spec     = fs.String("spec", "", "run a scenario from a JSON spec file")
-		n        = fs.Int("n", 1000, "group size")
-		distKind = fs.String("dist", "poisson", "fanout distribution")
-		fanout   = fs.Float64("fanout", 5, "mean fanout")
-		q        = fs.Float64("q", 1, "static nonfailed ratio")
-		views    = fs.Int("views", 2, "SCAMP partial-view extra copies (0 = full view); each run rebuilds them: 0.12 s at -n 10000, 8-10 s at -n 100000")
-		seed     = fs.Uint64("seed", 42, "base random seed")
-		seeds    = fs.Int("seeds", 0, "replications per scenario")
-		workers  = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		format   = fs.String("format", "json", "output format: json, csv, ascii")
-		progress = fs.Bool("progress", false, "stream per-cell progress to stderr")
-		curves   = fs.String("curves", "", "also emit merged per-scenario telemetry curves: csv")
-		shards   = fs.Int("shards", 1, "shard kernels per execution (conservative-PDES; 1 = one shard (default), 0 = one per core)")
-		topoFlag = fs.String("topology", "uniform", "gossip overlay: uniform, kout[:K], ba[:K], wan:ZONES[:K]")
+		scenarioList = scenarioFlags(s.fs)
+		fanout       = s.fs.Float64("fanout", 5, "mean fanout")
+		q            = s.fs.Float64("q", 1, "static nonfailed ratio")
+		curves       = s.fs.String("curves", "", "also emit merged per-scenario telemetry curves: csv")
+		shards       = s.fs.Int("shards", 1, "shard kernels per execution (conservative-PDES; 1 = one shard (default), 0 = one per core)")
+		topoFlag     = s.fs.String("topology", "uniform", "gossip overlay: uniform, kout[:K], ba[:K], wan:ZONES[:K]")
 	)
-	pprof := pprofFlag(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := pprof(); err != nil {
-		return err
-	}
-	if err := checkFormat(*format, "json", "csv", "ascii"); err != nil {
+	if err := s.parse(args); err != nil {
 		return err
 	}
 	if *curves != "" && *curves != "csv" {
 		return fmt.Errorf("unknown -curves format %q (only csv)", *curves)
 	}
-	if *seeds == 0 {
+	if *s.seeds == 0 {
+		*s.seeds = 1
 		if sweep {
-			*seeds = 10
-		} else {
-			*seeds = 1
+			*s.seeds = 10
 		}
 	}
-
-	scenarios, err := selectScenarios(*suite, *name, *spec)
+	scenarios, err := scenarioList()
 	if err != nil {
 		return err
 	}
-	d, err := makeDist(*distKind, *fanout)
+	cfg, err := s.config(*fanout, *q)
 	if err != nil {
 		return err
 	}
-	topo, err := gossipkit.ParseTopology(*topoFlag)
-	if err != nil {
+	if cfg.Topology, err = gossipkit.ParseTopology(*topoFlag); err != nil {
 		return err
 	}
-	if *shards <= 0 {
-		*shards = runtime.GOMAXPROCS(0)
+	if cfg.Shards = *shards; cfg.Shards <= 0 {
+		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
-	campaign := gossipkit.Campaign{
-		Scenarios: scenarios,
-		Config: gossipkit.ScenarioRunConfig{
-			Params:            gossipkit.Params{N: *n, Fanout: d, AliveRatio: *q},
-			PartialViewCopies: *views,
-			Shards:            *shards,
-			Topology:          topo,
-		},
-	}
-	cells := len(scenarios) * *seeds
-
-	opts := []gossipkit.Option{
-		gossipkit.WithSeed(*seed), gossipkit.WithWorkers(*workers),
-		gossipkit.WithObserver(observer(*progress, cells)),
-	}
+	campaign := gossipkit.Campaign{Scenarios: scenarios, Config: cfg}
+	var opts []gossipkit.Option
 	if *curves != "" {
 		opts = append(opts, gossipkit.WithProbe(gossipkit.ProbeOptions{}))
 	}
-	start := time.Now()
-	out, err := gossipkit.RunMany(ctx, campaign, *seeds, opts...)
+	result, err := s.sweep(ctx, campaign, []dim{{len(scenarios), "scenarios"}}, opts...)
+	if err != nil || *curves == "" {
+		return err
+	}
+	csv, err := result.(*gossipkit.ScenarioSweepResult).CurvesCSV()
 	if err != nil {
 		return err
 	}
-	result := out.Aggregate.(*gossipkit.ScenarioSweepResult)
-	elapsed := time.Since(start)
-	w := *workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	fmt.Fprintf(os.Stderr, "ran %d scenarios x %d seeds = %d executions in %v (%.1f runs/sec, %d workers)\n",
-		len(scenarios), *seeds, cells, elapsed.Round(time.Millisecond),
-		float64(cells)/elapsed.Seconds(), w)
-
-	switch *format {
-	case "json":
-		enc, err := json.MarshalIndent(result, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(enc))
-	case "csv":
-		fmt.Print(result.CSV())
-	case "ascii":
-		fmt.Print(result.Table())
-	}
-	if *curves == "csv" {
-		csv, err := result.CurvesCSV()
-		if err != nil {
-			return err
-		}
-		fmt.Print(csv)
-	}
+	fmt.Print(csv)
 	return nil
 }
 
 // grid sweeps the (scenario × q × fanout) plane and emits the full grid.
 func grid(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("gossipscenario grid", flag.ExitOnError)
+	s := newShared("gossipscenario grid", 5, "replications per grid cell", "fanout distribution",
+		"output format: csv or json", "csv", "json")
 	var (
-		suite    = fs.String("suite", "", "run the bundled suite (\"default\")")
-		name     = fs.String("scenario", "", "run one bundled scenario by name")
-		spec     = fs.String("spec", "", "run a scenario from a JSON spec file")
-		n        = fs.Int("n", 1000, "group size")
-		distKind = fs.String("dist", "poisson", "fanout distribution")
-		qsFlag   = fs.String("qs", "0.6,0.8,1.0", "comma-separated nonfailed ratios")
-		fanFlag  = fs.String("fanouts", "3,5,8", "comma-separated mean fanouts")
-		views    = fs.Int("views", 2, "SCAMP partial-view extra copies (0 = full view); each run rebuilds them: 0.12 s at -n 10000, 8-10 s at -n 100000")
-		seed     = fs.Uint64("seed", 42, "base random seed")
-		seeds    = fs.Int("seeds", 5, "replications per grid cell")
-		workers  = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		format   = fs.String("format", "csv", "output format: csv or json")
-		progress = fs.Bool("progress", false, "stream per-cell progress to stderr")
+		scenarioList = scenarioFlags(s.fs)
+		qsFlag       = s.fs.String("qs", "0.6,0.8,1.0", "comma-separated nonfailed ratios")
+		fanFlag      = s.fs.String("fanouts", "3,5,8", "comma-separated mean fanouts")
 	)
-	pprof := pprofFlag(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := s.parse(args); err != nil {
 		return err
 	}
-	if err := pprof(); err != nil {
-		return err
-	}
-	if err := checkFormat(*format, "csv", "json"); err != nil {
-		return err
-	}
-	scenarios, err := selectScenarios(*suite, *name, *spec)
+	scenarios, err := scenarioList()
 	if err != nil {
 		return err
 	}
-	qs, err := parseFloats("-qs", *qsFlag)
+	qs, err := parseList("-qs", *qsFlag, func(e string) (float64, error) { return parseFloat("-qs", e) })
 	if err != nil {
 		return err
 	}
-	fans, err := parseFloats("-fanouts", *fanFlag)
-	if err != nil {
-		return err
-	}
-	var fanouts []gossipkit.Distribution
-	for _, f := range fans {
-		d, err := makeDist(*distKind, f)
+	fanouts, err := parseList("-fanouts", *fanFlag, func(e string) (gossipkit.Distribution, error) {
+		f, err := parseFloat("-fanouts", e)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		fanouts = append(fanouts, d)
-	}
-	d0, err := makeDist(*distKind, 5)
+		return gossipkit.ParseFanout(*s.distKind, f)
+	})
 	if err != nil {
 		return err
 	}
-	campaign := gossipkit.Campaign{
-		Scenarios: scenarios,
-		Config: gossipkit.ScenarioRunConfig{
-			Params:            gossipkit.Params{N: *n, Fanout: d0, AliveRatio: 1},
-			PartialViewCopies: *views,
-		},
-		Qs:      qs,
-		Fanouts: fanouts,
-	}
-	cells := len(scenarios) * len(qs) * len(fanouts) * *seeds
-
-	start := time.Now()
-	out, err := gossipkit.RunMany(ctx, campaign, *seeds,
-		gossipkit.WithSeed(*seed), gossipkit.WithWorkers(*workers),
-		gossipkit.WithObserver(observer(*progress, cells)))
+	// Every cell overrides the base q and fanout; the base only validates.
+	cfg, err := s.config(5, 1)
 	if err != nil {
 		return err
 	}
-	result := out.Aggregate.(*gossipkit.ScenarioGridResult)
-	elapsed := time.Since(start)
-	fmt.Fprintf(os.Stderr, "ran %d scenarios x %d qs x %d fanouts x %d seeds = %d executions in %v (%.1f runs/sec)\n",
-		len(scenarios), len(qs), len(fanouts), *seeds, cells,
-		elapsed.Round(time.Millisecond), float64(cells)/elapsed.Seconds())
-
-	switch *format {
-	case "csv":
-		fmt.Print(result.CSV())
-	case "json":
-		enc, err := json.MarshalIndent(result, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(enc))
-	}
-	return nil
+	campaign := gossipkit.Campaign{Scenarios: scenarios, Config: cfg, Qs: qs, Fanouts: fanouts}
+	_, err = s.sweep(ctx, campaign, []dim{{len(scenarios), "scenarios"}, {len(qs), "qs"}, {len(fanouts), "fanouts"}})
+	return err
 }
 
 // compare runs the (protocol × scenario) comparison grid: every selected
@@ -361,134 +373,81 @@ func grid(ctx context.Context, args []string) error {
 // with byte-identical campaign randomness per (scenario, seed) cell
 // whatever the protocol.
 func compare(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("gossipscenario compare", flag.ExitOnError)
+	s := newShared("gossipscenario compare", 5, "replications per (protocol, scenario) cell",
+		"fanout distribution (paper row)", "output format: csv, json, ascii", "csv", "json", "ascii")
 	var (
-		names     = fs.String("scenarios", "", "comma-separated bundled scenario names (default: whole suite)")
-		protoList = fs.String("protocols", "", "comma-separated protocol rows (default: all seven)")
-		n         = fs.Int("n", 1000, "group size")
-		distKind  = fs.String("dist", "poisson", "fanout distribution (paper row)")
-		fanout    = fs.Float64("fanout", 5, "mean fanout")
-		q         = fs.Float64("q", 1, "static nonfailed ratio")
-		rounds    = fs.Int("rounds", 10, "round budget for round-based baselines")
-		views     = fs.Int("views", 2, "SCAMP partial-view extra copies (0 = full view); each run rebuilds them: 0.12 s at -n 10000, 8-10 s at -n 100000")
-		seed      = fs.Uint64("seed", 42, "base random seed")
-		seeds     = fs.Int("seeds", 5, "replications per (protocol, scenario) cell")
-		workers   = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		format    = fs.String("format", "csv", "output format: csv, json, ascii")
-		progress  = fs.Bool("progress", false, "stream per-cell progress to stderr")
-		topoList  = fs.String("topologies", "", "comma-separated overlay topologies; non-empty grows a third grid axis (e.g. uniform,kout:8,wan:4)")
+		names     = s.fs.String("scenarios", "", "comma-separated bundled scenario names (default: whole suite)")
+		protoList = s.fs.String("protocols", "", "comma-separated protocol rows (default: all seven)")
+		fanout    = s.fs.Float64("fanout", 5, "mean fanout")
+		q         = s.fs.Float64("q", 1, "static nonfailed ratio")
+		rounds    = s.fs.Int("rounds", 10, "round budget for round-based baselines")
+		topoList  = s.fs.String("topologies", "", "comma-separated overlay topologies; non-empty grows a third grid axis (e.g. uniform,kout:8,wan:4)")
 	)
-	pprof := pprofFlag(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := s.parse(args); err != nil {
 		return err
 	}
-	if err := pprof(); err != nil {
-		return err
-	}
-	if err := checkFormat(*format, "csv", "json", "ascii"); err != nil {
-		return err
-	}
-	scenarios, err := selectScenarioList(*names)
-	if err != nil {
-		return err
-	}
-	d, err := makeDist(*distKind, *fanout)
-	if err != nil {
-		return err
-	}
-	spec := gossipkit.Compare{
-		Scenarios: scenarios,
-		Config: gossipkit.ScenarioRunConfig{
-			Params:            gossipkit.Params{N: *n, Fanout: d, AliveRatio: *q},
-			PartialViewCopies: *views,
-		},
-	}
-	if *topoList != "" {
-		for _, t := range strings.Split(*topoList, ",") {
-			topo, err := gossipkit.ParseTopology(strings.TrimSpace(t))
-			if err != nil {
-				return err
-			}
-			spec.Topologies = append(spec.Topologies, topo)
-		}
-	}
-	rows := strings.Split("paper,pbcast,lpbcast,anti-entropy,rdg,lrg,flooding", ",")
-	if *protoList != "" {
-		rows = strings.Split(*protoList, ",")
-	}
-	// The baselines take an integer per-round fanout where the paper row
-	// draws from a distribution of that mean; a fractional -fanout cannot
-	// be honored exactly on the baseline rows, so round it and say so
-	// rather than silently comparing protocols at different fanouts.
-	baseFanout := int(math.Round(*fanout))
-	if baseFanout < 1 {
-		return fmt.Errorf("-fanout %g: baseline protocol rows need a fanout >= 1", *fanout)
-	}
-	if float64(baseFanout) != *fanout {
-		fmt.Fprintf(os.Stderr, "note: baseline rows use integer fanout %d (paper row keeps mean %g)\n",
-			baseFanout, *fanout)
-	}
-	for _, row := range rows {
-		p, err := baselineSpec(strings.TrimSpace(row), *n, baseFanout, *rounds, *q, *views)
-		if err != nil {
+	scenarios := gossipkit.DefaultScenarioSuite()
+	if *names != "" {
+		var err error
+		if scenarios, err = parseList("-scenarios", *names, bundledScenario); err != nil {
 			return err
 		}
+	}
+	cfg, err := s.config(*fanout, *q)
+	if err != nil {
+		return err
+	}
+	spec := gossipkit.Compare{Scenarios: scenarios, Config: cfg}
+	if *topoList != "" {
+		if spec.Topologies, err = parseList("-topologies", *topoList, gossipkit.ParseTopology); err != nil {
+			return err
+		}
+	}
+	rows := "paper,pbcast,lpbcast,anti-entropy,rdg,lrg,flooding"
+	if *protoList != "" {
+		rows = *protoList
+	}
+	// pbcast, lpbcast, rdg and lrg take an integer per-round fanout where
+	// the paper row draws from a distribution of that mean (anti-entropy
+	// and flooding take none); a fractional -fanout cannot be honored
+	// exactly on those rows, so round it and say so rather than silently
+	// comparing protocols at different fanouts.
+	baseFanout, takesFanout := int(math.Round(*fanout)), false
+	specs, err := parseList("-protocols", rows, func(row string) (gossipkit.ProtocolSpec, error) {
+		takesFanout = takesFanout || slices.Contains([]string{"pbcast", "lpbcast", "rdg", "lrg"}, row)
+		return baselineSpec(row, *s.n, baseFanout, *rounds, *q, *s.views)
+	})
+	if err != nil {
+		return err
+	}
+	if takesFanout {
+		if baseFanout < 1 {
+			return fmt.Errorf("-fanout %g: baseline protocol rows need a fanout >= 1", *fanout)
+		}
+		if float64(baseFanout) != *fanout {
+			fmt.Fprintf(os.Stderr, "note: baseline rows use integer fanout %d (paper row keeps mean %g)\n",
+				baseFanout, *fanout)
+		}
+	}
+	for _, p := range specs {
 		if p == nil {
 			spec.Paper = true
-			continue
+		} else {
+			spec.Protocols = append(spec.Protocols, p)
 		}
-		spec.Protocols = append(spec.Protocols, p)
 	}
-	topos := max(len(spec.Topologies), 1)
-	cells := topos * (len(spec.Protocols) + b2i(spec.Paper)) * len(scenarios) * *seeds
-
-	start := time.Now()
-	out, err := gossipkit.RunMany(ctx, spec, *seeds,
-		gossipkit.WithSeed(*seed), gossipkit.WithWorkers(*workers),
-		gossipkit.WithObserver(observer(*progress, cells)))
-	if err != nil {
-		return err
+	protocols := len(spec.Protocols)
+	if spec.Paper {
+		protocols++
 	}
-	result := out.Aggregate.(*gossipkit.ScenarioCompareResult)
-	elapsed := time.Since(start)
-	fmt.Fprintf(os.Stderr, "ran %d protocols x %d scenarios x %d topologies x %d seeds = %d executions in %v (%.1f runs/sec)\n",
-		len(result.Protocols), len(scenarios), topos, *seeds, cells,
-		elapsed.Round(time.Millisecond), float64(cells)/elapsed.Seconds())
-
-	switch *format {
-	case "csv":
-		fmt.Print(result.CSV())
-	case "json":
-		enc, err := json.MarshalIndent(result, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(enc))
-	case "ascii":
-		fmt.Print(result.Table())
-	}
-	return nil
-}
-
-// checkFormat rejects a -format outside want before anything runs: the
-// output switch sits after the whole sweep.
-func checkFormat(format string, want ...string) error {
-	if slices.Contains(want, format) {
-		return nil
-	}
-	return fmt.Errorf("unknown format %q (want %s)", format, strings.Join(want, ", "))
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
+	_, err = s.sweep(ctx, spec, []dim{{protocols, "protocols"}, {len(scenarios), "scenarios"},
+		{max(len(spec.Topologies), 1), "topologies"}})
+	return err
 }
 
 // baselineSpec builds one comparison row's protocol parameters from the
-// shared CLI knobs (fanout already validated >= 1); a nil spec with nil
-// error means the paper row.
+// shared CLI knobs (fanout already validated >= 1 for the rows that take
+// one); a nil spec with nil error means the paper row.
 func baselineSpec(row string, n, fanout, rounds int, q float64, views int) (gossipkit.ProtocolSpec, error) {
 	switch row {
 	case "paper":
@@ -513,23 +472,6 @@ func baselineSpec(row string, n, fanout, rounds int, q float64, views int) (goss
 	}
 }
 
-// selectScenarioList resolves a comma-separated list of bundled scenario
-// names; empty means the whole bundled suite.
-func selectScenarioList(names string) ([]*gossipkit.Scenario, error) {
-	if names == "" {
-		return gossipkit.DefaultScenarioSuite(), nil
-	}
-	var out []*gossipkit.Scenario
-	for _, name := range strings.Split(names, ",") {
-		s, err := bundledScenario(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
 // bundledScenario resolves one bundled scenario name, failing with the
 // list of known names.
 func bundledScenario(name string) (*gossipkit.Scenario, error) {
@@ -544,54 +486,28 @@ func bundledScenario(name string) (*gossipkit.Scenario, error) {
 	return s, nil
 }
 
-// parseFloats parses a comma-separated list of floats, rejecting any
-// malformed entry outright.
-func parseFloats(flagName, list string) ([]float64, error) {
-	var out []float64
-	for _, s := range strings.Split(list, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad %s entry %q: %w", flagName, s, err)
+// parseList parses a comma-separated flag value entry by entry, rejecting
+// an empty entry (as in "a,,b") before anything runs.
+func parseList[T any](flagName, list string, parse func(string) (T, error)) ([]T, error) {
+	entries := strings.Split(list, ",")
+	out := make([]T, len(entries))
+	for i, e := range entries {
+		if e = strings.TrimSpace(e); e == "" {
+			return nil, fmt.Errorf("empty entry in %s %q", flagName, list)
 		}
-		out = append(out, v)
+		var err error
+		if out[i], err = parse(e); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
 
-func selectScenarios(suite, name, spec string) ([]*gossipkit.Scenario, error) {
-	selected := 0
-	for _, s := range []string{suite, name, spec} {
-		if s != "" {
-			selected++
-		}
+// parseFloat parses one entry of a list of floats.
+func parseFloat(flagName, entry string) (float64, error) {
+	v, err := strconv.ParseFloat(entry, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad %s entry %q: %w", flagName, entry, err)
 	}
-	if selected > 1 {
-		return nil, fmt.Errorf("choose one of -suite, -scenario, -spec")
-	}
-	switch {
-	case name != "":
-		s, err := bundledScenario(name)
-		if err != nil {
-			return nil, err
-		}
-		return []*gossipkit.Scenario{s}, nil
-	case spec != "":
-		data, err := os.ReadFile(spec)
-		if err != nil {
-			return nil, err
-		}
-		s, err := gossipkit.ParseScenario(data)
-		if err != nil {
-			return nil, err
-		}
-		return []*gossipkit.Scenario{s}, nil
-	case suite == "" || suite == "default":
-		return gossipkit.DefaultScenarioSuite(), nil
-	default:
-		return nil, fmt.Errorf("unknown suite %q (only \"default\" is bundled)", suite)
-	}
-}
-
-func makeDist(kind string, fanout float64) (gossipkit.Distribution, error) {
-	return gossipkit.ParseFanout(kind, fanout)
+	return v, nil
 }

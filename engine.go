@@ -148,10 +148,12 @@ type Outcome struct {
 	Stream *MergedStreamMetrics
 	// Aggregate is the engine's native aggregate, when it has one:
 	// Prediction (Analytic), Estimate or ComponentEstimate (MonteCarlo),
-	// SuccessOutcome (Success), *ScenarioSweepResult or
-	// *ScenarioGridResult (Campaign under RunMany), *ProtocolSweep (a
-	// protocol baseline under RunMany), *ScenarioCompareResult (Compare).
-	// Nil otherwise.
+	// SuccessOutcome (Success), *ScenarioSweepResult or, with Qs or
+	// Fanouts set, *ScenarioGridResult (Campaign under RunMany),
+	// *ProtocolSweep (a protocol baseline under RunMany),
+	// *ScenarioCompareResult (Compare). The three scenario aggregates are
+	// views of one topology × protocol × scenario × q × fanout product,
+	// cells in that order with only the swept axes labeled. Nil otherwise.
 	Aggregate any
 }
 

@@ -45,16 +45,11 @@ type Compare struct {
 func (Compare) Name() string { return "compare" }
 
 func (s Compare) validate(o *runOptions) error {
-	if len(s.Scenarios) == 0 {
-		return fmt.Errorf("%w: comparison has no scenarios", ErrInvalidParams)
+	if err := validateCampaigns("comparison", s.Name(), s.Scenarios, o); err != nil {
+		return err
 	}
 	if len(s.Protocols) == 0 && !s.Paper {
 		return fmt.Errorf("%w: comparison has no protocols (list baselines or set Paper)", ErrInvalidParams)
-	}
-	for _, sc := range s.Scenarios {
-		if err := sc.Validate(); err != nil {
-			return invalid(err)
-		}
 	}
 	for i, p := range s.Protocols {
 		if p == nil {
@@ -63,9 +58,6 @@ func (s Compare) validate(o *runOptions) error {
 		if err := p.Validate(); err != nil {
 			return invalid(err)
 		}
-	}
-	if o.rng != nil {
-		return fmt.Errorf("%w: the compare engine derives RNG streams from seeds; use WithSeed", ErrInvalidParams)
 	}
 	if o.probe != nil {
 		// One merged curve has no meaning across protocol rows; probe a
@@ -105,14 +97,12 @@ func (s Compare) run(ctx context.Context, o *runOptions, emit func(Report)) (any
 		executors = append(executors, scenario.NewProtocolExecutor(p))
 	}
 
-	cfg := scenario.CompareConfig{
+	p, err := scenario.Axes{
 		Run: s.Config, Executors: executors, Topologies: s.Topologies,
 		Seeds: o.runs, BaseSeed: o.seed, Workers: o.workers,
-	}
-	res, err := scenario.CompareCtx(ctx, s.Scenarios, cfg,
-		func(cell int, rep scenario.RunReport) { emit(scenarioReport(rep)) })
+	}.Sweep(ctx, s.Scenarios, func(_ int, rep scenario.RunReport) { emit(scenarioReport(rep)) })
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return p.CompareResult(), nil
 }

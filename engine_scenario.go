@@ -43,13 +43,8 @@ type Campaign struct {
 func (Campaign) Name() string { return "scenario" }
 
 func (s Campaign) validate(o *runOptions) error {
-	if len(s.Scenarios) == 0 {
-		return fmt.Errorf("%w: campaign has no scenarios", ErrInvalidParams)
-	}
-	for _, sc := range s.Scenarios {
-		if err := sc.Validate(); err != nil {
-			return invalid(err)
-		}
+	if err := validateCampaigns("campaign", s.Name(), s.Scenarios, o); err != nil {
+		return err
 	}
 	if s.Config.Executor == nil {
 		// The paper path runs Config.Params; a protocol executor carries
@@ -57,9 +52,6 @@ func (s Campaign) validate(o *runOptions) error {
 		if err := s.Config.Params.Validate(); err != nil {
 			return invalid(err)
 		}
-	}
-	if o.rng != nil {
-		return fmt.Errorf("%w: the scenario engine derives RNG streams from seeds; use WithSeed", ErrInvalidParams)
 	}
 	if err := mergeRunConfig(&s.Config, o); err != nil {
 		return err
@@ -121,24 +113,36 @@ func (s Campaign) run(ctx context.Context, o *runOptions, emit func(Report)) (an
 		return nil, nil
 	}
 
-	observe := func(cell int, rep scenario.RunReport) { emit(scenarioReport(rep)) }
-	if grid {
-		cfg := scenario.GridConfig{
-			Run: s.Config, Qs: s.Qs, Fanouts: s.Fanouts,
-			Seeds: o.runs, BaseSeed: o.seed, Workers: o.workers,
-		}
-		res, err := scenario.SweepGridCtx(ctx, s.Scenarios, cfg, observe)
-		if err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-	cfg := scenario.SweepConfig{Run: s.Config, Seeds: o.runs, BaseSeed: o.seed, Workers: o.workers, Probe: o.probe}
-	res, err := scenario.SweepCtx(ctx, s.Scenarios, cfg, observe)
+	p, err := scenario.Axes{
+		Run: s.Config, Qs: s.Qs, Fanouts: s.Fanouts,
+		Seeds: o.runs, BaseSeed: o.seed, Workers: o.workers, Probe: o.probe,
+	}.Sweep(ctx, s.Scenarios, func(_ int, rep scenario.RunReport) { emit(scenarioReport(rep)) })
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	if grid {
+		return p.GridResult(), nil
+	}
+	return p.SweepResult(), nil
+}
+
+// validateCampaigns is the check both scenario engines (Campaign and
+// Compare) open with: at least one campaign, each valid, and seeds rather
+// than a caller's RNG stream, from which a sweep could not derive one
+// stream per cell.
+func validateCampaigns(what, engine string, scenarios []*Scenario, o *runOptions) error {
+	if len(scenarios) == 0 {
+		return fmt.Errorf("%w: %s has no scenarios", ErrInvalidParams, what)
+	}
+	for _, sc := range scenarios {
+		if err := sc.Validate(); err != nil {
+			return invalid(err)
+		}
+	}
+	if o.rng != nil {
+		return fmt.Errorf("%w: the %s engine derives RNG streams from seeds; use WithSeed", ErrInvalidParams, engine)
+	}
+	return nil
 }
 
 func scenarioReport(rep ScenarioReport) Report {

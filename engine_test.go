@@ -363,14 +363,14 @@ func TestCampaignGridAggregate(t *testing.T) {
 	if out.Runs != 2*2*2*2 {
 		t.Fatalf("outcome saw %d runs, want one per grid execution", out.Runs)
 	}
-	old, err := scenario.SweepGridCtx(context.Background(), scenarios, scenario.GridConfig{
+	old, err := scenario.Axes{
 		Run: cfg, Qs: qs, Fanouts: fans, Seeds: 2, BaseSeed: 5, Workers: 1,
-	}, nil)
+	}.Sweep(context.Background(), scenarios, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(grid, old) {
-		t.Error("engine grid diverged from scenario.SweepGrid")
+	if !reflect.DeepEqual(grid, old.GridResult()) {
+		t.Error("engine grid diverged from Axes.Sweep")
 	}
 }
 

@@ -37,7 +37,7 @@ func CurvesOverlay(cfg Config) (*Figure, error) {
 		if !ok {
 			return nil, fmt.Errorf("experiment: scenario %q missing from the bundled suite", name)
 		}
-		sweepCfg := scenario.SweepConfig{
+		res, err := scenario.Axes{
 			Run: scenario.RunConfig{
 				Params:            core.Params{N: n, Fanout: dist.NewPoisson(z), AliveRatio: 1},
 				PartialViewCopies: 2,
@@ -45,8 +45,7 @@ func CurvesOverlay(cfg Config) (*Figure, error) {
 			Seeds:    seeds,
 			BaseSeed: cfg.Seed,
 			Probe:    &obs.Options{CurveTick: 5 * time.Millisecond},
-		}
-		res, err := scenario.SweepCtx(cfg.ctx(), []*scenario.Scenario{s}, sweepCfg, nil)
+		}.Sweep(cfg.ctx(), []*scenario.Scenario{s}, nil)
 		if err != nil {
 			return nil, err
 		}

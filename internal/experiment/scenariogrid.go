@@ -22,15 +22,14 @@ func ScenarioGrid(cfg Config) (*Figure, error) {
 	}
 	suite := scenario.DefaultSuite()
 	seeds := cfg.runs(20, 3)
-	sweepCfg := scenario.SweepConfig{
+	res, err := scenario.Axes{
 		Run: scenario.RunConfig{
 			Params:            core.Params{N: 1000, Fanout: dist.NewPoisson(5), AliveRatio: 1},
 			PartialViewCopies: 2,
 		},
 		Seeds:    seeds,
 		BaseSeed: cfg.Seed,
-	}
-	res, err := scenario.SweepCtx(cfg.ctx(), suite, sweepCfg, nil)
+	}.Sweep(cfg.ctx(), suite, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -38,7 +37,7 @@ func ScenarioGrid(cfg Config) (*Figure, error) {
 	survivors := Series{Name: "survivor reliability"}
 	static := Series{Name: "static-q analysis (Eq. 11)"}
 	effective := Series{Name: "effective-q analysis"}
-	for i, s := range res.Scenarios {
+	for i, s := range res.Cells {
 		x := float64(i)
 		measured.X = append(measured.X, x)
 		measured.Y = append(measured.Y, s.Reliability.Mean)

@@ -36,7 +36,7 @@ func TestCSVEscapesScenarioNames(t *testing.T) {
 	run := RunConfig{Params: core.Params{N: 100, Fanout: dist.NewPoisson(5), AliveRatio: 1}}
 	const want = `"crash, ""wave"""`
 
-	sweep, err := SweepCtx(context.Background(), []*Scenario{s}, SweepConfig{Run: run, Seeds: 1, BaseSeed: 3}, nil)
+	sweep, err := sweepView([]*Scenario{s}, Axes{Run: run, Seeds: 1, BaseSeed: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestCSVEscapesScenarioNames(t *testing.T) {
 		t.Errorf("sweep CSV did not escape the name:\n%s", sweep.CSV())
 	}
 
-	grid, err := SweepGridCtx(context.Background(), []*Scenario{s}, GridConfig{Run: run, Qs: []float64{1}, Seeds: 1, BaseSeed: 3}, nil)
+	grid, err := gridView([]*Scenario{s}, Axes{Run: run, Qs: []float64{1}, Seeds: 1, BaseSeed: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,12 +52,12 @@ func TestCSVEscapesScenarioNames(t *testing.T) {
 		t.Errorf("grid CSV did not escape the name:\n%s", grid.CSV())
 	}
 
-	cmp, err := CompareCtx(context.Background(), []*Scenario{s}, CompareConfig{
+	p, err := CompareCtx(context.Background(), []*Scenario{s}, CompareConfig{
 		Run: run, Executors: []Executor{PaperExecutor("paper")}, Seeds: 1, BaseSeed: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(cmp.CSV(), "paper,"+want+",") {
-		t.Errorf("compare CSV did not escape the name:\n%s", cmp.CSV())
+	if cmp := p.CompareResult().CSV(); !strings.Contains(cmp, "paper,"+want+",") {
+		t.Errorf("compare CSV did not escape the name:\n%s", cmp)
 	}
 }

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"context"
 	"strings"
 	"testing"
 	"time"
@@ -34,7 +33,7 @@ crash-wave,120,2,204.5,0.7071067811865476,0,1014,746,0,268,0,0
 	if !ok {
 		t.Fatal("crash-wave missing from the bundled suite")
 	}
-	cfg := SweepConfig{
+	cfg := Axes{
 		Run: RunConfig{
 			Params:            core.Params{N: 300, Fanout: dist.NewPoisson(5), AliveRatio: 1},
 			PartialViewCopies: 2,
@@ -45,7 +44,7 @@ crash-wave,120,2,204.5,0.7071067811865476,0,1014,746,0,268,0,0
 	for _, workers := range []int{1, 3} {
 		c := cfg
 		c.Workers = workers
-		res, err := SweepCtx(context.Background(), []*Scenario{s}, c, nil)
+		res, err := sweepView([]*Scenario{s}, c, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

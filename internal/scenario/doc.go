@@ -19,10 +19,15 @@
 // (params, scenario, seed): repeated runs with the same seed are
 // byte-identical.
 //
-// The sweep runners (SweepCtx, SweepGridCtx, CompareCtx) flatten their axes
-// into points and share one cell driver (sweepPoints) that replicates points
-// × seeds on runpool.Replicate; cells are data-independent and reduced in grid
-// order, so output is byte-identical for any worker count. Each worker
-// recycles one core.NetArena, so after its first run a worker executes
-// campaigns with zero O(n)-sized allocations per run.
+// Every sweep is one axis product (Axes): topology × protocol × scenario ×
+// q × fanout × replication, an empty axis standing for the run's own value.
+// Axes.Sweep builds the cells in that order, derives each replication's seed
+// from its (scenario, [q, fanout], replication) indices alone, replicates
+// on runpool.Replicate and reduces in cell order, so output is
+// byte-identical for any worker count. The plain sweep, the (scenario × q ×
+// fanout) grid and the (protocol × scenario [× topology]) comparison are
+// views of that one Product (SweepResult, GridResult, CompareResult) that
+// share one CSV writer. Each worker recycles one core.NetArena, so after
+// its first run a worker executes campaigns with zero O(n)-sized
+// allocations per run.
 package scenario

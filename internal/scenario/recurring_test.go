@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -146,7 +145,7 @@ func TestGridSweep(t *testing.T) {
 		New("baseline", ""),
 		New("wave", "").At(4*time.Millisecond, CrashFraction(0.1)),
 	}
-	cfg := GridConfig{
+	cfg := Axes{
 		Run:      testConfig(200),
 		Qs:       []float64{0.8, 1.0},
 		Fanouts:  []dist.Distribution{dist.NewPoisson(3), dist.NewPoisson(6)},
@@ -154,7 +153,7 @@ func TestGridSweep(t *testing.T) {
 		BaseSeed: 77,
 		Workers:  1,
 	}
-	got, err := SweepGridCtx(context.Background(), scenarios, cfg, nil)
+	got, err := gridView(scenarios, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +175,7 @@ func TestGridSweep(t *testing.T) {
 
 	aJSON, _ := json.Marshal(got)
 	cfg.Workers = 4
-	again, err := SweepGridCtx(context.Background(), scenarios, cfg, nil)
+	again, err := gridView(scenarios, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,23 +197,28 @@ func TestGridSweep(t *testing.T) {
 	}
 }
 
-// TestGridSweepDefaults: empty Qs/Fanouts fall back to the base Params.
+// TestGridSweepDefaults: (q, fanout) is one labeled pair — with only Qs or
+// only Fanouts set, the other falls back to the base Params.
 func TestGridSweepDefaults(t *testing.T) {
-	got, err := SweepGridCtx(context.Background(), []*Scenario{New("baseline", "")}, GridConfig{
-		Run: testConfig(150), Seeds: 2, BaseSeed: 3,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, ax := range []Axes{
+		{Run: testConfig(150), Seeds: 2, BaseSeed: 3, Qs: []float64{1}},
+		{Run: testConfig(150), Seeds: 2, BaseSeed: 3, Fanouts: []dist.Distribution{dist.NewPoisson(5)}},
+	} {
+		got, err := gridView([]*Scenario{New("baseline", "")}, ax, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Cells) != 1 || got.Cells[0].Q != 1 || got.Cells[0].Fanout != "Poisson(5)" ||
+			len(got.Qs) != 1 || len(got.Fanouts) != 1 {
+			t.Fatalf("default grid: qs %v fanouts %v cells %+v", got.Qs, got.Fanouts, got.Cells)
+		}
 	}
-	if len(got.Cells) != 1 || got.Cells[0].Q != 1 || got.Cells[0].Fanout != "Poisson(5)" {
-		t.Fatalf("default grid: %+v", got.Cells)
-	}
-	if _, err := SweepGridCtx(context.Background(), nil, GridConfig{Run: testConfig(150)}, nil); err == nil {
+	if _, err := gridView(nil, Axes{Run: testConfig(150)}, nil); err == nil {
 		t.Error("empty grid sweep accepted")
 	}
-	shared := GridConfig{Run: testConfig(150), Seeds: 1}
+	shared := Axes{Run: testConfig(150), Seeds: 1}
 	shared.Run.Params.View = membership.NewPartialViews(150, 2, xrand.New(1))
-	if _, err := SweepGridCtx(context.Background(), []*Scenario{New("baseline", "")}, shared, nil); err == nil {
+	if _, err := gridView([]*Scenario{New("baseline", "")}, shared, nil); err == nil {
 		t.Error("grid sweep accepted a shared membership view")
 	}
 }

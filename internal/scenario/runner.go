@@ -7,6 +7,7 @@ import (
 	"gossipkit/internal/core"
 	"gossipkit/internal/membership"
 	"gossipkit/internal/obs"
+	"gossipkit/internal/protocols"
 	"gossipkit/internal/sim"
 	"gossipkit/internal/simnet"
 	"gossipkit/internal/stats"
@@ -19,8 +20,8 @@ import (
 // target any protocol. The default (nil RunConfig.Executor) runs the
 // paper's own algorithm via core.ExecuteOnNetworkArena; the facade builds
 // executors for the six related-work baselines on top of the protocol DES
-// runtime. Executors must be stateless values: the sweep and comparison
-// grids share one executor across workers.
+// runtime. Executors must be stateless values: a sweep shares one executor
+// across workers.
 type Executor interface {
 	// Protocol labels the executor's rows in reports and the comparison
 	// CSV. The default executor returns "" so single-protocol sweep JSON
@@ -60,7 +61,7 @@ type RunConfig struct {
 	// mutated across churn runs.
 	PartialViewCopies int
 	// Executor selects the protocol under the campaign; nil runs the
-	// paper's algorithm (Params). The comparison grid sets it per row.
+	// paper's algorithm (Params). Axes.Executors sets it per row.
 	Executor Executor
 	// Shards is the shard-kernel count core.ExecuteOnNetworkSharded runs
 	// the default (paper) executor on. 0 and 1 both mean one shard — the
@@ -82,10 +83,10 @@ type RunConfig struct {
 	// latency/hops histograms, optional ring tracing; see internal/obs)
 	// and attaches its per-run Metrics snapshot to the RunReport. A probe
 	// is single-goroutine state bound to one run at a time: set it for
-	// single Run calls only — the sweep builds one pooled probe per
-	// worker from SweepConfig.Probe instead. The probe never perturbs the
-	// run (no RNG consumption, no kernel events), so reports are
-	// bit-identical with it on or off.
+	// single Run calls only — a sweep builds one pooled probe per worker
+	// from Axes.Probe instead. The probe never perturbs the run (no RNG
+	// consumption, no kernel events), so reports are bit-identical with it
+	// on or off.
 	Probe *obs.Probe
 	// Topology selects the gossip overlay (internal/topology): the zero
 	// value is the paper's uniform selection and leaves every code path
@@ -149,6 +150,39 @@ func (paperExecutor) Predict(cfg RunConfig, q float64) (float64, bool) {
 	}
 	return pred.Reliability, true
 }
+
+// PaperExecutor returns the paper's-algorithm executor with an explicit
+// protocol label for comparison rows (the default, unlabeled executor
+// keeps single-protocol sweep output byte-stable by labeling rows "").
+func PaperExecutor(label string) Executor { return paperExecutor{label: label} }
+
+// NewProtocolExecutor wraps a baseline protocol spec (protocols.PbcastParams,
+// LpbcastParams, AntiEntropyParams, RDGParams, LRGParams, FloodingParams)
+// as a scenario Executor on the shared DES runtime: the campaign's crashes,
+// partitions, loss episodes, and publishes inject through the same NetRun
+// seam as paper runs. The executor ignores RunConfig.Params — the protocol
+// spec carries its own group size and parameters — and has no analytic
+// model (Predict always reports ok=false).
+func NewProtocolExecutor(spec protocols.Spec) Executor {
+	return protocolExecutor{spec: spec}
+}
+
+type protocolExecutor struct {
+	spec protocols.Spec
+}
+
+func (e protocolExecutor) Protocol() string { return e.spec.Protocol() }
+
+func (e protocolExecutor) Shape(RunConfig) (int, int) { return protocols.Shape(e.spec) }
+
+func (e protocolExecutor) Execute(cfg RunConfig, r *xrand.RNG, inject func(*core.NetRun), arena *core.NetArena) (core.NetResult, error) {
+	des := protocols.DESConfig{Net: cfg.Net, RoundInterval: cfg.RoundInterval, Probe: cfg.Probe,
+		Topology: cfg.Topology}
+	out, err := protocols.RunOnDES(e.spec, des, r, inject, arena)
+	return out.NetResult, err
+}
+
+func (protocolExecutor) Predict(RunConfig, float64) (float64, bool) { return 0, false }
 
 // ExecutePaper is the default executor's Execute, exported so comparison
 // rows that pit the paper's algorithm against the baselines can wrap it
@@ -231,8 +265,8 @@ type RunReport struct {
 	// Latency summarizes per-member first-receipt latencies (seconds).
 	Latency LatencySummary `json:"latency"`
 	// Metrics is the run's telemetry snapshot when a probe observed it
-	// (RunConfig.Probe / SweepConfig.Probe); nil otherwise. Excluded from
-	// the JSON encoding so probed and unprobed sweep output stay
+	// (RunConfig.Probe / Axes.Probe); nil otherwise. Excluded from the
+	// JSON encoding so probed and unprobed sweep output stay
 	// byte-identical.
 	Metrics *obs.Metrics `json:"-"`
 }

@@ -11,12 +11,124 @@ import (
 	"gossipkit/internal/dist"
 	"gossipkit/internal/membership"
 	"gossipkit/internal/simnet"
+	"gossipkit/internal/topology"
 	"gossipkit/internal/xrand"
 )
 
 func testConfig(n int) RunConfig {
 	return RunConfig{
 		Params: core.Params{N: n, Fanout: dist.NewPoisson(5), AliveRatio: 1},
+	}
+}
+
+// sweepView runs Axes.Sweep and returns the product's sweep view.
+func sweepView(scenarios []*Scenario, ax Axes, observe Observer) (*SweepResult, error) {
+	p, err := ax.Sweep(context.Background(), scenarios, observe)
+	if err != nil {
+		return nil, err
+	}
+	return p.SweepResult(), nil
+}
+
+// gridView runs Axes.Sweep and returns the product's (scenario × q × fanout)
+// view.
+func gridView(scenarios []*Scenario, ax Axes, observe Observer) (*GridResult, error) {
+	p, err := ax.Sweep(context.Background(), scenarios, observe)
+	if err != nil {
+		return nil, err
+	}
+	return p.GridResult(), nil
+}
+
+// TestSeedRule: the product's one seed function reproduces the three
+// formulas the sweep, grid and comparison drivers each had, and the
+// protocol and topology rows never enter it.
+func TestSeedRule(t *testing.T) {
+	const base = 2008
+	sweep := func(si, ri int) uint64 {
+		return base + uint64(si)*0x9e3779b97f4a7c15 + uint64(ri)*0xbf58476d1ce4e5b9 + 1
+	}
+	grid := func(si, qi, fi, ri int) uint64 {
+		return base + uint64(si)*0x9e3779b97f4a7c15 + uint64(qi)*0xbf58476d1ce4e5b9 +
+			uint64(fi)*0x94d049bb133111eb + uint64(ri)*0xd6e8feb86659fd93 + 1
+	}
+	plain := Axes{BaseSeed: base}
+	compare := Axes{BaseSeed: base, Executors: []Executor{PaperExecutor("paper"), PaperExecutor("b")},
+		Topologies: []topology.Spec{{}, {Kind: topology.KOut, K: 4}}}
+	qOnly := Axes{BaseSeed: base, Qs: []float64{0.5, 1}}
+	fanOnly := Axes{BaseSeed: base, Fanouts: []dist.Distribution{dist.NewPoisson(3)}}
+	for si := range 3 {
+		for ri := range 3 {
+			if got, want := plain.seed(si, 0, 0, ri), sweep(si, ri); got != want {
+				t.Errorf("sweep seed(%d, %d) = %x, want %x", si, ri, got, want)
+			}
+			if got, want := compare.seed(si, 0, 0, ri), sweep(si, ri); got != want {
+				t.Errorf("compare seed(%d, %d) = %x, want %x", si, ri, got, want)
+			}
+			for qi := range 2 {
+				for fi := range 2 {
+					for _, ax := range []Axes{qOnly, fanOnly} {
+						if got, want := ax.seed(si, qi, fi, ri), grid(si, qi, fi, ri); got != want {
+							t.Errorf("grid seed(%d, %d, %d, %d) = %x, want %x", si, qi, fi, ri, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestProductOrder: Axes.Sweep streams runs in the flattening
+// ((((ti·|P|+pi)·|S|+si)·|Q|+qi)·|F|+fi)·Seeds+ri, labels exactly the
+// axes that are set, and seeds each run from (si, qi, fi, ri) alone.
+func TestProductOrder(t *testing.T) {
+	scenarios := []*Scenario{New("a", ""), New("b", "").At(0, CrashFraction(0.1))}
+	ax := Axes{
+		Run:        testConfig(60),
+		Executors:  []Executor{PaperExecutor("p0"), PaperExecutor("p1")},
+		Topologies: []topology.Spec{{}, {Kind: topology.KOut, K: 4}},
+		Qs:         []float64{0.5, 0.9, 1},
+		Seeds:      2,
+		BaseSeed:   11,
+		Workers:    3,
+	}
+	nt, np, ns, nq, nf := 2, 2, 2, 3, 1
+	var got []RunReport
+	p, err := ax.Sweep(context.Background(), scenarios, func(i int, rep RunReport) {
+		if i != len(got) {
+			t.Fatalf("run %d observed at position %d", i, len(got))
+		}
+		got = append(got, rep)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != nt*np*ns*nq*nf*ax.Seeds || len(p.Cells) != nt*np*ns*nq*nf {
+		t.Fatalf("%d runs in %d cells", len(got), len(p.Cells))
+	}
+	for i, rep := range got {
+		ri, c := i%ax.Seeds, i/ax.Seeds
+		fi, qi, si, pi, ti := c%nf, c/nf%nq, c/nf/nq%ns, c/nf/nq/ns%np, c/nf/nq/ns/np
+		if rep.Scenario != scenarios[si].Name || rep.Protocol != ax.Executors[pi].Protocol() ||
+			rep.Seed != ax.seed(si, qi, fi, ri) {
+			t.Errorf("run %d: %s/%s seed %x, want %s/%s seed %x", i, rep.Protocol, rep.Scenario, rep.Seed,
+				ax.Executors[pi].Protocol(), scenarios[si].Name, ax.seed(si, qi, fi, ri))
+		}
+		cell := p.Cells[c]
+		want := Cell{Topology: ax.Topologies[ti].String(), Protocol: ax.Executors[pi].Protocol(),
+			Q: ax.Qs[qi], Fanout: "Poisson(5)"}
+		if cell.Topology != want.Topology || cell.Protocol != want.Protocol || cell.Q != want.Q || cell.Fanout != want.Fanout {
+			t.Errorf("cell %d labeled %+v, want %+v", c, cell, want)
+		}
+	}
+	plain, err := Axes{Run: testConfig(60)}.Sweep(context.Background(), scenarios, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range plain.Cells {
+		if c.Topology != "" || c.Protocol != "" || c.Q != 0 || c.Fanout != "" {
+			t.Errorf("unlabeled product labeled a cell: %+v", c)
+		}
 	}
 }
 
@@ -119,16 +231,16 @@ func TestHealRestoresDelivery(t *testing.T) {
 
 func TestSweepWorkerInvariance(t *testing.T) {
 	suite := DefaultSuite()[:4]
-	base := SweepConfig{Run: testConfig(300), Seeds: 3, BaseSeed: 7}
+	base := Axes{Run: testConfig(300), Seeds: 3, BaseSeed: 7}
 	one := base
 	one.Workers = 1
 	many := base
 	many.Workers = 8
-	a, err := SweepCtx(context.Background(), suite, one, nil)
+	a, err := sweepView(suite, one, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SweepCtx(context.Background(), suite, many, nil)
+	b, err := sweepView(suite, many, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,12 +334,12 @@ func TestSweepRejectsSharedMutableState(t *testing.T) {
 	suite := DefaultSuite()[:1]
 	shared := testConfig(100)
 	shared.Params.View = membership.NewPartialViews(100, 1, xrand.New(1))
-	if _, err := SweepCtx(context.Background(), suite, SweepConfig{Run: shared, Seeds: 2}, nil); err == nil {
+	if _, err := sweepView(suite, Axes{Run: shared, Seeds: 2}, nil); err == nil {
 		t.Error("sweep accepted a shared Params.View")
 	}
 	bursty := testConfig(100)
 	bursty.Net.Loss = simnet.NewGilbertElliott(0.1, 0.3, 0.01, 0.8)
-	if _, err := SweepCtx(context.Background(), suite, SweepConfig{Run: bursty, Seeds: 2}, nil); err == nil {
+	if _, err := sweepView(suite, Axes{Run: bursty, Seeds: 2}, nil); err == nil {
 		t.Error("sweep accepted a shared stateful Gilbert-Elliott loss model")
 	}
 }

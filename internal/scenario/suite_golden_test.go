@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -38,7 +37,7 @@ func TestRegossipHeartbeatGolden(t *testing.T) {
 		t.Fatal("regossip-heartbeat has no recurring step")
 	}
 
-	cfg := SweepConfig{
+	cfg := Axes{
 		Run: RunConfig{
 			Params:            core.Params{N: 600, Fanout: dist.NewPoisson(5), AliveRatio: 1},
 			PartialViewCopies: 2,
@@ -49,7 +48,7 @@ func TestRegossipHeartbeatGolden(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		c := cfg
 		c.Workers = workers
-		res, err := SweepCtx(context.Background(), []*Scenario{s}, c, nil)
+		res, err := sweepView([]*Scenario{s}, c, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

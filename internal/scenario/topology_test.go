@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"context"
 	"encoding/json"
 	"math"
 	"strings"
@@ -113,7 +112,7 @@ func TestTopologyPinnedAcrossWorkers(t *testing.T) {
 		run.Topology = topo
 		var first string
 		for _, workers := range []int{1, 4} {
-			res, err := SweepCtx(context.Background(), []*Scenario{s}, SweepConfig{
+			res, err := sweepView([]*Scenario{s}, Axes{
 				Run: run, Seeds: 25, BaseSeed: 2008, Workers: workers,
 			}, nil)
 			if err != nil {
@@ -210,7 +209,7 @@ func TestTopologyKOutConvergesToUniform(t *testing.T) {
 	mean := func(topo topology.Spec) float64 {
 		cfg := run
 		cfg.Topology = topo
-		res, err := SweepCtx(context.Background(), []*Scenario{s}, SweepConfig{Run: cfg, Seeds: 100, BaseSeed: 7}, nil)
+		res, err := sweepView([]*Scenario{s}, Axes{Run: cfg, Seeds: 100, BaseSeed: 7}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,7 @@ func generateKOut(n, k int, r *xrand.RNG) *Overlay {
 		}
 		adj[u] = nb
 	}
-	return newOverlay(KOut, 0, adj)
+	return newOverlay(KOut, adj)
 }
 
 // generateBarabasiAlbert grows a scale-free graph by preferential
@@ -83,7 +83,7 @@ func generateBarabasiAlbert(n, m int, r *xrand.RNG) *Overlay {
 			addEdge(u, int(t))
 		}
 	}
-	return newOverlay(ScaleFree, 0, adj)
+	return newOverlay(ScaleFree, adj)
 }
 
 // generateWAN builds a clustered WAN overlay: members are split into
@@ -122,5 +122,5 @@ func generateWAN(n, zones, k int, r *xrand.RNG) *Overlay {
 		nb = append(nb, int32(blo+r.Intn(bhi-blo)))
 		adj[u] = nb
 	}
-	return newOverlay(WAN, zones, adj)
+	return newOverlay(WAN, adj)
 }

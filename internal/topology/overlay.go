@@ -16,15 +16,14 @@ import (
 // and crashed members vanish from neighbor sets) and Restore(v) swaps it
 // back, so capacity never grows and no allocation happens mid-run.
 //
-// Concurrency: SampleTargets, Neighbors, Degree, N, and Zones are strictly
+// Concurrency: SampleTargets, Neighbors, Degree, and N are strictly
 // read-only and safe for concurrent use from shard kernels with
 // independent RNGs. Remove and Restore mutate the live prefixes and must
 // only run while no kernel is sampling (the scenario runner applies them
 // at window barriers, where shard workers are parked).
 type Overlay struct {
-	kind  Kind
-	n     int
-	zones int
+	kind Kind
+	n    int
 
 	arcs []int32 // out-arcs, grouped per member
 	off  []int32 // len n+1; member u's slots at [off[u], off[u+1])
@@ -38,12 +37,11 @@ type Overlay struct {
 // newOverlay flattens per-member adjacency lists (which must contain no
 // self-loops, duplicates, or out-of-range entries) and builds the
 // in-adjacency index Remove/Restore use.
-func newOverlay(kind Kind, zones int, adj [][]int32) *Overlay {
+func newOverlay(kind Kind, adj [][]int32) *Overlay {
 	n := len(adj)
 	o := &Overlay{
 		kind:  kind,
 		n:     n,
-		zones: zones,
 		off:   make([]int32, n+1),
 		deg:   make([]int32, n),
 		inOff: make([]int32, n+1),
@@ -183,12 +181,4 @@ func (o *Overlay) Restore(v int) int {
 		}
 	}
 	return restored
-}
-
-// Zones returns the zone count (1 for non-WAN overlays).
-func (o *Overlay) Zones() int {
-	if o.zones < 1 {
-		return 1
-	}
-	return o.zones
 }

@@ -117,9 +117,6 @@ func TestWANProperties(t *testing.T) {
 		for seed := uint64(0); seed < 25; seed++ {
 			ov := generateWAN(tc.n, tc.zones, tc.k, xrand.New(seed))
 			checkInvariants(t, ov)
-			if ov.Zones() != tc.zones {
-				t.Fatalf("zones %d, want %d", ov.Zones(), tc.zones)
-			}
 			// The zone map production runs is ZoneLatency's: the overlay's
 			// clusters must be laid out the way the latency matrix reads them.
 			zl := NewZoneLatency(tc.n, tc.zones, 0, 0)

@@ -1,10 +1,11 @@
 #!/bin/sh
 # lint-api.sh — fail CI when a binary or an example reaches past the
 # facade for a baseline protocol, when a DES front end assembles its own
-# sharded run, when a sweep goes to the worker pool directly, or when a
+# sharded run, when a sweep goes to the worker pool directly, when a
+# campaign grid is run under the comparison's bench-pinned names, or when a
 # package under internal/ is one nothing ships.
 #
-# Four greps (no linter dependency, runs anywhere a POSIX shell does):
+# Five greps (no linter dependency, runs anywhere a POSIX shell does):
 #
 #   - cmd/ and examples/ must not import internal/protocols — the facade
 #     engine specs (Pbcast, ..., Flooding, Compare) are the only supported
@@ -21,6 +22,11 @@
 #     new sweep gets its workers there, not from another hand-kept table
 #     indexed by worker id. (bench/ is its own tree — it replays the pool
 #     itself to time it — and is not scanned.)
+#   - outside internal/scenario and bench/, no non-test file names
+#     scenario.CompareCtx or scenario.CompareConfig: every campaign grid —
+#     sweep, (q × fanout) grid, comparison — is one scenario.Axes product
+#     run by Axes.Sweep, and those two names survive only because
+#     bench/ladder.go pins them.
 #   - every directory under internal/ is imported by at least one non-test
 #     file outside itself (the facade, a binary, an example, the bench or
 #     another package): a package only its own files and tests reach is an
@@ -81,6 +87,12 @@ scan 'runpool\.(Run|RunOrdered|Count)[[(]' \
     "run the sweep on runpool.Replicate: it owns the worker count, the per-worker state and the run-ordered reduction" \
     $(find . -name '*.go' ! -name '*_test.go' ! -path './internal/runpool/*' ! -path './bench/*')
 
+# shellcheck disable=SC2046 # as above
+scan 'scenario\.Compare(Ctx|Config)([^A-Za-z0-9_]|$)' \
+    "the comparison grid's bench-pinned names used outside internal/scenario" \
+    "build a scenario.Axes (Executors, Topologies, ...) and run it with Axes.Sweep" \
+    $(find . -name '*.go' ! -name '*_test.go' ! -path './internal/scenario/*' ! -path './bench/*')
+
 for dir in internal/*/; do
     pkg=$(basename "$dir")
     [ "$pkg" = golden ] && continue
@@ -102,4 +114,4 @@ for dir in internal/*/; do
     esac
 done
 
-echo "api-lint: cmd/ and examples/ are clean (no internal/protocols imports); one run assembly (internal/core/run.go); one replication driver (runpool.Replicate); no internal/ package is an island"
+echo "api-lint: cmd/ and examples/ are clean (no internal/protocols imports); one run assembly (internal/core/run.go); one replication driver (runpool.Replicate); one scenario grid (scenario.Axes); no internal/ package is an island"

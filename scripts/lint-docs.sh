@@ -161,11 +161,14 @@ done
 # parenthesis to spare the English verb), the TCP node island (the node
 # package, its wire codec and its daemon), the SIS/SIR package with the one
 # function that imported it, the fanout families and round predictor no
-# entry point reached, and the adjacency-list graph's two unreached
-# accessors (BFS.ReachableMask, Digraph.OutDegree) are deleted; README and ARCHITECTURE
-# must not describe them as if they existed. Where a surviving identifier contains
-# the name (EstimateReliabilityCtx, ExecuteOnNetworkArena, drawMaskInto,
-# ...) the pattern stops at the next letter.
+# entry point reached, the adjacency-list graph's two unreached
+# accessors (BFS.ReachableMask, Digraph.OutDegree), the scenario sweep and
+# grid drivers and their configs that one axis product replaced (SweepCtx,
+# SweepGridCtx, SweepConfig, GridConfig) and Overlay.Zones are deleted;
+# README and ARCHITECTURE must not describe them as if they existed. Where
+# a surviving identifier contains the name (EstimateReliabilityCtx,
+# ExecuteOnNetworkArena, drawMaskInto, ZoneLatency.Zones, ...) the pattern
+# stops at the next letter or starts after the previous one.
 for gone in \
     "deprecated\.go" \
     "SweepScenarios" \
@@ -206,7 +209,12 @@ for gone in \
     "NewPowerLaw" \
     "NewMixture" \
     "ReachableMask" \
-    "OutDegree"; do
+    "OutDegree" \
+    "(^|[^A-Za-z])SweepCtx" \
+    "SweepGridCtx" \
+    "(^|[^A-Za-z])SweepConfig" \
+    "(^|[^A-Za-z])GridConfig" \
+    "Overlay\.Zones([^A-Za-z]|$)"; do
     if hits=$(grep -nE "$gone" README.md ARCHITECTURE.md); then
         echo "docs-lint: README/ARCHITECTURE mention the deleted '$gone':" >&2
         echo "$hits" >&2
