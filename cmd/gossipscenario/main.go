@@ -487,13 +487,17 @@ func bundledScenario(name string) (*gossipkit.Scenario, error) {
 }
 
 // parseList parses a comma-separated flag value entry by entry, rejecting
-// an empty entry (as in "a,,b") before anything runs.
+// an empty entry (as in "a,,b") or a repeated one (as in "a,a", which
+// would run the same row twice) before anything runs.
 func parseList[T any](flagName, list string, parse func(string) (T, error)) ([]T, error) {
 	entries := strings.Split(list, ",")
 	out := make([]T, len(entries))
 	for i, e := range entries {
 		if e = strings.TrimSpace(e); e == "" {
 			return nil, fmt.Errorf("empty entry in %s %q", flagName, list)
+		}
+		if slices.ContainsFunc(entries[:i], func(prev string) bool { return strings.TrimSpace(prev) == e }) {
+			return nil, fmt.Errorf("repeated entry %q in %s %q", e, flagName, list)
 		}
 		var err error
 		if out[i], err = parse(e); err != nil {

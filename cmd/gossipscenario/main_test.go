@@ -150,23 +150,29 @@ func TestBadFormatFailsBeforeRunning(t *testing.T) {
 }
 
 // TestEmptyListEntryRejected: an empty entry in a comma-separated flag
-// ("uniform,,kout:4") is one error before anything runs. The topology list
-// used to parse it as uniform and run a duplicate uniform row.
+// ("uniform,,kout:4") is one error before anything runs, and so is a
+// repeated one ("pbcast,pbcast"). The topology list used to parse the first
+// as uniform and run a duplicate uniform row; a repeated entry ran its row
+// twice, under one label.
 func TestEmptyListEntryRejected(t *testing.T) {
-	cases := []struct{ cmd, flag, list string }{
-		{"grid", "-qs", "0.8,,1"},
-		{"grid", "-qs", ""},
-		{"grid", "-fanouts", "3, ,5"},
-		{"compare", "-topologies", "uniform,,kout:4"},
-		{"compare", "-protocols", "paper,,pbcast"},
-		{"compare", "-scenarios", "crash-wave,"},
+	cases := []struct{ cmd, flag, list, want string }{
+		{"grid", "-qs", "0.8,,1", "empty entry"},
+		{"grid", "-qs", "", "empty entry"},
+		{"grid", "-fanouts", "3, ,5", "empty entry"},
+		{"compare", "-topologies", "uniform,,kout:4", "empty entry"},
+		{"compare", "-protocols", "paper,,pbcast", "empty entry"},
+		{"compare", "-scenarios", "crash-wave,", "empty entry"},
+		{"grid", "-qs", "0.5,0.5", `repeated entry "0.5"`},
+		{"compare", "-topologies", "uniform,uniform", `repeated entry "uniform"`},
+		{"compare", "-protocols", "pbcast,pbcast,paper,paper", `repeated entry "pbcast"`},
+		{"compare", "-scenarios", "baseline, baseline", `repeated entry "baseline"`},
 	}
 	for _, c := range cases {
 		stdout, stderr, err := capture(t, func() error {
 			return subcommand(c.cmd, []string{"-n", "100", "-seeds", "1", c.flag, c.list})
 		})
-		if err == nil || !strings.Contains(err.Error(), "empty entry in "+c.flag) {
-			t.Errorf("%s %s %q: error %v, want an empty-entry rejection", c.cmd, c.flag, c.list, err)
+		if err == nil || !strings.Contains(err.Error(), c.want+" in "+c.flag) {
+			t.Errorf("%s %s %q: error %v, want %q in %s", c.cmd, c.flag, c.list, err, c.want, c.flag)
 		}
 		if stdout != "" || strings.Contains(stderr, "ran ") {
 			t.Errorf("%s %s %q ran before failing:\n%s%s", c.cmd, c.flag, c.list, stderr, stdout)

@@ -25,6 +25,7 @@ import (
 	"math"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -38,7 +39,7 @@ func main() {
 	var (
 		n          = flag.Int("n", 256, "group size")
 		rate       = flag.Float64("rate", 0, "single offered rate in msgs/s (alternative to -rates)")
-		rates      = flag.String("rates", "", "rate sweep: comma list (100,200,400) or LO:HI:STEPS (geometric)")
+		rates      = flag.String("rates", "", "rate sweep: comma list (100,200,400) or LO:HI:STEPS (geometric, STEPS <= 1000); each rate once")
 		duration   = flag.Duration("duration", 500*time.Millisecond, "publish window")
 		distKind   = flag.String("dist", "fixed", "fanout distribution: poisson, fixed, geometric, uniform")
 		fanout     = flag.Float64("fanout", 3, "mean fanout")
@@ -222,44 +223,57 @@ func run(ctx context.Context, o options) error {
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
+// maxRateSteps caps a LO:HI:STEPS ladder, which is built before any check
+// of its rates.
+const maxRateSteps = 1000
+
 // parseRates resolves the sweep: a single -rate, a comma list, or a
-// geometric LO:HI:STEPS ladder.
+// geometric LO:HI:STEPS ladder. Every rate is positive and runs once.
 func parseRates(single float64, spec string) ([]float64, error) {
 	if spec == "" {
-		if single <= 0 {
+		if single == 0 {
 			return nil, fmt.Errorf("need -rate or -rates")
+		}
+		if single < 0 {
+			return nil, fmt.Errorf("%w: -rate %g is not positive", gossipkit.ErrInvalidParams, single)
 		}
 		return []float64{single}, nil
 	}
+	var rates []float64
 	if strings.Contains(spec, ":") {
 		parts := strings.Split(spec, ":")
 		if len(parts) != 3 {
-			return nil, fmt.Errorf("rates spec %q: want LO:HI:STEPS", spec)
+			return nil, fmt.Errorf("%w: rates spec %q: want LO:HI:STEPS", gossipkit.ErrInvalidParams, spec)
 		}
 		lo, err1 := strconv.ParseFloat(parts[0], 64)
 		hi, err2 := strconv.ParseFloat(parts[1], 64)
 		steps, err3 := strconv.Atoi(parts[2])
-		if err1 != nil || err2 != nil || err3 != nil || lo <= 0 || hi < lo || steps < 1 {
-			return nil, fmt.Errorf("rates spec %q: want LO:HI:STEPS with 0 < LO <= HI, STEPS >= 1", spec)
+		if err1 != nil || err2 != nil || err3 != nil || lo <= 0 || hi < lo || steps < 1 || steps > maxRateSteps {
+			return nil, fmt.Errorf("%w: rates spec %q: want LO:HI:STEPS with 0 < LO <= HI, 1 <= STEPS <= %d",
+				gossipkit.ErrInvalidParams, spec, maxRateSteps)
 		}
-		if steps == 1 {
-			return []float64{lo}, nil
+		rates = []float64{lo}
+		if steps > 1 {
+			rates = make([]float64, steps)
+			ratio := hi / lo
+			for i := range rates {
+				v := lo * math.Pow(ratio, float64(i)/float64(steps-1))
+				rates[i] = math.Round(v*1000) / 1000 // drop float-ladder noise
+			}
 		}
-		ladder := make([]float64, steps)
-		ratio := hi / lo
-		for i := range ladder {
-			v := lo * math.Pow(ratio, float64(i)/float64(steps-1))
-			ladder[i] = math.Round(v*1000) / 1000 // drop float-ladder noise
+	} else {
+		for _, f := range strings.Split(spec, ",") {
+			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
+			if err != nil || v <= 0 {
+				return nil, fmt.Errorf("%w: rates spec %q: bad rate %q", gossipkit.ErrInvalidParams, spec, f)
+			}
+			rates = append(rates, v)
 		}
-		return ladder, nil
 	}
-	var rates []float64
-	for _, f := range strings.Split(spec, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("rates spec %q: bad rate %q", spec, f)
+	for i, v := range rates {
+		if slices.Contains(rates[:i], v) {
+			return nil, fmt.Errorf("%w: rates spec %q runs rate %g twice", gossipkit.ErrInvalidParams, spec, v)
 		}
-		rates = append(rates, v)
 	}
 	return rates, nil
 }

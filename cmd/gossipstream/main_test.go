@@ -64,6 +64,11 @@ func TestBadFlagsFailBeforeOutput(t *testing.T) {
 		{"-loss 7", func(o *options) { o.loss = 7 }},
 		{"-runs 0", func(o *options) { o.runs = 0 }},
 		{"-rates 100,400 -q 2", func(o *options) { o.rates, o.q = "100,400", 2 }},
+		{"-rates 1:10:1099511627776", func(o *options) { o.rates = "1:10:1099511627776" }},
+		{"-rates 5:5:3", func(o *options) { o.rates = "5:5:3" }},
+		{"-rates 1:1.001:5", func(o *options) { o.rates = "1:1.001:5" }},
+		{"-rates 100,100", func(o *options) { o.rates = "100,100" }},
+		{"-rate -5", func(o *options) { o.rate = -5 }},
 	} {
 		o := smallOptions()
 		c.edit(&o)

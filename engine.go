@@ -37,9 +37,9 @@ func invalid(err error) error {
 // graph estimator (MonteCarlo), the discrete-event network executor
 // (Network), the fault-injection scenario runner (Campaign), the
 // repeated-execution success protocol (Success), the related-work protocol
-// baselines (Pbcast, Lpbcast, AntiEntropy, RDG, LRG, Flooding — all on the
-// same discrete-event substrate as Network), and the (protocol × scenario)
-// comparison grid (Compare).
+// baselines (Baseline, over any ProtocolSpec — on the same discrete-event
+// substrate as Network), and the (protocol × scenario) comparison grid
+// (Compare).
 //
 // Every engine is context-aware (cancellation aborts promptly with
 // ErrCanceled), observable (WithObserver streams per-run Reports in
@@ -150,7 +150,7 @@ type Outcome struct {
 	// Prediction (Analytic), Estimate or ComponentEstimate (MonteCarlo),
 	// SuccessOutcome (Success), *ScenarioSweepResult or, with Qs or
 	// Fanouts set, *ScenarioGridResult (Campaign under RunMany),
-	// *ProtocolSweep (a protocol baseline under RunMany),
+	// *ProtocolSweep (Baseline under RunMany),
 	// *ScenarioCompareResult (Compare). The three scenario aggregates are
 	// views of one topology × protocol × scenario × q × fanout product,
 	// cells in that order with only the swept axes labeled. Nil otherwise.
@@ -199,7 +199,7 @@ func WithObserver(fn Observer) Option { return func(o *runOptions) { o.observer 
 // stays nil); aggregates, moments, and observer streaming are unaffected.
 // Use it on very large sweeps consumed through Aggregate or an observer
 // only, where retaining every boxed Report would dominate memory: the
-// MonteCarlo, Network, Success, and protocol engines then stream their
+// MonteCarlo, Network, Success, and Baseline engines then stream their
 // reduction and hold only out-of-order completions live. The Campaign
 // engine is the exception — it still buffers one report per sweep cell
 // internally to build its per-scenario summaries.
@@ -222,8 +222,8 @@ func WithoutReports() Option { return func(o *runOptions) { o.noReports = true }
 // Honored by the Network, Stream, Campaign and Compare engines. Campaign
 // and Compare alternatively take the count on ScenarioRunConfig.Shards
 // (setting both to different values is an error), and there it reaches the
-// paper's algorithm only: protocol executors, like the protocol baseline
-// engines, run on one kernel. The Analytic, MonteCarlo and Success engines
+// paper's algorithm only: protocol executors, like the Baseline engine,
+// run on one kernel. The Analytic, MonteCarlo and Success engines
 // have no kernel to shard and ignore it.
 func WithShards(n int) Option {
 	if n <= 0 {
@@ -251,8 +251,8 @@ func WithShardProgress(fn func(events uint64, virtualNow time.Duration)) Option 
 // seed-reproducible and worker/shard-count-invariant; the zero (uniform)
 // spec is byte-identical to not setting the option at all.
 //
-// Honored by the Network, MonteCarlo, Campaign, Compare, and protocol
-// baseline engines. The Analytic and Success engines reject non-uniform
+// Honored by the Network, MonteCarlo, Campaign, Compare, and Baseline
+// engines. The Analytic and Success engines reject non-uniform
 // topologies: Eq. 11 assumes uniform selection — use MonteCarlo (giant
 // component) for overlay reliability, or read the corrected prediction
 // off scenario reports. Campaign and Compare alternatively take the
@@ -264,13 +264,17 @@ func WithTopology(t Topology) Option { return func(o *runOptions) { o.topology =
 // scenario run config (the Campaign and Compare engines), rejecting an
 // option that conflicts with the explicitly-set Config field — and a
 // Config.Net no engine should run on (validateNet) or a negative
-// PartialViewCopies, which would run on the full view without saying so.
+// PartialViewCopies, RoundInterval or Shards, which would run on the full
+// view, the default pacing or one shard without saying so.
 func mergeRunConfig(cfg *ScenarioRunConfig, o *runOptions) error {
 	if err := validateNet(cfg.Net); err != nil {
 		return err
 	}
 	if cfg.PartialViewCopies < 0 {
 		return fmt.Errorf("%w: partial view copies %d < 0", ErrInvalidParams, cfg.PartialViewCopies)
+	}
+	if cfg.RoundInterval < 0 || cfg.Shards < 0 {
+		return fmt.Errorf("%w: negative round interval %v or shards %d", ErrInvalidParams, cfg.RoundInterval, cfg.Shards)
 	}
 	if !o.topology.IsUniform() {
 		if !cfg.Topology.IsUniform() && cfg.Topology != o.topology {
@@ -292,7 +296,7 @@ func mergeRunConfig(cfg *ScenarioRunConfig, o *runOptions) error {
 // stream stands, so an execution can be chained after other draws on one
 // stream. Only valid for single executions (not RunMany/WithRuns), and
 // only on engines that consume an RNG directly (MonteCarlo, Network,
-// Stream, and the protocol baselines).
+// Stream, and Baseline).
 func WithRNG(r *RNG) Option { return func(o *runOptions) { o.rng = r } }
 
 // Run executes spec once and returns its Outcome: one entry point across
@@ -411,7 +415,7 @@ func execute(ctx context.Context, spec Engine, o *runOptions) (*Outcome, error) 
 }
 
 // replicate is the facade's replication policy, shared by the Network,
-// Stream and protocol engines: o.runs seeded executions on
+// Stream and Baseline engines: o.runs seeded executions on
 // runpool.Replicate, run i on stream xrand.New(o.seed).Split(i) with the
 // worker's pooled state (newState builds a worker's arena and probe),
 // results handed to reduce in run order. A WithRNG execution is the n = 1

@@ -101,7 +101,7 @@ func TestCompareGoldenCSV(t *testing.T) {
 // Estimate-style ProtocolSweep moments in Outcome.Aggregate — reduced in
 // run order, so identical for any worker count — not just per-run Reports.
 func TestProtocolSweepAggregate(t *testing.T) {
-	spec := Pbcast{Params: PbcastParams{N: 300, Fanout: 3, Rounds: 8, AliveRatio: 0.9}}
+	spec := Baseline{Protocol: PbcastParams{N: 300, Fanout: 3, Rounds: 8, AliveRatio: 0.9}}
 	var base *ProtocolSweep
 	for _, workers := range []int{1, 4} {
 		out, err := RunMany(context.Background(), spec, 8, WithSeed(5), WithWorkers(workers))
@@ -201,12 +201,12 @@ func TestCampaignOnBaselineExecutor(t *testing.T) {
 func TestProtocolEngineRoundPacing(t *testing.T) {
 	p := PbcastParams{N: 500, Fanout: 3, Rounds: 8, AliveRatio: 1}
 	net := NetConfig{Latency: UniformLatency(time.Millisecond, 20*time.Millisecond)}
-	paced, err := RunMany(context.Background(), Pbcast{Params: p, Net: net}, 4, WithSeed(3))
+	paced, err := RunMany(context.Background(), Baseline{Protocol: p, Net: net}, 4, WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	pipelined, err := RunMany(context.Background(),
-		Pbcast{Params: p, Net: net, RoundInterval: time.Millisecond}, 4, WithSeed(3))
+		Baseline{Protocol: p, Net: net, RoundInterval: time.Millisecond}, 4, WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func (s Network) run(ctx context.Context, o *runOptions, emit func(Report)) (any
 }
 
 // desState is one worker's pooled run state on the discrete-event engines
-// (Network and the protocol baselines): the arena every run on the worker
+// (Network and Baseline): the arena every run on the worker
 // recycles and, under WithProbe, the probe re-Attached to each run. A
 // run's telemetry is snapshotted on the worker (Metrics deep-copies)
 // before the probe moves on.

@@ -2,6 +2,7 @@ package gossipkit
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"gossipkit/internal/obs"
@@ -11,9 +12,9 @@ import (
 )
 
 // The protocol-comparison layer: the baseline dissemination protocols the
-// paper positions itself against (§2 Related Work), each as an Engine so
-// they compose with Run/RunMany, cancellation, and observers exactly like
-// the paper's own algorithm.
+// paper positions itself against (§2 Related Work), each a ProtocolSpec the
+// Baseline engine runs, so they compose with Run/RunMany, cancellation, and
+// observers exactly like the paper's own algorithm.
 //
 // Every baseline executes on the shared discrete-event substrate (the sim
 // kernel driving round ticks, every gossip/digest/NACK/reply routed through
@@ -76,8 +77,8 @@ type AntiEntropyResult = protocols.AntiEntropyResult
 // RDGResult extends ProtocolResult with recovery accounting.
 type RDGResult = protocols.RDGResult
 
-// ProtocolSweep is Outcome.Aggregate for RunMany over a protocol baseline
-// engine: Estimate-style moments of the replications, reduced in run order
+// ProtocolSweep is Outcome.Aggregate for RunMany over the Baseline engine:
+// Estimate-style moments of the replications, reduced in run order
 // (deterministic for any worker count).
 type ProtocolSweep struct {
 	// Protocol names the baseline that ran.
@@ -100,12 +101,20 @@ type ProtocolSweep struct {
 	SpreadMs Moments
 }
 
-// Pbcast is the engine for the round-based anti-entropy baseline: every
-// member holding the message gossips every round, removing the single-shot
-// die-out failure mode at the cost of more messages. Report.Detail is the
-// per-run ProtocolResult.
-type Pbcast struct {
-	Params PbcastParams
+// Baseline is the engine for the related-work baselines, the facade twin of
+// BaselineExecutor: Protocol names the baseline and carries its parameters
+// (PbcastParams, LpbcastParams, AntiEntropyParams, RDGParams, LRGParams or
+// FloodingParams), and every run executes it on the same discrete-event
+// substrate as Network. Report.Detail is the protocol's per-run result:
+// ProtocolResult for pbcast, LRG and flooding; AntiEntropyResult (with the
+// infection curve) and RDGResult (with recovery accounting) for
+// anti-entropy and RDG; LpbcastResult for lpbcast, whose
+// Report.Reliability is the mean per-event delivery and whose reports
+// carry no Delivered or Rounds (MinReliability shows buffer pressure
+// first). Under RunMany, Outcome.Aggregate is the *ProtocolSweep.
+type Baseline struct {
+	// Protocol is the baseline to run; nil is invalid.
+	Protocol ProtocolSpec
 	// Net is the simulated-network substrate the protocol's messages
 	// cross; the zero value (no latency, no loss) reproduces the legacy
 	// synchronous round loop exactly.
@@ -113,196 +122,52 @@ type Pbcast struct {
 	// RoundInterval paces the gossip round ticks; zero defaults to Net's
 	// latency bound (20ms for unbounded models, 1ms with no latency
 	// model), so rounds do not pipeline into still-airborne messages
-	// unless asked to.
+	// unless asked to. A negative interval is invalid.
 	RoundInterval time.Duration
 }
 
-// Name implements Engine.
-func (Pbcast) Name() string { return "pbcast" }
-
-func (s Pbcast) validate(o *runOptions) error { return validateProtocol(o, s.Params, s.Net) }
-
-func (s Pbcast) run(ctx context.Context, o *runOptions, emit func(Report)) (any, error) {
-	return protocolSweep(ctx, o, emit, s.Params, desCfg(s.Net, s.RoundInterval), func(out protocols.DESOutcome) Report {
-		return protocolReport(out, out.Detail.(ProtocolResult))
-	})
+// Name implements Engine: the protocol's name ("pbcast", "lpbcast",
+// "anti-entropy", "rdg", "lrg", "flooding"), or "baseline" while Protocol
+// is nil.
+func (s Baseline) Name() string {
+	if s.Protocol == nil {
+		return "baseline"
+	}
+	return s.Protocol.Protocol()
 }
 
-// Lpbcast is the engine for the bounded-buffer lpbcast baseline: gossip
-// over SCAMP partial views with event buffers that age out under load.
-// Report.Reliability is the mean per-event delivery; Report.Detail is the
-// per-run LpbcastResult (whose MinReliability shows buffer pressure
-// first).
-type Lpbcast struct {
-	Params LpbcastParams
-	// Net is the simulated-network substrate; see Pbcast.Net.
-	Net NetConfig
-	// RoundInterval paces the round ticks; see Pbcast.RoundInterval.
-	RoundInterval time.Duration
-}
-
-// Name implements Engine.
-func (Lpbcast) Name() string { return "lpbcast" }
-
-func (s Lpbcast) validate(o *runOptions) error { return validateProtocol(o, s.Params, s.Net) }
-
-func (s Lpbcast) run(ctx context.Context, o *runOptions, emit func(Report)) (any, error) {
-	return protocolSweep(ctx, o, emit, s.Params, desCfg(s.Net, s.RoundInterval), func(out protocols.DESOutcome) Report {
-		res := out.Detail.(LpbcastResult)
-		return Report{
-			Reliability:  res.MeanReliability,
-			AliveCount:   res.AliveCount,
-			MessagesSent: res.MessagesSent,
-			SpreadMs:     spreadMs(out),
-			Detail:       res,
-		}
-	})
-}
-
-// AntiEntropy is the engine for the classic push/pull anti-entropy
-// epidemic: each round every alive member contacts one random peer and
-// exchanges state per Mode. Report.Detail is the per-run
-// AntiEntropyResult, including the infection curve.
-type AntiEntropy struct {
-	Params AntiEntropyParams
-	// Net is the simulated-network substrate; see Pbcast.Net.
-	Net NetConfig
-	// RoundInterval paces the round ticks; see Pbcast.RoundInterval.
-	RoundInterval time.Duration
-}
-
-// Name implements Engine.
-func (AntiEntropy) Name() string { return "anti-entropy" }
-
-func (s AntiEntropy) validate(o *runOptions) error { return validateProtocol(o, s.Params, s.Net) }
-
-func (s AntiEntropy) run(ctx context.Context, o *runOptions, emit func(Report)) (any, error) {
-	return protocolSweep(ctx, o, emit, s.Params, desCfg(s.Net, s.RoundInterval), func(out protocols.DESOutcome) Report {
-		res := out.Detail.(AntiEntropyResult)
-		rep := protocolReport(out, res.Result)
-		rep.Detail = res
-		return rep
-	})
-}
-
-// RDG is the engine for the Route-Driven-Gossip baseline: push gossip of
-// payloads and packet-id digests over partial views, then NACK-driven pull
-// recovery. Report.Detail is the per-run RDGResult.
-type RDG struct {
-	Params RDGParams
-	// Net is the simulated-network substrate; see Pbcast.Net.
-	Net NetConfig
-	// RoundInterval paces the round ticks; see Pbcast.RoundInterval.
-	RoundInterval time.Duration
-}
-
-// Name implements Engine.
-func (RDG) Name() string { return "rdg" }
-
-func (s RDG) validate(o *runOptions) error { return validateProtocol(o, s.Params, s.Net) }
-
-func (s RDG) run(ctx context.Context, o *runOptions, emit func(Report)) (any, error) {
-	return protocolSweep(ctx, o, emit, s.Params, desCfg(s.Net, s.RoundInterval), func(out protocols.DESOutcome) Report {
-		res := out.Detail.(RDGResult)
-		rep := protocolReport(out, res.Result)
-		rep.Detail = res
-		return rep
-	})
-}
-
-// LRG is the engine for local-retransmission gossip: probabilistic
-// flooding over a bounded-degree overlay plus NACK-style local repair
-// rounds. Report.Detail is the per-run ProtocolResult.
-type LRG struct {
-	Params LRGParams
-	// Net is the simulated-network substrate; see Pbcast.Net.
-	Net NetConfig
-	// RoundInterval paces the round ticks; see Pbcast.RoundInterval.
-	RoundInterval time.Duration
-}
-
-// Name implements Engine.
-func (LRG) Name() string { return "lrg" }
-
-func (s LRG) validate(o *runOptions) error { return validateProtocol(o, s.Params, s.Net) }
-
-func (s LRG) run(ctx context.Context, o *runOptions, emit func(Report)) (any, error) {
-	return protocolSweep(ctx, o, emit, s.Params, desCfg(s.Net, s.RoundInterval), func(out protocols.DESOutcome) Report {
-		return protocolReport(out, out.Detail.(ProtocolResult))
-	})
-}
-
-// Flooding is the engine for the best-effort flooding baseline: forward to
-// everyone on first receipt — maximal reliability at Θ(n²) message cost,
-// the upper envelope the gossip protocols trade against. Report.Detail is
-// the per-run ProtocolResult.
-type Flooding struct {
-	Params FloodingParams
-	// Net is the simulated-network substrate; see Pbcast.Net.
-	Net NetConfig
-	// RoundInterval paces the round ticks; see Pbcast.RoundInterval.
-	RoundInterval time.Duration
-}
-
-// Name implements Engine.
-func (Flooding) Name() string { return "flooding" }
-
-func (s Flooding) validate(o *runOptions) error { return validateProtocol(o, s.Params, s.Net) }
-
-func (s Flooding) run(ctx context.Context, o *runOptions, emit func(Report)) (any, error) {
-	return protocolSweep(ctx, o, emit, s.Params, desCfg(s.Net, s.RoundInterval), func(out protocols.DESOutcome) Report {
-		return protocolReport(out, out.Detail.(ProtocolResult))
-	})
-}
-
-// validateProtocol is the protocol engines' shared validate: the protocol's
-// parameters, the network and the WithTopology overlay for its group size.
-func validateProtocol(o *runOptions, spec ProtocolSpec, net NetConfig) error {
-	if err := spec.Validate(); err != nil {
+// validate checks the protocol's parameters, the round interval, the
+// network and the WithTopology overlay for the protocol's group size.
+func (s Baseline) validate(o *runOptions) error {
+	if s.Protocol == nil {
+		return fmt.Errorf("%w: baseline protocol is nil", ErrInvalidParams)
+	}
+	if err := s.Protocol.Validate(); err != nil {
 		return invalid(err)
 	}
-	if err := validateNet(net); err != nil {
+	if s.RoundInterval < 0 {
+		return fmt.Errorf("%w: round interval %v < 0", ErrInvalidParams, s.RoundInterval)
+	}
+	if err := validateNet(s.Net); err != nil {
 		return err
 	}
-	n, _ := protocols.Shape(spec)
+	n, _ := protocols.Shape(s.Protocol)
 	if err := o.topology.Validate(n); err != nil {
 		return invalid(err)
 	}
 	return nil
 }
 
-// desCfg assembles the DES substrate config of a protocol engine spec.
-func desCfg(net NetConfig, roundInterval time.Duration) protocols.DESConfig {
-	return protocols.DESConfig{Net: net, RoundInterval: roundInterval}
-}
-
-func protocolReport(out protocols.DESOutcome, res ProtocolResult) Report {
-	return Report{
-		Reliability:  res.Reliability,
-		Delivered:    res.Delivered,
-		AliveCount:   res.AliveCount,
-		MessagesSent: res.MessagesSent,
-		Rounds:       res.Rounds,
-		SpreadMs:     spreadMs(out),
-		Detail:       res,
-	}
-}
-
-func spreadMs(out protocols.DESOutcome) float64 {
-	return float64(out.SpreadTime) / float64(time.Millisecond)
-}
-
-// protocolSweep is the protocol engines' shared body: every replication
-// executes the spec on the discrete-event substrate over net
+// run executes every replication on the discrete-event substrate
 // (protocols.RunOnDES) under the facade's replication policy (replicate).
 // Under RunMany the per-run results additionally reduce — in run order, so
 // the moments are identical for any worker count — into the ProtocolSweep
 // aggregate.
-func protocolSweep(ctx context.Context, o *runOptions, emit func(Report), spec ProtocolSpec, cfg protocols.DESConfig, mk func(protocols.DESOutcome) Report) (any, error) {
+func (s Baseline) run(ctx context.Context, o *runOptions, emit func(Report)) (any, error) {
 	// WithTopology threads through to the DES substrate: the runtime
 	// generates the overlay per run from a non-consuming split, so the
 	// uniform spec keeps the legacy RNG streams byte-identical.
-	cfg.Topology = o.topology
+	cfg := protocols.DESConfig{Net: s.Net, RoundInterval: s.RoundInterval, Topology: o.topology}
 	type probedOutcome struct {
 		out     protocols.DESOutcome
 		metrics *obs.Metrics
@@ -312,19 +177,18 @@ func protocolSweep(ctx context.Context, o *runOptions, emit func(Report), spec P
 		func(r *xrand.RNG, st desState) (probedOutcome, error) {
 			runCfg := cfg
 			runCfg.Probe = st.probe
-			out, err := protocols.RunOnDES(spec, runCfg, r, nil, st.arena)
+			out, err := protocols.RunOnDES(s.Protocol, runCfg, r, nil, st.arena)
 			return probedOutcome{out, st.probe.Metrics()}, err
 		}, func(po probedOutcome) {
-			out := po.out
-			rep := mk(out)
+			rep := baselineReport(po.out)
 			rep.Metrics = po.metrics
 			rel.Add(rep.Reliability)
-			srel.Add(out.SurvivorReliability)
+			srel.Add(po.out.SurvivorReliability)
 			msgs.Add(float64(rep.MessagesSent))
 			// The runtime's round counter, not the report's: lpbcast's
 			// legacy report shape carries no Rounds field, but its runtime
 			// still ticks rounds to quiescence.
-			rounds.Add(float64(out.Rounds))
+			rounds.Add(float64(po.out.Rounds))
 			spread.Add(rep.SpreadMs)
 			emit(rep)
 		})
@@ -335,7 +199,7 @@ func protocolSweep(ctx context.Context, o *runOptions, emit func(Report), spec P
 		return nil, nil
 	}
 	return &ProtocolSweep{
-		Protocol:            spec.Protocol(),
+		Protocol:            s.Protocol.Protocol(),
 		Runs:                rel.N(),
 		Reliability:         momentsOf(rel),
 		SurvivorReliability: momentsOf(srel),
@@ -343,4 +207,27 @@ func protocolSweep(ctx context.Context, o *runOptions, emit func(Report), spec P
 		Rounds:              momentsOf(rounds),
 		SpreadMs:            momentsOf(spread),
 	}, nil
+}
+
+// baselineReport shapes one run as its protocol's Report: the headline
+// fields come from the common ProtocolResult (embedded in anti-entropy's
+// and RDG's richer results), except lpbcast's, which reports its mean
+// per-event delivery and has no Delivered or Rounds.
+func baselineReport(out protocols.DESOutcome) Report {
+	rep := Report{SpreadMs: float64(out.SpreadTime) / float64(time.Millisecond), Detail: out.Detail}
+	var res ProtocolResult
+	switch d := out.Detail.(type) {
+	case LpbcastResult:
+		rep.Reliability, rep.AliveCount, rep.MessagesSent = d.MeanReliability, d.AliveCount, d.MessagesSent
+		return rep
+	case AntiEntropyResult:
+		res = d.Result
+	case RDGResult:
+		res = d.Result
+	case ProtocolResult:
+		res = d
+	}
+	rep.Reliability, rep.Delivered, rep.AliveCount = res.Reliability, res.Delivered, res.AliveCount
+	rep.MessagesSent, rep.Rounds = res.MessagesSent, res.Rounds
+	return rep
 }

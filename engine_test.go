@@ -24,12 +24,12 @@ func allEngineSpecs() []Engine {
 		Campaign{Scenarios: DefaultScenarioSuite()[:2],
 			Config: ScenarioRunConfig{Params: Params{N: 300, Fanout: Poisson(5), AliveRatio: 1}}},
 		Success{Params: SuccessParams{Params: p, Executions: 3, Simulations: 2}},
-		Pbcast{Params: PbcastParams{N: 300, Fanout: 3, Rounds: 8, AliveRatio: 0.9}},
-		Lpbcast{Params: LpbcastParams{N: 300, Fanout: 3, Rounds: 8, BufferSize: 4, Events: 2, AliveRatio: 0.9, ViewCopies: 2}},
-		AntiEntropy{Params: AntiEntropyParams{N: 300, Rounds: 10, Mode: PushPull, AliveRatio: 0.9}},
-		RDG{Params: RDGParams{N: 300, Fanout: 3, PushRounds: 6, RecoveryRounds: 3, AliveRatio: 0.9, ViewCopies: 2, PayloadProb: 0.9}},
-		LRG{Params: LRGParams{N: 300, Degree: 6, GossipProb: 0.8, RepairRounds: 3, AliveRatio: 0.9}},
-		Flooding{Params: FloodingParams{N: 300, AliveRatio: 0.9}},
+		Baseline{Protocol: PbcastParams{N: 300, Fanout: 3, Rounds: 8, AliveRatio: 0.9}},
+		Baseline{Protocol: LpbcastParams{N: 300, Fanout: 3, Rounds: 8, BufferSize: 4, Events: 2, AliveRatio: 0.9, ViewCopies: 2}},
+		Baseline{Protocol: AntiEntropyParams{N: 300, Rounds: 10, Mode: PushPull, AliveRatio: 0.9}},
+		Baseline{Protocol: RDGParams{N: 300, Fanout: 3, PushRounds: 6, RecoveryRounds: 3, AliveRatio: 0.9, ViewCopies: 2, PayloadProb: 0.9}},
+		Baseline{Protocol: LRGParams{N: 300, Degree: 6, GossipProb: 0.8, RepairRounds: 3, AliveRatio: 0.9}},
+		Baseline{Protocol: FloodingParams{N: 300, AliveRatio: 0.9}},
 		Compare{Scenarios: DefaultScenarioSuite()[:2], Paper: true,
 			Protocols: []ProtocolSpec{PbcastParams{N: 300, Fanout: 3, Rounds: 8, AliveRatio: 1}},
 			Config:    ScenarioRunConfig{Params: Params{N: 300, Fanout: Poisson(5), AliveRatio: 1}}},
@@ -196,12 +196,12 @@ func badEngineSpecs() []Engine {
 			Config: ScenarioRunConfig{Params: Params{N: 1, Fanout: Poisson(4), AliveRatio: 1}}},
 		Compare{Scenarios: DefaultScenarioSuite()[:1], Config: ScenarioRunConfig{Params: p}},
 		Success{Params: SuccessParams{Params: Params{N: 100, Fanout: Poisson(4), AliveRatio: 0.9}, Executions: 0, Simulations: 1}},
-		Pbcast{Params: PbcastParams{N: 100, Fanout: -1, Rounds: 3, AliveRatio: 0.9}},
-		Lpbcast{Params: LpbcastParams{N: 100, Fanout: 3, Rounds: 3, BufferSize: 0, Events: 1, AliveRatio: 0.9}},
-		AntiEntropy{Params: AntiEntropyParams{N: 100, Rounds: -1, Mode: Push, AliveRatio: 0.9}},
-		RDG{Params: RDGParams{N: 100, Fanout: 0, PushRounds: 3, AliveRatio: 0.9}},
-		LRG{Params: LRGParams{N: 100, Degree: 0, GossipProb: 0.5, AliveRatio: 0.9}},
-		Flooding{Params: FloodingParams{N: 1, AliveRatio: 0.9}},
+		Baseline{Protocol: PbcastParams{N: 100, Fanout: -1, Rounds: 3, AliveRatio: 0.9}},
+		Baseline{Protocol: LpbcastParams{N: 100, Fanout: 3, Rounds: 3, BufferSize: 0, Events: 1, AliveRatio: 0.9}},
+		Baseline{Protocol: AntiEntropyParams{N: 100, Rounds: -1, Mode: Push, AliveRatio: 0.9}},
+		Baseline{Protocol: RDGParams{N: 100, Fanout: 0, PushRounds: 3, AliveRatio: 0.9}},
+		Baseline{Protocol: LRGParams{N: 100, Degree: 0, GossipProb: 0.5, AliveRatio: 0.9}},
+		Baseline{Protocol: FloodingParams{N: 1, AliveRatio: 0.9}},
 	}
 }
 
@@ -278,8 +278,8 @@ func TestHostileNumbersRejected(t *testing.T) {
 		"stream rate NaN":  sc(func(c *StreamConfig) { c.Rate = nan }),
 		"stream rate +Inf": sc(func(c *StreamConfig) { c.Rate = math.Inf(1) }),
 		"stream q NaN":     sc(func(c *StreamConfig) { c.AliveRatio = nan }),
-		"lrg prob NaN":     LRG{Params: LRGParams{N: 100, Degree: 6, GossipProb: nan, AliveRatio: 1}},
-		"rdg payload NaN":  RDG{Params: RDGParams{N: 100, Fanout: 3, PushRounds: 3, AliveRatio: 1, PayloadProb: nan}},
+		"lrg prob NaN":     Baseline{Protocol: LRGParams{N: 100, Degree: 6, GossipProb: nan, AliveRatio: 1}},
+		"rdg payload NaN":  Baseline{Protocol: RDGParams{N: 100, Fanout: 3, PushRounds: 3, AliveRatio: 1, PayloadProb: nan}},
 	}
 	const ms = time.Millisecond
 	nets := map[string]NetConfig{
@@ -295,7 +295,7 @@ func TestHostileNumbersRejected(t *testing.T) {
 	for name, net := range nets {
 		bad["network "+name] = Network{Params: p, Net: net}
 		bad["stream "+name] = Stream{Config: testStreamConfig(), Net: net}
-		bad["pbcast "+name] = Pbcast{Params: PbcastParams{N: 100, Fanout: 3, Rounds: 3, AliveRatio: 1}, Net: net}
+		bad["pbcast "+name] = Baseline{Protocol: PbcastParams{N: 100, Fanout: 3, Rounds: 3, AliveRatio: 1}, Net: net}
 		bad["campaign "+name] = Campaign{Scenarios: DefaultScenarioSuite()[:1],
 			Config: ScenarioRunConfig{Params: p, Net: net}}
 		bad["compare "+name] = Compare{Scenarios: DefaultScenarioSuite()[:1], Paper: true,
@@ -304,6 +304,14 @@ func TestHostileNumbersRejected(t *testing.T) {
 	negViews := ScenarioRunConfig{Params: p, PartialViewCopies: -3}
 	bad["campaign views -3"] = Campaign{Scenarios: DefaultScenarioSuite()[:1], Config: negViews}
 	bad["compare views -3"] = Compare{Scenarios: DefaultScenarioSuite()[:1], Paper: true, Config: negViews}
+	bad["pbcast round interval -1s"] = Baseline{Protocol: PbcastParams{N: 100, Fanout: 3, Rounds: 3, AliveRatio: 1}, RoundInterval: -time.Second}
+	for name, cfg := range map[string]ScenarioRunConfig{
+		"round interval -1s": {Params: p, RoundInterval: -time.Second},
+		"shards -4":          {Params: p, Shards: -4},
+	} {
+		bad["campaign "+name] = Campaign{Scenarios: DefaultScenarioSuite()[:1], Config: cfg}
+		bad["compare "+name] = Compare{Scenarios: DefaultScenarioSuite()[:1], Paper: true, Config: cfg}
+	}
 	for name, spec := range bad {
 		if _, err := RunMany(context.Background(), spec, 2); !errors.Is(err, ErrInvalidParams) {
 			t.Errorf("%s: err %v, want ErrInvalidParams", name, err)
@@ -472,12 +480,12 @@ func TestEdgeSizes(t *testing.T) {
 						MonteCarlo{Params: p, Metric: GiantComponent},
 						MonteCarlo{Params: p, Metric: SourceReach},
 						Success{Params: SuccessParams{Params: p, Executions: 3, Simulations: 2}},
-						Pbcast{Params: PbcastParams{N: n, Fanout: fanout, Rounds: 4, AliveRatio: 0.7}, Net: net},
-						Lpbcast{Params: LpbcastParams{N: n, Fanout: fanout, Rounds: 4, BufferSize: 4, Events: 2, AliveRatio: 0.7, ViewCopies: 1}, Net: net},
-						AntiEntropy{Params: AntiEntropyParams{N: n, Mode: PushPull, AliveRatio: 0.7}, Net: net},
-						RDG{Params: RDGParams{N: n, Fanout: fanout, PushRounds: 3, RecoveryRounds: 2, AliveRatio: 0.7, ViewCopies: 1}, Net: net},
-						LRG{Params: LRGParams{N: n, Degree: n - 1, GossipProb: 0.7, RepairRounds: 2, AliveRatio: 0.7}, Net: net},
-						Flooding{Params: FloodingParams{N: n, AliveRatio: 0.7}, Net: net},
+						Baseline{Protocol: PbcastParams{N: n, Fanout: fanout, Rounds: 4, AliveRatio: 0.7}, Net: net},
+						Baseline{Protocol: LpbcastParams{N: n, Fanout: fanout, Rounds: 4, BufferSize: 4, Events: 2, AliveRatio: 0.7, ViewCopies: 1}, Net: net},
+						Baseline{Protocol: AntiEntropyParams{N: n, Mode: PushPull, AliveRatio: 0.7}, Net: net},
+						Baseline{Protocol: RDGParams{N: n, Fanout: fanout, PushRounds: 3, RecoveryRounds: 2, AliveRatio: 0.7, ViewCopies: 1}, Net: net},
+						Baseline{Protocol: LRGParams{N: n, Degree: n - 1, GossipProb: 0.7, RepairRounds: 2, AliveRatio: 0.7}, Net: net},
+						Baseline{Protocol: FloodingParams{N: n, AliveRatio: 0.7}, Net: net},
 						Stream{Config: perID, Net: net},
 						Stream{Config: batched, Net: net},
 					} {

@@ -95,11 +95,11 @@ func ExampleCriticalRatio() {
 	// q_c = 0.20
 }
 
-// ExamplePbcast compares the paper's single-shot gossip with the
+// ExampleBaseline compares the paper's single-shot gossip with the
 // round-based Pbcast baseline through the same entry point.
-func ExamplePbcast() {
-	out, _ := gossipkit.RunMany(context.Background(), gossipkit.Pbcast{
-		Params: gossipkit.PbcastParams{N: 1000, Fanout: 3, Rounds: 12, AliveRatio: 0.9},
+func ExampleBaseline() {
+	out, _ := gossipkit.RunMany(context.Background(), gossipkit.Baseline{
+		Protocol: gossipkit.PbcastParams{N: 1000, Fanout: 3, Rounds: 12, AliveRatio: 0.9},
 	}, 10, gossipkit.WithSeed(1))
 	fmt.Printf("pbcast delivers everyone: %v\n", out.Reliability.Mean > 0.999)
 	// Output:

@@ -8,7 +8,7 @@
 # Five greps (no linter dependency, runs anywhere a POSIX shell does):
 #
 #   - cmd/ and examples/ must not import internal/protocols — the facade
-#     engine specs (Pbcast, ..., Flooding, Compare) are the only supported
+#     engine specs (Baseline, Compare) are the only supported
 #     protocol surface. (Other internal imports — the sim/simnet substrate
 #     the node demos build on — stay allowed.)
 #   - outside internal/sim, internal/simnet and internal/core/run.go, no
@@ -68,7 +68,7 @@ scan() {
 
 scan "\"gossipkit/internal/protocols\"" \
     "internal/protocols imported" \
-    "reach the baselines through the facade engine specs (gossipkit.Pbcast, ..., gossipkit.Compare)" \
+    "reach the baselines through the facade engine specs (gossipkit.Baseline, gossipkit.Compare)" \
     cmd examples
 
 # find, not grep --exclude: the one exempt file is named by path, and

@@ -164,7 +164,10 @@ done
 # entry point reached, the adjacency-list graph's two unreached
 # accessors (BFS.ReachableMask, Digraph.OutDegree), the scenario sweep and
 # grid drivers and their configs that one axis product replaced (SweepCtx,
-# SweepGridCtx, SweepConfig, GridConfig) and Overlay.Zones are deleted;
+# SweepGridCtx, SweepConfig, GridConfig), Overlay.Zones and the six
+# per-protocol baseline engines one Baseline engine replaced (Pbcast{...}
+# through Flooding{...}; the pattern asks for the brace to spare the
+# *Params types and the protocols' own names) are deleted;
 # README and ARCHITECTURE must not describe them as if they existed. Where
 # a surviving identifier contains the name (EstimateReliabilityCtx,
 # ExecuteOnNetworkArena, drawMaskInto, ZoneLatency.Zones, ...) the pattern
@@ -214,7 +217,8 @@ for gone in \
     "SweepGridCtx" \
     "(^|[^A-Za-z])SweepConfig" \
     "(^|[^A-Za-z])GridConfig" \
-    "Overlay\.Zones([^A-Za-z]|$)"; do
+    "Overlay\.Zones([^A-Za-z]|$)" \
+    "(^|[^A-Za-z])(Pbcast|Lpbcast|AntiEntropy|RDG|LRG|Flooding)\{"; do
     if hits=$(grep -nE "$gone" README.md ARCHITECTURE.md); then
         echo "docs-lint: README/ARCHITECTURE mention the deleted '$gone':" >&2
         echo "$hits" >&2

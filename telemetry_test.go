@@ -133,7 +133,7 @@ func TestWithProbeWorkerCountInvariance(t *testing.T) {
 // TestWithProbeProtocolEngine: baseline protocol engines report
 // rounds-to-delivery through the hops histogram.
 func TestWithProbeProtocolEngine(t *testing.T) {
-	spec := Pbcast{Params: PbcastParams{N: 300, Fanout: 3, Rounds: 8, AliveRatio: 0.9}}
+	spec := Baseline{Protocol: PbcastParams{N: 300, Fanout: 3, Rounds: 8, AliveRatio: 0.9}}
 	out, err := RunMany(context.Background(), spec, 3, WithSeed(5), WithProbe(ProbeOptions{}))
 	if err != nil {
 		t.Fatal(err)
