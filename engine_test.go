@@ -261,11 +261,13 @@ func TestInvalidParamsSentinel(t *testing.T) {
 }
 
 // TestHostileNumbersRejected: NaN, infinities, out-of-range probabilities
-// and latency models that are not a range of non-negative delays, arriving
-// from outside (flags, specs), fail validation with
-// ErrInvalidParams on every DES engine that would otherwise panic on a
-// worker goroutine or run silently wrong — and a rate too low to publish
-// anything is a valid empty stream, not an overflowed clock.
+// and latency models that are not a range of non-negative delays, or whose
+// hops overrun the kernel's time range, arriving from outside (flags,
+// specs), fail validation with ErrInvalidParams on every DES engine that
+// would otherwise panic on a worker goroutine or run silently wrong — a
+// latency of math.MaxInt64/2 used to wrap the simulated clock ("scheduling
+// at -1281023h… before now") — and a rate too low to publish anything is a
+// valid empty stream, not an overflowed clock.
 func TestHostileNumbersRejected(t *testing.T) {
 	nan := math.NaN()
 	p := Params{N: 100, Fanout: Poisson(4), AliveRatio: 1}
@@ -283,11 +285,16 @@ func TestHostileNumbersRejected(t *testing.T) {
 	}
 	const ms = time.Millisecond
 	nets := map[string]NetConfig{
-		"latency uniform hi<lo":    {Latency: UniformLatency(5*ms, ms)},
-		"latency uniform lo<0":     {Latency: UniformLatency(-2*ms, 5*ms)},
-		"latency constant <0":      {Latency: ConstantLatency(-5 * ms)},
-		"latency exponential fl<0": {Latency: simnet.ExponentialLatency{Floor: -ms, Mean: ms}},
-		"latency exponential mn<0": {Latency: simnet.ExponentialLatency{Floor: ms, Mean: -ms}},
+		"latency uniform hi<lo":                 {Latency: UniformLatency(5*ms, ms)},
+		"latency uniform lo<0":                  {Latency: UniformLatency(-2*ms, 5*ms)},
+		"latency constant <0":                   {Latency: ConstantLatency(-5 * ms)},
+		"latency exponential fl<0":              {Latency: simnet.ExponentialLatency{Floor: -ms, Mean: ms}},
+		"latency exponential mn<0":              {Latency: simnet.ExponentialLatency{Floor: ms, Mean: -ms}},
+		"latency constant MaxInt64/2":           {Latency: ConstantLatency(math.MaxInt64 / 2)},
+		"latency constant past ceiling":         {Latency: ConstantLatency(maxHopLatency + 1)},
+		"latency uniform hi past ceiling":       {Latency: UniformLatency(ms, maxHopLatency+1)},
+		"latency exponential mean 2⁶⁰":          {Latency: simnet.ExponentialLatency{Floor: ms, Mean: 1 << 60}},
+		"latency exponential band past ceiling": {Latency: simnet.ExponentialLatency{Floor: maxHopLatency - 6*ms, Mean: ms}},
 	}
 	for name, loss := range map[string]float64{"7": 7, "NaN": nan, "-3": -3} {
 		nets["loss "+name] = NetConfig{Latency: ConstantLatency(5 * ms), Loss: BernoulliLoss(loss)}
@@ -320,6 +327,29 @@ func TestHostileNumbersRejected(t *testing.T) {
 	out, err := Run(context.Background(), sc(func(c *StreamConfig) { c.Rate = 1e-11 }))
 	if err != nil || out.Reports[0].Detail.(StreamResult).Scheduled != 0 {
 		t.Errorf("rate 1e-11: %v, want a run over an empty schedule", err)
+	}
+}
+
+// TestLatencyAtHopCeilingRuns: the per-hop latency ceiling that
+// TestHostileNumbersRejected holds the engines to is itself accepted, by
+// every latency model and every DES engine.
+func TestLatencyAtHopCeilingRuns(t *testing.T) {
+	const ms = time.Millisecond
+	for name, lat := range map[string]simnet.LatencyModel{
+		"constant":    ConstantLatency(maxHopLatency),
+		"uniform":     UniformLatency(ms, maxHopLatency),
+		"exponential": simnet.ExponentialLatency{Floor: maxHopLatency - 7*ms, Mean: ms},
+	} {
+		net := NetConfig{Latency: lat}
+		for _, spec := range []Engine{
+			Network{Params: Params{N: 50, Fanout: FixedFanout(3), AliveRatio: 1}, Net: net},
+			Baseline{Protocol: PbcastParams{N: 50, Fanout: 3, Rounds: 3, AliveRatio: 1}, Net: net},
+			Stream{Config: testStreamConfig(), Net: net},
+		} {
+			if _, err := Run(context.Background(), spec, WithSeed(1)); err != nil {
+				t.Errorf("%s, %s: %v", name, spec.Name(), err)
+			}
+		}
 	}
 }
 

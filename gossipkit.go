@@ -54,6 +54,7 @@ import (
 	"gossipkit/internal/genfunc"
 	"gossipkit/internal/membership"
 	"gossipkit/internal/scenario"
+	"gossipkit/internal/sim"
 	"gossipkit/internal/simnet"
 	"gossipkit/internal/stats"
 	"gossipkit/internal/topology"
@@ -341,11 +342,13 @@ var (
 )
 
 // ConstantLatency delays every message by d. The engines reject a negative
-// d (ErrInvalidParams) when they run.
+// d, or one past the per-hop ceiling (about 4.9 h; see validateNet), with
+// ErrInvalidParams when they run.
 func ConstantLatency(d time.Duration) simnet.LatencyModel { return simnet.ConstantLatency{D: d} }
 
 // UniformLatency draws per-message delays uniformly from [lo, hi]. The
-// engines reject lo < 0 or hi < lo (ErrInvalidParams) when they run.
+// engines reject lo < 0, hi < lo or hi past the per-hop ceiling (about
+// 4.9 h; see validateNet) with ErrInvalidParams when they run.
 func UniformLatency(lo, hi time.Duration) simnet.LatencyModel {
 	return simnet.UniformLatency{Lo: lo, Hi: hi}
 }
@@ -354,12 +357,20 @@ func UniformLatency(lo, hi time.Duration) simnet.LatencyModel {
 // engines reject a p outside [0, 1] (ErrInvalidParams) when they run.
 func BernoulliLoss(p float64) simnet.LossModel { return simnet.BernoulliLoss{P: p} }
 
+// maxHopLatency is the longest per-hop delay the DES engines accept: the
+// kernel's time range (sim.MaxTime, about 834 days) over 4096, about 4.9 h,
+// so a run fits 4096 such hops end to end. It bounds a constant D, a
+// uniform Hi, and an exponential model's Floor + 7·Mean — the band simnet
+// sizes the calendar queue for, past which a draw is rarer than 10⁻³.
+const maxHopLatency = time.Duration(sim.MaxTime >> 12)
+
 // validateNet is the DES engines' upfront check of the network substrate
 // they were handed: a Bernoulli loss probability must be a probability
 // (simnet draws with it unchecked, so 7 would drop everything and NaN or
 // −3 nothing, silently), and a latency model must describe non-negative
 // delays — simnet reads UniformLatency{Hi < Lo} as the constant Lo, and a
-// negative delay is an event scheduled in the past.
+// negative delay is an event scheduled in the past — no longer than
+// maxHopLatency, so no delivery lands past the kernel's time range.
 func validateNet(net NetConfig) error {
 	if b, ok := net.Loss.(simnet.BernoulliLoss); ok && !(b.P >= 0 && b.P <= 1) {
 		return fmt.Errorf("%w: loss probability %g outside [0,1]", ErrInvalidParams, b.P)
@@ -369,14 +380,26 @@ func validateNet(net NetConfig) error {
 		if l.D < 0 {
 			return fmt.Errorf("%w: negative latency %v", ErrInvalidParams, l.D)
 		}
+		return checkHopLatency("constant latency", float64(l.D))
 	case simnet.UniformLatency:
 		if l.Lo < 0 || l.Hi < l.Lo {
 			return fmt.Errorf("%w: uniform latency [%v, %v] is not a range of non-negative delays", ErrInvalidParams, l.Lo, l.Hi)
 		}
+		return checkHopLatency("uniform latency bound", float64(l.Hi))
 	case simnet.ExponentialLatency:
 		if l.Floor < 0 || l.Mean < 0 {
 			return fmt.Errorf("%w: exponential latency floor %v, mean %v: neither may be negative", ErrInvalidParams, l.Floor, l.Mean)
 		}
+		// In float, so a huge Mean cannot wrap.
+		return checkHopLatency("exponential latency floor + 7·mean", float64(l.Floor)+7*float64(l.Mean))
+	}
+	return nil
+}
+
+// checkHopLatency rejects a per-hop delay (in ns) above maxHopLatency.
+func checkHopLatency(what string, d float64) error {
+	if d > float64(maxHopLatency) {
+		return fmt.Errorf("%w: %s %.4gs exceeds the per-hop ceiling %v", ErrInvalidParams, what, d/1e9, maxHopLatency)
 	}
 	return nil
 }

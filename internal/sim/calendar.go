@@ -35,10 +35,14 @@ import (
 //     arbitrary timestamps; the delay bound is purely a sizing hint.
 //
 // The tiers partition time — near < far < overflow — and only the near
-// tier's gathered bucket is ever popped, after a sort on (at, seq), so fire
-// order is exactly the kernel's (at, seq) order whatever path a record took;
-// the equivalence and fuzz tests lock the calendar to the heap trace for
-// trace.
+// tier's gathered bucket is ever popped, after a stable sort on at. Records
+// carry no sequence number: every tier appends in push order, and every
+// move between tiers (scatter, overflow admission, grow, rebase, flushCur)
+// keeps the relative order of equal-time records, so position is push order
+// and fire order is exactly the kernel's (at, push order) whatever path a
+// record took. The overflow heap alone cannot keep order by position and
+// pairs each record with a seq. The equivalence and fuzz tests lock the
+// calendar to the heap trace for trace.
 //
 // Every piece of storage — both rings, the segment and chunk pools, the
 // scratch, the overflow heap — is retained across reconfigure, so a warm
@@ -70,7 +74,7 @@ type CalendarQueue struct {
 	farCount  int
 	freeChunk *farChunk
 
-	overflow []record // 4-ary min-heap of records at or beyond the far ring's end
+	overflow eventHeap // records at or beyond the far ring's end
 
 	stats calStats
 }
@@ -80,9 +84,10 @@ type calBucket struct{ head, tail int32 }
 
 var emptyBucket = calBucket{head: -1, tail: -1}
 
-// calSegRecords records per segment: 8×32-byte records is four cache lines
-// gathered per hop, against one record per hop for a plain linked list.
-const calSegRecords = 8
+// calSegRecords records per segment: 16×16-byte records is four cache
+// lines gathered per hop, against one record per hop for a plain linked
+// list.
+const calSegRecords = 16
 
 type calSegment struct {
 	n    int32
@@ -100,11 +105,11 @@ type farSlot struct {
 
 var emptySlot = farSlot{n: farChunkRecords}
 
-// farChunkRecords sizes a chunk at 8+63×32 = 2024 bytes: large enough that
-// a slot's records are read as a few long sequential runs when it is
+// farChunkRecords sizes a chunk at 8+127×16 = 2040 bytes: large enough
+// that a slot's records are read as a few long sequential runs when it is
 // scattered, small enough that the partly filled tail chunk every slot
 // carries is noise.
-const farChunkRecords = 63
+const farChunkRecords = 127
 
 type farChunk struct {
 	next *farChunk
@@ -230,7 +235,7 @@ func (c *CalendarQueue) clear() {
 	c.farCount = 0
 	c.nearSlot = 0
 	c.firstHint = 0
-	c.overflow = c.overflow[:0]
+	c.overflow.reset()
 	c.segs = c.segs[:0]
 	c.freeSeg = -1
 	c.cur = c.cur[:0]
@@ -238,7 +243,7 @@ func (c *CalendarQueue) clear() {
 	c.curAbs = -1
 }
 
-func (c *CalendarQueue) len() int { return c.nearCount + c.farCount + len(c.overflow) }
+func (c *CalendarQueue) len() int { return c.nearCount + c.farCount + c.overflow.len() }
 
 func (c *CalendarQueue) absBucket(at Time) int64 { return int64(at) >> c.widthShift }
 
@@ -333,9 +338,9 @@ func (c *CalendarQueue) emptyFar(slot int64, toNear bool) {
 		}
 		for i := range recs {
 			if toNear {
-				c.appendRec(c.absBucket(recs[i].at)&c.mask, recs[i])
+				c.appendRec(c.absBucket(recs[i].at())&c.mask, recs[i])
 			} else {
-				heapPush(&c.overflow, recs[i])
+				c.overflow.push(recs[i])
 			}
 		}
 		moved += len(recs)
@@ -365,7 +370,7 @@ func (c *CalendarQueue) emptyNear(slot int64) {
 				if toFar {
 					c.farAppend(slot, seg.recs[i])
 				} else {
-					heapPush(&c.overflow, seg.recs[i])
+					c.overflow.push(seg.recs[i])
 				}
 			}
 			c.nearCount -= int(seg.n)
@@ -378,13 +383,13 @@ func (c *CalendarQueue) emptyNear(slot int64) {
 // push enqueues rec into the tier its timestamp selects. A record below
 // the window start re-anchors the window first (see rebase).
 func (c *CalendarQueue) push(rec record) {
-	slot := c.farSlotOf(rec.at)
+	slot := c.farSlotOf(rec.at())
 	d := slot - c.nearSlot
 	switch {
 	case uint64(d-2) < uint64(len(c.slots)):
 		c.farAppend(slot, rec)
 	case d >= 2:
-		heapPush(&c.overflow, rec)
+		c.overflow.push(rec)
 		return
 	default:
 		if d < 0 {
@@ -404,7 +409,7 @@ func (c *CalendarQueue) push(rec record) {
 // scratch back to its segments first — only the horizon/cancel pattern
 // triggers that, never the steady state.
 func (c *CalendarQueue) insert(rec record) {
-	abs := c.absBucket(rec.at)
+	abs := c.absBucket(rec.at())
 	if abs == c.curAbs {
 		c.insertCur(rec)
 	} else {
@@ -419,17 +424,19 @@ func (c *CalendarQueue) insert(rec record) {
 	}
 }
 
-// insertCur places rec in the bucket being drained, keeping it ascending.
-// A record that fires after everything queued there is appended: every
-// push at the current instant is such a record (its seq is the largest),
-// and so is every hop of a cascade that stays inside the bucket, so a
-// same-instant backlog costs O(1) per push. Anything else bubbles in from
-// the tail, and the bubble is capped: past maxBubble steps the scratch goes
-// back to its segments with the record, and ready() re-sorts the bucket
-// once instead.
+// insertCur places rec — the latest push, so last among its equal-time
+// records — in the bucket being drained, keeping it in fire order. A record
+// no earlier than everything queued there is appended: every push at the
+// current instant is such a record, and so is every hop of a cascade that
+// stays inside the bucket, so a same-instant backlog costs O(1) per push.
+// Anything else bubbles in from the tail past the strictly later records,
+// and the bubble is capped: past maxBubble steps the scratch goes back to
+// its segments with the record, and ready() re-sorts the bucket once
+// instead.
 func (c *CalendarQueue) insertCur(rec record) {
 	n := len(c.cur)
-	if c.cur[n-1].before(rec) {
+	at := rec.at()
+	if c.cur[n-1].at() <= at {
 		if n == cap(c.cur) && c.curHead >= n/2 {
 			// Reuse the popped prefix before growing: a bucket that keeps
 			// refilling while it drains stays as large as its backlog.
@@ -441,7 +448,7 @@ func (c *CalendarQueue) insertCur(rec record) {
 		return
 	}
 	const maxBubble = 64
-	if n-c.curHead >= maxBubble && rec.before(c.cur[n-maxBubble]) {
+	if n-c.curHead >= maxBubble && at < c.cur[n-maxBubble].at() {
 		ring := c.curAbs & c.mask
 		c.flushCur()
 		c.appendRec(ring, rec)
@@ -449,7 +456,7 @@ func (c *CalendarQueue) insertCur(rec record) {
 	}
 	c.cur = append(c.cur, rec)
 	i := n
-	for i > c.curHead && rec.before(c.cur[i-1]) {
+	for i > c.curHead && at < c.cur[i-1].at() {
 		c.cur[i] = c.cur[i-1]
 		i--
 	}
@@ -494,8 +501,8 @@ func (c *CalendarQueue) ready() {
 	if n := c.len(); n > c.stats.peakPending {
 		c.stats.peakPending = n
 	}
-	// Gather the bucket's segments into the scratch and sort it once,
-	// while it is small and cache-resident.
+	// Gather the bucket's segments — in push order — into the scratch and
+	// sort it once, while it is small and cache-resident.
 	b := &c.buckets[c.firstHint&c.mask]
 	for s := b.head; s >= 0; {
 		seg := &c.segs[s]
@@ -521,10 +528,10 @@ func (c *CalendarQueue) advance(slot int64) {
 		c.emptyFar(s, true)
 	}
 	end := c.farEnd()
-	for len(c.overflow) > 0 && c.farSlotOf(c.overflow[0].at) < end {
-		rec := heapPop(&c.overflow)
+	for c.overflow.len() > 0 && c.farSlotOf(c.overflow.min().at()) < end {
+		rec := c.overflow.pop()
 		c.stats.overflowAdmits++
-		if s := c.farSlotOf(rec.at); s < slot+2 {
+		if s := c.farSlotOf(rec.at()); s < slot+2 {
 			c.insert(rec)
 		} else {
 			c.farAppend(s, rec)
@@ -543,7 +550,7 @@ func (c *CalendarQueue) reanchor() {
 			slot++
 		}
 	} else {
-		slot = c.farSlotOf(c.overflow[0].at)
+		slot = c.farSlotOf(c.overflow.min().at())
 	}
 	c.firstHint = slot << c.bpsShift
 	c.advance(slot)
@@ -613,10 +620,10 @@ func (c *CalendarQueue) rebase(slot int64) {
 func (c *CalendarQueue) peek() (record, bool) {
 	if c.nearCount == 0 {
 		if c.farCount == 0 {
-			if len(c.overflow) == 0 {
+			if c.overflow.len() == 0 {
 				return record{}, false
 			}
-			return c.overflow[0], true
+			return c.overflow.min(), true
 		}
 		c.reanchor()
 	}
@@ -637,7 +644,7 @@ func (c *CalendarQueue) pop() record {
 func (c *CalendarQueue) popUntil(horizon Time) (record, bool) {
 	if c.curAbs < 0 || c.firstHint != c.curAbs { // ready's own early return, hoisted
 		if c.nearCount == 0 {
-			if c.farCount == 0 && (len(c.overflow) == 0 || c.overflow[0].at > horizon) {
+			if c.farCount == 0 && (c.overflow.len() == 0 || c.overflow.min().at() > horizon) {
 				return record{}, false
 			}
 			c.reanchor()
@@ -645,7 +652,7 @@ func (c *CalendarQueue) popUntil(horizon Time) (record, bool) {
 		c.ready()
 	}
 	rec := c.cur[c.curHead]
-	if rec.at > horizon {
+	if rec.at() > horizon {
 		return record{}, false
 	}
 	if c.curHead++; c.curHead == len(c.cur) {
@@ -671,33 +678,31 @@ func (c *CalendarQueue) queueStats() QueueStats {
 			int64(cap(c.slots))*int64(unsafe.Sizeof(farSlot{})) +
 			int64(cap(c.segs))*int64(unsafe.Sizeof(calSegment{})) +
 			int64(c.stats.chunksOwned)*int64(unsafe.Sizeof(farChunk{})) +
-			int64(cap(c.cur)+cap(c.overflow))*recordBytes,
+			int64(cap(c.cur))*recordBytes + c.overflow.retainedBytes(),
 		Grows:          c.stats.grows,
 		Rebases:        c.stats.rebases,
 		OverflowAdmits: c.stats.overflowAdmits,
 	}
 }
 
-// sortBucket sorts a gathered bucket in fire order. Steady-state buckets
-// hold a handful of contiguous records, where insertion sort beats anything
-// indirect — but a bucket is not bounded (a constant-latency model lands a
-// whole message wave on one timestamp), and on a large bucket out of order
-// insertion sort is quadratic. Past a small threshold, hand off to the
-// standard pdqsort, which is O(k) on sorted runs and O(k log k) always.
+// sortBucket sorts a gathered bucket in fire order: a stable sort on at,
+// since the gathered records are in push order and that order breaks ties.
+// Steady-state buckets hold a handful of contiguous records, where insertion
+// sort (strict <, so stable) beats anything indirect — but a bucket is not
+// bounded (a constant-latency model lands a whole message wave on one
+// timestamp), and on a large bucket out of order insertion sort is
+// quadratic. Past a small threshold, hand off to the standard stable sort,
+// which is O(k) on sorted runs and O(k log² k) always.
 func sortBucket(b []record) {
 	if len(b) > 32 {
-		slices.SortFunc(b, func(x, y record) int {
-			if c := cmp.Compare(x.at, y.at); c != 0 {
-				return c
-			}
-			return cmp.Compare(x.seq, y.seq)
-		})
+		slices.SortStableFunc(b, func(x, y record) int { return cmp.Compare(x.at(), y.at()) })
 		return
 	}
 	for i := 1; i < len(b); i++ {
 		rec := b[i]
+		at := rec.at()
 		j := i
-		for j > 0 && rec.before(b[j-1]) {
+		for j > 0 && at < b[j-1].at() {
 			b[j] = b[j-1]
 			j--
 		}

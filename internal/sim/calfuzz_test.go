@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -56,6 +58,12 @@ func fuzzDelay(bound time.Duration, class, arg int) time.Duration {
 // derives from data and the kernel's own clock, so two kernels that fire in
 // the same order produce the same trace.
 func fuzzScript(data []byte, calendar bool, run func(k *Kernel, horizon Time) error) []fuzzEntry {
+	return fuzzScriptOn(New(), data, calendar, run)
+}
+
+// fuzzScriptOn is fuzzScript on a given fresh kernel, which the caller can
+// inspect afterwards.
+func fuzzScriptOn(k *Kernel, data []byte, calendar bool, run func(k *Kernel, horizon Time) error) []fuzzEntry {
 	// The engine grows inputs to a megabyte; bound the work per input.
 	data = data[:min(len(data), 2+3*1024)]
 	burst := 1 << 16
@@ -67,7 +75,6 @@ func fuzzScript(data []byte, calendar bool, run func(k *Kernel, horizon Time) er
 		data = data[1:]
 		return int(b)
 	}
-	k := New()
 	var (
 		trace   []fuzzEntry
 		handles []*Event
@@ -76,18 +83,20 @@ func fuzzScript(data []byte, calendar bool, run func(k *Kernel, horizon Time) er
 		h       HandlerID
 		horizon Time
 	)
-	at := func(class, arg int) Time {
-		t := k.Now().Add(fuzzDelay(bound, class, arg))
-		if t < k.Now() { // overflowed
-			t = k.Now()
-		}
-		return t
-	}
+	// Add saturates: a time past MaxTime fails both kernels alike
+	// (ErrTimeRange), it never wraps into the past.
+	at := func(class, arg int) Time { return k.Now().Add(fuzzDelay(bound, class, arg)) }
 	// A typed event's payload is its child spec: class in bits 0-2, arg in
 	// bits 3-7, remaining depth above — the handler pushes while the cursor
 	// is draining, which is where records land on the gathered bucket.
+	//
+	// The bound byte's high bits drive the record's packed fields to their
+	// extremes: bit 2 gives the handler the largest typed id, bit 3 starts
+	// every closure slot's generation just below its wrap, and bit 4 starts
+	// the clock 64 bounds short of MaxTime.
 	setup := func() {
-		bound = fuzzBounds[next()%len(fuzzBounds)]
+		b := next()
+		bound = fuzzBounds[b%len(fuzzBounds)]
 		pending := 0
 		if e := next() % (fuzzMaxPendingExp + 2); e > 0 {
 			pending = 1 << (e - 1)
@@ -96,6 +105,23 @@ func fuzzScript(data []byte, calendar bool, run func(k *Kernel, horizon Time) er
 			k.SetBoundedDelayHint(bound, pending)
 		}
 		handles, horizon = handles[:0], 0
+		if b&4 != 0 {
+			for len(k.handlers) < int(closureHandler)-1 {
+				k.RegisterHandler(func(Time, int32, int32) { panic("padding handler fired") })
+			}
+		}
+		if b&8 != 0 {
+			for len(k.slots) < 4 {
+				k.slots = append(k.slots, closureSlot{})
+				k.freeSlots = append(k.freeSlots, int32(len(k.slots)-1))
+			}
+			for i := range k.slots {
+				k.slots[i].gen = math.MaxUint32 - uint32(i%3)
+			}
+		}
+		if b&16 != 0 {
+			k.now = MaxTime - 64*Time(bound)
+		}
 		h = k.RegisterHandler(func(now Time, node, spec int32) {
 			trace = append(trace, fuzzEntry{'f', node, now})
 			if depth := spec >> 8; depth > 0 {
@@ -217,6 +243,134 @@ func addFuzzSeeds(f *testing.F) {
 	// horizon run that spends the budget on its last event (no ErrBudget) and
 	// one that finds it spent with an event due (ErrBudget).
 	f.Add([]byte{1, 9, 3, 2, 10, 3, 2, 20, 3, 2, 30, 3, 2, 40, 11, 1, 2, 5, 0, 0, 6, 2, 31, 6, 2, 41, 8, 0, 0})
+	for _, w := range waveSeeds {
+		f.Add(w.data)
+	}
+}
+
+// ops concatenates op byte groups, each repeated n times: ops(2, a, b) is
+// a, b, a, b.
+func ops(n int, groups ...[]byte) []byte {
+	var out []byte
+	for ; n > 0; n-- {
+		for _, g := range groups {
+			out = append(out, g...)
+		}
+	}
+	return out
+}
+
+func cat(parts ...[]byte) []byte { return ops(1, parts...) }
+
+// Op byte groups for the wave seeds: a typed event (op 0, no children) or
+// a closure (op 3) after a fuzzDelay (class, arg), a typed parent (op 1)
+// whose one child follows after its spec's delay, a horizon run (op 6), a
+// push just past the horizon (op 7), a peek (op 8), a burst (op 10), and a
+// Reset re-hinted to (bound, pending exponent) (op 11, class 0).
+func typed(class, arg byte) []byte        { return []byte{0, class, arg, 0} }
+func closureAt(class, arg byte) []byte    { return []byte{3, class, arg} }
+func parent(class, arg, spec byte) []byte { return []byte{1, class, arg, spec} }
+func runTo(class, arg byte) []byte        { return []byte{6, class, arg} }
+func pastHorizon(arg byte) []byte         { return []byte{7, 0, arg} }
+func burst(class, arg byte) []byte        { return []byte{10, class, arg} }
+func rehint(bound, pendingExp byte) []byte {
+	return []byte{11, 0, 0, bound, pendingExp}
+}
+
+var peekOp = []byte{8, 0, 0}
+
+// childSpec is a parent's payload byte: one child after fuzzDelay(class,
+// arg·8).
+func childSpec(class, arg8 byte) byte { return class | arg8<<3 }
+
+// waveSeeds send waves of equal-time records — typed and closure events
+// pushed at one timestamp at different moments — across every move between
+// the calendar's tiers, so FIFO among equal times has to survive each move
+// by position alone; the last two drive the record's packed fields to their
+// extremes. check, if set, confirms on the calendar kernel the seed ran on
+// that the move happened.
+var waveSeeds = []struct {
+	name  string
+	data  []byte
+	check func(k *Kernel, trace []fuzzEntry) bool
+}{
+	{"scatter: a far-ring wave joined by children and later pushes", cat(
+		[]byte{2, 15}, // 10 ms, 2¹⁴ pending: 8 far slots
+		ops(3, ops(8, typed(3, 128)), closureAt(3, 128)), // T = +5 ms, in the far ring
+		ops(8, parent(3, 64, childSpec(3, 8))),           // at +2.5 ms, each child at T
+		runTo(3, 100),
+		ops(8, typed(3, 64)), // the clock sits at +2.5 ms: T again
+	), nil},
+	{"overflow admission: an overflow wave joined by children and later pushes", cat(
+		[]byte{1, 11}, // 1 ms, 2¹⁰ pending: the far ring ends at +4.2 ms
+		ops(3, ops(6, typed(5, 1)), closureAt(5, 1)), // T = +5 ms, in the overflow heap
+		ops(6, parent(4, 0, childSpec(5, 0))),        // at +1 ms, each child at T
+		runTo(4, 0),
+		ops(6, typed(5, 0)), // the clock sits at +1 ms: T again
+	), func(k *Kernel, _ []fuzzEntry) bool { return k.QueueStats().OverflowAdmits > 0 }},
+	{"grow: a wave redistributed by bucket halvings", cat(
+		[]byte{2, 0}, // 10 ms, no pending hint: 256 buckets, grow past 2048 records
+		ops(10, typed(3, 128)), closureAt(3, 128), burst(7, 200),
+		ops(10, typed(3, 128)), closureAt(3, 128), burst(9, 150),
+		ops(10, typed(3, 128)),
+	), func(k *Kernel, _ []fuzzEntry) bool { return k.QueueStats().Grows > 0 }},
+	{"rebase: a wave sent back to the far ring by a push below the window", cat(
+		[]byte{2, 15},
+		ops(8, typed(3, 128)), closureAt(3, 128), closureAt(3, 128),
+		runTo(1, 10),   // nothing due: the window runs ahead to T's slot
+		pastHorizon(5), // the barrier push below it
+		ops(8, typed(3, 128)), closureAt(3, 128),
+		peekOp, runTo(1, 10), pastHorizon(7),
+		ops(8, typed(3, 128)),
+	), func(k *Kernel, _ []fuzzEntry) bool { return k.QueueStats().Rebases > 0 }},
+	{"maxBubble: stragglers that send a gathered wave back to its segments", cat(
+		[]byte{3, 15},                  // 1 h: one bucket spans the whole wave and its stragglers
+		ops(70, typed(1, 200)), peekOp, // T = +200 ns, gathered
+		typed(1, 150), // 64+ records ahead of it: the bubble gives up
+		ops(10, typed(1, 200)), typed(1, 150), ops(10, typed(1, 200)), peekOp,
+		ops(3, typed(1, 200)), typed(1, 199),
+	), nil},
+	{"Reset and re-hint between waves", cat(
+		[]byte{2, 15},
+		ops(8, typed(3, 128)), closureAt(3, 128), runTo(3, 64),
+		rehint(1, 19), // 1 ms, 2¹⁸ pending
+		ops(8, typed(3, 128)), closureAt(3, 128), ops(8, typed(5, 2)), closureAt(5, 2),
+	), nil},
+	{"packed extremes: handler 254, wrapping generations, a wave at MaxTime", cat(
+		[]byte{2 | 4 | 8 | 16, 15},             // clock at MaxTime − 64 bounds
+		ops(4, typed(5, 60)), closureAt(5, 60), // exactly MaxTime
+		ops(3, ops(4, typed(3, 128)), closureAt(3, 128), closureAt(3, 128)),
+		[]byte{5, 0, 1}, []byte{5, 0, 4},
+		runTo(3, 200),
+		ops(12, closureAt(0, 0), []byte{5, 0, 255}), // fire and cancel through each slot's wrap
+		ops(4, typed(5, 59)), closureAt(5, 59),
+	), func(k *Kernel, trace []fuzzEntry) bool {
+		n := len(trace)
+		return k.Now() == MaxTime && trace[n-3].at == MaxTime && trace[n-3].id == 0
+	}},
+	{"packed extremes: a push past MaxTime fails both kernels", cat(
+		[]byte{1 | 4 | 16, 15},
+		ops(4, typed(3, 128)), closureAt(3, 128), runTo(3, 130),
+		ops(4, typed(5, 60)), closureAt(5, 60), // past MaxTime now
+		ops(4, typed(3, 128)),
+	), func(k *Kernel, trace []fuzzEntry) bool {
+		return errors.Is(k.err, ErrTimeRange) && trace[len(trace)-3].id == 1
+	}},
+}
+
+// TestWaveSeedsReachTheirTransitions: each wave seed matches the heap, and
+// on the calendar it makes the tier move it was written for.
+func TestWaveSeedsReachTheirTransitions(t *testing.T) {
+	for _, w := range waveSeeds {
+		t.Run(w.name, func(t *testing.T) {
+			k := New()
+			got := fuzzScriptOn(k, w.data, true, (*Kernel).Run)
+			equalTraces(t, got, fuzzScript(w.data, false, (*Kernel).Run), "calendar", "heap")
+			if w.check != nil && !w.check(k, got) {
+				t.Errorf("the seed missed its transition: %+v, now %v, err %v", k.QueueStats(), k.Now(), k.err)
+			}
+		})
+	}
 }
 
 func FuzzCalendarVsHeap(f *testing.F) {
@@ -330,55 +484,59 @@ func TestCalendarFuzzTyped(t *testing.T) {
 type calOracle struct {
 	t   *testing.T
 	cal *CalendarQueue
-	ref []record
-	seq uint64
+	ref eventHeap // (at, seq) order, seq counting pushes
+	ids int32
 }
 
 func newCalOracle(t *testing.T, bound time.Duration, pending int) *calOracle {
 	return &calOracle{t: t, cal: NewCalendarQueue(bound, pending)}
 }
 
-func (o *calOracle) push(at Time) {
-	o.seq++
-	rec := record{at: at, seq: o.seq}
+func (o *calOracle) push(at Time) { o.pushRec(at, 0, 0) }
+
+// pushRec queues one record on both queues. Its node is its push number —
+// the reference's seq — so a pop names the record it returned.
+func (o *calOracle) pushRec(at Time, h HandlerID, arg int32) {
+	o.ids++
+	rec := newRecord(at, h, o.ids, arg)
 	o.cal.push(rec)
-	heapPush(&o.ref, rec)
+	o.ref.push(rec)
 }
 
 // min is the earliest queued timestamp (zero on an empty queue).
 func (o *calOracle) min() Time {
-	if len(o.ref) == 0 {
+	if o.ref.len() == 0 {
 		return 0
 	}
-	return o.ref[0].at
+	return o.ref.min().at()
 }
 
 func (o *calOracle) peek() {
 	o.t.Helper()
 	got, ok := o.cal.peek()
-	if ok != (len(o.ref) > 0) || ok && got != o.ref[0] {
-		o.t.Fatalf("peek got (at=%d seq=%d ok=%v), reference holds %d", got.at, got.seq, ok, len(o.ref))
+	if ok != (o.ref.len() > 0) || ok && got != o.ref.min() {
+		o.t.Fatalf("peek got (at=%d seq=%d ok=%v), reference holds %d", got.at(), got.node, ok, o.ref.len())
 	}
 }
 
 func (o *calOracle) pop() {
 	o.t.Helper()
-	if len(o.ref) == 0 {
+	if o.ref.len() == 0 {
 		return
 	}
-	want := heapPop(&o.ref)
+	want := o.ref.pop()
 	if got := o.cal.pop(); got != want {
-		o.t.Fatalf("pop got (at=%d seq=%d) want (at=%d seq=%d)", got.at, got.seq, want.at, want.seq)
+		o.t.Fatalf("pop got (at=%d seq=%d) want (at=%d seq=%d)", got.at(), got.node, want.at(), want.node)
 	}
 }
 
 // drain pops everything and requires the calendar to end up empty.
 func (o *calOracle) drain() {
 	o.t.Helper()
-	if o.cal.len() != len(o.ref) {
-		o.t.Fatalf("len %d vs reference %d", o.cal.len(), len(o.ref))
+	if o.cal.len() != o.ref.len() {
+		o.t.Fatalf("len %d vs reference %d", o.cal.len(), o.ref.len())
 	}
-	for len(o.ref) > 0 {
+	for o.ref.len() > 0 {
 		o.pop()
 	}
 	if o.cal.len() != 0 {
@@ -431,15 +589,15 @@ func TestReviewCalendarOverflowOnly(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		o.push(Time(1_000_000_000 + r.Intn(1_000_000_000)))
 	}
-	if len(o.cal.overflow) != 5000 {
-		t.Fatalf("%d of 5000 records in the overflow heap", len(o.cal.overflow))
+	if o.cal.overflow.len() != 5000 {
+		t.Fatalf("%d of 5000 records in the overflow heap", o.cal.overflow.len())
 	}
-	for len(o.ref) > 0 {
+	for o.ref.len() > 0 {
 		// Interleave a below-window push occasionally: the record shares
 		// the timestamp about to pop (at or below the calendar's slid
 		// window, forcing the rebase path) but carries a later seq, so
 		// the head still fires first and the two queues stay in sync.
-		if o.ref[0].seq%97 == 0 {
+		if o.ref.q[0].seq%97 == 0 {
 			o.push(o.min())
 		}
 		o.pop()
@@ -479,8 +637,8 @@ func TestCalendarTierEdges(t *testing.T) {
 			for _, at := range []Time{edge, edge - 1, edge + 1, edge, edge - 1} {
 				o.push(at)
 			}
-			if o.cal.farCount != 2 || len(o.cal.overflow) != 3 {
-				t.Fatalf("far %d overflow %d, want 2 and 3", o.cal.farCount, len(o.cal.overflow))
+			if o.cal.farCount != 2 || o.cal.overflow.len() != 3 {
+				t.Fatalf("far %d overflow %d, want 2 and 3", o.cal.farCount, o.cal.overflow.len())
 			}
 			// One near record: popping it leaves the window where it is,
 			// and the next pop re-anchors at the far ring's last slot,
@@ -488,8 +646,8 @@ func TestCalendarTierEdges(t *testing.T) {
 			o.push(1)
 			o.pop()
 			o.pop()
-			if o.cal.stats.overflowAdmits != 3 || len(o.cal.overflow) != 0 {
-				t.Fatalf("admitted %d, %d still in overflow", o.cal.stats.overflowAdmits, len(o.cal.overflow))
+			if o.cal.stats.overflowAdmits != 3 || o.cal.overflow.len() != 0 {
+				t.Fatalf("admitted %d, %d still in overflow", o.cal.stats.overflowAdmits, o.cal.overflow.len())
 			}
 		}},
 		{"rebase with the far ring populated", func(t *testing.T, o *calOracle) {
@@ -521,8 +679,8 @@ func TestCalendarTierEdges(t *testing.T) {
 			if o.cal.stats.rebases != 2 {
 				t.Fatalf("%d rebases, want 2", o.cal.stats.rebases)
 			}
-			if len(o.cal.overflow) != 0 {
-				t.Fatalf("a rebase inside the hinted band spilled %d records to overflow", len(o.cal.overflow))
+			if o.cal.overflow.len() != 0 {
+				t.Fatalf("a rebase inside the hinted band spilled %d records to overflow", o.cal.overflow.len())
 			}
 			// And one far below a populated ring's reach: the far slots
 			// pushed off the end spill, and come back in order.
@@ -531,7 +689,7 @@ func TestCalendarTierEdges(t *testing.T) {
 			}
 			o.push(slotTime(o.cal, o.cal.farEnd()) - 1)
 			o.push(o.min() - Time(3*bound))
-			if len(o.cal.overflow) == 0 {
+			if o.cal.overflow.len() == 0 {
 				t.Fatal("a rebase a whole window down spilled nothing")
 			}
 		}},
@@ -548,6 +706,138 @@ func TestCalendarTierEdges(t *testing.T) {
 			if o.cal.farCount != 5010 {
 				t.Fatalf("%d far records, want 5010", o.cal.farCount)
 			}
+		}},
+		// The cases below send waves of equal-time records across each
+		// move between tiers: records carry no seq, so the oracle's push
+		// order has to survive every move by position alone.
+		{"an equal-time wave across scatter", func(t *testing.T, o *calOracle) {
+			wave := slotTime(o.cal, o.cal.nearSlot+5) + 777 // bucket 3 of its slot, with wave±1
+			for i := 0; i < 100; i++ {
+				o.push(wave)
+				if i%25 == 0 {
+					o.push(wave + 1)
+					o.push(wave - 1)
+				}
+			}
+			if o.cal.farCount != 108 {
+				t.Fatalf("%d far records, want 108", o.cal.farCount)
+			}
+			// Re-anchor on the wave's slot: it is scattered into the near
+			// ring and its bucket gathered and sorted, 108 records at once.
+			o.push(1)
+			o.pop()
+			o.peek()
+			if o.cal.farCount != 0 || o.cal.curAbs < 0 || len(o.cal.cur) != 108 {
+				t.Fatalf("far %d, gathered %d records in bucket %d", o.cal.farCount, len(o.cal.cur), o.cal.curAbs)
+			}
+			// Pushes into the gathered bucket bubble past wave+1 only.
+			for i := 0; i < 40; i++ {
+				o.push(wave)
+				if i%10 == 0 {
+					o.pop()
+				}
+			}
+		}},
+		{"an equal-time wave across overflow admission", func(t *testing.T, o *calOracle) {
+			wave := slotTime(o.cal, o.cal.farEnd()) + 999
+			for i := 0; i < 100; i++ {
+				o.push(wave)
+				if i%25 == 0 {
+					o.push(wave + 300) // the next bucket
+					o.push(wave - 1)
+				}
+			}
+			if o.cal.overflow.len() != 108 {
+				t.Fatalf("%d overflow records, want 108", o.cal.overflow.len())
+			}
+			// Popping a record three slots on re-anchors the window there:
+			// the wave is admitted to the far ring, and later pushes queue
+			// behind it.
+			o.push(slotTime(o.cal, o.cal.nearSlot+3))
+			o.pop()
+			if o.cal.stats.overflowAdmits != 108 || o.cal.farCount != 108 {
+				t.Fatalf("admitted %d, far %d, want 108 and 108", o.cal.stats.overflowAdmits, o.cal.farCount)
+			}
+			for i := 0; i < 50; i++ {
+				o.push(wave)
+			}
+		}},
+		{"an equal-time wave across rebase", func(t *testing.T, o *calOracle) {
+			base := Time(time.Second)
+			o.push(base)
+			o.pop()
+			wave := slotTime(o.cal, o.cal.nearSlot+1) + 100 // the near ring's second slot
+			for i := 0; i < 80; i++ {
+				o.push(wave)
+			}
+			// Three slots down: the wave's slot goes back to the far ring,
+			// and later pushes follow it there.
+			o.push(slotTime(o.cal, o.cal.nearSlot-3))
+			if o.cal.stats.rebases != 1 || o.cal.farCount != 80 {
+				t.Fatalf("rebases %d, far %d, want 1 and 80", o.cal.stats.rebases, o.cal.farCount)
+			}
+			for i := 0; i < 40; i++ {
+				o.push(wave)
+			}
+			// Again with the wave gathered: the scratch is flushed to its
+			// segments first.
+			o.pop()
+			o.peek()
+			if o.cal.curAbs != o.cal.absBucket(wave) {
+				t.Fatalf("gathered bucket %d, want the wave's %d", o.cal.curAbs, o.cal.absBucket(wave))
+			}
+			o.push(wave)
+			o.push(slotTime(o.cal, o.cal.nearSlot) - 1)
+			if o.cal.stats.rebases != 2 || o.cal.curAbs >= 0 {
+				t.Fatalf("rebases %d, gathered bucket %d, want 2 and none", o.cal.stats.rebases, o.cal.curAbs)
+			}
+			o.push(wave)
+			// And a whole window down: the wave spills to the overflow
+			// heap, behind nothing, and later pushes follow it there.
+			o.push(wave - Time(3*bound))
+			if o.cal.overflow.len() != 123 {
+				t.Fatalf("%d overflow records, want the wave's 122 and the record below it", o.cal.overflow.len())
+			}
+			o.push(wave)
+		}},
+		{"an equal-time wave across the maxBubble flush", func(t *testing.T, o *calOracle) {
+			const wave = Time(5100) // bucket 19 spans 4864..5119
+			for i := 0; i < 100; i++ {
+				o.push(wave)
+			}
+			o.peek()
+			o.push(wave - 100) // 100 records ahead of it: past maxBubble
+			if o.cal.curAbs >= 0 {
+				t.Fatal("the straggler bubbled through 100 records instead of flushing the scratch")
+			}
+			for i := 0; i < 20; i++ {
+				o.push(wave)
+				o.push(wave - 100)
+			}
+			o.peek() // regathered: 141 records, a stable sort
+			o.push(wave + 10)
+			o.push(wave + 10)
+			o.push(wave) // behind two later records only: a bubble
+			if o.cal.curAbs < 0 {
+				t.Fatal("a short bubble flushed the scratch")
+			}
+		}},
+		{"packed extremes: MaxTime, the largest handler ids, negative arguments", func(t *testing.T, o *calOracle) {
+			for i := 0; i < 50; i++ {
+				o.pushRec(MaxTime, closureHandler-1, math.MinInt32)
+				o.pushRec(MaxTime, closureHandler, -1) // generation MaxUint32
+				o.pushRec(MaxTime-1, 0, math.MaxInt32)
+			}
+			if o.cal.overflow.len() != 150 {
+				t.Fatalf("%d overflow records, want 150", o.cal.overflow.len())
+			}
+			if got, _ := o.cal.peek(); got.at() != MaxTime-1 || got.handler() != 0 || got.arg != math.MaxInt32 {
+				t.Fatalf("head at %d, handler %d, arg %d", got.at(), got.handler(), got.arg)
+			}
+			for i := 0; i < 75; i++ {
+				o.pop()
+			}
+			o.pushRec(MaxTime, closureHandler-1, 7)
 		}},
 	}
 	for _, tc := range cases {
@@ -570,13 +860,83 @@ func TestCalendarTierEdges(t *testing.T) {
 				o.peek() // gather a bucket, so grow finds the scratch in use
 			}
 		}
-		if o.cal.stats.grows != 1 || o.cal.farCount == 0 || len(o.cal.overflow) == 0 {
-			t.Fatalf("grows %d, far %d, overflow %d", o.cal.stats.grows, o.cal.farCount, len(o.cal.overflow))
+		if o.cal.stats.grows != 1 || o.cal.farCount == 0 || o.cal.overflow.len() == 0 {
+			t.Fatalf("grows %d, far %d, overflow %d", o.cal.stats.grows, o.cal.farCount, o.cal.overflow.len())
 		}
 		fresh := NewCalendarQueue(bound, 0)
 		if o.cal.slotShift != fresh.slotShift || len(o.cal.buckets) != 2*len(fresh.buckets) {
 			t.Fatalf("grow moved the far-slot boundaries: slot shift %d → %d, %d buckets", fresh.slotShift, o.cal.slotShift, len(o.cal.buckets))
 		}
 		o.drain()
+	})
+
+	t.Run("an equal-time wave across grow", func(t *testing.T) {
+		r := xrand.New(9)
+		o := newCalOracle(t, bound, 0)
+		const wave = Time(3_000_000) // in the near ring
+		for i := 0; i < 3000; i++ {
+			o.push(Time(r.Intn(12_000_000)))
+			if i%10 == 0 {
+				o.push(wave)
+			}
+			if i == 1500 {
+				o.peek()
+			}
+		}
+		if o.cal.stats.grows == 0 {
+			t.Fatal("the flood never grew the calendar")
+		}
+		for i := 0; i < 20; i++ {
+			o.push(wave)
+		}
+		o.drain()
+	})
+
+	t.Run("the largest handler id and a wrapped generation on one timestamp", func(t *testing.T) {
+		run := func(k *Kernel) []string {
+			var tr []string
+			for len(k.handlers) < int(closureHandler)-1 {
+				k.RegisterHandler(func(Time, int32, int32) { tr = append(tr, "padding") })
+			}
+			top := k.RegisterHandler(func(now Time, node, payload int32) {
+				tr = append(tr, fmt.Sprintf("h%d@%v", node, now))
+				if payload < 0 {
+					k.Schedule(now, HandlerID(len(k.handlers)-1), node+1000, payload+1)
+				}
+			})
+			if top != closureHandler-1 {
+				t.Fatalf("top handler id %d, want %d", top, closureHandler-1)
+			}
+			// Slot 0's next generation is MaxUint32; canceling it wraps
+			// the generation to 0 while its stale record is still queued,
+			// and the slot's next use queues a live record at generation 0
+			// on the same timestamp.
+			k.slots = append(k.slots[:0], closureSlot{gen: math.MaxUint32})
+			k.freeSlots = append(k.freeSlots[:0], 0)
+			at := Time(3 * time.Millisecond)
+			for i := int32(0); i < 40; i++ {
+				k.Schedule(at, top, i, -2)
+				if i%8 == 0 {
+					e := k.At(at, func() { tr = append(tr, "stale fired") })
+					k.Cancel(e)
+					k.At(at, func() { tr = append(tr, fmt.Sprintf("c@%v", k.Now())) })
+				}
+			}
+			if err := k.RunAll(); err != nil {
+				t.Fatal(err)
+			}
+			return tr
+		}
+		want := run(New())
+		if len(want) != 40*3+5 {
+			t.Fatalf("heap trace has %d entries, want %d", len(want), 40*3+5)
+		}
+		for _, pending := range []int{0, 1 << 16} {
+			k := New()
+			k.SetBoundedDelayHint(bound, pending)
+			if got := run(k); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("pending %d: calendar trace %v, heap %v", pending, got, want)
+			}
+		}
 	})
 }

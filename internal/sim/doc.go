@@ -4,15 +4,15 @@
 // protocols run on when latency, loss, and timing matter.
 //
 // Determinism: events with equal timestamps fire in scheduling order
-// (FIFO via a monotonically increasing sequence number), so a run is a pure
-// function of its inputs and seeds regardless of map iteration or goroutine
-// scheduling — the kernel is single-goroutine by design.
+// (FIFO), so a run is a pure function of its inputs and seeds regardless of
+// map iteration or goroutine scheduling — the kernel is single-goroutine by
+// design.
 //
 // Two queue disciplines back the kernel, firing events in exactly the same
-// (at, seq) order:
+// (at, seq) order, seq being the scheduling order:
 //
-//   - A flat, value-typed 4-ary min-heap of fixed-size records — the
-//     general-purpose default, O(log n) per operation.
+//   - A flat, value-typed 4-ary min-heap of fixed-size records, each paired
+//     with its seq — the general-purpose default, O(log n) per operation.
 //   - A CalendarQueue — time buckets in two tiers with an overflow heap
 //     behind them, amortized O(1) per operation when event delays mostly
 //     stay within a band. Callers that know their delay band select it
@@ -41,16 +41,21 @@
 // and K is what it takes for the far ring alone to span the window — so a
 // run that keeps to its hint never touches the overflow heap, and a warm
 // kernel re-hinted for a smaller run shrinks to exactly a fresh one's
-// geometry. Only gathered, sorted near buckets are ever popped, which is
-// why the route a record took cannot change the fire order.
+// geometry. Only gathered near buckets are ever popped, sorted stably on
+// the timestamp, which is why the route a record took cannot change the
+// fire order: a calendar record stores no seq, and every tier and every
+// move between tiers keeps equal-time records in push order by position
+// (the overflow heap alone pairs its records with a seq).
 // Kernel.QueueStats reports the geometry chosen, the peak load, the bytes
 // retained and every corrective action (grow, rebase, overflow admission)
 // the queue took on its own.
 //
 // Neither discipline allocates on the hot path: typed events scheduled
 // with Schedule and dispatched to a registered handler by index are plain
-// 32-byte records, which is what makes n=10⁶..10⁷-node network executions
-// feasible. The closure-based At/After/Every/Cancel API is the
+// 16-byte records — the timestamp and handler id packed in one word, which
+// caps schedulable time at MaxTime (about 834 days; a later event fails
+// Run with ErrTimeRange) and a kernel at 255 handlers — which is what makes
+// n=10⁶..10⁷-node network executions feasible. The closure-based At/After/Every/Cancel API is the
 // control-event layer for low-rate callers (scenario hooks, round ticks,
 // examples); it parks the closure in a generation-counted slot table and
 // enqueues a record pointing at the slot, so canceling is O(1) lazy

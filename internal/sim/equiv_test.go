@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // ---------------------------------------------------------------------------
@@ -276,11 +277,25 @@ func TestCalendarRehintShrinks(t *testing.T) {
 	}
 }
 
+// TestRecordLayout pins the queued record at 16 bytes — the calendar's
+// memory per pending event, and what QueueStats.RetainedBytes counts in.
+func TestRecordLayout(t *testing.T) {
+	if size := unsafe.Sizeof(record{}); size != 16 || recordBytes != 16 {
+		t.Errorf("record is %d bytes (recordBytes %d), want 16", size, recordBytes)
+	}
+	if size := unsafe.Sizeof(calSegment{}); size > 4*64+8 {
+		t.Errorf("a near-ring segment is %d bytes, want four cache lines of records and its header", size)
+	}
+	if size := unsafe.Sizeof(farChunk{}); size > 2048 {
+		t.Errorf("a far-ring chunk is %d bytes, want at most 2 KB", size)
+	}
+}
+
 // TestQueueStatsAccountForMemory replays the rumor_1m kernel load — the
 // hint simnet gives an n=10⁶ group under 1–10 ms latency, a million events
 // kept pending — and requires the queue's own record to explain it: the
 // two-tier geometry, no corrective action, and retained storage within
-// 1.5× of the 32-byte records it held at peak.
+// 1.5× of the 16-byte records it held at peak.
 func TestQueueStatsAccountForMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pushes 3·2²⁰ events")
@@ -315,9 +330,10 @@ func TestQueueStatsAccountForMemory(t *testing.T) {
 	if q.PeakPending < pending-64 || q.PeakPending > pending {
 		t.Errorf("peak pending %d, want ≈ %d", q.PeakPending, pending)
 	}
-	if limit := int64(q.PeakPending) * recordBytes * 3 / 2; q.RetainedBytes > limit {
-		t.Errorf("queue retains %d bytes for a peak of %d records: %.2f× their size, want ≤ 1.5×",
-			q.RetainedBytes, q.PeakPending, float64(q.RetainedBytes)/float64(int64(q.PeakPending)*recordBytes))
+	const bytesPerRecord = 16
+	if limit := int64(q.PeakPending) * bytesPerRecord * 3 / 2; q.RetainedBytes > limit {
+		t.Errorf("queue retains %d bytes for a peak of %d records: %.2f× 16 B each, want ≤ 1.5×",
+			q.RetainedBytes, q.PeakPending, float64(q.RetainedBytes)/float64(int64(q.PeakPending)*bytesPerRecord))
 	}
 	if q.PeakChunks == 0 || q.PeakSegments == 0 {
 		t.Errorf("high-water marks missing: %+v", q)
@@ -556,8 +572,8 @@ func TestCalendarScheduleZeroAlloc(t *testing.T) {
 		for i := 0; i < 1024; i++ {
 			k.Schedule(base.Add(time.Duration(i%37)*time.Microsecond+time.Duration(i%6)*time.Millisecond), h, int32(i), 0)
 		}
-		if k.cal.farCount == 0 || len(k.cal.overflow) == 0 {
-			t.Fatalf("batch left %d far and %d overflow records, want both tiers in use", k.cal.farCount, len(k.cal.overflow))
+		if k.cal.farCount == 0 || k.cal.overflow.len() == 0 {
+			t.Fatalf("batch left %d far and %d overflow records, want both tiers in use", k.cal.farCount, k.cal.overflow.len())
 		}
 		if err := k.RunAll(); err != nil {
 			t.Fatal(err)

@@ -10,11 +10,15 @@ import (
 // referenceRun is Kernel.Run as it was before the event loop was fused: ask
 // liveHead for the earliest live record (peeking, and popping canceled ones),
 // test it against the horizon and the budget, and hand it to fire, which pops
-// the same record again. It is the oracle Run is held to.
+// the same record again. It is the oracle Run is held to, and like Run it
+// fails at once on a kernel that was scheduled past MaxTime.
 func (k *Kernel) referenceRun(horizon Time) error {
 	for {
+		if k.err != nil {
+			return k.err
+		}
 		head, ok := k.liveHead()
-		if !ok || head.at > horizon {
+		if !ok || head.at() > horizon {
 			return nil
 		}
 		if k.budget > 0 && k.fired >= k.budget {

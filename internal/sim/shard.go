@@ -89,7 +89,7 @@ func (g *ShardGroup) Each(f func(shard int)) {
 // Such messages are flushed with windowEnd 0 — no barrier clamp; each
 // destination schedules them at their natural times (its kernel clamps
 // past times to its own now). Run returns the first worker or control
-// error (ErrBudget) encountered.
+// error (ErrBudget, ErrTimeRange) encountered.
 func (g *ShardGroup) Run(flush func(windowEnd Time), buffered func() int, onBarrier func(now Time, fired uint64)) error {
 	if len(g.kernels) == 1 && g.control == g.kernels[0] {
 		return g.kernels[0].RunAll()
@@ -132,7 +132,7 @@ func (g *ShardGroup) Run(flush func(windowEnd Time), buffered func() int, onBarr
 				flush(0)
 				continue
 			}
-			return nil
+			return g.err()
 		}
 		wend := End
 		if any {
@@ -176,6 +176,17 @@ func (g *ShardGroup) Run(flush func(windowEnd Time), buffered func() int, onBarr
 			onBarrier(wend, g.fired())
 		}
 	}
+}
+
+// err is the first kernel's ErrTimeRange: a flush may have scheduled past
+// MaxTime into a kernel with nothing else to run, whose Run never comes.
+func (g *ShardGroup) err() error {
+	for _, k := range g.kernels {
+		if k.err != nil {
+			return k.err
+		}
+	}
+	return g.control.err
 }
 
 // fired sums events executed across the shard and control kernels. Only

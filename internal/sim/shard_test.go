@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"sort"
 	"testing"
 	"time"
@@ -238,6 +239,24 @@ func TestShardGroupBudget(t *testing.T) {
 	g := NewShardGroup(kernels, control, time.Millisecond)
 	if err := g.Run(nil, nil, nil); err != ErrBudget {
 		t.Fatalf("got %v, want ErrBudget", err)
+	}
+}
+
+// TestShardGroupTimeRange: a flush that schedules past MaxTime into a shard
+// with nothing else queued still fails the group with ErrTimeRange — that
+// kernel's Run is never called again, so the group asks it.
+func TestShardGroupTimeRange(t *testing.T) {
+	kernels := []*Kernel{New(), New()}
+	h := kernels[1].RegisterHandler(func(Time, int32, int32) { t.Error("an event past MaxTime fired") })
+	parked := 1
+	flush := func(Time) {
+		for ; parked > 0; parked-- {
+			kernels[1].Schedule(MaxTime.Add(time.Nanosecond), h, 0, 0)
+		}
+	}
+	g := NewShardGroup(kernels, New(), time.Millisecond)
+	if err := g.Run(flush, func() int { return parked }, nil); !errors.Is(err, ErrTimeRange) {
+		t.Fatalf("got %v, want ErrTimeRange", err)
 	}
 }
 

@@ -5,14 +5,26 @@ import (
 	"fmt"
 	"math"
 	"time"
+	"unsafe"
 )
 
 // Time is a simulated timestamp. The zero Time is the simulation start.
 // It counts nanoseconds, mirroring time.Duration, so durations interoperate.
 type Time int64
 
-// Add returns t advanced by d.
-func (t Time) Add(d time.Duration) Time { return t + Time(d) }
+// Add returns t advanced by d, saturating at End and at math.MinInt64
+// instead of wrapping: a delay too long to represent lands past MaxTime,
+// where the kernel refuses it, never in the past.
+func (t Time) Add(d time.Duration) Time {
+	s := t + Time(d)
+	if (s > t) != (d > 0) {
+		if d > 0 {
+			return End
+		}
+		return math.MinInt64
+	}
+	return s
+}
 
 // Sub returns the duration from u to t.
 func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
@@ -28,37 +40,50 @@ func (t Time) String() string { return time.Duration(t).String() }
 // End is a sentinel time after every schedulable event.
 const End Time = math.MaxInt64
 
+// MaxTime is the latest time an event can be scheduled at: a queued record
+// packs its timestamp beside the handler id in one word (2⁵⁶−1 ns, about
+// 834 days). Scheduling past it is refused — Run returns ErrTimeRange.
+const MaxTime Time = 1<<(64-handlerBits) - 1
+
+// ErrTimeRange is returned by Run when an event was scheduled past MaxTime;
+// the event is dropped and the kernel stays failed until Reset.
+var ErrTimeRange = errors.New("sim: event scheduled past MaxTime")
+
 // HandlerID identifies a typed event handler registered with
 // RegisterHandler. The zero value is a valid id (the first handler
 // registered); use Schedule only with ids returned by RegisterHandler.
 type HandlerID int32
 
-// closureHandler marks a record as a closure event dispatched through the
-// slot table instead of the typed handler table.
-const closureHandler HandlerID = -1
+const (
+	// handlerBits is the low part of a record's key that holds the handler.
+	handlerBits = 8
+	// closureHandler marks a record as a closure event dispatched through
+	// the slot table instead of the typed handler table; typed ids stay
+	// below it.
+	closureHandler HandlerID = 1<<handlerBits - 1
+)
 
-// record is one queued event. It is a plain value (32 bytes): pushing and
-// popping records never touches the garbage collector.
+// record is one queued event. It is a plain 16-byte value — pushing and
+// popping records never touches the garbage collector — with no sequence
+// number: the calendar keeps equal-time records in push order by position,
+// and the heaps pair each record with its seq (heapEntry).
 type record struct {
-	at      Time
-	seq     uint64
-	h       HandlerID // typed handler index, or closureHandler
-	node    int32     // handler argument; slot index for closure events
-	payload int32     // handler argument; unused for closure events
-	gen     uint32    // slot generation for closure events
+	key  uint64 // at<<handlerBits | handler
+	node int32  // handler argument; slot index for closure events
+	arg  int32  // handler payload; slot generation for closure events
 }
 
 // recordBytes is the size of a record, for the queues' memory accounting.
-const recordBytes = 32
+const recordBytes = int64(unsafe.Sizeof(record{}))
 
-// before reports whether a fires before b: earlier time first, scheduling
-// order (seq) breaking ties — the FIFO guarantee.
-func (a record) before(b record) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// newRecord packs an event; at must lie in [0, MaxTime].
+func newRecord(at Time, h HandlerID, node, arg int32) record {
+	return record{key: uint64(at)<<handlerBits | uint64(h), node: node, arg: arg}
 }
+
+func (r record) at() Time { return Time(r.key >> handlerBits) }
+
+func (r record) handler() HandlerID { return HandlerID(r.key & (1<<handlerBits - 1)) }
 
 // closureSlot parks a closure event's callback. gen increments every time
 // the slot is released (fired, canceled, or reset), so stale queue records
@@ -86,10 +111,10 @@ func (e *Event) Canceled() bool {
 // A Kernel must be used from a single goroutine.
 type Kernel struct {
 	now    Time
-	queue  []record // implicit 4-ary min-heap ordered by (at, seq)
-	seq    uint64
+	queue  eventHeap
 	fired  uint64
 	budget uint64 // 0 = unlimited
+	err    error  // ErrTimeRange once an event was scheduled past MaxTime
 	live   int    // queued records that have not been canceled
 
 	// cal, when useCal is set, replaces the heap as the event queue (see
@@ -113,11 +138,11 @@ func New() *Kernel { return &Kernel{} }
 // before the Reset become permanently canceled.
 func (k *Kernel) Reset() {
 	k.now = 0
-	k.queue = k.queue[:0]
+	k.queue.reset()
 	k.useCal = false // revert to the heap until the next delay hint, which empties the calendar
-	k.seq = 0
 	k.fired = 0
 	k.budget = 0
+	k.err = nil
 	k.live = 0
 	k.handlers = k.handlers[:0]
 	k.freeSlots = k.freeSlots[:0]
@@ -147,10 +172,14 @@ var ErrBudget = errors.New("sim: event budget exhausted")
 // RegisterHandler registers a typed event handler and returns its id for
 // Schedule. Handlers are dispatched by index with the record's two payload
 // words — no per-event closure exists anywhere on this path. Handlers
-// cannot be unregistered; register once at setup (Reset drops them).
+// cannot be unregistered; register once at setup (Reset drops them). A
+// kernel holds at most 255 handlers between Resets.
 func (k *Kernel) RegisterHandler(h func(now Time, node, payload int32)) HandlerID {
 	if h == nil {
 		panic("sim: nil handler")
+	}
+	if len(k.handlers) == int(closureHandler) {
+		panic(fmt.Sprintf("sim: more than %d handlers", closureHandler))
 	}
 	k.handlers = append(k.handlers, h)
 	return HandlerID(len(k.handlers) - 1)
@@ -159,17 +188,30 @@ func (k *Kernel) RegisterHandler(h func(now Time, node, payload int32)) HandlerI
 // Schedule enqueues a typed event: handler h fires at absolute time at with
 // arguments (node, payload). This is the zero-allocation hot path.
 // Scheduling in the past (before Now) panics, since it would break
-// causality.
+// causality; scheduling past MaxTime drops the event and fails the kernel
+// (Run returns ErrTimeRange).
 func (k *Kernel) Schedule(at Time, h HandlerID, node, payload int32) {
-	if at < k.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", at, k.now))
-	}
 	if h < 0 || int(h) >= len(k.handlers) {
 		panic(fmt.Sprintf("sim: unregistered handler id %d", h))
 	}
-	k.seq++
-	k.qpush(record{at: at, seq: k.seq, h: h, node: node, payload: payload})
+	if at < k.now || at > MaxTime {
+		k.refuse(at)
+		return
+	}
+	k.qpush(newRecord(at, h, node, payload))
 	k.live++
+}
+
+// refuse handles a time outside [Now, MaxTime]: a time before Now panics,
+// and one past MaxTime fails the kernel — Run returns ErrTimeRange from
+// then on.
+func (k *Kernel) refuse(at Time) {
+	if at < k.now {
+		panic(fmt.Sprintf("sim: scheduling at %v before now %v", at, k.now))
+	}
+	if k.err == nil {
+		k.err = fmt.Errorf("%w: %v", ErrTimeRange, at)
+	}
 }
 
 // ScheduleAfter enqueues a typed event after delay d (>= 0) from now.
@@ -182,18 +224,19 @@ func (k *Kernel) ScheduleAfter(d time.Duration, h HandlerID, node, payload int32
 
 // At schedules fn at absolute time at; scheduling in the past (before Now)
 // panics, since it would break causality. It returns a handle that can
-// cancel the event.
+// cancel the event. Scheduling past MaxTime fails the kernel as Schedule
+// does and returns a nil handle, which reads as canceled.
 func (k *Kernel) At(at Time, fn func()) *Event {
-	if at < k.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", at, k.now))
-	}
 	if fn == nil {
 		panic("sim: nil event function")
 	}
+	if at < k.now || at > MaxTime {
+		k.refuse(at)
+		return nil
+	}
 	slot := k.allocSlot(fn)
 	gen := k.slots[slot].gen
-	k.seq++
-	k.qpush(record{at: at, seq: k.seq, h: closureHandler, node: slot, gen: gen})
+	k.qpush(newRecord(at, closureHandler, slot, int32(gen)))
 	k.live++
 	return &Event{k: k, slot: slot, gen: gen}
 }
@@ -252,7 +295,7 @@ func (k *Kernel) Pending() int { return k.live }
 // polls every shard kernel with it at each barrier.
 func (k *Kernel) NextEventTime() (Time, bool) {
 	head, ok := k.liveHead()
-	return head.at, ok
+	return head.at(), ok
 }
 
 // Step fires the earliest pending event and returns true, or returns false
@@ -268,15 +311,19 @@ func (k *Kernel) Step() bool {
 // Run fires events until the queue is empty or the horizon is passed
 // (events scheduled strictly after horizon remain queued; the clock is left
 // at the later of its current value and the last fired event). It returns
-// ErrBudget if the event budget is exhausted first.
+// ErrBudget if the event budget is exhausted first, and ErrTimeRange once an
+// event was scheduled past MaxTime.
 //
 // Each event costs one queue call: the record at or before the horizon is
 // popped, a canceled closure record is discarded right there, and a live one
 // is dispatched in place.
 func (k *Kernel) Run(horizon Time) error {
 	for {
+		if k.err != nil {
+			return k.err
+		}
 		if k.budget > 0 && k.fired >= k.budget {
-			if head, ok := k.liveHead(); ok && head.at <= horizon {
+			if head, ok := k.liveHead(); ok && head.at() <= horizon {
 				return ErrBudget
 			}
 			return nil
@@ -288,12 +335,12 @@ func (k *Kernel) Run(horizon Time) error {
 				return nil
 			}
 		} else {
-			if len(k.queue) == 0 || k.queue[0].at > horizon {
+			if k.queue.len() == 0 || k.queue.min().at() > horizon {
 				return nil
 			}
-			rec = heapPop(&k.queue)
+			rec = k.queue.pop()
 		}
-		if rec.h == closureHandler && k.slots[rec.node].gen != rec.gen {
+		if k.stale(rec) {
 			continue // canceled
 		}
 		k.dispatch(rec)
@@ -311,11 +358,17 @@ func (k *Kernel) RunAll() error { return k.Run(End) }
 func (k *Kernel) liveHead() (record, bool) {
 	for {
 		rec, ok := k.qpeek()
-		if !ok || rec.h != closureHandler || k.slots[rec.node].gen == rec.gen {
+		if !ok || !k.stale(rec) {
 			return rec, ok
 		}
 		k.qpop()
 	}
+}
+
+// stale reports whether rec is a canceled closure record: its slot has been
+// released (and perhaps reused) since it was queued.
+func (k *Kernel) stale(rec record) bool {
+	return rec.handler() == closureHandler && k.slots[rec.node].gen != uint32(rec.arg)
 }
 
 // fire removes head — the record liveHead just returned — from the queue
@@ -327,16 +380,17 @@ func (k *Kernel) fire(head record) {
 
 // dispatch executes a live record taken off the queue.
 func (k *Kernel) dispatch(rec record) {
-	k.now = rec.at
+	at, h := rec.at(), rec.handler()
+	k.now = at
 	k.fired++
 	k.live--
-	if rec.h == closureHandler {
+	if h == closureHandler {
 		fn := k.slots[rec.node].fn
 		k.releaseSlot(rec.node)
 		fn()
 		return
 	}
-	k.handlers[rec.h](rec.at, rec.node, rec.payload)
+	k.handlers[h](at, rec.node, rec.arg)
 }
 
 // ---------------------------------------------------------------------------
@@ -367,9 +421,10 @@ func (k *Kernel) releaseSlot(idx int32) {
 // The kernel owns two queue disciplines over the same record type: the flat
 // 4-ary heap below (general-purpose, O(log n)) and the CalendarQueue in
 // calendar.go (amortized O(1) when event delays sit in a bounded band).
-// Both fire records in exactly the same (at, seq) order — the equivalence
-// tests lock them to one another — so which one is active is invisible to
-// callers except in throughput.
+// Both fire records in exactly the same order — earlier time first, push
+// order among equal times — and the equivalence tests lock them to one
+// another, so which one is active is invisible to callers except in
+// throughput.
 
 // SetBoundedDelayHint tells the kernel that scheduling delays are expected
 // to stay within max of the current time with around pending events queued
@@ -439,14 +494,14 @@ func (k *Kernel) QueueStats() QueueStats {
 	if k.useCal {
 		return k.cal.queueStats()
 	}
-	return QueueStats{Kind: "heap", RetainedBytes: int64(cap(k.queue)) * recordBytes}
+	return QueueStats{Kind: "heap", RetainedBytes: k.queue.retainedBytes()}
 }
 
 func (k *Kernel) qpush(rec record) {
 	if k.useCal {
 		k.cal.push(rec)
 	} else {
-		heapPush(&k.queue, rec)
+		k.queue.push(rec)
 	}
 }
 
@@ -454,24 +509,24 @@ func (k *Kernel) qpop() record {
 	if k.useCal {
 		return k.cal.pop()
 	}
-	return heapPop(&k.queue)
+	return k.queue.pop()
 }
 
 func (k *Kernel) qpeek() (record, bool) {
 	if k.useCal {
 		return k.cal.peek()
 	}
-	if len(k.queue) == 0 {
+	if k.queue.len() == 0 {
 		return record{}, false
 	}
-	return k.queue[0], true
+	return k.queue.min(), true
 }
 
 func (k *Kernel) qlen() int {
 	if k.useCal {
 		return k.cal.len()
 	}
-	return len(k.queue)
+	return k.queue.len()
 }
 
 // ---------------------------------------------------------------------------
@@ -479,45 +534,84 @@ func (k *Kernel) qlen() int {
 //
 // A 4-ary layout halves the tree depth of a binary heap: sift-down does
 // more comparisons per level but far fewer cache-missing swaps, which wins
-// on queues with 10⁵..10⁶ value-typed records. The functions operate on a
-// plain record slice so the CalendarQueue can reuse them for its overflow
-// heap.
+// on queues with 10⁵..10⁶ value-typed records. A heap does not keep equal
+// keys in push order, so each entry carries the seq of its push: the
+// kernel's heap discipline and the CalendarQueue's overflow tier are both
+// an eventHeap.
 
 const heapArity = 4
 
-func heapPush(qp *[]record, rec record) {
-	*qp = append(*qp, rec)
-	heapSiftUp(*qp, len(*qp)-1)
+// heapEntry is a queued record and its push sequence number.
+type heapEntry struct {
+	rec record
+	seq uint64
 }
 
-func heapPop(qp *[]record) record {
-	q := *qp
-	top := q[0]
+// before reports whether a fires before b: earlier time first, push order
+// (seq) breaking ties — the FIFO guarantee.
+func (a heapEntry) before(b heapEntry) bool {
+	if at, bt := a.rec.at(), b.rec.at(); at != bt {
+		return at < bt
+	}
+	return a.seq < b.seq
+}
+
+// eventHeap is a flat 4-ary min-heap of records in (at, push order).
+type eventHeap struct {
+	q   []heapEntry
+	seq uint64 // pushes so far
+}
+
+func (h *eventHeap) len() int { return len(h.q) }
+
+// min returns the earliest record; the heap must not be empty.
+func (h *eventHeap) min() record { return h.q[0].rec }
+
+// reset empties the heap, retaining its capacity.
+func (h *eventHeap) reset() {
+	h.q = h.q[:0]
+	h.seq = 0
+}
+
+func (h *eventHeap) retainedBytes() int64 {
+	return int64(cap(h.q)) * int64(unsafe.Sizeof(heapEntry{}))
+}
+
+func (h *eventHeap) push(rec record) {
+	h.seq++
+	h.q = append(h.q, heapEntry{rec: rec, seq: h.seq})
+	heapSiftUp(h.q, len(h.q)-1)
+}
+
+// pop removes and returns the earliest record; the heap must not be empty.
+func (h *eventHeap) pop() record {
+	q := h.q
+	top := q[0].rec
 	last := len(q) - 1
 	q[0] = q[last]
-	*qp = q[:last]
+	h.q = q[:last]
 	if last > 0 {
 		heapSiftDown(q[:last], 0)
 	}
 	return top
 }
 
-func heapSiftUp(q []record, i int) {
-	rec := q[i]
+func heapSiftUp(q []heapEntry, i int) {
+	e := q[i]
 	for i > 0 {
 		parent := (i - 1) / heapArity
-		if !rec.before(q[parent]) {
+		if !e.before(q[parent]) {
 			break
 		}
 		q[i] = q[parent]
 		i = parent
 	}
-	q[i] = rec
+	q[i] = e
 }
 
-func heapSiftDown(q []record, i int) {
+func heapSiftDown(q []heapEntry, i int) {
 	n := len(q)
-	rec := q[i]
+	e := q[i]
 	for {
 		first := i*heapArity + 1
 		if first >= n {
@@ -533,11 +627,11 @@ func heapSiftDown(q []record, i int) {
 				min = c
 			}
 		}
-		if !q[min].before(rec) {
+		if !q[min].before(e) {
 			break
 		}
 		q[i] = q[min]
 		i = min
 	}
-	q[i] = rec
+	q[i] = e
 }

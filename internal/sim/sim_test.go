@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -224,6 +225,73 @@ func TestTimeArithmetic(t *testing.T) {
 	}
 	if t1.String() != "1.5s" {
 		t.Errorf("String = %q", t1.String())
+	}
+}
+
+// TestTimeAddSaturates: Time.Add clamps at End and math.MinInt64 instead of
+// wrapping, so a delay too long to represent lands past MaxTime — where the
+// kernel refuses it — and never in the past.
+func TestTimeAddSaturates(t *testing.T) {
+	for _, c := range []struct {
+		t    Time
+		d    time.Duration
+		want Time
+	}{
+		{End / 2, math.MaxInt64 / 2, End - 1},
+		{End / 2, math.MaxInt64/2 + 2, End},
+		{MaxTime, math.MaxInt64, End},
+		{1, math.MaxInt64, End},
+		{0, math.MaxInt64, End},
+		{-1, math.MinInt64, math.MinInt64},
+		{-5, -3, -8},
+		{7, 0, 7},
+	} {
+		if got := c.t.Add(c.d); got != c.want {
+			t.Errorf("%d.Add(%d) = %d, want %d", int64(c.t), int64(c.d), int64(got), int64(c.want))
+		}
+	}
+}
+
+// TestScheduleBeyondMaxTime: an event past MaxTime — at a time, after a delay
+// whose sum would wrap, typed or closure — is dropped, and Run returns
+// ErrTimeRange on both disciplines instead of panicking; the error holds
+// until Reset, and an event at MaxTime itself fires.
+func TestScheduleBeyondMaxTime(t *testing.T) {
+	for _, calendar := range []bool{false, true} {
+		k := New()
+		if calendar {
+			k.SetBoundedDelayHint(time.Millisecond, 0)
+		}
+		var fired []Time
+		rec := k.RegisterHandler(func(now Time, _, _ int32) { fired = append(fired, now) })
+		far := k.RegisterHandler(func(Time, int32, int32) {
+			k.ScheduleAfter(math.MaxInt64, rec, 0, 0) // used to wrap into the past
+		})
+		k.Schedule(MaxTime, rec, 0, 0)
+		k.Schedule(Time(time.Millisecond), far, 0, 0)
+		k.Schedule(Time(2*time.Millisecond), rec, 0, 0)
+		err := k.RunAll()
+		if !errors.Is(err, ErrTimeRange) || len(fired) != 0 || k.Pending() != 2 {
+			t.Fatalf("calendar %v: RunAll = %v after firing %v with %d pending; want ErrTimeRange, none, 2", calendar, err, fired, k.Pending())
+		}
+		if e := k.At(MaxTime+1, func() { t.Error("an event past MaxTime fired") }); !e.Canceled() {
+			t.Errorf("calendar %v: a closure past MaxTime got a live handle", calendar)
+		}
+		k.SetBudget(0)
+		if err := k.Run(End); !errors.Is(err, ErrTimeRange) {
+			t.Errorf("calendar %v: the error did not hold: Run = %v", calendar, err)
+		}
+
+		k.Reset()
+		if calendar {
+			k.SetBoundedDelayHint(time.Millisecond, 0)
+		}
+		rec = k.RegisterHandler(func(now Time, _, _ int32) { fired = append(fired, now) })
+		k.Schedule(MaxTime, rec, 0, 0)
+		k.At(MaxTime, func() { fired = append(fired, -k.Now()) })
+		if err := k.RunAll(); err != nil || len(fired) != 2 || fired[0] != MaxTime || fired[1] != -MaxTime {
+			t.Errorf("calendar %v: after Reset: RunAll = %v, fired %v; want nil and MaxTime twice", calendar, err, fired)
+		}
 	}
 }
 

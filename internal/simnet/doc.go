@@ -23,7 +23,7 @@
 //
 // Allocation guarantee: the steady-state send→deliver path allocates
 // nothing. Node up/down flags are a packed bitset; payload-free messages
-// (the gossip hot path) ride entirely inside the kernel's 32-byte event
+// (the gossip hot path) ride entirely inside the kernel's 16-byte event
 // records, and payload-carrying messages park their payload in pooled
 // in-flight slots recycled through a free list (alloc_test.go enforces
 // this).
