@@ -221,6 +221,33 @@ func TestInvalidParamsBeforeCancel(t *testing.T) {
 	}
 }
 
+// TestGroupSizeBeyondNodeIDs: a group larger than the simulated network's
+// 31-bit node ids is ErrInvalidParams on every engine, found before the
+// cancellation check as every malformed spec is, so a live run never
+// reaches simnet.New's panic. These specs stay out of badEngineSpecs: the
+// sentinel test runs those live, and a lost bound must not allocate 2³¹
+// members.
+func TestGroupSizeBeyondNodeIDs(t *testing.T) {
+	const n = math.MaxInt32 + 1
+	p := Params{N: n, Fanout: Poisson(4), AliveRatio: 0.9}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, spec := range []Engine{
+		Network{Params: p},
+		MonteCarlo{Params: p},
+		Analytic{Params: p},
+		Success{Params: SuccessParams{Params: p, Executions: 1, Simulations: 1}},
+		Stream{Config: StreamConfig{N: n, Rate: 100, Duration: 50 * time.Millisecond, Fanout: FixedFanout(3), AliveRatio: 1}},
+		Baseline{Protocol: PbcastParams{N: n, Fanout: 3, Rounds: 8, AliveRatio: 0.9}},
+		Campaign{Scenarios: DefaultScenarioSuite()[:1], Config: ScenarioRunConfig{Params: p}},
+		Compare{Scenarios: DefaultScenarioSuite()[:1], Paper: true, Config: ScenarioRunConfig{Params: p}},
+	} {
+		if _, err := RunMany(ctx, spec, 2); !errors.Is(err, ErrInvalidParams) {
+			t.Errorf("%s with N = 2³¹: err %v, want ErrInvalidParams", spec.Name(), err)
+		}
+	}
+}
+
 // TestInvalidParamsSentinel: every engine wraps validation failures so
 // errors.Is(err, ErrInvalidParams) holds, with the internal message kept.
 func TestInvalidParamsSentinel(t *testing.T) {

@@ -44,8 +44,7 @@ func refComponentReliability(p Params, r *xrand.RNG) ComponentResult {
 		}
 	}
 	res.GiantSize = graph.LargestOutComponent(g, nil, probes)
-	bfs := graph.NewBFS(p.N)
-	res.SourceReach = bfs.Reachable(g, p.Source, nil)
+	res.SourceReach = new(graph.Searcher).Reachable(g, p.Source, nil)
 	res.SourceInGiant = res.SourceReach >= res.GiantSize && res.GiantSize > 1
 	if res.AliveCount > 0 {
 		res.Reliability = float64(res.GiantSize) / float64(res.AliveCount)

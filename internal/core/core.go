@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"gossipkit/internal/dist"
 	"gossipkit/internal/failure"
@@ -56,8 +57,8 @@ type Params struct {
 
 // Validate checks the parameters.
 func (p Params) Validate() error {
-	if p.N < 2 {
-		return fmt.Errorf("core: group size %d too small", p.N)
+	if p.N < 2 || p.N > math.MaxInt32 {
+		return fmt.Errorf("core: group size %d outside [2, 2³¹)", p.N)
 	}
 	if p.Fanout == nil {
 		return errors.New("core: nil fanout distribution")
@@ -131,22 +132,6 @@ func ExecuteOnce(p Params, r *xrand.RNG) (Result, error) {
 		return Result{}, err
 	}
 	return newExecutor(p).execute(r), nil
-}
-
-// ExecuteWithMask runs one execution against a caller-supplied failure
-// mask (the success protocol reuses one mask across executions). The mask
-// must have length N and keep the source alive.
-func ExecuteWithMask(p Params, mask *failure.Mask, r *xrand.RNG) (Result, error) {
-	if err := p.Validate(); err != nil {
-		return Result{}, err
-	}
-	if mask.N() != p.N {
-		return Result{}, fmt.Errorf("core: mask size %d != group size %d", mask.N(), p.N)
-	}
-	if !mask.Alive(p.Source) {
-		return Result{}, errors.New("core: source is failed in supplied mask")
-	}
-	return newExecutor(p).run(mask, r), nil
 }
 
 // executor holds the reusable per-worker buffers for executions. One

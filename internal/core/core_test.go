@@ -253,19 +253,17 @@ func TestMaskKindsAgree(t *testing.T) {
 }
 
 func TestExecuteWithMaskValidation(t *testing.T) {
+	// executor.run spreads over the mask it is handed, not the one it
+	// owns: the success protocol reuses one mask across executions.
 	p := poissonParams(100, 4, 0.9)
-	r := xrand.New(1)
-	badSize := failure.NewMask(50)
-	if _, err := ExecuteWithMask(p, badSize, r); err == nil {
-		t.Error("mask size mismatch accepted")
+	ex := newExecutor(p)
+	sourceOnly := new(failure.Mask)
+	sourceOnly.FillExact(100, 0, p.Source, xrand.New(1)) // q = 0: only the source is up
+	if res := ex.run(sourceOnly, xrand.New(2)); res.AliveCount != 1 || res.Delivered != 1 || res.Reliability != 1 {
+		t.Errorf("source-only mask: %+v", res)
 	}
-	deadSource := failure.ExactMask(100, 0, 42, r) // q = 0: only member 42 is up, the source (0) is not
-	if _, err := ExecuteWithMask(p, deadSource, r); err == nil {
-		t.Error("dead source accepted")
-	}
-	ok := failure.NewMask(100)
-	if _, err := ExecuteWithMask(p, ok, r); err != nil {
-		t.Errorf("valid mask rejected: %v", err)
+	if res := ex.run(failure.NewMask(100), xrand.New(2)); res.AliveCount != 100 || res.WastedOnFailed != 0 {
+		t.Errorf("all-alive mask: %+v", res)
 	}
 }
 

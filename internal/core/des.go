@@ -159,29 +159,3 @@ func ExecuteOnNetworkArena(p Params, netCfg simnet.Config, r *xrand.RNG, inject 
 func ExecuteOnNetworkProbed(p Params, netCfg simnet.Config, r *xrand.RNG, inject func(*NetRun), arena *NetArena, probe *obs.Probe) (NetResult, error) {
 	return ExecuteOnNetworkSharded(p, netCfg, r, inject, arena, probe, ShardOptions{Shards: 1})
 }
-
-// TimingEquivalent reruns p under both crash timings with identical
-// randomness and reports whether the delivered sets match. It backs the
-// paper's claim that the two failure cases "are treated the same".
-func TimingEquivalent(p Params, seed uint64) (bool, error) {
-	if err := p.Validate(); err != nil {
-		return false, err
-	}
-	run := func(tm failure.Timing) []int32 {
-		pp := p
-		pp.Timing = tm
-		ex := newExecutor(pp)
-		ex.execute(xrand.New(seed))
-		return ex.delivered()
-	}
-	a, b := run(failure.BeforeReceive), run(failure.AfterReceive)
-	if len(a) != len(b) {
-		return false, nil
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false, nil
-		}
-	}
-	return true, nil
-}

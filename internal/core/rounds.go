@@ -20,18 +20,9 @@ type EpidemicTrace struct {
 	Result Result
 }
 
-// TraceRounds runs one execution and records the per-round infection
-// curve. The round structure is the BFS depth of the single-shot
-// algorithm: members whose first receipt is at depth r forward during
-// "round" r+1.
-func TraceRounds(p Params, r *xrand.RNG) (EpidemicTrace, error) {
-	if err := p.Validate(); err != nil {
-		return EpidemicTrace{}, err
-	}
-	return newExecutor(p).trace(r), nil
-}
-
-// trace is TraceRounds on a pooled executor.
+// trace runs one execution and records the per-round infection curve. The
+// round structure is the BFS depth of the single-shot algorithm: members
+// whose first receipt is at depth r forward during "round" r+1.
 func (e *executor) trace(r *xrand.RNG) EpidemicTrace {
 	res := e.execute(r)
 	counts := make([]int, res.Rounds+1)
@@ -58,7 +49,7 @@ func (e *executor) trace(r *xrand.RNG) EpidemicTrace {
 // flattens once new infections vanish).
 //
 // This mean-field recurrence reproduces the early exponential phase and
-// the saturation plateau of the simulation's TraceRounds; the paper's
+// the saturation plateau of the simulation's trace; the paper's
 // critique — that the recurrence gives only bounds, not the closed-form
 // reliability — is visible in that the plateau approaches n·q·S only
 // asymptotically.

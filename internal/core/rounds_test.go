@@ -11,10 +11,7 @@ import (
 
 func TestTraceRoundsBasics(t *testing.T) {
 	p := poissonParams(500, 4, 0.9)
-	tr, err := TraceRounds(p, xrand.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := newExecutor(p).trace(xrand.New(1))
 	if len(tr.Infected) != tr.Result.Rounds+1 {
 		t.Fatalf("trace length %d, rounds %d", len(tr.Infected), tr.Result.Rounds)
 	}
@@ -34,7 +31,7 @@ func TestTraceRoundsBasics(t *testing.T) {
 
 func TestTraceRoundsInvalidParams(t *testing.T) {
 	p := poissonParams(1, 4, 0.9)
-	if _, err := TraceRounds(p, xrand.New(1)); err == nil {
+	if _, err := MeanTraceRounds(context.Background(), p, 1, 1); err == nil {
 		t.Error("invalid params accepted")
 	}
 }
@@ -173,10 +170,8 @@ func TestMeanTraceRoundsDeterministic(t *testing.T) {
 
 func BenchmarkTraceRounds2000(b *testing.B) {
 	p := poissonParams(2000, 4, 0.9)
-	r := xrand.New(1)
+	ex, r := newExecutor(p), xrand.New(1)
 	for i := 0; i < b.N; i++ {
-		if _, err := TraceRounds(p, r); err != nil {
-			b.Fatal(err)
-		}
+		ex.trace(r)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gossipkit/internal/dist"
+	"gossipkit/internal/failure"
 	"gossipkit/internal/membership"
 	"gossipkit/internal/obs"
 	"gossipkit/internal/simnet"
@@ -142,6 +143,32 @@ func TestNetArenaPoolsFailureMask(t *testing.T) {
 			t.Errorf("%v: warm arena run makes %.0f allocations; mask pooling is broken", kind, allocs)
 		}
 	}
+}
+
+// TimingEquivalent reruns p under both crash timings with identical
+// randomness and reports whether the delivered sets match. It backs the
+// paper's claim that the two failure cases "are treated the same".
+func TimingEquivalent(p Params, seed uint64) (bool, error) {
+	if err := p.Validate(); err != nil {
+		return false, err
+	}
+	run := func(tm failure.Timing) []int32 {
+		pp := p
+		pp.Timing = tm
+		ex := newExecutor(pp)
+		ex.execute(xrand.New(seed))
+		return ex.delivered()
+	}
+	a, b := run(failure.BeforeReceive), run(failure.AfterReceive)
+	if len(a) != len(b) {
+		return false, nil
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 // TestTimingEquivalentAtScale exercises the paper's "the two failure cases

@@ -8,7 +8,7 @@
 // Two generators are provided, matching two readings of the paper's
 // "nonfailed member ratio q":
 //
-//   - ExactMask / Mask.FillExact: exactly ⌊n·q⌋ alive members ("it is
+//   - Mask.FillExact: exactly ⌊n·q⌋ alive members ("it is
 //     trivial that the number of nonfailed nodes equals n*q", paper §4.1) —
 //     the default for figure reproduction.
 //   - Mask.FillBernoulli: each member alive independently with probability
@@ -75,18 +75,12 @@ func NewMask(n int) *Mask {
 	return m
 }
 
-// ExactMask returns a mask with exactly max(1, ⌊n·q⌋) alive members chosen
-// uniformly at random, always including protect (the source). q must be in
-// [0, 1]; even q=0 keeps the protected source alive, matching the paper.
-func ExactMask(n int, q float64, protect int, r *xrand.RNG) *Mask {
-	m := &Mask{}
-	m.FillExact(n, q, protect, r)
-	return m
-}
-
-// FillExact redraws m in place as ExactMask would, reusing m's bit storage
-// and sampling scratch. The random stream consumed is identical to
-// ExactMask, so pooled and fresh masks yield byte-identical executions.
+// FillExact redraws m in place with exactly max(1, ⌊n·q⌋) alive members
+// chosen uniformly at random, always including protect (the source),
+// reusing m's bit storage and sampling scratch. q must be in [0, 1]; even
+// q=0 keeps the protected source alive, matching the paper. The random
+// stream consumed depends on (n, q, protect) only, so pooled and fresh
+// masks yield byte-identical executions.
 func (m *Mask) FillExact(n int, q float64, protect int, r *xrand.RNG) {
 	checkArgs(n, q, protect)
 	target := int(float64(n) * q)

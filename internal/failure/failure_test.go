@@ -8,6 +8,13 @@ import (
 	"gossipkit/internal/xrand"
 )
 
+// exactMask draws a fresh mask with FillExact.
+func exactMask(n int, q float64, protect int, r *xrand.RNG) *Mask {
+	m := new(Mask)
+	m.FillExact(n, q, protect, r)
+	return m
+}
+
 func TestNewMaskAllAlive(t *testing.T) {
 	m := NewMask(10)
 	if m.N() != 10 || m.AliveCount() != 10 || m.AliveRatio() != 1 {
@@ -26,7 +33,7 @@ func TestExactMaskCount(t *testing.T) {
 		n := int(nRaw%1000) + 1
 		q := float64(qRaw%101) / 100
 		protect := int(pRaw) % n
-		m := ExactMask(n, q, protect, r)
+		m := exactMask(n, q, protect, r)
 		want := int(float64(n) * q)
 		if want < 1 {
 			want = 1
@@ -49,7 +56,7 @@ func TestExactMaskUniform(t *testing.T) {
 	q := 0.5
 	counts := make([]int, n)
 	for i := 0; i < trials; i++ {
-		m := ExactMask(n, q, 0, r)
+		m := exactMask(n, q, 0, r)
 		for j := 0; j < n; j++ {
 			if m.Alive(j) {
 				counts[j]++
@@ -105,14 +112,14 @@ func TestBernoulliMaskExtremes(t *testing.T) {
 
 func TestExactMaskQZeroKeepsSource(t *testing.T) {
 	r := xrand.New(17)
-	m := ExactMask(100, 0, 42, r)
+	m := exactMask(100, 0, 42, r)
 	if m.AliveCount() != 1 || !m.Alive(42) {
 		t.Errorf("q=0: count=%d alive(42)=%v", m.AliveCount(), m.Alive(42))
 	}
 }
 
 func TestBitsIsView(t *testing.T) {
-	m := ExactMask(4, 0, 0, xrand.New(1)) // q = 0: only the protected member 0 stays up
+	m := exactMask(4, 0, 0, xrand.New(1)) // q = 0: only the protected member 0 stays up
 	b := m.Bits()
 	if b.Len() != 4 || b.Get(1) || !b.Get(0) {
 		t.Errorf("bits: len=%d alive={%v,%v,...}", b.Len(), b.Get(0), b.Get(1))
@@ -132,7 +139,7 @@ func TestFillMatchesFreshMask(t *testing.T) {
 		const n, seed = 5000, 77
 		fresh := func(r *xrand.RNG) *Mask {
 			if tc.kind == "exact" {
-				return ExactMask(n, tc.q, 0, r)
+				return exactMask(n, tc.q, 0, r)
 			}
 			m := new(Mask)
 			m.FillBernoulli(n, tc.q, 0, r)
@@ -166,10 +173,10 @@ func TestValidationPanics(t *testing.T) {
 	r := xrand.New(1)
 	cases := []func(){
 		func() { NewMask(-1) },
-		func() { ExactMask(0, 0.5, 0, r) },
-		func() { ExactMask(10, -0.1, 0, r) },
-		func() { ExactMask(10, 1.5, 0, r) },
-		func() { ExactMask(10, 0.5, 10, r) },
+		func() { exactMask(0, 0.5, 0, r) },
+		func() { exactMask(10, -0.1, 0, r) },
+		func() { exactMask(10, 1.5, 0, r) },
+		func() { exactMask(10, 0.5, 10, r) },
 		func() { new(Mask).FillBernoulli(10, 0.5, -1, r) },
 		func() { new(Mask).FillBernoulli(10, math.NaN(), 0, r) },
 	}
@@ -198,6 +205,6 @@ func BenchmarkExactMask5000(b *testing.B) {
 	r := xrand.New(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = ExactMask(5000, 0.6, 0, r)
+		_ = exactMask(5000, 0.6, 0, r)
 	}
 }

@@ -124,26 +124,36 @@ func (m *Model) selfConsistentU(q float64) float64 {
 	if err == nil {
 		return clamp01(u)
 	}
-	// Slow convergence near criticality: fall back to bracketed root
-	// finding on h(u) = u − g(u). h(0) <= 0; h just below 1 is > 0 in the
-	// supercritical regime.
-	h := func(u float64) float64 { return u - g(u) }
-	hi := 1.0
-	for delta := 1e-9; delta < 0.5; delta *= 4 {
-		if h(1-delta) > 0 {
-			hi = 1 - delta
-			break
-		}
+	// Slow convergence near criticality: solve for δ = 1 − u instead, as
+	// the root of φ(δ) = q·(1 − G1(1−δ))/δ − 1 over t = ln δ. φ falls from
+	// q·G1'(1) − 1 > 0 at δ → 0 to q·(1 − G1(0)) − 1 <= 0 at δ = 1, and the
+	// complement is summed term by term, so φ keeps its precision where
+	// u − g(u) cancels to rounding noise. Below that resolution, or
+	// without a bracket, the answer is the critical one: u = 1, S = 0.
+	phi := func(t float64) float64 {
+		d := math.Exp(t)
+		return q*m.excessComplement(d)/d - 1
 	}
-	if hi == 1.0 {
-		// Numerically indistinguishable from critical.
-		return clamp01(u)
-	}
-	root, err := numeric.Brent(h, 0, hi, 1e-13)
+	t, err := numeric.Brent(phi, -460, 0, 1e-12)
 	if err != nil {
-		return clamp01(u)
+		return 1
 	}
-	return clamp01(root)
+	return clamp01(1 - math.Exp(t))
+}
+
+// excessComplement returns 1 − G1(1−d) = Σ k·p_k·(1 − (1−d)^(k−1)) / G0'(1)
+// without subtracting from 1, over the terms dist.PGFPrime2 sums.
+func (m *Model) excessComplement(d float64) float64 {
+	l := math.Log1p(-d)
+	sum, mass := 0.0, 0.0
+	for k := 0; k < 1<<20 && mass <= 1-1e-14; k++ {
+		p := m.p.PMF(k)
+		if k >= 2 {
+			sum -= float64(k) * p * math.Expm1(float64(k-1)*l)
+		}
+		mass += p
+	}
+	return sum / m.p.Mean()
 }
 
 // Reliability returns R(q, P), the paper's reliability of gossiping: the
@@ -196,7 +206,8 @@ func PoissonCriticalRatio(z float64) float64 {
 
 // PoissonReliability solves S = 1 − e^{−zqS} (paper Eq. 11) for the
 // reliability of gossiping under Poisson fanout Po(z) and nonfailed ratio q.
-// It returns 0 in the subcritical regime zq <= 1.
+// It returns 0 in the subcritical regime zq <= 1 and where zq − 1 is below
+// float64 resolution.
 func PoissonReliability(z, q float64) (float64, error) {
 	if err := checkRatio(q); err != nil {
 		return 0, err
@@ -208,7 +219,9 @@ func PoissonReliability(z, q float64) (float64, error) {
 	if a <= 1 {
 		return 0, nil
 	}
-	f := func(s float64) float64 { return s - 1 + math.Exp(-a*s) }
+	// s + expm1(−as), not s − 1 + e^{−as}: near zq = 1 the latter cancels
+	// to rounding noise long before the root does.
+	f := func(s float64) float64 { return s + math.Expm1(-a*s) }
 	df := func(s float64) float64 { return 1 - a*math.Exp(-a*s) }
 	// Root is in (0, 1]; f(eps) < 0 for small eps in the supercritical
 	// regime, f(1) = exp(-a) > 0.

@@ -402,6 +402,42 @@ func TestReliabilityQuickProperty(t *testing.T) {
 	}
 }
 
+// TestReliabilityNearCriticality walks q = q_c·(1+10⁻ᵏ), k = 1…15, down
+// to the critical point. S must fall monotonically to 0 there — below the
+// solver's resolution the answer is the critical one (u = 1, S = 0), never
+// an unconverged iterate — and for Poisson it must track Eq. 11's closed
+// form.
+func TestReliabilityNearCriticality(t *testing.T) {
+	for _, d := range []dist.Distribution{
+		dist.NewPoisson(2), dist.NewPoisson(4), dist.NewGeometric(0.2),
+		dist.NewFixed(5), dist.NewUniformRange(1, 7),
+	} {
+		m := New(d)
+		qc := m.CriticalRatio()
+		prev := math.Inf(1)
+		for k := 1; k <= 15; k++ {
+			q := qc * (1 + math.Pow(10, -float64(k)))
+			s, err := m.Reliability(q)
+			if err != nil {
+				t.Fatalf("%s q=%.17g: %v", d.Name(), q, err)
+			}
+			if s > prev {
+				t.Errorf("%s: S = %.3g at q = q_c(1+1e-%d) exceeds %.3g one decade further from q_c", d.Name(), s, k, prev)
+			}
+			prev = s
+			if p, ok := d.(dist.Poisson); ok {
+				want, err := PoissonReliability(p.Mean(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Abs(s-want) > 1e-8 {
+					t.Errorf("%s k=%d: S = %.10g, Eq. 11 closed form %.10g", d.Name(), k, s, want)
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkPoissonReliability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := PoissonReliability(4, 0.9); err != nil {

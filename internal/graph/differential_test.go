@@ -55,7 +55,7 @@ func holdToReference(t testing.TB, name string, tw twin, s *Searcher) {
 	probes := []int{-1, 0, n / 2, n - 1, n, n / 3}
 	for mi, active := range masks(n) {
 		wantRep, wantSize := refLargestSCC(ref, active)
-		if rep, size := LargestSCC(g, active); rep != wantRep || size != wantSize {
+		if rep, size := new(Searcher).LargestSCC(g, active); rep != wantRep || size != wantSize {
 			t.Fatalf("%s mask %d: LargestSCC = (%d, %d), reference (%d, %d)", name, mi, rep, size, wantRep, wantSize)
 		}
 		if rep, size := s.LargestSCC(g, active); rep != wantRep || size != wantSize {
@@ -140,9 +140,9 @@ func TestDigraphMatchesReference(t *testing.T) {
 		{0},
 		{3, 1},
 		{1, 2, 3, 2, 1, 3},
-		DegreeSequence(17, dist.NewPoisson(2), xrand.New(1)),
-		DegreeSequence(1000, dist.NewPoisson(0.8), xrand.New(2)),
-		DegreeSequence(1000, dist.NewFixed(8), xrand.New(3)),
+		drawDegrees(17, dist.NewPoisson(2), xrand.New(1)),
+		drawDegrees(1000, dist.NewPoisson(0.8), xrand.New(2)),
+		drawDegrees(1000, dist.NewFixed(8), xrand.New(3)),
 	} {
 		holdToReference(t, fmt.Sprintf("ConfigurationModel(n=%d, seed %d)", len(degrees), seed), configurationTwin(degrees, uint64(seed)), s)
 	}
@@ -217,7 +217,7 @@ func TestAddArcRejectsOutOfRange(t *testing.T) {
 			}()
 			g := NewDigraph(3)
 			g.AddArc(arc[0], arc[1])
-			NewBFS(3).Reachable(g, 0, nil)
+			new(Searcher).Reachable(g, 0, nil)
 		}()
 	}
 }
@@ -230,7 +230,8 @@ func TestBFSEpochWrap(t *testing.T) {
 	g.AddArc(0, 1)
 	g.AddArc(1, 2)
 	g.AddArc(2, 0)
-	b := NewBFS(4)
+	var b BFS
+	b.fit(4)
 	if got := b.Reachable(g, 0, nil); got != 3 { // marks 0,1,2 with epoch 1
 		t.Fatalf("reach = %d, want 3", got)
 	}

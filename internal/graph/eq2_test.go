@@ -34,7 +34,7 @@ func TestMeanComponentSizeMatchesEq2(t *testing.T) {
 
 		const n = 60000
 		r := xrand.New(uint64(1000 * c.z * (1 + c.q)))
-		g := ConfigurationModel(DegreeSequence(n, p, r), r)
+		g := ConfigurationModel(drawDegrees(n, p, r), r)
 		active := make([]bool, n)
 		for i := range active {
 			active[i] = r.Bool(c.q)
@@ -59,7 +59,7 @@ func TestMeanComponentSizeGrowsTowardCritical(t *testing.T) {
 	for _, frac := range []float64{0.4, 0.7, 0.9} {
 		q := qc * frac
 		r := xrand.New(uint64(77 + 1000*frac))
-		g := ConfigurationModel(DegreeSequence(n, p, r), r)
+		g := ConfigurationModel(drawDegrees(n, p, r), r)
 		active := make([]bool, n)
 		for i := range active {
 			active[i] = r.Bool(q)
@@ -74,4 +74,153 @@ func TestMeanComponentSizeGrowsTowardCritical(t *testing.T) {
 	if prev < 4 {
 		t.Errorf("mean size near 0.9·qc = %.3f, expected noticeably large", prev)
 	}
+}
+
+// ---------------------------------------------------------------------------
+// Union-Find
+
+// UnionFind is a weighted quick-union structure with path halving, used for
+// undirected component statistics: the witness of Eq. 2 below and of
+// ConfigurationModel's giant component in graph_test.go.
+type UnionFind struct {
+	parent []int32
+	size   []int32
+	comps  int
+}
+
+// NewUnionFind returns a union-find over n singleton components.
+func NewUnionFind(n int) *UnionFind {
+	uf := &UnionFind{
+		parent: make([]int32, n),
+		size:   make([]int32, n),
+		comps:  n,
+	}
+	for i := range uf.parent {
+		uf.parent[i] = int32(i)
+		uf.size[i] = 1
+	}
+	return uf
+}
+
+// Find returns the component representative of x.
+func (uf *UnionFind) Find(x int) int {
+	p := int32(x)
+	for uf.parent[p] != p {
+		uf.parent[p] = uf.parent[uf.parent[p]] // path halving
+		p = uf.parent[p]
+	}
+	return int(p)
+}
+
+// Union merges the components of x and y; it returns true if they were
+// previously distinct.
+func (uf *UnionFind) Union(x, y int) bool {
+	rx, ry := int32(uf.Find(x)), int32(uf.Find(y))
+	if rx == ry {
+		return false
+	}
+	if uf.size[rx] < uf.size[ry] {
+		rx, ry = ry, rx
+	}
+	uf.parent[ry] = rx
+	uf.size[rx] += uf.size[ry]
+	uf.comps--
+	return true
+}
+
+// Connected reports whether x and y are in the same component.
+func (uf *UnionFind) Connected(x, y int) bool { return uf.Find(x) == uf.Find(y) }
+
+// ComponentSize returns the size of x's component.
+func (uf *UnionFind) ComponentSize(x int) int { return int(uf.size[uf.Find(x)]) }
+
+// Components returns the current number of components.
+func (uf *UnionFind) Components() int { return uf.comps }
+
+// LargestComponent returns the size of the largest component and one of its
+// representatives. For an empty structure it returns (0, -1).
+func (uf *UnionFind) LargestComponent() (size, rep int) {
+	rep = -1
+	for i := range uf.parent {
+		if int32(i) == uf.parent[i] {
+			if int(uf.size[i]) > size {
+				size, rep = int(uf.size[i]), i
+			}
+		}
+	}
+	return size, rep
+}
+
+// ---------------------------------------------------------------------------
+// Component statistics
+
+// ComponentStats summarizes the undirected component structure of a graph.
+type ComponentStats struct {
+	// Count is the number of components (over the considered nodes).
+	Count int
+	// Largest is the size of the largest component.
+	Largest int
+	// SecondLargest is the size of the second largest component (0 if
+	// there is only one component).
+	SecondLargest int
+	// MeanSize is the mean component size experienced by a random node
+	// (i.e. E[size of the component containing a uniform node]); this is
+	// the quantity the model's ⟨s⟩ (paper Eq. 2) estimates.
+	MeanSize float64
+	// Nodes is the number of nodes considered.
+	Nodes int
+}
+
+// UndirectedComponents treats g's arcs as undirected edges restricted to
+// nodes with active[i] == true (nil active means all nodes) and returns
+// component statistics. This is the empirical counterpart of the paper's
+// generalized-random-graph analysis: failed nodes are simply removed.
+func UndirectedComponents(g *Digraph, active []bool) ComponentStats {
+	n := g.N()
+	uf := NewUnionFind(n)
+	on := func(i int) bool { return active == nil || active[i] }
+	activeCount := 0
+	for u := 0; u < n; u++ {
+		if !on(u) {
+			continue
+		}
+		activeCount++
+		for _, v := range g.Out(u) {
+			if int(v) != u && on(int(v)) {
+				uf.Union(u, int(v))
+			}
+		}
+	}
+	stats := ComponentStats{Nodes: activeCount}
+	if activeCount == 0 {
+		return stats
+	}
+	var largest, second int
+	var sumSq float64
+	for i := 0; i < n; i++ {
+		if !on(i) || uf.Find(i) != i {
+			continue
+		}
+		s := uf.ComponentSize(i)
+		stats.Count++
+		sumSq += float64(s) * float64(s)
+		if s > largest {
+			largest, second = s, largest
+		} else if s > second {
+			second = s
+		}
+	}
+	stats.Largest = largest
+	stats.SecondLargest = second
+	stats.MeanSize = sumSq / float64(activeCount)
+	return stats
+}
+
+// drawDegrees draws n i.i.d. degrees from p for ConfigurationModel.
+func drawDegrees(n int, p dist.Distribution, r *xrand.RNG) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = p.Sample(r)
+	}
+	return out
 }

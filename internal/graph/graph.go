@@ -12,8 +12,7 @@
 // lists u's targets in the order their arcs were added, whatever order the
 // sources came in — so traversal order, and with it every representative and
 // every tie-break, is a function of the AddArc sequence alone
-// (reference_test.go holds this to the adjacency-list code it replaced). A
-// weighted union–find serves undirected component statistics.
+// (reference_test.go holds this to the adjacency-list code it replaced).
 package graph
 
 import (
@@ -27,7 +26,7 @@ import (
 // The zero value is an empty graph with no nodes; use NewDigraph or Reset.
 //
 // Arcs are appended in any order; the first traversal after an AddArc
-// (Out, a Searcher or BFS search, UndirectedComponents, Filtered) freezes
+// (Out, a Searcher search, a masked copy) freezes
 // the list into CSR form. Arcs that arrived in non-decreasing source order —
 // every gossip graph, which is built node by node — freeze by one counting
 // pass without moving an arc; any other order (ConfigurationModel's stub
@@ -151,13 +150,6 @@ type BFS struct {
 	queue   []int32
 }
 
-// NewBFS returns a searcher for graphs with up to n nodes.
-func NewBFS(n int) *BFS {
-	b := new(BFS)
-	b.fit(n)
-	return b
-}
-
 // fit grows b to serve graphs with n nodes. Marks never need clearing when
 // the graph changes: an epoch is used for one search only.
 func (b *BFS) fit(n int) {
@@ -201,145 +193,6 @@ func (b *BFS) Reachable(g *Digraph, src int, visit func(node int)) int {
 		}
 	}
 	return count
-}
-
-// ---------------------------------------------------------------------------
-// Union-Find
-
-// UnionFind is a weighted quick-union structure with path halving, used for
-// undirected component statistics.
-type UnionFind struct {
-	parent []int32
-	size   []int32
-	comps  int
-}
-
-// NewUnionFind returns a union-find over n singleton components.
-func NewUnionFind(n int) *UnionFind {
-	uf := &UnionFind{
-		parent: make([]int32, n),
-		size:   make([]int32, n),
-		comps:  n,
-	}
-	for i := range uf.parent {
-		uf.parent[i] = int32(i)
-		uf.size[i] = 1
-	}
-	return uf
-}
-
-// Find returns the component representative of x.
-func (uf *UnionFind) Find(x int) int {
-	p := int32(x)
-	for uf.parent[p] != p {
-		uf.parent[p] = uf.parent[uf.parent[p]] // path halving
-		p = uf.parent[p]
-	}
-	return int(p)
-}
-
-// Union merges the components of x and y; it returns true if they were
-// previously distinct.
-func (uf *UnionFind) Union(x, y int) bool {
-	rx, ry := int32(uf.Find(x)), int32(uf.Find(y))
-	if rx == ry {
-		return false
-	}
-	if uf.size[rx] < uf.size[ry] {
-		rx, ry = ry, rx
-	}
-	uf.parent[ry] = rx
-	uf.size[rx] += uf.size[ry]
-	uf.comps--
-	return true
-}
-
-// Connected reports whether x and y are in the same component.
-func (uf *UnionFind) Connected(x, y int) bool { return uf.Find(x) == uf.Find(y) }
-
-// ComponentSize returns the size of x's component.
-func (uf *UnionFind) ComponentSize(x int) int { return int(uf.size[uf.Find(x)]) }
-
-// Components returns the current number of components.
-func (uf *UnionFind) Components() int { return uf.comps }
-
-// LargestComponent returns the size of the largest component and one of its
-// representatives. For an empty structure it returns (0, -1).
-func (uf *UnionFind) LargestComponent() (size, rep int) {
-	rep = -1
-	for i := range uf.parent {
-		if int32(i) == uf.parent[i] {
-			if int(uf.size[i]) > size {
-				size, rep = int(uf.size[i]), i
-			}
-		}
-	}
-	return size, rep
-}
-
-// ---------------------------------------------------------------------------
-// Component statistics
-
-// ComponentStats summarizes the undirected component structure of a graph.
-type ComponentStats struct {
-	// Count is the number of components (over the considered nodes).
-	Count int
-	// Largest is the size of the largest component.
-	Largest int
-	// SecondLargest is the size of the second largest component (0 if
-	// there is only one component).
-	SecondLargest int
-	// MeanSize is the mean component size experienced by a random node
-	// (i.e. E[size of the component containing a uniform node]); this is
-	// the quantity the model's ⟨s⟩ (paper Eq. 2) estimates.
-	MeanSize float64
-	// Nodes is the number of nodes considered.
-	Nodes int
-}
-
-// UndirectedComponents treats g's arcs as undirected edges restricted to
-// nodes with active[i] == true (nil active means all nodes) and returns
-// component statistics. This is the empirical counterpart of the paper's
-// generalized-random-graph analysis: failed nodes are simply removed.
-func UndirectedComponents(g *Digraph, active []bool) ComponentStats {
-	n := g.N()
-	uf := NewUnionFind(n)
-	on := func(i int) bool { return active == nil || active[i] }
-	activeCount := 0
-	for u := 0; u < n; u++ {
-		if !on(u) {
-			continue
-		}
-		activeCount++
-		for _, v := range g.Out(u) {
-			if int(v) != u && on(int(v)) {
-				uf.Union(u, int(v))
-			}
-		}
-	}
-	stats := ComponentStats{Nodes: activeCount}
-	if activeCount == 0 {
-		return stats
-	}
-	var largest, second int
-	var sumSq float64
-	for i := 0; i < n; i++ {
-		if !on(i) || uf.Find(i) != i {
-			continue
-		}
-		s := uf.ComponentSize(i)
-		stats.Count++
-		sumSq += float64(s) * float64(s)
-		if s > largest {
-			largest, second = s, largest
-		} else if s > second {
-			second = s
-		}
-	}
-	stats.Largest = largest
-	stats.SecondLargest = second
-	stats.MeanSize = sumSq / float64(activeCount)
-	return stats
 }
 
 // ---------------------------------------------------------------------------
@@ -405,13 +258,4 @@ func ConfigurationModel(degrees []int, r *xrand.RNG) *Digraph {
 	}
 	g.freeze()
 	return g
-}
-
-// DegreeSequence draws n i.i.d. degrees from p.
-func DegreeSequence(n int, p dist.Distribution, r *xrand.RNG) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = p.Sample(r)
-	}
-	return out
 }

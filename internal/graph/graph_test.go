@@ -48,7 +48,7 @@ func TestNewDigraphNegativePanics(t *testing.T) {
 
 func TestBFSPath(t *testing.T) {
 	g := path(10)
-	b := NewBFS(10)
+	b := new(Searcher)
 	if got := b.Reachable(g, 0, nil); got != 10 {
 		t.Errorf("reach from head = %d, want 10", got)
 	}
@@ -62,7 +62,7 @@ func TestBFSPath(t *testing.T) {
 
 func TestBFSReuseAcrossRuns(t *testing.T) {
 	g := path(100)
-	b := NewBFS(100)
+	b := new(Searcher)
 	// Interleave searches; epochs must isolate them.
 	for i := 0; i < 50; i++ {
 		if got := b.Reachable(g, i, nil); got != 100-i {
@@ -76,7 +76,7 @@ func TestBFSVisitCallback(t *testing.T) {
 	g.AddArc(0, 1)
 	g.AddArc(1, 2)
 	// node 3 unreachable
-	b := NewBFS(4)
+	b := new(Searcher)
 	var seen []int
 	b.Reachable(g, 0, func(n int) { seen = append(seen, n) })
 	if len(seen) != 3 {
@@ -92,7 +92,7 @@ func TestBFSCycle(t *testing.T) {
 	g.AddArc(0, 1)
 	g.AddArc(1, 2)
 	g.AddArc(2, 0)
-	b := NewBFS(3)
+	b := new(Searcher)
 	if got := b.Reachable(g, 0, nil); got != 3 {
 		t.Errorf("cycle reach = %d", got)
 	}
@@ -103,7 +103,7 @@ func TestBFSSelfLoopAndParallel(t *testing.T) {
 	g.AddArc(0, 0)
 	g.AddArc(0, 1)
 	g.AddArc(0, 1)
-	b := NewBFS(2)
+	b := new(Searcher)
 	if got := b.Reachable(g, 0, nil); got != 2 {
 		t.Errorf("reach = %d, want 2", got)
 	}
@@ -115,7 +115,9 @@ func TestBFSSizeMismatchPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewBFS(3).Reachable(NewDigraph(4), 0, nil)
+	var b BFS
+	b.fit(3)
+	b.Reachable(NewDigraph(4), 0, nil)
 }
 
 func TestUnionFindBasics(t *testing.T) {
@@ -314,7 +316,7 @@ func TestConfigurationModelGiantMatchesTheory(t *testing.T) {
 	z := 3.0
 	r := xrand.New(17)
 	p := dist.NewPoisson(z)
-	degrees := DegreeSequence(n, p, r)
+	degrees := drawDegrees(n, p, r)
 	g := ConfigurationModel(degrees, r)
 	st := UndirectedComponents(g, nil)
 	want, err := genfunc.New(p).Reliability(1)
@@ -339,7 +341,7 @@ func TestConfigurationModelSitePercolation(t *testing.T) {
 	z, q := 4.0, 0.6
 	r := xrand.New(19)
 	p := dist.NewPoisson(z)
-	g := ConfigurationModel(DegreeSequence(n, p, r), r)
+	g := ConfigurationModel(drawDegrees(n, p, r), r)
 	active := make([]bool, n)
 	alive := 0
 	for i := range active {
@@ -360,15 +362,16 @@ func TestConfigurationModelSitePercolation(t *testing.T) {
 }
 
 func TestDegreeSequenceLengthAndLaw(t *testing.T) {
+	// A configuration model realizes its degree sequence exactly when the
+	// stub total is even: every node keeps all its stubs as out-arcs.
 	r := xrand.New(29)
-	p := dist.NewFixed(7)
-	ds := DegreeSequence(100, p, r)
-	if len(ds) != 100 {
-		t.Fatalf("length %d", len(ds))
+	g := ConfigurationModel(drawDegrees(100, dist.NewFixed(7), r), r)
+	if g.N() != 100 {
+		t.Fatalf("nodes %d", g.N())
 	}
-	for _, d := range ds {
-		if d != 7 {
-			t.Fatal("Fixed(7) degree sequence has wrong entries")
+	for u := 0; u < g.N(); u++ {
+		if d := len(g.Out(u)); d != 7 {
+			t.Fatalf("node %d has degree %d in a Fixed(7) configuration model", u, d)
 		}
 	}
 }
@@ -385,7 +388,7 @@ func BenchmarkGossipGraph1000(b *testing.B) {
 func BenchmarkBFSReach5000(b *testing.B) {
 	r := xrand.New(1)
 	g := GossipGraph(5000, dist.NewPoisson(4), r)
-	bfs := NewBFS(5000)
+	bfs := new(Searcher)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

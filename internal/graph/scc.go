@@ -24,11 +24,6 @@ type sccFrame struct{ v, edge int32 }
 // strongly connected component of g restricted to nodes with
 // active[i] == true (nil active means all nodes). It returns (-1, 0) when
 // no active node exists.
-func LargestSCC(g *Digraph, active []bool) (rep, size int) {
-	return new(Searcher).LargestSCC(g, active)
-}
-
-// LargestSCC is the package-level LargestSCC on s's storage.
 //
 // The implementation is an iterative Tarjan so deep gossip graphs cannot
 // overflow the goroutine stack.
@@ -127,17 +122,6 @@ func (s *Searcher) LargestSCC(g *Digraph, active []bool) (rep, size int) {
 func (s *Searcher) Reachable(g *Digraph, src int, visit func(node int)) int {
 	s.bfs.fit(g.N())
 	return s.bfs.Reachable(g, src, visit)
-}
-
-// Filtered returns a copy of g keeping only arcs whose endpoints are both
-// active. A nil mask returns g itself.
-func Filtered(g *Digraph, active []bool) *Digraph {
-	if active == nil {
-		return g
-	}
-	f := new(Digraph)
-	g.filterInto(f, active)
-	return f
 }
 
 // filterInto rebuilds f as g restricted to arcs between active nodes. The

@@ -16,7 +16,7 @@ func TestLargestSCCSimple(t *testing.T) {
 	g.AddArc(1, 2)
 	g.AddArc(2, 0)
 	g.AddArc(3, 4)
-	rep, size := LargestSCC(g, nil)
+	rep, size := new(Searcher).LargestSCC(g, nil)
 	if size != 3 {
 		t.Fatalf("largest SCC size = %d, want 3", size)
 	}
@@ -30,7 +30,7 @@ func TestLargestSCCAllSingletons(t *testing.T) {
 	g.AddArc(0, 1)
 	g.AddArc(1, 2)
 	g.AddArc(2, 3)
-	_, size := LargestSCC(g, nil)
+	_, size := new(Searcher).LargestSCC(g, nil)
 	if size != 1 {
 		t.Errorf("DAG largest SCC = %d, want 1", size)
 	}
@@ -38,7 +38,7 @@ func TestLargestSCCAllSingletons(t *testing.T) {
 
 func TestLargestSCCEmptyAndMasked(t *testing.T) {
 	g := NewDigraph(0)
-	rep, size := LargestSCC(g, nil)
+	rep, size := new(Searcher).LargestSCC(g, nil)
 	if rep != -1 || size != 0 {
 		t.Errorf("empty graph: rep=%d size=%d", rep, size)
 	}
@@ -46,7 +46,7 @@ func TestLargestSCCEmptyAndMasked(t *testing.T) {
 	g2.AddArc(0, 1)
 	g2.AddArc(1, 0)
 	// Masking out node 1 breaks the 2-cycle.
-	_, size = LargestSCC(g2, []bool{true, false, true})
+	_, size = new(Searcher).LargestSCC(g2, []bool{true, false, true})
 	if size != 1 {
 		t.Errorf("masked SCC size = %d, want 1", size)
 	}
@@ -61,7 +61,7 @@ func TestLargestSCCTwoCycles(t *testing.T) {
 	g.AddArc(3, 4)
 	g.AddArc(4, 5)
 	g.AddArc(5, 2)
-	rep, size := LargestSCC(g, nil)
+	rep, size := new(Searcher).LargestSCC(g, nil)
 	if size != 4 || rep < 2 || rep > 5 {
 		t.Errorf("rep=%d size=%d, want size 4 in {2..5}", rep, size)
 	}
@@ -76,7 +76,7 @@ func TestLargestSCCDeepPathNoOverflow(t *testing.T) {
 		g.AddArc(i, i+1)
 	}
 	g.AddArc(n-1, 0)
-	_, size := LargestSCC(g, nil)
+	_, size := new(Searcher).LargestSCC(g, nil)
 	if size != n {
 		t.Errorf("giant cycle SCC = %d, want %d", size, n)
 	}
@@ -87,12 +87,10 @@ func TestFiltered(t *testing.T) {
 	g.AddArc(0, 1)
 	g.AddArc(1, 2)
 	g.AddArc(2, 3)
-	f := Filtered(g, []bool{true, true, false, true})
-	if f.Arcs() != 1 {
-		t.Errorf("filtered arcs = %d, want 1 (0→1)", f.Arcs())
-	}
-	if Filtered(g, nil) != g {
-		t.Error("nil mask must return the original graph")
+	var f Digraph
+	g.filterInto(&f, []bool{true, true, false, true})
+	if f.Arcs() != 1 || f.N() != 4 {
+		t.Errorf("filtered arcs = %d over %d nodes, want 1 (0→1) over 4", f.Arcs(), f.N())
 	}
 }
 

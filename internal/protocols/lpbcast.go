@@ -32,8 +32,8 @@ type LpbcastParams struct {
 
 // Validate checks the parameters.
 func (p LpbcastParams) Validate() error {
-	if p.N < 2 {
-		return fmt.Errorf("protocols: group size %d too small", p.N)
+	if err := checkGroup(p.N, p.Source); err != nil {
+		return err
 	}
 	if p.Fanout < 1 {
 		return fmt.Errorf("protocols: fanout %d < 1", p.Fanout)
@@ -49,9 +49,6 @@ func (p LpbcastParams) Validate() error {
 	}
 	if p.AliveRatio < 0 || p.AliveRatio > 1 || p.AliveRatio != p.AliveRatio {
 		return fmt.Errorf("protocols: alive ratio %g outside [0,1]", p.AliveRatio)
-	}
-	if p.Source < 0 || p.Source >= p.N {
-		return fmt.Errorf("protocols: source %d out of range", p.Source)
 	}
 	if p.ViewCopies < 0 {
 		return fmt.Errorf("protocols: negative view copies %d", p.ViewCopies)

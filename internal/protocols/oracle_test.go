@@ -21,7 +21,8 @@ func RunPbcast(p PbcastParams, r *xrand.RNG) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
-	mask := failure.ExactMask(p.N, p.AliveRatio, p.Source, r)
+	mask := new(failure.Mask)
+	mask.FillExact(p.N, p.AliveRatio, p.Source, r)
 	res := Result{AliveCount: mask.AliveCount()}
 	has := make([]bool, p.N)
 	holders := make([]int32, 0, mask.AliveCount())
@@ -66,7 +67,8 @@ func RunLRG(p LRGParams, r *xrand.RNG) (Result, error) {
 		degrees[i] = p.Degree
 	}
 	overlay := graph.ConfigurationModel(degrees, r)
-	mask := failure.ExactMask(p.N, p.AliveRatio, p.Source, r)
+	mask := new(failure.Mask)
+	mask.FillExact(p.N, p.AliveRatio, p.Source, r)
 	res := Result{AliveCount: mask.AliveCount()}
 
 	has := make([]bool, p.N)
@@ -132,7 +134,8 @@ func RunFlooding(p FloodingParams, r *xrand.RNG) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
-	mask := failure.ExactMask(p.N, p.AliveRatio, p.Source, r)
+	mask := new(failure.Mask)
+	mask.FillExact(p.N, p.AliveRatio, p.Source, r)
 	res := Result{AliveCount: mask.AliveCount()}
 	has := make([]bool, p.N)
 	queue := make([]int32, 0, mask.AliveCount())
@@ -164,7 +167,8 @@ func RunAntiEntropy(p AntiEntropyParams, r *xrand.RNG) (AntiEntropyResult, error
 	if err := p.Validate(); err != nil {
 		return AntiEntropyResult{}, err
 	}
-	mask := failure.ExactMask(p.N, p.AliveRatio, p.Source, r)
+	mask := new(failure.Mask)
+	mask.FillExact(p.N, p.AliveRatio, p.Source, r)
 	res := AntiEntropyResult{Result: Result{AliveCount: mask.AliveCount()}}
 	infected := make([]bool, p.N)
 	infected[p.Source] = true
@@ -254,7 +258,8 @@ func RunLpbcast(p LpbcastParams, r *xrand.RNG) (LpbcastResult, error) {
 	}
 	views := membership.NewPartialViews(p.N, p.ViewCopies, r)
 	views.Shuffle(5, 3, r)
-	mask := failure.ExactMask(p.N, p.AliveRatio, p.Source, r)
+	mask := new(failure.Mask)
+	mask.FillExact(p.N, p.AliveRatio, p.Source, r)
 
 	members := make([]lpbcastMember, p.N)
 	for i := range members {
@@ -336,7 +341,8 @@ func RunRDG(p RDGParams, r *xrand.RNG) (RDGResult, error) {
 	}
 	views := membership.NewPartialViews(p.N, p.ViewCopies, r)
 	views.Shuffle(5, 3, r)
-	mask := failure.ExactMask(p.N, p.AliveRatio, p.Source, r)
+	mask := new(failure.Mask)
+	mask.FillExact(p.N, p.AliveRatio, p.Source, r)
 
 	res := RDGResult{Result: Result{AliveCount: mask.AliveCount()}}
 	has := make([]bool, p.N)       // holds payload

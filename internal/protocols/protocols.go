@@ -1,6 +1,9 @@
 package protocols
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Result is the common outcome report for baseline protocols.
 type Result struct {
@@ -42,8 +45,8 @@ type PbcastParams struct {
 
 // Validate checks the parameters.
 func (p PbcastParams) Validate() error {
-	if p.N < 2 {
-		return fmt.Errorf("protocols: group size %d too small", p.N)
+	if err := checkGroup(p.N, p.Source); err != nil {
+		return err
 	}
 	if p.Fanout < 0 {
 		return fmt.Errorf("protocols: negative fanout %d", p.Fanout)
@@ -54,8 +57,17 @@ func (p PbcastParams) Validate() error {
 	if p.AliveRatio < 0 || p.AliveRatio > 1 || p.AliveRatio != p.AliveRatio {
 		return fmt.Errorf("protocols: alive ratio %g outside [0,1]", p.AliveRatio)
 	}
-	if p.Source < 0 || p.Source >= p.N {
-		return fmt.Errorf("protocols: source %d out of range", p.Source)
+	return nil
+}
+
+// checkGroup bounds a group size at the node-id width, as simnet.New does,
+// and the source member within it.
+func checkGroup(n, source int) error {
+	if n < 2 || n > math.MaxInt32 {
+		return fmt.Errorf("protocols: group size %d outside [2, 2³¹)", n)
+	}
+	if source < 0 || source >= n {
+		return fmt.Errorf("protocols: source %d out of range", source)
 	}
 	return nil
 }
@@ -83,8 +95,8 @@ type LRGParams struct {
 
 // Validate checks the parameters.
 func (p LRGParams) Validate() error {
-	if p.N < 2 {
-		return fmt.Errorf("protocols: group size %d too small", p.N)
+	if err := checkGroup(p.N, p.Source); err != nil {
+		return err
 	}
 	if p.Degree < 1 || p.Degree >= p.N {
 		return fmt.Errorf("protocols: degree %d out of range", p.Degree)
@@ -97,9 +109,6 @@ func (p LRGParams) Validate() error {
 	}
 	if p.AliveRatio < 0 || p.AliveRatio > 1 || p.AliveRatio != p.AliveRatio {
 		return fmt.Errorf("protocols: alive ratio %g outside [0,1]", p.AliveRatio)
-	}
-	if p.Source < 0 || p.Source >= p.N {
-		return fmt.Errorf("protocols: source %d out of range", p.Source)
 	}
 	return nil
 }
@@ -116,14 +125,11 @@ type FloodingParams struct {
 
 // Validate checks the parameters.
 func (p FloodingParams) Validate() error {
-	if p.N < 2 {
-		return fmt.Errorf("protocols: group size %d too small", p.N)
+	if err := checkGroup(p.N, p.Source); err != nil {
+		return err
 	}
 	if p.AliveRatio < 0 || p.AliveRatio > 1 || p.AliveRatio != p.AliveRatio {
 		return fmt.Errorf("protocols: alive ratio %g outside [0,1]", p.AliveRatio)
-	}
-	if p.Source < 0 || p.Source >= p.N {
-		return fmt.Errorf("protocols: source %d out of range", p.Source)
 	}
 	return nil
 }

@@ -47,8 +47,8 @@ type AntiEntropyParams struct {
 
 // Validate checks the parameters.
 func (p AntiEntropyParams) Validate() error {
-	if p.N < 2 {
-		return fmt.Errorf("protocols: group size %d too small", p.N)
+	if err := checkGroup(p.N, p.Source); err != nil {
+		return err
 	}
 	if p.Rounds < 0 {
 		return fmt.Errorf("protocols: negative rounds %d", p.Rounds)
@@ -60,9 +60,6 @@ func (p AntiEntropyParams) Validate() error {
 	}
 	if p.AliveRatio < 0 || p.AliveRatio > 1 || p.AliveRatio != p.AliveRatio {
 		return fmt.Errorf("protocols: alive ratio %g outside [0,1]", p.AliveRatio)
-	}
-	if p.Source < 0 || p.Source >= p.N {
-		return fmt.Errorf("protocols: source %d out of range", p.Source)
 	}
 	return nil
 }

@@ -2,8 +2,8 @@
 // repository runs on, and Replicate the one way onto it: core's estimators,
 // the facade's engines, the scenario cell driver and the figure harness
 // each hand it a per-worker state constructor, a body for replication i and
-// an in-order reduction (scripts/lint-api.sh keeps library code off Run and
-// RunOrdered, the pool underneath, which the benchmark replays directly).
+// an in-order reduction (the module's TestAPIGate keeps library code off Run
+// and RunOrdered, the pool underneath, which the benchmark replays directly).
 // The pool executes n independent, index-identified work items with three
 // guarantees the engines above it rely on.
 //

@@ -12,7 +12,7 @@
 // A Network is one kernel's worth of members; ShardedNet is the fabric
 // executions run on — one Network per shard kernel (one by default) plus
 // the cross-shard buffers — and the only network type fault-injection
-// hooks see. core.Run alone sizes, resets and flushes it (lint-api.sh).
+// hooks see. core.Run alone sizes, resets and flushes it (TestAPIGate).
 //
 // Determinism: a Network is single-goroutine state driven by its kernel;
 // every latency and loss draw comes from the caller-supplied RNG, so a run

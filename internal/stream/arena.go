@@ -26,8 +26,8 @@ type runShared struct {
 	lastRound int32
 	mask      *failure.Mask
 	view      membership.View
-	// pubState records each schedule entry's publish fate (pubNone /
-	// pubDone / pubSkipped). Entry m is written only by the worker owning
+	// pubState records each schedule entry's publish fate (zero until
+	// published, then pubDone or pubSkipped). Entry m is written only by the worker owning
 	// source[m] — distinct byte addresses, so concurrent shards never
 	// race — and read only with workers parked.
 	pubState []uint8

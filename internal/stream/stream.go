@@ -202,8 +202,8 @@ func (c Config) Validate() error {
 
 // normalize validates cfg and fills defaults.
 func (c Config) normalize() (Config, error) {
-	if c.N < 2 {
-		return c, fmt.Errorf("stream: group size %d < 2", c.N)
+	if c.N < 2 || c.N > math.MaxInt32 {
+		return c, fmt.Errorf("stream: group size %d outside [2, 2³¹)", c.N)
 	}
 	if !(c.Rate > 0) || math.IsInf(c.Rate, 0) { // NaN fails every comparison
 		return c, fmt.Errorf("stream: offered rate %g msgs/s must be positive and finite", c.Rate)

@@ -10,11 +10,10 @@ import (
 )
 
 // pubState values in runShared.pubState (one byte per schedule entry,
-// written only by the owning member's worker).
+// written only by the owning member's worker). Zero is "not yet published".
 const (
-	pubNone    uint8 = iota
-	pubDone          // published: the source inserted and began gossiping
-	pubSkipped       // source dead or crashed at publish time
+	pubDone    uint8 = iota + 1 // published: the source inserted and began gossiping
+	pubSkipped                  // source dead or crashed at publish time
 )
 
 // worker executes the stream over one contiguous member block — one block

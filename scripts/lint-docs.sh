@@ -164,10 +164,14 @@ done
 # entry point reached, the adjacency-list graph's two unreached
 # accessors (BFS.ReachableMask, Digraph.OutDegree), the scenario sweep and
 # grid drivers and their configs that one axis product replaced (SweepCtx,
-# SweepGridCtx, SweepConfig, GridConfig), Overlay.Zones and the six
+# SweepGridCtx, SweepConfig, GridConfig), Overlay.Zones, the six
 # per-protocol baseline engines one Baseline engine replaced (Pbcast{...}
 # through Flooding{...}; the pattern asks for the brace to spare the
-# *Params types and the protocols' own names) are deleted;
+# *Params types and the protocols' own names) and the seven wrappers only
+# tests reached (core.ExecuteWithMask and TraceRounds, failure.ExactMask,
+# graph.NewBFS, the package-level graph.LargestSCC and Filtered, and
+# graph.DegreeSequence; MeanTraceRounds, Searcher.LargestSCC and
+# Mask.FillExact survive them) are deleted;
 # README and ARCHITECTURE must not describe them as if they existed. Where
 # a surviving identifier contains the name (EstimateReliabilityCtx,
 # ExecuteOnNetworkArena, drawMaskInto, ZoneLatency.Zones, ...) the pattern
@@ -218,7 +222,14 @@ for gone in \
     "(^|[^A-Za-z])SweepConfig" \
     "(^|[^A-Za-z])GridConfig" \
     "Overlay\.Zones([^A-Za-z]|$)" \
-    "(^|[^A-Za-z])(Pbcast|Lpbcast|AntiEntropy|RDG|LRG|Flooding)\{"; do
+    "(^|[^A-Za-z])(Pbcast|Lpbcast|AntiEntropy|RDG|LRG|Flooding)\{" \
+    "ExecuteWithMask" \
+    "(^|[^A-Za-z])TraceRounds" \
+    "ExactMask" \
+    "NewBFS" \
+    "graph\.LargestSCC" \
+    "graph\.Filtered" \
+    "DegreeSequence"; do
     if hits=$(grep -nE "$gone" README.md ARCHITECTURE.md); then
         echo "docs-lint: README/ARCHITECTURE mention the deleted '$gone':" >&2
         echo "$hits" >&2
