@@ -9,39 +9,104 @@ import (
 )
 
 // TestSendDeliverZeroAlloc is the allocation regression guard on the
-// steady-state send→deliver path: once the event queue and payload-slot
-// pool are warm, pushing a message through latency + loss draws, the typed
-// kernel event, and handler dispatch must not touch the heap at all. This
-// is the property that makes n=10⁵..10⁶ executions GC-free.
+// steady-state send→deliver path: once the event queue and slot pools are
+// warm, pushing a message through latency + loss draws, the typed kernel
+// event, and handler dispatch must not touch the heap at all. This is the
+// property that makes n=10⁵..10⁶ executions GC-free. It holds for plain
+// sends and for boxed SendTag sends (tags ≥ tagLimit, the per-id stream's
+// wire) with no tracer, under a lite tracer, and across shards through
+// ScheduleArrival; BoxedSends counts every boxed send that was scheduled.
 func TestSendDeliverZeroAlloc(t *testing.T) {
-	kernel := sim.New()
-	rng := xrand.New(7)
-	nw := New(kernel, 64, rng, Config{
+	cfg := Config{
 		Latency: UniformLatency{Lo: time.Millisecond, Hi: 5 * time.Millisecond},
 		Loss:    BernoulliLoss{P: 0.05},
-	})
-	delivered := 0
-	nw.RegisterAll(func(_ sim.Time, _ Message) { delivered++ })
-
-	batch := func() {
-		for i := 0; i < 512; i++ {
-			nw.Send(NodeID(i%64), NodeID((i*7+1)%64), nil)
+	}
+	const n = 64
+	// rig is a warmed-up fabric: nets[s] runs on kernels[s] and owns the
+	// s-th block of members; flush hands cross-shard sends over.
+	type rig struct {
+		kernels []*sim.Kernel
+		nets    []*Network
+		stats   func() Stats
+		flush   func()
+	}
+	single := func(lite bool) rig {
+		k := sim.New()
+		nw := New(k, n, xrand.New(7), cfg)
+		if lite {
+			nw.SetTracerLite(func(Event) {})
 		}
-		if err := kernel.RunAll(); err != nil {
-			t.Fatal(err)
+		return rig{[]*sim.Kernel{k}, []*Network{nw}, nw.Stats, func() {}}
+	}
+	sharded := func() rig {
+		sn := NewShardedNet()
+		sn.Prepare(2, n, cfg)
+		r := rig{kernels: []*sim.Kernel{sim.New(), sim.New()}, stats: sn.Stats, flush: func() { sn.Flush(0) }}
+		for s, k := range r.kernels {
+			sn.ResetShard(s, k, xrand.New(uint64(s)+7))
+			r.nets = append(r.nets, sn.Shard(s))
 		}
+		return r
 	}
-	// Warm the queue and slot pool; the calendar queue's sliding window
-	// must cross its whole bucket ring once before every ring slot has
-	// record capacity.
-	for kernel.Now() < sim.Time(2*time.Second) {
-		batch()
-	}
-	if allocs := testing.AllocsPerRun(20, batch); allocs != 0 {
-		t.Fatalf("steady-state send→deliver allocates %.1f per 512-message batch, want 0", allocs)
-	}
-	if delivered == 0 {
-		t.Fatal("nothing delivered")
+	for _, tc := range []struct {
+		name  string
+		boxed bool
+		rig   func() rig
+	}{
+		{"send", false, func() rig { return single(false) }},
+		{"boxed", true, func() rig { return single(false) }},
+		{"boxed-lite", true, func() rig { return single(true) }},
+		{"boxed-cross-shard", true, sharded},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := tc.rig()
+			delivered := 0
+			for _, nw := range r.nets {
+				nw.RegisterAll(func(_ sim.Time, m Message) {
+					delivered++
+					if tc.boxed && m.Tag != tagLimit+int32(m.From) {
+						t.Errorf("message from %d delivered tag %d, want %d", m.From, m.Tag, tagLimit+int32(m.From))
+					}
+				})
+			}
+			batch := func() {
+				for i := 0; i < 512; i++ {
+					from, to := NodeID(i%n), NodeID((i*7+1)%n)
+					nw := r.nets[int(from)*len(r.nets)/n]
+					if tc.boxed {
+						nw.SendTag(from, to, tagLimit+int32(from))
+					} else {
+						nw.Send(from, to, nil)
+					}
+				}
+				r.flush()
+				for _, k := range r.kernels {
+					if err := k.RunAll(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// Warm the queue and slot pools; the calendar queue's sliding
+			// window must cross its whole bucket ring once before every
+			// ring slot has record capacity.
+			for r.kernels[0].Now() < sim.Time(2*time.Second) {
+				batch()
+			}
+			if allocs := testing.AllocsPerRun(20, batch); allocs != 0 {
+				t.Fatalf("steady-state send→deliver allocates %.1f per 512-message batch, want 0", allocs)
+			}
+			if delivered == 0 {
+				t.Fatal("nothing delivered")
+			}
+			st := r.stats()
+			want := int64(0)
+			if tc.boxed {
+				want = st.Sent - st.DroppedLoss // every scheduled send boxes
+			}
+			if st.BoxedSends != want {
+				t.Errorf("BoxedSends = %d, want %d (stats %+v)", st.BoxedSends, want, st)
+			}
+		})
 	}
 }
 
@@ -95,5 +160,54 @@ func TestNetworkReset(t *testing.T) {
 	s := nw.Stats()
 	if s.Sent != 1 || s.DroppedPart != 0 || s.DroppedCrash != 1 || s.Delivered != 0 {
 		t.Errorf("post-Reset delivery stats %+v", s)
+	}
+	t.Run("tag-slots", testResetTagSlots)
+}
+
+// testResetTagSlots cancels a run with boxed messages in tag slots both
+// airborne and recycled onto the free chain, then Resets: fresh boxed
+// sends must fill the table from slot 0 — no stale free-chain entry — and
+// deliver with their own from and tag.
+func testResetTagSlots(t *testing.T) {
+	kernel := sim.New()
+	rng := xrand.New(7)
+	cfg := Config{Latency: UniformLatency{Lo: time.Millisecond, Hi: 9 * time.Millisecond}}
+	nw := New(kernel, 8, rng, cfg)
+	nw.RegisterAll(func(sim.Time, Message) {})
+	for i := 0; i < 64; i++ {
+		nw.SendTag(NodeID(i%8), NodeID((i+1)%8), tagLimit+int32(i))
+	}
+	if err := kernel.Run(sim.Time(5 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if st := nw.Stats(); st.Delivered == 0 || st.InFlight() == 0 || nw.freeTag < 0 {
+		t.Fatalf("cancel point: stats %+v, free chain head %d; want slots both airborne and free", st, nw.freeTag)
+	}
+
+	kernel.Reset()
+	nw.Reset(kernel, 8, rng, cfg)
+	type msg struct {
+		from NodeID
+		tag  int32
+	}
+	got := map[msg]int{}
+	nw.RegisterAll(func(_ sim.Time, m Message) { got[msg{m.From, m.Tag}]++ })
+	const fresh = 5
+	for i := 0; i < fresh; i++ {
+		nw.SendTag(NodeID(7-i), NodeID(i), 1000+int32(i))
+	}
+	if len(nw.tagSlots) != fresh {
+		t.Errorf("%d fresh boxed sends occupy a tag table of %d slots, want %d", fresh, len(nw.tagSlots), fresh)
+	}
+	if err := kernel.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < fresh; i++ {
+		if m := (msg{NodeID(7 - i), 1000 + int32(i)}); got[m] != 1 {
+			t.Errorf("message from %d tag %d delivered %d times, want 1 (all: %v)", m.from, m.tag, got[m], got)
+		}
+	}
+	if st := nw.Stats(); st.Delivered != fresh || st.BoxedSends != fresh {
+		t.Errorf("post-Reset stats %+v, want %d delivered and boxed", st, fresh)
 	}
 }

@@ -23,8 +23,8 @@ func TestSendTagPackedBelowLimit(t *testing.T) {
 	if err := k.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	if len(nw.inflight) != 0 {
-		t.Errorf("packed sends parked %d in-flight slots, want 0", len(nw.inflight))
+	if len(nw.inflight) != 0 || len(nw.tagSlots) != 0 {
+		t.Errorf("packed sends parked %d in-flight and %d tag slots, want 0", len(nw.inflight), len(nw.tagSlots))
 	}
 	st := nw.Stats()
 	if st.BoxedSends != 0 {
@@ -43,7 +43,7 @@ func TestSendTagPackedBelowLimit(t *testing.T) {
 
 // TestSendTagBoxedAboveLimit pins the fallback side: a tag at or above
 // tagLimit cannot pack into the event word, so the message parks in a
-// pooled slot, BoxedSends counts it, and the tag still arrives intact —
+// pooled tag slot, BoxedSends counts it, and the tag still arrives intact —
 // the semantics of SendTag are identical on both sides of the boundary.
 func TestSendTagBoxedAboveLimit(t *testing.T) {
 	k := sim.New()
@@ -70,9 +70,15 @@ func TestSendTagBoxedAboveLimit(t *testing.T) {
 			t.Errorf("delivery %d: tag = %d, want %d", i, got[i], tag)
 		}
 	}
-	// Boxed sends recycle their slots: after quiescence every slot is free.
-	if free, total := len(nw.freeMsg), len(nw.inflight); free != total {
-		t.Errorf("slot pool: %d free of %d, want all free at quiescence", free, total)
+	// Boxed sends recycle their tag slots and never touch the parked
+	// store: after quiescence every tag slot is on the free chain.
+	free := 0
+	for i := nw.freeTag; i >= 0; i = nw.tagSlots[i].tag {
+		free++
+	}
+	if total := len(nw.tagSlots); free != total || total == 0 || len(nw.inflight) != 0 {
+		t.Errorf("tag slots: %d free of %d, parked slots %d; want all tag slots free at quiescence and none parked",
+			free, total, len(nw.inflight))
 	}
 }
 

@@ -23,8 +23,11 @@
 //
 // Allocation guarantee: the steady-state send→deliver path allocates
 // nothing. Node up/down flags are a packed bitset; payload-free messages
-// (the gossip hot path) ride entirely inside the kernel's 16-byte event
-// records, and payload-carrying messages park their payload in pooled
-// in-flight slots recycled through a free list (alloc_test.go enforces
-// this).
+// whose (tag, sender) pair packs into the event word (the gossip hot path)
+// ride entirely inside the kernel's 16-byte event records; boxed ones —
+// tags past the packed band, as the per-id stream's are — add an 8-byte
+// tag slot each; payload-carrying messages, batches and every message
+// under a full tracer park in 40-byte in-flight slots. Both slot pools
+// recycle through free lists (alloc_test.go enforces this; tagslot_test.go
+// pins the tag slot's bytes).
 package simnet

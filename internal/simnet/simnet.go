@@ -198,9 +198,11 @@ type Stats struct {
 	// event-word encoding into a pooled in-flight slot: the tag did not fit
 	// below tagLimit, the group was too large to pack (n ≥ 2²⁴), or a full
 	// tracer was watching. Boxed sends stay allocation-free in the steady
-	// state (slots are recycled) but double the queue's memory traffic, so
-	// streaming workloads whose message ids exceed the packed-tag band watch
-	// this counter instead of discovering the shift in an alloc profile.
+	// state (slots are recycled) but each keeps a slot beside its 16-byte
+	// event record while airborne — an 8-byte tag slot, or a 40-byte parked
+	// slot under a full tracer — so streaming workloads whose message ids
+	// exceed the packed-tag band watch this counter instead of discovering
+	// the shift in a memory profile.
 	// It is bookkeeping about Sent messages, not an outcome: boxed sends
 	// are already included in Sent and resolve into Delivered or a drop
 	// counter like any other.
@@ -297,18 +299,28 @@ func (c Config) RoundInterval(explicit time.Duration) time.Duration {
 	return 20 * time.Millisecond
 }
 
-// inflight is the pooled payload slot of one message in transit. The
-// destination rides in the event record itself (its node word); the slot
-// holds the rest. Slots are recycled through a free list, so the
-// steady-state send→deliver path allocates nothing. slab is the index of
-// an id-slab for batch messages (-1 otherwise), leased at send time and
-// released when the batch resolves.
+// inflight is the pooled parked slot of one message in transit that needs
+// more than a tag slot: a payload, a batch, or an exact SentAt for a full
+// tracer. The destination rides in the event record itself (its node
+// word); the slot holds the rest. Slots are recycled through a free list,
+// so the steady-state send→deliver path allocates nothing. slab is the
+// index of an id-slab for batch messages (-1 otherwise), leased at send
+// time and released when the batch resolves.
 type inflight struct {
 	from    NodeID
 	sentAt  sim.Time
 	tag     int32
 	slab    int32
 	payload any
+}
+
+// tagSlot is the in-flight slot of a boxed payload-free message with no
+// full tracer watching: its tag did not fit the event word, so (from, tag)
+// park here, 8 bytes and no pointer, and the send time is not kept. A free
+// slot holds the index of the next free one in tag (-1 ends the chain).
+type tagSlot struct {
+	from int32
+	tag  int32
 }
 
 // Network is a simulated message-passing network over n nodes.
@@ -331,6 +343,12 @@ type Network struct {
 	deliverID sim.HandlerID
 	inflight  []inflight
 	freeMsg   []int32
+
+	// deliverTagID fires the deliveries parked in tagSlots; freeTag heads
+	// the slots' free chain (-1 when empty).
+	deliverTagID sim.HandlerID
+	tagSlots     []tagSlot
+	freeTag      int32
 
 	// allBatch consumes delivered batches (RegisterBatchAll); slabs is the
 	// pooled id-slab store batches park their entry lists in between send
@@ -407,16 +425,19 @@ func (nw *Network) Reset(kernel *sim.Kernel, n int, rng *xrand.RNG, cfg Config) 
 	nw.up.Reset(n)
 	nw.up.SetAll()
 	for i := range nw.inflight {
-		nw.inflight[i] = inflight{}
+		nw.inflight[i].payload = nil
 	}
 	nw.inflight = nw.inflight[:0]
 	nw.freeMsg = nw.freeMsg[:0]
+	nw.tagSlots = nw.tagSlots[:0]
+	nw.freeTag = -1
 	nw.freeSlab = nw.freeSlab[:0]
 	for i := range nw.slabs {
 		nw.slabs[i] = nw.slabs[i][:0]
 		nw.freeSlab = append(nw.freeSlab, int32(i))
 	}
 	nw.deliverID = kernel.RegisterHandler(nw.deliverEvent)
+	nw.deliverTagID = kernel.RegisterHandler(nw.deliverTag)
 	// The default pending estimate is n: a single rumor's in-flight
 	// messages peak at a few per member. An executor that keeps more in
 	// the air re-hints with its own figure.
@@ -524,10 +545,11 @@ func (nw *Network) Send(from, to NodeID, payload any) {
 // The slot-free encoding holds only while the (tag, from) pair fits the
 // event word: tag < tagLimit (128) and n < 2²⁴. Outside that band — tags
 // used as streaming message ids easily exceed it — the message transparently
-// parks in a pooled in-flight slot instead: same delivery semantics, same
-// zero steady-state allocations, but an extra 24 bytes of queue state per
-// airborne message. Stats.BoxedSends counts exactly these fallbacks so the
-// shift is observable rather than silent.
+// parks (from, tag) in a pooled 8-byte tag slot instead: same delivery
+// semantics, same zero steady-state allocations, but 8 more bytes per
+// airborne message beside its 16-byte event record (40 under a full
+// tracer, which parks the send time too). Stats.BoxedSends counts exactly
+// these fallbacks so the shift is observable rather than silent.
 func (nw *Network) SendTag(from, to NodeID, tag int32) {
 	if tag < 0 {
 		panic(fmt.Sprintf("simnet: negative message tag %d", tag))
@@ -568,19 +590,9 @@ func (nw *Network) send(from, to NodeID, tag int32, payload any) {
 	if nw.route != nil && payload == nil && nw.route(from, to, tag, now, now.Add(d)) {
 		return
 	}
-	// Payload-free messages with no full tracer watching — the entire
-	// gossip hot path, including runs observed through a lite tracer —
-	// need no in-flight slot: the sender id (and, when the group is small
-	// enough to pack, the tag) rides in the event record's payload word
-	// (encoded below zero), halving peak queue memory at n=10⁷.
-	// Everything else parks (from, sentAt, tag, payload) in a pooled
-	// slot.
-	if payload == nil && !nw.traceFull && (tag == 0 || (nw.packTags && tag < tagLimit)) {
-		nw.kernel.ScheduleAfter(d, nw.deliverID, int32(to), -(int32(from)|tag<<tagShift)-1)
-		return
-	}
 	if payload == nil {
-		nw.stats.BoxedSends++
+		nw.scheduleTag(from, to, tag, now, now.Add(d))
+		return
 	}
 	slot := nw.allocMsg(from, now, tag, payload)
 	nw.kernel.ScheduleAfter(d, nw.deliverID, int32(to), slot)
@@ -675,16 +687,39 @@ func (nw *Network) ScheduleArrival(from, to NodeID, tag int32, sentAt, at sim.Ti
 	if now := nw.kernel.Now(); at < now {
 		at = now
 	}
-	if !nw.traceFull && (tag == 0 || (nw.packTags && tag < tagLimit)) {
-		nw.kernel.Schedule(at, nw.deliverID, int32(to), -(int32(from)|tag<<tagShift)-1)
-		return
-	}
 	// A cross-shard message skipped send()'s packing branch on its source
 	// shard (the route hook intercepted it first), so the boxing decision —
 	// and the BoxedSends count — happens here on the destination shard.
-	nw.stats.BoxedSends++
-	slot := nw.allocMsg(from, sentAt, tag, nil)
-	nw.kernel.Schedule(at, nw.deliverID, int32(to), slot)
+	nw.scheduleTag(from, to, tag, sentAt, at)
+}
+
+// scheduleTag schedules a payload-free message's delivery at `at`, in the
+// cheapest form that keeps what an observer may read. With no full tracer
+// watching — the entire gossip hot path, including runs observed through a
+// lite tracer — the sender id (and, when the group is small enough to
+// pack, the tag) rides in the event record's payload word, encoded below
+// zero; a tag that does not pack boxes (from, tag) into an 8-byte tag
+// slot. A full tracer needs the exact send time, so every message boxes
+// into a parked slot. Both boxed forms count in BoxedSends.
+func (nw *Network) scheduleTag(from, to NodeID, tag int32, sentAt, at sim.Time) {
+	switch {
+	case nw.traceFull:
+		nw.stats.BoxedSends++
+		nw.kernel.Schedule(at, nw.deliverID, int32(to), nw.allocMsg(from, sentAt, tag, nil))
+	case tag == 0 || (nw.packTags && tag < tagLimit):
+		nw.kernel.Schedule(at, nw.deliverID, int32(to), -(int32(from)|tag<<tagShift)-1)
+	default:
+		nw.stats.BoxedSends++
+		slot := nw.freeTag
+		if slot >= 0 {
+			nw.freeTag = nw.tagSlots[slot].tag
+			nw.tagSlots[slot] = tagSlot{from: int32(from), tag: tag}
+		} else {
+			slot = int32(len(nw.tagSlots))
+			nw.tagSlots = append(nw.tagSlots, tagSlot{from: int32(from), tag: tag})
+		}
+		nw.kernel.Schedule(at, nw.deliverTagID, int32(to), slot)
+	}
 }
 
 // ScheduleArrivalBatch is ScheduleArrival for batches: the destination
@@ -753,10 +788,10 @@ func (nw *Network) SlabsInUse() int {
 
 // deliverEvent is the typed kernel handler for message arrival: node is the
 // destination; payload is an inflight slot index when >= 0, or the encoded
-// (tag, sender) of a slot-free payload-nil message when negative. A message
-// sent slot-free before a tracer was installed mid-flight reports SentAt
-// equal to its delivery time — the only observable difference between the
-// two encodings.
+// (tag, sender) of a slot-free payload-nil message when negative. A
+// slot-free message reports SentAt equal to its delivery time, even to a
+// full tracer installed while it was airborne — the only observable
+// difference between the encodings (deliverTag's messages share it).
 func (nw *Network) deliverEvent(now sim.Time, node, slot int32) {
 	var m inflight
 	if slot < 0 {
@@ -771,11 +806,26 @@ func (nw *Network) deliverEvent(now sim.Time, node, slot int32) {
 		nw.inflight[slot].payload = nil // release the payload reference
 		nw.freeMsg = append(nw.freeMsg, slot)
 	}
-	to := NodeID(node)
 	if m.slab >= 0 {
-		nw.deliverBatch(now, m, to)
+		nw.deliverBatch(now, m, NodeID(node))
 		return
 	}
+	nw.deliverOne(now, NodeID(node), m)
+}
+
+// deliverTag is the typed kernel handler for a message parked in a tag
+// slot: it recycles the slot onto the free chain and delivers the message
+// with SentAt equal to now, as a slot-free delivery reports it.
+func (nw *Network) deliverTag(now sim.Time, node, slot int32) {
+	s := nw.tagSlots[slot]
+	nw.tagSlots[slot].tag = nw.freeTag
+	nw.freeTag = slot
+	nw.deliverOne(now, NodeID(node), inflight{from: NodeID(s.from), sentAt: now, tag: s.tag})
+}
+
+// deliverOne resolves one arriving non-batch message: the delivery-time
+// outcomes (crash, partition, missing handler), then handler dispatch.
+func (nw *Network) deliverOne(now sim.Time, to NodeID, m inflight) {
 	if !nw.up.Get(int(to)) {
 		nw.stats.DroppedCrash++
 		nw.trace(Event{Kind: EventDroppedCrash, From: m.from, To: to, At: now, SentAt: m.sentAt})
@@ -803,7 +853,7 @@ func (nw *Network) deliverEvent(now sim.Time, node, slot int32) {
 }
 
 // deliverBatch resolves an arriving batch: the delivery-time outcomes
-// mirror deliverEvent's (crash, partition, missing handler), and the slab
+// mirror deliverOne's (crash, partition, missing handler), and the slab
 // is recycled on every path — after the handler returns on delivery, so
 // the handler may issue fresh batches while iterating the ids.
 func (nw *Network) deliverBatch(now sim.Time, m inflight, to NodeID) {

@@ -76,12 +76,13 @@ func (nw *Network) SetTracer(t Tracer) {
 
 // SetTracerLite installs (or clears, with nil) the event tracer WITHOUT
 // disabling the slot-free send path: payload-free messages keep riding in
-// the event word, so the steady-state send→deliver path still allocates
-// nothing. The price is that slot-free deliveries report SentAt equal to
-// their delivery time (the send time was never parked anywhere), so
-// transit latency is not observable through a lite tracer — kinds,
-// endpoints, and At are exact. The observability probes sample their
-// virtual-time curves through this seam.
+// the event word — or, for tags past the packed band, in an 8-byte tag
+// slot — so the steady-state send→deliver path still allocates nothing.
+// The price is that every payload-free delivery, slot-free or
+// tag-slotted, reports SentAt equal to its delivery time (the send time
+// was never parked anywhere), so transit latency is not observable through
+// a lite tracer — kinds, endpoints, and At are exact. The observability
+// probes sample their virtual-time curves through this seam.
 func (nw *Network) SetTracerLite(t Tracer) {
 	nw.tracer = t
 	nw.traceFull = false

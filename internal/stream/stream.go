@@ -21,9 +21,10 @@ const publishSplit = 0x97ab31
 
 // Message tags pack (message id, message kind) into the simnet tag word:
 // tag = id<<kindBits | kind. Ids at or above simnet's packed-tag band box
-// into pooled in-flight slots (see simnet.SendTag and Stats.BoxedSends) —
-// same semantics, zero steady-state allocations — which is the normal
-// regime for a stream of thousands of messages.
+// into pooled 8-byte tag slots beside their event records (see
+// simnet.SendTag and Stats.BoxedSends) — same semantics, zero steady-state
+// allocations — which is the normal regime for a stream of thousands of
+// messages.
 const (
 	kindBits = 2
 	kindMask = 1<<kindBits - 1
