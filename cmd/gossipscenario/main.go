@@ -397,7 +397,7 @@ func compare(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	spec := gossipkit.Compare{Scenarios: scenarios, Config: cfg}
+	spec := gossipkit.Campaign{Scenarios: scenarios, Config: cfg}
 	if *topoList != "" {
 		if spec.Topologies, err = parseList("-topologies", *topoList, gossipkit.ParseTopology); err != nil {
 			return err

@@ -35,11 +35,11 @@ func invalid(err error) error {
 // Engine is one execution backend of the toolkit behind the unified
 // Run/RunMany entry points: the analytic model (Analytic), the Monte-Carlo
 // graph estimator (MonteCarlo), the discrete-event network executor
-// (Network), the fault-injection scenario runner (Campaign), the
-// repeated-execution success protocol (Success), the related-work protocol
-// baselines (Baseline, over any ProtocolSpec — on the same discrete-event
-// substrate as Network), and the (protocol × scenario) comparison grid
-// (Compare).
+// (Network), the streaming workload (Stream), the fault-injection scenario
+// runner and its (protocol × scenario) comparison grid (Campaign), the
+// repeated-execution success protocol (Success), and the related-work
+// protocol baselines (Baseline, over any ProtocolSpec — on the same
+// discrete-event substrate as Network).
 //
 // Every engine is context-aware (cancellation aborts promptly with
 // ErrCanceled), observable (WithObserver streams per-run Reports in
@@ -149,11 +149,11 @@ type Outcome struct {
 	// Aggregate is the engine's native aggregate, when it has one:
 	// Prediction (Analytic), Estimate or ComponentEstimate (MonteCarlo),
 	// SuccessOutcome (Success), *ScenarioSweepResult or, with Qs or
-	// Fanouts set, *ScenarioGridResult (Campaign under RunMany),
-	// *ProtocolSweep (Baseline under RunMany),
-	// *ScenarioCompareResult (Compare). The three scenario aggregates are
-	// views of one topology × protocol × scenario × q × fanout product,
-	// cells in that order with only the swept axes labeled. Nil otherwise.
+	// Fanouts set, *ScenarioGridResult or, with Protocols or Paper set,
+	// *ScenarioCompareResult (Campaign under RunMany), *ProtocolSweep
+	// (Baseline under RunMany). The three scenario aggregates are views of
+	// one topology × protocol × scenario × q × fanout product, cells in
+	// that order with only the swept axes labeled. Nil otherwise.
 	Aggregate any
 }
 
@@ -202,7 +202,7 @@ func WithObserver(fn Observer) Option { return func(o *runOptions) { o.observer 
 // MonteCarlo, Network, Success, and Baseline engines then stream their
 // reduction and hold only out-of-order completions live. The Campaign
 // engine is the exception — it still buffers one report per sweep cell
-// internally to build its per-scenario summaries.
+// internally to build its per-cell summaries, protocol rows included.
 func WithoutReports() Option { return func(o *runOptions) { o.noReports = true } }
 
 // WithShards runs each execution on n shard kernels:
@@ -219,10 +219,10 @@ func WithoutReports() Option { return func(o *runOptions) { o.noReports = true }
 // cores), WithWorkers across runs; they compose, but oversubscribe the
 // machine if both are wide.
 //
-// Honored by the Network, Stream, Campaign and Compare engines. Campaign
-// and Compare alternatively take the count on ScenarioRunConfig.Shards
-// (setting both to different values is an error), and there it reaches the
-// paper's algorithm only: protocol executors, like the Baseline engine,
+// Honored by the Network, Stream and Campaign engines. Campaign
+// alternatively takes the count on ScenarioRunConfig.Shards (setting both
+// to different values is an error), and there it reaches the paper's
+// algorithm only: protocol rows and executors, like the Baseline engine,
 // run on one kernel. The Analytic, MonteCarlo and Success engines
 // have no kernel to shard and ignore it.
 func WithShards(n int) Option {
@@ -251,21 +251,21 @@ func WithShardProgress(fn func(events uint64, virtualNow time.Duration)) Option 
 // seed-reproducible and worker/shard-count-invariant; the zero (uniform)
 // spec is byte-identical to not setting the option at all.
 //
-// Honored by the Network, MonteCarlo, Campaign, Compare, and Baseline
-// engines. The Analytic and Success engines reject non-uniform
-// topologies: Eq. 11 assumes uniform selection — use MonteCarlo (giant
-// component) for overlay reliability, or read the corrected prediction
-// off scenario reports. Campaign and Compare alternatively take the
-// topology on ScenarioRunConfig.Topology; setting both to different
-// specs is an error.
+// Honored by the Network, MonteCarlo, Stream, Campaign, and Baseline
+// engines, which check it against each row's group size. The Analytic and
+// Success engines reject non-uniform topologies: Eq. 11 assumes uniform
+// selection — use MonteCarlo (giant component) for overlay reliability, or
+// read the corrected prediction off scenario reports. Campaign also takes
+// it on ScenarioRunConfig.Topology (different specs in both are an error)
+// and a list on Campaign.Topologies in place of both.
 func WithTopology(t Topology) Option { return func(o *runOptions) { o.topology = t } }
 
-// mergeRunConfig folds the WithTopology and WithShards options into a
-// scenario run config (the Campaign and Compare engines), rejecting an
-// option that conflicts with the explicitly-set Config field — and a
-// Config.Net no engine should run on (validateNet) or a negative
-// PartialViewCopies, RoundInterval or Shards, which would run on the full
-// view, the default pacing or one shard without saying so.
+// mergeRunConfig folds the WithTopology and WithShards options into the
+// Campaign engine's run config, rejecting an option that conflicts with
+// the explicitly-set Config field — and a Config.Net no engine should run
+// on (validateNet) or a negative PartialViewCopies, RoundInterval or
+// Shards, which would run on the full view, the default pacing or one
+// shard without saying so.
 func mergeRunConfig(cfg *ScenarioRunConfig, o *runOptions) error {
 	if err := validateNet(cfg.Net); err != nil {
 		return err

@@ -11,8 +11,8 @@ import (
 // pin: a crash wave, a loss episode, and a partition from the bundled
 // suite, each run against the paper's algorithm and all six related-work
 // baselines on the shared DES substrate.
-func compareSpec() Compare {
-	return Compare{
+func compareSpec() Campaign {
+	return Campaign{
 		Scenarios: []*Scenario{
 			mustScenario("crash-wave"), mustScenario("burst-loss"), mustScenario("partition-heal"),
 		},
@@ -147,8 +147,8 @@ func TestProtocolSweepAggregate(t *testing.T) {
 }
 
 // TestCompareCanceled: ErrCanceled propagates from a mid-grid cancel of
-// the Compare spec (the satellite's explicit cancellation contract; the
-// generic engine suite covers it too via allEngineSpecs).
+// the comparison grid (the generic engine suite covers it too via
+// allEngineSpecs).
 func TestCompareCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	_, err := RunMany(ctx, compareSpec(), 10_000,
@@ -220,23 +220,28 @@ func TestProtocolEngineRoundPacing(t *testing.T) {
 	}
 }
 
-// TestCompareValidation: malformed Compare specs fail with
+// TestCompareValidation: malformed comparison specs fail with
 // ErrInvalidParams before any cell runs.
 func TestCompareValidation(t *testing.T) {
 	ok := compareSpec()
 	cases := []struct {
 		name string
-		spec Compare
+		spec Campaign
 		opts []Option
 	}{
-		{"no scenarios", Compare{Paper: true, Config: ok.Config}, nil},
-		{"no protocols", Compare{Scenarios: ok.Scenarios, Config: ok.Config}, nil},
-		{"nil protocol", Compare{Scenarios: ok.Scenarios, Protocols: []ProtocolSpec{nil}, Config: ok.Config}, nil},
-		{"invalid baseline", Compare{Scenarios: ok.Scenarios,
+		{"no scenarios", Campaign{Paper: true, Config: ok.Config}, nil},
+		{"nil second protocol", Campaign{Scenarios: ok.Scenarios, Paper: true,
+			Protocols: []ProtocolSpec{ok.Protocols[0], nil}, Config: ok.Config}, nil},
+		{"nil protocol", Campaign{Scenarios: ok.Scenarios, Protocols: []ProtocolSpec{nil}, Config: ok.Config}, nil},
+		{"invalid baseline", Campaign{Scenarios: ok.Scenarios,
 			Protocols: []ProtocolSpec{PbcastParams{N: 1}}, Config: ok.Config}, nil},
-		{"invalid paper params", Compare{Scenarios: ok.Scenarios, Paper: true,
+		{"invalid paper params", Campaign{Scenarios: ok.Scenarios, Paper: true,
 			Config: ScenarioRunConfig{Params: Params{N: 1, Fanout: Poisson(4), AliveRatio: 1}}}, nil},
 		{"WithRNG", ok, []Option{WithRNG(NewRNG(1)), WithRuns(2)}},
+		{"grid axes beside protocol rows", Campaign{Scenarios: ok.Scenarios, Paper: true, Config: ok.Config,
+			Qs: []float64{0.8, 1}}, nil},
+		{"topologies without protocol rows", Campaign{Scenarios: ok.Scenarios, Config: ok.Config,
+			Topologies: []Topology{{}, KOutTopology(6)}}, nil},
 	}
 	for _, tc := range cases {
 		_, err := RunMany(context.Background(), tc.spec, 2, tc.opts...)

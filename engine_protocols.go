@@ -60,8 +60,8 @@ type FloodingParams = protocols.FloodingParams
 
 // ProtocolSpec is a baseline protocol parameter set that can run on the
 // discrete-event substrate: PbcastParams, LpbcastParams, AntiEntropyParams,
-// RDGParams, LRGParams, and FloodingParams all implement it. The Compare
-// engine and the scenario executors take any mix of them.
+// RDGParams, LRGParams, and FloodingParams all implement it. Campaign's
+// protocol rows and the scenario executors take any mix of them.
 type ProtocolSpec = protocols.Spec
 
 // ProtocolResult is the common outcome report of the protocol baselines.

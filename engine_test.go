@@ -30,7 +30,7 @@ func allEngineSpecs() []Engine {
 		Baseline{Protocol: RDGParams{N: 300, Fanout: 3, PushRounds: 6, RecoveryRounds: 3, AliveRatio: 0.9, ViewCopies: 2, PayloadProb: 0.9}},
 		Baseline{Protocol: LRGParams{N: 300, Degree: 6, GossipProb: 0.8, RepairRounds: 3, AliveRatio: 0.9}},
 		Baseline{Protocol: FloodingParams{N: 300, AliveRatio: 0.9}},
-		Compare{Scenarios: DefaultScenarioSuite()[:2], Paper: true,
+		Campaign{Scenarios: DefaultScenarioSuite()[:2], Paper: true,
 			Protocols: []ProtocolSpec{PbcastParams{N: 300, Fanout: 3, Rounds: 8, AliveRatio: 1}},
 			Config:    ScenarioRunConfig{Params: Params{N: 300, Fanout: Poisson(5), AliveRatio: 1}}},
 	}
@@ -194,7 +194,16 @@ func badEngineSpecs() []Engine {
 		Campaign{Scenarios: nil, Config: ScenarioRunConfig{Params: Params{N: 100, Fanout: Poisson(4), AliveRatio: 1}}},
 		Campaign{Scenarios: DefaultScenarioSuite()[:1],
 			Config: ScenarioRunConfig{Params: Params{N: 1, Fanout: Poisson(4), AliveRatio: 1}}},
-		Compare{Scenarios: DefaultScenarioSuite()[:1], Config: ScenarioRunConfig{Params: p}},
+		Campaign{Scenarios: DefaultScenarioSuite()[:1], Protocols: []ProtocolSpec{nil}, Config: ScenarioRunConfig{Params: p}},
+		Campaign{Scenarios: []*Scenario{nil}, Config: ScenarioRunConfig{Params: p}},
+		Campaign{Scenarios: DefaultScenarioSuite()[:1], Paper: true, Config: ScenarioRunConfig{Params: p,
+			Executor: BaselineExecutor(FloodingParams{N: 100, AliveRatio: 1})}},
+		Campaign{Scenarios: DefaultScenarioSuite()[:1], Config: ScenarioRunConfig{
+			Executor: BaselineExecutor(LRGParams{N: 100, Degree: 200, GossipProb: 0.5, AliveRatio: 1})}},
+		Campaign{Scenarios: DefaultScenarioSuite()[:1], Config: ScenarioRunConfig{Executor: StreamExecutor(StreamConfig{N: 1})}},
+		Campaign{Scenarios: DefaultScenarioSuite()[:1], Config: ScenarioRunConfig{Params: p, Topology: WANTopology(1, 0)}},
+		Campaign{Scenarios: DefaultScenarioSuite()[:1], Paper: true, Topologies: []Topology{{}, WANTopology(1, 0)},
+			Config: ScenarioRunConfig{Params: p}},
 		Success{Params: SuccessParams{Params: Params{N: 100, Fanout: Poisson(4), AliveRatio: 0.9}, Executions: 0, Simulations: 1}},
 		Baseline{Protocol: PbcastParams{N: 100, Fanout: -1, Rounds: 3, AliveRatio: 0.9}},
 		Baseline{Protocol: LpbcastParams{N: 100, Fanout: 3, Rounds: 3, BufferSize: 0, Events: 1, AliveRatio: 0.9}},
@@ -240,7 +249,7 @@ func TestGroupSizeBeyondNodeIDs(t *testing.T) {
 		Stream{Config: StreamConfig{N: n, Rate: 100, Duration: 50 * time.Millisecond, Fanout: FixedFanout(3), AliveRatio: 1}},
 		Baseline{Protocol: PbcastParams{N: n, Fanout: 3, Rounds: 8, AliveRatio: 0.9}},
 		Campaign{Scenarios: DefaultScenarioSuite()[:1], Config: ScenarioRunConfig{Params: p}},
-		Compare{Scenarios: DefaultScenarioSuite()[:1], Paper: true, Config: ScenarioRunConfig{Params: p}},
+		Campaign{Scenarios: DefaultScenarioSuite()[:1], Paper: true, Config: ScenarioRunConfig{Params: p}},
 	} {
 		if _, err := RunMany(ctx, spec, 2); !errors.Is(err, ErrInvalidParams) {
 			t.Errorf("%s with N = 2³¹: err %v, want ErrInvalidParams", spec.Name(), err)
@@ -332,19 +341,19 @@ func TestHostileNumbersRejected(t *testing.T) {
 		bad["pbcast "+name] = Baseline{Protocol: PbcastParams{N: 100, Fanout: 3, Rounds: 3, AliveRatio: 1}, Net: net}
 		bad["campaign "+name] = Campaign{Scenarios: DefaultScenarioSuite()[:1],
 			Config: ScenarioRunConfig{Params: p, Net: net}}
-		bad["compare "+name] = Compare{Scenarios: DefaultScenarioSuite()[:1], Paper: true,
+		bad["compare "+name] = Campaign{Scenarios: DefaultScenarioSuite()[:1], Paper: true,
 			Config: ScenarioRunConfig{Params: p, Net: net}}
 	}
 	negViews := ScenarioRunConfig{Params: p, PartialViewCopies: -3}
 	bad["campaign views -3"] = Campaign{Scenarios: DefaultScenarioSuite()[:1], Config: negViews}
-	bad["compare views -3"] = Compare{Scenarios: DefaultScenarioSuite()[:1], Paper: true, Config: negViews}
+	bad["compare views -3"] = Campaign{Scenarios: DefaultScenarioSuite()[:1], Paper: true, Config: negViews}
 	bad["pbcast round interval -1s"] = Baseline{Protocol: PbcastParams{N: 100, Fanout: 3, Rounds: 3, AliveRatio: 1}, RoundInterval: -time.Second}
 	for name, cfg := range map[string]ScenarioRunConfig{
 		"round interval -1s": {Params: p, RoundInterval: -time.Second},
 		"shards -4":          {Params: p, Shards: -4},
 	} {
 		bad["campaign "+name] = Campaign{Scenarios: DefaultScenarioSuite()[:1], Config: cfg}
-		bad["compare "+name] = Compare{Scenarios: DefaultScenarioSuite()[:1], Paper: true, Config: cfg}
+		bad["compare "+name] = Campaign{Scenarios: DefaultScenarioSuite()[:1], Paper: true, Config: cfg}
 	}
 	for name, spec := range bad {
 		if _, err := RunMany(context.Background(), spec, 2); !errors.Is(err, ErrInvalidParams) {

@@ -10,8 +10,8 @@ import (
 // topoCompareSpec is the three-axis acceptance grid: the paper's algorithm
 // and two baselines, two bundled scenarios, and one overlay row per
 // topology family (uniform, sparse k-out, WAN clusters).
-func topoCompareSpec() Compare {
-	return Compare{
+func topoCompareSpec() Campaign {
+	return Campaign{
 		Scenarios: []*Scenario{
 			mustScenario("crash-wave"), mustScenario("partition-heal"),
 		},

@@ -1,6 +1,6 @@
 // Protocol comparison: run the same fault campaigns against the paper's
 // algorithm and the related-work baselines on one discrete-event
-// substrate, through the gossipkit.Compare engine.
+// substrate, through one gossipkit.Campaign with a protocol axis.
 //
 // The paper's claim is comparative — single-shot gossip buys most of the
 // reliability of the heavyweight protocols at a fraction of the message
@@ -34,7 +34,7 @@ func main() {
 		OnStall(30*time.Millisecond, gossipkit.HealPartition()).
 		OnStall(30*time.Millisecond, gossipkit.Regossip(10))
 
-	spec := gossipkit.Compare{
+	spec := gossipkit.Campaign{
 		Scenarios: []*gossipkit.Scenario{crashWave, rescue},
 		Paper:     true, // the paper's algorithm, labeled "paper"
 		Protocols: []gossipkit.ProtocolSpec{

@@ -307,7 +307,7 @@ type ScenarioGridResult = scenario.GridResult
 // any scenario target any dissemination protocol on the shared
 // discrete-event substrate. A nil ScenarioRunConfig.Executor runs the
 // paper's algorithm; BaselineExecutor wraps any related-work protocol spec.
-// The Compare engine builds one executor per grid row from the same
+// A Campaign builds one executor per protocol row from the same
 // constructors.
 type ScenarioExecutor = scenario.Executor
 
@@ -321,8 +321,8 @@ func BaselineExecutor(spec ProtocolSpec) ScenarioExecutor {
 }
 
 // ScenarioCompareResult aggregates a (protocol × scenario) comparison grid
-// (the Compare engine's Outcome.Aggregate), one cell per pair; its CSV
-// method emits the regression-tracking grid with escaped fields.
+// (the Aggregate of a Campaign with protocol rows), one cell per pair; its
+// CSV method emits the regression-tracking grid with escaped fields.
 type ScenarioCompareResult = scenario.CompareResult
 
 // Scenario action constructors, re-exported for campaign building.

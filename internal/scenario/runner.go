@@ -30,6 +30,9 @@ type Executor interface {
 	// Shape returns the group size and the protected source member of an
 	// execution under cfg.
 	Shape(cfg RunConfig) (n, source int)
+	// Validate checks the parameters the executor runs on under cfg
+	// without running anything.
+	Validate(cfg RunConfig) error
 	// Execute runs one execution: all protocol randomness derives from r
 	// (network jitter from the non-consuming r.Split(0xfeed)), cfg.Net
 	// arrives already resolved (never nil models), inject is called with
@@ -137,6 +140,8 @@ func (e paperExecutor) Protocol() string { return e.label }
 
 func (paperExecutor) Shape(cfg RunConfig) (int, int) { return cfg.Params.N, cfg.Params.Source }
 
+func (paperExecutor) Validate(cfg RunConfig) error { return cfg.Params.Validate() }
+
 func (paperExecutor) Execute(cfg RunConfig, r *xrand.RNG, inject func(*core.NetRun), arena *core.NetArena) (core.NetResult, error) {
 	return ExecutePaper(cfg, r, inject, arena)
 }
@@ -174,6 +179,8 @@ type protocolExecutor struct {
 func (e protocolExecutor) Protocol() string { return e.spec.Protocol() }
 
 func (e protocolExecutor) Shape(RunConfig) (int, int) { return protocols.Shape(e.spec) }
+
+func (e protocolExecutor) Validate(RunConfig) error { return e.spec.Validate() }
 
 func (e protocolExecutor) Execute(cfg RunConfig, r *xrand.RNG, inject func(*core.NetRun), arena *core.NetArena) (core.NetResult, error) {
 	des := protocols.DESConfig{Net: cfg.Net, RoundInterval: cfg.RoundInterval, Probe: cfg.Probe,

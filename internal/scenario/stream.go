@@ -42,6 +42,8 @@ func (e streamExecutor) Protocol() string {
 
 func (e streamExecutor) Shape(RunConfig) (int, int) { return e.cfg.N, 0 }
 
+func (e streamExecutor) Validate(RunConfig) error { return e.cfg.Validate() }
+
 func (e streamExecutor) Execute(cfg RunConfig, r *xrand.RNG, inject func(*core.NetRun), arena *core.NetArena) (core.NetResult, error) {
 	sc := e.cfg
 	if sc.View == nil {

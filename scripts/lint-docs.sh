@@ -171,7 +171,9 @@ done
 # tests reached (core.ExecuteWithMask and TraceRounds, failure.ExactMask,
 # graph.NewBFS, the package-level graph.LargestSCC and Filtered, and
 # graph.DegreeSequence; MeanTraceRounds, Searcher.LargestSCC and
-# Mask.FillExact survive them) are deleted;
+# Mask.FillExact survive them), and the separate Compare engine's file and
+# the opening it shared with Campaign (engine_compare.go,
+# validateCampaigns) are deleted;
 # README and ARCHITECTURE must not describe them as if they existed. Where
 # a surviving identifier contains the name (EstimateReliabilityCtx,
 # ExecuteOnNetworkArena, drawMaskInto, ZoneLatency.Zones, ...) the pattern
@@ -229,7 +231,9 @@ for gone in \
     "NewBFS" \
     "graph\.LargestSCC" \
     "graph\.Filtered" \
-    "DegreeSequence"; do
+    "DegreeSequence" \
+    "validateCampaigns" \
+    "engine_compare\.go"; do
     if hits=$(grep -nE "$gone" README.md ARCHITECTURE.md); then
         echo "docs-lint: README/ARCHITECTURE mention the deleted '$gone':" >&2
         echo "$hits" >&2

@@ -19,9 +19,9 @@ import (
 // probed results are bit-identical to unprobed ones — the probe neither
 // consumes RNG streams nor schedules kernel events. Engines that never
 // touch the DES substrate (Analytic, MonteCarlo, Success) have nothing to
-// observe and silently ignore the option; Compare and Campaign grid mode
-// reject it (one merged curve per scenario has no meaning across
-// protocol rows or grid axes — run the cells you care about separately).
+// observe and silently ignore the option; Campaign's protocol rows and grid
+// axes reject it (one merged curve per scenario has no meaning across
+// them — run the cells you care about separately).
 
 // ProbeOptions configures dissemination telemetry; the zero value enables
 // curves and histograms at default resolution (1ms tick, 64×1ms latency

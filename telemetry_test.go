@@ -152,7 +152,7 @@ func TestWithProbeProtocolEngine(t *testing.T) {
 // TestWithProbeRejectedOnGrids: the compare grid and Campaign grid axes
 // reject WithProbe with ErrInvalidParams.
 func TestWithProbeRejectedOnGrids(t *testing.T) {
-	cmp := Compare{Scenarios: DefaultScenarioSuite()[:1], Paper: true,
+	cmp := Campaign{Scenarios: DefaultScenarioSuite()[:1], Paper: true,
 		Config: ScenarioRunConfig{Params: Params{N: 300, Fanout: Poisson(5), AliveRatio: 1}}}
 	if _, err := RunMany(context.Background(), cmp, 2, WithProbe(ProbeOptions{})); !errors.Is(err, ErrInvalidParams) {
 		t.Errorf("compare+probe error %v, want ErrInvalidParams", err)
