@@ -124,10 +124,9 @@ func BenchmarkEndToEndMulticast(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			p := Params{N: n, Fanout: Poisson(4), AliveRatio: 0.9}
 			spec := MonteCarlo{Params: p, Metric: SourceReach}
-			r := NewRNG(1)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Run(context.Background(), spec, WithRNG(r)); err != nil {
+				if _, err := Run(context.Background(), spec, WithSeed(uint64(i))); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -139,10 +139,8 @@ func run(ctx context.Context, n int, distKind string, fanout, q float64, runs in
 		if loss != 0 { // out-of-range and NaN included: the engine rejects them
 			cfg.Loss = gossipkit.BernoulliLoss(loss)
 		}
-		// WithRNG keeps this on the exact stream the pre-engine CLI used
-		// (xrand.New(seed+2) consumed directly), so output stays diffable
-		// across releases; the probe observes without touching that stream.
-		opts := []gossipkit.Option{gossipkit.WithRNG(gossipkit.NewRNG(seed + 2)), gossipkit.WithTopology(topo)}
+		// The probe observes without touching the run's stream.
+		opts := []gossipkit.Option{gossipkit.WithSeed(seed + 2), gossipkit.WithTopology(topo)}
 		if shards != 1 {
 			opts = append(opts, gossipkit.WithShards(shards))
 			if progress {

@@ -161,12 +161,11 @@ type Outcome struct {
 type runOptions struct {
 	seed          uint64
 	runs          int
-	many          bool // replication-sweep semantics (RunMany / WithRuns)
+	many          bool // replication-sweep semantics (RunMany)
 	workers       int
 	observer      Observer
 	noReports     bool
 	probe         *ProbeOptions // dissemination telemetry (DES engines only)
-	rng           *RNG          // single-run override: execute on this RNG stream
 	shards        int           // conservative-PDES shard kernels; 0 = option absent (see WithShards)
 	topology      topology.Spec // gossip overlay (zero value = uniform full view)
 	shardProgress func(events uint64, virtualNow time.Duration)
@@ -179,12 +178,6 @@ type Option func(*runOptions)
 // streams from. The default is 0; the same seed reproduces the same
 // Outcome bit for bit.
 func WithSeed(seed uint64) Option { return func(o *runOptions) { o.seed = seed } }
-
-// WithRuns sets the replication count, switching Run to replication-sweep
-// semantics (equivalent to calling RunMany with n).
-func WithRuns(n int) Option {
-	return func(o *runOptions) { o.runs, o.many = n, true }
-}
 
 // WithWorkers bounds the worker pool replications run on; <= 0 (the
 // default) means GOMAXPROCS. Results and observer order are identical for
@@ -237,7 +230,7 @@ func WithShards(n int) Option {
 // barrier's virtual time — live progress for single long runs, where
 // per-run observers only fire at the very end. Called from the
 // coordinator goroutine of whichever replication is running; with
-// parallel replications (WithRuns + WithWorkers) calls from different
+// parallel replications (RunMany + WithWorkers) calls from different
 // runs interleave, so it is most useful on single executions.
 func WithShardProgress(fn func(events uint64, virtualNow time.Duration)) Option {
 	return func(o *runOptions) { o.shardProgress = fn }
@@ -291,24 +284,13 @@ func mergeRunConfig(cfg *ScenarioRunConfig, o *runOptions) error {
 	return nil
 }
 
-// WithRNG makes a single Run execute on the caller's RNG stream instead of
-// deriving one from WithSeed, consuming randomness exactly where the
-// stream stands, so an execution can be chained after other draws on one
-// stream. Only valid for single executions (not RunMany/WithRuns), and
-// only on engines that consume an RNG directly (MonteCarlo, Network,
-// Stream, and Baseline).
-func WithRNG(r *RNG) Option { return func(o *runOptions) { o.rng = r } }
-
 // Run executes spec once and returns its Outcome: one entry point across
-// every backend. Replications, cancellation, and observation are all
-// options:
+// every backend. Seeding, cancellation, and observation are options;
+// RunMany replicates:
 //
 //	out, err := gossipkit.Run(ctx, gossipkit.Network{Params: p}, gossipkit.WithSeed(42))
-//	out, err := gossipkit.Run(ctx, gossipkit.MonteCarlo{Params: p},
-//		gossipkit.WithRuns(1000), gossipkit.WithObserver(progress))
 //
-// WithRuns(n) switches to RunMany's replication-sweep semantics. Engines
-// that declare their own replication structure (Success via
+// Engines that declare their own replication structure (Success via
 // SuccessParams.Simulations, Campaign under RunMany) emit one Report per
 // inner replication.
 //
@@ -351,9 +333,6 @@ func execute(ctx context.Context, spec Engine, o *runOptions) (*Outcome, error) 
 	}
 	if o.runs < 1 {
 		return nil, fmt.Errorf("%w: run count %d < 1", ErrInvalidParams, o.runs)
-	}
-	if o.rng != nil && o.many {
-		return nil, fmt.Errorf("%w: WithRNG applies to single Run executions only", ErrInvalidParams)
 	}
 	if err := spec.validate(o); err != nil {
 		return nil, err
@@ -418,19 +397,12 @@ func execute(ctx context.Context, spec Engine, o *runOptions) (*Outcome, error) 
 // Stream and Baseline engines: o.runs seeded executions on
 // runpool.Replicate, run i on stream xrand.New(o.seed).Split(i) with the
 // worker's pooled state (newState builds a worker's arena and probe),
-// results handed to reduce in run order. A WithRNG execution is the n = 1
-// case on the caller's stream; pooled state is result-neutral by the arena
-// contracts, so it takes the same path.
+// results handed to reduce in run order.
 func replicate[S, T any](ctx context.Context, o *runOptions, newState func() S, run func(r *xrand.RNG, st S) (T, error), reduce func(T)) error {
 	root := xrand.New(o.seed)
 	return runpool.Replicate(ctx, o.runs, o.workers, newState,
-		func(i int, st S) (T, error) {
-			r := o.rng
-			if r == nil {
-				r = root.Split(uint64(i))
-			}
-			return run(r, st)
-		}, func(_ int, v T) { reduce(v) })
+		func(i int, st S) (T, error) { return run(root.Split(uint64(i)), st) },
+		func(_ int, v T) { reduce(v) })
 }
 
 // canceled wraps a context error so it matches both ErrCanceled and the

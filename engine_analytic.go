@@ -23,9 +23,6 @@ type Analytic struct {
 func (Analytic) Name() string { return "analytic" }
 
 func (s Analytic) validate(o *runOptions) error {
-	if o.rng != nil {
-		return fmt.Errorf("%w: the analytic engine consumes no randomness; drop WithRNG", ErrInvalidParams)
-	}
 	if !o.topology.IsUniform() {
 		return fmt.Errorf("%w: Eq. 11 assumes uniform target selection; use MonteCarlo with WithTopology for overlay reliability", ErrInvalidParams)
 	}

@@ -237,7 +237,6 @@ func TestCompareValidation(t *testing.T) {
 			Protocols: []ProtocolSpec{PbcastParams{N: 1}}, Config: ok.Config}, nil},
 		{"invalid paper params", Campaign{Scenarios: ok.Scenarios, Paper: true,
 			Config: ScenarioRunConfig{Params: Params{N: 1, Fanout: Poisson(4), AliveRatio: 1}}}, nil},
-		{"WithRNG", ok, []Option{WithRNG(NewRNG(1)), WithRuns(2)}},
 		{"grid axes beside protocol rows", Campaign{Scenarios: ok.Scenarios, Paper: true, Config: ok.Config,
 			Qs: []float64{0.8, 1}}, nil},
 		{"topologies without protocol rows", Campaign{Scenarios: ok.Scenarios, Config: ok.Config,

@@ -73,40 +73,14 @@ func (s MonteCarlo) validate(o *runOptions) error {
 func (s MonteCarlo) run(ctx context.Context, o *runOptions, emit func(Report)) (any, error) {
 	if !o.topology.IsUniform() {
 		// Quenched overlay disorder: one overlay is generated from the base
-		// seed (or, under WithRNG, a non-consuming split of the caller's
-		// stream) and shared read-only across replications, while the
-		// failure mask and gossip graph are re-drawn per run. That is the
-		// estimand the scenario runner's corrected prediction measures.
-		src := o.rng
-		if src == nil {
-			src = xrand.New(o.seed)
-		}
-		ov, err := o.topology.Build(s.Params.N, src.Split(topology.Split))
+		// seed and shared read-only across replications, while the failure
+		// mask and gossip graph are re-drawn per run. That is the estimand
+		// the scenario runner's corrected prediction measures.
+		ov, err := o.topology.Build(s.Params.N, xrand.New(o.seed).Split(topology.Split))
 		if err != nil {
 			return nil, invalid(err)
 		}
 		s.Params.View = ov
-	}
-
-	if o.rng != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		switch s.Metric {
-		case SourceReach:
-			res, err := core.ExecuteOnce(s.Params, o.rng)
-			if err != nil {
-				return nil, err
-			}
-			emit(reachReport(res))
-		case GiantComponent:
-			res, err := core.ComponentReliability(s.Params, o.rng)
-			if err != nil {
-				return nil, err
-			}
-			emit(componentReport(res))
-		}
-		return nil, nil
 	}
 
 	switch s.Metric {

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"strconv"
 
 	"gossipkit/internal/obs"
 	"gossipkit/internal/scenario"
@@ -99,10 +100,6 @@ func (s Campaign) validate(o *runOptions) error {
 			return invalid(err)
 		}
 	}
-	if o.rng != nil {
-		// A sweep could not derive one stream per cell from the caller's.
-		return fmt.Errorf("%w: the %s engine derives RNG streams from seeds; use WithSeed", ErrInvalidParams, s.Name())
-	}
 	for i, p := range s.Protocols {
 		if p == nil {
 			return fmt.Errorf("%w: comparison protocol %d is nil", ErrInvalidParams, i)
@@ -121,8 +118,19 @@ func (s Campaign) validate(o *runOptions) error {
 			return fmt.Errorf("%w: grid fanout %d is nil", ErrInvalidParams, i)
 		}
 	}
+	if err := cmp.Or(
+		repeated("scenario", s.Scenarios, func(sc *Scenario) string { return sc.Name }),
+		repeated("protocol", s.rows(), ScenarioExecutor.Protocol),
+		repeated("topology", s.Topologies, Topology.String),
+		repeated("q", s.Qs, func(q float64) string { return strconv.FormatFloat(q, 'g', -1, 64) }),
+		repeated("fanout", s.Fanouts, Distribution.Name),
+	); err != nil {
+		return err
+	}
 	grid := len(s.Qs) > 0 || len(s.Fanouts) > 0
 	switch {
+	case o.probe != nil && scenario.IsStream(s.Config.Executor):
+		return fmt.Errorf("%w: a stream campaign runs unprobed; use WithProbe on the Stream engine", ErrInvalidParams)
 	case s.compares() && s.Config.Executor != nil:
 		return fmt.Errorf("%w: Config.Executor runs one protocol; list the comparison rows in Protocols and Paper instead", ErrInvalidParams)
 	case s.compares() && o.probe != nil:
@@ -144,9 +152,9 @@ func (s Campaign) validate(o *runOptions) error {
 	case len(s.Topologies) > 0 && !s.Config.Topology.IsUniform():
 		return fmt.Errorf("%w: set either Campaign.Topologies (grid axis) or Config.Topology (one overlay for every cell), not both", ErrInvalidParams)
 	case !o.many && s.compares():
-		return fmt.Errorf("%w: Compare is a grid sweep; use RunMany (or WithRuns) to set the seeds per cell", ErrInvalidParams)
+		return fmt.Errorf("%w: Compare is a grid sweep; use RunMany to set the seeds per cell", ErrInvalidParams)
 	case !o.many && (len(s.Scenarios) != 1 || grid):
-		return fmt.Errorf("%w: Run executes one campaign; use RunMany (or WithRuns) for scenario sweeps and grids", ErrInvalidParams)
+		return fmt.Errorf("%w: Run executes one campaign; use RunMany for scenario sweeps and grids", ErrInvalidParams)
 	}
 	rows := s.rows()
 	if !s.compares() {
@@ -167,6 +175,20 @@ func (s Campaign) validate(o *runOptions) error {
 	// A single run may share what a sweep's workers could not.
 	if err := scenario.CheckShared(s.Config); o.many && err != nil {
 		return invalid(err)
+	}
+	return nil
+}
+
+// repeated rejects a label that occurs twice on one campaign axis, where
+// both cells would run under one name.
+func repeated[T any](axis string, xs []T, label func(T) string) error {
+	seen := make(map[string]bool, len(xs))
+	for _, x := range xs {
+		l := label(x)
+		if seen[l] {
+			return fmt.Errorf("%w: repeated %s %q on a campaign axis", ErrInvalidParams, axis, l)
+		}
+		seen[l] = true
 	}
 	return nil
 }

@@ -21,7 +21,7 @@ func shardedNetSpec() Network {
 }
 
 // TestWithShardsDeterministicAndPinned: sharded runs are reproducible,
-// compose with WithProbe and WithRuns, and agree with the one-shard
+// compose with WithProbe and RunMany, and agree with the one-shard
 // default on the mask-derived alive count.
 func TestWithShardsDeterministicAndPinned(t *testing.T) {
 	spec := shardedNetSpec()

@@ -173,3 +173,20 @@ func TestStreamScenarioExecutor(t *testing.T) {
 		t.Fatal("stream campaign not deterministic")
 	}
 }
+
+// TestStreamCampaignRejectsProbe: the stream executor attaches no probe,
+// so a probed stream campaign is ErrInvalidParams rather than an Outcome
+// whose Metrics count runs over empty series.
+func TestStreamCampaignRejectsProbe(t *testing.T) {
+	spec := Campaign{
+		Scenarios: DefaultScenarioSuite()[:1],
+		Config:    ScenarioRunConfig{Net: testStreamNet(), Executor: StreamExecutor(testStreamConfig())},
+	}
+	probe := WithProbe(ProbeOptions{})
+	if _, err := Run(context.Background(), spec, probe); !errors.Is(err, ErrInvalidParams) {
+		t.Errorf("Run: err %v, want ErrInvalidParams", err)
+	}
+	if _, err := RunMany(context.Background(), spec, 2, probe); !errors.Is(err, ErrInvalidParams) {
+		t.Errorf("RunMany: err %v, want ErrInvalidParams", err)
+	}
+}

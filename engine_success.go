@@ -41,9 +41,6 @@ func (s Success) validate(o *runOptions) error {
 	if err := s.params(o).Validate(); err != nil {
 		return invalid(err)
 	}
-	if o.rng != nil {
-		return fmt.Errorf("%w: the success engine derives RNG streams from seeds; use WithSeed", ErrInvalidParams)
-	}
 	if !o.topology.IsUniform() {
 		return fmt.Errorf("%w: the success protocol runs on the uniform model; use MonteCarlo or Network with WithTopology for overlay reliability", ErrInvalidParams)
 	}

@@ -12,6 +12,7 @@ import (
 	"gossipkit/internal/core"
 	"gossipkit/internal/scenario"
 	"gossipkit/internal/simnet"
+	"gossipkit/internal/xrand"
 )
 
 func allEngineSpecs() []Engine {
@@ -185,6 +186,8 @@ func TestPreCanceledContext(t *testing.T) {
 func badEngineSpecs() []Engine {
 	p := Params{N: 100, Fanout: Poisson(4), AliveRatio: 0.9}
 	stream := StreamConfig{N: 64, Rate: 100, Duration: 50 * time.Millisecond, Fanout: FixedFanout(3), AliveRatio: 1, BufferCap: -1, ActiveRounds: 8}
+	crash := DefaultScenarioSuite()[0]
+	pbcast := PbcastParams{N: 100, Fanout: 4, Rounds: 5, AliveRatio: 1}
 	return []Engine{
 		Analytic{Params: Params{N: 1, Fanout: Poisson(4), AliveRatio: 0.9}},
 		MonteCarlo{Params: Params{N: 100, Fanout: nil, AliveRatio: 0.9}},
@@ -204,6 +207,14 @@ func badEngineSpecs() []Engine {
 		Campaign{Scenarios: DefaultScenarioSuite()[:1], Config: ScenarioRunConfig{Params: p, Topology: WANTopology(1, 0)}},
 		Campaign{Scenarios: DefaultScenarioSuite()[:1], Paper: true, Topologies: []Topology{{}, WANTopology(1, 0)},
 			Config: ScenarioRunConfig{Params: p}},
+		// A label repeated on any campaign axis would run two cells under
+		// one name.
+		Campaign{Scenarios: []*Scenario{crash, crash}, Config: ScenarioRunConfig{Params: p}},
+		Campaign{Scenarios: []*Scenario{crash}, Protocols: []ProtocolSpec{pbcast, pbcast}, Config: ScenarioRunConfig{Params: p}},
+		Campaign{Scenarios: []*Scenario{crash}, Paper: true, Topologies: []Topology{KOutTopology(4), KOutTopology(4)},
+			Config: ScenarioRunConfig{Params: p}},
+		Campaign{Scenarios: []*Scenario{crash}, Qs: []float64{1, 1.0}, Config: ScenarioRunConfig{Params: p}},
+		Campaign{Scenarios: []*Scenario{crash}, Fanouts: []Distribution{Poisson(5), Poisson(5.0)}, Config: ScenarioRunConfig{Params: p}},
 		Success{Params: SuccessParams{Params: Params{N: 100, Fanout: Poisson(4), AliveRatio: 0.9}, Executions: 0, Simulations: 1}},
 		Baseline{Protocol: PbcastParams{N: 100, Fanout: -1, Rounds: 3, AliveRatio: 0.9}},
 		Baseline{Protocol: LpbcastParams{N: 100, Fanout: 3, Rounds: 3, BufferSize: 0, Events: 1, AliveRatio: 0.9}},
@@ -270,7 +281,7 @@ func TestInvalidParamsSentinel(t *testing.T) {
 			t.Errorf("%s: err %v does not match ErrInvalidParams", spec.Name(), err)
 		}
 	}
-	// Grid axes and RNG misuse validate with the same sentinel.
+	// Grid axes validate with the same sentinel.
 	okCfg := ScenarioRunConfig{Params: Params{N: 100, Fanout: Poisson(4), AliveRatio: 1}}
 	if _, err := RunMany(context.Background(), Campaign{Scenarios: DefaultScenarioSuite()[:1],
 		Config: okCfg, Qs: []float64{1.5}}, 2); !errors.Is(err, ErrInvalidParams) {
@@ -280,19 +291,12 @@ func TestInvalidParamsSentinel(t *testing.T) {
 		Config: okCfg, Fanouts: []Distribution{nil}}, 2); !errors.Is(err, ErrInvalidParams) {
 		t.Errorf("nil grid fanout: %v", err)
 	}
-	if _, err := Run(context.Background(), Analytic{Params: Params{N: 100, Fanout: Poisson(4)}},
-		WithRNG(NewRNG(1))); !errors.Is(err, ErrInvalidParams) {
-		t.Errorf("WithRNG on Analytic: %v", err)
-	}
 	// Driver-level validation uses the same sentinel.
 	if _, err := RunMany(context.Background(), Analytic{Params: Params{N: 100, Fanout: Poisson(4)}}, 0); !errors.Is(err, ErrInvalidParams) {
 		t.Errorf("zero runs: %v", err)
 	}
 	if _, err := Run(context.Background(), nil); !errors.Is(err, ErrInvalidParams) {
 		t.Errorf("nil spec: %v", err)
-	}
-	if _, err := RunMany(context.Background(), Analytic{Params: Params{N: 100, Fanout: Poisson(4)}}, 3, WithRNG(NewRNG(1))); !errors.Is(err, ErrInvalidParams) {
-		t.Errorf("WithRNG on RunMany: %v", err)
 	}
 }
 
@@ -390,8 +394,8 @@ func TestLatencyAtHopCeilingRuns(t *testing.T) {
 }
 
 // TestNetworkEngineMatchesSingleRuns: RunMany's internally pooled arenas
-// must reproduce what fresh single WithRNG executions produce (arena reuse
-// is result-neutral), with run i on the RNG stream split at i.
+// must reproduce what fresh-arena executions produce (arena reuse is
+// result-neutral), with run i on the RNG stream split at i.
 func TestNetworkEngineMatchesSingleRuns(t *testing.T) {
 	p := Params{N: 500, Fanout: Poisson(5), AliveRatio: 0.9}
 	cfg := NetConfig{Latency: UniformLatency(time.Millisecond, 8*time.Millisecond)}
@@ -401,13 +405,12 @@ func TestNetworkEngineMatchesSingleRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := NewRNG(123)
+	root := xrand.New(123)
 	for i := 0; i < runs; i++ {
-		single, err := Run(context.Background(), Network{Params: p, Net: cfg}, WithRNG(root.Split(uint64(i))))
+		want, err := core.ExecuteOnNetworkArena(p, cfg, root.Split(uint64(i)), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := single.Reports[0].Detail.(NetResult)
 		if got := out.Reports[i].Detail.(NetResult); got != want {
 			t.Errorf("run %d: pooled-arena result diverged from fresh run", i)
 		}

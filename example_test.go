@@ -36,7 +36,7 @@ func ExampleRun() {
 	}
 	out, _ := gossipkit.Run(context.Background(),
 		gossipkit.MonteCarlo{Params: p, Metric: gossipkit.SourceReach},
-		gossipkit.WithRNG(gossipkit.NewRNG(42)))
+		gossipkit.WithSeed(42))
 	res := out.Reports[0].Detail.(gossipkit.Result)
 	fmt.Printf("reached over 99%%: %v\n", res.Reliability > 0.99)
 	// Output:

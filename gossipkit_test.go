@@ -153,7 +153,7 @@ func TestFacadeExecuteAndViews(t *testing.T) {
 	r := NewRNG(7)
 	pv := PartialViews(200, 1, r)
 	p := Params{N: 200, Fanout: Poisson(4), AliveRatio: 1, View: pv}
-	out, err := Run(context.Background(), MonteCarlo{Params: p, Metric: SourceReach}, WithRNG(r))
+	out, err := Run(context.Background(), MonteCarlo{Params: p, Metric: SourceReach}, WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestFacadeExecuteAndViews(t *testing.T) {
 
 func TestFacadeNetworkExecution(t *testing.T) {
 	p := Params{N: 300, Fanout: Poisson(5), AliveRatio: 1}
-	out, err := Run(context.Background(), Network{Params: p}, WithRNG(NewRNG(5)))
+	out, err := Run(context.Background(), Network{Params: p}, WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}

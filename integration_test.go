@@ -9,7 +9,6 @@ import (
 	"gossipkit/internal/core"
 	"gossipkit/internal/dist"
 	"gossipkit/internal/genfunc"
-	"gossipkit/internal/stats"
 )
 
 // These integration tests wire several subsystems together through the
@@ -77,45 +76,36 @@ func TestIntegrationNetworkLossMatchesBondPercolation(t *testing.T) {
 	// the mean one-shot delivery tracks S(z(1−loss), q)².
 	const n, z, q, loss = 1500, 5.0, 0.9, 0.3
 	p := Params{N: n, Fanout: Poisson(z), AliveRatio: q}
-	var acc stats.Running
-	for seed := uint64(0); seed < 40; seed++ {
-		out, err := Run(context.Background(), Network{Params: p, Net: NetConfig{Loss: BernoulliLoss(loss)}}, WithRNG(NewRNG(seed)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		acc.Add(out.Reports[0].Reliability)
+	out, err := RunMany(context.Background(), Network{Params: p, Net: NetConfig{Loss: BernoulliLoss(loss)}}, 40)
+	if err != nil {
+		t.Fatal(err)
 	}
 	s, err := genfunc.JointReliability(dist.NewPoisson(z), q, loss)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(acc.Mean()-s*s) > 0.04 {
-		t.Errorf("lossy delivery %.4f vs thinned S² %.4f", acc.Mean(), s*s)
+	if got := out.Reliability.Mean; math.Abs(got-s*s) > 0.04 {
+		t.Errorf("lossy delivery %.4f vs thinned S² %.4f", got, s*s)
 	}
 }
 
 func TestIntegrationLatencyDoesNotChangeReach(t *testing.T) {
 	// Latency reorders deliveries but must not change what is reachable:
-	// identical seeds with and without latency give statistically equal
-	// reliability.
+	// independent samples with and without latency give statistically
+	// equal reliability.
 	p := Params{N: 800, Fanout: Poisson(4), AliveRatio: 0.9}
-	var zero, lat stats.Running
-	for seed := uint64(0); seed < 25; seed++ {
-		a, err := Run(context.Background(), Network{Params: p}, WithRNG(NewRNG(seed)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		zero.Add(a.Reports[0].Reliability)
-		b, err := Run(context.Background(), Network{Params: p, Net: NetConfig{
-			Latency: UniformLatency(time.Millisecond, 40*time.Millisecond),
-		}}, WithRNG(NewRNG(seed+5000)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		lat.Add(b.Reports[0].Reliability)
+	zero, err := RunMany(context.Background(), Network{Params: p}, 25)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if math.Abs(zero.Mean()-lat.Mean()) > 0.06 {
-		t.Errorf("latency changed reach: %.4f vs %.4f", zero.Mean(), lat.Mean())
+	lat, err := RunMany(context.Background(), Network{Params: p, Net: NetConfig{
+		Latency: UniformLatency(time.Millisecond, 40*time.Millisecond),
+	}}, 25, WithSeed(5000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if z, l := zero.Reliability.Mean, lat.Reliability.Mean; math.Abs(z-l) > 0.06 {
+		t.Errorf("latency changed reach: %.4f vs %.4f", z, l)
 	}
 }
 

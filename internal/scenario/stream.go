@@ -21,8 +21,8 @@ import (
 //
 // The executor ignores RunConfig.Params — the stream config carries its
 // own group size — and RunConfig.Probe (single-rumor telemetry has no
-// meaning over a stream; use the facade's WithProbe on the Stream
-// engine). Mapping a multi-message run onto the single-rumor NetResult
+// meaning over a stream; the facade rejects WithProbe on a stream
+// campaign). Mapping a multi-message run onto the single-rumor NetResult
 // is necessarily a summary: Reliability is the mean per-message
 // reliability, Delivered the mean per-message first-receipt count, and
 // SurvivorReliability repeats Reliability (per-message survivor sets are
@@ -31,6 +31,9 @@ import (
 func NewStreamExecutor(cfg stream.Config) Executor {
 	return streamExecutor{cfg: cfg}
 }
+
+// IsStream reports whether e is a stream executor, which runs unprobed.
+func IsStream(e Executor) bool { _, ok := e.(streamExecutor); return ok }
 
 type streamExecutor struct {
 	cfg stream.Config

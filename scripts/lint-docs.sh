@@ -173,7 +173,8 @@ done
 # graph.DegreeSequence; MeanTraceRounds, Searcher.LargestSCC and
 # Mask.FillExact survive them), and the separate Compare engine's file and
 # the opening it shared with Campaign (engine_compare.go,
-# validateCampaigns) are deleted;
+# validateCampaigns), and the two options that said what WithSeed and
+# RunMany say (WithRNG, WithRuns) are deleted;
 # README and ARCHITECTURE must not describe them as if they existed. Where
 # a surviving identifier contains the name (EstimateReliabilityCtx,
 # ExecuteOnNetworkArena, drawMaskInto, ZoneLatency.Zones, ...) the pattern
@@ -233,7 +234,9 @@ for gone in \
     "graph\.Filtered" \
     "DegreeSequence" \
     "validateCampaigns" \
-    "engine_compare\.go"; do
+    "engine_compare\.go" \
+    "WithRNG" \
+    "WithRuns"; do
     if hits=$(grep -nE "$gone" README.md ARCHITECTURE.md); then
         echo "docs-lint: README/ARCHITECTURE mention the deleted '$gone':" >&2
         echo "$hits" >&2
