@@ -94,8 +94,9 @@ flags (run/sweep):
   -fanout FLOAT         mean/exact fanout (default 5)
   -q FLOAT              static nonfailed ratio composed with the campaign (default 1)
   -views INT            SCAMP partial-view extra copies; 0 = full view (default 2).
-                        Every run rebuilds its views: 5 ms at -n 1000, 0.12 s at
-                        -n 10000, 8-10 s at -n 100000 (at 2 copies)
+                        A run builds its views in 5 ms at -n 1000, 0.12 s at
+                        -n 10000, 8-10 s at -n 100000 (at 2 copies); compare's
+                        lpbcast and rdg rows share one build per scenario and seed
   -seed UINT            base random seed (default 42)
   -seeds INT            replications per scenario (default 1 for run, 10 for sweep)
   -workers INT          worker pool size; 0 = GOMAXPROCS (sweep/grid)
@@ -146,7 +147,7 @@ func newShared(name string, seeds int, seedsHelp, distHelp, formatHelp string, f
 		formats:  formats,
 		n:        fs.Int("n", 1000, "group size"),
 		distKind: fs.String("dist", "poisson", distHelp),
-		views:    fs.Int("views", 2, "SCAMP partial-view extra copies (0 = full view); each run rebuilds them: 0.12 s at -n 10000, 8-10 s at -n 100000"),
+		views:    fs.Int("views", 2, "SCAMP partial-view extra copies (0 = full view); a run builds them in 0.12 s at -n 10000, 8-10 s at -n 100000 (compare's lpbcast and rdg rows share one build per scenario and seed)"),
 		seed:     fs.Uint64("seed", 42, "base random seed"),
 		seeds:    fs.Int("seeds", seeds, seedsHelp),
 		workers:  fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)"),

@@ -120,6 +120,26 @@ func TestNegativeViewsRejected(t *testing.T) {
 	}
 }
 
+// TestHugeViewsRejected: -views at or above -n used to size a view arena
+// the process could not allocate, and both lines below died with "fatal
+// error: runtime: out of memory". They fail with one invalid-parameters
+// line (main prints the error) and print nothing.
+func TestHugeViewsRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"run", "-scenario", "crash-wave", "-n", "200", "-views", "1000000000"},
+		{"compare", "-n", "200", "-views", "1000000000"},
+		{"compare", "-n", "200", "-views", "200", "-protocols", "lpbcast,rdg"},
+	} {
+		stdout, stderr, err := capture(t, func() error { return subcommand(args[0], args[1:]) })
+		if !errors.Is(err, gossipkit.ErrInvalidParams) || strings.Contains(err.Error(), "\n") {
+			t.Errorf("%s: error %v, want one line of ErrInvalidParams", strings.Join(args, " "), err)
+		}
+		if stdout != "" || stderr != "" {
+			t.Errorf("%s printed before failing:\n%s%s", strings.Join(args, " "), stderr, stdout)
+		}
+	}
+}
+
 // TestBadFormatFailsBeforeRunning: an unknown -format used to run the whole
 // sweep and only then fail at the output switch. It fails before the first
 // execution: no "ran N scenarios" throughput line reaches stderr.

@@ -120,6 +120,49 @@ func TestCampaignGolden(t *testing.T) {
 	}
 }
 
+// TestCampaignViewCopiesBounded: a SCAMP copy count of N or more used to
+// size a view arena of n·2(c+1)⌈log₂n⌉ entries, and at -views 10⁹ the
+// process died out of memory. It is ErrInvalidParams on a protocol row and
+// on the paper's PartialViewCopies, on a canceled context and live, while
+// N-1 copies stay valid.
+func TestCampaignViewCopiesBounded(t *testing.T) {
+	const n = 200
+	lp := func(c int) ProtocolSpec {
+		return LpbcastParams{N: n, Fanout: 4, Rounds: 5, BufferSize: 8, Events: 3, AliveRatio: 1, ViewCopies: c}
+	}
+	rdg := func(c int) ProtocolSpec {
+		return RDGParams{N: n, Fanout: 4, PushRounds: 5, RecoveryRounds: 3, AliveRatio: 1, ViewCopies: c}
+	}
+	paper := func(c int) ScenarioRunConfig {
+		return ScenarioRunConfig{Params: Params{N: n, Fanout: Poisson(4), AliveRatio: 1}, PartialViewCopies: c}
+	}
+	specs := func(c int) map[string]Campaign {
+		suite := DefaultScenarioSuite()[:1]
+		return map[string]Campaign{
+			"lpbcast row": {Scenarios: suite, Protocols: []ProtocolSpec{lp(c)}},
+			"rdg row":     {Scenarios: suite, Protocols: []ProtocolSpec{rdg(c)}},
+			"paper row":   {Scenarios: suite, Paper: true, Config: paper(c)},
+			"campaign":    {Scenarios: suite, Config: paper(c)},
+		}
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range []int{n, 1e9} {
+		for name, spec := range specs(c) {
+			for _, ctx := range []context.Context{canceled, context.Background()} {
+				if _, err := RunMany(ctx, spec, 1); !errors.Is(err, ErrInvalidParams) {
+					t.Errorf("%s, %d copies: err %v, want ErrInvalidParams", name, c, err)
+				}
+			}
+		}
+	}
+	for name, spec := range specs(n - 1) {
+		if _, err := RunMany(canceled, spec, 1); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s, %d copies: err %v, want it valid (context.Canceled)", name, n-1, err)
+		}
+	}
+}
+
 // TestCampaignOverlayValidated: an overlay the group cannot hold is
 // ErrInvalidParams from WithTopology too, on a canceled context and live,
 // for a sweep, a single run and the comparison grid.

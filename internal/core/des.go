@@ -109,6 +109,11 @@ type NetArena struct {
 	msgBits  []*MessageBits // per-shard delivery matrices (streaming runs)
 	nackBits []*MessageBits // per-shard pending-repair matrices (push-pull)
 	run      Run            // the current lease
+
+	// Views, when non-nil, is the memo that protocol runs build their
+	// SCAMP views through. A sweep hangs one memo on all its workers'
+	// arenas; unlike the rest of the arena it is safe to share.
+	Views *membership.ViewMemo
 }
 
 // NewNetArena returns an empty arena sized for one shard; buffers grow on

@@ -11,7 +11,8 @@
 //     subscription process and optionally mixed by Cyclon-style shuffles.
 //     Used by ablation A5 to quantify how partial knowledge perturbs the
 //     model's predictions, by the scenario runner under PartialViewCopies
-//     and by the lpbcast and RDG baselines, which rebuild them every run.
+//     and by the lpbcast and RDG baselines, which build them every run
+//     (through a ViewMemo inside a campaign sweep; see below).
 //
 // A View's single obligation is target sampling: draw k distinct gossip
 // targets for a member, never including the member itself.
@@ -30,6 +31,13 @@
 // nothing once warm. SampleTargets only reads the receiver, because one
 // PartialViews is shared by all shard kernels of a run, and allocates
 // nothing into a warm dst.
+//
+// A campaign sweep builds each (n, c, seed) view set once. The sweep seeds
+// a cell's runs without its protocol row, so the lpbcast and RDG rows of
+// one (scenario, seed) build and shuffle their views from the same
+// generator state. The sweep's ViewMemo (memo.go) hands the second row a
+// snapshot of the first row's views and the generator state the build left
+// behind instead of building them again: the same views, the same draws.
 //
 // # Why the draws may not change
 //
@@ -117,12 +125,13 @@ var forceStride int
 // rowStride is the capacity of one carved row, 2·(c+1)·⌈log₂ n⌉ entries:
 // about twice the mean view size, above the largest view a build was seen
 // to produce (51 / 63 / 76 at n = 10³ / 10⁴ / 10⁵ for c = 2, against rows
-// of 60 / 84 / 102).
+// of 60 / 84 / 102). It never exceeds n-1, the most a view can hold, and c
+// is clamped to n first so that the product cannot overflow.
 func rowStride(n, c int) int {
 	if forceStride > 0 {
 		return forceStride
 	}
-	return 2 * (c + 1) * bits.Len(uint(n-1))
+	return min(2*(min(c, n)+1)*bits.Len(uint(n-1)), n-1)
 }
 
 // NewPartialViews builds per-member views with a SCAMP-inspired

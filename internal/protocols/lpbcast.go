@@ -50,8 +50,8 @@ func (p LpbcastParams) Validate() error {
 	if p.AliveRatio < 0 || p.AliveRatio > 1 || p.AliveRatio != p.AliveRatio {
 		return fmt.Errorf("protocols: alive ratio %g outside [0,1]", p.AliveRatio)
 	}
-	if p.ViewCopies < 0 {
-		return fmt.Errorf("protocols: negative view copies %d", p.ViewCopies)
+	if err := checkViewCopies(p.ViewCopies, p.N); err != nil {
+		return err
 	}
 	return nil
 }

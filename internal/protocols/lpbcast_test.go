@@ -15,6 +15,9 @@ func TestLpbcastValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid params rejected: %v", err)
 	}
+	if err := (LpbcastParams{N: 200, Fanout: 3, Rounds: 10, BufferSize: 8, Events: 2, ViewCopies: 199}).Validate(); err != nil {
+		t.Fatalf("view copies N-1 rejected: %v", err)
+	}
 	muts := []func(*LpbcastParams){
 		func(p *LpbcastParams) { p.N = 1 },
 		func(p *LpbcastParams) { p.Fanout = 0 },
@@ -24,6 +27,8 @@ func TestLpbcastValidate(t *testing.T) {
 		func(p *LpbcastParams) { p.AliveRatio = -1 },
 		func(p *LpbcastParams) { p.Source = 200 },
 		func(p *LpbcastParams) { p.ViewCopies = -1 },
+		func(p *LpbcastParams) { p.ViewCopies = 200 },
+		func(p *LpbcastParams) { p.ViewCopies = math.MaxInt },
 	}
 	for i, mut := range muts {
 		p := good

@@ -301,8 +301,7 @@ func (m *lpMachine) init(rt *Runtime) {
 		// overlay generalizes.
 		m.view = ov
 	} else {
-		views := membership.NewPartialViews(m.p.N, m.p.ViewCopies, rt.RNG)
-		views.Shuffle(5, 3, rt.RNG)
+		views := rt.views.Shuffled(m.p.N, m.p.ViewCopies, 5, 3, rt.RNG)
 		rt.view = views
 		m.view = views
 	}
@@ -431,8 +430,7 @@ func (m *rdgMachine) init(rt *Runtime) {
 	if ov := rt.overlay(); ov != nil {
 		m.view = ov
 	} else {
-		views := membership.NewPartialViews(m.p.N, m.p.ViewCopies, rt.RNG)
-		views.Shuffle(5, 3, rt.RNG)
+		views := rt.views.Shuffled(m.p.N, m.p.ViewCopies, 5, 3, rt.RNG)
 		rt.view = views
 		m.view = views
 	}

@@ -72,6 +72,16 @@ func checkGroup(n, source int) error {
 	return nil
 }
 
+// checkViewCopies bounds the SCAMP copy count c of an n-member group to
+// [0, n): c ≥ n asks for more copies of a subscription than there are
+// members to hold them.
+func checkViewCopies(c, n int) error {
+	if c < 0 || c >= n {
+		return fmt.Errorf("protocols: view copies %d outside [0, %d)", c, n)
+	}
+	return nil
+}
+
 // ---------------------------------------------------------------------------
 // LRG: local retransmission + gossip
 

@@ -49,8 +49,8 @@ func (p RDGParams) Validate() error {
 	if p.AliveRatio < 0 || p.AliveRatio > 1 || p.AliveRatio != p.AliveRatio {
 		return fmt.Errorf("protocols: alive ratio %g outside [0,1]", p.AliveRatio)
 	}
-	if p.ViewCopies < 0 {
-		return fmt.Errorf("protocols: negative view copies %d", p.ViewCopies)
+	if err := checkViewCopies(p.ViewCopies, p.N); err != nil {
+		return err
 	}
 	if p.PayloadProb < 0 || p.PayloadProb > 1 || p.PayloadProb != p.PayloadProb {
 		return fmt.Errorf("protocols: payload probability %g outside [0,1]", p.PayloadProb)

@@ -13,6 +13,9 @@ func TestRDGValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid params rejected: %v", err)
 	}
+	if err := (RDGParams{N: 200, Fanout: 3, PushRounds: 6, ViewCopies: 199}).Validate(); err != nil {
+		t.Fatalf("view copies N-1 rejected: %v", err)
+	}
 	muts := []func(*RDGParams){
 		func(p *RDGParams) { p.N = 1 },
 		func(p *RDGParams) { p.Fanout = 0 },
@@ -21,6 +24,8 @@ func TestRDGValidate(t *testing.T) {
 		func(p *RDGParams) { p.AliveRatio = 2 },
 		func(p *RDGParams) { p.Source = -1 },
 		func(p *RDGParams) { p.ViewCopies = -1 },
+		func(p *RDGParams) { p.ViewCopies = 200 },
+		func(p *RDGParams) { p.ViewCopies = math.MaxInt },
 		func(p *RDGParams) { p.PayloadProb = math.NaN() },
 	}
 	for i, mut := range muts {

@@ -117,6 +117,7 @@ type Runtime struct {
 	recv      *bitset.Bits
 	targets   []int
 	view      membership.View
+	views     *membership.ViewMemo // the arena's, nil outside a sweep
 	res       core.NetResult
 	probe     *obs.Probe
 	round     int // index of the last round tick fired; -1 before the first
@@ -142,7 +143,8 @@ type DESOutcome struct {
 // so scenario campaigns schedule crashes, partitions, loss episodes, and
 // publishes on baseline runs through the same seam as paper runs. arena
 // (nil for a throwaway one) recycles the kernel, network, mask, and
-// receipt state across runs; results are byte-identical either way.
+// receipt state across runs, and lpbcast and RDG build their SCAMP views
+// through its Views memo; results are byte-identical either way.
 func RunOnDES(spec Spec, cfg DESConfig, r *xrand.RNG, inject func(*core.NetRun), arena *core.NetArena) (DESOutcome, error) {
 	if err := spec.Validate(); err != nil {
 		return DESOutcome{}, err
@@ -163,7 +165,7 @@ func RunOnDES(spec Spec, cfg DESConfig, r *xrand.RNG, inject func(*core.NetRun),
 		Kernel: run.Control, Net: run.Net.Shard(0), RNG: r, Mask: run.Mask,
 		n: n, source: spec.start(), interval: cfg.Net.RoundInterval(cfg.RoundInterval),
 		m: spec.newMachine(), recv: run.Received, targets: arena.Targets(),
-		probe: cfg.Probe, round: -1,
+		views: arena.Views, probe: cfg.Probe, round: -1,
 	}
 	if ov != nil {
 		rt.view = ov

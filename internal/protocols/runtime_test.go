@@ -177,11 +177,14 @@ func TestDESArenaNeutral(t *testing.T) {
 // n=10³ — one `go test -bench` shows the spread across protocols that
 // `protocols.*_us_per_run` reports, which is SCAMP random-walk hops: lpbcast
 // and RDG build and shuffle fresh partial views every run, the others
-// build none — plus pbcast at n=10⁴. The lpbcast and RDG subs fail above
-// maxMallocs warm mallocs per run: they measure 12,834 (one snapshot and
-// one box per forward, two buffer growths per member) and 47, and made
-// 63,760 and 32,791 when views, shuffle picks, samples, the per-member
-// seen-maps and the per-target payloads were all heap objects.
+// build none — plus pbcast at n=10⁴. The arena carries no view memo, so
+// every run builds, as every run outside a comparison sweep does (inside
+// one, the sweep's memo spares the RDG row the lpbcast row's builds). The
+// lpbcast and RDG subs fail above maxMallocs warm mallocs per run: they
+// measure 12,834 (one snapshot and one box per forward, two buffer growths
+// per member) and 47, and made 63,760 and 32,791 when views, shuffle
+// picks, samples, the per-member seen-maps and the per-target payloads
+// were all heap objects.
 func BenchmarkProtocolOnDES(b *testing.B) {
 	const n = 1000
 	for _, bc := range []struct {

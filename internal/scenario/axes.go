@@ -6,6 +6,7 @@ import (
 
 	"gossipkit/internal/core"
 	"gossipkit/internal/dist"
+	"gossipkit/internal/membership"
 	"gossipkit/internal/obs"
 	"gossipkit/internal/runpool"
 	"gossipkit/internal/simnet"
@@ -110,6 +111,9 @@ type Product struct {
 	// Curves holds one merged telemetry aggregate per cell when the
 	// product ran under Axes.Probe; nil otherwise.
 	Curves []*obs.Merged
+	// ViewHits counts the SCAMP view builds the sweep's memo handed from
+	// one protocol row to another instead of running them again.
+	ViewHits int
 }
 
 // Observer streams completed runs: it is called once per run, in
@@ -120,7 +124,10 @@ type Observer func(run int, rep RunReport)
 // runpool.Replicate and reduces each cell's block of replications into a
 // Summary. A worker's state is one run-state arena, recycled across
 // heterogeneous cells (core.NetArena leases are result-neutral) and, under
-// ax.Probe, one pooled obs.Probe re-attached each run. Cells are
+// ax.Probe, one pooled obs.Probe re-attached each run. With two or more
+// protocol rows every arena carries the sweep's one membership.ViewMemo:
+// the seed leaves the row out, so rows that build the same SCAMP views
+// from the same state build them once. Cells are
 // data-independent and every reduction runs in run order after the pool
 // drains, so the result is byte-identical for any worker count. observe,
 // when non-nil, streams per-run reports in run order,
@@ -179,8 +186,13 @@ func (ax Axes) Sweep(ctx context.Context, scenarios []*Scenario, observe Observe
 		rep RunReport
 		lat stats.Running
 	}
+	var views *membership.ViewMemo
+	if len(ax.Executors) > 1 {
+		views = new(membership.ViewMemo)
+	}
 	err := runpool.Replicate(ctx, runs, ax.Workers, func() state {
 		st := state{arena: core.NewNetArena()}
+		st.arena.Views = views
 		if ax.Probe != nil {
 			st.probe = obs.New(*ax.Probe)
 		}
@@ -201,7 +213,7 @@ func (ax Axes) Sweep(ctx context.Context, scenarios []*Scenario, observe Observe
 		return nil, err
 	}
 
-	p := &Product{Axes: ax, Scenarios: scenarios, Cells: make([]Cell, len(points))}
+	p := &Product{Axes: ax, Scenarios: scenarios, Cells: make([]Cell, len(points)), ViewHits: views.Hits()}
 	for pi, pt := range points {
 		lo, hi := pi*ax.Seeds, (pi+1)*ax.Seeds
 		p.Cells[pi] = pt.label

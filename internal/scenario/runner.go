@@ -140,7 +140,15 @@ func (e paperExecutor) Protocol() string { return e.label }
 
 func (paperExecutor) Shape(cfg RunConfig) (int, int) { return cfg.Params.N, cfg.Params.Source }
 
-func (paperExecutor) Validate(cfg RunConfig) error { return cfg.Params.Validate() }
+// Validate checks the Params, and a PartialViewCopies below the group size:
+// more copies of a subscription than members to hold them is no SCAMP
+// parameter.
+func (paperExecutor) Validate(cfg RunConfig) error {
+	if c, n := cfg.PartialViewCopies, cfg.Params.N; c > 0 && c >= n {
+		return fmt.Errorf("scenario: partial view copies %d >= group size %d", c, n)
+	}
+	return cfg.Params.Validate()
+}
 
 func (paperExecutor) Execute(cfg RunConfig, r *xrand.RNG, inject func(*core.NetRun), arena *core.NetArena) (core.NetResult, error) {
 	return ExecutePaper(cfg, r, inject, arena)
@@ -197,10 +205,10 @@ func (protocolExecutor) Predict(RunConfig, float64) (float64, bool) { return 0, 
 // this); per-run SCAMP views are built when PartialViewCopies asks for
 // them, consuming the same split RNG stream the runner always used.
 func ExecutePaper(cfg RunConfig, r *xrand.RNG, inject func(*core.NetRun), arena *core.NetArena) (core.NetResult, error) {
-	p := cfg.Params
-	if err := p.Validate(); err != nil {
+	if err := (paperExecutor{}).Validate(cfg); err != nil {
 		return core.NetResult{}, err
 	}
+	p := cfg.Params
 	if p.View == nil {
 		// The split is non-consuming, so the uniform (nil-overlay) path
 		// leaves every downstream random stream byte-identical.
