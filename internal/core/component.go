@@ -48,8 +48,9 @@ type ComponentResult struct {
 	MessagesSent int
 }
 
-// probeCount is how many random alive starts LargestOutComponent probes in
-// the subcritical regime (where no nontrivial SCC exists).
+// probeCount is how many starts LargestOutComponent probes in the
+// subcritical regime (where no nontrivial SCC exists): the source first,
+// whose probe reach is then its SourceReach, and random alive members.
 const probeCount = 64
 
 // componentScratch is everything one giant-component replication touches
@@ -122,8 +123,7 @@ func componentReliability(p Params, sc *componentScratch, r *xrand.RNG) Componen
 		}
 	}
 	sc.probes = probes
-	res.GiantSize = sc.search.LargestOutComponent(g, nil, probes)
-	res.SourceReach = sc.search.Reachable(g, p.Source, nil)
+	res.GiantSize, res.SourceReach = sc.search.OutComponentReach(g, probes, p.Source)
 	res.SourceInGiant = res.SourceReach >= res.GiantSize && res.GiantSize > 1
 	if res.AliveCount > 0 {
 		res.Reliability = float64(res.GiantSize) / float64(res.AliveCount)

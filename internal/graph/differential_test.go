@@ -37,9 +37,10 @@ func masks(n int) [][]bool {
 
 // holdToReference checks everything a caller can observe of tw.g against
 // the oracle: adjacency order, both counts, SCC representative and size,
-// the giant out-component (the probe fallback included), BFS visit order
-// and the undirected statistics — through the package-level functions and
-// through s, a Searcher the caller keeps across graphs of different sizes.
+// the giant out-component (the probe fallback included), BFS visit order,
+// the fused giant-and-reach search and the undirected statistics — through
+// the package-level functions and through s, a Searcher the caller keeps
+// across graphs of different sizes.
 func holdToReference(t testing.TB, name string, tw twin, s *Searcher) {
 	t.Helper()
 	g, ref := tw.g, tw.ref
@@ -83,6 +84,10 @@ func holdToReference(t testing.TB, name string, tw twin, s *Searcher) {
 		wantCount := rb.Reachable(ref, src, func(v int) { want = append(want, v) })
 		if c := s.Reachable(g, src, func(v int) { got = append(got, v) }); c != wantCount || !slices.Equal(got, want) {
 			t.Fatalf("%s: BFS from %d visited %v (%d), reference %v (%d)", name, src, got, c, want, wantCount)
+		}
+		wantG := refLargestOutComponent(ref, nil, probes)
+		if gc, rc := s.OutComponentReach(g, probes, src); gc != wantG || rc != wantCount {
+			t.Fatalf("%s: OutComponentReach from %d = (%d, %d), reference (%d, %d)", name, src, gc, rc, wantG, wantCount)
 		}
 	}
 }

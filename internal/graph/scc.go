@@ -20,14 +20,24 @@ type Searcher struct {
 // the arc array of its next unexplored arc.
 type sccFrame struct{ v, edge int32 }
 
-// LargestSCC returns a representative node and the size of the largest
+// tarjan returns a representative node and the size of the largest
 // strongly connected component of g restricted to nodes with
-// active[i] == true (nil active means all nodes). It returns (-1, 0) when
-// no active node exists.
+// active[i] == true (nil active means all nodes), and the root of src's
+// component (-1 when src is negative or unreached). The representative is
+// the root of the first largest component Tarjan emits, and (-1, 0) means
+// that no active node exists.
+//
+// No DFS starts at a sink, a node without arcs. A sink is its own trivial
+// component; left unvisited it is reached later as a leaf, or never. That
+// shifts later DFS indices without reordering them, so every nontrivial
+// component, the order they are emitted in and the representative are
+// what a DFS from every root gives: the first DFS, whose first emission
+// is the representative of an all-trivial graph, is the same unless its
+// root is a sink, and then that sink is the representative either way.
 //
 // The implementation is an iterative Tarjan so deep gossip graphs cannot
 // overflow the goroutine stack.
-func (s *Searcher) LargestSCC(g *Digraph, active []bool) (rep, size int) {
+func (s *Searcher) tarjan(g *Digraph, active []bool, src int) (rep, size, srcRoot int) {
 	n := g.N()
 	off, adj := g.csr()
 
@@ -47,9 +57,15 @@ func (s *Searcher) LargestSCC(g *Digraph, active []bool) (rep, size int) {
 	var next int32
 	stack, frames := s.stack[:0], s.frames[:0]
 
-	rep, size = -1, 0
+	rep, size, srcRoot = -1, 0, -1
 	for root := 0; root < n; root++ {
 		if active != nil && !active[root] || index[root] != unvisited {
+			continue
+		}
+		if off[root] == off[root+1] {
+			if size == 0 {
+				rep, size = root, 1
+			}
 			continue
 		}
 		frames = append(frames[:0], sccFrame{v: int32(root), edge: off[root]})
@@ -103,6 +119,9 @@ func (s *Searcher) LargestSCC(g *Digraph, active []bool) (rep, size int) {
 					stack = stack[:len(stack)-1]
 					onStack[w] = false
 					cSize++
+					if int(w) == src {
+						srcRoot = int(v)
+					}
 					if w == v {
 						break
 					}
@@ -114,7 +133,7 @@ func (s *Searcher) LargestSCC(g *Digraph, active []bool) (rep, size int) {
 		}
 	}
 	s.stack, s.frames = stack, frames
-	return rep, size
+	return rep, size, srcRoot
 }
 
 // Reachable returns the number of nodes reachable from src in g, src
@@ -148,7 +167,8 @@ func (g *Digraph) filterInto(f *Digraph, active []bool) {
 //
 // For the directed gossip graph this is the quantity the paper's Eq. 11
 // predicts: the fraction of nonfailed members the message reaches once the
-// spread takes off.
+// spread takes off. A caller that also wants one member's own reach gets
+// both from one search with Searcher.OutComponentReach.
 func LargestOutComponent(g *Digraph, active []bool, probes []int) int {
 	return new(Searcher).LargestOutComponent(g, active, probes)
 }
@@ -161,24 +181,48 @@ func (s *Searcher) LargestOutComponent(g *Digraph, active []bool, probes []int) 
 		work = &s.work
 		g.filterInto(work, active)
 	}
-	rep, size := s.LargestSCC(work, active)
-	if rep < 0 {
-		return 0
-	}
-	if size > 1 {
-		return s.Reachable(work, rep, nil)
-	}
-	best := 0
-	for _, p := range probes {
-		if p < 0 || p >= work.N() || active != nil && !active[p] {
-			continue
+	giant, _ := s.outComponentReach(work, active, probes, -1)
+	return giant
+}
+
+// OutComponentReach returns LargestOutComponent(g, nil, probes) and
+// Reachable(g, src, nil) from one search. Tarjan records the root of src's
+// component, so a source inside the largest SCC reaches exactly the giant
+// and no second traversal runs; in the subcritical fallback a source among
+// the probes reuses its probe's reach. Only a source outside both gets its
+// own breadth-first search.
+func (s *Searcher) OutComponentReach(g *Digraph, probes []int, src int) (giant, reach int) {
+	return s.outComponentReach(g, nil, probes, src)
+}
+
+// outComponentReach is OutComponentReach on a graph whose arcs already
+// join active nodes only; a negative src skips the reach.
+func (s *Searcher) outComponentReach(work *Digraph, active []bool, probes []int, src int) (giant, reach int) {
+	rep, size, srcRoot := s.tarjan(work, active, src)
+	reach = -1
+	switch {
+	case size > 1:
+		giant = s.Reachable(work, rep, nil)
+		if srcRoot == rep {
+			reach = giant
 		}
-		if c := s.Reachable(work, p, nil); c > best {
-			best = c
+	case size == 1:
+		for _, p := range probes {
+			if p < 0 || p >= work.N() || active != nil && !active[p] {
+				continue
+			}
+			c := s.Reachable(work, p, nil)
+			if p == src {
+				reach = c
+			}
+			giant = max(giant, c)
+		}
+		if giant == 0 {
+			giant = s.Reachable(work, rep, nil)
 		}
 	}
-	if best == 0 {
-		best = s.Reachable(work, rep, nil)
+	if reach < 0 && src >= 0 {
+		reach = s.Reachable(work, src, nil)
 	}
-	return best
+	return giant, reach
 }

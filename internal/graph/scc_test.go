@@ -9,6 +9,13 @@ import (
 	"gossipkit/internal/xrand"
 )
 
+// LargestSCC is the representative and size of the largest strongly
+// connected component of g over active nodes, as the searches find it.
+func (s *Searcher) LargestSCC(g *Digraph, active []bool) (rep, size int) {
+	rep, size, _ = s.tarjan(g, active, -1)
+	return rep, size
+}
+
 func TestLargestSCCSimple(t *testing.T) {
 	// 0→1→2→0 is a 3-cycle; 3→4 is acyclic.
 	g := NewDigraph(5)

@@ -304,7 +304,7 @@ func (pv *PartialViews) SampleTargets(dst []int, self, k int, r *xrand.RNG) []in
 		for _, t := range v {
 			dst = append(dst, int(t))
 		}
-		r.Shuffle(len(dst), func(i, j int) { dst[i], dst[j] = dst[j], dst[i] })
+		xrand.ShuffleSlice(r, dst)
 		return dst
 	}
 	dst = sampleIndices(dst, len(v), k, r)
@@ -356,7 +356,7 @@ func (pv *PartialViews) Shuffle(rounds, swap int, r *xrand.RNG) {
 		order[i] = i
 	}
 	for round := 0; round < rounds; round++ {
-		r.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		xrand.ShuffleSlice(r, order)
 		for _, self := range order {
 			v := pv.views[self]
 			if len(v) == 0 {

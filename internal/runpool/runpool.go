@@ -7,24 +7,29 @@
 // The pool executes n independent, index-identified work items with three
 // guarantees the engines above it rely on.
 //
-// Determinism: item i always runs on worker i mod workers, so per-worker
-// scratch state (executors, run-state arenas) is recycled along the same
-// stride for a given worker count, and — because items are data-independent
-// and results are reduced in item order — the reduced result is identical
-// for ANY worker count.
+// Determinism: workers claim items one at a time from a shared counter, so
+// a worker that drew short items takes the next one instead of idling
+// behind a fixed share, and which worker runs an item depends on timing.
+// Per-worker scratch state (executors, run-state arenas) is therefore
+// keyed by the worker index w that Run hands the body, never by the item;
+// because items are data-independent and results are reduced in item
+// order, the reduced result is identical for ANY worker count and ANY
+// claim schedule.
 //
 // Ordered observation: the observe callback fires exactly once per
 // completed item in strictly increasing item order, regardless of the
-// completion order across workers (a small reorder cursor tracks the
-// contiguous completed prefix; one worker at a time delivers it outside
-// the pool's lock, so a slow consumer never serializes the pool).
-// Streaming consumers therefore see run 0, 1, 2, ... on every execution,
-// and RunOrdered builds on this to reduce per-item results in item order
-// while holding only out-of-order completions live.
+// completion order across workers (a reorder cursor keeps only the
+// completed items not yet delivered; one worker at a time delivers the
+// contiguous completed prefix outside the pool's lock, so a slow consumer
+// never serializes the pool). Streaming consumers therefore see run 0, 1,
+// 2, ... on every execution, and RunOrdered builds on this to reduce
+// per-item results in item order while holding only out-of-order
+// completions live: the pool's live state is O(worker skew), never O(n).
 //
-// Cancellation: workers check the context between items; cancellation (or
-// the first item error, by item index) stops the pool promptly without
-// waiting for unstarted items, and Run returns ctx.Err() so callers can
+// Cancellation: workers check the context between items and before each
+// delivery; cancellation (or the first item error, by item index) stops
+// the pool promptly without waiting for unstarted items, an observer that
+// cancels sees no later item, and Run returns ctx.Err() so callers can
 // translate it into their own sentinel.
 package runpool
 
@@ -32,7 +37,13 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
+
+// claimOrder, when non-nil, returns the order in which one Run hands out
+// its n items: the k-th claim runs item claimOrder(n)[k]. Only tests set
+// it, to show that no result depends on the schedule.
+var claimOrder func(n int) []int
 
 // Count normalizes a requested worker count for n work items: non-positive
 // means GOMAXPROCS, and the count never exceeds n.
@@ -52,7 +63,8 @@ func Count(requested, n int) int {
 
 // Run executes body(w, i) for every item i in [0, n) on `workers`
 // goroutines (normalize with Count first; Run clamps again defensively).
-// Worker w runs items w, w+workers, w+2·workers, ...
+// Goroutine w, in [0, workers), claims the lowest unclaimed item whenever
+// it is free, so no two items that run at once share a w.
 //
 // observe, when non-nil, is invoked exactly once per successfully completed
 // item, in strictly increasing item order and never concurrently with
@@ -69,20 +81,22 @@ func Run(ctx context.Context, n, workers int, body func(w, i int) error, observe
 		return ctx.Err()
 	}
 	workers = Count(workers, n)
+	var order []int
+	if claimOrder != nil {
+		order = claimOrder(n)
+	}
 
 	var (
+		claims     atomic.Int64
 		stop       = make(chan struct{})
 		stopOnce   sync.Once
 		mu         sync.Mutex
-		done       []bool
+		done       = make(map[int]struct{}) // completed, not yet observed
 		next       int
 		delivering bool
 		errIdx     = n
 		firstErr   error
 	)
-	if observe != nil {
-		done = make([]bool, n)
-	}
 	halt := func() { stopOnce.Do(func() { close(stop) }) }
 
 	var wg sync.WaitGroup
@@ -90,7 +104,15 @@ func Run(ctx context.Context, n, workers int, body func(w, i int) error, observe
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := w; i < n; i += workers {
+			for {
+				k := claims.Add(1) - 1
+				if k >= int64(n) {
+					return
+				}
+				i := int(k)
+				if order != nil {
+					i = order[k]
+				}
 				select {
 				case <-ctx.Done():
 					halt()
@@ -110,19 +132,25 @@ func Run(ctx context.Context, n, workers int, body func(w, i int) error, observe
 				}
 				if observe != nil {
 					mu.Lock()
-					done[i] = true
+					done[i] = struct{}{}
 					// Deliver the contiguous completed prefix (never past
 					// the lowest failed item) OUTSIDE the lock: one
 					// deliverer at a time keeps observations ordered and
 					// non-concurrent, and it re-scans after each batch so
 					// items completed meanwhile are never stranded. A
 					// delivered item always stays below any later-recorded
-					// errIdx: a failing item never sets done, so the prefix
-					// scan cannot pass it.
+					// errIdx: a failing item never enters done, so the
+					// prefix scan cannot pass it. Cancellation is checked
+					// before every delivery and never clears, so an
+					// observer that cancels is the last one called.
 					for !delivering {
 						start := next
 						end := start
-						for end < n && end < errIdx && done[end] {
+						for end < errIdx {
+							if _, ok := done[end]; !ok {
+								break
+							}
+							delete(done, end)
 							end++
 						}
 						if end == start {
@@ -130,7 +158,7 @@ func Run(ctx context.Context, n, workers int, body func(w, i int) error, observe
 						}
 						delivering, next = true, end
 						mu.Unlock()
-						for j := start; j < end; j++ {
+						for j := start; j < end && ctx.Err() == nil; j++ {
 							observe(j)
 						}
 						mu.Lock()
@@ -182,16 +210,18 @@ func RunOrdered[T any](ctx context.Context, n, workers int, body func(w, i int) 
 // Replicate is the one replication driver: RunOrdered on `workers`
 // goroutines (non-positive means GOMAXPROCS) with each worker's scratch
 // state — an executor, a run-state arena, a probe — built by newState on
-// the worker's first item and recycled along its stride. run(i, st) sees
-// its item and its worker's state, never a worker index, so the reduced
-// result is identical for any worker count as long as run derives item i's
-// random stream from i alone. The error contract is Run's.
+// the first item that worker claims and recycled across every item it
+// claims after. run(i, st) sees its item and its worker's state, never a
+// worker index, so the reduced result is identical for any worker count
+// and any claim schedule as long as run derives item i's random stream
+// from i alone. The error contract is Run's.
 func Replicate[S, T any](ctx context.Context, n, workers int, newState func() S, run func(i int, st S) (T, error), reduce func(i int, v T)) error {
 	workers = Count(workers, n)
 	states := make([]S, workers)
+	built := make([]bool, workers)
 	return RunOrdered(ctx, n, workers, func(w, i int) (T, error) {
-		if i == w { // worker w's first item
-			states[w] = newState()
+		if !built[w] {
+			states[w], built[w] = newState(), true
 		}
 		return run(i, states[w])
 	}, reduce)

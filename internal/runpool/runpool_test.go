@@ -61,21 +61,98 @@ func TestOrderedObservation(t *testing.T) {
 	}
 }
 
-// TestStridedAssignment pins the worker-stride contract per-worker scratch
-// reuse depends on: item i runs on worker i mod workers.
-func TestStridedAssignment(t *testing.T) {
-	const n, workers = 50, 4
-	owner := make([]int, n)
-	err := Run(context.Background(), n, workers, func(w, i int) error {
-		owner[i] = w
-		return nil
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
+// TestClaimContract pins what per-worker scratch relies on now that
+// items are claimed rather than assigned: every item runs exactly once,
+// its worker index lies in [0, workers), and no two items running at once
+// share a worker index (the unsynchronized per-worker slot below is a data
+// race under -race otherwise). Uneven item costs make the claim order
+// differ from any fixed stride.
+func TestClaimContract(t *testing.T) {
+	const n = 300
+	for _, workers := range []int{1, 2, 3, 8} {
+		var ran [n]atomic.Int32
+		busy := make([]int, workers) // written only by the worker that owns it
+		err := Run(context.Background(), n, workers, func(w, i int) error {
+			if w < 0 || w >= workers {
+				return fmt.Errorf("item %d ran on worker %d of %d", i, w, workers)
+			}
+			busy[w]++
+			if busy[w] != 1 {
+				return fmt.Errorf("worker %d runs two items at once", w)
+			}
+			if i%7 == 0 {
+				time.Sleep(time.Duration(i%3) * 20 * time.Microsecond)
+			}
+			ran[i].Add(1)
+			busy[w]--
+			return nil
+		}, nil)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i := range ran {
+			if c := ran[i].Load(); c != 1 {
+				t.Fatalf("workers=%d: item %d ran %d times", workers, i, c)
+			}
+		}
 	}
-	for i, w := range owner {
-		if w != i%workers {
-			t.Errorf("item %d ran on worker %d, want %d", i, w, i%workers)
+}
+
+// TestClaimOrderHook drives the test-only claim order: reversed and
+// shuffled schedules still run every item once and observe them in item
+// order.
+func TestClaimOrderHook(t *testing.T) {
+	const n = 64
+	for _, o := range ClaimOrders {
+		name, restore := o.Name, SetClaimOrder(o.Order)
+		var seen []int
+		var ran [n]atomic.Int32
+		err := Run(context.Background(), n, 3, func(w, i int) error {
+			ran[i].Add(1)
+			return nil
+		}, func(i int) { seen = append(seen, i) })
+		restore()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := range ran {
+			if c := ran[i].Load(); c != 1 {
+				t.Fatalf("%s: item %d ran %d times", name, i, c)
+			}
+		}
+		for k, i := range seen {
+			if i != k {
+				t.Fatalf("%s: observation %d was item %d", name, k, i)
+			}
+		}
+		if len(seen) != n {
+			t.Fatalf("%s: observed %d of %d items", name, len(seen), n)
+		}
+	}
+}
+
+// TestHugeItemCountCancels: the pool's live state is O(worker skew), not
+// O(n), so a sweep of 2⁴⁰ items that the observer cancels after five
+// reports neither allocates per item nor observes past the cancellation.
+func TestHugeItemCountCancels(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var seen []int
+	err := Run(ctx, 1<<40, 2, func(w, i int) error { return nil }, func(i int) {
+		seen = append(seen, i)
+		if len(seen) == 5 {
+			cancel()
+		}
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(seen) != 5 {
+		t.Fatalf("observed %v, want exactly items 0-4", seen)
+	}
+	for k, i := range seen {
+		if i != k {
+			t.Fatalf("observation %d was item %d", k, i)
 		}
 	}
 }
@@ -277,51 +354,61 @@ func TestZeroItems(t *testing.T) {
 	}
 }
 
-// TestReplicate: a worker's state is built once, on the worker's first
-// item, and recycled along its stride — never shared between workers —
-// while results still reduce in item order; a worker count above n builds
-// no spare states, zero items build none, and a pre-cancelled context runs
-// nothing.
+// TestReplicate: a worker's state is built once, on the first item that
+// worker claims, and is never shared by two items at once, while results
+// still reduce in item order under any claim order; a worker count above n
+// builds no spare states, zero items build none, and a pre-cancelled
+// context runs nothing.
 func TestReplicate(t *testing.T) {
-	type state struct{ items []int }
+	type state struct {
+		builds int
+		items  []int
+	}
 	const n = 97
-	for _, workers := range []int{1, 3, 8, 200} {
-		var mu sync.Mutex
-		var built []*state
-		var got []int
-		err := Replicate(context.Background(), n, workers, func() *state {
-			st := &state{}
-			mu.Lock()
-			built = append(built, st)
-			mu.Unlock()
-			return st
-		}, func(i int, st *state) (int, error) {
-			st.items = append(st.items, i) // unsynchronized on purpose: -race proves one worker per state
-			return 2 * i, nil
-		}, func(i, v int) {
-			if v != 2*i { // a worker's goroutine: Error, not Fatal
-				t.Errorf("workers=%d: item %d reduced %d", workers, i, v)
+	for _, o := range ClaimOrders {
+		name, restore := o.Name, SetClaimOrder(o.Order)
+		for _, workers := range []int{1, 3, 8, 200} {
+			var mu sync.Mutex
+			var built []*state
+			var got []int
+			err := Replicate(context.Background(), n, workers, func() *state {
+				st := &state{builds: 1}
+				mu.Lock()
+				built = append(built, st)
+				mu.Unlock()
+				return st
+			}, func(i int, st *state) (int, error) {
+				st.items = append(st.items, i) // unsynchronized on purpose: -race proves one item at a time per state
+				return 2 * i, nil
+			}, func(i, v int) {
+				if v != 2*i { // a worker's goroutine: Error, not Fatal
+					t.Errorf("%s workers=%d: item %d reduced %d", name, workers, i, v)
+				}
+				got = append(got, i)
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			got = append(got, i)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range got {
-			if v != i {
-				t.Fatalf("workers=%d: reduction %d was item %d", workers, i, v)
-			}
-		}
-		if want := min(workers, n); len(got) != n || len(built) != want {
-			t.Fatalf("workers=%d: reduced %d of %d items on %d states, want %d", workers, len(got), n, len(built), want)
-		}
-		for _, st := range built {
-			for k, i := range st.items {
-				if i != st.items[0]+k*len(built) {
-					t.Fatalf("workers=%d: a state saw items %v, want one stride", workers, st.items)
+			for i, v := range got {
+				if v != i {
+					t.Fatalf("%s workers=%d: reduction %d was item %d", name, workers, i, v)
 				}
 			}
+			if len(got) != n || len(built) < 1 || len(built) > min(workers, n) {
+				t.Fatalf("%s workers=%d: reduced %d of %d items on %d states, want 1 to %d", name, workers, len(got), n, len(built), min(workers, n))
+			}
+			ran := 0
+			for _, st := range built {
+				if st.builds != 1 || len(st.items) == 0 {
+					t.Fatalf("%s workers=%d: a state was built %d times and ran %v", name, workers, st.builds, st.items)
+				}
+				ran += len(st.items)
+			}
+			if ran != n {
+				t.Fatalf("%s workers=%d: states ran %d items, want %d", name, workers, ran, n)
+			}
 		}
+		restore()
 	}
 
 	never := func() int { t.Error("state built for a sweep that runs nothing"); return 0 }

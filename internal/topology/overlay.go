@@ -108,7 +108,7 @@ func (o *Overlay) SampleTargets(dst []int, self, k int, r *xrand.RNG) []int {
 		for _, t := range nb {
 			dst = append(dst, int(t))
 		}
-		r.Shuffle(len(dst), func(i, j int) { dst[i], dst[j] = dst[j], dst[i] })
+		xrand.ShuffleSlice(r, dst)
 		return dst
 	}
 	// Floyd's k-subset with an O(k²) duplicate scan, allocation-free at
@@ -128,7 +128,7 @@ func (o *Overlay) SampleTargets(dst []int, self, k int, r *xrand.RNG) []int {
 	}
 	// Floyd yields a uniform k-subset in biased order; shuffle before
 	// mapping indices to members so positions are exchangeable.
-	r.Shuffle(len(dst), func(i, j int) { dst[i], dst[j] = dst[j], dst[i] })
+	xrand.ShuffleSlice(r, dst)
 	for i, idx := range dst {
 		dst[i] = int(nb[idx])
 	}

@@ -130,6 +130,16 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
+// ShuffleSlice is r.Shuffle over the elements of s — the same draws, the
+// same permutation — with the swap inlined rather than called through a
+// closure per element: target lists are shuffled once per gossip send.
+func ShuffleSlice[E any](r *RNG, s []E) {
+	for i := len(s) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		s[i], s[j] = s[j], s[i]
+	}
+}
+
 // Scratch pools the working storage the sampling routines need beyond
 // their output slice: the dense path's n-sized permutation and the mid-k
 // path's duplicate bitset. One Scratch serves many draws (a pooled failure
@@ -215,7 +225,7 @@ func (r *RNG) SampleInts(dst []int, n, k int) []int {
 		}
 		// Floyd yields a uniformly random k-subset but in biased order;
 		// shuffle so callers can rely on exchangeability of positions.
-		r.Shuffle(len(dst), func(i, j int) { dst[i], dst[j] = dst[j], dst[i] })
+		ShuffleSlice(r, dst)
 		return dst
 	}
 	scratch := make([]int, n)
@@ -278,7 +288,7 @@ func (r *RNG) SampleIntsVisit(s *Scratch, n, k int, visit func(int)) {
 		}
 		// Floyd yields a uniformly random k-subset but in biased order;
 		// shuffle so callers can rely on exchangeability of positions.
-		r.Shuffle(len(picks), func(i, j int) { picks[i], picks[j] = picks[j], picks[i] })
+		ShuffleSlice(r, picks)
 		for _, v := range picks {
 			visit(int(v))
 		}

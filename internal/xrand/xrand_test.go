@@ -312,3 +312,32 @@ func BenchmarkSampleExcludingDense(b *testing.B) {
 		buf = r.SampleExcluding(buf, 100, 60, 17)
 	}
 }
+
+// TestShuffleSliceMatchesShuffle: ShuffleSlice makes Shuffle's draws and
+// Shuffle's permutation, on int and int32 slices alike, and leaves the
+// generator where Shuffle does.
+func TestShuffleSliceMatchesShuffle(t *testing.T) {
+	for n := 0; n <= 70; n++ {
+		for seed := uint64(1); seed <= 5; seed++ {
+			a, b := New(seed), New(seed)
+			want := make([]int, n)
+			got := make([]int, n)
+			got32 := make([]int32, n)
+			for i := range want {
+				want[i], got[i], got32[i] = i, i, int32(i)
+			}
+			a.Shuffle(n, func(i, j int) { want[i], want[j] = want[j], want[i] })
+			c := *b
+			ShuffleSlice(b, got)
+			ShuffleSlice(&c, got32)
+			for i := range want {
+				if got[i] != want[i] || int(got32[i]) != want[i] {
+					t.Fatalf("n=%d seed=%d: ShuffleSlice %v / %v, Shuffle %v", n, seed, got, got32, want)
+				}
+			}
+			if x, y, z := a.Uint64(), b.Uint64(), c.Uint64(); x != y || x != z {
+				t.Fatalf("n=%d seed=%d: streams parted after the shuffle", n, seed)
+			}
+		}
+	}
+}
