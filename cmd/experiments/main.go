@@ -50,6 +50,10 @@ func main() {
 		pprof  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 { // flag.Parse stops at it, dropping every later flag
+		fmt.Fprintf(os.Stderr, "experiments: unexpected argument %q\n", flag.Arg(0))
+		os.Exit(2)
+	}
 	if err := checkFlags(*scale, *width, *height); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)

@@ -1,7 +1,11 @@
 package main
 
 import (
+	"errors"
 	"math"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 )
 
@@ -30,5 +34,32 @@ func TestCheckFlags(t *testing.T) {
 		if err := checkFlags(c.scale, c.width, c.height); (err == nil) != c.ok {
 			t.Errorf("checkFlags(%g, %d, %d) = %v, want ok=%v", c.scale, c.width, c.height, err, c.ok)
 		}
+	}
+}
+
+// mainArgs, set in a re-executed test binary, is the space-separated
+// command line its TestStrayArgumentRejected hands to main.
+const mainArgs = "GOSSIPKIT_MAIN_ARGS"
+
+// TestStrayArgumentRejected: flag parsing stops at the first non-flag
+// argument, so "-list stray" listed the experiments and exited 0. A
+// leftover argument now exits 2 before anything runs, with an empty stdout
+// and one stderr line naming it. main exits the process, so it runs in a
+// re-executed test binary.
+func TestStrayArgumentRejected(t *testing.T) {
+	if args, ok := os.LookupEnv(mainArgs); ok {
+		os.Args = append(os.Args[:1], strings.Fields(args)...)
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestStrayArgumentRejected$", "-test.count=1")
+	cmd.Env = append(os.Environ(), mainArgs+"=-list stray")
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || stdout.Len() > 0 ||
+		stderr.String() != "experiments: unexpected argument \"stray\"\n" {
+		t.Errorf("experiments -list stray: %v\nstdout:\n%s\nstderr:\n%s", err, stdout.String(), stderr.String())
 	}
 }

@@ -97,14 +97,23 @@ func pprofFlag(fs *flag.FlagSet) func() error {
 	}
 }
 
+// parseFlags parses a subcommand's flags. Like a malformed flag, which
+// exits 2 under flag.ExitOnError, a leftover argument exits 2 here: flag
+// parsing stops at it, so every flag after it would be dropped silently.
+func parseFlags(fs *flag.FlagSet, args []string) {
+	_ = fs.Parse(args) // flag.ExitOnError: Parse exits rather than return an error
+	if fs.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "gossipmodel %s: unexpected argument %q\n", fs.Name(), fs.Arg(0))
+		os.Exit(2)
+	}
+}
+
 func cmdReliability(args []string) error {
 	fs := flag.NewFlagSet("reliability", flag.ExitOnError)
 	fanout := fs.Float64("fanout", 4.0, "mean fanout z")
 	q := fs.Float64("q", 0.9, "nonfailed member ratio")
 	pprof := pprofFlag(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	parseFlags(fs, args)
 	if err := pprof(); err != nil {
 		return err
 	}
@@ -124,9 +133,7 @@ func cmdDesign(args []string) error {
 	target := fs.Float64("target", 0.999, "required reliability S")
 	q := fs.Float64("q", 0.9, "nonfailed member ratio")
 	pprof := pprofFlag(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	parseFlags(fs, args)
 	if err := pprof(); err != nil {
 		return err
 	}
@@ -143,9 +150,7 @@ func cmdTable(args []string) error {
 	fs := flag.NewFlagSet("table", flag.ExitOnError)
 	qlist := fs.String("q", "0.2,0.4,0.6,0.8,1.0", "comma-separated q values")
 	pprof := pprofFlag(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	parseFlags(fs, args)
 	if err := pprof(); err != nil {
 		return err
 	}
@@ -187,9 +192,7 @@ func cmdExecutions(args []string) error {
 	q := fs.Float64("q", 0.9, "nonfailed member ratio")
 	success := fs.Float64("success", 0.999, "required success probability p_s")
 	pprof := pprofFlag(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	parseFlags(fs, args)
 	if err := pprof(); err != nil {
 		return err
 	}

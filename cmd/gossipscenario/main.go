@@ -52,7 +52,7 @@ func main() {
 	var err error
 	switch os.Args[1] {
 	case "list":
-		err = list()
+		err = list(os.Args[2:])
 	case "run":
 		err = run(ctx, os.Args[2:], false)
 	case "sweep":
@@ -73,9 +73,19 @@ func main() {
 			os.Exit(130)
 		}
 		fmt.Fprintln(os.Stderr, "gossipscenario:", err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
+
+// usageError is a leftover command-line argument. flag parsing stops at
+// it, so every flag after it would be dropped silently; main exits 2 on
+// it, as flag.ExitOnError does on a malformed flag.
+type usageError struct{ arg string }
+
+func (e usageError) Error() string { return fmt.Sprintf("unexpected argument %q", e.arg) }
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
@@ -120,7 +130,10 @@ flags (compare only):
 `)
 }
 
-func list() error {
+func list(args []string) error {
+	if len(args) > 0 {
+		return usageError{args[0]}
+	}
 	for _, s := range gossipkit.DefaultScenarioSuite() {
 		fmt.Printf("%-18s %2d steps  %s\n", s.Name, len(s.Steps), s.Description)
 	}
@@ -157,11 +170,15 @@ func newShared(name string, seeds int, seedsHelp, distHelp, formatHelp string, f
 	}
 }
 
-// parse parses args, brings up -pprof when set, and rejects an unknown
-// -format before anything runs: the output switch sits after the sweep.
+// parse parses args, rejects a leftover argument, brings up -pprof when
+// set, and rejects an unknown -format before anything runs: the output
+// switch sits after the sweep.
 func (s *shared) parse(args []string) error {
 	if err := s.fs.Parse(args); err != nil {
 		return err
+	}
+	if s.fs.NArg() > 0 {
+		return usageError{s.fs.Arg(0)}
 	}
 	if *s.pprof != "" {
 		bound, err := gossipkit.StartPprof(*s.pprof)

@@ -239,3 +239,29 @@ func TestFanoutCheckOnlyForFanoutRows(t *testing.T) {
 		}
 	}
 }
+
+// TestStrayArgumentRejected: flag parsing stops at the first non-flag
+// argument, so "run -n 50 stray -seeds 3" ran one seed at -n 1000, and
+// "list stray" ignored the argument; both exited 0. Every subcommand now
+// returns a usageError (main exits 2 on it) naming the argument before
+// anything runs, with nothing on stdout or stderr.
+func TestStrayArgumentRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"run", "-n", "50", "stray", "-seeds", "3"},
+		{"sweep", "-n", "50", "stray"},
+		{"grid", "-n", "50", "stray"},
+		{"compare", "-n", "50", "stray"},
+		{"list", "stray"},
+	} {
+		stdout, stderr, err := capture(t, func() error {
+			if args[0] == "list" {
+				return list(args[1:])
+			}
+			return subcommand(args[0], args[1:])
+		})
+		if !errors.As(err, new(usageError)) || !strings.Contains(err.Error(), `"stray"`) ||
+			stdout != "" || stderr != "" {
+			t.Errorf("%s: err %v\nstdout:\n%s\nstderr:\n%s", strings.Join(args, " "), err, stdout, stderr)
+		}
+	}
+}

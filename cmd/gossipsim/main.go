@@ -49,6 +49,10 @@ func main() {
 		topoFlag = flag.String("topology", "uniform", "gossip overlay: uniform, kout[:K], ba[:K], wan:ZONES[:K]")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 { // flag.Parse stops at it, dropping every later flag
+		fmt.Fprintf(os.Stderr, "gossipsim: unexpected argument %q\n", flag.Arg(0))
+		os.Exit(2)
+	}
 	topo, err := gossipkit.ParseTopology(*topoFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gossipsim:", err)

@@ -64,6 +64,10 @@ func main() {
 		progress   = flag.Bool("progress", false, "stream per-run progress to stderr")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 { // flag.Parse stops at it, dropping every later flag
+		fmt.Fprintf(os.Stderr, "gossipstream: unexpected argument %q\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -101,4 +103,31 @@ func stdoutOf(t *testing.T, f func() error) (string, error) {
 		t.Fatal(err)
 	}
 	return string(out), ferr
+}
+
+// mainArgs, set in a re-executed test binary, is the space-separated
+// command line its TestStrayArgumentRejected hands to main.
+const mainArgs = "GOSSIPKIT_MAIN_ARGS"
+
+// TestStrayArgumentRejected: flag parsing stops at the first non-flag
+// argument, so "-rate 100 -runs 1 stray -n 64" ran at the default -n 256
+// and exited 0. A leftover argument now exits 2 before anything runs, with
+// an empty stdout and one stderr line naming it. main exits the process,
+// so it runs in a re-executed test binary.
+func TestStrayArgumentRejected(t *testing.T) {
+	if args, ok := os.LookupEnv(mainArgs); ok {
+		os.Args = append(os.Args[:1], strings.Fields(args)...)
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestStrayArgumentRejected$", "-test.count=1")
+	cmd.Env = append(os.Environ(), mainArgs+"=-rate 100 -runs 1 stray -n 64")
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || stdout.Len() > 0 ||
+		stderr.String() != "gossipstream: unexpected argument \"stray\"\n" {
+		t.Errorf("gossipstream -rate 100 -runs 1 stray -n 64: %v\nstdout:\n%s\nstderr:\n%s", err, stdout.String(), stderr.String())
+	}
 }

@@ -6,9 +6,9 @@
 //	"On Modeling Fault Tolerance of Gossip-Based Reliable Multicast
 //	Protocols." ICPP 2008.
 //
-// The package is a thin, stable facade over the internal packages; the
-// examples under examples/ and the executables under cmd/ are built
-// entirely on this surface.
+// The package is a thin, stable facade over the internal packages; its
+// Example functions and the executables under cmd/ are built entirely on
+// this surface.
 //
 // # Quick start
 //
@@ -150,14 +150,27 @@ func ParseFanout(kind string, mean float64) (Distribution, error) {
 func AtLeastOnce(d Distribution) Distribution { return dist.NewZeroTruncated(d) }
 
 // Predict evaluates the analytic fault-tolerance model for p. It is the
-// function form of the Analytic engine.
-func Predict(p Params) (Prediction, error) { return core.Predict(p) }
+// function form of the Analytic engine. Every error it returns wraps
+// ErrInvalidParams.
+func Predict(p Params) (Prediction, error) {
+	pred, err := core.Predict(p)
+	if err != nil {
+		return Prediction{}, invalid(err)
+	}
+	return pred, nil
+}
 
 // ExecutionsForSuccess returns the minimum number of executions t needed to
 // reach the success probability target (paper Eq. 6), using the model's
-// predicted per-execution reliability.
+// predicted per-execution reliability. Every error it returns wraps
+// ErrInvalidParams, including the one for p at or below the critical
+// ratio, where no t suffices.
 func ExecutionsForSuccess(p Params, target float64) (int, error) {
-	return core.RequiredExecutions(p, target)
+	t, err := core.RequiredExecutions(p, target)
+	if err != nil {
+		return 0, invalid(err)
+	}
+	return t, nil
 }
 
 // SuccessAfter returns 1 − (1 − r)^t: the probability that t repeated
@@ -166,9 +179,14 @@ func ExecutionsForSuccess(p Params, target float64) (int, error) {
 func SuccessAfter(r float64, t int) float64 { return stats.AtLeastOne(r, t) }
 
 // FanoutForReliability returns the Poisson mean fanout z needed for
-// reliability s at nonfailed ratio q (paper Eq. 12).
+// reliability s at nonfailed ratio q (paper Eq. 12). Every error it
+// returns wraps ErrInvalidParams.
 func FanoutForReliability(s, q float64) (float64, error) {
-	return genfunc.PoissonMeanFanout(s, q)
+	z, err := genfunc.PoissonMeanFanout(s, q)
+	if err != nil {
+		return 0, invalid(err)
+	}
+	return z, nil
 }
 
 // CriticalRatio returns q_c = 1/z for Poisson fanout (paper Eq. 10): below

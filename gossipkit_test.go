@@ -149,6 +149,35 @@ func TestFacadeDesignEquations(t *testing.T) {
 	}
 }
 
+// TestDesignFunctionsWrapErrInvalidParams: Predict, ExecutionsForSuccess
+// and FanoutForReliability fail only on their input, so every error they
+// return matches ErrInvalidParams, as Run's does for the same Params. They
+// used to return the internal error bare.
+func TestDesignFunctionsWrapErrInvalidParams(t *testing.T) {
+	ok := Params{N: 1000, Fanout: Poisson(4), AliveRatio: 0.9}
+	with := func(n int, q float64) Params { p := ok; p.N, p.AliveRatio = n, q; return p }
+	for _, c := range []struct {
+		name string
+		call func() error
+	}{
+		{"Predict N=1", func() error { _, err := Predict(with(1, 0.9)); return err }},
+		{"Predict q=1.5", func() error { _, err := Predict(with(1000, 1.5)); return err }},
+		{"Predict q=NaN", func() error { _, err := Predict(with(1000, math.NaN())); return err }},
+		{"ExecutionsForSuccess N=1", func() error { _, err := ExecutionsForSuccess(with(1, 0.9), 0.999); return err }},
+		{"ExecutionsForSuccess target=1", func() error { _, err := ExecutionsForSuccess(ok, 1); return err }},
+		{"ExecutionsForSuccess target=NaN", func() error { _, err := ExecutionsForSuccess(ok, math.NaN()); return err }},
+		{"ExecutionsForSuccess q below q_c", func() error { _, err := ExecutionsForSuccess(with(1000, 0.2), 0.999); return err }},
+		{"FanoutForReliability s=1", func() error { _, err := FanoutForReliability(1, 0.8); return err }},
+		{"FanoutForReliability s=NaN", func() error { _, err := FanoutForReliability(math.NaN(), 0.8); return err }},
+		{"FanoutForReliability q=0", func() error { _, err := FanoutForReliability(0.9, 0); return err }},
+		{"FanoutForReliability q=NaN", func() error { _, err := FanoutForReliability(0.9, math.NaN()); return err }},
+	} {
+		if err := c.call(); !errors.Is(err, ErrInvalidParams) {
+			t.Errorf("%s: err %v, want ErrInvalidParams", c.name, err)
+		}
+	}
+}
+
 func TestFacadeExecuteAndViews(t *testing.T) {
 	r := NewRNG(7)
 	pv := PartialViews(200, 1, r)

@@ -110,7 +110,7 @@ func TestIntegrationLatencyDoesNotChangeReach(t *testing.T) {
 }
 
 func TestIntegrationDesignLoopClosesEndToEnd(t *testing.T) {
-	// The full design workflow of examples/fanouttuning: pick z from a
+	// The design workflow of ExampleExecutionsForSuccess: pick z from a
 	// target via Eq. 12, then verify by simulation that the target holds.
 	const target, q = 0.99, 0.75
 	z, err := FanoutForReliability(target, q)

@@ -186,7 +186,7 @@ func TestProbeChainsExistingTracer(t *testing.T) {
 	nw := simnet.New(k, 2, xrand.New(1), simnet.Config{Tracer: func(simnet.Event) { seen++ }})
 	delivered := 0
 	p.Attach(nw, 2, &delivered)
-	nw.Register(1, func(sim.Time, simnet.Message) { delivered++ })
+	nw.RegisterAll(func(sim.Time, simnet.Message) { delivered++ })
 	nw.Send(0, 1, nil)
 	if err := k.RunAll(); err != nil {
 		t.Fatal(err)

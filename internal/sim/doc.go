@@ -56,8 +56,8 @@
 // caps schedulable time at MaxTime (about 834 days; a later event fails
 // Run with ErrTimeRange) and a kernel at 255 handlers — which is what makes
 // n=10⁶..10⁷-node network executions feasible. The closure-based At/After/Every/Cancel API is the
-// control-event layer for low-rate callers (scenario hooks, round ticks,
-// examples); it parks the closure in a generation-counted slot table and
-// enqueues a record pointing at the slot, so canceling is O(1) lazy
-// invalidation rather than a queue removal.
+// control-event layer for low-rate callers (scenario hooks, round ticks);
+// it parks the closure in a generation-counted slot table and enqueues a
+// record pointing at the slot, so canceling is O(1) lazy invalidation
+// rather than a queue removal.
 package sim

@@ -110,25 +110,6 @@ func TestSendDeliverZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestRegisterOverridesRegisterAll: a per-node Register after RegisterAll
-// must take effect for that node while the rest keep the shared handler.
-func TestRegisterOverridesRegisterAll(t *testing.T) {
-	kernel := sim.New()
-	nw := New(kernel, 4, xrand.New(1), Config{})
-	var shared, custom int
-	nw.RegisterAll(func(_ sim.Time, _ Message) { shared++ })
-	nw.Register(2, func(_ sim.Time, _ Message) { custom++ })
-	for to := NodeID(1); to < 4; to++ {
-		nw.Send(0, to, nil)
-	}
-	if err := kernel.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if custom != 1 || shared != 2 {
-		t.Errorf("custom handler fired %d times (want 1), shared %d (want 2)", custom, shared)
-	}
-}
-
 // TestNetworkReset checks that a Reset network is indistinguishable from a
 // fresh one: nodes back up, counters zeroed, partition and handlers
 // cleared, and pooled payload slots recycled without leaking payloads.

@@ -7,7 +7,8 @@
 // The paper's MATLAB simulation abstracts the network away entirely (a
 // gossip "send" always arrives, instantly); simnet reproduces that setting
 // with the zero-value models (constant zero latency, no loss) and extends it
-// with the realism knobs used by the ablation experiments and the examples.
+// with the realism knobs used by the ablation experiments and the fault
+// campaigns.
 //
 // A Network is one kernel's worth of members; ShardedNet is the fabric
 // executions run on — one Network per shard kernel (one by default) plus

@@ -331,8 +331,7 @@ type Network struct {
 	n         int
 	latency   LatencyModel
 	loss      LossModel
-	all       Handler   // shared handler for every node (RegisterAll)
-	handlers  []Handler // per-node handlers, allocated on first Register
+	all       Handler // shared handler for every node (RegisterAll)
 	up        bitset.Bits
 	partition func(a, b NodeID) bool
 	stats     Stats
@@ -408,7 +407,6 @@ func (nw *Network) Reset(kernel *sim.Kernel, n int, rng *xrand.RNG, cfg Config) 
 	nw.loss = cfg.Loss
 	nw.all = nil
 	nw.allBatch = nil
-	nw.handlers = nil
 	nw.partition = nil
 	nw.stats = Stats{}
 	nw.tracer = cfg.Tracer
@@ -482,31 +480,12 @@ func (nw *Network) N() int { return nw.n }
 // Kernel returns the driving kernel.
 func (nw *Network) Kernel() *sim.Kernel { return nw.kernel }
 
-// Register installs the message handler for id, replacing any previous
-// one. After RegisterAll, registering a single node materializes the
-// per-node table (every other node keeps the shared handler) so the
-// override actually takes effect.
-func (nw *Network) Register(id NodeID, h Handler) {
-	nw.checkID(id)
-	if nw.handlers == nil {
-		nw.handlers = make([]Handler, nw.n)
-		if nw.all != nil {
-			for i := range nw.handlers {
-				nw.handlers[i] = nw.all
-			}
-			nw.all = nil
-		}
-	}
-	nw.handlers[id] = h
-}
-
-// RegisterAll installs one handler shared by every node (the delivered
-// Message's To field says which node received). It replaces any per-node
-// handlers and avoids materializing n per-node closures, which matters at
-// n=10⁵..10⁶.
+// RegisterAll installs the one handler shared by every node (the
+// delivered Message's To field says which node received), replacing any
+// previous one. One shared handler rather than n per-node closures is what
+// keeps dispatch allocation-free at n=10⁵..10⁶.
 func (nw *Network) RegisterAll(h Handler) {
 	nw.all = h
-	nw.handlers = nil
 }
 
 // RegisterBatchAll installs the handler consuming delivered batches
@@ -839,9 +818,6 @@ func (nw *Network) deliverOne(now sim.Time, to NodeID, m inflight) {
 		return
 	}
 	h := nw.all
-	if h == nil && nw.handlers != nil {
-		h = nw.handlers[to]
-	}
 	if h == nil {
 		nw.stats.DroppedCrash++
 		nw.trace(Event{Kind: EventDroppedCrash, From: m.from, To: to, At: now, SentAt: m.sentAt})
@@ -893,7 +869,7 @@ func (nw *Network) Crash(id NodeID) {
 }
 
 // Restart marks id as up again. (The paper's model is crash-stop; Restart
-// exists for the membership and failure-detector examples.)
+// exists for the scenario campaigns' restart action.)
 func (nw *Network) Restart(id NodeID) {
 	nw.checkID(id)
 	nw.up.Set(int(id))

@@ -18,7 +18,7 @@ func newNet(t *testing.T, n int, cfg Config) (*sim.Kernel, *Network) {
 func TestDeliveryZeroLatency(t *testing.T) {
 	k, nw := newNet(t, 2, Config{})
 	var got []Message
-	nw.Register(1, func(_ sim.Time, m Message) { got = append(got, m) })
+	nw.RegisterAll(func(_ sim.Time, m Message) { got = append(got, m) })
 	nw.Send(0, 1, "hello")
 	if err := k.RunAll(); err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestExponentialLatencyOnCalendar(t *testing.T) {
 func TestConstantLatencyTiming(t *testing.T) {
 	k, nw := newNet(t, 2, Config{Latency: ConstantLatency{D: 250 * time.Millisecond}})
 	var at sim.Time
-	nw.Register(1, func(now sim.Time, _ Message) { at = now })
+	nw.RegisterAll(func(now sim.Time, _ Message) { at = now })
 	nw.Send(0, 1, nil)
 	if err := k.RunAll(); err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestExponentialLatencyFloor(t *testing.T) {
 func TestBernoulliLoss(t *testing.T) {
 	k, nw := newNet(t, 2, Config{Loss: BernoulliLoss{P: 0.5}})
 	delivered := 0
-	nw.Register(1, func(sim.Time, Message) { delivered++ })
+	nw.RegisterAll(func(sim.Time, Message) { delivered++ })
 	const n = 10000
 	for i := 0; i < n; i++ {
 		nw.Send(0, 1, i)
@@ -248,7 +248,7 @@ func TestGilbertElliottValidation(t *testing.T) {
 func TestCrashSemantics(t *testing.T) {
 	k, nw := newNet(t, 3, Config{Latency: ConstantLatency{D: time.Millisecond}})
 	got := 0
-	nw.Register(1, func(sim.Time, Message) { got++ })
+	nw.RegisterAll(func(sim.Time, Message) { got++ })
 
 	// Crashed destination: message in flight is dropped at delivery.
 	nw.Send(0, 1, "a")
@@ -295,10 +295,7 @@ func TestUnregisteredHandlerDrops(t *testing.T) {
 func TestPartition(t *testing.T) {
 	k, nw := newNet(t, 4, Config{})
 	var got []NodeID
-	for i := 0; i < 4; i++ {
-		id := NodeID(i)
-		nw.Register(id, func(_ sim.Time, m Message) { got = append(got, m.To) })
-	}
+	nw.RegisterAll(func(_ sim.Time, m Message) { got = append(got, m.To) })
 	// Nodes {0,1} | {2,3}.
 	nw.SetPartition(SplitPartition(func(id NodeID) bool { return id < 2 }))
 	nw.Send(0, 1, nil) // same side: ok
@@ -331,7 +328,6 @@ func TestBadIDPanics(t *testing.T) {
 		func() { nw.Send(-1, 0, nil) },
 		func() { nw.Send(0, 2, nil) },
 		func() { nw.Crash(5) },
-		func() { nw.Register(-1, nil) },
 	} {
 		func() {
 			defer func() {
@@ -352,15 +348,12 @@ func TestDeterministicReplay(t *testing.T) {
 			Loss:    BernoulliLoss{P: 0.1},
 		})
 		var trace []sim.Time
-		for i := 0; i < 10; i++ {
-			id := NodeID(i)
-			nw.Register(id, func(now sim.Time, m Message) {
-				trace = append(trace, now)
-				if len(trace) < 200 {
-					nw.Send(m.To, NodeID((int(m.To)+1)%10), nil)
-				}
-			})
-		}
+		nw.RegisterAll(func(now sim.Time, m Message) {
+			trace = append(trace, now)
+			if len(trace) < 200 {
+				nw.Send(m.To, NodeID((int(m.To)+1)%10), nil)
+			}
+		})
 		nw.Send(0, 1, nil)
 		if err := k.RunAll(); err != nil {
 			t.Fatal(err)

@@ -92,7 +92,7 @@ func TestBoxedTracerSentAt(t *testing.T) {
 	run := func(sendAt []int, installAt int, install func(*Network, Tracer)) []Event {
 		k := sim.New()
 		nw := New(k, 2, xrand.New(1), Config{Latency: ConstantLatency{D: d}})
-		nw.Register(1, func(sim.Time, Message) {})
+		nw.RegisterAll(func(sim.Time, Message) {})
 		var got []Event
 		tr := func(e Event) {
 			if e.Kind == EventDelivered {

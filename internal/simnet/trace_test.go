@@ -15,11 +15,12 @@ func TestTracerSeesAllEventKinds(t *testing.T) {
 		Latency: ConstantLatency{D: 5 * time.Millisecond},
 		Tracer:  func(e Event) { counts[e.Kind]++ },
 	})
-	nw.Register(1, func(sim.Time, Message) {})
+	nw.RegisterAll(func(sim.Time, Message) {})
 	// Delivered.
 	nw.Send(0, 1, "a")
 	// Crash drop at delivery.
 	nw.Send(0, 2, "b")
+	nw.Crash(2)
 	// Partition drop.
 	nw.SetPartition(SplitPartition(func(id NodeID) bool { return id < 2 }))
 	nw.Send(0, 3, "c")
@@ -36,7 +37,7 @@ func TestTracerSeesAllEventKinds(t *testing.T) {
 	if counts[EventSent] != 3 { // the crashed sender's is not "sent"
 		t.Errorf("sent events = %d", counts[EventSent])
 	}
-	if counts[EventDroppedCrash] != 1 { // no-handler drop at delivery
+	if counts[EventDroppedCrash] != 1 { // crashed destination, dropped at delivery
 		t.Errorf("crash drops = %d", counts[EventDroppedCrash])
 	}
 	if counts[EventDroppedDown] != 1 { // crashed sender, discarded at send
@@ -69,7 +70,7 @@ func TestLiteTracerKeepsSlotFreeEncoding(t *testing.T) {
 				sentAt, at = e.SentAt, e.At
 			}
 		})
-		nw.Register(1, func(sim.Time, Message) {})
+		nw.RegisterAll(func(sim.Time, Message) {})
 		nw.SendTag(0, 1, 3)
 		if err := k.RunAll(); err != nil {
 			t.Fatal(err)
@@ -97,7 +98,7 @@ func TestLiteTracerKeepsSlotFreeEncoding(t *testing.T) {
 func TestDrained(t *testing.T) {
 	k := sim.New()
 	nw := New(k, 2, xrand.New(1), Config{Latency: ConstantLatency{D: time.Millisecond}})
-	nw.Register(1, func(sim.Time, Message) {})
+	nw.RegisterAll(func(sim.Time, Message) {})
 	if !nw.Drained() {
 		t.Error("fresh network not drained")
 	}
@@ -116,7 +117,7 @@ func TestDrained(t *testing.T) {
 func TestSetTracerDynamically(t *testing.T) {
 	k := sim.New()
 	nw := New(k, 2, xrand.New(1), Config{})
-	nw.Register(1, func(sim.Time, Message) {})
+	nw.RegisterAll(func(sim.Time, Message) {})
 	count := 0
 	nw.SetTracer(func(Event) { count++ })
 	nw.Send(0, 1, nil)

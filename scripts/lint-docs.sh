@@ -173,8 +173,11 @@ done
 # graph.DegreeSequence; MeanTraceRounds, Searcher.LargestSCC and
 # Mask.FillExact survive them), and the separate Compare engine's file and
 # the opening it shared with Campaign (engine_compare.go,
-# validateCampaigns), and the two options that said what WithSeed and
-# RunMany say (WithRNG, WithRuns) are deleted;
+# validateCampaigns), the two options that said what WithSeed and
+# RunMany say (WithRNG, WithRuns), the examples/ programs (Example
+# functions with checked output replaced them) and simnet's per-node
+# Network.Register (the pattern asks for the parenthesis to spare
+# RegisterAll and RegisterHandler) are deleted;
 # README and ARCHITECTURE must not describe them as if they existed. Where
 # a surviving identifier contains the name (EstimateReliabilityCtx,
 # ExecuteOnNetworkArena, drawMaskInto, ZoneLatency.Zones, ...) the pattern
@@ -236,7 +239,9 @@ for gone in \
     "validateCampaigns" \
     "engine_compare\.go" \
     "WithRNG" \
-    "WithRuns"; do
+    "WithRuns" \
+    "examples/" \
+    "\.Register\("; do
     if hits=$(grep -nE "$gone" README.md ARCHITECTURE.md); then
         echo "docs-lint: README/ARCHITECTURE mention the deleted '$gone':" >&2
         echo "$hits" >&2
