@@ -30,8 +30,8 @@ import (
 //     unless gateAllow names it (or its package) with a reason. A package
 //     nothing imports is therefore all findings.
 //   - The boundary rules of gateRules: each names objects (resolved
-//     exactly, so bufio.Writer.Flush is not simnet.ShardedNet.Flush) and
-//     the files allowed to use them.
+//     exactly, so bufio.Writer.Flush is not simnet.ShardedNet.Flush) or
+//     matches them by type, and the files allowed to use them.
 //
 // Its subtests inject one violating file per rule into the real tree as an
 // in-memory overlay and expect exactly that one finding, so a rule that
@@ -80,6 +80,9 @@ func TestAPIGate(t *testing.T) {
 		{"compare-names", "engine_gate.go",
 			"package gossipkit\n\nimport \"gossipkit/internal/scenario\"\n\nvar _ scenario.CompareConfig\n",
 			gateRules[3].name},
+		{"process-flags", "cmd/gossipsim/gate_flag.go",
+			"package main\n\nimport \"flag\"\n\nvar _ = flag.Int(\"gate\", 0, \"\")\n",
+			gateRules[4].name},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -96,6 +99,7 @@ func TestAPIGate(t *testing.T) {
 // (the whole package) or path.Name, each with its reason.
 var gateAllow = map[string]string{
 	"gossipkit/internal/golden":                       "the digest helper the golden tests share; only _test.go files import it",
+	"gossipkit/internal/cli/clitest":                  "the in-process command runner and exit-contract check the cmd/ tests share; only _test.go files import it",
 	"gossipkit/internal/genfunc.ExpectedOneShotReach": "the n → ∞ one-shot reach, kept as the limit an exact finite-n witness is checked against",
 }
 
@@ -103,10 +107,12 @@ const gateUnreachable = "unreachable from every entry point"
 
 // gateRule is one boundary: the objects it guards ("import path" for an
 // import, path.Name for a package-level object, path.Type.Method for a
-// method) and the files, relative to the module root, that may use them.
+// method), or a predicate on the object used (match), and the files,
+// relative to the module root, that may use them.
 type gateRule struct {
 	name  string
 	objs  []string
+	match func(types.Object) bool
 	allow func(file string) bool
 	hint  string
 }
@@ -150,6 +156,18 @@ var gateRules = []gateRule{
 		},
 		allow: func(f string) bool { return gateUnder(f, "internal/scenario/") },
 		hint:  "build a scenario.Axes and run it with Axes.Sweep",
+	},
+	{
+		name: "process-wide flag state used under cmd/",
+		match: func(o types.Object) bool {
+			if o.Pkg() == nil || o.Pkg().Path() != "flag" || o.Parent() != o.Pkg().Scope() {
+				return false
+			}
+			_, fn := o.(*types.Func)
+			return fn && o.Name() != "NewFlagSet" || o.Name() == "CommandLine"
+		},
+		allow: func(f string) bool { return !gateUnder(f, "cmd/") },
+		hint:  "bind the flags into a set from cli.NewFlagSet inside run",
 	},
 }
 
@@ -489,7 +507,13 @@ func (r *gateRun) boundaries() {
 			ast.Inspect(f, func(n ast.Node) bool {
 				if id, ok := n.(*ast.Ident); ok {
 					if u := p.info.Uses[id]; u != nil {
-						if rule := guarded[gateOrigin(u)]; rule != nil && !rule.allow(rel) {
+						rule := guarded[gateOrigin(u)]
+						for i := range gateRules {
+							if m := gateRules[i].match; rule == nil && m != nil && m(u) {
+								rule = &gateRules[i]
+							}
+						}
+						if rule != nil && !rule.allow(rel) {
 							r.report(id.Pos(), rule.name, id.Name+" ("+rule.hint+")")
 						}
 					}

@@ -12,16 +12,15 @@ package main
 
 import (
 	"context"
-	"errors"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"time"
 
+	"gossipkit/internal/cli"
 	"gossipkit/internal/experiment"
-	"gossipkit/internal/obs"
 )
 
 // checkFlags rejects the numeric flags no experiment can honour — a -scale
@@ -38,89 +37,78 @@ func checkFlags(scale float64, width, height int) error {
 }
 
 func main() {
-	var (
-		list   = flag.Bool("list", false, "list available experiments")
-		runID  = flag.String("run", "", "run a single experiment by id")
-		all    = flag.Bool("all", false, "run every experiment")
-		out    = flag.String("out", "results", "output directory for CSVs and charts")
-		seed   = flag.Uint64("seed", 2008, "random seed")
-		scale  = flag.Float64("scale", 1.0, "replication scale (1.0 = paper's counts)")
-		width  = flag.Int("width", 72, "ASCII chart width")
-		height = flag.Int("height", 20, "ASCII chart height")
-		pprof  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	)
-	flag.Parse()
-	if flag.NArg() > 0 { // flag.Parse stops at it, dropping every later flag
-		fmt.Fprintf(os.Stderr, "experiments: unexpected argument %q\n", flag.Arg(0))
-		os.Exit(2)
-	}
-	if err := checkFlags(*scale, *width, *height); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-	if *pprof != "" {
-		addr, err := obs.StartPprof(*pprof)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "experiments: pprof on http://%s/debug/pprof/\n", addr)
-	}
-
-	if *list {
-		for _, e := range experiment.All() {
-			fmt.Printf("%-24s %-14s %s\n", e.ID, e.Paper, e.Description)
-		}
-		return
-	}
 	// Interrupt (Ctrl-C) cancels the sweep worker pools mid-figure.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	cfg := experiment.Config{Seed: *seed, Scale: *scale, Ctx: ctx}
+	ctx, _ := signal.NotifyContext(context.Background(), os.Interrupt) // the process ends with run
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// options is the experiments command line.
+type options struct {
+	list, all     bool
+	runID, out    string
+	seed          uint64
+	scale         float64
+	width, height int
+}
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	var o options
+	fs := cli.NewFlagSet("experiments", stderr)
+	fs.BoolVar(&o.list, "list", false, "list available experiments")
+	fs.StringVar(&o.runID, "run", "", "run a single experiment by id")
+	fs.BoolVar(&o.all, "all", false, "run every experiment")
+	fs.StringVar(&o.out, "out", "results", "output directory for CSVs and charts")
+	fs.Uint64Var(&o.seed, "seed", 2008, "random seed")
+	fs.Float64Var(&o.scale, "scale", 1.0, "replication scale (1.0 = paper's counts)")
+	fs.IntVar(&o.width, "width", 72, "ASCII chart width")
+	fs.IntVar(&o.height, "height", 20, "ASCII chart height")
+	return cli.Run(fs, args, func() error { return experiments(ctx, o, stdout) })
+}
+
+func experiments(ctx context.Context, o options, stdout io.Writer) error {
+	if err := checkFlags(o.scale, o.width, o.height); err != nil {
+		return err
+	}
 	var ids []string
 	switch {
-	case *runID != "":
-		ids = []string{*runID}
-	case *all:
+	case o.list:
+		for _, e := range experiment.All() {
+			fmt.Fprintf(stdout, "%-24s %-14s %s\n", e.ID, e.Paper, e.Description)
+		}
+		return nil
+	case o.runID != "":
+		ids = []string{o.runID}
+	case o.all:
 		for _, e := range experiment.All() {
 			ids = append(ids, e.ID)
 		}
 	default:
-		flag.Usage()
-		os.Exit(2)
+		return cli.UsageError("choose -list, -run ID or -all")
 	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+	if err := os.MkdirAll(o.out, 0o755); err != nil {
+		return err
 	}
+	cfg := experiment.Config{Seed: o.seed, Scale: o.scale, Ctx: ctx}
 	for _, id := range ids {
 		e, err := experiment.ByID(id)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return err
 		}
 		start := time.Now()
 		fig, err := e.Run(cfg)
 		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				fmt.Fprintln(os.Stderr, "experiments: interrupted")
-				os.Exit(130)
-			}
-			fmt.Fprintf(os.Stderr, "experiments: %s failed: %v\n", id, err)
-			os.Exit(1)
+			return fmt.Errorf("%s failed: %w", id, err)
 		}
 		elapsed := time.Since(start).Round(time.Millisecond)
-		csvPath := filepath.Join(*out, id+".csv")
+		csvPath := filepath.Join(o.out, id+".csv")
 		if err := os.WriteFile(csvPath, []byte(fig.CSV()), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return err
 		}
-		ascii := fig.ASCII(*width, *height)
-		txtPath := filepath.Join(*out, id+".txt")
-		if err := os.WriteFile(txtPath, []byte(ascii), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+		ascii := fig.ASCII(o.width, o.height)
+		if err := os.WriteFile(filepath.Join(o.out, id+".txt"), []byte(ascii), 0o644); err != nil {
+			return err
 		}
-		fmt.Printf("=== %s (%s, %v) -> %s\n%s\n", id, e.Paper, elapsed, csvPath, ascii)
+		fmt.Fprintf(stdout, "=== %s (%s, %v) -> %s\n%s\n", id, e.Paper, elapsed, csvPath, ascii)
 	}
+	return nil
 }

@@ -1,12 +1,12 @@
 package main
 
 import (
-	"errors"
+	"context"
 	"math"
-	"os"
-	"os/exec"
 	"strings"
 	"testing"
+
+	"gossipkit/internal/cli/clitest"
 )
 
 // TestCheckFlags: a replication scale that is not a positive finite number
@@ -37,29 +37,19 @@ func TestCheckFlags(t *testing.T) {
 	}
 }
 
-// mainArgs, set in a re-executed test binary, is the space-separated
-// command line its TestStrayArgumentRejected hands to main.
-const mainArgs = "GOSSIPKIT_MAIN_ARGS"
+func TestExitContract(t *testing.T) {
+	out := t.TempDir()
+	clitest.ExitContract(t, "experiments", run, strings.Fields("-run fig4a -scale 0.05 -out "+out),
+		strings.Fields("-run fig4a -scale NaN -out "+out))
+}
 
 // TestStrayArgumentRejected: flag parsing stops at the first non-flag
 // argument, so "-list stray" listed the experiments and exited 0. A
 // leftover argument now exits 2 before anything runs, with an empty stdout
-// and one stderr line naming it. main exits the process, so it runs in a
-// re-executed test binary.
+// and one stderr line naming it.
 func TestStrayArgumentRejected(t *testing.T) {
-	if args, ok := os.LookupEnv(mainArgs); ok {
-		os.Args = append(os.Args[:1], strings.Fields(args)...)
-		main()
-		return
-	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestStrayArgumentRejected$", "-test.count=1")
-	cmd.Env = append(os.Environ(), mainArgs+"=-list stray")
-	var stdout, stderr strings.Builder
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err := cmd.Run()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 || stdout.Len() > 0 ||
-		stderr.String() != "experiments: unexpected argument \"stray\"\n" {
-		t.Errorf("experiments -list stray: %v\nstdout:\n%s\nstderr:\n%s", err, stdout.String(), stderr.String())
+	status, stdout, stderr := clitest.Run(context.Background(), run, "-list", "stray")
+	if status != 2 || stdout != "" || stderr != "experiments: unexpected argument \"stray\"\n" {
+		t.Errorf("experiments -list stray: exit %d\nstdout:\n%s\nstderr:\n%s", status, stdout, stderr)
 	}
 }

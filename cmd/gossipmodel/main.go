@@ -15,11 +15,14 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
 
 	"gossipkit"
+	"gossipkit/internal/cli"
 )
 
 // modelN is the nominal group size handed to the Analytic engine: the
@@ -28,50 +31,64 @@ import (
 const modelN = 1000
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	cmd, args := os.Args[1], os.Args[2:]
-	var err error
-	switch cmd {
-	case "reliability":
-		err = cmdReliability(args)
-	case "design":
-		err = cmdDesign(args)
-	case "table":
-		err = cmdTable(args)
-	case "executions":
-		err = cmdExecutions(args)
-	default:
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gossipmodel:", err)
-		os.Exit(1)
-	}
+	ctx, _ := signal.NotifyContext(context.Background(), os.Interrupt) // the process ends with run
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: gossipmodel <command> [flags]
+const usage = `usage: gossipmodel <command> [flags]
 
 commands:
   reliability  -fanout Z -q Q           reliability S solving Eq. 11
   design       -target S -q Q           mean fanout z from Eq. 12
   table        -q Q1,Q2,...             z-vs-S design table (paper Fig. 2)
-  executions   -fanout Z -q Q -success P  minimum executions t from Eq. 6`)
+  executions   -fanout Z -q Q -success P  minimum executions t from Eq. 6
+`
+
+// options is the union of the subcommands' flags.
+type options struct {
+	fanout, q, target, success float64
+	qs                         string
+}
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	var o options
+	// sub is one subcommand: its flags, bound into o, and its work.
+	sub := func(name string, bind func(*flag.FlagSet), do func(context.Context, options, io.Writer) error) func([]string) int {
+		return func(args []string) int {
+			fs := cli.NewFlagSet("gossipmodel "+name, stderr)
+			bind(fs)
+			return cli.Run(fs, args, func() error { return do(ctx, o, stdout) })
+		}
+	}
+	fanoutQ := func(fs *flag.FlagSet) {
+		fs.Float64Var(&o.fanout, "fanout", 4.0, "mean fanout z")
+		fs.Float64Var(&o.q, "q", 0.9, "nonfailed member ratio")
+	}
+	return cli.Subcommands(args, stderr, usage, map[string]func([]string) int{
+		"reliability": sub("reliability", fanoutQ, reliability),
+		"design": sub("design", func(fs *flag.FlagSet) {
+			fs.Float64Var(&o.target, "target", 0.999, "required reliability S")
+			fs.Float64Var(&o.q, "q", 0.9, "nonfailed member ratio")
+		}, design),
+		"table": sub("table", func(fs *flag.FlagSet) {
+			fs.StringVar(&o.qs, "q", "0.2,0.4,0.6,0.8,1.0", "comma-separated q values")
+		}, table),
+		"executions": sub("executions", func(fs *flag.FlagSet) {
+			fanoutQ(fs)
+			fs.Float64Var(&o.success, "success", 0.999, "required success probability p_s")
+		}, executions),
+	})
 }
 
 // predict evaluates Eq. 11 for Poisson mean fanout z at nonfailed ratio q
 // via the Analytic engine. z is flag input, so it goes through ParseFanout
 // rather than gossipkit.Poisson, which panics on invalid means.
-func predict(z, q float64) (gossipkit.Prediction, error) {
+func predict(ctx context.Context, z, q float64) (gossipkit.Prediction, error) {
 	f, err := gossipkit.ParseFanout("poisson", z)
 	if err != nil {
 		return gossipkit.Prediction{}, err
 	}
-	out, err := gossipkit.Run(context.Background(), gossipkit.Analytic{
+	out, err := gossipkit.Run(ctx, gossipkit.Analytic{
 		Params: gossipkit.Params{N: modelN, Fanout: f, AliveRatio: q},
 	})
 	if err != nil {
@@ -80,82 +97,31 @@ func predict(z, q float64) (gossipkit.Prediction, error) {
 	return out.Aggregate.(gossipkit.Prediction), nil
 }
 
-// pprofFlag registers -pprof on a subcommand's FlagSet; the returned
-// starter runs after parsing and brings the endpoint up when set.
-func pprofFlag(fs *flag.FlagSet) func() error {
-	addr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	return func() error {
-		if *addr == "" {
-			return nil
-		}
-		bound, err := gossipkit.StartPprof(*addr)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "gossipmodel: pprof on http://%s/debug/pprof/\n", bound)
-		return nil
-	}
-}
-
-// parseFlags parses a subcommand's flags. Like a malformed flag, which
-// exits 2 under flag.ExitOnError, a leftover argument exits 2 here: flag
-// parsing stops at it, so every flag after it would be dropped silently.
-func parseFlags(fs *flag.FlagSet, args []string) {
-	_ = fs.Parse(args) // flag.ExitOnError: Parse exits rather than return an error
-	if fs.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "gossipmodel %s: unexpected argument %q\n", fs.Name(), fs.Arg(0))
-		os.Exit(2)
-	}
-}
-
-func cmdReliability(args []string) error {
-	fs := flag.NewFlagSet("reliability", flag.ExitOnError)
-	fanout := fs.Float64("fanout", 4.0, "mean fanout z")
-	q := fs.Float64("q", 0.9, "nonfailed member ratio")
-	pprof := pprofFlag(fs)
-	parseFlags(fs, args)
-	if err := pprof(); err != nil {
-		return err
-	}
-	pred, err := predict(*fanout, *q)
+func reliability(ctx context.Context, o options, stdout io.Writer) error {
+	pred, err := predict(ctx, o.fanout, o.q)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("S(z=%.3f, q=%.3f) = %.6f    q_c = 1/z = %.4f\n", *fanout, *q, pred.Reliability, pred.CriticalRatio)
+	fmt.Fprintf(stdout, "S(z=%.3f, q=%.3f) = %.6f    q_c = 1/z = %.4f\n", o.fanout, o.q, pred.Reliability, pred.CriticalRatio)
 	if pred.Reliability == 0 {
-		fmt.Println("subcritical: q <= 1/z, reliability collapses (Eq. 10)")
+		fmt.Fprintln(stdout, "subcritical: q <= 1/z, reliability collapses (Eq. 10)")
 	}
 	return nil
 }
 
-func cmdDesign(args []string) error {
-	fs := flag.NewFlagSet("design", flag.ExitOnError)
-	target := fs.Float64("target", 0.999, "required reliability S")
-	q := fs.Float64("q", 0.9, "nonfailed member ratio")
-	pprof := pprofFlag(fs)
-	parseFlags(fs, args)
-	if err := pprof(); err != nil {
-		return err
-	}
-	z, err := gossipkit.FanoutForReliability(*target, *q)
+func design(_ context.Context, o options, stdout io.Writer) error {
+	z, err := gossipkit.FanoutForReliability(o.target, o.q)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("mean fanout z for S=%.4f at q=%.3f: %.4f   (Eq. 12; requires q > 1/z = %.4f)\n",
-		*target, *q, z, 1/z)
+	fmt.Fprintf(stdout, "mean fanout z for S=%.4f at q=%.3f: %.4f   (Eq. 12; requires q > 1/z = %.4f)\n",
+		o.target, o.q, z, 1/z)
 	return nil
 }
 
-func cmdTable(args []string) error {
-	fs := flag.NewFlagSet("table", flag.ExitOnError)
-	qlist := fs.String("q", "0.2,0.4,0.6,0.8,1.0", "comma-separated q values")
-	pprof := pprofFlag(fs)
-	parseFlags(fs, args)
-	if err := pprof(); err != nil {
-		return err
-	}
+func table(_ context.Context, o options, stdout io.Writer) error {
 	var qs []float64
-	for _, tok := range strings.Split(*qlist, ",") {
+	for _, tok := range strings.Split(o.qs, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
 		if err != nil {
 			return fmt.Errorf("bad q value %q: %w", tok, err)
@@ -167,49 +133,40 @@ func cmdTable(args []string) error {
 		}
 		qs = append(qs, v)
 	}
-	fmt.Printf("%-8s", "S")
+	fmt.Fprintf(stdout, "%-8s", "S")
 	for _, q := range qs {
-		fmt.Printf("  z(q=%.1f)", q)
+		fmt.Fprintf(stdout, "  z(q=%.1f)", q)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	for _, s := range []float64{0.1111, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 0.9999} {
-		fmt.Printf("%-8.4f", s)
+		fmt.Fprintf(stdout, "%-8.4f", s)
 		for _, q := range qs {
 			z, err := gossipkit.FanoutForReliability(s, q)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("  %8.3f", z)
+			fmt.Fprintf(stdout, "  %8.3f", z)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	return nil
 }
 
-func cmdExecutions(args []string) error {
-	fs := flag.NewFlagSet("executions", flag.ExitOnError)
-	fanout := fs.Float64("fanout", 4.0, "mean fanout z")
-	q := fs.Float64("q", 0.9, "nonfailed member ratio")
-	success := fs.Float64("success", 0.999, "required success probability p_s")
-	pprof := pprofFlag(fs)
-	parseFlags(fs, args)
-	if err := pprof(); err != nil {
-		return err
-	}
-	pred, err := predict(*fanout, *q)
+func executions(ctx context.Context, o options, stdout io.Writer) error {
+	pred, err := predict(ctx, o.fanout, o.q)
 	if err != nil {
 		return err
 	}
 	if pred.Reliability == 0 {
 		return fmt.Errorf("subcritical configuration (q <= 1/z): no number of executions suffices")
 	}
-	p := gossipkit.Params{N: modelN, Fanout: gossipkit.Poisson(*fanout), AliveRatio: *q}
-	t, err := gossipkit.ExecutionsForSuccess(p, *success)
+	p := gossipkit.Params{N: modelN, Fanout: gossipkit.Poisson(o.fanout), AliveRatio: o.q}
+	t, err := gossipkit.ExecutionsForSuccess(p, o.success)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("per-execution reliability S = %.4f\n", pred.Reliability)
-	fmt.Printf("minimum executions for p_s=%.4f: t = %d   (Eq. 6)\n", *success, t)
-	fmt.Printf("achieved: 1-(1-S)^t = %.6f\n", gossipkit.SuccessAfter(pred.Reliability, t))
+	fmt.Fprintf(stdout, "per-execution reliability S = %.4f\n", pred.Reliability)
+	fmt.Fprintf(stdout, "minimum executions for p_s=%.4f: t = %d   (Eq. 6)\n", o.success, t)
+	fmt.Fprintf(stdout, "achieved: 1-(1-S)^t = %.6f\n", gossipkit.SuccessAfter(pred.Reliability, t))
 	return nil
 }

@@ -2,70 +2,45 @@ package main
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"gossipkit"
+	"gossipkit/internal/cli/clitest"
 )
 
-// subcommands runs run, sweep, grid and compare on a small crash-wave
-// campaign with extra appended to each command line.
-func subcommands(extra ...string) map[string]error {
-	ctx := context.Background()
-	return map[string]error{
-		"run":     run(ctx, append([]string{"-scenario", "crash-wave", "-n", "200"}, extra...), false),
-		"sweep":   run(ctx, append([]string{"-scenario", "crash-wave", "-n", "200", "-seeds", "2"}, extra...), true),
-		"grid":    grid(ctx, append([]string{"-scenario", "crash-wave", "-n", "200", "-seeds", "1", "-qs", "1", "-fanouts", "5"}, extra...)),
-		"compare": compare(ctx, append([]string{"-scenarios", "crash-wave", "-n", "200", "-protocols", "paper,pbcast", "-seeds", "1"}, extra...)),
-	}
+// scenario runs the command line args on a background context.
+func scenario(args ...string) (status int, stdout, stderr string) {
+	return clitest.Run(context.Background(), run, args...)
 }
 
-// subcommand runs one of run, sweep, grid and compare with args.
-func subcommand(name string, args []string) error {
-	ctx := context.Background()
-	switch name {
-	case "run":
-		return run(ctx, args, false)
-	case "sweep":
-		return run(ctx, args, true)
-	case "grid":
-		return grid(ctx, args)
-	default:
-		return compare(ctx, args)
-	}
+// subcommands is run, sweep, grid and compare on a small crash-wave
+// campaign, each a command line to append to.
+var subcommands = []string{
+	"run -scenario crash-wave -n 200",
+	"sweep -scenario crash-wave -n 200 -seeds 2",
+	"grid -scenario crash-wave -n 200 -seeds 1 -qs 1 -fanouts 5",
+	"compare -scenarios crash-wave -n 200 -protocols paper,pbcast -seeds 1",
 }
 
-// capture runs f with os.Stdout and os.Stderr sent to files and returns
-// what f wrote to each.
-func capture(t *testing.T, f func() error) (stdout, stderr string, err error) {
-	t.Helper()
-	dir := t.TempDir()
-	files := [2]*os.File{}
-	for i := range files {
-		if files[i], err = os.Create(filepath.Join(dir, fmt.Sprint(i))); err != nil {
-			t.Fatal(err)
+func TestExitContract(t *testing.T) {
+	clitest.ExitContract(t, "gossipscenario", run, strings.Fields(subcommands[0]), strings.Fields(subcommands[0]+" -views -3"))
+}
+
+// TestSubcommandRequired: a missing or unknown subcommand prints the usage
+// and exits 2; asking for help prints it and exits 0.
+func TestSubcommandRequired(t *testing.T) {
+	for _, c := range []struct {
+		args   []string
+		status int
+	}{{nil, 2}, {[]string{"nonesuch"}, 2}, {[]string{"-h"}, 0}, {[]string{"help"}, 0}} {
+		status, stdout, stderr := scenario(c.args...)
+		if status != c.status || stdout != "" || stderr != usage {
+			t.Errorf("gossipscenario %v: exit %d, want %d\nstdout:\n%s\nstderr:\n%s", c.args, status, c.status, stdout, stderr)
 		}
 	}
-	savedOut, savedErr := os.Stdout, os.Stderr
-	os.Stdout, os.Stderr = files[0], files[1]
-	ferr := f()
-	os.Stdout, os.Stderr = savedOut, savedErr
-	var out [2]string
-	for i, file := range files {
-		if err := file.Close(); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(file.Name())
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = string(data)
-	}
-	return out[0], out[1], ferr
 }
 
 // TestSubcommandGoldens pins every subcommand's stdout, byte for byte, in
@@ -96,10 +71,10 @@ func TestSubcommandGoldens(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []string{"1", "3"} {
-			args := append(strings.Fields("-n 150 -seeds 2 -seed 42 -workers "+workers), strings.Fields(c.args)...)
-			got, _, err := capture(t, func() error { return subcommand(c.cmd, args) })
-			if err != nil {
-				t.Fatalf("%s %s: %v", c.cmd, strings.Join(args, " "), err)
+			args := strings.Fields(c.cmd + " -n 150 -seeds 2 -seed 42 -workers " + workers + " " + c.args)
+			status, got, stderr := scenario(args...)
+			if status != 0 {
+				t.Fatalf("%s: exit %d\n%s", strings.Join(args, " "), status, stderr)
 			}
 			if got != string(want) {
 				t.Errorf("%s at -workers %s moved from testdata/%s.golden:\n got:\n%s\nwant:\n%s",
@@ -113,9 +88,10 @@ func TestSubcommandGoldens(t *testing.T) {
 // and run every subcommand on the full view, exit 0. It is an
 // invalid-parameters error on all four.
 func TestNegativeViewsRejected(t *testing.T) {
-	for name, err := range subcommands("-views", "-3") {
-		if !errors.Is(err, gossipkit.ErrInvalidParams) {
-			t.Errorf("%s -views -3: error %v, want ErrInvalidParams", name, err)
+	for _, args := range subcommands {
+		if status, _, stderr := scenario(strings.Fields(args + " -views -3")...); status != 1 ||
+			!strings.Contains(stderr, gossipkit.ErrInvalidParams.Error()) {
+			t.Errorf("%s -views -3: exit %d, stderr %q; want 1 and invalid parameters", args, status, stderr)
 		}
 	}
 }
@@ -123,19 +99,17 @@ func TestNegativeViewsRejected(t *testing.T) {
 // TestHugeViewsRejected: -views at or above -n used to size a view arena
 // the process could not allocate, and both lines below died with "fatal
 // error: runtime: out of memory". They fail with one invalid-parameters
-// line (main prints the error) and print nothing.
+// line and print nothing else.
 func TestHugeViewsRejected(t *testing.T) {
-	for _, args := range [][]string{
-		{"run", "-scenario", "crash-wave", "-n", "200", "-views", "1000000000"},
-		{"compare", "-n", "200", "-views", "1000000000"},
-		{"compare", "-n", "200", "-views", "200", "-protocols", "lpbcast,rdg"},
+	for _, args := range []string{
+		"run -scenario crash-wave -n 200 -views 1000000000",
+		"compare -n 200 -views 1000000000",
+		"compare -n 200 -views 200 -protocols lpbcast,rdg",
 	} {
-		stdout, stderr, err := capture(t, func() error { return subcommand(args[0], args[1:]) })
-		if !errors.Is(err, gossipkit.ErrInvalidParams) || strings.Contains(err.Error(), "\n") {
-			t.Errorf("%s: error %v, want one line of ErrInvalidParams", strings.Join(args, " "), err)
-		}
-		if stdout != "" || stderr != "" {
-			t.Errorf("%s printed before failing:\n%s%s", strings.Join(args, " "), stderr, stdout)
+		status, stdout, stderr := scenario(strings.Fields(args)...)
+		if status != 1 || stdout != "" || strings.Count(stderr, "\n") != 1 ||
+			!strings.HasPrefix(stderr, "gossipscenario: "+gossipkit.ErrInvalidParams.Error()) {
+			t.Errorf("%s: exit %d, want 1 and one line of invalid parameters\nstdout:\n%s\nstderr:\n%s", args, status, stdout, stderr)
 		}
 	}
 }
@@ -144,28 +118,12 @@ func TestHugeViewsRejected(t *testing.T) {
 // sweep and only then fail at the output switch. It fails before the first
 // execution: no "ran N scenarios" throughput line reaches stderr.
 func TestBadFormatFailsBeforeRunning(t *testing.T) {
-	stderr, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	saved := os.Stderr
-	os.Stderr = stderr
-	errs := subcommands("-format", "xml")
-	os.Stderr = saved
-	for name, err := range errs {
-		if err == nil || !strings.Contains(err.Error(), `unknown format "xml"`) {
-			t.Errorf("%s -format xml: error %v, want unknown format", name, err)
+	for _, args := range subcommands {
+		status, _, stderr := scenario(strings.Fields(args + " -format xml")...)
+		if status != 1 || strings.Count(stderr, "\n") != 1 ||
+			!strings.HasPrefix(stderr, `gossipscenario: unknown format "xml"`) {
+			t.Errorf("%s -format xml: exit %d, stderr %q; want 1 and unknown format", args, status, stderr)
 		}
-	}
-	if err := stderr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	logged, err := os.ReadFile(stderr.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(logged), "ran ") {
-		t.Errorf("-format xml ran before failing; stderr:\n%s", logged)
 	}
 }
 
@@ -193,15 +151,13 @@ func TestEmptyListEntryRejected(t *testing.T) {
 		{"compare", "-topologies", "kout:8,kout:08", `repeated topology "kout:8"`},
 	}
 	for _, c := range cases {
-		stdout, stderr, err := capture(t, func() error {
-			return subcommand(c.cmd, []string{"-n", "100", "-seeds", "1", c.flag, c.list})
-		})
+		status, stdout, stderr := scenario(c.cmd, "-n", "100", "-seeds", "1", c.flag, c.list)
 		want := c.want + " in " + c.flag
-		if errors.Is(err, gossipkit.ErrInvalidParams) {
+		if strings.Contains(stderr, gossipkit.ErrInvalidParams.Error()) {
 			want = c.want
 		}
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s %s %q: error %v, want %q in %s", c.cmd, c.flag, c.list, err, c.want, c.flag)
+		if status != 1 || !strings.Contains(stderr, want) {
+			t.Errorf("%s %s %q: exit %d, stderr %q; want %q in %s", c.cmd, c.flag, c.list, status, stderr, c.want, c.flag)
 		}
 		if stdout != "" || strings.Contains(stderr, "ran ") {
 			t.Errorf("%s %s %q ran before failing:\n%s%s", c.cmd, c.flag, c.list, stderr, stdout)
@@ -226,13 +182,11 @@ func TestFanoutCheckOnlyForFanoutRows(t *testing.T) {
 		{"paper,lrg", "4.5", false, true},
 	}
 	for _, c := range cases {
-		_, stderr, err := capture(t, func() error {
-			return compare(context.Background(), []string{"-scenarios", "crash-wave", "-n", "100", "-seeds", "1",
-				"-protocols", c.protocols, "-fanout", c.fanout})
-		})
-		if failed := err != nil; failed != c.fails ||
-			(failed && !strings.Contains(err.Error(), "need a fanout >= 1")) {
-			t.Errorf("-protocols %s -fanout %s: error %v, want failure %v", c.protocols, c.fanout, err, c.fails)
+		status, _, stderr := scenario("compare", "-scenarios", "crash-wave", "-n", "100", "-seeds", "1",
+			"-protocols", c.protocols, "-fanout", c.fanout)
+		if failed := status != 0; failed != c.fails ||
+			(failed && !strings.Contains(stderr, "need a fanout >= 1")) {
+			t.Errorf("-protocols %s -fanout %s: exit %d, stderr %q; want failure %v", c.protocols, c.fanout, status, stderr, c.fails)
 		}
 		if notes := strings.Contains(stderr, "note: baseline rows use integer fanout"); notes != c.notes {
 			t.Errorf("-protocols %s -fanout %s: rounding note printed %v, want %v", c.protocols, c.fanout, notes, c.notes)
@@ -243,25 +197,19 @@ func TestFanoutCheckOnlyForFanoutRows(t *testing.T) {
 // TestStrayArgumentRejected: flag parsing stops at the first non-flag
 // argument, so "run -n 50 stray -seeds 3" ran one seed at -n 1000, and
 // "list stray" ignored the argument; both exited 0. Every subcommand now
-// returns a usageError (main exits 2 on it) naming the argument before
-// anything runs, with nothing on stdout or stderr.
+// exits 2 before anything runs, with an empty stdout and one stderr line
+// naming the argument.
 func TestStrayArgumentRejected(t *testing.T) {
-	for _, args := range [][]string{
-		{"run", "-n", "50", "stray", "-seeds", "3"},
-		{"sweep", "-n", "50", "stray"},
-		{"grid", "-n", "50", "stray"},
-		{"compare", "-n", "50", "stray"},
-		{"list", "stray"},
+	for _, args := range []string{
+		"run -n 50 stray -seeds 3",
+		"sweep -n 50 stray",
+		"grid -n 50 stray",
+		"compare -n 50 stray",
+		"list stray",
 	} {
-		stdout, stderr, err := capture(t, func() error {
-			if args[0] == "list" {
-				return list(args[1:])
-			}
-			return subcommand(args[0], args[1:])
-		})
-		if !errors.As(err, new(usageError)) || !strings.Contains(err.Error(), `"stray"`) ||
-			stdout != "" || stderr != "" {
-			t.Errorf("%s: err %v\nstdout:\n%s\nstderr:\n%s", strings.Join(args, " "), err, stdout, stderr)
+		status, stdout, stderr := scenario(strings.Fields(args)...)
+		if status != 2 || stdout != "" || stderr != "gossipscenario: unexpected argument \"stray\"\n" {
+			t.Errorf("%s: exit %d\nstdout:\n%s\nstderr:\n%s", args, status, stdout, stderr)
 		}
 	}
 }

@@ -20,8 +20,8 @@ package main
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/signal"
@@ -31,87 +31,61 @@ import (
 	"time"
 
 	"gossipkit"
+	"gossipkit/internal/cli"
 )
 
 const kneeHeader = "rate,runs,published,skipped,mean_reliability,reliability_stddev,min_reliability,full_frac,evicted,expired,dropped,messages_sent,p50_ms,p90_ms,p99_ms\n"
 
 func main() {
-	var (
-		n          = flag.Int("n", 256, "group size")
-		rate       = flag.Float64("rate", 0, "single offered rate in msgs/s (alternative to -rates)")
-		rates      = flag.String("rates", "", "rate sweep: comma list (100,200,400) or LO:HI:STEPS (geometric, STEPS <= 1000); each rate once")
-		duration   = flag.Duration("duration", 500*time.Millisecond, "publish window")
-		distKind   = flag.String("dist", "fixed", "fanout distribution: poisson, fixed, geometric, uniform")
-		fanout     = flag.Float64("fanout", 3, "mean fanout")
-		q          = flag.Float64("q", 1, "nonfailed member ratio")
-		buffer     = flag.Int("buffer", 16, "per-member rumor buffer capacity")
-		eviction   = flag.String("eviction", "fifo", "buffer eviction policy: fifo, random, age, lpbcast")
-		discipline = flag.String("discipline", "push", "propagation discipline: eager, push, pushpull, flood")
-		active     = flag.Int("active", 8, "active window in round ticks")
-		interval   = flag.Duration("interval", 0, "round interval (0 derives it from the latency bound)")
-		sources    = flag.Int("sources", 0, "distinct publishers (0 = every member)")
-		runs       = flag.Int("runs", 3, "seeded replications per rate")
-		seed       = flag.Uint64("seed", 42, "random seed")
-		latLo      = flag.Duration("latency-lo", time.Millisecond, "uniform latency lower bound")
-		latHi      = flag.Duration("latency-hi", 5*time.Millisecond, "uniform latency upper bound")
-		loss       = flag.Float64("loss", 0, "message loss probability")
-		shards     = flag.Int("shards", 1, "shard kernels per execution (conservative-PDES; 1 = one shard (default), 0 = one per core)")
-		topoFlag   = flag.String("topology", "uniform", "gossip overlay: uniform, kout[:K], ba[:K], wan:ZONES[:K]")
-		batch      = flag.Bool("batch", false, "batched wire digests: one event per round per peer (push/pushpull)")
-		summary    = flag.Bool("summary", false, "summary-only accounting: skip the O(messages) per-message rows")
-		maxMsgs    = flag.Int("max-messages", 0, "cap on scheduled messages per run (0 = engine default)")
-		curves     = flag.String("curves", "", "write merged streaming telemetry curves (occupancy, active, evictions) to this CSV file")
-		progress   = flag.Bool("progress", false, "stream per-run progress to stderr")
-	)
-	flag.Parse()
-	if flag.NArg() > 0 { // flag.Parse stops at it, dropping every later flag
-		fmt.Fprintf(os.Stderr, "gossipstream: unexpected argument %q\n", flag.Arg(0))
-		os.Exit(2)
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	if err := run(ctx, options{
-		n: *n, rate: *rate, rates: *rates, duration: *duration,
-		distKind: *distKind, fanout: *fanout, q: *q,
-		buffer: *buffer, eviction: *eviction, discipline: *discipline,
-		active: *active, interval: *interval, sources: *sources,
-		runs: *runs, seed: *seed, latLo: *latLo, latHi: *latHi, loss: *loss,
-		shards: *shards, topoFlag: *topoFlag, curves: *curves, progress: *progress,
-		batch: *batch, summary: *summary, maxMsgs: *maxMsgs,
-	}); err != nil {
-		if errors.Is(err, gossipkit.ErrCanceled) {
-			fmt.Fprintln(os.Stderr, "gossipstream: interrupted")
-			os.Exit(130)
-		}
-		fmt.Fprintln(os.Stderr, "gossipstream:", err)
-		os.Exit(1)
-	}
+	ctx, _ := signal.NotifyContext(context.Background(), os.Interrupt) // the process ends with run
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// options is gossipstream's command line: the stream's own fields bound
+// straight into cfg, and the rest parsed or swept before each cell.
 type options struct {
-	n                    int
-	rate                 float64
-	rates                string
-	duration             time.Duration
-	distKind             string
-	fanout, q            float64
-	buffer               int
-	eviction, discipline string
-	active               int
-	interval             time.Duration
-	sources, runs        int
-	seed                 uint64
-	latLo, latHi         time.Duration
-	loss                 float64
-	shards               int
-	topoFlag, curves     string
-	progress             bool
-	batch, summary       bool
-	maxMsgs              int
+	cfg                                   gossipkit.StreamConfig
+	rate, fanout, loss                    float64
+	rates, distKind, eviction, discipline string
+	topo, curves                          string
+	runs, shards                          int
+	seed                                  uint64
+	latLo, latHi                          time.Duration
+	progress                              bool
 }
 
-func run(ctx context.Context, o options) error {
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	var o options
+	fs := cli.NewFlagSet("gossipstream", stderr)
+	fs.IntVar(&o.cfg.N, "n", 256, "group size")
+	fs.Float64Var(&o.rate, "rate", 0, "single offered rate in msgs/s (or -rates, not both)")
+	fs.StringVar(&o.rates, "rates", "", "rate sweep: comma list (100,200,400) or LO:HI:STEPS (geometric, STEPS <= 1000); each rate once")
+	fs.DurationVar(&o.cfg.Duration, "duration", 500*time.Millisecond, "publish window")
+	fs.StringVar(&o.distKind, "dist", "fixed", "fanout distribution: poisson, fixed, geometric, uniform")
+	fs.Float64Var(&o.fanout, "fanout", 3, "mean fanout")
+	fs.Float64Var(&o.cfg.AliveRatio, "q", 1, "nonfailed member ratio")
+	fs.IntVar(&o.cfg.BufferCap, "buffer", 16, "per-member rumor buffer capacity")
+	fs.StringVar(&o.eviction, "eviction", "fifo", "buffer eviction policy: fifo, random, age, lpbcast")
+	fs.StringVar(&o.discipline, "discipline", "push", "propagation discipline: eager, push, pushpull, flood")
+	fs.IntVar(&o.cfg.ActiveRounds, "active", 8, "active window in round ticks")
+	fs.DurationVar(&o.cfg.RoundInterval, "interval", 0, "round interval (0 derives it from the latency bound)")
+	fs.IntVar(&o.cfg.Sources, "sources", 0, "distinct publishers (0 = every member)")
+	fs.IntVar(&o.runs, "runs", 3, "seeded replications per rate")
+	fs.Uint64Var(&o.seed, "seed", 42, "random seed")
+	fs.DurationVar(&o.latLo, "latency-lo", time.Millisecond, "uniform latency lower bound")
+	fs.DurationVar(&o.latHi, "latency-hi", 5*time.Millisecond, "uniform latency upper bound")
+	fs.Float64Var(&o.loss, "loss", 0, "message loss probability")
+	fs.IntVar(&o.shards, "shards", 1, "shard kernels per execution (conservative-PDES; 1 = one shard (default), 0 = one per core)")
+	fs.StringVar(&o.topo, "topology", "uniform", "gossip overlay: uniform, kout[:K], ba[:K], wan:ZONES[:K]")
+	fs.BoolVar(&o.cfg.Batch, "batch", false, "batched wire digests: one event per round per peer (push/pushpull)")
+	fs.BoolVar(&o.cfg.SummaryOnly, "summary", false, "summary-only accounting: skip the O(messages) per-message rows")
+	fs.IntVar(&o.cfg.MaxMessages, "max-messages", 0, "cap on scheduled messages per run (0 = engine default)")
+	fs.StringVar(&o.curves, "curves", "", "write merged streaming telemetry curves (occupancy, active, evictions) to this CSV file")
+	fs.BoolVar(&o.progress, "progress", false, "stream per-run progress to stderr")
+	return cli.Run(fs, args, func() error { return sweepRates(ctx, o, stdout, stderr) })
+}
+
+func sweepRates(ctx context.Context, o options, stdout, stderr io.Writer) error {
 	d, err := gossipkit.ParseFanout(o.distKind, o.fanout)
 	if err != nil {
 		return err
@@ -124,7 +98,7 @@ func run(ctx context.Context, o options) error {
 	if err != nil {
 		return err
 	}
-	topo, err := gossipkit.ParseTopology(o.topoFlag)
+	topo, err := gossipkit.ParseTopology(o.topo)
 	if err != nil {
 		return err
 	}
@@ -139,13 +113,8 @@ func run(ctx context.Context, o options) error {
 	}
 
 	cell := func(ctx context.Context, rate float64) (*gossipkit.Outcome, error) {
-		cfg := gossipkit.StreamConfig{
-			N: o.n, Rate: rate, Duration: o.duration,
-			Sources: o.sources, Fanout: d, AliveRatio: o.q,
-			BufferCap: o.buffer, Eviction: ev, Discipline: disc,
-			ActiveRounds: o.active, RoundInterval: o.interval,
-			MaxMessages: o.maxMsgs, Batch: o.batch, SummaryOnly: o.summary,
-		}
+		cfg := o.cfg
+		cfg.Rate, cfg.Fanout, cfg.Eviction, cfg.Discipline = rate, d, ev, disc
 		opts := []gossipkit.Option{
 			gossipkit.WithSeed(o.seed), gossipkit.WithTopology(topo),
 			gossipkit.WithProbe(gossipkit.ProbeOptions{}),
@@ -155,7 +124,7 @@ func run(ctx context.Context, o options) error {
 		}
 		if o.progress {
 			opts = append(opts, gossipkit.WithObserver(func(r gossipkit.Report) {
-				fmt.Fprintf(os.Stderr, "  rate %.0f run %d/%d reliability %.4f\n",
+				fmt.Fprintf(stderr, "  rate %.0f run %d/%d reliability %.4f\n",
 					rate, r.Run+1, o.runs, r.Reliability)
 			}))
 		}
@@ -179,7 +148,7 @@ func run(ctx context.Context, o options) error {
 		defer curvesFile.Close()
 	}
 
-	fmt.Print(kneeHeader)
+	fmt.Fprint(stdout, kneeHeader)
 	for ri, rate := range sweep {
 		out, err := cell(ctx, rate)
 		if err != nil {
@@ -208,7 +177,7 @@ func run(ctx context.Context, o options) error {
 			fullFrac = full / published
 		}
 		lat := out.Stream.Latency
-		fmt.Printf("%g,%d,%.1f,%.1f,%.6f,%.6f,%.6f,%.4f,%.1f,%.1f,%.1f,%.0f,%.3f,%.3f,%.3f\n",
+		fmt.Fprintf(stdout, "%g,%d,%.1f,%.1f,%.6f,%.6f,%.6f,%.4f,%.1f,%.1f,%.1f,%.0f,%.3f,%.3f,%.3f\n",
 			rate, out.Runs, published/runsF, skipped/runsF,
 			out.Reliability.Mean, out.Reliability.StdDev, minRel, fullFrac,
 			float64(evicted)/runsF, float64(expired)/runsF, float64(dropped)/runsF,
@@ -231,9 +200,13 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 // of its rates.
 const maxRateSteps = 1000
 
-// parseRates resolves the sweep: a single -rate, a comma list, or a
-// geometric LO:HI:STEPS ladder. Every rate is positive and runs once.
+// parseRates resolves the sweep: a single -rate, or a comma list or a
+// geometric LO:HI:STEPS ladder from -rates, never both. Every rate is
+// positive and runs once.
 func parseRates(single float64, spec string) ([]float64, error) {
+	if single != 0 && spec != "" {
+		return nil, fmt.Errorf("choose one of -rate, -rates")
+	}
 	if spec == "" {
 		if single == 0 {
 			return nil, fmt.Errorf("need -rate or -rates")

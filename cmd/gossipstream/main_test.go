@@ -2,27 +2,35 @@ package main
 
 import (
 	"context"
-	"errors"
-	"math"
-	"os"
-	"os/exec"
-	"path/filepath"
+	"net/http"
+	"regexp"
 	"strings"
 	"testing"
-	"time"
 
 	"gossipkit"
+	"gossipkit/internal/cli/clitest"
 )
+
+// small is a valid 64-member, one-run command line without a rate.
+const small = "-n 64 -duration 50ms -runs 1 "
+
+// stream runs gossipstream on small plus args.
+func stream(args string) (status int, stdout, stderr string) {
+	return clitest.Run(context.Background(), run, strings.Fields(small+args)...)
+}
+
+func TestExitContract(t *testing.T) {
+	clitest.ExitContract(t, "gossipstream", run, strings.Fields(small+"-rate 100"), strings.Fields(small+"-rate 100 -q 2"))
+}
 
 // TestHostileLossRejected: every non-zero -loss reaches the facade's check,
 // so a negative, NaN or out-of-range probability is an invalid-parameters
 // error rather than a silently loss-free run.
 func TestHostileLossRejected(t *testing.T) {
-	for _, loss := range []float64{-3, math.NaN(), 7} {
-		o := smallOptions()
-		o.loss = loss
-		if err := run(context.Background(), o); !errors.Is(err, gossipkit.ErrInvalidParams) {
-			t.Errorf("-loss %g: error %v, want ErrInvalidParams", loss, err)
+	for _, loss := range []string{"-3", "NaN", "7"} {
+		if status, _, stderr := stream("-rate 100 -loss " + loss); status != 1 ||
+			!strings.Contains(stderr, gossipkit.ErrInvalidParams.Error()) {
+			t.Errorf("-loss %s: exit %d, stderr %q; want 1 and invalid parameters", loss, status, stderr)
 		}
 	}
 }
@@ -31,26 +39,11 @@ func TestHostileLossRejected(t *testing.T) {
 // the constant -latency-lo network, and a negative -latency-lo ran; both are
 // invalid-parameters errors before the first execution.
 func TestHostileLatencyRejected(t *testing.T) {
-	for _, lat := range [][2]time.Duration{
-		{5 * time.Millisecond, time.Millisecond},
-		{-2 * time.Millisecond, 5 * time.Millisecond},
-	} {
-		o := smallOptions()
-		o.latLo, o.latHi = lat[0], lat[1]
-		if err := run(context.Background(), o); !errors.Is(err, gossipkit.ErrInvalidParams) {
-			t.Errorf("-latency-lo %v -latency-hi %v: error %v, want ErrInvalidParams", lat[0], lat[1], err)
+	for _, lat := range []string{"-latency-lo 5ms -latency-hi 1ms", "-latency-lo -2ms -latency-hi 5ms"} {
+		if status, _, stderr := stream("-rate 100 " + lat); status != 1 ||
+			!strings.Contains(stderr, gossipkit.ErrInvalidParams.Error()) {
+			t.Errorf("%s: exit %d, stderr %q; want 1 and invalid parameters", lat, status, stderr)
 		}
-	}
-}
-
-// smallOptions is a valid 64-member, one-run command line.
-func smallOptions() options {
-	return options{
-		n: 64, rate: 100, duration: 50 * time.Millisecond,
-		distKind: "fixed", fanout: 3, q: 1,
-		buffer: 16, eviction: "fifo", discipline: "push", active: 8,
-		runs: 1, seed: 42, latLo: time.Millisecond, latHi: 5 * time.Millisecond,
-		shards: 1, topoFlag: "uniform",
 	}
 }
 
@@ -58,76 +51,62 @@ func smallOptions() options {
 // CSV header had gone to stdout. Every rate's cell is now checked before the
 // header: the error comes with nothing on stdout.
 func TestBadFlagsFailBeforeOutput(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		edit func(*options)
-	}{
-		{"-buffer -1", func(o *options) { o.buffer = -1 }},
-		{"-loss 7", func(o *options) { o.loss = 7 }},
-		{"-runs 0", func(o *options) { o.runs = 0 }},
-		{"-rates 100,400 -q 2", func(o *options) { o.rates, o.q = "100,400", 2 }},
-		{"-rates 1:10:1099511627776", func(o *options) { o.rates = "1:10:1099511627776" }},
-		{"-rates 5:5:3", func(o *options) { o.rates = "5:5:3" }},
-		{"-rates 1:1.001:5", func(o *options) { o.rates = "1:1.001:5" }},
-		{"-rates 100,100", func(o *options) { o.rates = "100,100" }},
-		{"-rate -5", func(o *options) { o.rate = -5 }},
+	for _, args := range []string{
+		"-rate 100 -buffer -1",
+		"-rate 100 -loss 7",
+		"-rate 100 -runs 0",
+		"-rates 100,400 -q 2",
+		"-rates 1:10:1099511627776",
+		"-rates 5:5:3",
+		"-rates 1:1.001:5",
+		"-rates 100,100",
+		"-rate -5",
 	} {
-		o := smallOptions()
-		c.edit(&o)
-		out, err := stdoutOf(t, func() error { return run(context.Background(), o) })
-		if !errors.Is(err, gossipkit.ErrInvalidParams) {
-			t.Errorf("%s: error %v, want ErrInvalidParams", c.name, err)
+		status, stdout, stderr := stream(args)
+		if status != 1 || !strings.Contains(stderr, gossipkit.ErrInvalidParams.Error()) {
+			t.Errorf("%s: exit %d, stderr %q; want 1 and invalid parameters", args, status, stderr)
 		}
-		if out != "" {
-			t.Errorf("%s: rejected after printing:\n%s", c.name, out)
+		if stdout != "" {
+			t.Errorf("%s: rejected after printing:\n%s", args, stdout)
 		}
 	}
 }
 
-// stdoutOf runs f with os.Stdout sent to a file and returns what f wrote.
-func stdoutOf(t *testing.T, f func() error) (string, error) {
-	t.Helper()
-	file, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
-	if err != nil {
-		t.Fatal(err)
+// TestRateAndRatesRejected: with both -rate and -rates set, -rate used to be
+// dropped silently and only the -rates sweep ran. Setting both is one error
+// before anything runs.
+func TestRateAndRatesRejected(t *testing.T) {
+	status, stdout, stderr := stream("-rate 100 -rates 200")
+	if status != 1 || stdout != "" || stderr != "gossipstream: choose one of -rate, -rates\n" {
+		t.Errorf("-rate 100 -rates 200: exit %d\nstdout:\n%s\nstderr:\n%s", status, stdout, stderr)
 	}
-	saved := os.Stdout
-	os.Stdout = file
-	ferr := f()
-	os.Stdout = saved
-	if err := file.Close(); err != nil {
-		t.Fatal(err)
-	}
-	out, err := os.ReadFile(file.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out), ferr
 }
 
-// mainArgs, set in a re-executed test binary, is the space-separated
-// command line its TestStrayArgumentRejected hands to main.
-const mainArgs = "GOSSIPKIT_MAIN_ARGS"
+// TestPprof: gossipstream was the one command without -pprof. It serves
+// net/http/pprof on the address it names on stderr while the sweep runs.
+func TestPprof(t *testing.T) {
+	status, stdout, stderr := stream("-rate 100 -pprof 127.0.0.1:0")
+	url := regexp.MustCompile(`^gossipstream: pprof on (http://\S+/debug/pprof/)\n`).FindStringSubmatch(stderr)
+	if status != 0 || url == nil || !strings.HasPrefix(stdout, "rate,") {
+		t.Fatalf("-pprof 127.0.0.1:0: exit %d\nstdout:\n%s\nstderr:\n%s", status, stdout, stderr)
+	}
+	resp, err := http.Get(url[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("GET %s: %s", url[1], resp.Status)
+	}
+}
 
 // TestStrayArgumentRejected: flag parsing stops at the first non-flag
 // argument, so "-rate 100 -runs 1 stray -n 64" ran at the default -n 256
 // and exited 0. A leftover argument now exits 2 before anything runs, with
-// an empty stdout and one stderr line naming it. main exits the process,
-// so it runs in a re-executed test binary.
+// an empty stdout and one stderr line naming it.
 func TestStrayArgumentRejected(t *testing.T) {
-	if args, ok := os.LookupEnv(mainArgs); ok {
-		os.Args = append(os.Args[:1], strings.Fields(args)...)
-		main()
-		return
-	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestStrayArgumentRejected$", "-test.count=1")
-	cmd.Env = append(os.Environ(), mainArgs+"=-rate 100 -runs 1 stray -n 64")
-	var stdout, stderr strings.Builder
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err := cmd.Run()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 || stdout.Len() > 0 ||
-		stderr.String() != "gossipstream: unexpected argument \"stray\"\n" {
-		t.Errorf("gossipstream -rate 100 -runs 1 stray -n 64: %v\nstdout:\n%s\nstderr:\n%s", err, stdout.String(), stderr.String())
+	status, stdout, stderr := clitest.Run(context.Background(), run, strings.Fields("-rate 100 -runs 1 stray -n 64")...)
+	if status != 2 || stdout != "" || stderr != "gossipstream: unexpected argument \"stray\"\n" {
+		t.Errorf("gossipstream -rate 100 -runs 1 stray -n 64: exit %d\nstdout:\n%s\nstderr:\n%s", status, stdout, stderr)
 	}
 }

@@ -57,6 +57,9 @@ func TestParseFanout(t *testing.T) {
 // rejection matches ErrInvalidParams, and exactly the documented inputs are
 // rejected — non-finite or negative means, unknown kinds, a uniform mean
 // below 1, and integer-valued kinds whose truncated mean would overflow.
+// Every accepted distribution draws non-negative fanouts, promptly: a
+// geometric mean past 1.8·10¹⁶ used to draw math.MinInt64, and a Poisson
+// draw cost O(mean) uniforms.
 func FuzzParseFanout(f *testing.F) {
 	for _, kind := range []string{"poisson", "fixed", "geometric", "uniform", "cauchy", ""} {
 		for _, mean := range []float64{0, 0.5, 1, 3.7, 4, -1, 1e19, 1e300,
@@ -92,6 +95,12 @@ func FuzzParseFanout(f *testing.F) {
 		}
 		if got := d.Mean(); math.Abs(got-want) > 1e-9*math.Max(1, want) {
 			t.Fatalf("ParseFanout(%q, %g).Mean() = %g, want %g", kind, mean, got, want)
+		}
+		r := NewRNG(1)
+		for range 16 {
+			if k := d.Sample(r); k < 0 {
+				t.Fatalf("ParseFanout(%q, %g) sampled %d", kind, mean, k)
+			}
 		}
 	})
 }

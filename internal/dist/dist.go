@@ -148,7 +148,8 @@ func (p Poisson) PMF(k int) float64 {
 	return math.Exp(float64(k)*math.Log(p.z) - p.z - lk)
 }
 
-// Sample implements Distribution.
+// Sample implements Distribution: Knuth's product method below
+// knuthBelow, Hörmann's PTRS from there on.
 func (p Poisson) Sample(r *xrand.RNG) int {
 	if p.z <= 0 {
 		return 0
@@ -156,7 +157,7 @@ func (p Poisson) Sample(r *xrand.RNG) int {
 	if p.z < knuthBelow {
 		return knuthPoisson(r, p.expNegZ)
 	}
-	return samplePoisson(r, p.z)
+	return ptrsPoisson(r, p.z)
 }
 
 // PGFAt returns the closed form e^{z(x-1)}.
@@ -168,23 +169,8 @@ func (p Poisson) PGFPrimeAt(x float64) float64 { return p.z * math.Exp(p.z*(x-1)
 // PGFPrime2At returns z²·e^{z(x-1)}.
 func (p Poisson) PGFPrime2At(x float64) float64 { return p.z * p.z * math.Exp(p.z*(x-1)) }
 
-// samplePoisson draws from Po(z). Knuth's product method is exact but costs
-// O(z) uniforms; for large z the draw is split as Po(z) = Po(z/2) + Po(z/2),
-// which stays exact (sum of independent Poissons) with logarithmic extra
-// depth and no normal approximation.
-func samplePoisson(r *xrand.RNG, z float64) int {
-	if z <= 0 {
-		return 0
-	}
-	if z < knuthBelow {
-		return knuthPoisson(r, math.Exp(-z))
-	}
-	half := z / 2
-	return samplePoisson(r, half) + samplePoisson(r, z-half)
-}
-
-// knuthBelow is the mean from which samplePoisson splits instead of
-// multiplying uniforms.
+// knuthBelow is the mean from which Poisson.Sample stops multiplying
+// uniforms, which costs O(z) of them per draw.
 const knuthBelow = 30
 
 // knuthPoisson is Knuth's product method for the threshold l = e^(−z): the
@@ -197,6 +183,41 @@ func knuthPoisson(r *xrand.RNG, l float64) int {
 		prod *= r.Float64()
 	}
 	return k
+}
+
+// ptrsPoisson draws from Po(z) for z >= 10 by Hörmann's transformed
+// rejection with squeeze (PTRS; "The transformed rejection method for
+// generating Poisson random variables", 1993): exact, and O(1) expected
+// uniform pairs per draw at any mean.
+func ptrsPoisson(r *xrand.RNG, z float64) int {
+	b := 0.931 + 2.53*math.Sqrt(z)
+	a := -0.059 + 0.02483*b
+	invAlpha := 1.1239 + 1.1328/(b-3.4)
+	vr := 0.9277 - 3.6224/(b-2)
+	logZ := math.Log(z)
+	for {
+		u := r.Float64() - 0.5
+		v := r.Float64()
+		us := 0.5 - math.Abs(u)
+		k := math.Floor((2*a/us+b)*u + z + 0.43)
+		if us >= 0.07 && v <= vr {
+			return clampDraw(k)
+		}
+		if k < 0 || (us < 0.013 && v > us) {
+			continue
+		}
+		lg, _ := math.Lgamma(k + 1)
+		if math.Log(v)+math.Log(invAlpha)-math.Log(a/(us*us)+b) <= -z+k*logZ-lg {
+			return clampDraw(k)
+		}
+	}
+}
+
+// clampDraw converts a non-negative draw to an int no larger than
+// math.MaxInt32. Every draw site caps a fanout at its view's n − 1 < 2³¹,
+// so no capped value changes, and a huge mean cannot overflow int.
+func clampDraw(k float64) int {
+	return int(min(k, math.MaxInt32))
 }
 
 // ---------------------------------------------------------------------------
@@ -279,13 +300,18 @@ func (g Geometric) PMF(k int) float64 {
 	return g.p * math.Pow(1-g.p, float64(k))
 }
 
-// Sample implements Distribution (inversion).
+// Sample implements Distribution (inversion), clamped like every draw to
+// math.MaxInt32.
 func (g Geometric) Sample(r *xrand.RNG) int {
 	if g.p == 1 {
 		return 0
 	}
 	u := 1 - r.Float64() // in (0, 1]
-	return int(math.Log(u) / math.Log(1-g.p))
+	k := math.Log(u) / math.Log(1-g.p)
+	if !(k >= 0) { // 1−p rounded to 1: the quotient is −Inf or NaN
+		return math.MaxInt32
+	}
+	return clampDraw(k)
 }
 
 // PGFAt returns p / (1 − (1−p)x).

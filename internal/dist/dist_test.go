@@ -15,7 +15,7 @@ func TestDistributions(t *testing.T) {
 	for _, d := range []Distribution{
 		NewPoisson(0),
 		NewPoisson(4),
-		NewPoisson(45), // above the sampler's Knuth branch: drawn as a sum of halves
+		NewPoisson(45), // above the sampler's Knuth branch: drawn by PTRS
 		NewFixed(0),
 		NewFixed(3),
 		NewGeometric(0.2),
@@ -105,7 +105,8 @@ func TestConstructorsRejectOutOfRange(t *testing.T) {
 }
 
 // refSamplePoisson is Poisson.Sample as it stood before NewPoisson cached
-// e^(−z): the threshold recomputed on every draw.
+// e^(−z): the threshold recomputed on every draw. From z = 30 on it hands
+// over to PTRS, which has no threshold to cache.
 func refSamplePoisson(r *xrand.RNG, z float64) int {
 	if z <= 0 {
 		return 0
@@ -120,13 +121,12 @@ func refSamplePoisson(r *xrand.RNG, z float64) int {
 		}
 		return k
 	}
-	half := z / 2
-	return refSamplePoisson(r, half) + refSamplePoisson(r, z-half)
+	return ptrsPoisson(r, z)
 }
 
 // TestPoissonSampleMatchesReference holds the cached threshold to the
 // recomputed one draw for draw — same value, same uniforms consumed — on
-// both sides of the Knuth/split boundary and at the degenerate means.
+// both sides of the Knuth/PTRS boundary and at the degenerate means.
 func TestPoissonSampleMatchesReference(t *testing.T) {
 	for _, z := range []float64{0, 1e-9, 0.3, 5, 29.999, 30, 200} {
 		p := NewPoisson(z)
@@ -138,6 +138,65 @@ func TestPoissonSampleMatchesReference(t *testing.T) {
 		}
 		if g, w := got.Uint64(), want.Uint64(); g != w {
 			t.Errorf("z=%g: the streams parted (next Uint64 %#x, reference %#x)", z, g, w)
+		}
+	}
+}
+
+// TestPTRSMatchesPMF holds PTRS to the Poisson PMF by a chi-square test
+// over every bin with at least 5 expected draws plus one bin pooling both
+// tails. The bound is the chi-square quantile at 1 − 10⁻⁶ (Wilson–Hilferty),
+// so a correct sampler fails it at about one seed in 10⁶ per mean.
+func TestPTRSMatchesPMF(t *testing.T) {
+	const draws = 500_000
+	for _, z := range []float64{30, 45.5, 200, 1e4} {
+		p := NewPoisson(z)
+		counts := map[int]float64{}
+		r := xrand.New(11)
+		for i := 0; i < draws; i++ {
+			counts[p.Sample(r)]++
+		}
+		lo, hi := int(z), int(z) // the bins with at least 5 expected draws
+		for p.PMF(lo-1)*draws >= 5 {
+			lo--
+		}
+		for p.PMF(hi+1)*draws >= 5 {
+			hi++
+		}
+		var chi2, tail, pTail float64 = 0, draws, 1
+		for k := lo; k <= hi; k++ {
+			e := p.PMF(k) * draws
+			chi2 += (counts[k] - e) * (counts[k] - e) / e
+			tail -= counts[k]
+			pTail -= p.PMF(k)
+		}
+		if e := pTail * draws; e > 0 {
+			chi2 += (tail - e) * (tail - e) / e
+		}
+		df := float64(hi - lo + 1)
+		h := 2 / (9 * df)
+		if bound := df * math.Pow(1-h+4.753*math.Sqrt(h), 3); chi2 > bound {
+			t.Errorf("Poisson(%g): chi-square %.1f on %g degrees of freedom, bound %.1f", z, chi2, df, bound)
+		}
+	}
+}
+
+// TestPoissonHugeMean: a draw at any accepted mean is non-negative and
+// costs O(1) uniforms. The split sampler took 51 ms per draw at z = 10⁷
+// and never finished at 10¹². At 10⁹ PTRS's sample mean sits within
+// 5σ/√N; past math.MaxInt32 every draw clamps there.
+func TestPoissonHugeMean(t *testing.T) {
+	r := xrand.New(3)
+	const draws = 10_000
+	var sum float64
+	for i := 0; i < draws; i++ {
+		sum += float64(NewPoisson(1e9).Sample(r))
+	}
+	if got, tol := sum/draws, 5*math.Sqrt(1e9/draws); math.Abs(got-1e9) > tol {
+		t.Errorf("Poisson(1e9) sample mean %.0f, want 1e9 ± %.0f", got, tol)
+	}
+	for _, d := range []Distribution{NewPoisson(1e12), NewPoisson(1e300), NewGeometric(1e-19)} {
+		if k := d.Sample(r); k != math.MaxInt32 {
+			t.Errorf("%s sampled %d, want math.MaxInt32", d.Name(), k)
 		}
 	}
 }

@@ -145,7 +145,7 @@ type Metrics struct {
 	// time.
 	Tick time.Duration
 	End  time.Duration
-	// Truncated reports that the run outlived MaxSamples·Tick and the
+	// Truncated reports that the run outlived 4096 ticks and the
 	// series cover only the prefix.
 	Truncated bool
 	// Infected is π(t)·n: the number of members holding the multicast.

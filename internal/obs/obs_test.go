@@ -86,13 +86,15 @@ func TestProbeCurvesAndHistograms(t *testing.T) {
 	}
 }
 
+// TestProbeTruncation: the 10 ms relay sampled every microsecond outlives
+// maxSamples ticks, so its series stop there.
 func TestProbeTruncation(t *testing.T) {
-	m := runRelay(t, Options{CurveTick: time.Millisecond, MaxSamples: 3})
+	m := runRelay(t, Options{CurveTick: time.Microsecond})
 	if !m.Truncated {
 		t.Fatal("not truncated")
 	}
-	if len(m.Infected) != 3 {
-		t.Fatalf("series length %d, want 3", len(m.Infected))
+	if len(m.Infected) != maxSamples {
+		t.Fatalf("series length %d, want %d", len(m.Infected), maxSamples)
 	}
 	// Totals remain authoritative past the truncation point.
 	if m.Totals.Delivered != 2 {

@@ -23,6 +23,11 @@ const (
 	fanoutBins      = 33
 )
 
+// maxSamples caps each run's series length: a run that outlives
+// maxSamples·CurveTick stops sampling and sets Truncated rather than
+// growing without bound.
+const maxSamples = 4096
+
 // Options selects what a probe collects. The zero value enables the
 // standard telemetry set — curves at a 1ms tick plus the histograms, no
 // ring tracing.
@@ -30,10 +35,6 @@ type Options struct {
 	// CurveTick is the virtual-time sampling interval of the series.
 	// Zero defaults to 1ms; negative disables curve sampling.
 	CurveTick time.Duration
-	// MaxSamples caps each run's series length; a run whose duration
-	// exceeds MaxSamples·CurveTick stops sampling and sets Truncated
-	// rather than growing without bound. Zero defaults to 4096.
-	MaxSamples int
 	// TraceCapacity, when positive, records raw network events into a
 	// preallocated ring of that many slots (oldest overwritten first) and
 	// switches the run to a full tracer so per-message send times are
@@ -82,9 +83,6 @@ type sampler struct {
 func (s *sampler) init(opts Options, front gauge, width int) {
 	if opts.CurveTick == 0 {
 		opts.CurveTick = time.Millisecond
-	}
-	if opts.MaxSamples <= 0 {
-		opts.MaxSamples = 4096
 	}
 	s.opts, s.front = opts, front
 	s.tick = max(0, sim.Time(opts.CurveTick))
@@ -157,9 +155,9 @@ func (s *sampler) advanceTo(t sim.Time) {
 }
 
 // sample appends one row to the column table from the current state; it
-// reports false (and marks truncation) once MaxSamples is reached.
+// reports false (and marks truncation) once maxSamples is reached.
 func (s *sampler) sample() bool {
-	if len(s.cols[0]) >= s.opts.MaxSamples {
+	if len(s.cols[0]) >= maxSamples {
 		s.truncated = true
 		return false
 	}

@@ -136,7 +136,7 @@ func (p *StreamProbe) Finish(now sim.Time) {
 // virtual time i·Tick; the last point holds the drained final state.
 type StreamMetrics struct {
 	// Tick is the curve sampling interval; End the run's final virtual
-	// time; Truncated that the run outlived MaxSamples·Tick.
+	// time; Truncated that the run outlived 4096 ticks.
 	Tick      time.Duration
 	End       time.Duration
 	Truncated bool

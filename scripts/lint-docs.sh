@@ -175,9 +175,11 @@ done
 # the opening it shared with Campaign (engine_compare.go,
 # validateCampaigns), the two options that said what WithSeed and
 # RunMany say (WithRNG, WithRuns), the examples/ programs (Example
-# functions with checked output replaced them) and simnet's per-node
+# functions with checked output replaced them), simnet's per-node
 # Network.Register (the pattern asks for the parenthesis to spare
-# RegisterAll and RegisterHandler) are deleted;
+# RegisterAll and RegisterHandler), the environment variable the cmd/
+# tests re-executed their binary with (they drive run in-process) and the
+# probe's series cap option (a constant now) are deleted;
 # README and ARCHITECTURE must not describe them as if they existed. Where
 # a surviving identifier contains the name (EstimateReliabilityCtx,
 # ExecuteOnNetworkArena, drawMaskInto, ZoneLatency.Zones, ...) the pattern
@@ -241,6 +243,8 @@ for gone in \
     "WithRNG" \
     "WithRuns" \
     "examples/" \
+    "GOSSIPKIT_MAIN_ARGS" \
+    "MaxSamples" \
     "\.Register\("; do
     if hits=$(grep -nE "$gone" README.md ARCHITECTURE.md); then
         echo "docs-lint: README/ARCHITECTURE mention the deleted '$gone':" >&2
