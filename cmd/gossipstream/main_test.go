@@ -53,6 +53,7 @@ func TestHostileLatencyRejected(t *testing.T) {
 func TestBadFlagsFailBeforeOutput(t *testing.T) {
 	for _, args := range []string{
 		"-rate 100 -buffer -1",
+		"-rate 100 -buffer 1152921504606846976", // 2⁶⁰: n·capacity used to wrap
 		"-rate 100 -loss 7",
 		"-rate 100 -runs 0",
 		"-rates 100,400 -q 2",

@@ -337,6 +337,9 @@ func execute(ctx context.Context, spec Engine, o *runOptions) (*Outcome, error) 
 	if err := spec.validate(o); err != nil {
 		return nil, err
 	}
+	if o.probe != nil && o.probe.TraceCapacity > maxTraceCapacity {
+		return nil, fmt.Errorf("%w: probe trace capacity %d exceeds %d events", ErrInvalidParams, o.probe.TraceCapacity, maxTraceCapacity)
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, canceled(err, 0)
 	}

@@ -86,10 +86,9 @@ func (o *runOptions) newDESState() desState {
 }
 
 // shardOptions resolves WithShards and WithShardProgress for the
-// executors: one shard when WithShards is absent (never 0, which the
-// executors read as GOMAXPROCS).
+// executors; an absent WithShards is 0, which core reads as one shard.
 func (o *runOptions) shardOptions() core.ShardOptions {
-	opts := core.ShardOptions{Shards: max(o.shards, 1)}
+	opts := core.ShardOptions{Shards: o.shards}
 	if fn := o.shardProgress; fn != nil {
 		opts.Progress = func(events uint64, now sim.Time) { fn(events, now.Duration()) }
 	}

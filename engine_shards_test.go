@@ -80,9 +80,9 @@ func TestWithShardProgress(t *testing.T) {
 // TestDefaultIsOneShard pins that every way of not asking for shards means
 // one shard: WithShards absent, WithShards(1), and ScenarioRunConfig.Shards
 // 0 and 1 give byte-equal reports on the Network, Stream and Campaign
-// engines. GOMAXPROCS is raised to 4 so that a zero leaking through to
-// core.EffectiveShards (which reads it as "one shard per core") would run
-// on four shards and move every report — as the explicit four-shard run
+// engines. GOMAXPROCS is raised to 4 so that a zero read as "one shard
+// per core" anywhere below the facade would run on four shards and move
+// every report — as the explicit four-shard run
 // of each engine shows. On the Campaign engine WithShards(4) and
 // Config.Shards: 4 are the same request; asking for both with different
 // counts is an error.

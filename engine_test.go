@@ -268,6 +268,43 @@ func TestGroupSizeBeyondNodeIDs(t *testing.T) {
 	}
 }
 
+// TestSizesThatExhaustMemory: a probe ring, a success-protocol t or a
+// stream buffer sized past its stated ceiling is ErrInvalidParams, found
+// before the cancellation check; each used to kill the process (out of
+// memory, or a makeslice panic on a stream worker). A size at the ceiling
+// is well-formed (ErrCanceled here). Like TestGroupSizeBeyondNodeIDs,
+// these specs never run live.
+func TestSizesThatExhaustMemory(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	p := Params{N: 100, Fanout: Poisson(4), AliveRatio: 1}
+	stream := func(capacity int) Stream {
+		return Stream{Config: StreamConfig{N: 100, Rate: 100, Duration: 100 * time.Millisecond,
+			Fanout: Poisson(3), BufferCap: capacity}}
+	}
+	success := func(executions int) Success {
+		return Success{Params: SuccessParams{Params: p, Executions: executions, Simulations: 1}}
+	}
+	ring := func(capacity int) []Option { return []Option{WithProbe(ProbeOptions{TraceCapacity: capacity})} }
+	for _, c := range []struct {
+		name string
+		spec Engine
+		opts []Option
+		want error
+	}{
+		{"ring of 2⁴⁰ events", Network{Params: p}, ring(1 << 40), ErrInvalidParams},
+		{"ring at the ceiling", Network{Params: p}, ring(maxTraceCapacity), ErrCanceled},
+		{"2⁴⁰ executions", success(1 << 40), nil, ErrInvalidParams},
+		{"2¹⁶ executions", success(1 << 16), nil, ErrCanceled},
+		{"2⁶⁰-rumor buffers", stream(1 << 60), nil, ErrInvalidParams},
+		{"buffers at the ceiling", stream(math.MaxInt32 / 100), nil, ErrCanceled},
+	} {
+		if _, err := Run(ctx, c.spec, c.opts...); !errors.Is(err, c.want) {
+			t.Errorf("%s: err %v, want %v", c.name, err, c.want)
+		}
+	}
+}
+
 // TestInvalidParamsSentinel: every engine wraps validation failures so
 // errors.Is(err, ErrInvalidParams) holds, with the internal message kept.
 func TestInvalidParamsSentinel(t *testing.T) {

@@ -272,8 +272,8 @@ func WANLatency(n, zones int, local, step time.Duration) simnet.LatencyModel {
 	return topology.NewZoneLatency(n, zones, local, step)
 }
 
-// NetConfig configures the simulated network substrate for
-// ExecuteOnNetwork.
+// NetConfig configures the simulated network substrate of the
+// discrete-event engines: its latency and loss models.
 type NetConfig = simnet.Config
 
 // NetResult is a network-backed execution outcome.

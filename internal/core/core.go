@@ -45,9 +45,6 @@ type Params struct {
 	AliveRatio float64
 	// Source is the member that initiates gossiping; it never fails.
 	Source int
-	// Timing is when failed members crash (before or after receiving);
-	// the two are observationally equivalent for the spread.
-	Timing failure.Timing
 	// MaskKind selects the alive-set sampler; default ExactCount.
 	MaskKind MaskKind
 	// View is the membership view targets are drawn from; nil means a
@@ -71,11 +68,6 @@ func (p Params) Validate() error {
 	}
 	if p.View != nil && p.View.N() != p.N {
 		return fmt.Errorf("core: view size %d != group size %d", p.View.N(), p.N)
-	}
-	switch p.Timing {
-	case failure.BeforeReceive, failure.AfterReceive:
-	default:
-		return fmt.Errorf("core: unknown crash timing %v", p.Timing)
 	}
 	switch p.MaskKind {
 	case ExactCount, Bernoulli:
@@ -168,10 +160,8 @@ func (e *executor) execute(r *xrand.RNG) Result {
 
 // run is the heart of the reproduction: a queue-based simulation of the
 // spread. Members are processed in BFS order; each alive member, on first
-// receipt, draws a fanout and forwards. Failed members absorb messages
-// without forwarding — under BeforeReceive they are counted as never
-// receiving, under AfterReceive as receiving once; neither affects the set
-// of alive members reached, which the tests verify.
+// receipt, draws a fanout and forwards. A message to a failed member counts
+// in WastedOnFailed and is skipped, as in the DES executor.
 //
 // After run returns, e.delivered() lists the alive members that received m
 // (including the source), valid until the next run.
@@ -197,18 +187,6 @@ func (e *executor) run(mask *failure.Mask, r *xrand.RNG) Result {
 		for _, v := range e.targets {
 			if !mask.Alive(v) {
 				res.WastedOnFailed++
-				if p.Timing == failure.BeforeReceive {
-					continue // crashed before it could receive
-				}
-				// AfterReceive: the failed member absorbs the
-				// message (first receipt only) but never
-				// forwards.
-				if !e.received[v] {
-					e.received[v] = true
-					e.depth[v] = e.depth[u] + 1
-				} else {
-					res.Duplicates++
-				}
 				continue
 			}
 			if e.received[v] {

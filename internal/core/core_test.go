@@ -37,7 +37,6 @@ func TestParamsValidate(t *testing.T) {
 		{"NaN q", func(p *Params) { p.AliveRatio = math.NaN() }},
 		{"bad source", func(p *Params) { p.Source = 100 }},
 		{"negative source", func(p *Params) { p.Source = -1 }},
-		{"bad timing", func(p *Params) { p.Timing = failure.Timing(9) }},
 		{"bad mask kind", func(p *Params) { p.MaskKind = MaskKind(9) }},
 		{"view mismatch", func(p *Params) { p.View = membership.NewFullView(7) }},
 	}
@@ -215,21 +214,6 @@ func TestFixedFanoutMatchesForwardSpreadNotUndirectedModel(t *testing.T) {
 	}
 	if math.Abs(est.Mean-undirected) < 0.02 {
 		t.Errorf("measured %.4f should differ from undirected model %.4f", est.Mean, undirected)
-	}
-}
-
-func TestTimingEquivalence(t *testing.T) {
-	// Paper §4.1: crash-before-receive and crash-after-receive are
-	// treated the same; the delivered sets must be identical run by run.
-	for seed := uint64(0); seed < 25; seed++ {
-		p := poissonParams(300, 4, 0.7)
-		same, err := TimingEquivalent(p, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !same {
-			t.Fatalf("timings diverged at seed %d", seed)
-		}
 	}
 }
 

@@ -12,9 +12,10 @@
 //	  member i selects f_i nodes uniformly at random from its membership view
 //	  member i sends the message m to the selected f_i nodes
 //
-// Failed members follow the fail-stop model: they never forward, whether
-// they crashed before receiving or after receiving but before forwarding
-// (failure.Timing); the source never fails.
+// Failed members follow the fail-stop model: they never forward, and the
+// paper treats a crash before receiving and one after receiving but before
+// forwarding as the same case, so a failed member counts as never
+// receiving; the source never fails.
 //
 // Two executors are provided. ExecuteOnce runs the spread as an untimed BFS
 // (the paper's own setting). ExecuteOnNetworkSharded runs it as a

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"gossipkit/internal/dist"
-	"gossipkit/internal/failure"
 	"gossipkit/internal/xrand"
 )
 
@@ -35,9 +34,6 @@ func randomParams(a, b, c, d uint16) Params {
 		Fanout:     fan,
 		AliveRatio: q,
 		Source:     int(d) % n,
-	}
-	if d%2 == 1 {
-		p.Timing = failure.AfterReceive
 	}
 	if d%4 >= 2 {
 		p.MaskKind = Bernoulli

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"gossipkit/internal/bitset"
@@ -32,10 +31,9 @@ var ErrOpenLedger = errors.New("core: run drained with an open ledger")
 
 // ShardOptions parameterizes a sharded network execution.
 type ShardOptions struct {
-	// Shards is the shard-kernel count; values below 1 mean
-	// runtime.GOMAXPROCS(0). The run itself falls back to one shard when
-	// the latency model has no positive floor (no lookahead — see
-	// simnet.LatencyFloorer) or a shared Config.Tracer is installed.
+	// Shards is the shard-kernel count; values below 1 mean one shard.
+	// The run itself falls back to one shard when the latency model has
+	// no positive floor (no lookahead — see simnet.LatencyFloorer).
 	Shards int
 	// Progress, if non-nil, observes every window barrier with the
 	// barrier's virtual time and the total kernel events fired so far —
@@ -45,19 +43,15 @@ type ShardOptions struct {
 }
 
 // EffectiveShards resolves the shard count NetArena.Begin uses for a run
-// of n members over cfg: GOMAXPROCS for requests below 1, reduced to the
-// number of member blocks that many shards actually fill
-// (simnet.ShardBlocks — at most n), and 1 whenever the configuration
-// cannot shard (no positive latency floor, or a shared tracer).
+// of n members over cfg: the requested count reduced to the number of
+// member blocks that many shards actually fill (simnet.ShardBlocks — at
+// most n), and 1 for requests below 2 or whenever the latency model has
+// no positive floor.
 func EffectiveShards(requested, n int, cfg simnet.Config) int {
-	s := requested
-	if s < 1 {
-		s = runtime.GOMAXPROCS(0)
-	}
-	if n < 1 || cfg.Tracer != nil || latencyFloor(cfg.Latency) <= 0 {
+	if requested < 2 || n < 1 || latencyFloor(cfg.Latency) <= 0 {
 		return 1
 	}
-	_, s = simnet.ShardBlocks(n, s)
+	_, s := simnet.ShardBlocks(n, requested)
 	return s
 }
 

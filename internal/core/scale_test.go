@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"gossipkit/internal/dist"
-	"gossipkit/internal/failure"
 	"gossipkit/internal/membership"
 	"gossipkit/internal/obs"
 	"gossipkit/internal/simnet"
@@ -141,48 +140,6 @@ func TestNetArenaPoolsFailureMask(t *testing.T) {
 		})
 		if allocs > 64 {
 			t.Errorf("%v: warm arena run makes %.0f allocations; mask pooling is broken", kind, allocs)
-		}
-	}
-}
-
-// TimingEquivalent reruns p under both crash timings with identical
-// randomness and reports whether the delivered sets match. It backs the
-// paper's claim that the two failure cases "are treated the same".
-func TimingEquivalent(p Params, seed uint64) (bool, error) {
-	if err := p.Validate(); err != nil {
-		return false, err
-	}
-	run := func(tm failure.Timing) []int32 {
-		pp := p
-		pp.Timing = tm
-		ex := newExecutor(pp)
-		ex.execute(xrand.New(seed))
-		return ex.delivered()
-	}
-	a, b := run(failure.BeforeReceive), run(failure.AfterReceive)
-	if len(a) != len(b) {
-		return false, nil
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// TestTimingEquivalentAtScale exercises the paper's "the two failure cases
-// are treated the same" claim at n=10⁴, two decades past the n=100..1000
-// unit tests.
-func TestTimingEquivalentAtScale(t *testing.T) {
-	p := Params{N: 10_000, Fanout: dist.NewPoisson(5), AliveRatio: 0.85}
-	for seed := uint64(1); seed <= 3; seed++ {
-		same, err := TimingEquivalent(p, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !same {
-			t.Errorf("seed %d: BeforeReceive and AfterReceive spreads diverge at n=10⁴", seed)
 		}
 	}
 }

@@ -69,7 +69,7 @@ type shardState struct {
 //     so results agree in distribution (the tests pin mean reliability
 //     across shard counts).
 //
-// opts.Shards below 1 auto-selects GOMAXPROCS; see EffectiveShards for the
+// opts.Shards below 1 means one shard; see EffectiveShards for the
 // configurations that run on fewer shards than asked.
 func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, inject func(*NetRun), arena *NetArena, probe *obs.Probe, opts ShardOptions) (NetResult, error) {
 	if err := p.Validate(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -324,6 +325,8 @@ func TestShardedProgressObserved(t *testing.T) {
 }
 
 func TestEffectiveShards(t *testing.T) {
+	// A request below 1 is one shard whatever GOMAXPROCS is.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	floored := shardedTestConfig()
 	cases := []struct {
 		name      string
@@ -337,20 +340,14 @@ func TestEffectiveShards(t *testing.T) {
 		{"noEmptyTrailingShard", 4, 5, floored, 3}, // blocks of 2: [0,2) [2,4) [4,5)
 		{"noFloorFallsBack", 4, 100, simnet.Config{}, 1},
 		{"zeroLatencyFallsBack", 4, 100, simnet.Config{Latency: simnet.ConstantLatency{}}, 1},
-		{"tracerFallsBack", 4, 100, simnet.Config{
-			Latency: simnet.ConstantLatency{D: time.Millisecond},
-			Tracer:  func(simnet.Event) {},
-		}, 1},
 		{"one", 1, 100, simnet.Config{}, 1},
+		{"zeroIsOne", 0, 1 << 20, floored, 1},
+		{"negativeIsOne", -3, 100, floored, 1},
 	}
 	for _, c := range cases {
 		if got := EffectiveShards(c.requested, c.n, c.cfg); got != c.want {
 			t.Errorf("%s: EffectiveShards(%d, %d) = %d, want %d", c.name, c.requested, c.n, got, c.want)
 		}
-	}
-	// requested<1 auto-selects GOMAXPROCS (clamped); just pin it's sane.
-	if got := EffectiveShards(0, 1<<20, floored); got < 1 {
-		t.Errorf("auto shard count %d < 1", got)
 	}
 }
 

@@ -15,7 +15,8 @@ import (
 // (paper §4.2(2) and §5.2).
 type SuccessParams struct {
 	Params
-	// Executions is t, the number of repetitions (the paper uses 20).
+	// Executions is t, the number of repetitions (the paper uses 20), at
+	// most 2¹⁶ (maxExecutions).
 	Executions int
 	// Simulations is the number of independent simulations, each with
 	// its own failure mask (the paper uses 100).
@@ -28,13 +29,18 @@ type SuccessParams struct {
 	ResampleMask bool
 }
 
+// maxExecutions bounds t. The outcome and every simulation allocate a
+// receipt histogram of t + 1 bins, so an unbounded t is an out-of-memory
+// crash before the first execution; 2¹⁶ is 3,277 times the paper's t.
+const maxExecutions = 1 << 16
+
 // Validate checks the parameters.
 func (p SuccessParams) Validate() error {
 	if err := p.Params.Validate(); err != nil {
 		return err
 	}
-	if p.Executions < 1 {
-		return fmt.Errorf("core: executions %d < 1", p.Executions)
+	if p.Executions < 1 || p.Executions > maxExecutions {
+		return fmt.Errorf("core: executions %d outside [1, %d]", p.Executions, maxExecutions)
 	}
 	if p.Simulations < 1 {
 		return fmt.Errorf("core: simulations %d < 1", p.Simulations)

@@ -1,8 +1,7 @@
 // Package failure implements the paper's fail-stop failure model: a member
 // either works correctly for the whole execution or has crashed (before
 // receiving the message, or after receiving it but before forwarding — the
-// paper treats the two cases identically, and core's tests verify that the
-// spread is indeed the same).
+// paper treats the two cases identically, so the simulators model one).
 //
 // The central object is the Mask: which members are alive for one execution.
 // Two generators are provided, matching two readings of the paper's
@@ -24,30 +23,6 @@ import (
 	"gossipkit/internal/bitset"
 	"gossipkit/internal/xrand"
 )
-
-// Timing says when a failed member crashes relative to the message.
-// The paper's two cases; they are observationally equivalent for the
-// spread because a failed member never forwards either way.
-type Timing int
-
-const (
-	// BeforeReceive crashes the member before it can receive anything.
-	BeforeReceive Timing = iota
-	// AfterReceive crashes the member after it receives the message but
-	// before it forwards (it absorbs one delivery).
-	AfterReceive
-)
-
-func (t Timing) String() string {
-	switch t {
-	case BeforeReceive:
-		return "before-receive"
-	case AfterReceive:
-		return "after-receive"
-	default:
-		return fmt.Sprintf("Timing(%d)", int(t))
-	}
-}
 
 // Mask records which members are alive during one execution. The alive
 // flags are stored as a packed bitset (n/8 bytes, not n), and a Mask can be

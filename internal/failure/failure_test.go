@@ -192,15 +192,6 @@ func TestValidationPanics(t *testing.T) {
 	}
 }
 
-func TestTimingString(t *testing.T) {
-	if BeforeReceive.String() != "before-receive" || AfterReceive.String() != "after-receive" {
-		t.Error("Timing strings wrong")
-	}
-	if Timing(9).String() != "Timing(9)" {
-		t.Error("unknown timing string wrong")
-	}
-}
-
 func BenchmarkExactMask5000(b *testing.B) {
 	r := xrand.New(1)
 	b.ReportAllocs()

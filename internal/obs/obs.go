@@ -45,10 +45,10 @@ func New(opts Options) *Probe {
 // tracer seam drives curve sampling and ring recording), n the group
 // size, and delivered a pointer to the run's delivered-member counter —
 // the exact π(t) source, so curves agree with the run's own bookkeeping
-// including out-of-band publishes. Any tracer already installed on net
-// (e.g. Config.Tracer) keeps seeing every event: the probe chains it,
-// at full-tracer cost. Attach resets all pooled state; call it after the
-// arena lease and before the first event.
+// including out-of-band publishes. The ring (Options.TraceCapacity) is
+// the one way to see a run's raw events, and each probe has its own.
+// Attach resets all pooled state; call it after the arena lease and
+// before the first event.
 func (p *Probe) Attach(net *simnet.Network, n int, delivered *int) {
 	if p == nil {
 		return

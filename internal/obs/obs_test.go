@@ -181,23 +181,6 @@ func TestProbeReuseAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestProbeChainsExistingTracer(t *testing.T) {
-	p := New(Options{})
-	k := sim.New()
-	seen := 0
-	nw := simnet.New(k, 2, xrand.New(1), simnet.Config{Tracer: func(simnet.Event) { seen++ }})
-	delivered := 0
-	p.Attach(nw, 2, &delivered)
-	nw.RegisterAll(func(sim.Time, simnet.Message) { delivered++ })
-	nw.Send(0, 1, nil)
-	if err := k.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if seen != 2 { // sent + delivered still reach the original tracer
-		t.Errorf("chained tracer saw %d events", seen)
-	}
-}
-
 func TestMergedPadding(t *testing.T) {
 	var g Merged
 	// Run A: 3 samples ending at 5; run B: 5 samples ending at 9.

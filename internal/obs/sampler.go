@@ -39,7 +39,10 @@ type Options struct {
 	// preallocated ring of that many slots (oldest overwritten first) and
 	// switches the run to a full tracer so per-message send times are
 	// exact. Zero or negative disables ring tracing; StreamProbe ignores
-	// it.
+	// it. Each probe (one per worker, plus one per extra shard) allocates
+	// its own ring of 48-byte events, so the facade rejects a capacity
+	// above 2²⁰ (48 MiB per ring) as invalid rather than let it exhaust
+	// memory.
 	TraceCapacity int
 }
 
@@ -61,7 +64,6 @@ type sampler struct {
 	front gauge
 
 	net  *simnet.Network
-	prev simnet.Tracer
 	ring *Ring // flight recorder; nil unless the front end asked for one
 
 	next      sim.Time
@@ -92,8 +94,7 @@ func (s *sampler) init(opts Options, front gauge, width int) {
 }
 
 // attach binds the sampler to a fresh run on net, resetting all pooled
-// state. Any tracer already installed on net (e.g. Config.Tracer) keeps
-// seeing every event: the sampler chains it, at full-tracer cost.
+// state, and installs its tracer on net.
 func (s *sampler) attach(net *simnet.Network) {
 	s.net = net
 	s.next, s.truncated, s.end = 0, false, 0
@@ -106,11 +107,9 @@ func (s *sampler) attach(net *simnet.Network) {
 	if s.ring != nil {
 		s.ring.Reset()
 	}
-	s.prev = net.Tracer()
 	switch {
-	case s.ring != nil || s.prev != nil:
-		// Exact send times (ring) or a chained caller tracer need the
-		// full tracer, at slot-allocation cost.
+	case s.ring != nil:
+		// Exact send times need the full tracer, at slot-allocation cost.
 		net.SetTracer(s.observe)
 	case s.tick > 0:
 		// Curves only need kinds and times: the lite tracer keeps the
@@ -121,9 +120,9 @@ func (s *sampler) attach(net *simnet.Network) {
 
 // observe is the sampler's tracer: it advances the tick clock to the
 // event's time (filling every elapsed tick bin with the pre-event state),
-// counts the event, and feeds the ring and any chained tracer. Event
-// times arrive in nondecreasing order (the tracer runs on the kernel
-// goroutine at kernel-now), so sampling is single-pass.
+// counts the event, and feeds the ring. Event times arrive in
+// nondecreasing order (the tracer runs on the kernel goroutine at
+// kernel-now), so sampling is single-pass.
 func (s *sampler) observe(e simnet.Event) {
 	s.advanceTo(e.At)
 	if int(e.Kind) < kindCount {
@@ -131,9 +130,6 @@ func (s *sampler) observe(e simnet.Event) {
 	}
 	if s.ring != nil {
 		s.ring.push(e)
-	}
-	if s.prev != nil {
-		s.prev(e)
 	}
 }
 

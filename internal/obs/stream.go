@@ -51,9 +51,8 @@ func NewStream(opts Options) *StreamProbe {
 // network (its tracer seam drives tick sampling and the sent/dropped
 // curves), occupancy the executor's buffered-copies gauge for this
 // probe's member block, and active the global active-message gauge (nil
-// when this probe's shard does not maintain it). Any tracer already on
-// net keeps seeing every event — the probe chains it, at full-tracer
-// cost; otherwise the lite tracer keeps the slot-free send path. Attach
+// when this probe's shard does not maintain it). The probe samples
+// through the lite tracer, which keeps the slot-free send path. Attach
 // resets all pooled state.
 func (p *StreamProbe) Attach(net *simnet.Network, occupancy, active *int64) {
 	if p == nil {

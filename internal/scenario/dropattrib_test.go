@@ -11,8 +11,25 @@ import (
 	"gossipkit/internal/topology"
 )
 
+// traceRing is the probes' ring capacity here: large enough that no event
+// of either campaign is overwritten (the tests assert TraceDropped == 0).
+const traceRing = 1 << 16
+
+// traceKinds counts a probed run's ring events kind by kind.
+func traceKinds(t *testing.T, m *obs.Metrics) map[simnet.EventKind]int64 {
+	t.Helper()
+	if m.TraceDropped != 0 {
+		t.Fatalf("ring overwrote %d events; raise traceRing", m.TraceDropped)
+	}
+	counts := map[simnet.EventKind]int64{}
+	for _, e := range m.Trace {
+		counts[e.Kind]++
+	}
+	return counts
+}
+
 // TestDropAttributionReconciles: under a partition-heal campaign with a
-// mid-spread crash wave, every drop the tracer attributes — partition vs
+// mid-spread crash wave, every drop the probe's ring attributes — partition vs
 // crash-at-delivery vs down-sender discard — reconciles exactly with the
 // network's Stats counters, and the probed Totals snapshot agrees with
 // both. This is the attribution seam the telemetry exporters rely on:
@@ -28,13 +45,10 @@ func TestDropAttributionReconciles(t *testing.T) {
 		At(ms(60), Heal()).
 		At(ms(65), Regossip(8))
 
-	counts := map[simnet.EventKind]int64{}
-	probe := obs.New(obs.Options{})
 	cfg := RunConfig{
 		Params:            core.Params{N: 400, Fanout: dist.NewPoisson(5), AliveRatio: 1},
 		PartialViewCopies: 2,
-		Net:               simnet.Config{Tracer: func(e simnet.Event) { counts[e.Kind]++ }},
-		Probe:             probe,
+		Probe:             obs.New(obs.Options{TraceCapacity: traceRing}),
 	}
 	rep, err := Run(s, cfg, 2008)
 	if err != nil {
@@ -44,6 +58,7 @@ func TestDropAttributionReconciles(t *testing.T) {
 		t.Fatal("probed run has no metrics")
 	}
 	st := rep.Metrics.Totals
+	counts := traceKinds(t, rep.Metrics)
 
 	// The campaign must actually exercise all three attribution paths.
 	if st.DroppedPart == 0 {
@@ -53,9 +68,9 @@ func TestDropAttributionReconciles(t *testing.T) {
 		t.Error("no crash drops — the crash wave missed in-flight messages")
 	}
 
-	// Tracer attribution == Stats counters, kind for kind. The probe
-	// chains the test's tracer (both observe every event), so its Totals
-	// snapshot is the same Stats the network reports at quiescence.
+	// Ring attribution == Stats counters, kind for kind. The ring and the
+	// Totals snapshot come from one probe, and Totals is the same Stats
+	// the network reports at quiescence.
 	want := map[simnet.EventKind]int64{
 		simnet.EventSent:             st.Sent,
 		simnet.EventDelivered:        st.Delivered,
@@ -66,7 +81,7 @@ func TestDropAttributionReconciles(t *testing.T) {
 	}
 	for kind, w := range want {
 		if counts[kind] != w {
-			t.Errorf("%s: tracer saw %d, stats say %d", kind, counts[kind], w)
+			t.Errorf("%s: ring saw %d, stats say %d", kind, counts[kind], w)
 		}
 	}
 
@@ -87,7 +102,7 @@ func TestDropAttributionReconciles(t *testing.T) {
 // on a clustered WAN overlay under a zone-failure campaign: an entire zone
 // crashes mid-spread (so inter-zone bridge traffic dies in flight on the
 // high-latency arcs ZoneLatency stretches out), part of it restarts, and a
-// flash crowd republishes into the damage. Tracer counts, Stats, and the
+// flash crowd republishes into the damage. Ring counts, Stats, and the
 // probe's Totals must agree kind for kind, and Sent − Delivered − drops
 // must be zero at quiescence — drop attribution owes nothing to the
 // uniform full-view assumption.
@@ -99,8 +114,6 @@ func TestDropAttributionReconcilesOnWANTopology(t *testing.T) {
 		At(ms(30), RestartFraction(0.5)).
 		At(ms(35), FlashCrowd(5))
 
-	counts := map[simnet.EventKind]int64{}
-	probe := obs.New(obs.Options{})
 	topo, err := topology.Parse("wan:4:5")
 	if err != nil {
 		t.Fatal(err)
@@ -108,8 +121,7 @@ func TestDropAttributionReconcilesOnWANTopology(t *testing.T) {
 	cfg := RunConfig{
 		Params:   core.Params{N: 400, Fanout: dist.NewPoisson(5), AliveRatio: 1},
 		Topology: topo,
-		Net:      simnet.Config{Tracer: func(e simnet.Event) { counts[e.Kind]++ }},
-		Probe:    probe,
+		Probe:    obs.New(obs.Options{TraceCapacity: traceRing}),
 	}
 	rep, err := Run(s, cfg, 2008)
 	if err != nil {
@@ -119,6 +131,7 @@ func TestDropAttributionReconcilesOnWANTopology(t *testing.T) {
 		t.Fatal("probed run has no metrics")
 	}
 	st := rep.Metrics.Totals
+	counts := traceKinds(t, rep.Metrics)
 
 	// The zone crash must catch bridge traffic in flight: WAN inter-zone
 	// latency is tens of milliseconds, so messages into the dying zone
@@ -140,7 +153,7 @@ func TestDropAttributionReconcilesOnWANTopology(t *testing.T) {
 	}
 	for kind, w := range want {
 		if counts[kind] != w {
-			t.Errorf("%s: tracer saw %d, stats say %d", kind, counts[kind], w)
+			t.Errorf("%s: ring saw %d, stats say %d", kind, counts[kind], w)
 		}
 	}
 	if got := st.Sent - st.Delivered - st.DroppedLoss - st.DroppedCrash - st.DroppedPart; got != 0 {

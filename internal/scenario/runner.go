@@ -223,9 +223,8 @@ func ExecutePaper(cfg RunConfig, r *xrand.RNG, inject func(*core.NetRun), arena 
 	if cfg.PartialViewCopies > 0 && p.View == nil {
 		p.View = membership.NewPartialViews(p.N, cfg.PartialViewCopies, r.Split(0x71e75))
 	}
-	// Shards 0 is the default of one shard, not core's "GOMAXPROCS" zero.
 	return core.ExecuteOnNetworkSharded(p, cfg.Net, r, inject, arena, cfg.Probe,
-		core.ShardOptions{Shards: max(cfg.Shards, 1)})
+		core.ShardOptions{Shards: cfg.Shards})
 }
 
 // RunReport is the outcome of one scenario execution.

@@ -71,8 +71,8 @@ func TestShardedScenarioMatrix(t *testing.T) {
 // holds, for every bundled campaign, the JSON RunReport and a digest of
 // the probe metrics that the parent commit's single-kernel path produced;
 // Shards 0 (the default) and 1 must both reproduce it, with GOMAXPROCS
-// raised so a zero leaking through to core.EffectiveShards would shard the
-// run. The committed file must stay the parent's — regenerating it with
+// raised so a zero read as "one shard per core" anywhere on the way to
+// core.EffectiveShards would shard the run. The committed file must stay the parent's — regenerating it with
 // -update on a later commit defeats the test. Fixed Shards>1 is pinned to
 // be seed-deterministic under a campaign.
 func TestShardedScenarioOneShardMatchesDefault(t *testing.T) {

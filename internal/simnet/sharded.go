@@ -71,16 +71,11 @@ func ShardBlocks(n, shards int) (block, used int) {
 // models so shards never share mutable model state. Call once per run,
 // before the per-shard ResetShard calls. shards must be a count
 // ShardBlocks(n, ·) returns as used — every shard owns at least one
-// member. cfg.Tracer must be nil when shards > 1: a single tracer
-// callback cannot observe concurrent shards (probes attach their own
-// per-shard tracers instead).
+// member.
 func (sn *ShardedNet) Prepare(shards, n int, cfg Config) {
 	block, used := ShardBlocks(n, shards)
 	if used != shards {
 		panic(fmt.Sprintf("simnet: %d members fill only %d of %d shards", n, used, shards))
-	}
-	if cfg.Tracer != nil && shards > 1 {
-		panic("simnet: a shared Config.Tracer cannot observe a sharded run")
 	}
 	sn.n = n
 	sn.shards = shards

@@ -275,8 +275,6 @@ func (s Stats) InFlight() int64 {
 type Config struct {
 	Latency LatencyModel
 	Loss    LossModel
-	// Tracer, if non-nil, observes every network event synchronously.
-	Tracer Tracer
 }
 
 // RoundInterval resolves the gossip round tick of a round-driven front end
@@ -388,10 +386,10 @@ func New(kernel *sim.Kernel, n int, rng *xrand.RNG, cfg Config) *Network {
 }
 
 // Reset reinitializes the network in place for a fresh run: all nodes up,
-// counters zeroed, handlers and partition cleared, models taken from cfg.
-// Pooled buffers (up flags, payload slots) are retained when the node count
-// allows, so a run-scoped arena can recycle one network across many
-// executions. The kernel must be freshly created or Reset: the network
+// counters zeroed, handlers, partition and tracer cleared, models taken
+// from cfg. Pooled buffers (up flags, payload slots) are retained when the
+// node count allows, so a run-scoped arena can recycle one network across
+// many executions. The kernel must be freshly created or Reset: the network
 // registers its delivery handler on it.
 func (nw *Network) Reset(kernel *sim.Kernel, n int, rng *xrand.RNG, cfg Config) {
 	if n < 0 || n > math.MaxInt32 {
@@ -409,8 +407,7 @@ func (nw *Network) Reset(kernel *sim.Kernel, n int, rng *xrand.RNG, cfg Config) 
 	nw.allBatch = nil
 	nw.partition = nil
 	nw.stats = Stats{}
-	nw.tracer = cfg.Tracer
-	nw.traceFull = cfg.Tracer != nil
+	nw.tracer, nw.traceFull = nil, false
 	nw.route = nil
 	nw.routeBatch = nil
 	if nw.latency == nil {

@@ -59,8 +59,9 @@ type Event struct {
 	Entries int32
 }
 
-// Tracer consumes network events. Install with Config.Tracer or
-// Network.SetTracer; it runs synchronously on the kernel goroutine.
+// Tracer consumes network events. Install with Network.SetTracer or
+// SetTracerLite; it runs synchronously on the kernel goroutine. Reset
+// clears it, so a tracer observes one run on one network.
 type Tracer func(Event)
 
 // SetTracer installs (or clears, with nil) the event tracer. A full tracer
@@ -87,10 +88,6 @@ func (nw *Network) SetTracerLite(t Tracer) {
 	nw.tracer = t
 	nw.traceFull = false
 }
-
-// Tracer returns the currently installed tracer (nil when none), so a
-// probe can chain an existing tracer rather than displace it.
-func (nw *Network) Tracer() Tracer { return nw.tracer }
 
 func (nw *Network) trace(e Event) {
 	if nw.tracer != nil {

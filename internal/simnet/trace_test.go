@@ -11,10 +11,8 @@ import (
 func TestTracerSeesAllEventKinds(t *testing.T) {
 	k := sim.New()
 	counts := map[EventKind]int64{}
-	nw := New(k, 4, xrand.New(1), Config{
-		Latency: ConstantLatency{D: 5 * time.Millisecond},
-		Tracer:  func(e Event) { counts[e.Kind]++ },
-	})
+	nw := New(k, 4, xrand.New(1), Config{Latency: ConstantLatency{D: 5 * time.Millisecond}})
+	nw.SetTracer(func(e Event) { counts[e.Kind]++ })
 	nw.RegisterAll(func(sim.Time, Message) {})
 	// Delivered.
 	nw.Send(0, 1, "a")

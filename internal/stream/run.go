@@ -42,7 +42,7 @@ func RunProbed(cfg Config, netCfg simnet.Config, r *xrand.RNG,
 // (testdata/runprobed.golden pins the one-shard layout); different shard
 // counts share the publish schedule and failure mask and are
 // statistically pinned, because fanout and latency draws come from
-// per-shard streams. opts.Shards below 1 auto-selects GOMAXPROCS; see
+// per-shard streams. opts.Shards below 1 means one shard; see
 // core.EffectiveShards for the configurations that run on fewer shards
 // than asked.
 func RunSharded(cfg Config, netCfg simnet.Config, r *xrand.RNG,

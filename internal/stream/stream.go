@@ -159,7 +159,10 @@ type Config struct {
 	// protected, mirroring the single-rumor executors). Zero means 1.
 	AliveRatio float64
 	// BufferCap is the per-member rumor buffer capacity; zero defaults
-	// to 32.
+	// to 32. N·BufferCap may not exceed 2³¹ − 1: a worker keeps its
+	// members' buffers in one flat slice of 12-byte entries, and the
+	// event budget charges BufferCap·64 events per member and round, so
+	// an unbounded capacity overflows both.
 	BufferCap int
 	// Eviction selects the buffer eviction policy.
 	Eviction EvictionPolicy
@@ -236,8 +239,8 @@ func (c Config) normalize() (Config, error) {
 	if c.BufferCap == 0 {
 		c.BufferCap = 32
 	}
-	if c.BufferCap < 1 {
-		return c, fmt.Errorf("stream: buffer capacity %d < 1", c.BufferCap)
+	if c.BufferCap < 1 || c.BufferCap > math.MaxInt32/c.N {
+		return c, fmt.Errorf("stream: buffer capacity %d outside [1, %d] for %d members", c.BufferCap, math.MaxInt32/c.N, c.N)
 	}
 	if c.ActiveRounds == 0 {
 		c.ActiveRounds = 8

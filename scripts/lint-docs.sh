@@ -178,8 +178,11 @@ done
 # functions with checked output replaced them), simnet's per-node
 # Network.Register (the pattern asks for the parenthesis to spare
 # RegisterAll and RegisterHandler), the environment variable the cmd/
-# tests re-executed their binary with (they drive run in-process) and the
-# probe's series cap option (a constant now) are deleted;
+# tests re-executed their binary with (they drive run in-process), the
+# probe's series cap option (a constant now), the network-wide tracer
+# field (a probe's ring is the one raw-event path) and the crash-timing
+# setting with its two constants and test helper (one fail-stop case) are
+# deleted;
 # README and ARCHITECTURE must not describe them as if they existed. Where
 # a surviving identifier contains the name (EstimateReliabilityCtx,
 # ExecuteOnNetworkArena, drawMaskInto, ZoneLatency.Zones, ...) the pattern
@@ -245,7 +248,12 @@ for gone in \
     "examples/" \
     "GOSSIPKIT_MAIN_ARGS" \
     "MaxSamples" \
-    "\.Register\("; do
+    "\.Register\(" \
+    "Config\.Tracer" \
+    "BeforeReceive" \
+    "AfterReceive" \
+    "failure\.Timing" \
+    "TimingEquivalent"; do
     if hits=$(grep -nE "$gone" README.md ARCHITECTURE.md); then
         echo "docs-lint: README/ARCHITECTURE mention the deleted '$gone':" >&2
         echo "$hits" >&2

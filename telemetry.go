@@ -47,10 +47,14 @@ type NetTraceEvent = simnet.Event
 // each replication's Report carries its RunMetrics, and the Outcome
 // carries the MergedMetrics across replications. Sweeping engines pool
 // one probe per worker, so the per-run cost is re-Attach bookkeeping,
-// not allocation.
+// not allocation. A TraceCapacity above 2²⁰ events is ErrInvalidParams.
 func WithProbe(opts ProbeOptions) Option {
 	return func(o *runOptions) { o.probe = &opts }
 }
+
+// maxTraceCapacity bounds ProbeOptions.TraceCapacity: every probe
+// preallocates its ring, 48 B an event, so 2²⁰ events is 48 MiB a ring.
+const maxTraceCapacity = 1 << 20
 
 // WriteChromeTrace renders recorded events (RunMetrics.Trace) as Chrome
 // trace-event JSON — load the file at chrome://tracing or in Perfetto.

@@ -3,6 +3,7 @@ package gossipkit
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -82,18 +83,32 @@ func TestWithProbeWorkerCountInvariance(t *testing.T) {
 		return b.String()
 	}
 	t.Run("network", func(t *testing.T) {
+		// Each worker's probe has its own ring, the one raw-event path:
+		// run i's trace must not depend on which worker ran it.
 		var base string
+		var baseTraces [][]NetTraceEvent
 		for _, workers := range []int{1, 4} {
 			out, err := RunMany(context.Background(), probedNetworkSpec(), 6,
-				WithSeed(99), WithWorkers(workers), WithProbe(ProbeOptions{}))
+				WithSeed(99), WithWorkers(workers), WithProbe(ProbeOptions{TraceCapacity: 1 << 12}))
 			if err != nil {
 				t.Fatal(err)
 			}
 			csv := curveCSV(out.Metrics)
+			traces := make([][]NetTraceEvent, len(out.Reports))
+			for i, r := range out.Reports {
+				if traces[i] = r.Metrics.Trace; len(traces[i]) == 0 {
+					t.Fatalf("run %d recorded no trace", i)
+				}
+			}
 			if workers == 1 {
-				base = csv
-			} else if csv != base {
+				base, baseTraces = csv, traces
+				continue
+			}
+			if csv != base {
 				t.Fatalf("merged curves differ between 1 and %d workers", workers)
+			}
+			if !reflect.DeepEqual(traces, baseTraces) {
+				t.Fatalf("per-run traces differ between 1 and %d workers", workers)
 			}
 		}
 	})
