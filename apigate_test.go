@@ -98,9 +98,8 @@ func TestAPIGate(t *testing.T) {
 // gateAllow is the one list of exceptions to reachability: an import path
 // (the whole package) or path.Name, each with its reason.
 var gateAllow = map[string]string{
-	"gossipkit/internal/golden":                       "the digest helper the golden tests share; only _test.go files import it",
-	"gossipkit/internal/cli/clitest":                  "the in-process command runner and exit-contract check the cmd/ tests share; only _test.go files import it",
-	"gossipkit/internal/genfunc.ExpectedOneShotReach": "the n → ∞ one-shot reach, kept as the limit an exact finite-n witness is checked against",
+	"gossipkit/internal/golden":      "the digest helper the golden tests share; only _test.go files import it",
+	"gossipkit/internal/cli/clitest": "the in-process command runner and exit-contract check the cmd/ tests share; only _test.go files import it",
 }
 
 const gateUnreachable = "unreachable from every entry point"

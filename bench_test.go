@@ -73,7 +73,6 @@ func BenchmarkAblations(b *testing.B) {
 		"ablation-fanout-shape",
 		"ablation-critical-point",
 		"ablation-failure-mask",
-		"ablation-finite-size",
 		"ablation-partial-view",
 		"ablation-reach-vs-giant",
 		"ablation-message-loss",

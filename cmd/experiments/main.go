@@ -1,6 +1,9 @@
 // Command experiments regenerates every figure of the paper (Figs. 2–7)
 // plus the ablation and extension studies registered with them in
 // internal/experiment (-list prints every id), writing CSVs and ASCII charts.
+// Under each chart it prints the figure's claims, each with its verdict
+// (pass or FAIL), measured value ± SE, the model value and the tolerance.
+// A failed claim is a finding, not an error: the exit status stays 0.
 //
 // Usage:
 //

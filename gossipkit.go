@@ -409,7 +409,7 @@ func validateNet(net NetConfig) error {
 			return fmt.Errorf("%w: exponential latency floor %v, mean %v: neither may be negative", ErrInvalidParams, l.Floor, l.Mean)
 		}
 		// In float, so a huge Mean cannot wrap.
-		return checkHopLatency("exponential latency floor + 7·mean", float64(l.Floor)+7*float64(l.Mean))
+		return checkHopLatency("exponential latency floor + 7·mean", float64(l.Floor)+float64(7*float64(l.Mean)))
 	}
 	return nil
 }

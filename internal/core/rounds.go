@@ -82,7 +82,7 @@ func RecurrenceModel(n int, z, q float64, rounds int) ([]float64, error) {
 		// targets; a fixed susceptible member is missed by all of them
 		// with probability e^{−z·newly/n}.
 		hit := 1 - math.Exp(-z*newly/float64(n))
-		newly = susceptible * hit
+		newly = float64(susceptible * hit)
 		cum[t] = cum[t-1] + newly
 	}
 	return cum, nil

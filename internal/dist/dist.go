@@ -56,7 +56,7 @@ func PGF(d Distribution, x float64) float64 {
 	xe := 1.0
 	for k := 0; k < maxPGFTerms; k++ {
 		p := d.PMF(k)
-		sum += p * xe
+		sum += float64(p * xe)
 		mass += p
 		if mass > 1-1e-14 {
 			break
@@ -76,7 +76,7 @@ func PGFPrime(d Distribution, x float64) float64 {
 	for k := 0; k < maxPGFTerms; k++ {
 		p := d.PMF(k)
 		if k >= 1 {
-			sum += float64(k) * p * xe
+			sum += float64(float64(k) * p * xe)
 			xe *= x
 		}
 		mass += p
@@ -97,7 +97,7 @@ func PGFPrime2(d Distribution, x float64) float64 {
 	for k := 0; k < maxPGFTerms; k++ {
 		p := d.PMF(k)
 		if k >= 2 {
-			sum += float64(k) * float64(k-1) * p * xe
+			sum += float64(float64(k) * float64(k-1) * p * xe)
 			xe *= x
 		}
 		mass += p
@@ -145,7 +145,7 @@ func (p Poisson) PMF(k int) float64 {
 		return 0
 	}
 	lk, _ := math.Lgamma(float64(k) + 1)
-	return math.Exp(float64(k)*math.Log(p.z) - p.z - lk)
+	return math.Exp(float64(float64(k)*math.Log(p.z)) - p.z - lk)
 }
 
 // Sample implements Distribution: Knuth's product method below
@@ -190,8 +190,8 @@ func knuthPoisson(r *xrand.RNG, l float64) int {
 // generating Poisson random variables", 1993): exact, and O(1) expected
 // uniform pairs per draw at any mean.
 func ptrsPoisson(r *xrand.RNG, z float64) int {
-	b := 0.931 + 2.53*math.Sqrt(z)
-	a := -0.059 + 0.02483*b
+	b := 0.931 + float64(2.53*math.Sqrt(z))
+	a := -0.059 + float64(0.02483*b)
 	invAlpha := 1.1239 + 1.1328/(b-3.4)
 	vr := 0.9277 - 3.6224/(b-2)
 	logZ := math.Log(z)
@@ -199,7 +199,7 @@ func ptrsPoisson(r *xrand.RNG, z float64) int {
 		u := r.Float64() - 0.5
 		v := r.Float64()
 		us := 0.5 - math.Abs(u)
-		k := math.Floor((2*a/us+b)*u + z + 0.43)
+		k := math.Floor(float64((2*a/us+b)*u) + z + 0.43)
 		if us >= 0.07 && v <= vr {
 			return clampDraw(k)
 		}
@@ -207,7 +207,7 @@ func ptrsPoisson(r *xrand.RNG, z float64) int {
 			continue
 		}
 		lg, _ := math.Lgamma(k + 1)
-		if math.Log(v)+math.Log(invAlpha)-math.Log(a/(us*us)+b) <= -z+k*logZ-lg {
+		if math.Log(v)+math.Log(invAlpha)-math.Log(a/(us*us)+b) <= -z+float64(k*logZ)-lg {
 			return clampDraw(k)
 		}
 	}
@@ -315,17 +315,17 @@ func (g Geometric) Sample(r *xrand.RNG) int {
 }
 
 // PGFAt returns p / (1 − (1−p)x).
-func (g Geometric) PGFAt(x float64) float64 { return g.p / (1 - (1-g.p)*x) }
+func (g Geometric) PGFAt(x float64) float64 { return g.p / (1 - float64((1-g.p)*x)) }
 
 // PGFPrimeAt returns p(1−p) / (1 − (1−p)x)².
 func (g Geometric) PGFPrimeAt(x float64) float64 {
-	d := 1 - (1-g.p)*x
+	d := 1 - float64((1-g.p)*x)
 	return g.p * (1 - g.p) / (d * d)
 }
 
 // PGFPrime2At returns 2p(1−p)² / (1 − (1−p)x)³.
 func (g Geometric) PGFPrime2At(x float64) float64 {
-	d := 1 - (1-g.p)*x
+	d := 1 - float64((1-g.p)*x)
 	return 2 * g.p * (1 - g.p) * (1 - g.p) / (d * d * d)
 }
 

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 
 	"gossipkit/internal/core"
 	"gossipkit/internal/dist"
@@ -9,7 +10,6 @@ import (
 	"gossipkit/internal/membership"
 	"gossipkit/internal/numeric"
 	"gossipkit/internal/stats"
-	"gossipkit/internal/xrand"
 )
 
 // AblationFanoutShape (A1) probes the paper's generality claim: the
@@ -38,10 +38,10 @@ func AblationFanoutShape(cfg Config) (*Figure, error) {
 		nsw := Series{Name: d.Name() + " undirected model"}
 		fwd := Series{Name: d.Name() + " forward model"}
 		m := genfunc.New(d)
-		var maxNSWGap, maxFwdGap float64
+		var nswGap, fwdGap float64 // summed |sim − model| over the q sweep
 		for qi, q := range qs {
 			p := core.Params{N: 2000, Fanout: d, AliveRatio: q}
-			est, err := core.EstimateComponentReliabilityCtx(cfg.ctx(), p, runs, cfg.Seed^uint64(di*100+qi), 0, nil)
+			est, err := core.EstimateComponentReliabilityCtx(cfg.ctx(), p, runs, cfg.seed(f.ID, di, qi), 0, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -59,18 +59,15 @@ func AblationFanoutShape(cfg Config) (*Figure, error) {
 			nsw.Y = append(nsw.Y, u)
 			fwd.X = append(fwd.X, q)
 			fwd.Y = append(fwd.Y, fr)
-			if g := abs(est.Mean - u); g > maxNSWGap {
-				maxNSWGap = g
-			}
-			if g := abs(est.Mean - fr); g > maxFwdGap {
-				maxFwdGap = g
-			}
+			nswGap += math.Abs(est.Mean - u)
+			fwdGap += math.Abs(est.Mean - fr)
 		}
 		f.Series = append(f.Series, sim, nsw, fwd)
-		f.Note("%s: max |sim − undirected| = %.4f, max |sim − forward| = %.4f",
-			d.Name(), maxNSWGap, maxFwdGap)
+		if di > 0 { // for Poisson the two models coincide
+			f.claim(Claim{ID: d.Name() + " forward model closer", Source: "A1", Measured: fwdGap, Rel: "<", Model: nswGap,
+				Against: "Σ_q |sim − undirected|", TolSource: tolOrder})
+		}
 	}
-	f.Note("for Poisson both models coincide; for Fixed/Geometric the forward model tracks the simulation")
 	return f, nil
 }
 
@@ -83,14 +80,15 @@ func AblationCriticalPoint(cfg Config) (*Figure, error) {
 		XLabel: "nonfailed ratio q",
 		YLabel: "reliability S",
 	}
+	const n = 2000
 	runs := cfg.runs(20, 3)
 	for zi, z := range []float64{2, 4, 6} {
 		sim := Series{Name: fmt.Sprintf("z=%g simulation", z)}
 		ana := Series{Name: fmt.Sprintf("z=%g analysis", z)}
 		qc := genfunc.PoissonCriticalRatio(z)
 		for qi, q := range numeric.Linspace(0.02, min(3*qc, 1), 15) {
-			p := core.Params{N: 2000, Fanout: dist.NewPoisson(z), AliveRatio: q}
-			est, err := core.EstimateComponentReliabilityCtx(cfg.ctx(), p, runs, cfg.Seed^uint64(zi*64+qi), 0, nil)
+			p := core.Params{N: n, Fanout: dist.NewPoisson(z), AliveRatio: q}
+			est, err := core.EstimateComponentReliabilityCtx(cfg.ctx(), p, runs, cfg.seed(f.ID, zi, qi), 0, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -102,9 +100,9 @@ func AblationCriticalPoint(cfg Config) (*Figure, error) {
 			sim.Y = append(sim.Y, est.Mean)
 			ana.X = append(ana.X, q)
 			ana.Y = append(ana.Y, want)
+			f.near(fmt.Sprintf("z=%g q=%.3f", z, q), "A2", est.Mean, est.StdDev/math.Sqrt(float64(runs)), want, "Eq. 11", q, n)
 		}
 		f.Series = append(f.Series, sim, ana)
-		f.Note("z=%g: q_c = %.4f", z, qc)
 	}
 	return f, nil
 }
@@ -130,13 +128,13 @@ func AblationFailureMask(cfg Config) (*Figure, error) {
 		Executions:  20,
 		Simulations: cfg.runs(60, 5),
 	}
-	fixed, err := core.RunSuccessCtx(cfg.ctx(), base, cfg.Seed^0xA3, 0, nil)
+	fixed, _, xFixed, err := runSuccess(cfg, base, cfg.seed(f.ID, 0))
 	if err != nil {
 		return nil, err
 	}
 	resampled := base
 	resampled.ResampleMask = true
-	res, err := core.RunSuccessCtx(cfg.ctx(), resampled, cfg.Seed^0xA4, 0, nil)
+	res, _, xRes, err := runSuccess(cfg, resampled, cfg.seed(f.ID, 1))
 	if err != nil {
 		return nil, err
 	}
@@ -149,53 +147,9 @@ func AblationFailureMask(cfg Config) (*Figure, error) {
 		sRes.Y = append(sRes.Y, res.ReceiptHistogram.Freq(k))
 	}
 	f.Series = append(f.Series, sFixed, sRes)
-	meanOf := func(o core.SuccessOutcome) float64 {
-		var sum, tot float64
-		for k := 0; k <= 20; k++ {
-			c := float64(o.ReceiptHistogram.Count(k))
-			sum += float64(k) * c
-			tot += c
-		}
-		return sum / tot
-	}
-	f.Note("mean X: fixed = %.2f, resampled = %.2f (≈ q × fixed + survivor bias)", meanOf(fixed), meanOf(res))
-	return f, nil
-}
-
-// AblationFiniteSize (A4) measures how fast the simulation converges to
-// the asymptotic model as n grows, at fixed z·q = 3.6 (the paper's Fig. 6/7
-// operating point).
-func AblationFiniteSize(cfg Config) (*Figure, error) {
-	f := &Figure{
-		ID:     "ablation-finite-size",
-		Title:  "Finite-size error |simulation − model| at f=4.0, q=0.9",
-		XLabel: "group size n",
-		YLabel: "absolute error",
-	}
-	want, err := genfunc.PoissonReliability(4.0, 0.9)
-	if err != nil {
-		return nil, err
-	}
-	runs := cfg.runs(40, 5)
-	errSeries := Series{Name: "|sim − Eq.11|"}
-	finite := Series{Name: "|finite-n forward model − Eq.11|"}
-	for ni, n := range []int{100, 250, 500, 1000, 2500, 5000, 10000} {
-		p := core.Params{N: n, Fanout: dist.NewPoisson(4), AliveRatio: 0.9}
-		est, err := core.EstimateComponentReliabilityCtx(cfg.ctx(), p, runs, cfg.Seed^uint64(ni*7+1), 0, nil)
-		if err != nil {
-			return nil, err
-		}
-		errSeries.X = append(errSeries.X, float64(n))
-		errSeries.Y = append(errSeries.Y, abs(est.Mean-want))
-		fy, err := genfunc.FiniteForwardReach(dist.NewPoisson(4), n, 0.9)
-		if err != nil {
-			return nil, err
-		}
-		finite.X = append(finite.X, float64(n))
-		finite.Y = append(finite.Y, abs(fy-want))
-	}
-	f.Series = append(f.Series, errSeries, finite)
-	f.Note("model error shrinks with n: the paper's observation that 'modeling works better in larger scale systems'")
+	// A member dead in ~(1−q) of the executions cannot receive in them.
+	f.claim(Claim{ID: "resampled mean X below fixed", Source: "A3", Measured: xRes.Mean(), SE: xRes.StdErr(), Rel: "<",
+		Model: xFixed.Mean(), Against: "fixed-mask mean X", Tol: 3 * math.Hypot(xRes.StdErr(), xFixed.StdErr()), TolSource: tolSE})
 	return f, nil
 }
 
@@ -209,25 +163,20 @@ func AblationPartialView(cfg Config) (*Figure, error) {
 		XLabel: "SCAMP extra copies c (view size ~ (c+1)·ln n)",
 		YLabel: "reliability S",
 	}
-	want, err := genfunc.PoissonReliability(4.0, 0.9)
+	const n, q = 1000, 0.9
+	want, err := genfunc.PoissonReliability(4.0, q)
 	if err != nil {
 		return nil, err
 	}
 	runs := cfg.runs(20, 3)
 	sim := Series{Name: "partial-view simulation"}
 	ana := Series{Name: "full-view analysis (Eq. 11)"}
-	meanViews := make([]float64, 0, 4)
 	for ci, c := range []int{0, 1, 2, 3} {
-		r := xrand.New(cfg.Seed ^ uint64(0xA5+ci))
-		pv := membership.NewPartialViews(1000, c, r)
+		r := cfg.stream(f.ID, ci)
+		pv := membership.NewPartialViews(n, c, r)
 		pv.Shuffle(10, 3, r)
-		p := core.Params{
-			N:          1000,
-			Fanout:     dist.NewPoisson(4),
-			AliveRatio: 0.9,
-			View:       pv,
-		}
-		est, err := core.EstimateComponentReliabilityCtx(cfg.ctx(), p, runs, cfg.Seed^uint64(ci+77), 0, nil)
+		p := core.Params{N: n, Fanout: dist.NewPoisson(4), AliveRatio: q, View: pv}
+		est, err := core.EstimateComponentReliabilityCtx(cfg.ctx(), p, runs, cfg.seed(f.ID, ci, 1), 0, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -235,11 +184,9 @@ func AblationPartialView(cfg Config) (*Figure, error) {
 		sim.Y = append(sim.Y, est.Mean)
 		ana.X = append(ana.X, float64(c))
 		ana.Y = append(ana.Y, want)
-		meanViews = append(meanViews, pv.Stats().MeanOut)
+		f.near(fmt.Sprintf("c=%d", c), "A5", est.Mean, est.StdDev/math.Sqrt(float64(runs)), want, "full-view Eq. 11", q, n)
 	}
 	f.Series = append(f.Series, sim, ana)
-	f.Note("mean view sizes: %v", fmt.Sprint(meanViews))
-	f.Note("full-view model value: %.4f", want)
 	return f, nil
 }
 
@@ -255,19 +202,26 @@ func AblationReachVsGiant(cfg Config) (*Figure, error) {
 		XLabel: "mean fanout f",
 		YLabel: "reliability",
 	}
+	const n, q = 2000, 0.9
 	runs := cfg.runs(60, 5)
 	giant := Series{Name: "giant out-component (paper metric)"}
 	reach := Series{Name: "mean source reach (protocol metric)"}
 	anaS := Series{Name: "analysis S (Eq. 11)"}
 	anaS2 := Series{Name: "analysis S²"}
-	q := 0.9
 	for fi, fanout := range numeric.Arange(1.5, 6.5, 0.5) {
-		p := core.Params{N: 2000, Fanout: dist.NewPoisson(fanout), AliveRatio: q}
-		est, err := core.EstimateComponentReliabilityCtx(cfg.ctx(), p, runs, cfg.Seed^uint64(fi*31), 0, nil)
+		p := core.Params{N: n, Fanout: dist.NewPoisson(fanout), AliveRatio: q}
+		var reaches stats.Running
+		est, err := core.EstimateComponentReliabilityCtx(cfg.ctx(), p, runs, cfg.seed(f.ID, fi), 0, func(_ int, res core.ComponentResult) {
+			reaches.Add(float64(res.SourceReach) / float64(res.AliveCount))
+		})
 		if err != nil {
 			return nil, err
 		}
 		s, err := genfunc.PoissonReliability(fanout, q)
+		if err != nil {
+			return nil, err
+		}
+		s2, sd, err := oneShot(p.Fanout, q)
 		if err != nil {
 			return nil, err
 		}
@@ -278,25 +232,10 @@ func AblationReachVsGiant(cfg Config) (*Figure, error) {
 		anaS.X = append(anaS.X, fanout)
 		anaS.Y = append(anaS.Y, s)
 		anaS2.X = append(anaS2.X, fanout)
-		anaS2.Y = append(anaS2.Y, s*s)
+		anaS2.Y = append(anaS2.Y, s2)
+		f.near(fmt.Sprintf("giant f=%.1f", fanout), "A6", est.Mean, est.StdDev/math.Sqrt(float64(runs)), s, "S (Eq. 11)", q, n)
+		f.near(fmt.Sprintf("reach f=%.1f", fanout), "A6", est.MeanSourceReach, max(reaches.StdErr(), sd/math.Sqrt(float64(runs))), s2, "S² (one-shot reach)", q, n)
 	}
 	f.Series = append(f.Series, giant, reach, anaS, anaS2)
-	rmseGiant, err := stats.RMSE(giant.Y, anaS.Y)
-	if err != nil {
-		return nil, err
-	}
-	rmseReach, err := stats.RMSE(reach.Y, anaS2.Y)
-	if err != nil {
-		return nil, err
-	}
-	f.Note("RMSE(giant, S) = %.4f; RMSE(source reach, S²) = %.4f", rmseGiant, rmseReach)
-	f.Note("a single multicast succeeds with prob ≈ S and then covers S of the alive members")
 	return f, nil
-}
-
-func min(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

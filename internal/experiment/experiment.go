@@ -1,23 +1,36 @@
 // Package experiment defines the reproduction harness: one Experiment per
-// figure of the paper (Figs. 2–7) plus the ablation studies (A1–A9) and the
-// scenario, telemetry and streaming extensions (S1–S3); All is the registry.
-// Each experiment produces a Figure — named series of (x, y) points with
-// notes carrying the paper-vs-measured findings — which the harness can emit
-// as CSV or render as an ASCII chart.
+// figure of the paper (Figs. 2–7) plus the ablation studies (A1–A3, A5–A9)
+// and the scenario, telemetry and streaming extensions (S1–S3); All is the
+// registry. Each experiment produces a Figure — named series of (x, y)
+// points and the Claims that check them — which the harness can emit as CSV
+// or render as an ASCII chart with each claim's verdict under it.
 //
-// Every figure that simulates runs its replications on runpool.Replicate
-// under Config.Ctx, through core's estimators and the scenario sweeps or
-// directly (A7, A9 and S3 set their own per-run seeds): cancellation stops
-// it between replications, and its bytes are the same for any GOMAXPROCS.
+// A Claim is a computed finding held against a model value or a named
+// reference, within a tolerance that states where it comes from: three
+// standard errors over the figure's own replications, plus the finite-size
+// term of the n → ∞ model it is checked against. TestClaims fails on any
+// claim that does not pass; cmd/experiments prints them and keeps its exit
+// status.
+//
+// Every replication draws its randomness from Config.stream, the package's
+// one seeding rule: xrand.New(Seed) split by figure, by point and by run.
+// Two seeds, two figures or two points never share a stream. Every figure
+// that simulates runs its replications on runpool.Replicate under
+// Config.Ctx, through core's estimators and the scenario sweeps or
+// directly: cancellation stops it between replications, and its bytes are
+// the same for any GOMAXPROCS.
 package experiment
 
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"sort"
 	"strings"
 
 	"gossipkit/internal/asciiplot"
+	"gossipkit/internal/xrand"
 )
 
 // Config tunes how heavy an experiment run is.
@@ -56,12 +69,28 @@ func (c Config) runs(paper, floor int) int {
 	if !(s > 0) { // zero, negative or NaN
 		s = 1
 	}
-	n := int(float64(paper)*min(s, MaxScale) + 0.5)
+	n := int(float64(float64(paper)*min(s, MaxScale)) + 0.5)
 	if n < floor {
 		n = floor
 	}
 	return n
 }
+
+// stream is the package's one seeding rule: the random stream of figure id
+// at path (a point's indices, then a run's), split from xrand.New(Seed).
+func (c Config) stream(id string, path ...int) *xrand.RNG {
+	h := fnv.New64a()
+	h.Write([]byte(id))
+	r := xrand.New(c.Seed).Split(h.Sum64())
+	for _, p := range path {
+		r = r.Split(uint64(p))
+	}
+	return r
+}
+
+// seed is the first draw of stream(id, path...): the base seed of a core
+// estimator or scenario sweep, which splits it once per replication.
+func (c Config) seed(id string, path ...int) uint64 { return c.stream(id, path...).Uint64() }
 
 // Series is one named (x, y) sequence of a figure.
 type Series struct {
@@ -81,14 +110,86 @@ type Figure struct {
 	// Series holds the data; by convention simulation series come first
 	// and analytic series carry an "analysis" suffix.
 	Series []Series
-	// Notes carries derived scalar findings (critical points, RMSEs,
-	// chi-square statistics); cmd/experiments writes them under the chart.
-	Notes []string
+	// Claims are the figure's checked findings, in the order computed.
+	Claims []Claim
 }
 
-// Note appends a formatted note.
-func (f *Figure) Note(format string, args ...any) {
-	f.Notes = append(f.Notes, fmt.Sprintf(format, args...))
+// Claim is one checked finding: a value the figure measured, held against
+// a model value or a named reference within a stated tolerance.
+type Claim struct {
+	// ID names the claim within its figure ("q=0.5 f=2.3", "p_r").
+	ID string
+	// Source is what the claim is about: a paper figure or equation
+	// ("Fig. 3", "Eq. 11"), or an ablation or extension ("A7", "S1").
+	Source string
+	// Measured is the figure's value and SE its standard error over the
+	// figure's own replications (0 for a value computed in closed form).
+	Measured, SE float64
+	// Rel compares Measured with Model: "≈" is |Measured − Model| ≤ Tol,
+	// "≤" is Measured ≤ Model + Tol, "≥" is Measured ≥ Model − Tol, "<" is
+	// Measured < Model − Tol and ">" is Measured > Model + Tol.
+	Rel string
+	// Model is the reference value and Against names it.
+	Model   float64
+	Against string
+	// Tol is the tolerance and TolSource where it comes from.
+	Tol       float64
+	TolSource string
+	// Pass is the verdict; a NaN on either side fails.
+	Pass bool
+}
+
+// String renders the claim as one line: verdict, id, source, both values
+// and the tolerance with its source.
+func (c Claim) String() string {
+	verdict := "FAIL"
+	if c.Pass {
+		verdict = "pass"
+	}
+	return fmt.Sprintf("%s %s [%s]: %.4g ± %.2g %s %s %.4g, tol %.3g (%s)",
+		verdict, c.ID, c.Source, c.Measured, c.SE, c.Rel, c.Against, c.Model, c.Tol, c.TolSource)
+}
+
+// claim records c with its verdict.
+func (f *Figure) claim(c Claim) {
+	d := c.Measured - c.Model
+	switch c.Rel {
+	case "≈":
+		c.Pass = math.Abs(d) <= c.Tol
+	case "≤":
+		c.Pass = d <= c.Tol
+	case "≥":
+		c.Pass = d >= -c.Tol
+	case "<":
+		c.Pass = d < -c.Tol
+	case ">":
+		c.Pass = d > c.Tol
+	default:
+		panic("experiment: unknown relation " + c.Rel)
+	}
+	f.Claims = append(f.Claims, c)
+}
+
+// Sources of the tolerances the figures use: none for a closed-form value
+// or an order of two measurements; roundOff where a closed form meets
+// float64 rounding; three standard errors over the figure's own
+// replications; and for a claim against an n → ∞ model, three standard
+// errors plus (qn)^−1/3, the width of the critical window of the largest
+// component among qn alive members.
+const (
+	tolExact  = "exact"
+	tolOrder  = "none: an order"
+	tolRound  = "4 ulp of 1, float64 rounding"
+	roundOff  = 4 * 0x1p-52
+	tolSE     = "3·SE"
+	tolWindow = "3·SE + (qn)^−1/3 critical window"
+)
+
+// near records that measured ± se matches the n → ∞ model value with qn
+// alive members: |Δ| ≤ 3·se + (qn)^−1/3.
+func (f *Figure) near(id, source string, measured, se, model float64, against string, q float64, n int) {
+	f.claim(Claim{ID: id, Source: source, Measured: measured, SE: se, Rel: "≈", Model: model, Against: against,
+		Tol: float64(3*se) + math.Pow(q*float64(n), -1.0/3), TolSource: tolWindow})
 }
 
 // CSV renders the figure as a wide CSV: x, then one column per series
@@ -138,10 +239,10 @@ func (f *Figure) ASCII(w, h int) string {
 	}
 	title := fmt.Sprintf("%s — %s  [y: %s, x: %s]", f.ID, f.Title, f.YLabel, f.XLabel)
 	out := asciiplot.Chart(title, series, w, h)
-	if len(f.Notes) > 0 {
-		out += "notes:\n"
-		for _, n := range f.Notes {
-			out += "  - " + n + "\n"
+	if len(f.Claims) > 0 {
+		out += "claims:\n"
+		for _, c := range f.Claims {
+			out += "  - " + c.String() + "\n"
 		}
 	}
 	return out
@@ -174,7 +275,6 @@ func All() []Experiment {
 		{ID: "ablation-fanout-shape", Paper: "extension (A1)", Description: "Does the undirected model predict directed gossip for non-Poisson fanouts?", Run: AblationFanoutShape},
 		{ID: "ablation-critical-point", Paper: "extension (A2)", Description: "Sharpness of the q_c = 1/z phase transition", Run: AblationCriticalPoint},
 		{ID: "ablation-failure-mask", Paper: "extension (A3)", Description: "Fixed vs resampled failure masks across the t executions", Run: AblationFailureMask},
-		{ID: "ablation-finite-size", Paper: "extension (A4)", Description: "Model error vs group size at fixed f·q", Run: AblationFiniteSize},
 		{ID: "ablation-partial-view", Paper: "extension (A5)", Description: "SCAMP partial views vs the full-view assumption", Run: AblationPartialView},
 		{ID: "ablation-reach-vs-giant", Paper: "extension (A6)", Description: "Directed source reach vs giant out-component (die-out mass)", Run: AblationReachVsGiant},
 		{ID: "ablation-message-loss", Paper: "extension (A7)", Description: "Message loss as bond percolation: network simulation vs thinned Eq. 11", Run: AblationMessageLoss},

@@ -3,11 +3,21 @@ package experiment
 import (
 	"context"
 	"errors"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"gossipkit/internal/xrand"
 )
 
 // testCfg keeps unit-test runtime modest while exercising every code path.
@@ -70,258 +80,135 @@ func TestConfigRuns(t *testing.T) {
 	}
 }
 
-func TestFig2Shape(t *testing.T) {
-	f, err := Fig2(testCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Series) != 5 {
-		t.Fatalf("series = %d, want 5 (one per q)", len(f.Series))
-	}
-	// Each curve is increasing in S and curves are ordered by 1/q.
-	for _, s := range f.Series {
-		for i := 1; i < len(s.Y); i++ {
-			if s.Y[i] < s.Y[i-1]-1e-9 {
-				t.Fatalf("%s not increasing at %d", s.Name, i)
-			}
-		}
-	}
-	q02, q10 := f.Series[0], f.Series[4]
-	for i := range q02.Y {
-		if q02.Y[i] < q10.Y[i] {
-			t.Fatalf("q=0.2 curve below q=1.0 at %d", i)
-		}
-	}
-	// Top of the q=0.2 curve sits below the paper's 50-mark.
-	if top := q02.Y[len(q02.Y)-1]; top < 40 || top > 50 {
-		t.Errorf("z(S→1, q=0.2) = %.2f, paper plot tops near 46", top)
-	}
-}
+// claimSeeds names the environment variable that turns TestClaims into a
+// seed scan: GOSSIPKIT_CLAIM_SEEDS=50 runs the registry at seeds 1…50 and
+// reports each claim's failure rate instead of failing on one miss.
+const claimSeeds = "GOSSIPKIT_CLAIM_SEEDS"
 
-func TestFig3Shape(t *testing.T) {
-	f, err := Fig3(testCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := f.Series[0]
-	// t decreases in S, from ~24 at S=0.25 down to 1.
-	if s.Y[0] < 15 || s.Y[0] > 30 {
-		t.Errorf("t(S=0.25) = %g, paper plot starts near 20", s.Y[0])
-	}
-	if s.Y[len(s.Y)-1] != 1 {
-		t.Errorf("t(S→1) = %g, want 1", s.Y[len(s.Y)-1])
-	}
-	for i := 1; i < len(s.Y); i++ {
-		if s.Y[i] > s.Y[i-1] {
-			t.Fatalf("t not non-increasing at %d", i)
-		}
-	}
-}
+// maxClaimFailRate is the failure rate over a seed scan above which a
+// claim's tolerance is wrong.
+const maxClaimFailRate = 0.05
 
-func TestFig4aReproducesPaperShape(t *testing.T) {
-	f, err := Fig4a(testCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Series) != 8 {
-		t.Fatalf("series = %d, want 8 (4 q × sim+analysis)", len(f.Series))
-	}
-	for i := 0; i < len(f.Series); i += 2 {
-		sim, ana := f.Series[i], f.Series[i+1]
-		if len(sim.X) != 15 || len(ana.X) != 15 {
-			t.Fatalf("sweep length %d/%d, want 15", len(sim.X), len(ana.X))
+// TestClaims runs every registered experiment at testCfg's scale and fails
+// on any claim that does not hold. Under GOSSIPKIT_CLAIM_SEEDS=N it runs
+// seeds 1…N instead, logs each failing claim's rate and the rate at which
+// the figure has any failed claim, and fails only on a claim above
+// maxClaimFailRate.
+func TestClaims(t *testing.T) {
+	seeds := []uint64{testCfg.Seed}
+	if v := os.Getenv(claimSeeds); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 1 {
+			t.Fatalf("%s=%q: want a positive seed count", claimSeeds, v)
 		}
-		// Simulation tracks analysis. q=0.1 has only 100 alive members,
-		// so its subcritical largest component carries a visible
-		// finite-size floor (~0.15); give it the wider band.
-		tol := 0.12
-		if strings.HasPrefix(sim.Name, "q=0.1") {
-			tol = 0.22
-		}
-		for j := range sim.Y {
-			if math.Abs(sim.Y[j]-ana.Y[j]) > tol {
-				t.Errorf("%s: gap %.3f at f=%.1f", sim.Name, math.Abs(sim.Y[j]-ana.Y[j]), sim.X[j])
-			}
+		seeds = seeds[:0]
+		for s := 1; s <= n; s++ {
+			seeds = append(seeds, uint64(s))
 		}
 	}
-	// q=0.1 stays low everywhere (subcritical for f <= 6.7 up to the
-	// finite-size floor of 100 alive members).
-	q01 := f.Series[0]
-	for j, y := range q01.Y {
-		if y > 0.25 {
-			t.Errorf("q=0.1 reliability %.3f at f=%.1f, should be near 0", y, q01.X[j])
-		}
-	}
-	// q=1.0 reaches high reliability at the top of the sweep.
-	q10 := f.Series[6]
-	if q10.Y[len(q10.Y)-1] < 0.95 {
-		t.Errorf("q=1.0 top-of-sweep reliability %.3f", q10.Y[len(q10.Y)-1])
-	}
-}
-
-func TestFig6ReproducesPaperShape(t *testing.T) {
-	f, err := Fig6(testCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Series) != 3 {
-		t.Fatalf("series = %d, want 3", len(f.Series))
-	}
-	sim := f.Series[0]
-	if len(sim.X) != 21 {
-		t.Fatalf("histogram bins = %d, want 21", len(sim.X))
-	}
-	var mass float64
-	mode := 0
-	for k, y := range sim.Y {
-		mass += y
-		if y > sim.Y[mode] {
-			mode = k
-		}
-	}
-	if math.Abs(mass-1) > 1e-9 {
-		t.Errorf("simulated PMF mass = %g", mass)
-	}
-	if mode < 18 {
-		t.Errorf("mode at %d, paper figure spikes near 20", mode)
-	}
-	if len(f.Notes) < 3 {
-		t.Errorf("expected analysis notes, got %v", f.Notes)
-	}
-}
-
-func TestAblationsRun(t *testing.T) {
-	// Every ablation must run clean at test scale and carry notes.
-	for _, id := range []string{
-		"ablation-fanout-shape",
-		"ablation-critical-point",
-		"ablation-failure-mask",
-		"ablation-finite-size",
-		"ablation-partial-view",
-		"ablation-reach-vs-giant",
-		"ablation-message-loss",
-		"ablation-epidemic-curve",
-		"ablation-protocol-comparison",
-	} {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			e, err := ByID(id)
-			if err != nil {
-				t.Fatal(err)
+	scan := len(seeds) > 1
+	for _, e := range All() {
+		t.Run(e.ID, func(t *testing.T) {
+			fails := map[string]int{}
+			var ids []string
+			figFails := 0
+			for _, seed := range seeds {
+				f, err := e.Run(Config{Seed: seed, Scale: testCfg.Scale})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if f.ID != e.ID || len(f.Series) == 0 || len(f.Claims) == 0 {
+					t.Fatalf("figure %q: %d series, %d claims", f.ID, len(f.Series), len(f.Claims))
+				}
+				failed, once := false, map[string]bool{}
+				for _, c := range f.Claims {
+					if once[c.ID] {
+						t.Fatalf("seed %d: claim id %q repeats", seed, c.ID)
+					}
+					once[c.ID] = true
+					if _, ok := fails[c.ID]; !ok {
+						ids = append(ids, c.ID)
+						fails[c.ID] = 0
+					}
+					if !c.Pass {
+						fails[c.ID]++
+						failed = true
+						if !scan {
+							t.Error(c)
+						}
+					}
+				}
+				if failed {
+					figFails++
+				}
 			}
-			f, err := e.Run(testCfg)
-			if err != nil {
-				t.Fatal(err)
+			if !scan {
+				return
 			}
-			if len(f.Series) == 0 {
-				t.Error("no series")
-			}
-			if len(f.Notes) == 0 {
-				t.Error("no notes")
-			}
-			if f.ID != id {
-				t.Errorf("figure ID %q != experiment ID %q", f.ID, id)
+			t.Logf("%s: %d claims, any failed at %d/%d seeds", e.ID, len(ids), figFails, len(seeds))
+			for _, id := range ids {
+				if k := fails[id]; k > 0 {
+					rate := float64(k) / float64(len(seeds))
+					t.Logf("  %-44s %d/%d (%.0f%%)", id, k, len(seeds), 100*rate)
+					if rate > maxClaimFailRate {
+						t.Errorf("%s fails at %d/%d seeds, above %.0f%%", id, k, len(seeds), 100*maxClaimFailRate)
+					}
+				}
 			}
 		})
 	}
 }
 
-func TestCurvesOverlay(t *testing.T) {
-	f, err := CurvesOverlay(testCfg)
+// TestSeedsShareNoStream holds the package to its one seeding rule: no
+// file but experiment.go reads Config.Seed or builds a generator with
+// xrand.New, so every replication stream is Config.stream's split of
+// xrand.New(Seed). A per-run seed of Seed ^ i makes -seed 1 and -seed 2
+// draw the same runs (1^2 == 2^1), so a seed scan of such a figure is not
+// a set of independent trials.
+func TestSeedsShareNoStream(t *testing.T) {
+	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Series) != 4 {
-		t.Fatalf("series = %d, want measured+recurrence for each of 2 campaigns", len(f.Series))
-	}
-	if len(f.Notes) != 2 {
-		t.Fatalf("notes = %d, want one divergence note per campaign: %v", len(f.Notes), f.Notes)
-	}
-	for _, s := range f.Series {
-		if len(s.X) == 0 {
-			t.Fatalf("series %q empty", s.Name)
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") || name == "experiment.go" {
+			continue
 		}
-		// π(t)/n curves are fractions and nondecreasing (cumulative
-		// infections on both the measured and analytic side).
-		for i, y := range s.Y {
-			if y < 0 || y > 1.001 {
-				t.Errorf("%s: point %d = %g outside [0,1]", s.Name, i, y)
-			}
-			if i > 0 && y < s.Y[i-1]-1e-9 {
-				t.Errorf("%s: curve decreases at point %d (%g -> %g)", s.Name, i, s.Y[i-1], y)
-			}
+		file, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The crash waves remove 30% of the group while the static-q
-	// recurrence assumes everyone stays up: the measured plateau must sit
-	// visibly below the prediction — the divergence this overlay exists
-	// to expose.
-	measured, predicted := f.Series[0], f.Series[1]
-	if !strings.Contains(measured.Name, "crash-wave") {
-		t.Fatalf("series order changed: %q", measured.Name)
-	}
-	mFinal := measured.Y[len(measured.Y)-1]
-	pFinal := predicted.Y[len(predicted.Y)-1]
-	if mFinal > pFinal-0.05 {
-		t.Errorf("crash-wave measured plateau %.4f not below static-q prediction %.4f", mFinal, pFinal)
-	}
-	if !strings.Contains(f.Notes[0], "diverge") {
-		t.Errorf("crash-wave note carries no divergence finding: %q", f.Notes[0])
+		ast.Inspect(file, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); (ok && x.Name == "xrand" && sel.Sel.Name == "New") || sel.Sel.Name == "Seed" {
+				t.Errorf("%s: %s.%s outside Config.stream: derive the stream with cfg.stream or cfg.seed",
+					fset.Position(sel.Pos()), types.ExprString(sel.X), sel.Sel.Name)
+			}
+			return true
+		})
 	}
 }
 
-func TestStreamRoundInterval(t *testing.T) {
-	f, err := StreamRoundInterval(testCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Series) != 3 {
-		t.Fatalf("series = %d, want one per offered load", len(f.Series))
-	}
-	if len(f.Notes) == 0 {
-		t.Error("no notes")
-	}
-	for _, s := range f.Series {
-		if len(s.X) != 7 {
-			t.Fatalf("%s: %d ratios, want 7", s.Name, len(s.X))
-		}
-		// The x-axis is interval/bound; find reliability at the shortest
-		// interval and at the latency bound itself.
-		var atShort, atBound float64
-		for i, x := range s.X {
-			switch x {
-			case s.X[0]:
-				atShort = s.Y[i]
-			case 1.0:
-				atBound = s.Y[i]
+// TestStreamsDisjoint: Config.stream never hands two (seed, figure, point,
+// run) paths the same generator.
+func TestStreamsDisjoint(t *testing.T) {
+	seen := map[xrand.RNG]string{}
+	for seed := uint64(1); seed <= 4; seed++ {
+		for _, id := range []string{"fig4a", "fig4b", "ablation-message-loss"} {
+			for point := 0; point < 8; point++ {
+				for run := 0; run < 8; run++ {
+					key := fmt.Sprintf("seed %d %s point %d run %d", seed, id, point, run)
+					r := *Config{Seed: seed}.stream(id, point, run)
+					if prev, ok := seen[r]; ok {
+						t.Fatalf("%s draws the stream of %s", key, prev)
+					}
+					seen[r] = key
+				}
 			}
-		}
-		// Shrinking the round interval below the latency bound truncates
-		// the active window before the spread completes: reliability at
-		// the shortest interval must sit visibly below the at-bound value.
-		if atShort > atBound-0.05 {
-			t.Errorf("%s: reliability %.4f at ratio %.1f not below %.4f at the bound",
-				s.Name, atShort, s.X[0], atBound)
-		}
-		for _, y := range s.Y {
-			if y < 0 || y > 1 {
-				t.Fatalf("%s: reliability %g outside [0,1]", s.Name, y)
-			}
-		}
-	}
-}
-
-func TestAblationReachVsGiantOrdering(t *testing.T) {
-	f, err := AblationReachVsGiant(Config{Seed: 3, Scale: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	giant, reach := f.Series[0], f.Series[1]
-	// At every fanout the directed reach sits at or below the giant
-	// fraction.
-	for i := range giant.Y {
-		if reach.Y[i] > giant.Y[i]+0.03 {
-			t.Errorf("f=%.1f: reach %.3f above giant %.3f", giant.X[i], reach.Y[i], giant.Y[i])
 		}
 	}
 }
@@ -355,9 +242,10 @@ func TestASCIIOutput(t *testing.T) {
 		ID: "t", Title: "T", XLabel: "x", YLabel: "y",
 		Series: []Series{{Name: "a", X: []float64{0, 1}, Y: []float64{0, 1}}},
 	}
-	f.Note("hello %d", 42)
+	f.claim(Claim{ID: "hello", Source: "Eq. 1", Measured: 42, Rel: "≈", Model: 42, Against: "answer"})
+	f.claim(Claim{ID: "bye", Source: "Eq. 2", Measured: 1, Rel: ">", Model: 2, Against: "two"})
 	out := f.ASCII(40, 10)
-	if !strings.Contains(out, "hello 42") || !strings.Contains(out, "a") {
+	if !strings.Contains(out, "pass hello [Eq. 1]: 42") || !strings.Contains(out, "FAIL bye [Eq. 2]: 1") || !strings.Contains(out, "a") {
 		t.Errorf("ascii output missing pieces:\n%s", out)
 	}
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 
 	"gossipkit/internal/core"
 	"gossipkit/internal/dist"
@@ -11,7 +12,6 @@ import (
 	"gossipkit/internal/runpool"
 	"gossipkit/internal/simnet"
 	"gossipkit/internal/stats"
-	"gossipkit/internal/xrand"
 )
 
 // AblationMessageLoss (A7) extends the paper's site-percolation model with
@@ -38,8 +38,7 @@ func AblationMessageLoss(cfg Config) (*Figure, error) {
 		var acc stats.Running
 		err := runpool.Replicate(cfg.ctx(), runs, 0, core.NewNetArena,
 			func(rI int, arena *core.NetArena) (float64, error) {
-				r := xrand.New(cfg.Seed ^ uint64(li*1000+rI+1))
-				res, err := core.ExecuteOnNetworkArena(p, netCfg, r, nil, arena)
+				res, err := core.ExecuteOnNetworkArena(p, netCfg, cfg.stream(f.ID, li, rI), nil, arena)
 				return res.Reliability, err
 			}, func(_ int, rel float64) { acc.Add(rel) })
 		if err != nil {
@@ -49,22 +48,21 @@ func AblationMessageLoss(cfg Config) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Loss thins Po(z) to Po(z(1−loss)): one multicast then delivers
+		// the thinned fanout's one-shot reach.
+		oneShotS, sd, err := oneShot(dist.NewPoisson(z*(1-loss)), q)
+		if err != nil {
+			return nil, err
+		}
 		sim.X = append(sim.X, loss)
 		sim.Y = append(sim.Y, acc.Mean())
 		anaJoint.X = append(anaJoint.X, loss)
 		anaJoint.Y = append(anaJoint.Y, s)
 		anaOneShot.X = append(anaOneShot.X, loss)
-		anaOneShot.Y = append(anaOneShot.Y, s*s)
+		anaOneShot.Y = append(anaOneShot.Y, oneShotS)
+		f.near(fmt.Sprintf("loss=%.1f", loss), "A7", acc.Mean(), max(acc.StdErr(), sd/math.Sqrt(float64(runs))), oneShotS, "thinned S²", q, n)
 	}
 	f.Series = append(f.Series, sim, anaJoint, anaOneShot)
-	lc, err := genfunc.JointCriticalLoss(dist.NewPoisson(z), q)
-	if err != nil {
-		return nil, err
-	}
-	f.Note("critical loss = 1 − 1/(zq) = %.4f: reliability collapses beyond it", lc)
-	if rm, err := stats.RMSE(sim.Y, anaOneShot.Y); err == nil {
-		f.Note("RMSE(mean one-shot delivery, S²-thinned) = %.4f", rm)
-	}
 	return f, nil
 }
 
@@ -81,7 +79,7 @@ func AblationEpidemicCurve(cfg Config) (*Figure, error) {
 	const n, z, q = 2000, 5.0, 0.9
 	p := core.Params{N: n, Fanout: dist.NewPoisson(z), AliveRatio: q}
 	runs := cfg.runs(200, 20)
-	simCurve, err := core.MeanTraceRounds(cfg.ctx(), p, runs, cfg.Seed^0xA8)
+	simCurve, err := core.MeanTraceRounds(cfg.ctx(), p, runs, cfg.seed(f.ID))
 	if err != nil {
 		return nil, err
 	}
@@ -98,22 +96,30 @@ func AblationEpidemicCurve(cfg Config) (*Figure, error) {
 		rec.Y = append(rec.Y, model[r])
 	}
 	f.Series = append(f.Series, sim, rec)
+	// The recurrence has no die-out; the simulated mean carries the runs
+	// that die out near the source, so its plateau is the outbreak
+	// probability o times the recurrence's, with per-run spread √(o(1−o)).
+	o, err := genfunc.OutbreakProbability(p.Fanout, q)
+	if err != nil {
+		return nil, err
+	}
+	alive, last := q*n, len(simCurve)-1
+	f.near("plateau", "A8", simCurve[last]/alive, math.Sqrt(o*(1-o))*model[last]/alive/math.Sqrt(float64(runs)),
+		o*model[last]/alive, "o × recurrence plateau", q, n)
 	r99, err := core.RoundsToCoverage(n, z, q, 0.99, 60)
 	if err != nil {
 		return nil, err
 	}
-	f.Note("rounds to 99%% of plateau (model): %d", r99)
-	f.Note("simulation mean includes ~%.1f%% die-out runs, scaling its plateau by the outbreak probability",
-		100*(1-mustOutbreak(z, q)))
-	return f, nil
-}
-
-func mustOutbreak(z, q float64) float64 {
-	ob, err := genfunc.OutbreakProbability(dist.NewPoisson(z), q)
-	if err != nil {
-		return 0
+	reached := last
+	for r, c := range simCurve {
+		if c >= 0.99*simCurve[last] {
+			reached = r
+			break
+		}
 	}
-	return ob
+	f.claim(Claim{ID: "rounds to 99% of plateau", Source: "A8", Measured: float64(reached), Rel: "≈", Model: float64(r99),
+		Against: "recurrence", Tol: 1, TolSource: "one round, the resolution of both curves"})
+	return f, nil
 }
 
 // AblationProtocolComparison (A9) puts the paper's single-shot general
@@ -141,7 +147,7 @@ func AblationProtocolComparison(cfg Config) (*Figure, error) {
 		p := core.Params{N: n, Fanout: dist.NewPoisson(5), AliveRatio: q}
 		err := runpool.Replicate(cfg.ctx(), runs, 0, func() struct{} { return struct{}{} },
 			func(i int, _ struct{}) (core.Result, error) {
-				return core.ExecuteOnce(p, xrand.New(cfg.Seed^uint64(i+1)))
+				return core.ExecuteOnce(p, cfg.stream(f.ID, 0, i))
 			}, func(_ int, res core.Result) {
 				rel.Add(res.Reliability)
 				msg.Add(float64(res.MessagesSent))
@@ -153,39 +159,34 @@ func AblationProtocolComparison(cfg Config) (*Figure, error) {
 	}
 	// Paper's Eq. 6 remedy: three executions, member satisfied by any.
 	{
-		var rel, msg stats.Running
 		p := core.SuccessParams{
 			Params:      core.Params{N: n, Fanout: dist.NewPoisson(5), AliveRatio: q},
 			Executions:  3,
 			Simulations: runs,
 		}
-		out, err := core.RunSuccessCtx(cfg.ctx(), p, cfg.Seed^0x333, 0, nil)
+		out, err := core.RunSuccessCtx(cfg.ctx(), p, cfg.seed(f.ID, 1), 0, nil)
 		if err != nil {
 			return nil, err
 		}
-		atLeastOnce := 1 - out.ReceiptHistogram.Freq(0)
-		rel.Add(atLeastOnce)
-		msg.Add(3 * 5 * float64(n) * q) // three executions' expected sends
-		pts = append(pts, point{"3x repeated gossip (Eq. 6)", rel.Mean(), msg.Mean()})
+		// Reliability is at least one receipt; cost three executions' expected sends.
+		pts = append(pts, point{"3x repeated gossip (Eq. 6)", 1 - out.ReceiptHistogram.Freq(0), 3 * 5 * float64(n) * q})
 	}
 	// The related-work families, each on the shared DES runtime over an
 	// ideal network (result-identical to the legacy round loops): pbcast
 	// rounds, anti-entropy push-pull until quiescent, LRG, flooding.
-	for _, b := range []struct {
+	for bi, b := range []struct {
 		name string
 		spec protocols.Spec
-		salt uint64
 	}{
-		{"pbcast rounds f=3", protocols.PbcastParams{N: n, Fanout: 3, Rounds: 12, AliveRatio: q}, 0x500},
-		{"anti-entropy push-pull", protocols.AntiEntropyParams{N: n, Rounds: 0, Mode: protocols.PushPull, AliveRatio: q}, 0x700},
-		{"LRG deg=8 pg=0.7", protocols.LRGParams{N: n, Degree: 8, GossipProb: 0.7, RepairRounds: 4, AliveRatio: q}, 0x900},
-		{"flooding", protocols.FloodingParams{N: n, AliveRatio: q}, 0xB00},
+		{"pbcast rounds f=3", protocols.PbcastParams{N: n, Fanout: 3, Rounds: 12, AliveRatio: q}},
+		{"anti-entropy push-pull", protocols.AntiEntropyParams{N: n, Rounds: 0, Mode: protocols.PushPull, AliveRatio: q}},
+		{"LRG deg=8 pg=0.7", protocols.LRGParams{N: n, Degree: 8, GossipProb: 0.7, RepairRounds: 4, AliveRatio: q}},
+		{"flooding", protocols.FloodingParams{N: n, AliveRatio: q}},
 	} {
 		var rel, msg stats.Running
 		err := runpool.Replicate(cfg.ctx(), runs, 0, core.NewNetArena,
 			func(i int, arena *core.NetArena) (protocols.DESOutcome, error) {
-				r := xrand.New(cfg.Seed ^ (b.salt + uint64(i)))
-				return protocols.RunOnDES(b.spec, protocols.DESConfig{}, r, nil, arena)
+				return protocols.RunOnDES(b.spec, protocols.DESConfig{}, cfg.stream(f.ID, 2+bi, i), nil, arena)
 			}, func(_ int, out protocols.DESOutcome) {
 				rel.Add(out.Reliability)
 				msg.Add(float64(out.MessagesSent))
@@ -196,15 +197,20 @@ func AblationProtocolComparison(cfg Config) (*Figure, error) {
 		pts = append(pts, point{b.name, rel.Mean(), msg.Mean()})
 	}
 
+	var rels, msgs []float64
 	for _, pt := range pts {
 		f.Series = append(f.Series, Series{
 			Name: pt.name,
 			X:    []float64{pt.msg},
 			Y:    []float64{pt.rel},
 		})
-		f.Note("%-28s reliability %.4f at %.0f msgs", pt.name, pt.rel, pt.msg)
+		rels, msgs = append(rels, pt.rel), append(msgs, pt.msg)
 	}
-	f.Note("flooding buys its last fraction of a percent at ~%sx the gossip cost",
-		fmt.Sprintf("%.0f", pts[len(pts)-1].msg/pts[0].msg))
+	// Flooding buys the last fraction of a percent at the highest cost.
+	last := len(pts) - 1
+	_, rel := extent(rels[:last])
+	_, msg := extent(msgs[:last])
+	f.claim(Claim{ID: "flooding most reliable", Source: "A9", Measured: rels[last], Rel: "≥", Model: rel, Against: "the best other family", TolSource: tolOrder})
+	f.claim(Claim{ID: "flooding costliest", Source: "A9", Measured: msgs[last], Rel: ">", Model: msg, Against: "the costliest other family", TolSource: tolOrder})
 	return f, nil
 }

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"math"
+
 	"gossipkit/internal/core"
 	"gossipkit/internal/dist"
 	"gossipkit/internal/scenario"
@@ -28,7 +30,7 @@ func ScenarioGrid(cfg Config) (*Figure, error) {
 			PartialViewCopies: 2,
 		},
 		Seeds:    seeds,
-		BaseSeed: cfg.Seed,
+		BaseSeed: cfg.seed(f.ID),
 	}.Sweep(cfg.ctx(), suite, nil)
 	if err != nil {
 		return nil, err
@@ -47,9 +49,8 @@ func ScenarioGrid(cfg Config) (*Figure, error) {
 		static.Y = append(static.Y, s.StaticPrediction)
 		effective.X = append(effective.X, x)
 		effective.Y = append(effective.Y, s.EffectivePrediction)
-		f.Note("x=%d %s: rel %.4f, survivors %.4f, static %.4f (gap %+.4f), effective %.4f (gap %+.4f)",
-			i, s.Scenario, s.Reliability.Mean, s.SurvivorReliability.Mean,
-			s.StaticPrediction, s.StaticGap, s.EffectivePrediction, s.EffectiveGap)
+		f.claim(Claim{ID: s.Scenario, Source: "S1", Measured: s.Reliability.Mean, SE: s.Reliability.StdDev / math.Sqrt(float64(seeds)),
+			Rel: "<", Model: s.StaticPrediction, Against: "static-q Eq. 11", TolSource: tolOrder})
 	}
 	f.Series = append(f.Series, measured, survivors, static, effective)
 	return f, nil

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"fmt"
+	"math"
 	"time"
 
 	"gossipkit/internal/dist"
@@ -8,7 +10,6 @@ import (
 	"gossipkit/internal/simnet"
 	"gossipkit/internal/stats"
 	"gossipkit/internal/stream"
-	"gossipkit/internal/xrand"
 )
 
 // StreamRoundInterval (S3, ROADMAP carry-over) measures how streaming
@@ -50,6 +51,7 @@ func StreamRoundInterval(cfg Config) (*Figure, error) {
 	for ri, load := range rates {
 		rate := load.rate
 		s := Series{Name: load.name}
+		var short, atBound stats.Running
 		for ii, ratio := range ratios {
 			interval := time.Duration(ratio * float64(latHi))
 			streamCfg := stream.Config{
@@ -60,27 +62,30 @@ func StreamRoundInterval(cfg Config) (*Figure, error) {
 			}
 			netCfg := simnet.Config{Latency: simnet.UniformLatency{Lo: latLo, Hi: latHi}}
 			var acc stats.Running
-			var evicted, expired int64
 			err := runpool.Replicate(cfg.ctx(), runs, 0, stream.NewArena,
 				func(rI int, arena *stream.Arena) (stream.Result, error) {
-					r := xrand.New(cfg.Seed ^ uint64(ri*100000+ii*1000+rI+1))
-					return stream.RunProbed(streamCfg, netCfg, r, nil, arena, nil)
+					return stream.RunProbed(streamCfg, netCfg, cfg.stream(f.ID, ri, ii, rI), nil, arena, nil)
 				}, func(_ int, res stream.Result) {
 					acc.Add(res.MeanReliability)
-					evicted += res.Ledger.Evicted
-					expired += res.Ledger.Expired
 				})
 			if err != nil {
 				return nil, err
 			}
 			s.X = append(s.X, ratio)
 			s.Y = append(s.Y, acc.Mean())
-			if ratio == ratios[0] || ratio == 1.0 {
-				f.Note("rate %.0f msg/s at ratio %.1f: reliability %.4f (evicted %d, expired %d per %d runs)",
-					rate, ratio, acc.Mean(), evicted, expired, runs)
+			switch ratio {
+			case ratios[0]:
+				short = acc
+			case 1.0:
+				atBound = acc
 			}
 		}
 		f.Series = append(f.Series, s)
+		// An interval below the latency bound closes the active window
+		// before the spread completes.
+		f.claim(Claim{ID: fmt.Sprintf("rate %.0f: ratio %.1f below ratio 1", rate, ratios[0]), Source: "S3",
+			Measured: short.Mean(), SE: short.StdErr(), Rel: "<", Model: atBound.Mean(), Against: "reliability at the bound",
+			Tol: 3 * math.Hypot(short.StdErr(), atBound.StdErr()), TolSource: tolSE})
 	}
 	return f, nil
 }

@@ -117,7 +117,7 @@ func (m *Model) selfConsistentU(q float64) float64 {
 	if q*m.G1Prime1() <= 1 {
 		return 1
 	}
-	g := func(u float64) float64 { return 1 - q + q*m.G1(u) }
+	g := func(u float64) float64 { return 1 - q + float64(q*m.G1(u)) }
 	// The map g is increasing and maps [0,1] into itself, so monotone
 	// iteration from 0 converges to the smallest fixed point.
 	u, err := numeric.FixedPoint(g, 0, 1, 1e-13, 500)
@@ -149,7 +149,7 @@ func (m *Model) excessComplement(d float64) float64 {
 	for k := 0; k < 1<<20 && mass <= 1-1e-14; k++ {
 		p := m.p.PMF(k)
 		if k >= 2 {
-			sum -= float64(k) * p * math.Expm1(float64(k-1)*l)
+			sum -= float64(float64(k) * p * math.Expm1(float64(k-1)*l))
 		}
 		mass += p
 	}
@@ -222,7 +222,7 @@ func PoissonReliability(z, q float64) (float64, error) {
 	// s + expm1(−as), not s − 1 + e^{−as}: near zq = 1 the latter cancels
 	// to rounding noise long before the root does.
 	f := func(s float64) float64 { return s + math.Expm1(-a*s) }
-	df := func(s float64) float64 { return 1 - a*math.Exp(-a*s) }
+	df := func(s float64) float64 { return 1 - float64(a*math.Exp(-a*s)) }
 	// Root is in (0, 1]; f(eps) < 0 for small eps in the supercritical
 	// regime, f(1) = exp(-a) > 0.
 	lo := 1e-12
@@ -261,38 +261,4 @@ func PoissonMeanFanout(s, q float64) (float64, error) {
 // modeling approximation (ablation A1, experiment.AblationFanoutShape).
 func ForwardReach(meanFanout, q float64) (float64, error) {
 	return PoissonReliability(meanFanout, q)
-}
-
-// FiniteForwardReach solves the finite-n analogue of ForwardReach:
-//
-//	y = 1 − c^(q·n·y)   with   c = G_P(1 − 1/(n−1))
-//
-// where c is the probability that one gossiping member misses a fixed other
-// member with its entire fanout. n must be >= 2.
-func FiniteForwardReach(p dist.Distribution, n int, q float64) (float64, error) {
-	if n < 2 {
-		return 0, fmt.Errorf("genfunc: group size %d too small", n)
-	}
-	if err := checkRatio(q); err != nil {
-		return 0, err
-	}
-	c := dist.PGF(p, 1-1/float64(n-1))
-	if c >= 1 {
-		return 0, nil
-	}
-	lnC := math.Log(c)
-	a := -q * float64(n) * lnC // y = 1 - e^{-a y}
-	if a <= 1 {
-		return 0, nil
-	}
-	f := func(y float64) float64 { return y - 1 + math.Exp(-a*y) }
-	lo := 1e-12
-	if f(lo) >= 0 {
-		return 0, nil
-	}
-	y, err := numeric.Brent(f, lo, 1, 1e-14)
-	if err != nil {
-		return 0, err
-	}
-	return clamp01(y), nil
 }

@@ -331,50 +331,6 @@ func TestForwardReachEqualsPoissonClosedForm(t *testing.T) {
 	}
 }
 
-func TestFiniteForwardReachConvergesToAsymptotic(t *testing.T) {
-	p := dist.NewPoisson(4)
-	asym, err := ForwardReach(4, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prevGap := math.Inf(1)
-	for _, n := range []int{100, 1000, 10000, 100000} {
-		y, err := FiniteForwardReach(p, n, 0.8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gap := math.Abs(y - asym)
-		if gap > prevGap+1e-9 {
-			t.Errorf("n=%d: finite-size gap %g did not shrink (prev %g)", n, gap, prevGap)
-		}
-		prevGap = gap
-	}
-	if prevGap > 1e-3 {
-		t.Errorf("n=100000 gap to asymptotic = %g, want < 1e-3", prevGap)
-	}
-}
-
-func TestFiniteForwardReachRejectsBadInput(t *testing.T) {
-	p := dist.NewPoisson(3)
-	if _, err := FiniteForwardReach(p, 1, 0.5); err == nil {
-		t.Error("n=1 accepted")
-	}
-	if _, err := FiniteForwardReach(p, 100, -0.5); err == nil {
-		t.Error("q=-0.5 accepted")
-	}
-}
-
-func TestFiniteForwardReachSubcritical(t *testing.T) {
-	p := dist.NewPoisson(0.5)
-	y, err := FiniteForwardReach(p, 1000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y != 0 {
-		t.Errorf("subcritical finite reach = %g, want 0", y)
-	}
-}
-
 func TestReliabilityQuickProperty(t *testing.T) {
 	// For any Poisson fanout and ratio, the generic solver stays in [0,1]
 	// and satisfies its own self-consistency equation.

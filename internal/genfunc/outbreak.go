@@ -29,7 +29,7 @@ func OutbreakProbability(p dist.Distribution, q float64) (float64, error) {
 	if q*p.Mean() <= 1 {
 		return 0, nil
 	}
-	g := func(eta float64) float64 { return dist.PGF(p, 1-q+q*eta) }
+	g := func(eta float64) float64 { return dist.PGF(p, 1-q+float64(q*eta)) }
 	// Monotone iteration from 0 converges to the smallest fixed point.
 	eta, err := numeric.FixedPoint(g, 0, 1, 1e-13, 500)
 	if err != nil {
@@ -92,19 +92,4 @@ func JointReliability(p dist.Distribution, q, loss float64) (float64, error) {
 		return 0, fmt.Errorf("genfunc: loss probability %g outside [0,1]", loss)
 	}
 	return PoissonReliability(p.Mean()*(1-loss), q)
-}
-
-// JointCriticalLoss returns the maximum message-loss probability the
-// configuration tolerates before reliability collapses: from z·q·(1−loss)
-// = 1, loss_c = 1 − 1/(z·q). It returns 0 when the configuration is
-// already subcritical with no loss.
-func JointCriticalLoss(p dist.Distribution, q float64) (float64, error) {
-	if err := checkRatio(q); err != nil {
-		return 0, err
-	}
-	a := p.Mean() * q
-	if a <= 1 {
-		return 0, nil
-	}
-	return 1 - 1/a, nil
 }

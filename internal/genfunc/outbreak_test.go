@@ -152,35 +152,6 @@ func TestJointReliabilityValidation(t *testing.T) {
 	}
 }
 
-func TestJointCriticalLoss(t *testing.T) {
-	// z=4, q=0.9: zq=3.6, loss_c = 1 - 1/3.6 ≈ 0.7222.
-	lc, err := JointCriticalLoss(dist.NewPoisson(4), 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(lc-(1-1/3.6)) > 1e-12 {
-		t.Errorf("critical loss %.6f", lc)
-	}
-	// At the critical loss the reliability is exactly 0.
-	r, err := JointReliability(dist.NewPoisson(4), 0.9, lc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r != 0 {
-		t.Errorf("reliability at critical loss = %g", r)
-	}
-	// Just below it, positive.
-	r2, _ := JointReliability(dist.NewPoisson(4), 0.9, lc-0.05)
-	if r2 <= 0 {
-		t.Errorf("reliability below critical loss = %g", r2)
-	}
-	// Subcritical configuration tolerates no loss.
-	lc0, _ := JointCriticalLoss(dist.NewPoisson(1), 0.9)
-	if lc0 != 0 {
-		t.Errorf("subcritical critical loss = %g", lc0)
-	}
-}
-
 func TestOutbreakQuickProperties(t *testing.T) {
 	f := func(zRaw, qRaw uint16) bool {
 		z := 0.2 + float64(zRaw%70)/10

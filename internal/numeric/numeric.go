@@ -61,7 +61,7 @@ func Brent(f func(float64) float64, a, b, tol float64) (float64, error) {
 			// Secant.
 			s = b - fb*(b-a)/(fb-fa)
 		}
-		lo, hi := (3*a+b)/4, b
+		lo, hi := (float64(3*a)+b)/4, b
 		if lo > hi {
 			lo, hi = hi, lo
 		}
@@ -71,7 +71,7 @@ func Brent(f func(float64) float64, a, b, tol float64) (float64, error) {
 			(mflag && math.Abs(b-c) < tol) ||
 			(!mflag && math.Abs(c-d) < tol)
 		if cond {
-			s = a + (b-a)/2
+			s = a + float64((b-a)/2)
 			mflag = true
 		} else {
 			mflag = false
@@ -109,7 +109,7 @@ func NewtonBracketed(f, df func(float64) float64, a, b, tol float64) (float64, e
 	if math.Signbit(fa) == math.Signbit(fb) {
 		return 0, fmt.Errorf("%w: f(%g)=%g, f(%g)=%g", ErrNoBracket, a, fa, b, fb)
 	}
-	x := a + (b-a)/2
+	x := a + float64((b-a)/2)
 	for i := 0; i < 100; i++ {
 		fx := f(x)
 		if fx == 0 {
@@ -130,7 +130,7 @@ func NewtonBracketed(f, df func(float64) float64, a, b, tol float64) (float64, e
 			next = x - fx/dfx
 		}
 		if dfx == 0 || next <= a || next >= b {
-			next = a + (b-a)/2 // bisection fallback
+			next = a + float64((b-a)/2) // bisection fallback
 		}
 		if math.Abs(next-x) < tol {
 			return next, nil
@@ -155,7 +155,7 @@ func FixedPoint(g func(float64) float64, x0, damping, tol float64, maxIter int) 
 	}
 	x := x0
 	for i := 0; i < maxIter; i++ {
-		next := (1-damping)*x + damping*g(x)
+		next := float64((1-damping)*x) + float64(damping*g(x))
 		if math.Abs(next-x) < tol {
 			return next, nil
 		}
@@ -173,7 +173,7 @@ func Linspace(lo, hi float64, n int) []float64 {
 	out := make([]float64, n)
 	step := (hi - lo) / float64(n-1)
 	for i := range out {
-		out[i] = lo + float64(i)*step
+		out[i] = lo + float64(float64(i)*step)
 	}
 	out[n-1] = hi // avoid accumulated rounding at the endpoint
 	return out

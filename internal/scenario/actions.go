@@ -183,7 +183,7 @@ func countFor(frac float64, population int) int {
 	if population == 0 || frac <= 0 {
 		return 0
 	}
-	c := int(frac*float64(population) + 0.5)
+	c := int(float64(frac*float64(population)) + 0.5)
 	if c < 1 {
 		c = 1
 	}

@@ -34,7 +34,7 @@ func (r *Running) Add(x float64) {
 	r.n++
 	d := x - r.mean
 	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
+	r.m2 += float64(d * (x - r.mean))
 }
 
 // N returns the number of samples.
@@ -181,7 +181,7 @@ func BinomialPMF(n, k int, p float64) float64 {
 	ln, _ := math.Lgamma(float64(n) + 1)
 	lk, _ := math.Lgamma(float64(k) + 1)
 	lnk, _ := math.Lgamma(float64(n-k) + 1)
-	return math.Exp(ln - lk - lnk + float64(k)*math.Log(p) + float64(n-k)*math.Log1p(-p))
+	return math.Exp(ln - lk - lnk + float64(float64(k)*math.Log(p)) + float64(float64(n-k)*math.Log1p(-p)))
 }
 
 // BinomialPMFs returns the full PMF vector of B(n, p) over {0..n}.
@@ -360,50 +360,6 @@ func regIncGammaQCF(a, x float64) float64 {
 		}
 	}
 	return math.Exp(-x+a*math.Log(x)-lg) * h
-}
-
-// KolmogorovSmirnov returns the KS statistic (sup distance between CDFs)
-// between an empirical histogram over {0..n} and a reference PMF over the
-// same support.
-func KolmogorovSmirnov(observed []int64, refPMF []float64) (float64, error) {
-	if len(observed) != len(refPMF) {
-		return 0, fmt.Errorf("stats: length mismatch %d vs %d", len(observed), len(refPMF))
-	}
-	var total int64
-	for _, o := range observed {
-		total += o
-	}
-	if total == 0 {
-		return 0, fmt.Errorf("stats: no observations")
-	}
-	var d, cdfEmp, cdfRef float64
-	for i := range observed {
-		cdfEmp += float64(observed[i]) / float64(total)
-		cdfRef += refPMF[i]
-		if g := math.Abs(cdfEmp - cdfRef); g > d {
-			d = g
-		}
-	}
-	return d, nil
-}
-
-// ---------------------------------------------------------------------------
-// Series comparison
-
-// RMSE returns the root-mean-square error between two equal-length series.
-func RMSE(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("stats: length mismatch %d vs %d", len(a), len(b))
-	}
-	if len(a) == 0 {
-		return 0, fmt.Errorf("stats: empty series")
-	}
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(a))), nil
 }
 
 // Quantile returns the p-quantile (0 <= p <= 1) of xs using linear

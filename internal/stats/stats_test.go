@@ -330,48 +330,6 @@ func TestChiSquareErrors(t *testing.T) {
 	}
 }
 
-func TestKolmogorovSmirnov(t *testing.T) {
-	// Perfect match: D = 0.
-	obs := []int64{25, 25, 25, 25}
-	ref := []float64{0.25, 0.25, 0.25, 0.25}
-	d, err := KolmogorovSmirnov(obs, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d > 1e-12 {
-		t.Errorf("D = %g, want 0", d)
-	}
-	// Total mismatch: all mass at 0 vs all at end.
-	d, err = KolmogorovSmirnov([]int64{100, 0, 0}, []float64{0, 0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d-1) > 1e-12 {
-		t.Errorf("D = %g, want 1", d)
-	}
-	if _, err := KolmogorovSmirnov([]int64{1}, []float64{0.5, 0.5}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-}
-
-func TestSeriesMetrics(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{1, 2, 5}
-	r, err := RMSE(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r-math.Sqrt(4.0/3)) > 1e-12 {
-		t.Errorf("RMSE = %g", r)
-	}
-	if _, err := RMSE(a, []float64{1}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := RMSE(nil, nil); err == nil {
-		t.Error("empty RMSE accepted")
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{3, 1, 2, 4, 5}
 	for _, c := range []struct{ p, want float64 }{

@@ -107,8 +107,10 @@ func (r *RNG) Intn(n int) int {
 }
 
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
+// The product is exact, and its conversion keeps a caller's u − c or
+// 1 − u from fusing into one multiply-add (see TestNoFusedFloat).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
+	return float64(float64(r.Uint64()>>11) * (1.0 / (1 << 53)))
 }
 
 // Bool returns true with probability p.

@@ -253,7 +253,11 @@ for gone in \
     "BeforeReceive" \
     "AfterReceive" \
     "failure\.Timing" \
-    "TimingEquivalent"; do
+    "TimingEquivalent" \
+    "AblationFiniteSize" \
+    "ablation-finite-size" \
+    "FiniteForwardReach" \
+    "JointCriticalLoss"; do
     if hits=$(grep -nE "$gone" README.md ARCHITECTURE.md); then
         echo "docs-lint: README/ARCHITECTURE mention the deleted '$gone':" >&2
         echo "$hits" >&2
