@@ -159,6 +159,56 @@ func TestClaims(t *testing.T) {
 	}
 }
 
+func TestAblationsRun(t *testing.T) {
+	// Every ablation resolves by its public ID, runs clean at test scale
+	// and carries claims.
+	for _, id := range []string{
+		"ablation-fanout-shape",
+		"ablation-critical-point",
+		"ablation-failure-mask",
+		"ablation-partial-view",
+		"ablation-reach-vs-giant",
+		"ablation-message-loss",
+		"ablation-epidemic-curve",
+		"ablation-protocol-comparison",
+	} {
+		t.Run(id, func(t *testing.T) {
+			e, err := ByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := e.Run(testCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(f.Series) == 0 {
+				t.Error("no series")
+			}
+			if len(f.Claims) == 0 {
+				t.Error("no claims")
+			}
+			if f.ID != id {
+				t.Errorf("figure ID %q != experiment ID %q", f.ID, id)
+			}
+		})
+	}
+}
+
+func TestAblationReachVsGiantOrdering(t *testing.T) {
+	f, err := AblationReachVsGiant(Config{Seed: 3, Scale: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	giant, reach := f.Series[0], f.Series[1]
+	// At every fanout the directed reach sits at or below the giant
+	// fraction.
+	for i := range giant.Y {
+		if reach.Y[i] > giant.Y[i]+0.03 {
+			t.Errorf("f=%.1f: reach %.3f above giant %.3f", giant.X[i], reach.Y[i], giant.Y[i])
+		}
+	}
+}
+
 // TestSeedsShareNoStream holds the package to its one seeding rule: no
 // file but experiment.go reads Config.Seed or builds a generator with
 // xrand.New, so every replication stream is Config.stream's split of
