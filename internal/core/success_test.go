@@ -72,7 +72,15 @@ func TestRunSuccessMatchesBinomial(t *testing.T) {
 	// early die-outs; see ComponentResult); against that parameter the
 	// receipt distribution must match in mean and be close in shape.
 	p := successParams(2000, 4.0, 0.9, 20, 60)
-	out, err := RunSuccessCtx(context.Background(), p, 7, 0, nil)
+	// all collects each simulation's share of members with X = 20.
+	var all stats.Running
+	out, err := RunSuccessCtx(context.Background(), p, 7, 0, func(_ int, s SuccessSim) {
+		var tot int64
+		for _, c := range s.Counts {
+			tot += c
+		}
+		all.Add(float64(s.Counts[20]) / float64(tot))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,16 +118,6 @@ func TestRunSuccessMatchesBinomial(t *testing.T) {
 	// Pr(X = 20) is p_r^20, however much the members of one simulation
 	// share its take-offs. That sharing is why the check runs over the
 	// per-simulation shares, whose spread gives the tolerance.
-	var all stats.Running
-	if _, err := RunSuccessCtx(context.Background(), p, 7, 0, func(_ int, s SuccessSim) {
-		var tot int64
-		for _, c := range s.Counts {
-			tot += c
-		}
-		all.Add(float64(s.Counts[20]) / float64(tot))
-	}); err != nil {
-		t.Fatal(err)
-	}
 	if want := math.Pow(rel, 20); math.Abs(all.Mean()-want) > 3*all.StdErr() {
 		t.Errorf("Pr(X = 20) = %.4f ± %.4f over %d simulations, want p_r^20 = %.4f", all.Mean(), all.StdErr(), all.N(), want)
 	}

@@ -266,10 +266,10 @@ func All() []Experiment {
 	return []Experiment{
 		{ID: "fig2", Paper: "Fig. 2", Description: "Mean fanout z required for reliability S under various q (Eq. 12)", Run: Fig2},
 		{ID: "fig3", Paper: "Fig. 3", Description: "Minimum executions t for success probability 0.999 vs reliability S (Eq. 6)", Run: Fig3},
-		{ID: "fig4a", Paper: "Fig. 4a", Description: "Reliability vs mean fanout, n=1000, q in {0.1,0.3,0.5,1.0}: simulation vs analysis", Run: Fig4a},
-		{ID: "fig4b", Paper: "Fig. 4b", Description: "Reliability vs mean fanout, n=1000, q in {0.4,0.6,0.8,1.0}: simulation vs analysis", Run: Fig4b},
-		{ID: "fig5a", Paper: "Fig. 5a", Description: "Reliability vs mean fanout, n=5000, q in {0.1,0.3,0.5,1.0}: simulation vs analysis", Run: Fig5a},
-		{ID: "fig5b", Paper: "Fig. 5b", Description: "Reliability vs mean fanout, n=5000, q in {0.4,0.6,0.8,1.0}: simulation vs analysis", Run: Fig5b},
+		{ID: "fig4a", Paper: "Fig. 4a", Description: "Reliability vs mean fanout, n=1000, q in {0.1,0.3,0.5,1.0}: simulation vs analysis", Run: reliabilityFigure("fig4a", 1000, 0.1, 0.3, 0.5, 1.0)},
+		{ID: "fig4b", Paper: "Fig. 4b", Description: "Reliability vs mean fanout, n=1000, q in {0.4,0.6,0.8,1.0}: simulation vs analysis", Run: reliabilityFigure("fig4b", 1000, 0.4, 0.6, 0.8, 1.0)},
+		{ID: "fig5a", Paper: "Fig. 5a", Description: "Reliability vs mean fanout, n=5000, q in {0.1,0.3,0.5,1.0}: simulation vs analysis", Run: reliabilityFigure("fig5a", 5000, 0.1, 0.3, 0.5, 1.0)},
+		{ID: "fig5b", Paper: "Fig. 5b", Description: "Reliability vs mean fanout, n=5000, q in {0.4,0.6,0.8,1.0}: simulation vs analysis", Run: reliabilityFigure("fig5b", 5000, 0.4, 0.6, 0.8, 1.0)},
 		{ID: "fig6", Paper: "Fig. 6", Description: "Distribution of per-member receipt count X over 20 executions, n=2000, f=4.0, q=0.9 vs Binomial", Run: Fig6},
 		{ID: "fig7", Paper: "Fig. 7", Description: "Distribution of per-member receipt count X over 20 executions, n=2000, f=6.0, q=0.6 vs Binomial", Run: Fig7},
 		{ID: "ablation-fanout-shape", Paper: "extension (A1)", Description: "Does the undirected model predict directed gossip for non-Poisson fanouts?", Run: AblationFanoutShape},
@@ -281,7 +281,7 @@ func All() []Experiment {
 		{ID: "ablation-epidemic-curve", Paper: "extension (A8)", Description: "Per-round infection curve vs the pbcast-style round recurrence", Run: AblationEpidemicCurve},
 		{ID: "ablation-protocol-comparison", Paper: "extension (A9)", Description: "Reliability vs message cost across protocol families", Run: AblationProtocolComparison},
 		{ID: "scenario-grid", Paper: "extension (S1)", Description: "Bundled time-varying fault campaigns vs the static-q model (internal/scenario)", Run: ScenarioGrid},
-		{ID: "curves-overlay", Paper: "extension (S2)", Description: "Probed π(t) curves under crash-wave and burst-loss vs the static-q round recurrence (Eq. 11 inputs)", Run: CurvesOverlay},
+		{ID: "curves-overlay", Paper: "extension (S2)", Description: "Probed π(t) curves under crash-wave and burst-loss vs the static-q round recurrence (Eq. 11 inputs) and the fault-free baseline", Run: CurvesOverlay},
 		{ID: "stream-round-interval", Paper: "extension (S3)", Description: "Streaming reliability degradation as the round interval shrinks below the latency bound, at three offered loads (internal/stream)", Run: StreamRoundInterval},
 	}
 }

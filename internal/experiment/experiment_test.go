@@ -91,8 +91,9 @@ const maxClaimFailRate = 0.05
 
 // TestClaims runs every registered experiment at testCfg's scale and fails
 // on any claim that does not hold. Under GOSSIPKIT_CLAIM_SEEDS=N it runs
-// seeds 1…N instead, logs each failing claim's rate and the rate at which
-// the figure has any failed claim, and fails only on a claim above
+// seeds 1…N instead, logs every failed claim with its seed, each failing
+// claim's rate, the rate at which the figure has any failed claim and the
+// rate at which the whole registry has one, and fails only on a claim above
 // maxClaimFailRate.
 func TestClaims(t *testing.T) {
 	seeds := []uint64{testCfg.Seed}
@@ -107,6 +108,7 @@ func TestClaims(t *testing.T) {
 		}
 	}
 	scan := len(seeds) > 1
+	anyFailed := map[uint64]bool{} // seeds at which some claim failed
 	for _, e := range All() {
 		t.Run(e.ID, func(t *testing.T) {
 			fails := map[string]int{}
@@ -135,11 +137,14 @@ func TestClaims(t *testing.T) {
 						failed = true
 						if !scan {
 							t.Error(c)
+						} else {
+							t.Logf("seed %d: %v", seed, c)
 						}
 					}
 				}
 				if failed {
 					figFails++
+					anyFailed[seed] = true
 				}
 			}
 			if !scan {
@@ -156,6 +161,9 @@ func TestClaims(t *testing.T) {
 				}
 			}
 		})
+	}
+	if scan {
+		t.Logf("registry: some claim failed at %d/%d seeds", len(anyFailed), len(seeds))
 	}
 }
 

@@ -105,56 +105,38 @@ func Fig3(cfg Config) (*Figure, error) {
 // sweep the mean fanout and plot simulated reliability (giant-component
 // semantics, the paper's metric) against the Eq. 11 analysis. Each point is
 // a claim: |sim − Eq. 11| ≤ 3·SE + (qn)^−1/3.
-func reliabilityFigure(cfg Config, id string, n int, qs []float64) (*Figure, error) {
-	f := &Figure{
-		ID:     id,
-		Title:  fmt.Sprintf("Gossiping simulation (nodes = %d)", n),
-		XLabel: "mean fanout f",
-		YLabel: "reliability of gossiping S",
-	}
-	runs := cfg.runs(20, 3)
-	for qi, q := range qs {
-		sim := Series{Name: fmt.Sprintf("q=%.1f simulation", q)}
-		ana := Series{Name: fmt.Sprintf("q=%.1f analysis", q)}
-		for fi, fanout := range paperFanoutSweep() {
-			p := core.Params{N: n, Fanout: dist.NewPoisson(fanout), AliveRatio: q}
-			est, err := core.EstimateComponentReliabilityCtx(cfg.ctx(), p, runs, cfg.seed(id, qi, fi), 0, nil)
-			if err != nil {
-				return nil, err
-			}
-			want, err := genfunc.PoissonReliability(fanout, q)
-			if err != nil {
-				return nil, err
-			}
-			sim.X = append(sim.X, fanout)
-			sim.Y = append(sim.Y, est.Mean)
-			ana.X = append(ana.X, fanout)
-			ana.Y = append(ana.Y, want)
-			f.near(fmt.Sprintf("q=%.1f f=%.1f", q, fanout), "Eq. 11", est.Mean, est.StdDev/math.Sqrt(float64(runs)), want, "Eq. 11", q, n)
+func reliabilityFigure(id string, n int, qs ...float64) func(Config) (*Figure, error) {
+	return func(cfg Config) (*Figure, error) {
+		f := &Figure{
+			ID:     id,
+			Title:  fmt.Sprintf("Gossiping simulation (nodes = %d)", n),
+			XLabel: "mean fanout f",
+			YLabel: "reliability of gossiping S",
 		}
-		f.Series = append(f.Series, sim, ana)
+		runs := cfg.runs(20, 3)
+		for qi, q := range qs {
+			sim := Series{Name: fmt.Sprintf("q=%.1f simulation", q)}
+			ana := Series{Name: fmt.Sprintf("q=%.1f analysis", q)}
+			for fi, fanout := range paperFanoutSweep() {
+				p := core.Params{N: n, Fanout: dist.NewPoisson(fanout), AliveRatio: q}
+				est, err := core.EstimateComponentReliabilityCtx(cfg.ctx(), p, runs, cfg.seed(id, qi, fi), 0, nil)
+				if err != nil {
+					return nil, err
+				}
+				want, err := genfunc.PoissonReliability(fanout, q)
+				if err != nil {
+					return nil, err
+				}
+				sim.X = append(sim.X, fanout)
+				sim.Y = append(sim.Y, est.Mean)
+				ana.X = append(ana.X, fanout)
+				ana.Y = append(ana.Y, want)
+				f.near(fmt.Sprintf("q=%.1f f=%.1f", q, fanout), "Eq. 11", est.Mean, est.StdDev/math.Sqrt(float64(runs)), want, "Eq. 11", q, n)
+			}
+			f.Series = append(f.Series, sim, ana)
+		}
+		return f, nil
 	}
-	return f, nil
-}
-
-// Fig4a reproduces the paper's Fig. 4a (n=1000, q ∈ {0.1, 0.3, 0.5, 1.0}).
-func Fig4a(cfg Config) (*Figure, error) {
-	return reliabilityFigure(cfg, "fig4a", 1000, []float64{0.1, 0.3, 0.5, 1.0})
-}
-
-// Fig4b reproduces the paper's Fig. 4b (n=1000, q ∈ {0.4, 0.6, 0.8, 1.0}).
-func Fig4b(cfg Config) (*Figure, error) {
-	return reliabilityFigure(cfg, "fig4b", 1000, []float64{0.4, 0.6, 0.8, 1.0})
-}
-
-// Fig5a reproduces the paper's Fig. 5a (n=5000, q ∈ {0.1, 0.3, 0.5, 1.0}).
-func Fig5a(cfg Config) (*Figure, error) {
-	return reliabilityFigure(cfg, "fig5a", 5000, []float64{0.1, 0.3, 0.5, 1.0})
-}
-
-// Fig5b reproduces the paper's Fig. 5b (n=5000, q ∈ {0.4, 0.6, 0.8, 1.0}).
-func Fig5b(cfg Config) (*Figure, error) {
-	return reliabilityFigure(cfg, "fig5b", 5000, []float64{0.4, 0.6, 0.8, 1.0})
 }
 
 // successFigure is the shared engine of Figs. 6/7: run 20 executions × 100
@@ -247,16 +229,12 @@ func runSuccess(cfg Config, p core.SuccessParams, seed uint64) (core.SuccessOutc
 // deviation floors a one-shot claim's SE: over a few runs that all take
 // off, the sample deviation collapses to the spread of the coverage.
 func oneShot(p dist.Distribution, q float64) (mean, sd float64, err error) {
-	o, err := genfunc.OutbreakProbability(p, q)
-	if err != nil {
-		return 0, 0, err
-	}
-	c, err := genfunc.ForwardReach(p.Mean(), q)
-	if err != nil {
-		return 0, 0, err
-	}
 	mean, err = genfunc.ExpectedOneShotReach(p, q)
-	return mean, math.Sqrt(o*(1-o)) * c, err
+	if err != nil || mean == 0 {
+		return mean, 0, err
+	}
+	o, err := genfunc.OutbreakProbability(p, q)
+	return mean, math.Sqrt(o*(1-o)) * (mean / o), err
 }
 
 // diffs returns the steps y[i] − y[i−1].
