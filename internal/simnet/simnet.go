@@ -186,7 +186,9 @@ func (g *GilbertElliott) Drop(r *xrand.RNG, _, _ NodeID) bool {
 // ---------------------------------------------------------------------------
 // Network
 
-// Stats counts network-level outcomes.
+// Stats counts network-level outcomes. The fields tagged
+// golden:"accounting" are bookkeeping about how messages travelled; the
+// goldens pin them apart from the outcomes (see internal/golden).
 type Stats struct {
 	Sent         int64 // Send calls accepted from live nodes
 	Delivered    int64 // messages handed to a handler
@@ -206,7 +208,7 @@ type Stats struct {
 	// It is bookkeeping about Sent messages, not an outcome: boxed sends
 	// are already included in Sent and resolve into Delivered or a drop
 	// counter like any other.
-	BoxedSends int64
+	BoxedSends int64 `golden:"accounting"`
 
 	// Batch accounting. A SendBatch call is one wire message — counted once
 	// in Sent / Delivered / the drop counters and once in InFlight, exactly
@@ -218,12 +220,12 @@ type Stats struct {
 	// BatchesDelivered/BatchEntriesDelivered batches handed to the batch
 	// handler (subsets of Delivered). Entries lost in transit are the
 	// quiescent difference SentEntries() − DeliveredEntries().
-	Batches               int64
-	BatchEntries          int64
-	BatchesDown           int64
-	BatchEntriesDown      int64
-	BatchesDelivered      int64
-	BatchEntriesDelivered int64
+	Batches               int64 `golden:"accounting"`
+	BatchEntries          int64 `golden:"accounting"`
+	BatchesDown           int64 `golden:"accounting"`
+	BatchEntriesDown      int64 `golden:"accounting"`
+	BatchesDelivered      int64 `golden:"accounting"`
+	BatchEntriesDelivered int64 `golden:"accounting"`
 }
 
 // Add accumulates o into s field by field — the one place the counters
