@@ -98,7 +98,7 @@ func TestAPIGate(t *testing.T) {
 // gateAllow is the one list of exceptions to reachability: an import path
 // (the whole package) or path.Name, each with its reason.
 var gateAllow = map[string]string{
-	"gossipkit/internal/golden":      "the digest helper the golden tests share; only _test.go files import it",
+	"gossipkit/internal/golden":      "the field-wise renderer and golden files the golden tests share; only _test.go files import it",
 	"gossipkit/internal/cli/clitest": "the in-process command runner and exit-contract check the cmd/ tests share; only _test.go files import it",
 }
 

@@ -205,12 +205,16 @@ func WithoutReports() Option { return func(o *runOptions) { o.noReports = true }
 // barriers. n <= 0 auto-selects GOMAXPROCS at option-apply time. The
 // default (option absent) is one shard — the same executor draining a
 // single kernel — so WithShards(1) changes nothing. A fixed shard count
-// is byte-identical across repeats and hosts; different counts are
-// statistically pinned. Executions whose latency model has no positive
-// floor always run on one shard. Each replication still runs on one shard
-// group — WithShards parallelizes within a run (one n=10⁷ execution across
-// cores), WithWorkers across runs; they compose, but oversubscribe the
-// machine if both are wide.
+// is byte-identical across repeats for the same GOARCH and Go release
+// (the test suite checks amd64; on arm64, ppc64le, s390x and riscv64
+// TestNoFusedFloat keeps fused multiply-add out of this module's float
+// code, and the standard library's math functions are not yet measured
+// across architectures); different counts are statistically pinned.
+// Executions whose latency model has no positive floor always run on one
+// shard. Each replication still runs on one shard group — WithShards
+// parallelizes within a run (one n=10⁷ execution across cores),
+// WithWorkers across runs; they compose, but oversubscribe the machine if
+// both are wide.
 //
 // Honored by the Network, Stream and Campaign engines. Campaign
 // alternatively takes the count on ScenarioRunConfig.Shards (setting both

@@ -24,8 +24,13 @@
 // kernels; ExecuteOnNetworkArena and ExecuteOnNetworkProbed are that
 // executor on one shard, the default.
 // Every execution is a pure function of its Params, seed, injection hook
-// and shard count — results are byte-identical across machines, worker
-// counts, and arena reuse, and statistically pinned across shard counts.
+// and shard count — results are byte-identical across worker counts and
+// arena reuse for the same GOARCH and Go release (the test suite checks
+// amd64), and statistically pinned across shard counts. Across
+// architectures: on arm64, ppc64le, s390x and riscv64, TestNoFusedFloat
+// keeps fused multiply-add out of this module's own float code; whether
+// the standard library's math functions give the same bits on every
+// architecture is not yet measured.
 //
 // The Monte-Carlo estimators on the untimed executor (EstimateReliabilityCtx,
 // EstimateComponentReliabilityCtx, RunSuccessCtx, MeanTraceRounds) are sweeps

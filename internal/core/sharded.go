@@ -56,8 +56,13 @@ type shardState struct {
 // receiving shard.
 //
 // Determinism contract:
-//   - a fixed shard count is byte-identical across repeated runs, fresh
-//     and recycled arenas, and hosts, for the same (p, netCfg, r, inject):
+//   - a fixed shard count is byte-identical across repeated runs and
+//     fresh and recycled arenas, for the same (p, netCfg, r, inject),
+//     GOARCH and Go release (the test suite checks amd64;
+//     TestNoFusedFloat keeps fused multiply-add out of this module's
+//     float code on arm64, ppc64le, s390x and riscv64; the standard
+//     library's math functions are not yet measured across
+//     architectures):
 //     every shard draws from its own stream of the layout in run.go
 //     (shardSplit, netSplit), windows are cut at deterministic virtual
 //     times, and barriers flush the per-pair buffers in a fixed order, so

@@ -38,8 +38,12 @@ func RunProbed(cfg Config, netCfg simnet.Config, r *xrand.RNG,
 // and its network run on shard s's streams of core.Run's layout.
 //
 // Determinism contract (matching core's): a fixed shard count is
-// byte-identical across repeated runs, arenas and hosts
-// (testdata/runprobed.golden pins the one-shard layout); different shard
+// byte-identical across repeated runs and arenas for the same GOARCH and
+// Go release (the test suite checks amd64; on arm64, ppc64le, s390x and riscv64
+// TestNoFusedFloat keeps fused multiply-add out of this module's float
+// code, and the standard library's math functions are not yet measured
+// across architectures; testdata/runprobed.golden pins the one-shard
+// layout); different shard
 // counts share the publish schedule and failure mask and are
 // statistically pinned, because fanout and latency draws come from
 // per-shard streams. opts.Shards below 1 means one shard; see
