@@ -15,9 +15,9 @@ import (
 	"gossipkit/internal/xrand"
 )
 
-// Protocol message tags (simnet.Message.Tag). They stay below simnet's
-// packed-tag limit, so every protocol message is slot-free on the network
-// hot path.
+// Protocol message tags (simnet.Message.Tag). They stay below 128, inside
+// simnet's packed band for every n ≤ 2²⁴, so every protocol message is
+// slot-free on the network hot path.
 const (
 	tagGossip   int32 = iota // data push carrying the payload
 	tagAEReq                 // anti-entropy contact, caller clean at round start

@@ -13,8 +13,8 @@ import (
 // warm, pushing a message through latency + loss draws, the typed kernel
 // event, and handler dispatch must not touch the heap at all. This is the
 // property that makes n=10⁵..10⁶ executions GC-free. It holds for plain
-// sends and for boxed SendTag sends (tags ≥ tagLimit, the per-id stream's
-// wire) with no tracer, under a lite tracer, and across shards through
+// sends and for boxed SendTag sends (tags ≥ packLimit, the tag-slot
+// path) with no tracer, under a lite tracer, and across shards through
 // ScheduleArrival; BoxedSends counts every boxed send that was scheduled.
 func TestSendDeliverZeroAlloc(t *testing.T) {
 	cfg := Config{
@@ -60,12 +60,13 @@ func TestSendDeliverZeroAlloc(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := tc.rig()
+			boxedTag := func(from NodeID) int32 { return int32(r.nets[0].packLimit()) + int32(from) }
 			delivered := 0
 			for _, nw := range r.nets {
 				nw.RegisterAll(func(_ sim.Time, m Message) {
 					delivered++
-					if tc.boxed && m.Tag != tagLimit+int32(m.From) {
-						t.Errorf("message from %d delivered tag %d, want %d", m.From, m.Tag, tagLimit+int32(m.From))
+					if tc.boxed && m.Tag != boxedTag(m.From) {
+						t.Errorf("message from %d delivered tag %d, want %d", m.From, m.Tag, boxedTag(m.From))
 					}
 				})
 			}
@@ -74,7 +75,7 @@ func TestSendDeliverZeroAlloc(t *testing.T) {
 					from, to := NodeID(i%n), NodeID((i*7+1)%n)
 					nw := r.nets[int(from)*len(r.nets)/n]
 					if tc.boxed {
-						nw.SendTag(from, to, tagLimit+int32(from))
+						nw.SendTag(from, to, boxedTag(from))
 					} else {
 						nw.Send(from, to, nil)
 					}
@@ -155,8 +156,9 @@ func testResetTagSlots(t *testing.T) {
 	cfg := Config{Latency: UniformLatency{Lo: time.Millisecond, Hi: 9 * time.Millisecond}}
 	nw := New(kernel, 8, rng, cfg)
 	nw.RegisterAll(func(sim.Time, Message) {})
+	limit := int32(nw.packLimit())
 	for i := 0; i < 64; i++ {
-		nw.SendTag(NodeID(i%8), NodeID((i+1)%8), tagLimit+int32(i))
+		nw.SendTag(NodeID(i%8), NodeID((i+1)%8), limit+int32(i))
 	}
 	if err := kernel.Run(sim.Time(5 * time.Millisecond)); err != nil {
 		t.Fatal(err)
@@ -175,7 +177,7 @@ func testResetTagSlots(t *testing.T) {
 	nw.RegisterAll(func(_ sim.Time, m Message) { got[msg{m.From, m.Tag}]++ })
 	const fresh = 5
 	for i := 0; i < fresh; i++ {
-		nw.SendTag(NodeID(7-i), NodeID(i), 1000+int32(i))
+		nw.SendTag(NodeID(7-i), NodeID(i), limit+1000+int32(i))
 	}
 	if len(nw.tagSlots) != fresh {
 		t.Errorf("%d fresh boxed sends occupy a tag table of %d slots, want %d", fresh, len(nw.tagSlots), fresh)
@@ -184,7 +186,7 @@ func testResetTagSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < fresh; i++ {
-		if m := (msg{NodeID(7 - i), 1000 + int32(i)}); got[m] != 1 {
+		if m := (msg{NodeID(7 - i), limit + 1000 + int32(i)}); got[m] != 1 {
 			t.Errorf("message from %d tag %d delivered %d times, want 1 (all: %v)", m.from, m.tag, got[m], got)
 		}
 	}

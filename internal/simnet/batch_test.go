@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -66,8 +67,8 @@ func TestSendBatchDelivery(t *testing.T) {
 }
 
 // TestSendBatchHugeIDs pins the tag-boundary independence of the batch
-// path: ids far above the packed-tag limit (streaming message ids such as
-// 1<<26) ride in the slab, never in the event word, so a batch of them
+// path: ids at or far above the packed-tag limit (up to the largest int32)
+// ride in the slab, never in the event word, so a batch of them
 // costs zero BoxedSends — unlike per-id SendTag, where each would box.
 func TestSendBatchHugeIDs(t *testing.T) {
 	k := sim.New()
@@ -77,7 +78,7 @@ func TestSendBatchHugeIDs(t *testing.T) {
 		got = append(got, ids...)
 	})
 
-	ids := []int32{tagLimit, 1 << 20, 1 << 26, 1<<27 - 1}
+	ids := []int32{int32(nw.packLimit()), 1 << 20, 1 << 30, math.MaxInt32}
 	nw.SendBatch(0, 1, 3, ids)
 	if err := k.RunAll(); err != nil {
 		t.Fatal(err)

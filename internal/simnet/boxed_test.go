@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"math"
 	"testing"
 
 	"gossipkit/internal/sim"
@@ -8,16 +9,17 @@ import (
 )
 
 // TestSendTagPackedBelowLimit pins the slot-free side of the tag boundary:
-// with n < 2²⁴ and tag < tagLimit, a payload-free tagged send rides in the
-// event word — no in-flight slot, no BoxedSends count — and still delivers
-// the exact tag.
+// with tag < packLimit, a payload-free tagged send rides in the event word —
+// no in-flight slot, no BoxedSends count — and still delivers the exact tag.
 func TestSendTagPackedBelowLimit(t *testing.T) {
 	k := sim.New()
 	nw := New(k, 4, xrand.New(1), Config{})
 	var got []int32
 	nw.RegisterAll(func(_ sim.Time, m Message) { got = append(got, m.Tag) })
 
-	for _, tag := range []int32{0, 1, tagLimit - 1} {
+	limit := int32(nw.packLimit())
+	want := []int32{0, 1, limit - 1}
+	for _, tag := range want {
 		nw.SendTag(0, 1, tag)
 	}
 	if err := k.RunAll(); err != nil {
@@ -33,7 +35,6 @@ func TestSendTagPackedBelowLimit(t *testing.T) {
 	if st.Delivered != 3 || len(got) != 3 {
 		t.Fatalf("delivered %d/%d messages, want 3", st.Delivered, len(got))
 	}
-	want := []int32{0, 1, tagLimit - 1}
 	for i, tag := range want {
 		if got[i] != tag {
 			t.Errorf("delivery %d: tag = %d, want %d", i, got[i], tag)
@@ -42,7 +43,7 @@ func TestSendTagPackedBelowLimit(t *testing.T) {
 }
 
 // TestSendTagBoxedAboveLimit pins the fallback side: a tag at or above
-// tagLimit cannot pack into the event word, so the message parks in a
+// packLimit cannot pack into the event word, so the message parks in a
 // pooled tag slot, BoxedSends counts it, and the tag still arrives intact —
 // the semantics of SendTag are identical on both sides of the boundary.
 func TestSendTagBoxedAboveLimit(t *testing.T) {
@@ -51,7 +52,8 @@ func TestSendTagBoxedAboveLimit(t *testing.T) {
 	var got []int32
 	nw.RegisterAll(func(_ sim.Time, m Message) { got = append(got, m.Tag) })
 
-	tags := []int32{tagLimit, tagLimit + 1, 1 << 20}
+	limit := int32(nw.packLimit())
+	tags := []int32{limit, limit + 1, math.MaxInt32}
 	for _, tag := range tags {
 		nw.SendTag(0, 1, tag)
 	}
@@ -83,32 +85,34 @@ func TestSendTagBoxedAboveLimit(t *testing.T) {
 }
 
 // TestSendTagBoxedLargeGroup pins the group-size side of the boundary:
-// with n ≥ 2²⁴ the sender id alone fills the event word, so every nonzero
-// tag boxes regardless of its value, while tag 0 (plain Send) stays
-// slot-free.
+// at n = 2²⁴ the sender ids take 24 bits of the event word, so only tags
+// below 128 pack — the largest of them from the largest id included — and
+// tag 128 boxes, while tag 0 (plain Send) stays slot-free.
 func TestSendTagBoxedLargeGroup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2²⁴-node network in -short mode")
 	}
 	k := sim.New()
 	nw := New(k, 1<<24, xrand.New(1), Config{})
-	var got []int32
-	nw.RegisterAll(func(_ sim.Time, m Message) { got = append(got, m.Tag) })
+	var got []Message
+	nw.RegisterAll(func(_ sim.Time, m Message) { got = append(got, m) })
 
-	if nw.packTags {
-		t.Fatalf("packTags = true at n = 2²⁴, want false")
+	if limit := nw.packLimit(); limit != 128 {
+		t.Fatalf("packLimit = %d at n = 2²⁴, want 128", limit)
 	}
-	nw.SendTag(1<<24-1, 3, 1) // small tag, but the group is too large to pack
-	nw.SendTag(5, 3, 0)       // tag 0 always rides slot-free
+	nw.SendTag(1<<24-1, 3, 127) // the largest id beside the largest packing tag
+	nw.SendTag(1<<24-1, 3, 128) // one past the band: boxes
+	nw.SendTag(5, 3, 0)         // tag 0 always rides slot-free
 	if err := k.RunAll(); err != nil {
 		t.Fatal(err)
 	}
 	st := nw.Stats()
 	if st.BoxedSends != 1 {
-		t.Errorf("BoxedSends = %d, want 1 (only the nonzero tag boxes)", st.BoxedSends)
+		t.Errorf("BoxedSends = %d, want 1 (only tag 128 boxes)", st.BoxedSends)
 	}
-	if st.Delivered != 2 || len(got) != 2 || got[0] != 1 || got[1] != 0 {
-		t.Errorf("deliveries = %v (Delivered %d), want tags [1 0]", got, st.Delivered)
+	want := []Message{{From: 1<<24 - 1, To: 3, Tag: 127}, {From: 1<<24 - 1, To: 3, Tag: 128}, {From: 5, To: 3}}
+	if st.Delivered != 3 || len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		t.Errorf("deliveries = %v (Delivered %d), want %v", got, st.Delivered, want)
 	}
 }
 
@@ -144,9 +148,10 @@ func TestBoxedSendsCrossShard(t *testing.T) {
 		sn.Shard(s).RegisterAll(func(sim.Time, Message) {})
 	}
 	// Member 0 lives on shard 0, member 2 on shard 1: both sends cross.
-	sn.Shard(0).SendTag(0, 2, 1)        // packs on arrival
-	sn.Shard(0).SendTag(0, 2, tagLimit) // boxes on arrival
-	sn.Flush(0)                         // barrier: park arrivals on shard 1
+	limit := int32(sn.Shard(1).packLimit())
+	sn.Shard(0).SendTag(0, 2, 1)     // packs on arrival
+	sn.Shard(0).SendTag(0, 2, limit) // boxes on arrival
+	sn.Flush(0)                      // barrier: park arrivals on shard 1
 	for _, k := range kernels {
 		if err := k.RunAll(); err != nil {
 			t.Fatal(err)
@@ -158,5 +163,80 @@ func TestBoxedSendsCrossShard(t *testing.T) {
 	}
 	if st.Delivered != 2 {
 		t.Errorf("fabric Delivered = %d, want 2", st.Delivered)
+	}
+}
+
+// TestTagPackBand pins where the packed band ends for each group size: a
+// packed event word holds the sender id in its low bits.Len(n−1) bits and
+// the tag above, so the largest packing tag round-trips From and Tag
+// exactly without boxing, the next tag boxes and delivers the same
+// Message, and every group below 2²⁴ packs at least the tags below 128.
+// One network reused across sizes must re-split on Reset: a stale split
+// would mis-decode senders silently.
+func TestTagPackBand(t *testing.T) {
+	for _, tc := range []struct {
+		n     int
+		limit int64
+	}{
+		{1, 1 << 31}, {2, 1 << 30}, {64, 1 << 25}, {5000, 1 << 18},
+		{1 << 20, 1 << 11}, {1<<24 - 1, 128}, {1 << 24, 128},
+	} {
+		k := sim.New()
+		checkTagPackBand(t, k, New(k, tc.n, xrand.New(1), Config{}), tc.limit)
+	}
+
+	k := sim.New()
+	nw := New(k, 5000, xrand.New(1), Config{})
+	for _, tc := range []struct {
+		n     int
+		limit int64
+	}{{5000, 1 << 18}, {1 << 20, 1 << 11}, {5000, 1 << 18}} {
+		k.Reset()
+		nw.Reset(k, tc.n, xrand.New(1), Config{})
+		checkTagPackBand(t, k, nw, tc.limit)
+	}
+}
+
+// checkTagPackBand sends the largest packing tag and, when one exists, the
+// first boxing tag from the largest sender id across nw and checks both
+// deliveries and the boxing count against the band ending at limit.
+func checkTagPackBand(t *testing.T, k *sim.Kernel, nw *Network, limit int64) {
+	t.Helper()
+	n := nw.N()
+	if got := nw.packLimit(); got != limit {
+		t.Fatalf("n = %d: packLimit = %d, want %d", n, got, limit)
+	}
+	if n < 1<<24 && limit < 128 {
+		t.Errorf("n = %d: packLimit %d packs fewer tags than the 128 every group below 2²⁴ packs", n, limit)
+	}
+	var got []Message
+	nw.RegisterAll(func(_ sim.Time, m Message) { got = append(got, m) })
+	from, to := NodeID(n-1), NodeID(0)
+	deliver := func(tag int32) Message {
+		got = got[:0]
+		nw.SendTag(from, to, tag)
+		if err := k.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 {
+			t.Fatalf("n = %d, tag %d: %d deliveries, want 1", n, tag, len(got))
+		}
+		return got[0]
+	}
+	top := int32(min(limit-1, math.MaxInt32))
+	if m, want := deliver(top), (Message{From: from, To: to, Tag: top}); m != want {
+		t.Errorf("n = %d: largest packing tag delivered %+v, want %+v", n, m, want)
+	}
+	if b := nw.Stats().BoxedSends; b != 0 || len(nw.tagSlots) != 0 {
+		t.Errorf("n = %d: tag %d boxed (BoxedSends %d, %d tag slots), want packed", n, top, b, len(nw.tagSlots))
+	}
+	if limit > math.MaxInt32 {
+		return // every tag packs: the sender id takes no bits
+	}
+	if m, want := deliver(int32(limit)), (Message{From: from, To: to, Tag: int32(limit)}); m != want {
+		t.Errorf("n = %d: first boxing tag delivered %+v, want %+v", n, m, want)
+	}
+	if b := nw.Stats().BoxedSends; b != 1 {
+		t.Errorf("n = %d: tag %d left BoxedSends at %d, want 1", n, limit, b)
 	}
 }

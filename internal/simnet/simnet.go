@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"gossipkit/internal/bitset"
@@ -198,13 +199,13 @@ type Stats struct {
 	DroppedPart  int64 // blocked by a partition
 	// BoxedSends counts payload-free messages that fell off the slot-free
 	// event-word encoding into a pooled in-flight slot: the tag did not fit
-	// below tagLimit, the group was too large to pack (n ≥ 2²⁴), or a full
+	// the bits the group's sender ids leave free (see SendTag), or a full
 	// tracer was watching. Boxed sends stay allocation-free in the steady
 	// state (slots are recycled) but each keeps a slot beside its 16-byte
 	// event record while airborne — an 8-byte tag slot, or a 40-byte parked
-	// slot under a full tracer — so streaming workloads whose message ids
-	// exceed the packed-tag band watch this counter instead of discovering
-	// the shift in a memory profile.
+	// slot under a full tracer — so workloads whose tags outgrow the packed
+	// band watch this counter instead of discovering the shift in a memory
+	// profile.
 	// It is bookkeeping about Sent messages, not an outcome: boxed sends
 	// are already included in Sent and resolve into Delivered or a drop
 	// counter like any other.
@@ -336,8 +337,8 @@ type Network struct {
 	partition func(a, b NodeID) bool
 	stats     Stats
 	tracer    Tracer
-	traceFull bool // tracer needs exact SentAt: disable the slot-free path
-	packTags  bool // n < 2²⁴: (tag, from) pairs fit a slot-free event word
+	traceFull bool  // tracer needs exact SentAt: disable the slot-free path
+	idBits    uint8 // low bits of a packed event word holding the sender id
 
 	deliverID sim.HandlerID
 	inflight  []inflight
@@ -418,7 +419,7 @@ func (nw *Network) Reset(kernel *sim.Kernel, n int, rng *xrand.RNG, cfg Config) 
 	if nw.loss == nil {
 		nw.loss = NoLoss{}
 	}
-	nw.packTags = n < 1<<tagShift
+	nw.idBits = uint8(bits.Len32(uint32(max(n, 1) - 1)))
 	nw.up.Reset(n)
 	nw.up.SetAll()
 	for i := range nw.inflight {
@@ -496,16 +497,10 @@ func (nw *Network) RegisterBatchAll(h BatchHandler) {
 	nw.allBatch = h
 }
 
-// tagShift positions a message tag above the 24-bit sender id in the
-// slot-free event-word encoding: with n < 2²⁴ (well past the n=10⁷
-// ceiling), a payload-free tagged message packs (tag, from) into one int32
-// and needs no in-flight slot. Tags must stay below tagLimit for the
-// packed form; larger tags (or larger networks) fall back to a pooled slot
-// transparently.
-const (
-	tagShift = 24
-	tagLimit = 1 << (31 - tagShift) // 7 tag bits keep the word positive
-)
+// packLimit is the first tag that does not pack: a slot-free event word
+// holds the sender id in its low idBits bits and the tag above them, 31
+// bits in all so the word stays positive (see SendTag).
+func (nw *Network) packLimit() int64 { return 1 << (31 - nw.idBits) }
 
 // Send queues a message for delivery after the modeled latency. Messages
 // from crashed nodes are silently discarded; messages to nodes that are
@@ -520,9 +515,11 @@ func (nw *Network) Send(from, to NodeID, payload any) {
 // (data push, digest, NACK, pull reply) stay on the slot-free zero-
 // allocation path this way instead of boxing a payload per message.
 //
-// The slot-free encoding holds only while the (tag, from) pair fits the
-// event word: tag < tagLimit (128) and n < 2²⁴. Outside that band — tags
-// used as streaming message ids easily exceed it — the message transparently
+// The slot-free encoding holds while the (tag, from) pair fits the 31-bit
+// event word, the sender id in the low bits.Len(n−1) bits and the tag
+// above: tag < 2^(31 − bits.Len(n−1)), so the band follows the group size
+// (tags below 2¹⁸ at n = 5000, below 128 at n = 2²⁴). Outside it — say,
+// streaming message ids past 4,096 at n = 10⁵ — the message transparently
 // parks (from, tag) in a pooled 8-byte tag slot instead: same delivery
 // semantics, same zero steady-state allocations, but 8 more bytes per
 // airborne message beside its 16-byte event record (40 under a full
@@ -674,18 +671,18 @@ func (nw *Network) ScheduleArrival(from, to NodeID, tag int32, sentAt, at sim.Ti
 // scheduleTag schedules a payload-free message's delivery at `at`, in the
 // cheapest form that keeps what an observer may read. With no full tracer
 // watching — the entire gossip hot path, including runs observed through a
-// lite tracer — the sender id (and, when the group is small enough to
-// pack, the tag) rides in the event record's payload word, encoded below
-// zero; a tag that does not pack boxes (from, tag) into an 8-byte tag
-// slot. A full tracer needs the exact send time, so every message boxes
-// into a parked slot. Both boxed forms count in BoxedSends.
+// lite tracer — the sender id and a tag below packLimit ride in the event
+// record's payload word, encoded below zero; a tag that does not pack
+// boxes (from, tag) into an 8-byte tag slot. A full tracer needs the exact
+// send time, so every message boxes into a parked slot. Both boxed forms
+// count in BoxedSends.
 func (nw *Network) scheduleTag(from, to NodeID, tag int32, sentAt, at sim.Time) {
 	switch {
 	case nw.traceFull:
 		nw.stats.BoxedSends++
 		nw.kernel.Schedule(at, nw.deliverID, int32(to), nw.allocMsg(from, sentAt, tag, nil))
-	case tag == 0 || (nw.packTags && tag < tagLimit):
-		nw.kernel.Schedule(at, nw.deliverID, int32(to), -(int32(from)|tag<<tagShift)-1)
+	case int64(tag) < nw.packLimit():
+		nw.kernel.Schedule(at, nw.deliverID, int32(to), -(int32(from)|tag<<nw.idBits)-1)
 	default:
 		nw.stats.BoxedSends++
 		slot := nw.freeTag
@@ -774,11 +771,7 @@ func (nw *Network) deliverEvent(now sim.Time, node, slot int32) {
 	var m inflight
 	if slot < 0 {
 		word := -slot - 1
-		if nw.packTags {
-			m = inflight{from: NodeID(word & (1<<tagShift - 1)), tag: word >> tagShift, sentAt: now, slab: -1}
-		} else {
-			m = inflight{from: NodeID(word), sentAt: now, slab: -1}
-		}
+		m = inflight{from: NodeID(word & (1<<nw.idBits - 1)), tag: word >> nw.idBits, sentAt: now, slab: -1}
 	} else {
 		m = nw.inflight[slot]
 		nw.inflight[slot].payload = nil // release the payload reference

@@ -18,8 +18,8 @@ func TestTagSlotLayout(t *testing.T) {
 	}
 }
 
-// TestTagSlotsAccountForMemory replays the per-id stream's network load —
-// n = 5000, every tag past the packed band, 1–5 ms uniform latency, each
+// TestTagSlotsAccountForMemory replays a per-id stream's network load with
+// every tag past the packed band — n = 5000, 1–5 ms uniform latency, each
 // delivery forwarding one or two messages until a send budget runs out, so
 // the airborne count climbs through free-chain reuse and table growth and
 // then drains — and requires the tag table to explain its memory: it
@@ -31,7 +31,8 @@ func TestTagSlotsAccountForMemory(t *testing.T) {
 	k := sim.New()
 	nw := New(k, n, xrand.New(1), Config{Latency: UniformLatency{Lo: time.Millisecond, Hi: 5 * time.Millisecond}})
 	nw.HintPending(seed)
-	tagOf := func(from, to NodeID) int32 { return tagLimit + int32(from)*n + int32(to) }
+	limit := int32(nw.packLimit())
+	tagOf := func(from, to NodeID) int32 { return limit + int32(from)*n + int32(to) }
 	fork := xrand.New(2)
 	sent, peak := 0, int64(0)
 	send := func(from NodeID) {
@@ -78,7 +79,7 @@ func TestTagSlotsAccountForMemory(t *testing.T) {
 }
 
 // TestBoxedTracerSentAt pins what a tracer sees of a boxed payload-free
-// delivery (tag ≥ tagLimit): a full tracer parks the send time and reports
+// delivery (tag ≥ packLimit): a full tracer parks the send time and reports
 // it exactly; a lite tracer keeps the 8-byte tag slot and reports SentAt =
 // At, as slot-free deliveries do; and a full tracer installed mid-flight
 // reports At for the tag-slotted messages sent before it, exact SentAt for
@@ -101,7 +102,7 @@ func TestBoxedTracerSentAt(t *testing.T) {
 		}
 		k.At(ms(installAt), func() { install(nw, tr) })
 		for _, at := range sendAt {
-			k.At(ms(at), func() { nw.SendTag(0, 1, tagLimit) })
+			k.At(ms(at), func() { nw.SendTag(0, 1, int32(nw.packLimit())) })
 		}
 		if err := k.RunAll(); err != nil {
 			t.Fatal(err)

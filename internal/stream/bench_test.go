@@ -13,8 +13,9 @@ import (
 // benchStream drives one streaming configuration as a sub-benchmark:
 // untimed warm-up (arena rows, bitsets, kernel queues grow once), then
 // timed runs reporting entry-unit throughput (msgs/sec counts id entries,
-// so per-id and batched wire formats compare on equal terms) and the warm
-// malloc count. allocGuard > 0 fails the benchmark when a warm iteration
+// so per-id and batched wire formats compare on equal terms), the warm
+// malloc count and boxed/op, the sends per run that left the packed event
+// word for a tag slot (simnet.Stats.BoxedSends). allocGuard > 0 fails the benchmark when a warm iteration
 // allocates more than that — the arena-discipline and summary-mode
 // O(M)-allocation guard.
 func benchStream(b *testing.B, cfg Config, netCfg simnet.Config, minRel float64, allocGuard uint64) {
@@ -33,17 +34,20 @@ func benchStream(b *testing.B, cfg Config, netCfg simnet.Config, minRel float64,
 	run()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	var sent int64
+	var sent, boxed int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sent += run().MessagesSent // Ledger.Sends: id entries, wire-format independent
+		res := run()
+		sent += res.MessagesSent // Ledger.Sends: id entries, wire-format independent
+		boxed += res.Net.BoxedSends
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
 	perIter := (after.Mallocs - before.Mallocs) / uint64(b.N)
 	b.ReportMetric(float64(perIter), "warm-allocs/op")
 	b.ReportMetric(float64(sent)/b.Elapsed().Seconds(), "msgs/sec")
+	b.ReportMetric(float64(boxed)/float64(b.N), "boxed/op")
 	if allocGuard > 0 && perIter > allocGuard {
 		b.Fatalf("warm streaming iteration makes %d mallocs, want <= %d — state is escaping the arena",
 			perIter, allocGuard)
@@ -59,6 +63,9 @@ func benchStream(b *testing.B, cfg Config, netCfg simnet.Config, minRel float64,
 //     rumor push workload with one event per buffered id per peer versus
 //     one batched digest per (member, round, peer). msgs/sec counts id
 //     entries for both, so the ratio is the batching speedup.
+//     wire=perid/pushpull is the bench's stream_perid discipline: push-
+//     pull rounds under 5% loss, the one per-id regime that drives
+//     digests, NACKs and repairs.
 //   - rumors=1M wire=batch summary: the memory-posture story — 10⁶
 //     concurrent rumors under batched wire + summary-only accounting,
 //     alloc-guarded to a small constant: no O(M) allocation survives
@@ -95,6 +102,12 @@ func BenchmarkStreamSteadyState(b *testing.B) {
 	}
 	b.Run("rumors=10k/wire=perid", func(b *testing.B) {
 		benchStream(b, rumors10k, net10k, 0, 0)
+	})
+	b.Run("rumors=10k/wire=perid/pushpull", func(b *testing.B) {
+		cfg, netCfg := rumors10k, net10k
+		cfg.Discipline = DisciplinePushPull
+		netCfg.Loss = simnet.BernoulliLoss{P: 0.05}
+		benchStream(b, cfg, netCfg, 0, 0)
 	})
 	b.Run("rumors=10k/wire=batch", func(b *testing.B) {
 		cfg := rumors10k

@@ -20,11 +20,11 @@ import (
 const publishSplit = 0x97ab31
 
 // Message tags pack (message id, message kind) into the simnet tag word:
-// tag = id<<kindBits | kind. Ids at or above simnet's packed-tag band box
-// into pooled 8-byte tag slots beside their event records (see
-// simnet.SendTag and Stats.BoxedSends) — same semantics, zero steady-state
-// allocations — which is the normal regime for a stream of thousands of
-// messages.
+// tag = id<<kindBits | kind. simnet packs a tag into the event record when
+// it fits beside the sender id — at n = 5000, ids below 65,536 — and boxes
+// the rest into pooled 8-byte tag slots beside their event records (see
+// simnet.SendTag and Stats.BoxedSends): same semantics, zero steady-state
+// allocations, 8 more bytes per airborne message.
 const (
 	kindBits = 2
 	kindMask = 1<<kindBits - 1

@@ -181,9 +181,11 @@ done
 # tests re-executed their binary with (they drive run in-process), the
 # probe's series cap option (a constant now), the network-wide tracer
 # field (a probe's ring is the one raw-event path), the crash-timing
-# setting with its two constants and test helper (one fail-stop case) and
-# the goldens' %+v digest helper (internal/golden's field-wise rendering, render, replaced
-# it, so no result struct is "%+v-digested" any more) are deleted;
+# setting with its two constants and test helper (one fail-stop case), the
+# goldens' %+v digest helper (internal/golden's field-wise rendering, render, replaced
+# it, so no result struct is "%+v-digested" any more) and simnet's fixed
+# sender/tag split (tagShift, tagLimit, packTags and the 128-tag band they
+# set; each Network splits its event word by group size now) are deleted;
 # README and ARCHITECTURE must not describe them as if they existed. Where
 # a surviving identifier contains the name (EstimateReliabilityCtx,
 # ExecuteOnNetworkArena, drawMaskInto, ZoneLatency.Zones, ...) the pattern
@@ -260,7 +262,11 @@ for gone in \
     "FiniteForwardReach" \
     "JointCriticalLoss" \
     "golden\.Digest" \
-    "%\+v-digested"; do
+    "%\+v-digested" \
+    "tagShift" \
+    "tagLimit" \
+    "packTags" \
+    "tag ≥ 128"; do
     if hits=$(grep -nE "$gone" README.md ARCHITECTURE.md); then
         echo "docs-lint: README/ARCHITECTURE mention the deleted '$gone':" >&2
         echo "$hits" >&2
