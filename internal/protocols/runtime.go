@@ -15,7 +15,7 @@ import (
 	"gossipkit/internal/xrand"
 )
 
-// Protocol message tags (simnet.Message.Tag). They stay below 128, inside
+// Protocol message tags (simnet.Message.Tag). They stay below 2¹⁴, inside
 // simnet's packed band for every n ≤ 2²⁴, so every protocol message is
 // slot-free on the network hot path.
 const (

@@ -13,15 +13,18 @@ import (
 // warm, pushing a message through latency + loss draws, the typed kernel
 // event, and handler dispatch must not touch the heap at all. This is the
 // property that makes n=10⁵..10⁶ executions GC-free. It holds for plain
-// sends and for boxed SendTag sends (tags ≥ packLimit, the tag-slot
-// path) with no tracer, under a lite tracer, and across shards through
-// ScheduleArrival; BoxedSends counts every boxed send that was scheduled.
+// sends and for boxed SendTag sends (tags ≥ packLimit, parked in in-flight
+// slots) with no tracer, under a lite tracer, and across shards through
+// ScheduleArrival; BoxedSends counts every boxed send that was scheduled,
+// and every parked slot is back on its free list when the fabric drains.
 func TestSendDeliverZeroAlloc(t *testing.T) {
 	cfg := Config{
 		Latency: UniformLatency{Lo: time.Millisecond, Hi: 5 * time.Millisecond},
 		Loss:    BernoulliLoss{P: 0.05},
 	}
-	const n = 64
+	// n = bandN so tags past the packed band exist; the 512 messages of a
+	// batch spread their endpoints over both shards' blocks.
+	const n, spread = bandN, bandN / 512
 	// rig is a warmed-up fabric: nets[s] runs on kernels[s] and owns the
 	// s-th block of members; flush hands cross-shard sends over.
 	type rig struct {
@@ -72,7 +75,7 @@ func TestSendDeliverZeroAlloc(t *testing.T) {
 			}
 			batch := func() {
 				for i := 0; i < 512; i++ {
-					from, to := NodeID(i%n), NodeID((i*7+1)%n)
+					from, to := NodeID(i*spread), NodeID((i*7+1)%512*spread)
 					nw := r.nets[int(from)*len(r.nets)/n]
 					if tc.boxed {
 						nw.SendTag(from, to, boxedTag(from))
@@ -106,6 +109,16 @@ func TestSendDeliverZeroAlloc(t *testing.T) {
 			}
 			if st.BoxedSends != want {
 				t.Errorf("BoxedSends = %d, want %d (stats %+v)", st.BoxedSends, want, st)
+			}
+			parked := 0
+			for s, nw := range r.nets {
+				parked += len(nw.inflight)
+				if len(nw.freeMsg) != len(nw.inflight) {
+					t.Errorf("shard %d: %d of %d parked slots free at quiescence, want all", s, len(nw.freeMsg), len(nw.inflight))
+				}
+			}
+			if (parked > 0) != tc.boxed {
+				t.Errorf("%d parked slots, want some exactly when sends box", parked)
 			}
 		})
 	}
@@ -143,18 +156,18 @@ func TestNetworkReset(t *testing.T) {
 	if s.Sent != 1 || s.DroppedPart != 0 || s.DroppedCrash != 1 || s.Delivered != 0 {
 		t.Errorf("post-Reset delivery stats %+v", s)
 	}
-	t.Run("tag-slots", testResetTagSlots)
+	t.Run("parked-slots", testResetParkedSlots)
 }
 
-// testResetTagSlots cancels a run with boxed messages in tag slots both
-// airborne and recycled onto the free chain, then Resets: fresh boxed
-// sends must fill the table from slot 0 — no stale free-chain entry — and
+// testResetParkedSlots cancels a run with boxed messages in parked slots
+// both airborne and recycled onto the free list, then Resets: fresh boxed
+// sends must fill the store from slot 0 — no stale free-list entry — and
 // deliver with their own from and tag.
-func testResetTagSlots(t *testing.T) {
+func testResetParkedSlots(t *testing.T) {
 	kernel := sim.New()
 	rng := xrand.New(7)
 	cfg := Config{Latency: UniformLatency{Lo: time.Millisecond, Hi: 9 * time.Millisecond}}
-	nw := New(kernel, 8, rng, cfg)
+	nw := New(kernel, bandN, rng, cfg)
 	nw.RegisterAll(func(sim.Time, Message) {})
 	limit := int32(nw.packLimit())
 	for i := 0; i < 64; i++ {
@@ -163,12 +176,12 @@ func testResetTagSlots(t *testing.T) {
 	if err := kernel.Run(sim.Time(5 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	if st := nw.Stats(); st.Delivered == 0 || st.InFlight() == 0 || nw.freeTag < 0 {
-		t.Fatalf("cancel point: stats %+v, free chain head %d; want slots both airborne and free", st, nw.freeTag)
+	if st := nw.Stats(); st.Delivered == 0 || st.InFlight() == 0 || len(nw.freeMsg) == 0 {
+		t.Fatalf("cancel point: stats %+v, %d free slots; want slots both airborne and free", st, len(nw.freeMsg))
 	}
 
 	kernel.Reset()
-	nw.Reset(kernel, 8, rng, cfg)
+	nw.Reset(kernel, bandN, rng, cfg)
 	type msg struct {
 		from NodeID
 		tag  int32
@@ -179,8 +192,9 @@ func testResetTagSlots(t *testing.T) {
 	for i := 0; i < fresh; i++ {
 		nw.SendTag(NodeID(7-i), NodeID(i), limit+1000+int32(i))
 	}
-	if len(nw.tagSlots) != fresh {
-		t.Errorf("%d fresh boxed sends occupy a tag table of %d slots, want %d", fresh, len(nw.tagSlots), fresh)
+	if len(nw.inflight) != fresh || len(nw.freeMsg) != 0 {
+		t.Errorf("%d fresh boxed sends occupy a parked store of %d slots (%d free), want %d (0 free)",
+			fresh, len(nw.inflight), len(nw.freeMsg), fresh)
 	}
 	if err := kernel.RunAll(); err != nil {
 		t.Fatal(err)

@@ -72,13 +72,13 @@ func TestSendBatchDelivery(t *testing.T) {
 // costs zero BoxedSends — unlike per-id SendTag, where each would box.
 func TestSendBatchHugeIDs(t *testing.T) {
 	k := sim.New()
-	nw := New(k, 4, xrand.New(1), Config{})
+	nw := New(k, bandN, xrand.New(1), Config{})
 	var got []int32
 	nw.RegisterBatchAll(func(_ sim.Time, _, _ NodeID, _ int32, ids []int32) {
 		got = append(got, ids...)
 	})
 
-	ids := []int32{int32(nw.packLimit()), 1 << 20, 1 << 30, math.MaxInt32}
+	ids := []int32{int32(nw.packLimit()), 1 << 29, 1 << 30, math.MaxInt32}
 	nw.SendBatch(0, 1, 3, ids)
 	if err := k.RunAll(); err != nil {
 		t.Fatal(err)

@@ -8,47 +8,58 @@ import (
 	"gossipkit/internal/xrand"
 )
 
+// bandN is a group size whose packed band ends inside the tag range:
+// bits.Len(n−1) = 17, so tags below 2²⁸ pack and larger ones park.
+const bandN = 100_000
+
 // TestSendTagPackedBelowLimit pins the slot-free side of the tag boundary:
-// with tag < packLimit, a payload-free tagged send rides in the event word —
-// no in-flight slot, no BoxedSends count — and still delivers the exact tag.
+// with tag < packLimit, a payload-free tagged send rides in the event
+// record — no in-flight slot, no BoxedSends count — and still delivers the
+// exact tag and endpoints. That includes the largest tag a 10⁴-id stream
+// sends, id 10⁴−1 of kind 3 (stream tags are id<<2 | kind).
 func TestSendTagPackedBelowLimit(t *testing.T) {
 	k := sim.New()
-	nw := New(k, 4, xrand.New(1), Config{})
-	var got []int32
-	nw.RegisterAll(func(_ sim.Time, m Message) { got = append(got, m.Tag) })
+	nw := New(k, bandN, xrand.New(1), Config{})
+	var got []Message
+	nw.RegisterAll(func(_ sim.Time, m Message) { got = append(got, m) })
 
 	limit := int32(nw.packLimit())
-	want := []int32{0, 1, limit - 1}
-	for _, tag := range want {
-		nw.SendTag(0, 1, tag)
+	want := []Message{
+		{From: 0, To: 1}, {From: 0, To: 1, Tag: 1},
+		{From: bandN - 1, To: bandN - 2, Tag: (10_000-1)<<2 | 3},
+		{From: bandN - 1, To: bandN - 1, Tag: limit - 1},
+	}
+	for _, m := range want {
+		nw.SendTag(m.From, m.To, m.Tag)
 	}
 	if err := k.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	if len(nw.inflight) != 0 || len(nw.tagSlots) != 0 {
-		t.Errorf("packed sends parked %d in-flight and %d tag slots, want 0", len(nw.inflight), len(nw.tagSlots))
+	if len(nw.inflight) != 0 {
+		t.Errorf("packed sends parked %d in-flight slots, want 0", len(nw.inflight))
 	}
 	st := nw.Stats()
 	if st.BoxedSends != 0 {
 		t.Errorf("BoxedSends = %d below the limit, want 0", st.BoxedSends)
 	}
-	if st.Delivered != 3 || len(got) != 3 {
-		t.Fatalf("delivered %d/%d messages, want 3", st.Delivered, len(got))
+	if st.Delivered != int64(len(want)) || len(got) != len(want) {
+		t.Fatalf("delivered %d/%d messages, want %d", st.Delivered, len(got), len(want))
 	}
-	for i, tag := range want {
-		if got[i] != tag {
-			t.Errorf("delivery %d: tag = %d, want %d", i, got[i], tag)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("delivery %d: %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }
 
 // TestSendTagBoxedAboveLimit pins the fallback side: a tag at or above
-// packLimit cannot pack into the event word, so the message parks in a
-// pooled tag slot, BoxedSends counts it, and the tag still arrives intact —
-// the semantics of SendTag are identical on both sides of the boundary.
+// packLimit cannot pack into the event record, so the message parks in a
+// pooled in-flight slot, BoxedSends counts it, and the tag still arrives
+// intact — the semantics of SendTag are identical on both sides of the
+// boundary.
 func TestSendTagBoxedAboveLimit(t *testing.T) {
 	k := sim.New()
-	nw := New(k, 4, xrand.New(1), Config{})
+	nw := New(k, bandN, xrand.New(1), Config{})
 	var got []int32
 	nw.RegisterAll(func(_ sim.Time, m Message) { got = append(got, m.Tag) })
 
@@ -72,22 +83,17 @@ func TestSendTagBoxedAboveLimit(t *testing.T) {
 			t.Errorf("delivery %d: tag = %d, want %d", i, got[i], tag)
 		}
 	}
-	// Boxed sends recycle their tag slots and never touch the parked
-	// store: after quiescence every tag slot is on the free chain.
-	free := 0
-	for i := nw.freeTag; i >= 0; i = nw.tagSlots[i].tag {
-		free++
-	}
-	if total := len(nw.tagSlots); free != total || total == 0 || len(nw.inflight) != 0 {
-		t.Errorf("tag slots: %d free of %d, parked slots %d; want all tag slots free at quiescence and none parked",
-			free, total, len(nw.inflight))
+	// Boxed sends recycle their parked slots: after quiescence every slot
+	// is back on the free list.
+	if total := len(nw.inflight); len(nw.freeMsg) != total || total == 0 {
+		t.Errorf("parked slots: %d free of %d; want all free at quiescence", len(nw.freeMsg), total)
 	}
 }
 
 // TestSendTagBoxedLargeGroup pins the group-size side of the boundary:
-// at n = 2²⁴ the sender ids take 24 bits of the event word, so only tags
-// below 128 pack — the largest of them from the largest id included — and
-// tag 128 boxes, while tag 0 (plain Send) stays slot-free.
+// at n = 2²⁴ each node id takes 24 bits of its event word, so only tags
+// below 2¹⁴ pack — the largest of them between the largest ids included —
+// and tag 2¹⁴ boxes, while tag 0 (plain Send) stays slot-free.
 func TestSendTagBoxedLargeGroup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2²⁴-node network in -short mode")
@@ -97,20 +103,21 @@ func TestSendTagBoxedLargeGroup(t *testing.T) {
 	var got []Message
 	nw.RegisterAll(func(_ sim.Time, m Message) { got = append(got, m) })
 
-	if limit := nw.packLimit(); limit != 128 {
-		t.Fatalf("packLimit = %d at n = 2²⁴, want 128", limit)
+	if limit := nw.packLimit(); limit != 1<<14 {
+		t.Fatalf("packLimit = %d at n = 2²⁴, want 2¹⁴", limit)
 	}
-	nw.SendTag(1<<24-1, 3, 127) // the largest id beside the largest packing tag
-	nw.SendTag(1<<24-1, 3, 128) // one past the band: boxes
-	nw.SendTag(5, 3, 0)         // tag 0 always rides slot-free
+	const top = 1<<24 - 1
+	nw.SendTag(top, top, 1<<14-1) // the largest ids beside the largest packing tag
+	nw.SendTag(top, top, 1<<14)   // one past the band: boxes
+	nw.SendTag(5, 3, 0)           // tag 0 always rides slot-free
 	if err := k.RunAll(); err != nil {
 		t.Fatal(err)
 	}
 	st := nw.Stats()
-	if st.BoxedSends != 1 {
-		t.Errorf("BoxedSends = %d, want 1 (only tag 128 boxes)", st.BoxedSends)
+	if st.BoxedSends != 1 || len(nw.inflight) != 1 {
+		t.Errorf("BoxedSends = %d, %d parked slots; want 1 (only tag 2¹⁴ boxes)", st.BoxedSends, len(nw.inflight))
 	}
-	want := []Message{{From: 1<<24 - 1, To: 3, Tag: 127}, {From: 1<<24 - 1, To: 3, Tag: 128}, {From: 5, To: 3}}
+	want := []Message{{From: top, To: top, Tag: 1<<14 - 1}, {From: top, To: top, Tag: 1 << 14}, {From: 5, To: 3}}
 	if st.Delivered != 3 || len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
 		t.Errorf("deliveries = %v (Delivered %d), want %v", got, st.Delivered, want)
 	}
@@ -141,17 +148,17 @@ func TestBoxedSendsFullTracer(t *testing.T) {
 // exactly the out-of-band tags.
 func TestBoxedSendsCrossShard(t *testing.T) {
 	sn := NewShardedNet()
-	sn.Prepare(2, 4, Config{})
+	sn.Prepare(2, bandN, Config{})
 	kernels := []*sim.Kernel{sim.New(), sim.New()}
 	for s := 0; s < 2; s++ {
 		sn.ResetShard(s, kernels[s], xrand.New(uint64(s)+1))
 		sn.Shard(s).RegisterAll(func(sim.Time, Message) {})
 	}
-	// Member 0 lives on shard 0, member 2 on shard 1: both sends cross.
+	// Member 0 lives on shard 0, member bandN−1 on shard 1: both sends cross.
 	limit := int32(sn.Shard(1).packLimit())
-	sn.Shard(0).SendTag(0, 2, 1)     // packs on arrival
-	sn.Shard(0).SendTag(0, 2, limit) // boxes on arrival
-	sn.Flush(0)                      // barrier: park arrivals on shard 1
+	sn.Shard(0).SendTag(0, bandN-1, limit-1) // packs on arrival
+	sn.Shard(0).SendTag(0, bandN-1, limit)   // boxes on arrival
+	sn.Flush(0)                              // barrier: park arrivals on shard 1
 	for _, k := range kernels {
 		if err := k.RunAll(); err != nil {
 			t.Fatal(err)
@@ -167,19 +174,20 @@ func TestBoxedSendsCrossShard(t *testing.T) {
 }
 
 // TestTagPackBand pins where the packed band ends for each group size: a
-// packed event word holds the sender id in its low bits.Len(n−1) bits and
-// the tag above, so the largest packing tag round-trips From and Tag
-// exactly without boxing, the next tag boxes and delivers the same
-// Message, and every group below 2²⁴ packs at least the tags below 128.
-// One network reused across sizes must re-split on Reset: a stale split
-// would mis-decode senders silently.
+// packed record holds a node id in the low bits.Len(n−1) bits of each of
+// its two words and the tag split across the rest, so the largest packing
+// tag round-trips From, To and Tag exactly without boxing — between the
+// largest ids and from the largest id to node 0 — the next tag boxes and
+// delivers the same Message, and every group up to 2²⁴ packs at least the
+// tags below 2¹⁴. One network reused across sizes must re-split on Reset:
+// a stale split would mis-decode endpoints silently.
 func TestTagPackBand(t *testing.T) {
 	for _, tc := range []struct {
 		n     int
 		limit int64
 	}{
-		{1, 1 << 31}, {2, 1 << 30}, {64, 1 << 25}, {5000, 1 << 18},
-		{1 << 20, 1 << 11}, {1<<24 - 1, 128}, {1 << 24, 128},
+		{1, 1 << 31}, {2, 1 << 31}, {64, 1 << 31}, {5000, 1 << 31}, {1 << 15, 1 << 31},
+		{1<<15 + 1, 1 << 30}, {100_000, 1 << 28}, {1 << 20, 1 << 22}, {1<<24 - 1, 1 << 14}, {1 << 24, 1 << 14},
 	} {
 		k := sim.New()
 		checkTagPackBand(t, k, New(k, tc.n, xrand.New(1), Config{}), tc.limit)
@@ -190,7 +198,7 @@ func TestTagPackBand(t *testing.T) {
 	for _, tc := range []struct {
 		n     int
 		limit int64
-	}{{5000, 1 << 18}, {1 << 20, 1 << 11}, {5000, 1 << 18}} {
+	}{{5000, 1 << 31}, {1 << 20, 1 << 22}, {5000, 1 << 31}} {
 		k.Reset()
 		nw.Reset(k, tc.n, xrand.New(1), Config{})
 		checkTagPackBand(t, k, nw, tc.limit)
@@ -198,21 +206,22 @@ func TestTagPackBand(t *testing.T) {
 }
 
 // checkTagPackBand sends the largest packing tag and, when one exists, the
-// first boxing tag from the largest sender id across nw and checks both
-// deliveries and the boxing count against the band ending at limit.
+// first boxing tag from the largest node id to itself and to node 0 across
+// nw and checks the deliveries and the boxing count against the band
+// ending at limit.
 func checkTagPackBand(t *testing.T, k *sim.Kernel, nw *Network, limit int64) {
 	t.Helper()
 	n := nw.N()
 	if got := nw.packLimit(); got != limit {
 		t.Fatalf("n = %d: packLimit = %d, want %d", n, got, limit)
 	}
-	if n < 1<<24 && limit < 128 {
-		t.Errorf("n = %d: packLimit %d packs fewer tags than the 128 every group below 2²⁴ packs", n, limit)
+	if n <= 1<<24 && limit < 1<<14 {
+		t.Errorf("n = %d: packLimit %d packs fewer tags than the 2¹⁴ every group up to 2²⁴ packs", n, limit)
 	}
 	var got []Message
 	nw.RegisterAll(func(_ sim.Time, m Message) { got = append(got, m) })
-	from, to := NodeID(n-1), NodeID(0)
-	deliver := func(tag int32) Message {
+	from := NodeID(n - 1)
+	deliver := func(to NodeID, tag int32) Message {
 		got = got[:0]
 		nw.SendTag(from, to, tag)
 		if err := k.RunAll(); err != nil {
@@ -224,19 +233,23 @@ func checkTagPackBand(t *testing.T, k *sim.Kernel, nw *Network, limit int64) {
 		return got[0]
 	}
 	top := int32(min(limit-1, math.MaxInt32))
-	if m, want := deliver(top), (Message{From: from, To: to, Tag: top}); m != want {
-		t.Errorf("n = %d: largest packing tag delivered %+v, want %+v", n, m, want)
+	for _, to := range []NodeID{from, 0} {
+		if m, want := deliver(to, top), (Message{From: from, To: to, Tag: top}); m != want {
+			t.Errorf("n = %d: largest packing tag delivered %+v, want %+v", n, m, want)
+		}
 	}
-	if b := nw.Stats().BoxedSends; b != 0 || len(nw.tagSlots) != 0 {
-		t.Errorf("n = %d: tag %d boxed (BoxedSends %d, %d tag slots), want packed", n, top, b, len(nw.tagSlots))
+	if b := nw.Stats().BoxedSends; b != 0 || len(nw.inflight) != 0 {
+		t.Errorf("n = %d: tag %d boxed (BoxedSends %d, %d parked slots), want packed", n, top, b, len(nw.inflight))
 	}
 	if limit > math.MaxInt32 {
-		return // every tag packs: the sender id takes no bits
+		return // every tag packs
 	}
-	if m, want := deliver(int32(limit)), (Message{From: from, To: to, Tag: int32(limit)}); m != want {
-		t.Errorf("n = %d: first boxing tag delivered %+v, want %+v", n, m, want)
+	for _, to := range []NodeID{from, 0} {
+		if m, want := deliver(to, int32(limit)), (Message{From: from, To: to, Tag: int32(limit)}); m != want {
+			t.Errorf("n = %d: first boxing tag delivered %+v, want %+v", n, m, want)
+		}
 	}
-	if b := nw.Stats().BoxedSends; b != 1 {
-		t.Errorf("n = %d: tag %d left BoxedSends at %d, want 1", n, limit, b)
+	if b := nw.Stats().BoxedSends; b != 2 {
+		t.Errorf("n = %d: tag %d left BoxedSends at %d, want 2", n, limit, b)
 	}
 }

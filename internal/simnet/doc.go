@@ -24,13 +24,12 @@
 //
 // Allocation guarantee: the steady-state send→deliver path allocates
 // nothing. Node up/down flags are a packed bitset; payload-free messages
-// whose (tag, sender) pair packs into the event word — the sender id in
-// its low bits.Len(n−1) bits, the tag in the rest, so the band follows the
-// group size — ride entirely inside the kernel's 16-byte event records
-// (the gossip hot path, and the per-id stream's ids below 65,536 at
-// n = 5000); boxed ones — tags past that band — add an 8-byte tag slot
-// each; payload-carrying messages, batches and every message under a full
-// tracer park in 40-byte in-flight slots. Both slot pools
-// recycle through free lists (alloc_test.go enforces this; tagslot_test.go
-// pins the tag slot's bytes).
+// whose tag packs into the event record — each of its two words holds a
+// node id in its low bits.Len(n−1) bits and half the tag in the rest, so
+// the band follows the group size — ride entirely inside the kernel's
+// 16-byte event records (the gossip hot path, and every per-id stream tag
+// at n ≤ 2¹⁵, ids below 2²⁶ at n = 10⁵). Everything else — tags past that
+// band, payload-carrying messages, batches and every message under a full
+// tracer — parks in a 40-byte in-flight slot, recycled through a free list
+// (alloc_test.go enforces this; parked_test.go pins the slot's bytes).
 package simnet

@@ -198,14 +198,13 @@ type Stats struct {
 	DroppedDown  int64 // discarded at send time: the sender was down (never in Sent)
 	DroppedPart  int64 // blocked by a partition
 	// BoxedSends counts payload-free messages that fell off the slot-free
-	// event-word encoding into a pooled in-flight slot: the tag did not fit
-	// the bits the group's sender ids leave free (see SendTag), or a full
+	// event-record encoding into a pooled 40-byte parked slot: the tag did
+	// not fit the bits the group's ids leave free (see SendTag), or a full
 	// tracer was watching. Boxed sends stay allocation-free in the steady
-	// state (slots are recycled) but each keeps a slot beside its 16-byte
-	// event record while airborne — an 8-byte tag slot, or a 40-byte parked
-	// slot under a full tracer — so workloads whose tags outgrow the packed
-	// band watch this counter instead of discovering the shift in a memory
-	// profile.
+	// state (slots are recycled) but each keeps its slot beside its 16-byte
+	// event record while airborne, so workloads whose tags outgrow the
+	// packed band watch this counter instead of discovering the shift in a
+	// memory profile.
 	// It is bookkeeping about Sent messages, not an outcome: boxed sends
 	// are already included in Sent and resolve into Delivered or a drop
 	// counter like any other.
@@ -300,28 +299,20 @@ func (c Config) RoundInterval(explicit time.Duration) time.Duration {
 	return 20 * time.Millisecond
 }
 
-// inflight is the pooled parked slot of one message in transit that needs
-// more than a tag slot: a payload, a batch, or an exact SentAt for a full
-// tracer. The destination rides in the event record itself (its node
-// word); the slot holds the rest. Slots are recycled through a free list,
-// so the steady-state send→deliver path allocates nothing. slab is the
-// index of an id-slab for batch messages (-1 otherwise), leased at send
-// time and released when the batch resolves.
+// inflight is the pooled parked slot of one message in transit that does
+// not pack into its event record: a payload, a batch, a tag past the packed
+// band, or any payload-free message under a full tracer (which needs the
+// exact SentAt). The destination rides in the event record itself (its
+// node word); the slot holds the rest, the send time included. Slots are
+// recycled through a free list, so the steady-state send→deliver path
+// allocates nothing. slab is the index of an id-slab for batch messages
+// (-1 otherwise), leased at send time and released when the batch resolves.
 type inflight struct {
 	from    NodeID
 	sentAt  sim.Time
 	tag     int32
 	slab    int32
 	payload any
-}
-
-// tagSlot is the in-flight slot of a boxed payload-free message with no
-// full tracer watching: its tag did not fit the event word, so (from, tag)
-// park here, 8 bytes and no pointer, and the send time is not kept. A free
-// slot holds the index of the next free one in tag (-1 ends the chain).
-type tagSlot struct {
-	from int32
-	tag  int32
 }
 
 // Network is a simulated message-passing network over n nodes.
@@ -338,17 +329,11 @@ type Network struct {
 	stats     Stats
 	tracer    Tracer
 	traceFull bool  // tracer needs exact SentAt: disable the slot-free path
-	idBits    uint8 // low bits of a packed event word holding the sender id
+	idBits    uint8 // low bits of each packed event word holding a node id
 
 	deliverID sim.HandlerID
 	inflight  []inflight
 	freeMsg   []int32
-
-	// deliverTagID fires the deliveries parked in tagSlots; freeTag heads
-	// the slots' free chain (-1 when empty).
-	deliverTagID sim.HandlerID
-	tagSlots     []tagSlot
-	freeTag      int32
 
 	// allBatch consumes delivered batches (RegisterBatchAll); slabs is the
 	// pooled id-slab store batches park their entry lists in between send
@@ -427,15 +412,12 @@ func (nw *Network) Reset(kernel *sim.Kernel, n int, rng *xrand.RNG, cfg Config) 
 	}
 	nw.inflight = nw.inflight[:0]
 	nw.freeMsg = nw.freeMsg[:0]
-	nw.tagSlots = nw.tagSlots[:0]
-	nw.freeTag = -1
 	nw.freeSlab = nw.freeSlab[:0]
 	for i := range nw.slabs {
 		nw.slabs[i] = nw.slabs[i][:0]
 		nw.freeSlab = append(nw.freeSlab, int32(i))
 	}
 	nw.deliverID = kernel.RegisterHandler(nw.deliverEvent)
-	nw.deliverTagID = kernel.RegisterHandler(nw.deliverTag)
 	// The default pending estimate is n: a single rumor's in-flight
 	// messages peak at a few per member. An executor that keeps more in
 	// the air re-hints with its own figure.
@@ -497,10 +479,12 @@ func (nw *Network) RegisterBatchAll(h BatchHandler) {
 	nw.allBatch = h
 }
 
-// packLimit is the first tag that does not pack: a slot-free event word
-// holds the sender id in its low idBits bits and the tag above them, 31
-// bits in all so the word stays positive (see SendTag).
-func (nw *Network) packLimit() int64 { return 1 << (31 - nw.idBits) }
+// packLimit is the first tag that does not pack. A packed record's two
+// 31-bit words each hold a node id in their low idBits bits — the sender in
+// the payload word, the destination in the node word — and one half of the
+// tag above it, so 2·(31 − idBits) tag bits fit, capped at the int32 range
+// (see SendTag).
+func (nw *Network) packLimit() int64 { return 1 << min(62-2*int(nw.idBits), 31) }
 
 // Send queues a message for delivery after the modeled latency. Messages
 // from crashed nodes are silently discarded; messages to nodes that are
@@ -515,16 +499,17 @@ func (nw *Network) Send(from, to NodeID, payload any) {
 // (data push, digest, NACK, pull reply) stay on the slot-free zero-
 // allocation path this way instead of boxing a payload per message.
 //
-// The slot-free encoding holds while the (tag, from) pair fits the 31-bit
-// event word, the sender id in the low bits.Len(n−1) bits and the tag
-// above: tag < 2^(31 − bits.Len(n−1)), so the band follows the group size
-// (tags below 2¹⁸ at n = 5000, below 128 at n = 2²⁴). Outside it — say,
-// streaming message ids past 4,096 at n = 10⁵ — the message transparently
-// parks (from, tag) in a pooled 8-byte tag slot instead: same delivery
-// semantics, same zero steady-state allocations, but 8 more bytes per
-// airborne message beside its 16-byte event record (40 under a full
-// tracer, which parks the send time too). Stats.BoxedSends counts exactly
-// these fallbacks so the shift is observable rather than silent.
+// The slot-free encoding holds while the tag fits the bits the two node
+// ids leave free in the event record's two 31-bit words — each id takes
+// the low bits.Len(n−1) bits of its word and the tag is split across the
+// rest: tag < min(2^(62 − 2·bits.Len(n−1)), 2³¹), so the band follows the
+// group size (every tag at n ≤ 2¹⁵, tags below 2²⁸ at n = 10⁵, 2²² at
+// n = 10⁶, 2¹⁴ at n = 2²⁴). Outside it — say, streaming message ids past
+// 2²⁰ at n = 10⁶ — the message transparently parks in a pooled 40-byte
+// in-flight slot instead: same delivery semantics, same zero steady-state
+// allocations, but the slot beside its 16-byte event record while
+// airborne. Stats.BoxedSends counts exactly these fallbacks so the shift
+// is observable rather than silent.
 func (nw *Network) SendTag(from, to NodeID, tag int32) {
 	if tag < 0 {
 		panic(fmt.Sprintf("simnet: negative message tag %d", tag))
@@ -671,30 +656,21 @@ func (nw *Network) ScheduleArrival(from, to NodeID, tag int32, sentAt, at sim.Ti
 // scheduleTag schedules a payload-free message's delivery at `at`, in the
 // cheapest form that keeps what an observer may read. With no full tracer
 // watching — the entire gossip hot path, including runs observed through a
-// lite tracer — the sender id and a tag below packLimit ride in the event
-// record's payload word, encoded below zero; a tag that does not pack
-// boxes (from, tag) into an 8-byte tag slot. A full tracer needs the exact
-// send time, so every message boxes into a parked slot. Both boxed forms
-// count in BoxedSends.
+// lite tracer — a tag below packLimit packs into the event record: the
+// payload word holds the sender id and the tag's low 31 − idBits bits,
+// encoded below zero; the node word holds the destination and the tag's
+// high bits above it. Any other payload-free message — a tag past the
+// band, or any message under a full tracer, which needs the exact send
+// time — parks in an in-flight slot and counts in BoxedSends.
 func (nw *Network) scheduleTag(from, to NodeID, tag int32, sentAt, at sim.Time) {
-	switch {
-	case nw.traceFull:
-		nw.stats.BoxedSends++
-		nw.kernel.Schedule(at, nw.deliverID, int32(to), nw.allocMsg(from, sentAt, tag, nil))
-	case int64(tag) < nw.packLimit():
-		nw.kernel.Schedule(at, nw.deliverID, int32(to), -(int32(from)|tag<<nw.idBits)-1)
-	default:
-		nw.stats.BoxedSends++
-		slot := nw.freeTag
-		if slot >= 0 {
-			nw.freeTag = nw.tagSlots[slot].tag
-			nw.tagSlots[slot] = tagSlot{from: int32(from), tag: tag}
-		} else {
-			slot = int32(len(nw.tagSlots))
-			nw.tagSlots = append(nw.tagSlots, tagSlot{from: int32(from), tag: tag})
-		}
-		nw.kernel.Schedule(at, nw.deliverTagID, int32(to), slot)
+	if !nw.traceFull && int64(tag) < nw.packLimit() {
+		low := 31 - nw.idBits
+		node := int32(to) | tag>>low<<nw.idBits
+		nw.kernel.Schedule(at, nw.deliverID, node, -(int32(from)|tag&(1<<low-1)<<nw.idBits)-1)
+		return
 	}
+	nw.stats.BoxedSends++
+	nw.kernel.Schedule(at, nw.deliverID, int32(to), nw.allocMsg(from, sentAt, tag, nil))
 }
 
 // ScheduleArrivalBatch is ScheduleArrival for batches: the destination
@@ -761,17 +737,19 @@ func (nw *Network) SlabsInUse() int {
 	return len(nw.slabs) - len(nw.freeSlab)
 }
 
-// deliverEvent is the typed kernel handler for message arrival: node is the
-// destination; payload is an inflight slot index when >= 0, or the encoded
-// (tag, sender) of a slot-free payload-nil message when negative. A
-// slot-free message reports SentAt equal to its delivery time, even to a
-// full tracer installed while it was airborne — the only observable
-// difference between the encodings (deliverTag's messages share it).
+// deliverEvent is the typed kernel handler for message arrival. A payload
+// word >= 0 is an inflight slot index and node is the destination; a
+// negative one marks a packed payload-nil message, whose sender and tag
+// are rebuilt from both words and whose destination is node's low idBits
+// bits (see scheduleTag). A packed message reports SentAt equal to its
+// delivery time, even to a full tracer installed while it was airborne —
+// the only observable difference between the encodings.
 func (nw *Network) deliverEvent(now sim.Time, node, slot int32) {
 	var m inflight
 	if slot < 0 {
-		word := -slot - 1
-		m = inflight{from: NodeID(word & (1<<nw.idBits - 1)), tag: word >> nw.idBits, sentAt: now, slab: -1}
+		word, mask, low := -slot-1, int32(1)<<nw.idBits-1, 31-nw.idBits
+		m = inflight{from: NodeID(word & mask), tag: node>>nw.idBits<<low | word>>nw.idBits, sentAt: now, slab: -1}
+		node &= mask
 	} else {
 		m = nw.inflight[slot]
 		nw.inflight[slot].payload = nil // release the payload reference
@@ -782,16 +760,6 @@ func (nw *Network) deliverEvent(now sim.Time, node, slot int32) {
 		return
 	}
 	nw.deliverOne(now, NodeID(node), m)
-}
-
-// deliverTag is the typed kernel handler for a message parked in a tag
-// slot: it recycles the slot onto the free chain and delivers the message
-// with SentAt equal to now, as a slot-free delivery reports it.
-func (nw *Network) deliverTag(now sim.Time, node, slot int32) {
-	s := nw.tagSlots[slot]
-	nw.tagSlots[slot].tag = nw.freeTag
-	nw.freeTag = slot
-	nw.deliverOne(now, NodeID(node), inflight{from: NodeID(s.from), sentAt: now, tag: s.tag})
 }
 
 // deliverOne resolves one arriving non-batch message: the delivery-time

@@ -67,7 +67,7 @@ type Tracer func(Event)
 // SetTracer installs (or clears, with nil) the event tracer. A full tracer
 // sees exact SentAt times on every delivery, which costs the slot-free
 // send encoding: every in-flight message parks its metadata in a pooled
-// slot while one is installed. Observers that only need event kinds,
+// 40-byte slot while one is installed. Observers that only need event kinds,
 // endpoints, and occurrence times — counters and time-series sampling —
 // should use SetTracerLite and keep the hot path intact.
 func (nw *Network) SetTracer(t Tracer) {
@@ -76,14 +76,15 @@ func (nw *Network) SetTracer(t Tracer) {
 }
 
 // SetTracerLite installs (or clears, with nil) the event tracer WITHOUT
-// disabling the slot-free send path: payload-free messages keep riding in
-// the event word — or, for tags past the packed band, in an 8-byte tag
-// slot — so the steady-state send→deliver path still allocates nothing.
-// The price is that every payload-free delivery, slot-free or
-// tag-slotted, reports SentAt equal to its delivery time (the send time
+// disabling the slot-free send path: payload-free messages with a tag in
+// the packed band keep riding in the event record, so the steady-state
+// send→deliver path still allocates nothing. The price is that every
+// packed delivery reports SentAt equal to its delivery time (the send time
 // was never parked anywhere), so transit latency is not observable through
-// a lite tracer — kinds, endpoints, and At are exact. The observability
-// probes sample their virtual-time curves through this seam.
+// a lite tracer for them; parked messages — payloads, batches, tags past
+// the band — report their exact send time. Kinds, endpoints, and At are
+// exact either way. The observability probes sample their virtual-time
+// curves through this seam.
 func (nw *Network) SetTracerLite(t Tracer) {
 	nw.tracer = t
 	nw.traceFull = false

@@ -15,7 +15,7 @@ import (
 // timed runs reporting entry-unit throughput (msgs/sec counts id entries,
 // so per-id and batched wire formats compare on equal terms), the warm
 // malloc count and boxed/op, the sends per run that left the packed event
-// word for a tag slot (simnet.Stats.BoxedSends). allocGuard > 0 fails the benchmark when a warm iteration
+// record for a parked slot (simnet.Stats.BoxedSends). allocGuard > 0 fails the benchmark when a warm iteration
 // allocates more than that — the arena-discipline and summary-mode
 // O(M)-allocation guard.
 func benchStream(b *testing.B, cfg Config, netCfg simnet.Config, minRel float64, allocGuard uint64) {

@@ -21,10 +21,11 @@ const publishSplit = 0x97ab31
 
 // Message tags pack (message id, message kind) into the simnet tag word:
 // tag = id<<kindBits | kind. simnet packs a tag into the event record when
-// it fits beside the sender id — at n = 5000, ids below 65,536 — and boxes
-// the rest into pooled 8-byte tag slots beside their event records (see
-// simnet.SendTag and Stats.BoxedSends): same semantics, zero steady-state
-// allocations, 8 more bytes per airborne message.
+// it fits beside the two node ids — every id at n ≤ 2¹⁵, ids below 2²⁶ at
+// n = 10⁵, 2²⁰ at n = 10⁶ — and parks the rest in pooled 40-byte in-flight
+// slots beside their event records (see simnet.SendTag and
+// Stats.BoxedSends): same semantics, zero steady-state allocations, 40 more
+// bytes per airborne message.
 const (
 	kindBits = 2
 	kindMask = 1<<kindBits - 1

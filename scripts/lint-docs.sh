@@ -185,7 +185,10 @@ done
 # goldens' %+v digest helper (internal/golden's field-wise rendering, render, replaced
 # it, so no result struct is "%+v-digested" any more) and simnet's fixed
 # sender/tag split (tagShift, tagLimit, packTags and the 128-tag band they
-# set; each Network splits its event word by group size now) are deleted;
+# set; each Network splits its event record by group size now) and its
+# 8-byte tag-slot store (tagSlot, its second handler deliverTag and its
+# free-chain head freeTag; an out-of-band tag parks in the one in-flight
+# store now) are deleted;
 # README and ARCHITECTURE must not describe them as if they existed. Where
 # a surviving identifier contains the name (EstimateReliabilityCtx,
 # ExecuteOnNetworkArena, drawMaskInto, ZoneLatency.Zones, ...) the pattern
@@ -266,7 +269,11 @@ for gone in \
     "tagShift" \
     "tagLimit" \
     "packTags" \
-    "tag ≥ 128"; do
+    "tag ≥ 128" \
+    "tagSlot" \
+    "deliverTag" \
+    "freeTag" \
+    "8-byte tag slot"; do
     if hits=$(grep -nE "$gone" README.md ARCHITECTURE.md); then
         echo "docs-lint: README/ARCHITECTURE mention the deleted '$gone':" >&2
         echo "$hits" >&2
