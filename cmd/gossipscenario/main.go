@@ -238,7 +238,7 @@ func campaignFlags(name string, seeds int) func(o *options) *flag.FlagSet {
 		fs.Float64Var(&o.fanout, "fanout", 5, "mean fanout")
 		fs.Float64Var(&o.q, "q", 1, "static nonfailed ratio")
 		fs.StringVar(&o.curves, "curves", "", "also emit merged per-scenario telemetry curves: csv")
-		fs.IntVar(&o.shards, "shards", 1, "shard kernels per execution (conservative-PDES; 1 = one shard (default), 0 = one per core: GOMAXPROCS, so results differ between hosts with different core counts; pass an explicit count to reproduce a run elsewhere)")
+		fs.IntVar(&o.shards, "shards", 1, "shard kernels per execution (conservative-PDES; 1 = one shard (default), 0 = one per core: GOMAXPROCS, so results differ between hosts with different core counts, since burst-loss state is cloned per shard and timed actions fire at window barriers; pass an explicit count to reproduce a run elsewhere)")
 		fs.StringVar(&o.topology, "topology", "uniform", "gossip overlay: uniform, kout[:K], ba[:K], wan:ZONES[:K]")
 		return fs
 	}

@@ -61,7 +61,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&o.progress, "progress", false, "stream per-run progress to stderr")
 	fs.BoolVar(&o.metrics, "metrics", false, "probe the network execution and print its virtual-time curve CSV")
 	fs.StringVar(&o.trace, "trace", "", "write a Chrome trace of the network execution to this file")
-	fs.IntVar(&o.shards, "shards", 1, "shard kernels for the network execution (conservative-PDES; 1 = one shard (default), 0 = one per core: GOMAXPROCS, so results differ between hosts with different core counts; pass an explicit count to reproduce a run elsewhere)")
+	fs.IntVar(&o.shards, "shards", 1, "shard kernels for the network execution (conservative-PDES; 1 = one shard (default), 0 = one per core: GOMAXPROCS; every count gives the same result, draws are keyed by member)")
 	fs.StringVar(&o.topo, "topology", "uniform", "gossip overlay: uniform, kout[:K], ba[:K], wan:ZONES[:K]")
 	return cli.Run(fs, args, func() error { return simulate(ctx, o, stdout, stderr) })
 }

@@ -75,7 +75,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.DurationVar(&o.latLo, "latency-lo", time.Millisecond, "uniform latency lower bound")
 	fs.DurationVar(&o.latHi, "latency-hi", 5*time.Millisecond, "uniform latency upper bound")
 	fs.Float64Var(&o.loss, "loss", 0, "message loss probability")
-	fs.IntVar(&o.shards, "shards", 1, "shard kernels per execution (conservative-PDES; 1 = one shard (default), 0 = one per core: GOMAXPROCS, so results differ between hosts with different core counts; pass an explicit count to reproduce a run elsewhere)")
+	fs.IntVar(&o.shards, "shards", 1, "shard kernels per execution (conservative-PDES; 1 = one shard (default), 0 = one per core: GOMAXPROCS, so results differ between hosts with different core counts, since stream draws come from per-shard streams; pass an explicit count to reproduce a run elsewhere)")
 	fs.StringVar(&o.topo, "topology", "uniform", "gossip overlay: uniform, kout[:K], ba[:K], wan:ZONES[:K]")
 	fs.BoolVar(&o.cfg.Batch, "batch", false, "batched wire digests: one event per round per peer (push/pushpull)")
 	fs.BoolVar(&o.cfg.SummaryOnly, "summary", false, "summary-only accounting: skip the O(messages) per-message rows")

@@ -202,17 +202,19 @@ func WithoutReports() Option { return func(o *runOptions) { o.noReports = true }
 // members are partitioned across per-core shards that advance in
 // lookahead windows derived from the latency model's floor (see
 // simnet.LatencyFloorer), exchanging cross-shard messages at window
-// barriers. n <= 0 auto-selects GOMAXPROCS at option-apply time, so the
-// same call gives different numbers on hosts with different core counts
-// (shard counts are only statistically pinned, below): pass an explicit
-// count to reproduce a run elsewhere. The default (option absent) is one
-// shard — the same executor draining a single kernel — so WithShards(1)
-// changes nothing. A fixed shard count
+// barriers. n <= 0 auto-selects GOMAXPROCS at option-apply time. The
+// default (option absent) is one shard — the same executor draining a
+// single kernel — so WithShards(1) changes nothing. A fixed shard count
 // is byte-identical across repeats for the same GOARCH and Go release
 // (the test suite checks amd64; on arm64, ppc64le, s390x and riscv64
 // TestNoFusedFloat keeps fused multiply-add out of this module's float
 // code, and the standard library's math functions are not yet measured
-// across architectures); different counts are statistically pinned.
+// across architectures). For Network the count is a performance knob:
+// draws are keyed by member, so every count gives the same result but for
+// the latency moments' last bits. Stream and Campaign results are only
+// statistically pinned across counts (per-shard stream draws, per-shard
+// burst-loss state, timed actions at window barriers), so there pass an
+// explicit count to reproduce a run on a host with other core counts.
 // Executions whose latency model has no positive floor always run on one
 // shard. Each replication still runs on one shard group — WithShards
 // parallelizes within a run (one n=10⁷ execution across cores),

@@ -45,9 +45,9 @@ func mustScenario(name string) *Scenario {
 // engine, the network substrate, or the seed derivation. Regenerate
 // deliberately and say so in the commit.
 const compareGoldenCSV = `protocol,scenario,runs,reliability,reliability_stddev,survivor_reliability,spread_ms,mean_messages,mean_up_at_end,static_prediction,effective_prediction
-paper,crash-wave,2,0.702500,0.038891,0.945205,69.760,666.5,146.0,0.993023,0.971119
-paper,burst-loss,2,0.965000,0.014142,0.965000,57.100,948.5,200.0,0.993023,0.993023
-paper,partition-heal,2,0.945000,0.007071,0.945000,104.142,959.5,200.0,0.993023,0.993023
+paper,crash-wave,2,0.675000,0.042426,0.900685,69.469,651.0,146.0,0.993023,0.971119
+paper,burst-loss,2,0.942500,0.017678,0.942500,70.306,942.0,200.0,0.993023,0.993023
+paper,partition-heal,2,0.927500,0.024749,0.927500,117.243,913.5,200.0,0.993023,0.993023
 pbcast,crash-wave,2,0.735000,0.000000,1.000000,115.982,3586.0,146.0,0.000000,0.000000
 pbcast,burst-loss,2,1.000000,0.000000,1.000000,102.566,1496.0,200.0,0.000000,0.000000
 pbcast,partition-heal,2,1.000000,0.000000,1.000000,115.315,1428.0,200.0,0.000000,0.000000

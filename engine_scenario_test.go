@@ -13,12 +13,15 @@ import (
 // a baseline executor, a probed sweep and the protocol comparison (two
 // axes, with an overlay axis, sharded and on one overlay), each at one and
 // three workers. testdata/campaign.golden was captured from commit
-// eace819, the last one with a separate Compare engine; it pins the
-// one-worker Outcome, and three workers must equal it.
+// eace819, the last one with a separate Compare engine, and its
+// paper-algorithm cases re-recorded when those draws became keyed by
+// member; it pins the one-worker Outcome, and three workers must equal it.
 func TestCampaignGolden(t *testing.T) {
 	g := golden.Open(t, "testdata/campaign.golden",
 		"The Campaign and Compare engines at commit eace819, the last one with a separate\n"+
 			"Compare engine; re-encoded field-wise at 2be1c47, where every old digest matched.\n"+
+			"Every case that runs the paper algorithm was re-recorded when its draws became\n"+
+			"keyed by member; baseline/1 and the protocol rows are as captured.\n"+
 			"case = case/workers; /3 is asserted equal to /1, not pinned")
 	defer g.Close(t)
 	cfg := ScenarioRunConfig{Params: Params{N: 200, Fanout: Poisson(5), AliveRatio: 1}, PartialViewCopies: 2}

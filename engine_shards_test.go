@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"gossipkit/internal/golden"
 	"gossipkit/internal/simnet"
 )
 
@@ -21,8 +22,9 @@ func shardedNetSpec() Network {
 }
 
 // TestWithShardsDeterministicAndPinned: sharded runs are reproducible,
-// compose with WithProbe and RunMany, and agree with the one-shard
-// default on the mask-derived alive count.
+// compose with WithProbe and RunMany, and report what the one-shard
+// default reports, but for the probe's Metrics, the fabric's accounting
+// counters and the latency mean and m2 that the shard merge reassociates.
 func TestWithShardsDeterministicAndPinned(t *testing.T) {
 	spec := shardedNetSpec()
 	base, err := Run(context.Background(), spec, WithSeed(5))
@@ -40,10 +42,9 @@ func TestWithShardsDeterministicAndPinned(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("sharded run not deterministic:\n a %+v\n b %+v", a, b)
 	}
-	ra, rb := a.Reports[0], base.Reports[0]
-	if ra.AliveCount != rb.AliveCount {
-		t.Errorf("sharded AliveCount %d, one-shard %d — mask not invariant", ra.AliveCount, rb.AliveCount)
-	}
+	ra := a.Reports[0]
+	golden.Equal(t, "shards=2", ra, base.Reports[0], "Metrics", "Detail.DeliveryLatency.mean",
+		"Detail.DeliveryLatency.m2", "Detail.Net.BoxedSends")
 	if ra.Metrics == nil || ra.Metrics.Totals.Sent == 0 {
 		t.Errorf("sharded probe metrics missing: %+v", ra.Metrics)
 	}

@@ -37,20 +37,20 @@ func topoCompareSpec() Campaign {
 // seed derivation, or the comparison surface moved. Regenerate deliberately
 // and say so in the commit.
 const topoCompareGoldenCSV = `protocol,scenario,topology,runs,reliability,reliability_stddev,survivor_reliability,spread_ms,mean_messages,mean_up_at_end,static_prediction,effective_prediction,corrected_prediction
-paper,crash-wave,uniform,2,0.702500,0.038891,0.945205,69.760,666.5,146.0,0.993023,0.971119,0.000000
-paper,partition-heal,uniform,2,0.937500,0.038891,0.937500,114.304,953.0,200.0,0.993023,0.993023,0.000000
+paper,crash-wave,uniform,2,0.675000,0.042426,0.900685,69.469,651.0,146.0,0.993023,0.971119,0.000000
+paper,partition-heal,uniform,2,0.930000,0.014142,0.930000,119.612,965.0,200.0,0.993023,0.993023,0.000000
 pbcast,crash-wave,uniform,2,0.735000,0.000000,1.000000,115.982,3586.0,146.0,0.000000,0.000000,0.000000
 pbcast,partition-heal,uniform,2,1.000000,0.000000,1.000000,118.689,1748.0,200.0,0.000000,0.000000,0.000000
 lrg,crash-wave,uniform,2,0.735000,0.007071,1.000000,68.775,806.5,146.0,0.000000,0.000000,0.000000
 lrg,partition-heal,uniform,2,1.000000,0.000000,1.000000,102.430,1167.0,200.0,0.000000,0.000000,0.000000
-paper,crash-wave,kout:6,2,0.732500,0.003536,0.986301,56.838,559.0,146.0,0.993023,0.971119,0.969178
-paper,partition-heal,kout:6,2,0.952500,0.010607,0.952500,115.308,891.0,200.0,0.993023,0.993023,0.982500
+paper,crash-wave,kout:6,2,0.725000,0.007071,0.969178,52.900,548.5,146.0,0.993023,0.971119,0.969178
+paper,partition-heal,kout:6,2,0.955000,0.042426,0.955000,126.497,890.5,200.0,0.993023,0.993023,0.982500
 pbcast,crash-wave,kout:6,2,0.727500,0.003536,0.993151,116.546,3449.5,146.0,0.000000,0.000000,0.000000
 pbcast,partition-heal,kout:6,2,1.000000,0.000000,1.000000,135.281,2004.0,200.0,0.000000,0.000000,0.000000
 lrg,crash-wave,kout:6,2,0.742500,0.010607,1.000000,57.629,657.0,146.0,0.000000,0.000000,0.000000
 lrg,partition-heal,kout:6,2,1.000000,0.000000,1.000000,106.641,992.5,200.0,0.000000,0.000000,0.000000
-paper,crash-wave,wan:4,2,0.817500,0.010607,0.993151,40.723,766.0,146.0,0.993023,0.971119,0.969178
-paper,partition-heal,wan:4,2,0.995000,0.000000,0.995000,106.138,993.0,200.0,0.993023,0.993023,0.990000
+paper,crash-wave,wan:4,2,0.810000,0.007071,0.982877,33.289,748.5,146.0,0.993023,0.971119,0.969178
+paper,partition-heal,wan:4,2,1.000000,0.000000,1.000000,100.549,1051.0,200.0,0.993023,0.993023,0.990000
 pbcast,crash-wave,wan:4,2,0.732500,0.003536,1.000000,211.445,3438.5,146.0,0.000000,0.000000,0.000000
 pbcast,partition-heal,wan:4,2,1.000000,0.000000,1.000000,253.551,2596.0,200.0,0.000000,0.000000,0.000000
 lrg,crash-wave,wan:4,2,0.827500,0.003536,1.000000,29.930,1001.0,146.0,0.000000,0.000000,0.000000

@@ -226,19 +226,19 @@ func ExampleCampaign() {
 	// Output:
 	// comparison: 5 protocols x 2 scenarios, 5 seeds
 	// scenario           protocol                  rel  survivors    spread     messages
-	// crash-wave         paper                  0.7052     0.9512    74.4ms       1750.8
+	// crash-wave         paper                  0.6968     0.9430    73.8ms       1730.0
 	// crash-wave         pbcast                 0.7312     1.0000   127.3ms      11049.6
 	// crash-wave         anti-entropy           0.7304     1.0000   229.1ms       9030.0
 	// crash-wave         lrg                    0.7408     1.0000    64.1ms       2339.4
 	// crash-wave         flooding               1.0000     1.0000     4.0ms     249500.0
-	// stall-rescue       paper                  0.9560     0.9560   169.1ms       2382.6
+	// stall-rescue       paper                  0.9464     0.9464   186.2ms       2391.2
 	// stall-rescue       pbcast                 0.9908     0.9908   237.9ms       7824.8
 	// stall-rescue       anti-entropy           0.4844     0.4844   297.7ms      12020.0
 	// stall-rescue       lrg                    0.9896     0.9896   225.9ms       3794.4
 	// stall-rescue       flooding               1.0000     1.0000    48.2ms     254490.0
 	//
 	// messages per survivor served (crash-wave):
-	//   paper               5.0 msgs  (survivor reliability 0.951)
+	//   paper               5.0 msgs  (survivor reliability 0.943)
 	//   pbcast             30.2 msgs  (survivor reliability 1.000)
 	//   anti-entropy       24.7 msgs  (survivor reliability 1.000)
 	//   lrg                 6.4 msgs  (survivor reliability 1.000)

@@ -91,21 +91,29 @@ func TestIntegrationNetworkLossMatchesBondPercolation(t *testing.T) {
 
 func TestIntegrationLatencyDoesNotChangeReach(t *testing.T) {
 	// Latency reorders deliveries but must not change what is reachable:
-	// independent samples with and without latency give statistically
-	// equal reliability.
+	// a member's fanout, targets and loss draws are keyed by the member,
+	// its delays by a stream of their own, so each seed reaches the same
+	// members with the same messages with and without latency.
 	p := Params{N: 800, Fanout: Poisson(4), AliveRatio: 0.9}
-	zero, err := RunMany(context.Background(), Network{Params: p}, 25)
+	net := NetConfig{Loss: BernoulliLoss(0.1)}
+	zero, err := RunMany(context.Background(), Network{Params: p, Net: net}, 25, WithSeed(5000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lat, err := RunMany(context.Background(), Network{Params: p, Net: NetConfig{
-		Latency: UniformLatency(time.Millisecond, 40*time.Millisecond),
-	}}, 25, WithSeed(5000))
+	net.Latency = UniformLatency(time.Millisecond, 40*time.Millisecond)
+	lat, err := RunMany(context.Background(), Network{Params: p, Net: net}, 25, WithSeed(5000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if z, l := zero.Reliability.Mean, lat.Reliability.Mean; math.Abs(z-l) > 0.06 {
-		t.Errorf("latency changed reach: %.4f vs %.4f", z, l)
+	reach := func(r Report) [9]int64 {
+		d := r.Detail.(NetResult)
+		return [9]int64{int64(d.AliveCount), int64(d.Delivered), int64(d.MessagesSent), int64(d.WastedOnFailed),
+			int64(d.Duplicates), d.Net.Sent, d.Net.Delivered, d.Net.DroppedLoss, d.Net.DroppedCrash}
+	}
+	for i := range zero.Reports {
+		if z, l := reach(zero.Reports[i]), reach(lat.Reports[i]); z != l {
+			t.Errorf("run %d: latency changed reach: %v vs %v", i, l, z)
+		}
 	}
 }
 

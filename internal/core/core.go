@@ -117,6 +117,20 @@ type Result struct {
 	Rounds int
 }
 
+// Draws are keyed by member (Salmon et al., "Parallel random numbers: as
+// easy as 1, 2, 3", SC'11): an execution takes a key root off r before its
+// mask, and member u draws its fanout, targets and losses from
+// keys.SplitInto(·, u), its delays from index u|latencyKey, a re-gossip
+// from one marked regossipKey. Neither the executor, the shard count nor
+// the latency model changes what u draws (TestShardInvariance).
+const latencyKey, regossipKey = 1 << 63, 1 << 62
+
+// keyRoot takes an execution's key root off r with one draw.
+func keyRoot(r *xrand.RNG) (keys xrand.RNG) {
+	r.SplitInto(&keys, r.Uint64()) // the draw advances r before SplitInto reads it
+	return keys
+}
+
 // ExecuteOnce runs one execution of the general gossiping algorithm with a
 // freshly drawn failure mask, consuming randomness from r.
 func ExecuteOnce(p Params, r *xrand.RNG) (Result, error) {
@@ -138,6 +152,7 @@ type executor struct {
 	depth    []int32
 	queue    []int32
 	targets  []int
+	draws    xrand.RNG // the forwarding member's stream
 }
 
 // newExecutor allocates buffers for p. p must already be validated.
@@ -152,20 +167,21 @@ func newExecutor(p Params) *executor {
 	}
 }
 
-// execute redraws the executor's mask from r and runs once against it.
+// execute takes a key root and redraws the executor's mask off r, and runs.
 func (e *executor) execute(r *xrand.RNG) Result {
+	keys := keyRoot(r)
 	e.params.drawMaskInto(&e.mask, r)
-	return e.run(&e.mask, r)
+	return e.run(&e.mask, &keys)
 }
 
 // run is the heart of the reproduction: a queue-based simulation of the
 // spread. Members are processed in BFS order; each alive member, on first
-// receipt, draws a fanout and forwards. A message to a failed member counts
-// in WastedOnFailed and is skipped, as in the DES executor.
+// receipt, draws a fanout and targets from its stream off keys and forwards.
+// A message to a failed member counts in WastedOnFailed and is skipped.
 //
 // After run returns, e.delivered() lists the alive members that received m
 // (including the source), valid until the next run.
-func (e *executor) run(mask *failure.Mask, r *xrand.RNG) Result {
+func (e *executor) run(mask *failure.Mask, keys *xrand.RNG) Result {
 	p := e.params
 	res := Result{AliveCount: mask.AliveCount()}
 
@@ -181,8 +197,9 @@ func (e *executor) run(mask *failure.Mask, r *xrand.RNG) Result {
 
 	for head := 0; head < len(e.queue); head++ {
 		u := int(e.queue[head])
-		f := p.Fanout.Sample(r)
-		e.targets = e.view.SampleTargets(e.targets, u, f, r)
+		keys.SplitInto(&e.draws, uint64(u))
+		f := p.Fanout.Sample(&e.draws)
+		e.targets = e.view.SampleTargets(e.targets, u, f, &e.draws)
 		res.MessagesSent += len(e.targets)
 		for _, v := range e.targets {
 			if !mask.Alive(v) {

@@ -148,10 +148,11 @@ func (a *NetArena) SetTargets(t []int) { a.states[0].targets = t }
 // ExecuteOnNetworkArena runs one execution of the general gossiping
 // algorithm as an event-driven protocol over a simulated network: each first
 // receipt triggers fanout selection and sends, each send incurs the
-// network's latency and loss. With zero latency and no loss the set of
-// members reached is distributed identically to ExecuteOnce (an integration
-// test asserts this); with loss or partitions, the network becomes an
-// additional failure source beyond the paper's model. It is
+// network's latency and loss. With zero latency and no loss it reaches the
+// members ExecuteOnce reaches on the same r, with the same messages
+// (TestExecuteOnNetworkMatchesFastPath and TestShardInvariance assert
+// this); with loss or partitions, the network becomes an additional
+// failure source beyond the paper's model. It is
 // ExecuteOnNetworkSharded on one shard, like the variant below, with a
 // fault-injection hook and caller-supplied buffer reuse, both optional (see
 // there).

@@ -26,7 +26,8 @@
 // Every execution is a pure function of its Params, seed, injection hook
 // and shard count — results are byte-identical across worker counts and
 // arena reuse for the same GOARCH and Go release (the test suite checks
-// amd64), and statistically pinned across shard counts. Across
+// amd64); keyed draws (keyRoot) make it the same at every shard count (see
+// ExecuteOnNetworkSharded) and its spread the same in both executors. Across
 // architectures: on arm64, ppc64le, s390x and riscv64, TestNoFusedFloat
 // keeps fused multiply-add out of this module's own float code; whether
 // the standard library's math functions give the same bits on every

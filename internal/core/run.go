@@ -18,8 +18,9 @@ import (
 // and each shard's network (latency and loss draws) on a further
 // Split(netSplit) of its run stream, taken by Reset. A split depends on
 // its parent's position but never advances it, so what a front end draws
-// from r after Reset — the failure mask — is the same for every shard
-// count. The indices collide with no other split constant in the tree.
+// from r itself — the failure mask, after the paper executor's key root
+// (keyRoot) — is the same for every shard count. The indices collide with
+// no other split constant in the tree.
 const (
 	shardSplit = 0x5a7d00
 	netSplit   = 0xfeed

@@ -21,6 +21,9 @@ type shardState struct {
 	received  bitset.Bits
 	targets   []int
 	rng       *xrand.RNG
+	keys      xrand.RNG // the run's key root (keyRoot)
+	draws     xrand.RNG // the forwarding member's stream, losses included
+	delays    xrand.RNG // and its latency stream
 	probe     *obs.Probe
 	delivered int
 	msgs      int
@@ -63,16 +66,15 @@ type shardState struct {
 //     float code on arm64, ppc64le, s390x and riscv64; the standard
 //     library's math functions are not yet measured across
 //     architectures):
-//     every shard draws from its own stream of the layout in run.go
-//     (shardSplit, netSplit), windows are cut at deterministic virtual
-//     times, and barriers flush the per-pair buffers in a fixed order, so
-//     scheduling nondeterminism never reaches the simulation.
-//     testdata/oracle.golden pins the one-shard layout.
-//   - different shard counts are statistically pinned, not byte-identical:
-//     the failure mask is identical (drawn from r, which splitting never
-//     advances) but fanout and latency draws come from different streams,
-//     so results agree in distribution (the tests pin mean reliability
-//     across shard counts).
+//     every member draws from its own keyed streams (keyRoot), windows are
+//     cut at deterministic virtual times, and barriers flush the per-pair
+//     buffers in a fixed order, so scheduling nondeterminism never reaches
+//     the simulation. testdata/oracle.golden pins one shard.
+//   - different shard counts give the same NetResult but for accounting
+//     and the last bits of DeliveryLatency's mean and m2, which the shard
+//     merge reassociates (TestShardInvariance). Under inject this holds
+//     only in distribution: a burst-loss model's state is cloned per shard
+//     and control events fire at window barriers.
 //
 // opts.Shards below 1 means one shard; see EffectiveShards for the
 // configurations that run on fewer shards than asked.
@@ -86,6 +88,7 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 	run := arena.Begin(p.N, netCfg, r, opts)
 	sn, mask, states := run.Net, run.Mask, run.states
 	block := sn.Block()
+	keys := keyRoot(r)
 	run.Reset(rumorBudget(p.N), func(s int) {
 		st := &states[s]
 		lo, hi := sn.Range(s)
@@ -94,9 +97,11 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 		st.spread = 0
 		st.lat = stats.Running{}
 		st.probe = nil
+		st.keys = keys
+		sn.Shard(s).DrawFrom(&st.draws, &st.delays)
 	})
-	// Drawn only after Reset split the network streams off r's starting
-	// position; no split advances r, so every shard count sees this mask.
+	// The key root, then the mask, come off r, which no split advances, so
+	// every shard count sees both.
 	p.drawMaskInto(mask, r)
 	run.Each(run.CrashFailed)
 	view := p.view()
@@ -107,11 +112,14 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 	}
 
 	// forward and receive run on shard s's goroutine (or with every worker
-	// parked).
-	forward := func(s, self int) {
+	// parked). forward draws from self's streams at key (see keyRoot); the
+	// network draws each send's loss and latency from them too.
+	forward := func(s, self int, key uint64) {
 		st, nw := &states[s], sn.Shard(s)
-		f := p.Fanout.Sample(st.rng)
-		st.targets = view.SampleTargets(st.targets, self, f, st.rng)
+		st.keys.SplitInto(&st.draws, key)
+		st.keys.SplitInto(&st.delays, key|latencyKey)
+		f := p.Fanout.Sample(&st.draws)
+		st.targets = view.SampleTargets(st.targets, self, f, &st.draws)
 		st.msgs += len(st.targets)
 		st.probe.ObserveFanout(len(st.targets))
 		for _, v := range st.targets {
@@ -132,7 +140,7 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 			st.spread = now
 		}
 		st.probe.ObserveFirstReceipt(id, from, now)
-		forward(s, id)
+		forward(s, id, uint64(id))
 	}
 	// One shared handler per shard (index dispatch on msg.To) instead of n
 	// per-member closures; mask-failed members are down at the network
@@ -166,8 +174,8 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 			Publish: func(id int) {
 				s := id / block
 				run.OnShard(s, func(now sim.Time) {
-					if hasReceived(id) {
-						forward(s, id) // re-gossip
+					if hasReceived(id) { // re-gossip, keyed by member and instant
+						forward(s, id, regossipKey|(uint64(now)*0x9e3779b97f4a7c15^uint64(id))&(regossipKey-1))
 						return
 					}
 					receive(s, id, -1, now) // additional publisher
@@ -185,7 +193,7 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 		states[s].received.Set(src - s*block)
 		states[s].delivered++
 		states[s].probe.ObserveSeed(src)
-		forward(s, src)
+		forward(s, src, uint64(src))
 	}
 
 	if err := run.Drive(); err != nil {

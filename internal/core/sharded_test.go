@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -58,20 +57,20 @@ type oracleCase struct {
 }
 
 // TestShardedOneShardMatchesOracle pins the default (one-shard) executor
-// to the single-kernel executor it replaced. That executor was the
-// documented equivalence oracle; its role survives as data:
-// testdata/oracle.golden holds the NetResult and the probe.Metrics()
-// (curves, latency/hop/fanout histograms, event trace) that the parent
-// commit's single-kernel ExecuteOnNetworkProbed produced for every case
-// below. The probed run's NetResult must equal the bare one except for
-// Net.BoxedSends (a trace ring boxes its sends), and its network counters
-// must be the probe's Totals, so Totals is asserted, not pinned again.
+// as data: testdata/oracle.golden holds the NetResult and the
+// probe.Metrics() (curves, latency/hop/fanout histograms, event trace) of
+// every case below, recorded when the paper algorithm's draws became keyed
+// by member; until then it held what the single-kernel executor this one
+// replaced produced. The probed run's NetResult must equal the bare one
+// except for Net.BoxedSends (a trace ring boxes its sends), and its network
+// counters must be the probe's Totals, so Totals is asserted, not pinned
+// again.
 func TestShardedOneShardMatchesOracle(t *testing.T) {
 	const n = 300
 	g := golden.Open(t, "testdata/oracle.golden",
-		"core.ExecuteOnNetworkProbed on the single-kernel executor of commit 53dc72f (PR 11),\n"+
-			"the last one that had it; re-encoded field-wise at 2be1c47, where every old digest\n"+
-			"matched. case = inject/fanout/q/latency/view; Metrics.Totals is asserted equal to\n"+
+		"core.ExecuteOnNetworkProbed on one shard with member-keyed draws (core.keyRoot); the\n"+
+			"values before that layout came from the single-kernel executor of commit 53dc72f.\n"+
+			"case = inject/fanout/q/latency/view; Metrics.Totals is asserted equal to\n"+
 			"the probed run's Net, not pinned")
 	defer g.Close(t)
 
@@ -249,57 +248,107 @@ func TestShardedArenaReuseDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardedMaskInvariantAcrossShardCounts pins the RNG layout's key
-// consequence: the failure mask is drawn from the root stream, which
-// splitting never advances, so the alive set — and with it AliveCount and
-// UpAtEnd-eligible membership — is identical across shard counts.
-func TestShardedMaskInvariantAcrossShardCounts(t *testing.T) {
-	p := shardedTestParams(300)
-	cfg := shardedTestConfig()
-	base, err := ExecuteOnNetworkProbed(p, cfg, xrand.New(3), nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
+// spreadOf is what a run's spread is under any latency model: who was
+// reached, by how many messages, and what the network did with them.
+type spreadOf struct {
+	AliveCount, Delivered, MessagesSent, WastedOnFailed, Duplicates int
+	Sent, NetDelivered, DroppedLoss, DroppedCrash                   int64
+}
+
+func spread(r NetResult) spreadOf {
+	return spreadOf{r.AliveCount, r.Delivered, r.MessagesSent, r.WastedOnFailed, r.Duplicates,
+		r.Net.Sent, r.Net.Delivered, r.Net.DroppedLoss, r.Net.DroppedCrash}
+}
+
+// TestShardInvariance holds the paper algorithm's member-keyed draws (see
+// keyRoot) to what they promise, run for run on one (Params, seed):
+//   - every shard count gives the same NetResult, except the fabric's
+//     accounting and DeliveryLatency's mean and m2, whose per-shard
+//     partial sums merge in another association;
+//   - every latency model, and zero latency, gives the same spread;
+//   - the BFS executor and the zero-latency, loss-free DES give the same
+//     spread, mask included.
+func TestShardInvariance(t *testing.T) {
+	lats := []struct {
+		name string
+		m    simnet.LatencyModel
+	}{
+		{"constant", simnet.ConstantLatency{D: 3 * time.Millisecond}},
+		{"uniform", simnet.UniformLatency{Lo: time.Millisecond, Hi: 5 * time.Millisecond}},
+		{"exponential", simnet.ExponentialLatency{Floor: time.Millisecond, Mean: 2 * time.Millisecond}},
 	}
-	for _, shards := range []int{2, 4} {
-		res, err := ExecuteOnNetworkSharded(p, cfg, xrand.New(3), nil, nil, nil, ShardOptions{Shards: shards})
+	losses := []simnet.LossModel{simnet.NoLoss{}, simnet.BernoulliLoss{P: 0.1}}
+	// BoxedSends is the one accounting counter a paper run can move (it
+	// sends no batches).
+	except := []string{"DeliveryLatency.mean", "DeliveryLatency.m2", "Net.BoxedSends"}
+	arena := NewNetArena()
+	for _, n := range []int{17, 2000} {
+		kout, err := topology.Spec{Kind: topology.KOut, K: 6}.Build(n, xrand.New(99))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.AliveCount != base.AliveCount {
-			t.Errorf("shards=%d AliveCount %d, one shard %d — mask not shard-count-invariant",
-				shards, res.AliveCount, base.AliveCount)
+		views := []struct {
+			name string
+			view membership.View
+		}{{"full", nil}, {"kout", kout}, {"partial", membership.NewPartialViews(n, 2, xrand.New(98))}}
+		for _, v := range views {
+			for seed := uint64(1); seed <= 5; seed++ {
+				p := Params{N: n, Fanout: dist.NewPoisson(4), AliveRatio: 0.9, Source: 1, View: v.view}
+				run := func(cfg simnet.Config, shards int) NetResult {
+					res, err := ExecuteOnNetworkSharded(p, cfg, xrand.New(seed), nil, arena, nil, ShardOptions{Shards: shards})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				}
+				bfs, err := ExecuteOnce(p, xrand.New(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				des := run(simnet.Config{}, 1).Result
+				if bfs.Rounds, des.Rounds = 0, 0; bfs != des {
+					t.Errorf("n=%d %s seed %d: BFS %+v, zero-latency DES %+v", n, v.name, seed, bfs, des)
+				}
+				for _, loss := range losses {
+					zero := spread(run(simnet.Config{Loss: loss}, 1))
+					for _, lat := range lats {
+						cfg := simnet.Config{Latency: lat.m, Loss: loss}
+						key := fmt.Sprintf("n=%d %s seed %d %T %s", n, v.name, seed, loss, lat.name)
+						one := run(cfg, 1)
+						if got := spread(one); got != zero {
+							t.Errorf("%s: spread %+v, zero latency %+v", key, got, zero)
+						}
+						for _, k := range []int{2, 3, 4, 8} {
+							golden.Equal(t, fmt.Sprintf("%s shards=%d", key, k), run(cfg, k), one, except...)
+						}
+					}
+				}
+			}
 		}
 	}
 }
 
-// TestShardedReliabilityPinnedAcrossShardCounts is the in-package
-// statistical half of the contract: different shard counts use different
-// RNG streams, so results differ run-to-run but must agree in
-// distribution. 25 seeds per shard count; the mean reliabilities must sit
-// within a tolerance far tighter than the gap a bridging bug (lost or
-// duplicated cross-shard traffic) would open.
+// TestShardedReliabilityPinnedAcrossShardCounts pins the canonical
+// sharded configuration (loss, a positive latency floor, source 1) across
+// shard counts per seed: member-keyed draws make a lost or duplicated
+// cross-shard message show as an exact mismatch, not as a drift in a mean.
 func TestShardedReliabilityPinnedAcrossShardCounts(t *testing.T) {
 	p := shardedTestParams(200)
 	cfg := shardedTestConfig()
-	const seeds = 25
-
-	mean := func(shards int) float64 {
-		total := 0.0
-		for seed := 0; seed < seeds; seed++ {
-			res, err := ExecuteOnNetworkSharded(p, cfg, xrand.New(uint64(1000+seed)), nil, nil, nil, ShardOptions{Shards: shards})
+	for seed := uint64(1000); seed < 1025; seed++ {
+		one, err := ExecuteOnNetworkSharded(p, cfg, xrand.New(seed), nil, nil, nil, ShardOptions{Shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{2, 4} {
+			res, err := ExecuteOnNetworkSharded(p, cfg, xrand.New(seed), nil, nil, nil, ShardOptions{Shards: shards})
 			if err != nil {
 				t.Fatal(err)
 			}
-			total += res.Reliability
-		}
-		return total / seeds
-	}
-	m1 := mean(1)
-	for _, shards := range []int{2, 4} {
-		m := mean(shards)
-		if diff := math.Abs(m - m1); diff > 0.03 {
-			t.Errorf("shards=%d mean reliability %.4f vs one shard %.4f (Δ=%.4f > 0.03)",
-				shards, m, m1, diff)
+			if got, want := spread(res), spread(one); got != want || res.Reliability != one.Reliability {
+				t.Errorf("seed %d shards=%d: %+v (reliability %v), one shard %+v (%v)",
+					seed, shards, got, res.Reliability, want, one.Reliability)
+			}
 		}
 	}
 }

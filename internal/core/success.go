@@ -170,10 +170,11 @@ func runOneSimulation(p SuccessParams, ex *executor, receipts []int32, r *xrand.
 	mask := &ex.mask
 	out := oneSim{counts: make([]int64, p.Executions+1)}
 	for t := 0; t < p.Executions; t++ {
+		keys := keyRoot(r)
 		if t == 0 || p.ResampleMask {
 			p.drawMaskInto(mask, r)
 		}
-		res := ex.run(mask, r)
+		res := ex.run(mask, &keys)
 		out.relTotal += res.Reliability
 		for _, v := range ex.delivered() {
 			receipts[v]++

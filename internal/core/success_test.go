@@ -274,26 +274,24 @@ func TestRunSuccessRejectsInvalid(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Network-backed execution
 
+// TestExecuteOnNetworkMatchesFastPath: with zero latency and no loss the
+// DES draws the BFS executor's spread on every seed (member-keyed draws,
+// see keyRoot), mask included; TestShardInvariance covers views, shard
+// counts and latency models.
 func TestExecuteOnNetworkMatchesFastPath(t *testing.T) {
-	// Zero latency, no loss: the DES execution must produce the same
-	// reliability distribution as the fast path.
 	p := poissonParams(1000, 4, 0.9)
-	var netAcc, fastAcc stats.Running
 	for seed := uint64(0); seed < 15; seed++ {
-		r := xrand.New(seed)
-		nres, err := ExecuteOnNetworkArena(p, simnet.Config{}, r, nil, nil)
+		nres, err := ExecuteOnNetworkArena(p, simnet.Config{}, xrand.New(seed), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		netAcc.Add(nres.Reliability)
-		fres, err := ExecuteOnce(p, xrand.New(seed+1000))
+		fres, err := ExecuteOnce(p, xrand.New(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fastAcc.Add(fres.Reliability)
-	}
-	if math.Abs(netAcc.Mean()-fastAcc.Mean()) > 0.04 {
-		t.Errorf("network %.4f vs fast %.4f", netAcc.Mean(), fastAcc.Mean())
+		if fres.Rounds = 0; nres.Result != fres {
+			t.Errorf("seed %d: network %+v, fast path %+v", seed, nres.Result, fres)
+		}
 	}
 }
 

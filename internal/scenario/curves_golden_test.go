@@ -21,12 +21,11 @@ import (
 func TestCrashWaveCurvesGolden(t *testing.T) {
 	const golden = `label,t_ms,runs,infected_mean,infected_stddev,inflight_mean,sent_mean,delivered_mean,dropped_loss_mean,dropped_crash_mean,dropped_down_mean,dropped_part_mean
 crash-wave,0,2,1,0,0,0,0,0,0,0,0
-crash-wave,20,2,33,39.59797974644666,127.5,169,35.5,0,6,0,0
-crash-wave,40,2,123.5,91.21677477306463,217.5,618.5,293.5,0,107.5,0,0
-crash-wave,60,2,176,38.18376618407357,123,869,545,0,201,0,0
-crash-wave,80,2,201.5,4.949747468305833,58,1000.5,693.5,0,249,0,0
-crash-wave,100,2,204.5,0.7071067811865476,5,1014,742,0,267,0,0
-crash-wave,120,2,204.5,0.7071067811865476,0,1014,746,0,268,0,0
+crash-wave,20,2,36,31.11269837220809,134,185.5,41.5,0,10,0,0
+crash-wave,40,2,150.5,57.27564927611035,298.5,746.5,323,0,125,0,0
+crash-wave,60,2,206,4.242640687119285,109,1042.5,679.5,0,254,0,0
+crash-wave,80,2,212,2.8284271247461903,5,1067,777.5,0,284.5,0,0
+crash-wave,100,2,212,2.8284271247461903,0,1067,781.5,0,285.5,0,0
 `
 
 	s, ok := ByName("crash-wave")

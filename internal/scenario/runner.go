@@ -34,7 +34,8 @@ type Executor interface {
 	// without running anything.
 	Validate(cfg RunConfig) error
 	// Execute runs one execution: all protocol randomness derives from r
-	// (network jitter from the non-consuming r.Split(0xfeed)), cfg.Net
+	// (network jitter from the non-consuming r.Split(0xfeed), or keyed by
+	// member in the paper's executor), cfg.Net
 	// arrives already resolved (never nil models), inject is called with
 	// the run's NetRun after setup and before the protocol starts, and
 	// arena (which may be nil) recycles run state.
@@ -70,8 +71,9 @@ type RunConfig struct {
 	// the default (paper) executor on. 0 and 1 both mean one shard — the
 	// default every existing config and sweep JSON golden was produced on;
 	// above that, results are deterministic per shard count and
-	// statistically pinned across counts. A latency model with no positive
-	// floor always runs on one shard. Protocol executors ignore it.
+	// statistically pinned across counts (burst-loss state is per shard,
+	// timed actions fire at window barriers). A latency model with no
+	// positive floor always runs on one shard. Protocol executors ignore it.
 	Shards int
 	// RoundInterval paces the round ticks of round-driven protocol
 	// executors (the paper's algorithm is purely event-driven and ignores

@@ -64,20 +64,21 @@ func TestShardedScenarioMatrix(t *testing.T) {
 	}
 }
 
-// TestShardedScenarioOneShardMatchesDefault pins the default runner to
-// the single-kernel executor it used to select. testdata/suite.golden
-// holds, for every bundled campaign, the RunReport and its probe metrics
-// that the parent commit's single-kernel path produced; Shards 0 (the
-// default) reproduces it and Shards 1 must equal Shards 0, with
+// TestShardedScenarioOneShardMatchesDefault pins the default runner as
+// data: testdata/suite.golden holds, for every bundled campaign, the
+// RunReport and its probe metrics, recorded when the paper algorithm's
+// draws became keyed by member (before that, the single-kernel executor's
+// values); Shards 0 (the default) reproduces it and Shards 1 must equal
+// Shards 0, with
 // GOMAXPROCS raised so a zero read as "one shard per core" anywhere on the
 // way to core.EffectiveShards would shard the run. Fixed Shards>1 is
 // pinned to be seed-deterministic under a campaign.
 func TestShardedScenarioOneShardMatchesDefault(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	g := golden.Open(t, "testdata/suite.golden",
-		"scenario.Run over DefaultSuite() on the single-kernel executor of commit 53dc72f (PR 11),\n"+
-			"the last one that had it; re-encoded field-wise at 2be1c47, where every old digest\n"+
-			"matched. case = scenario name")
+		"scenario.Run over DefaultSuite() on one shard with member-keyed draws (core.keyRoot);\n"+
+			"the values before that layout came from the single-kernel executor of commit 53dc72f.\n"+
+			"case = scenario name")
 	defer g.Close(t)
 
 	for _, s := range DefaultSuite() {

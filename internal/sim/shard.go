@@ -81,15 +81,13 @@ func (g *ShardGroup) Each(f func(shard int)) {
 // into their destination kernels, fires control events due at the
 // barrier, and calls onBarrier (if non-nil) with the barrier's virtual
 // time and the total events fired so far. buffered (if non-nil) reports
-// the number of cross-shard messages parked outside any kernel: the group
-// is quiescent only when no kernel has an event AND buffered() == 0 —
-// without the second condition a run whose only live messages sit in
-// cross-shard buffers (e.g. a seed fan-out that went entirely remote,
-// buffered before Run started) would terminate with traffic still parked.
-// Such messages are flushed with windowEnd 0 — no barrier clamp; each
-// destination schedules them at their natural times (its kernel clamps
-// past times to its own now). Run returns the first worker or control
-// error (ErrBudget, ErrTimeRange) encountered.
+// the number of cross-shard messages parked outside any kernel before a
+// window opens (a seed fan-out buffered before Run started): they are
+// flushed with windowEnd 0 — no barrier clamp; each destination schedules
+// them at their natural times (its kernel clamps past times to its own
+// now) — before the window is cut, so they neither land at its end nor
+// sit parked when the kernels run dry. Run returns the first worker or
+// control error (ErrBudget, ErrTimeRange) encountered.
 func (g *ShardGroup) Run(flush func(windowEnd Time), buffered func() int, onBarrier func(now Time, fired uint64)) error {
 	if len(g.kernels) == 1 && g.control == g.kernels[0] {
 		return g.kernels[0].RunAll()
@@ -120,6 +118,9 @@ func (g *ShardGroup) Run(flush func(windowEnd Time), buffered func() int, onBarr
 	}()
 
 	for {
+		if buffered != nil && flush != nil && buffered() > 0 {
+			flush(0)
+		}
 		tmin, any := End, false
 		for _, k := range g.kernels {
 			if t, ok := k.NextEventTime(); ok && (!any || t < tmin) {
@@ -128,10 +129,6 @@ func (g *ShardGroup) Run(flush func(windowEnd Time), buffered func() int, onBarr
 		}
 		tc, cok := g.control.NextEventTime()
 		if !any && !cok {
-			if buffered != nil && buffered() > 0 && flush != nil {
-				flush(0)
-				continue
-			}
 			return g.err()
 		}
 		wend := End

@@ -260,6 +260,32 @@ func TestShardGroupTimeRange(t *testing.T) {
 	}
 }
 
+// TestShardGroupFlushesBeforeFirstWindow: a message parked before Run (a
+// seed's cross-shard send) is handed over before the first window is cut,
+// so it fires at its own time. Beside a local event at the same time, it
+// used to wait for that window's end and fire one lookahead late.
+func TestShardGroupFlushesBeforeFirstWindow(t *testing.T) {
+	const at = Time(3 * time.Millisecond)
+	kernels := []*Kernel{New(), New()}
+	var fired Time
+	local := kernels[0].RegisterHandler(func(Time, int32, int32) {})
+	remote := kernels[1].RegisterHandler(func(now Time, _, _ int32) { fired = now })
+	kernels[0].Schedule(at, local, 0, 0)
+	parked := 1
+	flush := func(wend Time) { // clamps to the barrier, as simnet.ShardedNet.Flush does
+		for ; parked > 0; parked-- {
+			kernels[1].Schedule(max(at, wend), remote, 0, 0)
+		}
+	}
+	g := NewShardGroup(kernels, New(), time.Duration(at))
+	if err := g.Run(flush, func() int { return parked }, nil); err != nil {
+		t.Fatal(err)
+	}
+	if fired != at {
+		t.Errorf("the parked message fired at %v, want %v", fired, at)
+	}
+}
+
 func TestShardGroupOnBarrier(t *testing.T) {
 	kernels := []*Kernel{New(), New()}
 	control := New()

@@ -319,7 +319,8 @@ type inflight struct {
 // It must be driven from the kernel's goroutine.
 type Network struct {
 	kernel    *sim.Kernel
-	rng       *xrand.RNG
+	rng       *xrand.RNG // loss draws
+	latRng    *xrand.RNG // latency draws; rng unless DrawFrom split them
 	n         int
 	latency   LatencyModel
 	loss      LossModel
@@ -387,7 +388,7 @@ func (nw *Network) Reset(kernel *sim.Kernel, n int, rng *xrand.RNG, cfg Config) 
 		panic("simnet: nil kernel or rng")
 	}
 	nw.kernel = kernel
-	nw.rng = rng
+	nw.rng, nw.latRng = rng, rng
 	nw.n = n
 	nw.latency = cfg.Latency
 	nw.loss = cfg.Loss
@@ -479,6 +480,10 @@ func (nw *Network) RegisterBatchAll(h BatchHandler) {
 	nw.allBatch = h
 }
 
+// DrawFrom points loss and latency draws at two streams until the next
+// Reset, which points both at its own; they may be redrawn between sends.
+func (nw *Network) DrawFrom(loss, latency *xrand.RNG) { nw.rng, nw.latRng = loss, latency }
+
 // packLimit is the first tag that does not pack. A packed record's two
 // 31-bit words each hold a node id in their low idBits bits — the sender in
 // the payload word, the destination in the node word — and one half of the
@@ -538,7 +543,7 @@ func (nw *Network) send(from, to NodeID, tag int32, payload any) {
 		nw.trace(Event{Kind: EventDroppedLoss, From: from, To: to, At: now, SentAt: now})
 		return
 	}
-	d := nw.latency.Latency(nw.rng, from, to)
+	d := nw.latency.Latency(nw.latRng, from, to)
 	if d < 0 {
 		d = 0
 	}
@@ -600,7 +605,7 @@ func (nw *Network) SendBatch(from, to NodeID, kind int32, ids []int32) {
 		nw.trace(Event{Kind: EventDroppedLoss, From: from, To: to, At: now, SentAt: now, Entries: int32(k)})
 		return
 	}
-	d := nw.latency.Latency(nw.rng, from, to)
+	d := nw.latency.Latency(nw.latRng, from, to)
 	if d < 0 {
 		d = 0
 	}

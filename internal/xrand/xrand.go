@@ -48,15 +48,20 @@ func New(seed uint64) *RNG {
 // streams; the parent is not advanced, so Split is safe to call concurrently
 // with other Splits (but not with Uint64 on the same receiver).
 func (r *RNG) Split(index uint64) *RNG {
+	c := &RNG{}
+	r.SplitInto(c, index)
+	return c
+}
+
+// SplitInto overwrites c with r.Split(index) without allocating.
+func (r *RNG) SplitInto(c *RNG, index uint64) {
 	// Mix the parent state and the index through SplitMix64 to build a
 	// fresh, decorrelated seed.
 	s := r.hi ^ bits.RotateLeft64(r.lo, 31) ^ (index * 0x9e3779b97f4a7c15)
-	c := &RNG{}
 	c.hi = splitmix64(&s)
 	c.lo = splitmix64(&s)
 	c.inc = splitmix64(&s) | 1
 	c.Uint64()
-	return c
 }
 
 // step advances the 128-bit LCG state.

@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -55,6 +56,52 @@ func TestSplitDoesNotAdvanceParent(t *testing.T) {
 		if a.Uint64() != b.Uint64() {
 			t.Fatal("Split advanced the parent state")
 		}
+	}
+}
+
+// refSplit is Split as it was written before SplitInto existed: the
+// oracle both must match bit for bit.
+func refSplit(r *RNG, index uint64) *RNG {
+	s := r.hi ^ bits.RotateLeft64(r.lo, 31) ^ (index * 0x9e3779b97f4a7c15)
+	c := &RNG{}
+	c.hi = splitmix64(&s)
+	c.lo = splitmix64(&s)
+	c.inc = splitmix64(&s) | 1
+	c.Uint64()
+	return c
+}
+
+func TestSplitIntoMatchesSplit(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, 0x5a7d00, math.MaxUint64} {
+		for _, index := range []uint64{0, 1, 2, 0xfeed, 1 << 31, 1 << 63, math.MaxUint64} {
+			parent := New(seed)
+			parent.Uint64()
+			want := refSplit(parent, index)
+			var into RNG
+			parent.SplitInto(&into, index)
+			for name, got := range map[string]*RNG{"Split": parent.Split(index), "SplitInto": &into} {
+				if *got != *want {
+					t.Fatalf("seed %d index %d: %s state %+v, want %+v", seed, index, name, *got, *want)
+				}
+				for i := 0; i < 8; i++ {
+					if g, w := got.Uint64(), want.Uint64(); g != w {
+						t.Fatalf("seed %d index %d: %s draw %d = %x, want %x", seed, index, name, i, g, w)
+					}
+				}
+				*want = *refSplit(parent, index)
+			}
+		}
+	}
+}
+
+func TestSplitIntoAllocatesNothing(t *testing.T) {
+	parent, c := New(3), &RNG{}
+	index := uint64(0)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		parent.SplitInto(c, index)
+		index++
+	}); allocs != 0 {
+		t.Errorf("SplitInto allocates %v per call, want 0", allocs)
 	}
 }
 
