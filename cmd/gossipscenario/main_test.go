@@ -47,9 +47,10 @@ func TestSubcommandRequired(t *testing.T) {
 // each format it accepts: sweep with and without curves, the grid with a
 // q = 0 cell, and the comparison grid with and without a topology axis.
 // The files were captured from the CLI before sweep, grid and compare
-// became one axis product, and re-captured once when the paper
-// algorithm's draws became keyed by member (no protocol row moved); they
-// must not be regenerated to make a change pass. Each case runs at one
+// became one axis product, re-captured once when the paper algorithm's
+// draws became keyed by member (no protocol row moved), and their
+// burst-loss rows once more when Gilbert–Elliott chains became per
+// sender; they must not be regenerated to make a change pass. Each case runs at one
 // and three workers against the same file.
 func TestSubcommandGoldens(t *testing.T) {
 	cases := []struct{ golden, cmd, args string }{

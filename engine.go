@@ -209,12 +209,13 @@ func WithoutReports() Option { return func(o *runOptions) { o.noReports = true }
 // (the test suite checks amd64; on arm64, ppc64le, s390x and riscv64
 // TestNoFusedFloat keeps fused multiply-add out of this module's float
 // code, and the standard library's math functions are not yet measured
-// across architectures). For Network the count is a performance knob:
-// draws are keyed by member, so every count gives the same result but for
-// the latency moments' last bits. Stream and Campaign results are only
-// statistically pinned across counts (per-shard stream draws, per-shard
-// burst-loss state, timed actions at window barriers), so there pass an
-// explicit count to reproduce a run on a host with other core counts.
+// across architectures). For Network and Campaign the count is a
+// performance knob: draws are keyed by member, a burst-loss chain belongs
+// to its sender and timed actions fire ahead of every delivery at their
+// instant, so every count gives the same result but for the latency
+// moments' last bits. Stream results alone are only statistically pinned
+// across counts (per-shard stream draws), so there pass an explicit count
+// to reproduce a run on a host with other core counts.
 // Executions whose latency model has no positive floor always run on one
 // shard. Each replication still runs on one shard group — WithShards
 // parallelizes within a run (one n=10⁷ execution across cores),

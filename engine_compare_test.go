@@ -46,25 +46,25 @@ func mustScenario(name string) *Scenario {
 // deliberately and say so in the commit.
 const compareGoldenCSV = `protocol,scenario,runs,reliability,reliability_stddev,survivor_reliability,spread_ms,mean_messages,mean_up_at_end,static_prediction,effective_prediction
 paper,crash-wave,2,0.675000,0.042426,0.900685,69.469,651.0,146.0,0.993023,0.971119
-paper,burst-loss,2,0.942500,0.017678,0.942500,70.306,942.0,200.0,0.993023,0.993023
+paper,burst-loss,2,0.945000,0.021213,0.945000,63.512,947.0,200.0,0.993023,0.993023
 paper,partition-heal,2,0.927500,0.024749,0.927500,117.243,913.5,200.0,0.993023,0.993023
 pbcast,crash-wave,2,0.735000,0.000000,1.000000,115.982,3586.0,146.0,0.000000,0.000000
-pbcast,burst-loss,2,1.000000,0.000000,1.000000,102.566,1496.0,200.0,0.000000,0.000000
+pbcast,burst-loss,2,1.000000,0.000000,1.000000,100.523,1528.0,200.0,0.000000,0.000000
 pbcast,partition-heal,2,1.000000,0.000000,1.000000,115.315,1428.0,200.0,0.000000,0.000000
 lpbcast,crash-wave,2,0.732500,0.003536,1.000000,159.997,3536.0,146.0,0.000000,0.000000
-lpbcast,burst-loss,2,1.000000,0.000000,1.000000,105.628,5044.0,200.0,0.000000,0.000000
+lpbcast,burst-loss,2,1.000000,0.000000,1.000000,106.124,5076.0,200.0,0.000000,0.000000
 lpbcast,partition-heal,2,1.000000,0.000000,1.000000,118.902,4722.0,200.0,0.000000,0.000000
 anti-entropy,crash-wave,2,0.732500,0.003536,1.000000,186.613,3028.0,146.0,0.000000,0.000000
-anti-entropy,burst-loss,2,1.000000,0.000000,1.000000,170.060,3600.0,200.0,0.000000,0.000000
+anti-entropy,burst-loss,2,1.000000,0.000000,1.000000,174.001,3800.0,200.0,0.000000,0.000000
 anti-entropy,partition-heal,2,1.000000,0.000000,1.000000,193.742,4009.0,200.0,0.000000,0.000000
 rdg,crash-wave,2,0.730000,0.000000,1.000000,145.722,3520.0,146.0,0.000000,0.000000
-rdg,burst-loss,2,1.000000,0.000000,1.000000,120.371,5052.0,200.0,0.000000,0.000000
+rdg,burst-loss,2,1.000000,0.000000,1.000000,128.104,5058.0,200.0,0.000000,0.000000
 rdg,partition-heal,2,1.000000,0.000000,1.000000,146.261,4732.0,200.0,0.000000,0.000000
 lrg,crash-wave,2,0.735000,0.007071,1.000000,68.775,806.5,146.0,0.000000,0.000000
-lrg,burst-loss,2,1.000000,0.000000,1.000000,52.322,1109.5,200.0,0.000000,0.000000
+lrg,burst-loss,2,1.000000,0.000000,1.000000,55.826,1137.5,200.0,0.000000,0.000000
 lrg,partition-heal,2,1.000000,0.000000,1.000000,99.170,1157.5,200.0,0.000000,0.000000
 flooding,crash-wave,2,1.000000,0.000000,1.000000,4.948,39800.0,146.0,0.000000,0.000000
-flooding,burst-loss,2,1.000000,0.000000,1.000000,4.473,39800.0,200.0,0.000000,0.000000
+flooding,burst-loss,2,1.000000,0.000000,1.000000,4.624,39800.0,200.0,0.000000,0.000000
 flooding,partition-heal,2,1.000000,0.000000,1.000000,5.865,41392.0,200.0,0.000000,0.000000
 `
 

@@ -42,9 +42,9 @@ type NetResult struct {
 type NetRun struct {
 	// Kernel is the discrete-event driver; hooks schedule future actions
 	// with Kernel.At / Kernel.After. It is the execution's control kernel
-	// (Run.Control): on more than one shard its events fire at window
-	// barriers with every shard worker parked, which is exactly when shard
-	// state is safely mutable.
+	// (Run.Control): its events fire at window barriers with every shard
+	// worker parked, which is exactly when shard state is safely mutable,
+	// and ahead of every shard event due at the same instant.
 	Kernel *sim.Kernel
 	// Net is the network fabric under execution (crash, restart,
 	// partition, loss and latency swaps).
@@ -102,7 +102,7 @@ func (nr *NetRun) Publish(id int) {
 // out to its shard workers); never share one across sweep workers.
 type NetArena struct {
 	kernels  []*sim.Kernel // the pools below never shrink
-	ctl      *sim.Kernel   // control kernel of runs on more than one shard
+	ctl      *sim.Kernel   // every run's control kernel
 	net      *simnet.ShardedNet
 	mask     *failure.Mask
 	states   []shardState
@@ -119,7 +119,7 @@ type NetArena struct {
 // NewNetArena returns an empty arena sized for one shard; buffers grow on
 // first use.
 func NewNetArena() *NetArena {
-	a := &NetArena{net: simnet.NewShardedNet(), mask: &failure.Mask{}}
+	a := &NetArena{ctl: sim.New(), net: simnet.NewShardedNet(), mask: &failure.Mask{}}
 	return a.Sharded(1)
 }
 
@@ -131,9 +131,6 @@ func (a *NetArena) Sharded(shards int) *NetArena {
 		a.states = append(a.states, shardState{})
 		a.msgBits = append(a.msgBits, &MessageBits{})
 		a.nackBits = append(a.nackBits, &MessageBits{})
-	}
-	if shards > 1 && a.ctl == nil {
-		a.ctl = sim.New()
 	}
 	return a
 }

@@ -88,10 +88,9 @@ func latencyFloor(m simnet.LatencyModel) time.Duration {
 type Run struct {
 	// Kernels are the shard kernels, one per shard.
 	Kernels []*sim.Kernel
-	// Control carries coordinator-side events (scenario actions). On one
-	// shard it is Kernels[0] itself, so control events interleave with
-	// deliveries on one clock; on more it is a kernel of its own whose
-	// events fire at window barriers.
+	// Control carries coordinator-side events (scenario actions) on a
+	// kernel of its own. Its events fire at window barriers, ahead of
+	// every shard event due at the same instant (see sim.ShardGroup).
 	Control *sim.Kernel
 	// Net is the fabric; Net.Shard(s) is shard s's network.
 	Net *simnet.ShardedNet
@@ -111,31 +110,28 @@ type Run struct {
 }
 
 // Begin leases the arena for one execution over n ≥ 1 members: it resolves
-// the shard count (EffectiveShards), grows the pools to it, picks the
-// control kernel (Reset here when it is a kernel of its own), sizes the
-// fabric over netCfg, windows the shard group with the latency floor and
-// lays out the run streams (see shardSplit). Nothing per-shard is reset yet.
+// the shard count (EffectiveShards), grows the pools to it, resets the
+// control kernel, sizes the fabric over netCfg, windows the shard group
+// with the latency floor and lays out the run streams (see shardSplit).
+// Nothing per-shard is reset yet.
 func (a *NetArena) Begin(n int, netCfg simnet.Config, r *xrand.RNG, opts ShardOptions) *Run {
 	k := EffectiveShards(opts.Shards, n, netCfg)
 	a.Sharded(k)
-	ctl := a.kernels[0]
-	if k > 1 {
-		ctl = a.ctl
-		ctl.Reset()
-	}
+	a.ctl.Reset()
 	a.net.Prepare(k, n, netCfg)
 	states := a.states[:k]
 	states[0].rng = r
 	if k > 1 {
 		for s := range states {
-			states[s].rng = r.Split(shardSplit + uint64(s))
+			r.SplitInto(&states[s].split, shardSplit+uint64(s))
+			states[s].rng = &states[s].split
 		}
 	}
 	a.run = Run{
-		Kernels: a.kernels[:k], Control: ctl, Net: a.net, Mask: a.mask,
+		Kernels: a.kernels[:k], Control: a.ctl, Net: a.net, Mask: a.mask,
 		Received: &states[0].received, Bits: a.msgBits[:k], Nacks: a.nackBits[:k],
 		states: states, progress: opts.Progress,
-		group: sim.NewShardGroup(a.kernels[:k], ctl, latencyFloor(netCfg.Latency)),
+		group: sim.NewShardGroup(a.kernels[:k], a.ctl, latencyFloor(netCfg.Latency)),
 	}
 	return &a.run
 }
@@ -170,7 +166,9 @@ func (run *Run) Reset(budget uint64, perShard func(s int)) {
 		k := run.Kernels[s]
 		k.Reset()
 		k.SetBudget(budget)
-		run.Net.ResetShard(s, k, run.states[s].rng.Split(netSplit))
+		st := &run.states[s]
+		st.rng.SplitInto(&st.net, netSplit)
+		run.Net.ResetShard(s, k, &st.net)
 		perShard(s)
 	})
 }
@@ -190,34 +188,19 @@ func (run *Run) CrashFailed(s int) {
 // Pending counts the live events of the execution: on the control kernel,
 // on every shard kernel, and parked in the cross-shard buffers.
 func (run *Run) Pending() int {
-	n := run.Net.Buffered()
-	if run.Control != run.Kernels[0] {
-		n += run.Control.Pending()
-	}
+	n := run.Net.Buffered() + run.Control.Pending()
 	for _, k := range run.Kernels {
 		n += k.Pending()
 	}
 	return n
 }
 
-// OnShard runs fn on shard s's clock from a control event. When the
-// control kernel is that shard's kernel fn runs inline; otherwise it is
-// parked on the shard's kernel at the control kernel's current time, which
-// is strictly ahead of the shard's clock (that stopped before the
-// barrier).
-func (run *Run) OnShard(s int, fn func(now sim.Time)) {
-	now := run.Control.Now()
-	if run.Kernels[s] == run.Control {
-		fn(now)
-		return
-	}
-	run.Kernels[s].At(now, func() { fn(now) })
-}
-
 // RunHooks is what a front end tells the injection facade about its
 // execution: whether member id holds the message, how many members do,
 // and how id publishes it out of band — called only for an in-range
-// member that is up and alive under the mask.
+// member that is up and alive under the mask, from a control event, so the
+// publish runs inline on the owning shard's clock (which reads the
+// control instant; see sim.ShardGroup).
 type RunHooks struct {
 	HasReceived func(id int) bool
 	Delivered   func() int

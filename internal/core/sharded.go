@@ -20,7 +20,9 @@ import (
 type shardState struct {
 	received  bitset.Bits
 	targets   []int
-	rng       *xrand.RNG
+	rng       *xrand.RNG // the run stream, or split on more than one shard
+	split     xrand.RNG
+	net       xrand.RNG // the network's stream (netSplit)
 	keys      xrand.RNG // the run's key root (keyRoot)
 	draws     xrand.RNG // the forwarding member's stream, losses included
 	delays    xrand.RNG // and its latency stream
@@ -72,9 +74,10 @@ type shardState struct {
 //     the simulation. testdata/oracle.golden pins one shard.
 //   - different shard counts give the same NetResult but for accounting
 //     and the last bits of DeliveryLatency's mean and m2, which the shard
-//     merge reassociates (TestShardInvariance). Under inject this holds
-//     only in distribution: a burst-loss model's state is cloned per shard
-//     and control events fire at window barriers.
+//     merge reassociates (TestShardInvariance, and under inject
+//     TestCampaignShardInvariance in internal/scenario): a burst-loss
+//     chain belongs to its sender, and control events fire ahead of
+//     every shard event at their instant.
 //
 // opts.Shards below 1 means one shard; see EffectiveShards for the
 // configurations that run on fewer shards than asked.
@@ -172,14 +175,12 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 				return total
 			},
 			Publish: func(id int) {
-				s := id / block
-				run.OnShard(s, func(now sim.Time) {
-					if hasReceived(id) { // re-gossip, keyed by member and instant
-						forward(s, id, regossipKey|(uint64(now)*0x9e3779b97f4a7c15^uint64(id))&(regossipKey-1))
-						return
-					}
-					receive(s, id, -1, now) // additional publisher
-				})
+				s, now := id/block, run.Control.Now()
+				if hasReceived(id) { // re-gossip, keyed by member and instant
+					forward(s, id, regossipKey|(uint64(now)*0x9e3779b97f4a7c15^uint64(id))&(regossipKey-1))
+					return
+				}
+				receive(s, id, -1, now) // additional publisher
 			},
 		}))
 	}

@@ -191,39 +191,6 @@ func TestShardedProbeTotalsMatchResult(t *testing.T) {
 	}
 }
 
-// TestCallerLossModelClonedPerRun pins that a caller-owned stateful loss
-// model is cloned per run at every shard count: one *GilbertElliott in
-// the config and one arena, two same-seed runs, identical results — and
-// the caller's instance still as constructed. The model latches Bad on
-// its first draw and never recovers, so a run that drew from the caller's
-// instance (as the single-kernel executor once did) cannot hide it.
-func TestCallerLossModelClonedPerRun(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		ge := simnet.NewGilbertElliott(1, 0, 0, 1)
-		cfg := shardedTestConfig()
-		cfg.Loss = ge
-		arena := NewNetArena()
-		var runs [2]NetResult
-		for i := range runs {
-			res, err := ExecuteOnNetworkSharded(shardedTestParams(200), cfg, xrand.New(5), nil, arena, nil,
-				ShardOptions{Shards: shards})
-			if err != nil {
-				t.Fatal(err)
-			}
-			runs[i] = res
-		}
-		if runs[0].Net.DroppedLoss == 0 {
-			t.Fatalf("shards=%d: the loss model was never drawn from: %+v", shards, runs[0].Net)
-		}
-		if !reflect.DeepEqual(runs[0], runs[1]) {
-			t.Errorf("shards=%d: same-seed runs differ:\n %+v\n %+v", shards, runs[0], runs[1])
-		}
-		if *ge != *simnet.NewGilbertElliott(1, 0, 0, 1) {
-			t.Errorf("shards=%d: the caller's loss model was mutated: %+v", shards, *ge)
-		}
-	}
-}
-
 // TestShardedArenaReuseDeterministic pins pooling: a reused arena
 // (including one resized across shard counts) replays a run
 // byte-identically against a fresh arena.
@@ -277,7 +244,8 @@ func TestShardInvariance(t *testing.T) {
 		{"uniform", simnet.UniformLatency{Lo: time.Millisecond, Hi: 5 * time.Millisecond}},
 		{"exponential", simnet.ExponentialLatency{Floor: time.Millisecond, Mean: 2 * time.Millisecond}},
 	}
-	losses := []simnet.LossModel{simnet.NoLoss{}, simnet.BernoulliLoss{P: 0.1}}
+	losses := []simnet.LossModel{simnet.NoLoss{}, simnet.BernoulliLoss{P: 0.1},
+		simnet.NewGilbertElliott(0.05, 0.3, 0.01, 0.6)}
 	// BoxedSends is the one accounting counter a paper run can move (it
 	// sends no batches).
 	except := []string{"DeliveryLatency.mean", "DeliveryLatency.m2", "Net.BoxedSends"}

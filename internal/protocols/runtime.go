@@ -162,7 +162,7 @@ func RunOnDES(spec Spec, cfg DESConfig, r *xrand.RNG, inject func(*core.NetRun),
 		return DESOutcome{}, fmt.Errorf("protocols: %s: %w", spec.Protocol(), err)
 	}
 	rt := &Runtime{
-		Kernel: run.Control, Net: run.Net.Shard(0), RNG: r, Mask: run.Mask,
+		Kernel: run.Kernels[0], Net: run.Net.Shard(0), RNG: r, Mask: run.Mask,
 		n: n, source: spec.start(), interval: cfg.Net.RoundInterval(cfg.RoundInterval),
 		m: spec.newMachine(), recv: run.Received, targets: arena.Targets(),
 		views: arena.Views, probe: cfg.Probe, round: -1,

@@ -9,7 +9,6 @@ import (
 	"gossipkit/internal/membership"
 	"gossipkit/internal/obs"
 	"gossipkit/internal/runpool"
-	"gossipkit/internal/simnet"
 	"gossipkit/internal/stats"
 	"gossipkit/internal/topology"
 )
@@ -233,16 +232,12 @@ func (ax Axes) Sweep(ctx context.Context, scenarios []*Scenario, observe Observe
 }
 
 // CheckShared rejects run-config state the sweep workers would mutate
-// concurrently: a shared membership view (churn unsubscribes into it), a
-// stateful loss model (Gilbert-Elliott advances its channel state on every
-// Drop), or one probe for every worker. Axes.Sweep runs it, and the facade
-// engines run it as their pre-flight check before dispatching one.
+// concurrently: a shared membership view (churn unsubscribes into it) or
+// one probe for every worker. Axes.Sweep runs it, and the facade engines
+// run it as their pre-flight check before dispatching one.
 func CheckShared(run RunConfig) error {
 	if run.Params.View != nil {
 		return fmt.Errorf("scenario: sweep cannot share Params.View across workers; set RunConfig.PartialViewCopies so every run builds its own views")
-	}
-	if _, stateful := run.Net.Loss.(*simnet.GilbertElliott); stateful {
-		return fmt.Errorf("scenario: sweep cannot share a stateful Gilbert-Elliott loss model across workers; install it per run with the burst-loss action")
 	}
 	if run.Probe != nil {
 		return fmt.Errorf("scenario: sweep cannot share one RunConfig.Probe across workers; set Axes.Probe and each worker pools its own")

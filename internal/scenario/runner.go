@@ -68,12 +68,10 @@ type RunConfig struct {
 	// paper's algorithm (Params). Axes.Executors sets it per row.
 	Executor Executor
 	// Shards is the shard-kernel count core.ExecuteOnNetworkSharded runs
-	// the default (paper) executor on. 0 and 1 both mean one shard — the
-	// default every existing config and sweep JSON golden was produced on;
-	// above that, results are deterministic per shard count and
-	// statistically pinned across counts (burst-loss state is per shard,
-	// timed actions fire at window barriers). A latency model with no
-	// positive floor always runs on one shard. Protocol executors ignore it.
+	// the default (paper) executor on; 0 and 1 both mean one shard. Every
+	// count gives the same report but for the last bits of the latency
+	// mean (TestCampaignShardInvariance). A latency model with no positive
+	// floor always runs on one shard. Protocol executors ignore it.
 	Shards int
 	// RoundInterval paces the round ticks of round-driven protocol
 	// executors (the paper's algorithm is purely event-driven and ignores

@@ -10,7 +10,6 @@ import (
 	"gossipkit/internal/core"
 	"gossipkit/internal/dist"
 	"gossipkit/internal/membership"
-	"gossipkit/internal/simnet"
 	"gossipkit/internal/topology"
 	"gossipkit/internal/xrand"
 )
@@ -336,11 +335,6 @@ func TestSweepRejectsSharedMutableState(t *testing.T) {
 	shared.Params.View = membership.NewPartialViews(100, 1, xrand.New(1))
 	if _, err := sweepView(suite, Axes{Run: shared, Seeds: 2}, nil); err == nil {
 		t.Error("sweep accepted a shared Params.View")
-	}
-	bursty := testConfig(100)
-	bursty.Net.Loss = simnet.NewGilbertElliott(0.1, 0.3, 0.01, 0.8)
-	if _, err := sweepView(suite, Axes{Run: bursty, Seeds: 2}, nil); err == nil {
-		t.Error("sweep accepted a shared stateful Gilbert-Elliott loss model")
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 	"time"
@@ -19,9 +20,10 @@ import (
 // while the shard workers are parked — which is what lets fault-injection
 // hooks mutate shard state without synchronization.
 //
-// A group with one kernel that is also the control kernel degenerates to
-// a plain RunAll with no windows or goroutines, which is the shards=1
-// equivalence anchor.
+// Control events fire first at their instant, at every shard count: a
+// window stops short of the control kernel's next event, and every shard
+// clock moves up to that instant before it fires. One shard runs the same
+// way, with no lookahead and no goroutines.
 type ShardGroup struct {
 	kernels   []*Kernel
 	control   *Kernel
@@ -29,10 +31,9 @@ type ShardGroup struct {
 }
 
 // NewShardGroup builds a group over kernels with the given lookahead
-// (the minimum cross-shard message delay; must be positive unless the
-// group degenerates to a single kernel that is its own control kernel).
-// The control kernel carries coordinator-side events (scenario actions);
-// it must not be one of the shard kernels unless len(kernels) == 1.
+// (the minimum cross-shard message delay; it must be positive for more
+// than one kernel). The control kernel carries coordinator-side events
+// (scenario actions) and must not be one of the shard kernels.
 func NewShardGroup(kernels []*Kernel, control *Kernel, lookahead time.Duration) *ShardGroup {
 	if len(kernels) == 0 {
 		panic("sim: shard group needs at least one kernel")
@@ -40,15 +41,12 @@ func NewShardGroup(kernels []*Kernel, control *Kernel, lookahead time.Duration) 
 	if control == nil {
 		panic("sim: shard group needs a control kernel")
 	}
-	single := len(kernels) == 1 && control == kernels[0]
-	if !single {
-		if lookahead <= 0 {
-			panic(fmt.Sprintf("sim: non-positive lookahead %v", lookahead))
-		}
-		for _, k := range kernels {
-			if k == control {
-				panic("sim: control kernel must be distinct from the shard kernels")
-			}
+	if len(kernels) > 1 && lookahead <= 0 {
+		panic(fmt.Sprintf("sim: non-positive lookahead %v", lookahead))
+	}
+	for _, k := range kernels {
+		if k == control {
+			panic("sim: control kernel must be distinct from the shard kernels")
 		}
 	}
 	return &ShardGroup{kernels: kernels, control: control, lookahead: Time(lookahead)}
@@ -89,8 +87,8 @@ func (g *ShardGroup) Each(f func(shard int)) {
 // sit parked when the kernels run dry. Run returns the first worker or
 // control error (ErrBudget, ErrTimeRange) encountered.
 func (g *ShardGroup) Run(flush func(windowEnd Time), buffered func() int, onBarrier func(now Time, fired uint64)) error {
-	if len(g.kernels) == 1 && g.control == g.kernels[0] {
-		return g.kernels[0].RunAll()
+	if len(g.kernels) == 1 {
+		return g.runOne(onBarrier)
 	}
 
 	// Persistent workers for the whole run: horizons flow out, one error
@@ -165,7 +163,7 @@ func (g *ShardGroup) Run(flush func(windowEnd Time), buffered func() int, onBarr
 			// Control events due at the barrier fire while the workers
 			// are parked; anything they schedule at the same timestamp
 			// fires too, matching single-kernel same-time semantics.
-			if err := g.control.Run(wend); err != nil {
+			if err := g.fireControl(wend); err != nil {
 				return err
 			}
 		}
@@ -173,6 +171,37 @@ func (g *ShardGroup) Run(flush func(windowEnd Time), buffered func() int, onBarr
 			onBarrier(wend, g.fired())
 		}
 	}
+}
+
+// runOne is Run on one shard, where nothing crosses shards to flush: it
+// drains to each control instant in turn, and is a plain RunAll once no
+// control event is left.
+func (g *ShardGroup) runOne(onBarrier func(now Time, fired uint64)) error {
+	k := g.kernels[0]
+	for {
+		tc, ok := g.control.NextEventTime()
+		if !ok {
+			return cmp.Or(k.RunAll(), g.err())
+		}
+		if err := k.Run(tc - 1); err != nil {
+			return err
+		}
+		if err := g.fireControl(tc); err != nil {
+			return err
+		}
+		if onBarrier != nil {
+			onBarrier(tc, g.fired())
+		}
+	}
+}
+
+// fireControl moves every shard clock to at and fires the control events
+// due there.
+func (g *ShardGroup) fireControl(at Time) error {
+	for _, k := range g.kernels {
+		k.advance(at)
+	}
+	return g.control.Run(at)
 }
 
 // err is the first kernel's ErrTimeRange: a flush may have scheduled past

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -202,12 +204,16 @@ func TestShardGroupControlBarrier(t *testing.T) {
 		}
 	}
 	control.At(cut, func() {
-		// Workers are parked at the barrier: every shard clock must sit
-		// strictly before the control event's time.
+		// Workers are parked at the barrier: every shard clock reads the
+		// control event's instant, and no shard event at or after it has
+		// fired yet.
 		flag = true
 		for s, k := range kernels {
-			if k.Now() >= cut {
-				t.Errorf("shard %d clock %v at or past control event %v", s, k.Now(), cut)
+			if k.Now() != cut {
+				t.Errorf("shard %d clock %v at control event %v", s, k.Now(), cut)
+			}
+			if n := len(seen[s]); n > 0 && seen[s][n-1].at >= cut {
+				t.Errorf("shard %d fired its event at %v before the control event at %v", s, seen[s][n-1].at, cut)
 			}
 		}
 	})
@@ -318,12 +324,43 @@ func TestShardGroupSingleDegenerate(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		k.Schedule(Time(i), h, 0, 0)
 	}
-	g := NewShardGroup([]*Kernel{k}, k, 0)
+	g := NewShardGroup([]*Kernel{k}, New(), 0)
 	if err := g.Run(nil, nil, nil); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if k.Fired() != 5 {
 		t.Fatalf("fired %d, want 5", k.Fired())
+	}
+}
+
+// TestShardGroupControlFirstOneShard: on one shard, with no lookahead, a
+// control event still fires ahead of the shard events due at its instant
+// — those queued before it and those its own firing queues — and what it
+// schedules there fires at that instant, in the same order as at any
+// shard count.
+func TestShardGroupControlFirstOneShard(t *testing.T) {
+	k, control := New(), New()
+	var log []string
+	h := k.RegisterHandler(func(now Time, node, _ int32) {
+		log = append(log, fmt.Sprintf("shard %d@%v", node, now))
+	})
+	k.Schedule(2, h, 1, 0)
+	k.Schedule(3, h, 2, 0)
+	k.Schedule(3, h, 3, 0)
+	control.At(3, func() {
+		if k.Now() != 3 {
+			t.Errorf("shard clock %v at the control event at 3", k.Now())
+		}
+		log = append(log, "control@3")
+		k.Schedule(k.Now(), h, 4, 0)
+	})
+	control.At(5, func() { log = append(log, "control@5") })
+	if err := NewShardGroup([]*Kernel{k}, control, 0).Run(nil, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := "shard 1@2ns control@3 shard 2@3ns shard 3@3ns shard 4@3ns control@5"
+	if got := strings.Join(log, " "); got != want {
+		t.Errorf("fire order %q, want %q", got, want)
 	}
 }
 

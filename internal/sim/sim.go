@@ -347,6 +347,16 @@ func (k *Kernel) Run(horizon Time) error {
 	}
 }
 
+// advance moves the clock to t, so what another kernel's events at t (a
+// shard group's control events) schedule here starts from t. An event
+// still queued before t, or t before Now, would run time backwards.
+func (k *Kernel) advance(t Time) {
+	if head, ok := k.liveHead(); ok && head.at() < t || t < k.now {
+		panic(fmt.Sprintf("sim: advancing from %v to %v past a queued event", k.now, t))
+	}
+	k.now = t
+}
+
 // RunAll fires every event until the queue drains. It returns ErrBudget if
 // the event budget is exhausted first.
 func (k *Kernel) RunAll() error { return k.Run(End) }

@@ -17,7 +17,9 @@
 //
 // Determinism: a Network is single-goroutine state driven by its kernel;
 // every latency and loss draw comes from the caller-supplied RNG, so a run
-// is a pure function of (config, seed). Latency models with a delay band —
+// is a pure function of (config, seed). Models are immutable values every
+// shard shares; a Gilbert–Elliott chain belongs to its sender and lives in
+// the Network, so burst loss does not depend on the shard count. Latency models with a delay band —
 // a LatencyBounder's bound, ExponentialLatency's Floor + 7·Mean quantile —
 // switch the kernel to its calendar event queue, a pure throughput lever
 // that never changes delivery order or results.

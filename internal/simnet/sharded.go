@@ -38,14 +38,14 @@ type crossMsg struct {
 // targets only, and the control methods (Up, Crash, Restart, the model
 // swaps, Stats, Drained — everything fault-injection hooks drive mid-run)
 // route by owner; call them with the execution quiescent or parked at a
-// window barrier. Mutable loss models are cloned per shard (LossCloner);
-// each shard draws loss and latency from its own RNG stream.
+// window barrier. Every shard shares the run's models, which are values;
+// a sender's burst-loss chain lives on the sender's own shard.
 type ShardedNet struct {
 	n      int
 	shards int
 	block  int
 	nets   []*Network
-	cfgs   []Config // per-shard configs (loss cloned), built by Prepare
+	cfg    Config
 	bufs   [][]crossMsg
 	ids    [][]int32 // per-(src,dst) flat id storage for buffered batches
 }
@@ -67,8 +67,7 @@ func ShardBlocks(n, shards int) (block, used int) {
 }
 
 // Prepare sizes the fabric for a run over n members on `shards` shards
-// and derives the per-shard configs from cfg, cloning stateful loss
-// models so shards never share mutable model state. Call once per run,
+// with the models of cfg. Call once per run,
 // before the per-shard ResetShard calls. shards must be a count
 // ShardBlocks(n, ·) returns as used — every shard owns at least one
 // member.
@@ -80,19 +79,11 @@ func (sn *ShardedNet) Prepare(shards, n int, cfg Config) {
 	sn.n = n
 	sn.shards = shards
 	sn.block = block
+	sn.cfg = cfg
 	if cap(sn.nets) < shards {
 		sn.nets = append(sn.nets[:cap(sn.nets)], make([]*Network, shards-cap(sn.nets))...)
-		sn.cfgs = append(sn.cfgs[:cap(sn.cfgs)], make([]Config, shards-cap(sn.cfgs))...)
 	}
 	sn.nets = sn.nets[:shards]
-	sn.cfgs = sn.cfgs[:shards]
-	for s := range sn.cfgs {
-		c := cfg
-		if cloner, ok := cfg.Loss.(LossCloner); ok {
-			c.Loss = cloner.CloneLoss()
-		}
-		sn.cfgs[s] = c
-	}
 	if cap(sn.bufs) < shards*shards {
 		sn.bufs = make([][]crossMsg, shards*shards)
 	}
@@ -116,9 +107,9 @@ func (sn *ShardedNet) Prepare(shards, n int, cfg Config) {
 // freshly Reset.
 func (sn *ShardedNet) ResetShard(s int, kernel *sim.Kernel, rng *xrand.RNG) {
 	if sn.nets[s] == nil {
-		sn.nets[s] = New(kernel, sn.n, rng, sn.cfgs[s])
+		sn.nets[s] = New(kernel, sn.n, rng, sn.cfg)
 	} else {
-		sn.nets[s].Reset(kernel, sn.n, rng, sn.cfgs[s])
+		sn.nets[s].Reset(kernel, sn.n, rng, sn.cfg)
 	}
 	if sn.shards == 1 {
 		return // no cross-shard traffic: keep the hot path seam empty
@@ -230,15 +221,10 @@ func (sn *ShardedNet) SetPartition(blocked func(a, b NodeID) bool) {
 	}
 }
 
-// SetLoss swaps the loss model, cloning stateful models per shard exactly
-// as Prepare does for the initial model.
+// SetLoss swaps the loss model on every shard.
 func (sn *ShardedNet) SetLoss(l LossModel) {
 	for _, nw := range sn.nets {
-		m := l
-		if cloner, ok := l.(LossCloner); ok {
-			m = cloner.CloneLoss()
-		}
-		nw.SetLoss(m)
+		nw.SetLoss(l)
 	}
 }
 

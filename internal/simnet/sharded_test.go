@@ -115,42 +115,6 @@ func TestShardedNetFlushClampsEarlyArrivals(t *testing.T) {
 	}
 }
 
-func TestShardedNetClonesStatefulLoss(t *testing.T) {
-	ge := NewGilbertElliott(0.5, 0.5, 0.1, 0.9)
-	sn, _ := newTestShardedNet(t, Config{Latency: ConstantLatency{D: time.Millisecond}, Loss: ge})
-	if sn.cfgs[0].Loss == LossModel(ge) || sn.cfgs[1].Loss == LossModel(ge) ||
-		sn.cfgs[0].Loss == sn.cfgs[1].Loss {
-		t.Fatal("stateful loss model shared instead of cloned per shard")
-	}
-	// SetLoss mid-run clones again.
-	sn.SetLoss(ge)
-	if sn.nets[0].loss == sn.nets[1].loss {
-		t.Fatal("SetLoss shared one stateful model across shards")
-	}
-	// Stateless models are shared as-is.
-	sn.SetLoss(BernoulliLoss{P: 0.25})
-	if sn.nets[0].loss != LossModel(BernoulliLoss{P: 0.25}) {
-		t.Fatal("stateless loss model not installed")
-	}
-}
-
-func TestGilbertElliottCloneLoss(t *testing.T) {
-	g := NewGilbertElliott(1, 0, 0, 1) // jumps to Bad on first draw, stays
-	r := xrand.New(7)
-	g.Drop(r, 0, 1)
-	c := g.CloneLoss().(*GilbertElliott)
-	if c == g {
-		t.Fatal("CloneLoss returned the receiver")
-	}
-	if c.bad != g.bad {
-		t.Fatal("CloneLoss did not copy the channel state")
-	}
-	c.bad = false
-	if !g.bad {
-		t.Fatal("clone state aliases the original")
-	}
-}
-
 func TestScheduleArrivalClampsToNow(t *testing.T) {
 	k := sim.New()
 	nw := New(k, 4, xrand.New(1), Config{})

@@ -59,19 +59,11 @@ type LatencyFloorer interface {
 	LatencyFloor() (time.Duration, bool)
 }
 
-// LossModel decides whether a message is dropped in transit.
+// LossModel decides whether a message is dropped in transit. The set is
+// closed and every model an immutable value: the run keeps the state a
+// bursty model needs, two bits per sender, and passes it in.
 type LossModel interface {
-	Drop(r *xrand.RNG, from, to NodeID) bool
-}
-
-// LossCloner is optionally implemented by loss models carrying mutable
-// state (e.g. *GilbertElliott's burst state). The sharded fabric clones
-// such a model per shard so concurrent draws neither race nor entangle
-// the shards' RNG-independent streams; stateless models are shared.
-type LossCloner interface {
-	// CloneLoss returns an independent copy starting from the model's
-	// current state.
-	CloneLoss() LossModel
+	drop(r *xrand.RNG, burst *bitset.Bits, from NodeID) bool
 }
 
 // ---------------------------------------------------------------------------
@@ -132,55 +124,57 @@ func (e ExponentialLatency) LatencyFloor() (time.Duration, bool) { return e.Floo
 // NoLoss never drops messages.
 type NoLoss struct{}
 
-// Drop implements LossModel.
-func (NoLoss) Drop(*xrand.RNG, NodeID, NodeID) bool { return false }
+func (NoLoss) drop(*xrand.RNG, *bitset.Bits, NodeID) bool { return false }
 
 // BernoulliLoss drops each message independently with probability P.
 type BernoulliLoss struct{ P float64 }
 
-// Drop implements LossModel.
-func (b BernoulliLoss) Drop(r *xrand.RNG, _, _ NodeID) bool { return r.Bool(b.P) }
+func (b BernoulliLoss) drop(r *xrand.RNG, _ *bitset.Bits, _ NodeID) bool { return r.Bool(b.P) }
 
-// GilbertElliott is the classic two-state bursty loss model: the channel
-// alternates between a Good state (loss PGood) and a Bad state (loss PBad),
-// with transition probabilities PG2B and PB2G evaluated per message.
-// State is tracked globally (one channel), matching its use as a shared-
-// medium burst model; per-link burst state can be composed externally.
+// GilbertElliott is the classic two-state bursty loss model, one chain
+// per sender: member u's chain is Good (loss PGood) or Bad (loss PBad) and
+// moves with probabilities PG2B and PB2G on u's own sends only, drawing
+// from the stream u's loss comes from. It starts at u's first send from
+// its stationary law, Bad with π_B = PG2B/(PG2B+PB2G) (Good if both are 0),
+// so u's long-run loss rate is π_B·PBad + (1−π_B)·PGood. The Network holds
+// the chains, so no result depends on the shard count.
 type GilbertElliott struct {
 	PG2B, PB2G  float64
 	PGood, PBad float64
-	bad         bool
 }
 
-// NewGilbertElliott returns a Gilbert–Elliott model starting in Good state.
-func NewGilbertElliott(pG2B, pB2G, pGood, pBad float64) *GilbertElliott {
+// NewGilbertElliott returns a Gilbert–Elliott model; it panics on a
+// probability outside [0, 1].
+func NewGilbertElliott(pG2B, pB2G, pGood, pBad float64) GilbertElliott {
 	for _, p := range []float64{pG2B, pB2G, pGood, pBad} {
 		if !(p >= 0 && p <= 1) { // NaN fails every comparison
 			panic(fmt.Sprintf("simnet: probability %g outside [0,1]", p))
 		}
 	}
-	return &GilbertElliott{PG2B: pG2B, PB2G: pB2G, PGood: pGood, PBad: pBad}
+	return GilbertElliott{PG2B: pG2B, PB2G: pB2G, PGood: pGood, PBad: pBad}
 }
 
-// CloneLoss implements LossCloner: the copy starts from g's current
-// channel state and evolves independently.
-func (g *GilbertElliott) CloneLoss() LossModel {
-	c := *g
-	return &c
-}
-
-// Drop implements LossModel.
-func (g *GilbertElliott) Drop(r *xrand.RNG, _, _ NodeID) bool {
-	if g.bad {
-		if r.Bool(g.PB2G) {
-			g.bad = false
+// drop advances from's chain (bit 2·from: started, 2·from+1: Bad) and
+// draws the message's loss in the state it lands in.
+func (g GilbertElliott) drop(r *xrand.RNG, burst *bitset.Bits, from NodeID) bool {
+	started, badBit := 2*int(from), 2*int(from)+1
+	var bad bool
+	switch {
+	case !burst.Get(started):
+		burst.Set(started)
+		if t := g.PG2B + g.PB2G; t > 0 {
+			bad = r.Bool(g.PG2B / t)
 		}
-	} else if r.Bool(g.PG2B) {
-		g.bad = true
+	case burst.Get(badBit):
+		bad = !r.Bool(g.PB2G)
+	default:
+		bad = r.Bool(g.PG2B)
 	}
-	if g.bad {
+	if bad {
+		burst.Set(badBit)
 		return r.Bool(g.PBad)
 	}
+	burst.Unset(badBit)
 	return r.Bool(g.PGood)
 }
 
@@ -324,7 +318,8 @@ type Network struct {
 	n         int
 	latency   LatencyModel
 	loss      LossModel
-	all       Handler // shared handler for every node (RegisterAll)
+	burst     bitset.Bits // GilbertElliott's chains: two bits per sender
+	all       Handler     // shared handler for every node (RegisterAll)
 	up        bitset.Bits
 	partition func(a, b NodeID) bool
 	stats     Stats
@@ -391,7 +386,6 @@ func (nw *Network) Reset(kernel *sim.Kernel, n int, rng *xrand.RNG, cfg Config) 
 	nw.rng, nw.latRng = rng, rng
 	nw.n = n
 	nw.latency = cfg.Latency
-	nw.loss = cfg.Loss
 	nw.all = nil
 	nw.allBatch = nil
 	nw.partition = nil
@@ -402,9 +396,7 @@ func (nw *Network) Reset(kernel *sim.Kernel, n int, rng *xrand.RNG, cfg Config) 
 	if nw.latency == nil {
 		nw.latency = ConstantLatency{}
 	}
-	if nw.loss == nil {
-		nw.loss = NoLoss{}
-	}
+	nw.SetLoss(cfg.Loss)
 	nw.idBits = uint8(bits.Len32(uint32(max(n, 1) - 1)))
 	nw.up.Reset(n)
 	nw.up.SetAll()
@@ -538,7 +530,7 @@ func (nw *Network) send(from, to NodeID, tag int32, payload any) {
 		nw.trace(Event{Kind: EventDroppedPartition, From: from, To: to, At: now, SentAt: now})
 		return
 	}
-	if nw.loss.Drop(nw.rng, from, to) {
+	if nw.loss.drop(nw.rng, &nw.burst, from) {
 		nw.stats.DroppedLoss++
 		nw.trace(Event{Kind: EventDroppedLoss, From: from, To: to, At: now, SentAt: now})
 		return
@@ -600,7 +592,7 @@ func (nw *Network) SendBatch(from, to NodeID, kind int32, ids []int32) {
 		nw.trace(Event{Kind: EventDroppedPartition, From: from, To: to, At: now, SentAt: now, Entries: int32(k)})
 		return
 	}
-	if nw.loss.Drop(nw.rng, from, to) {
+	if nw.loss.drop(nw.rng, &nw.burst, from) {
 		nw.stats.DroppedLoss++
 		nw.trace(Event{Kind: EventDroppedLoss, From: from, To: to, At: now, SentAt: now, Entries: int32(k)})
 		return
@@ -854,12 +846,16 @@ func (nw *Network) SetPartition(blocked func(a, b NodeID) bool) {
 
 // SetLoss swaps the loss model mid-run; nil restores no loss. In-flight
 // messages already past their loss draw are unaffected, so a loss episode
-// applies exactly to the sends issued while it is installed.
+// applies exactly to the sends issued while it is installed, and every
+// burst-loss chain starts afresh with it.
 func (nw *Network) SetLoss(l LossModel) {
 	if l == nil {
 		l = NoLoss{}
 	}
 	nw.loss = l
+	if _, bursty := l.(GilbertElliott); bursty {
+		nw.burst.Reset(2 * nw.n)
+	}
 }
 
 // SetLatency swaps the latency model mid-run; nil restores zero latency.

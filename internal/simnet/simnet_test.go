@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"gossipkit/internal/bitset"
 	"gossipkit/internal/sim"
 	"gossipkit/internal/xrand"
 )
@@ -207,29 +208,133 @@ func TestGilbertElliottBurstiness(t *testing.T) {
 	// Long Good runs with rare loss, Bad state drops most messages.
 	g := NewGilbertElliott(0.01, 0.2, 0.001, 0.9)
 	r := xrand.New(11)
-	drops := 0
-	const n = 100000
+	var burst bitset.Bits
+	burst.Reset(2)
 	runLen, maxRun := 0, 0
-	for i := 0; i < n; i++ {
-		if g.Drop(r, 0, 1) {
-			drops++
+	for i := 0; i < 100000; i++ {
+		if g.drop(r, &burst, 0) {
 			runLen++
-			if runLen > maxRun {
-				maxRun = runLen
-			}
+			maxRun = max(maxRun, runLen)
 		} else {
 			runLen = 0
 		}
 	}
-	// Stationary bad fraction = pG2B/(pG2B+pB2G) ≈ 0.0476; loss rate ≈
-	// 0.0476*0.9 + 0.952*0.001 ≈ 0.0438.
-	rate := float64(drops) / n
-	if rate < 0.03 || rate > 0.06 {
-		t.Errorf("GE loss rate %.4f, want ~0.044", rate)
-	}
 	if maxRun < 3 {
 		t.Errorf("GE produced no bursts (max run %d)", maxRun)
 	}
+}
+
+// TestGilbertElliottSendersIndependent: each sender has its own chain, so
+// sender 0's losses, drawn from its own stream, are the same whether or
+// not sender 1 sends in between. One chain for the whole network fails
+// this: sender 1's sends would move it.
+func TestGilbertElliottSendersIndependent(t *testing.T) {
+	run := func(interleave bool) []bool {
+		_, nw := newNet(t, 2, Config{Loss: NewGilbertElliott(0.2, 0.3, 0.05, 0.9)})
+		own, other := xrand.New(10), xrand.New(20)
+		var lost []bool
+		for i := 0; i < 400; i++ {
+			nw.DrawFrom(own, own)
+			before := nw.Stats().DroppedLoss
+			nw.Send(0, 1, nil)
+			lost = append(lost, nw.Stats().DroppedLoss > before)
+			if interleave {
+				nw.DrawFrom(other, other)
+				nw.Send(1, 0, nil)
+			}
+		}
+		return lost
+	}
+	alone, mixed := run(false), run(true)
+	drops := 0
+	for i := range alone {
+		if alone[i] != mixed[i] {
+			t.Fatalf("sender 0's send %d: lost=%v alone, %v beside sender 1", i, alone[i], mixed[i])
+		}
+		if alone[i] {
+			drops++
+		}
+	}
+	if drops == 0 || drops == len(alone) {
+		t.Fatalf("degenerate chain: %d of %d sends lost", drops, len(alone))
+	}
+}
+
+// TestGilbertElliottLatchesPerSender: the latching model (1, 0, 0, 1) is
+// Bad from a sender's first send on and loses everything it sends, but a
+// member that has not sent has no chain yet, and SetLoss starts every
+// chain afresh.
+func TestGilbertElliottLatchesPerSender(t *testing.T) {
+	_, nw := newNet(t, 3, Config{Loss: NewGilbertElliott(1, 0, 0, 1)})
+	for i := 0; i < 50; i++ {
+		nw.Send(0, 1, nil)
+	}
+	if st := nw.Stats(); st.DroppedLoss != 50 {
+		t.Fatalf("sender 0 lost %d of its 50 sends", st.DroppedLoss)
+	}
+	if !nw.burst.Get(0) || !nw.burst.Get(1) {
+		t.Fatal("sender 0's chain is not latched Bad")
+	}
+	for _, bit := range []int{2, 3, 4, 5} {
+		if nw.burst.Get(bit) {
+			t.Fatalf("bit %d set: a silent member's chain moved with sender 0's sends", bit)
+		}
+	}
+	nw.SetLoss(NewGilbertElliott(1, 0, 0, 1))
+	if nw.burst.Count() != 0 {
+		t.Fatal("SetLoss kept a chain of the previous model")
+	}
+	nw.Send(1, 2, nil)
+	if st := nw.Stats(); st.DroppedLoss != 51 {
+		t.Fatalf("sender 1's first send under the latching model was not lost: %+v", st)
+	}
+}
+
+// TestGilbertElliottMarginalRate: every chain starts from the stationary
+// law, so each send is lost with probability μ = π_B·PBad + (1−π_B)·PGood,
+// π_B = PG2B/(PG2B+PB2G), from the first send on. With λ = 1 − PG2B − PB2G
+// the chain's lag-k correlation decays as λ^k, so one sender's drops over
+// m sends have variance
+//
+//	m·μ(1−μ) + 2·π_B(1−π_B)·(PBad−PGood)²·Σ_{k=1}^{m−1} (m−k)·λ^k,
+//
+// and S independent senders S times that. A seed fails when its total
+// lies more than 4 standard deviations from S·m·μ: 6.3·10⁻⁵ per seed
+// under the normal approximation (2·10⁵ sends), so all 50 seeds pass but
+// for a 3·10⁻³ chance.
+func TestGilbertElliottMarginalRate(t *testing.T) {
+	const senders, m, seeds, z = 200, 1000, 50, 4.0
+	g := NewGilbertElliott(0.05, 0.3, 0.01, 0.6)
+	piB := g.PG2B / (g.PG2B + g.PB2G)
+	mu := piB*g.PBad + (1-piB)*g.PGood
+	lambda := 1 - g.PG2B - g.PB2G
+	tail, pow := 0.0, 1.0
+	for k := 1; k < m; k++ {
+		pow *= lambda
+		tail += float64(m-k) * pow
+	}
+	gap := g.PBad - g.PGood
+	sd := math.Sqrt(senders * (m*mu*(1-mu) + 2*piB*(1-piB)*gap*gap*tail))
+	var burst bitset.Bits
+	worst := 0.0
+	for seed := uint64(1); seed <= seeds; seed++ {
+		r := xrand.New(seed)
+		burst.Reset(2 * senders)
+		drops := 0
+		for i := 0; i < m; i++ {
+			for u := 0; u < senders; u++ {
+				if g.drop(r, &burst, NodeID(u)) {
+					drops++
+				}
+			}
+		}
+		dev := math.Abs(float64(drops)-senders*m*mu) / sd
+		worst = max(worst, dev)
+		if dev > z {
+			t.Errorf("seed %d: %d drops of %d sends, %.2f sd from %.1f", seed, drops, senders*m, dev, senders*m*mu)
+		}
+	}
+	t.Logf("μ = %.5f, sd %.1f drops; largest deviation over %d seeds %.2f sd", mu, sd, seeds, worst)
 }
 
 func TestGilbertElliottValidation(t *testing.T) {

@@ -22,9 +22,10 @@
 //
 // RunSharded is the one runner, a front end on core.Run — the run
 // assembly (lease, random-stream layout, drive, ledger check) it shares
-// with the core executor and the protocol runtime — with the core
-// executor's determinism contract: byte-identical for a fixed shard
-// count, statistically pinned across shard counts. RunProbed is
+// with the core executor and the protocol runtime. Like the core
+// executor it is byte-identical for a fixed shard count; unlike it, it is
+// only statistically pinned across shard counts, because its fanout and
+// latency draws come from per-shard streams. RunProbed is
 // RunSharded on one shard, the default. Telemetry rides the
 // obs.StreamProbe family (nil probe = zero overhead), and scenario
 // campaigns inject through the same core.NetRun seam as every other

@@ -125,12 +125,8 @@ func RunSharded(cfg Config, netCfg simnet.Config, r *xrand.RNG,
 				return total
 			},
 			Publish: func(id int) {
-				// Latest is resolved at the barrier (workers parked);
-				// the publish itself executes on the owning shard's
-				// clock.
-				latest := latestPublished(sh, ctl.Now())
-				s := id / block
-				run.OnShard(s, func(now sim.Time) { workers[s].scenarioPublish(id, latest, now) })
+				now := ctl.Now()
+				workers[id/block].scenarioPublish(id, latestPublished(sh, now), now)
 			},
 		}))
 	}

@@ -439,33 +439,6 @@ func TestStreamProbeQueues(t *testing.T) {
 	}
 }
 
-// TestCallerLossModelClonedPerRun is core's test of the same name on the
-// stream runner at one shard: the caller's latching *GilbertElliott stays
-// as constructed across two same-seed runs on one arena.
-func TestCallerLossModelClonedPerRun(t *testing.T) {
-	ge := simnet.NewGilbertElliott(1, 0, 0, 1)
-	netCfg := testNetConfig()
-	netCfg.Loss = ge
-	arena := NewArena()
-	var runs [2]Result
-	for i := range runs {
-		res, err := RunProbed(testConfig(), netCfg, xrand.New(5), nil, arena, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runs[i] = res
-	}
-	if runs[0].Net.DroppedLoss == 0 {
-		t.Fatalf("the loss model was never drawn from: %+v", runs[0].Net)
-	}
-	if !reflect.DeepEqual(runs[0], runs[1]) {
-		t.Error("same-seed runs differ")
-	}
-	if *ge != *simnet.NewGilbertElliott(1, 0, 0, 1) {
-		t.Errorf("the caller's loss model was mutated: %+v", *ge)
-	}
-}
-
 func TestScenarioSeamPublish(t *testing.T) {
 	cfg := testConfig()
 	var nr *core.NetRun
