@@ -44,7 +44,7 @@ func TestWithShardsDeterministicAndPinned(t *testing.T) {
 	}
 	ra := a.Reports[0]
 	golden.Equal(t, "shards=2", ra, base.Reports[0], "Metrics", "Detail.DeliveryLatency.mean",
-		"Detail.DeliveryLatency.m2", "Detail.Net.BoxedSends")
+		"Detail.DeliveryLatency.m2", "Detail.Net.BoxedSends", "Detail.Net.Settled")
 	if ra.Metrics == nil || ra.Metrics.Totals.Sent == 0 {
 		t.Errorf("sharded probe metrics missing: %+v", ra.Metrics)
 	}

@@ -186,17 +186,25 @@ func benchmarkMillion(b *testing.B, probe *obs.Probe) {
 	run() // untimed warm-up: arena queue/buffers (and probe pools) grow once
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	var sent int64
+	var sent, settled int64
+	var peak int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sent += run().Net.Sent
+		res := run()
+		sent += res.Net.Sent
+		settled += res.Net.Settled
+		peak += arena.kernels[0].QueueStats().PeakPending
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
 	perIter := (after.Mallocs - before.Mallocs) / uint64(b.N)
 	b.ReportMetric(float64(perIter), "warm-allocs/op")
 	b.ReportMetric(float64(sent)/b.Elapsed().Seconds(), "msgs/sec")
+	// Sends settled at send time (simnet.Stats.Settled, none under a probe)
+	// and the event queue's high-water mark they keep down.
+	b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
+	b.ReportMetric(float64(peak)/float64(b.N), "peak-pending/op")
 	// The alloc guard applies to the probes-off path only: a probe's
 	// Metrics snapshots may allocate, the unobserved hot path must not.
 	if probe == nil && perIter > 25 {

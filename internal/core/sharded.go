@@ -60,6 +60,15 @@ type shardState struct {
 // hop histograms: a cross-shard sender's hop count is unknown to the
 // receiving shard.
 //
+// A copy whose arrival is decided when it is sent does not queue: with no
+// inject and no probe, a copy to a mask-dead member (on any shard) or to a
+// member of the sending shard that already holds m settles at send time
+// (simnet.Network.SendSettled: the same loss and latency draws, then a
+// crash drop or a duplicate counted at once, and one Net.Settled). None
+// settles under inject, a probe, a tracer or a partition, and a copy to a
+// member of another shard that already holds m stays queued: that shard's
+// first-receipt bits are not read mid-window.
+//
 // Determinism contract:
 //   - a fixed shard count is byte-identical across repeated runs and
 //     fresh and recycled arenas, for the same (p, netCfg, r, inject),
@@ -116,9 +125,12 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 
 	// forward and receive run on shard s's goroutine (or with every worker
 	// parked). forward draws from self's streams at key (see keyRoot); the
-	// network draws each send's loss and latency from them too.
+	// network draws each send's loss and latency from them too. A copy
+	// whose arrival is decided settles only when nothing else can see the
+	// run: no campaign, no probe.
+	settle := inject == nil && probe == nil
 	forward := func(s, self int, key uint64) {
-		st, nw := &states[s], sn.Shard(s)
+		st, nw, base := &states[s], sn.Shard(s), s*block
 		st.keys.SplitInto(&st.draws, key)
 		st.keys.SplitInto(&st.delays, key|latencyKey)
 		f := p.Fanout.Sample(&st.draws)
@@ -126,10 +138,20 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 		st.msgs += len(st.targets)
 		st.probe.ObserveFanout(len(st.targets))
 		for _, v := range st.targets {
-			if !mask.Alive(v) {
+			from, to, dead := simnet.NodeID(self), simnet.NodeID(v), !mask.Alive(v)
+			if dead {
 				st.wasted++
 			}
-			nw.Send(simnet.NodeID(self), simnet.NodeID(v), nil)
+			switch {
+			case settle && dead:
+				nw.SendSettled(from, to, false)
+			case settle && v/block == s && st.received.Get(v-base):
+				if nw.SendSettled(from, to, true) {
+					st.dups++
+				}
+			default:
+				nw.Send(from, to, nil)
+			}
 		}
 	}
 	// from is the forwarding member, or -1 for an out-of-band receipt (an

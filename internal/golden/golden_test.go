@@ -81,7 +81,7 @@ func TestRenderRules(t *testing.T) {
 			stats = append(stats, l.Path)
 		}
 	}
-	if want := "BoxedSends Batches BatchEntries BatchesDown BatchEntriesDown BatchesDelivered BatchEntriesDelivered"; strings.Join(stats, " ") != want {
+	if want := "BoxedSends Settled Batches BatchEntries BatchesDown BatchEntriesDown BatchesDelivered BatchEntriesDelivered"; strings.Join(stats, " ") != want {
 		t.Errorf("simnet.Stats accounting column %v, want %s", stats, want)
 	}
 	if a, b := render(math.Nextafter(1, 2))[0].Value, render(1.0)[0].Value; a == b {

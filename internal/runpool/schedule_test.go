@@ -8,11 +8,15 @@ import (
 
 	"gossipkit"
 	"gossipkit/internal/runpool"
+	"gossipkit/internal/simnet"
 )
 
-// TestScheduleInvariance runs three facade engines that sit on
+// TestScheduleInvariance runs four facade engines that sit on
 // runpool.Replicate — the giant-component Monte Carlo, a DES Network over
-// a k-out overlay built per replication, and a comparison Campaign whose
+// a k-out overlay built per replication, a DES Network on exponential
+// latency with loss (the bench sweep's heavy-tailed cells, where the
+// executor settles sends to failed or already-reached members and draws
+// their loss), and a comparison Campaign whose
 // lpbcast and RDG rows share SCAMP builds through the sweep's view memo,
 // so which run builds and which one hits varies with the schedule — at
 // one, two and three workers, with items claimed in ascending, reversed
@@ -34,6 +38,13 @@ func TestScheduleInvariance(t *testing.T) {
 			Params: gossipkit.Params{N: 200, Fanout: gossipkit.Poisson(4), AliveRatio: 0.9},
 			Net:    gossipkit.NetConfig{Latency: gossipkit.UniformLatency(time.Millisecond, 5*time.Millisecond)},
 		}, 9, []gossipkit.Option{gossipkit.WithTopology(gossipkit.KOutTopology(4))}},
+		{"network-exp-loss", gossipkit.Network{
+			Params: gossipkit.Params{N: 500, Fanout: gossipkit.Poisson(5), AliveRatio: 0.7},
+			Net: gossipkit.NetConfig{
+				Latency: simnet.ExponentialLatency{Floor: time.Millisecond, Mean: 3 * time.Millisecond},
+				Loss:    gossipkit.BernoulliLoss(0.05),
+			},
+		}, 9, nil},
 		{"campaign", gossipkit.Campaign{
 			Scenarios: []*gossipkit.Scenario{scenario},
 			Protocols: []gossipkit.ProtocolSpec{

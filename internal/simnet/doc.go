@@ -34,4 +34,13 @@
 // band, payload-carrying messages, batches and every message under a full
 // tracer — parks in a 40-byte in-flight slot, recycled through a free list
 // (alloc_test.go enforces this; parked_test.go pins the slot's bytes).
+//
+// Settled sends: a front end that already knows a copy's fate at delivery
+// hands it to SendSettled, which makes Send's send-time draws and counts
+// the outcome at once, with no event (Stats.Settled). The paper executor
+// settles copies to mask-dead members and to members of the sending shard
+// that already hold m when the run has no campaign and no probe; none
+// settles under a tracer or a partition, nor a copy to another shard's
+// member that already holds m. The stream engine and the protocol runtime
+// queue every send.
 package simnet

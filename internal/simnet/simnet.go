@@ -203,6 +203,11 @@ type Stats struct {
 	// are already included in Sent and resolve into Delivered or a drop
 	// counter like any other.
 	BoxedSends int64 `golden:"accounting"`
+	// Settled counts the sends SendSettled resolved at send time: accepted,
+	// past loss and already counted in Delivered or DroppedCrash, each one
+	// delivery event the kernel did not queue. Like BoxedSends it is
+	// bookkeeping about how Sent messages travelled, not an outcome.
+	Settled int64 `golden:"accounting"`
 
 	// Batch accounting. A SendBatch call is one wire message — counted once
 	// in Sent / Delivered / the drop counters and once in InFlight, exactly
@@ -232,6 +237,7 @@ func (s *Stats) Add(o Stats) {
 	s.DroppedDown += o.DroppedDown
 	s.DroppedPart += o.DroppedPart
 	s.BoxedSends += o.BoxedSends
+	s.Settled += o.Settled
 	s.Batches += o.Batches
 	s.BatchEntries += o.BatchEntries
 	s.BatchesDown += o.BatchesDown
@@ -553,6 +559,40 @@ func (nw *Network) send(from, to NodeID, tag int32, payload any) {
 	}
 	slot := nw.allocMsg(from, now, tag, payload)
 	nw.kernel.ScheduleAfter(d, nw.deliverID, int32(to), slot)
+}
+
+// SendSettled is Send for a payload-free message whose fate at delivery
+// the caller already knows: deliver says whether the destination will take
+// it (its handler would find it a no-op, say a duplicate) or is down for
+// the rest of the run. It makes every send-time decision Send makes, in
+// the same order and from the same streams — the Sent count, the loss
+// draw, then a latency draw whose value it discards, so the sender's
+// delay stream stays where Send leaves it — and then counts the copy
+// Delivered (or DroppedCrash) and Settled without queueing an event. It
+// returns whether the copy survived loss and was settled here, so the
+// caller accounts its arrival itself. Under a tracer, a partition or a down
+// sender it queues the message as Send does and returns false: the handler
+// then sees it.
+func (nw *Network) SendSettled(from, to NodeID, deliver bool) bool {
+	nw.checkID(from)
+	nw.checkID(to)
+	if nw.tracer != nil || nw.partition != nil || !nw.up.Get(int(from)) {
+		nw.send(from, to, 0, nil)
+		return false
+	}
+	nw.stats.Sent++
+	if nw.loss.drop(nw.rng, &nw.burst, from) {
+		nw.stats.DroppedLoss++
+		return false
+	}
+	nw.latency.Latency(nw.latRng, from, to)
+	nw.stats.Settled++
+	if deliver {
+		nw.stats.Delivered++
+	} else {
+		nw.stats.DroppedCrash++
+	}
+	return true
 }
 
 // SendBatch queues one wire message carrying every id in ids as a batch of
