@@ -40,6 +40,19 @@ func (b *Bits) Reset(n int) {
 	b.n = n
 }
 
+// CopyFrom makes b a copy of src, reusing b's word storage when it is
+// large enough (a snapshot of live state taken without allocating once
+// the arena is warm).
+func (b *Bits) CopyFrom(src *Bits) {
+	if cap(b.words) >= len(src.words) {
+		b.words = b.words[:len(src.words)]
+	} else {
+		b.words = make([]uint64, len(src.words))
+	}
+	copy(b.words, src.words)
+	b.n = src.n
+}
+
 // Len returns the number of bits.
 func (b *Bits) Len() int { return b.n }
 

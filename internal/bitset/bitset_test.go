@@ -77,3 +77,31 @@ func TestResetReusesStorage(t *testing.T) {
 		t.Errorf("warm Reset allocates %.1f times", allocs)
 	}
 }
+
+// TestCopyFrom: a copy has the source's length and bits, shares no storage
+// with it, and a warm copy into a vector at least as large reuses its own
+// words without allocating.
+func TestCopyFrom(t *testing.T) {
+	var src, dst Bits
+	src.Reset(130)
+	for _, i := range []int{0, 63, 64, 129} {
+		src.Set(i)
+	}
+	dst.Reset(1000)
+	dst.SetAll()
+	words := &dst.words[0]
+	dst.CopyFrom(&src)
+	if &dst.words[0] != words {
+		t.Error("CopyFrom into a larger vector reallocated")
+	}
+	if dst.Len() != 130 || dst.Count() != 4 || !dst.Get(129) || dst.Get(1) {
+		t.Fatalf("copy has Len %d Count %d", dst.Len(), dst.Count())
+	}
+	src.Unset(0)
+	if !dst.Get(0) {
+		t.Error("copy shares storage with its source")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { dst.CopyFrom(&src) }); allocs != 0 {
+		t.Errorf("warm CopyFrom allocates %.1f times", allocs)
+	}
+}

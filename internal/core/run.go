@@ -107,6 +107,10 @@ type Run struct {
 	states   []shardState
 	group    *sim.ShardGroup
 	progress func(events uint64, now sim.Time)
+	// snapshotHeld has every barrier copy each shard's received bits into
+	// its held snapshot (set by a sharded front end that settles against
+	// them).
+	snapshotHeld bool
 }
 
 // Begin leases the arena for one execution over n ≥ 1 members: it resolves
@@ -221,8 +225,8 @@ func (run *Run) NetRun(view membership.View, hooks RunHooks) *NetRun {
 // of event budget returns sim.ErrBudget.
 func (run *Run) Drive() error {
 	var onBarrier func(now sim.Time, fired uint64)
-	if run.progress != nil {
-		onBarrier = func(now sim.Time, fired uint64) { run.progress(fired, now) }
+	if run.progress != nil || run.snapshotHeld {
+		onBarrier = run.barrier
 	}
 	if err := run.group.Run(run.Net.Flush, run.Net.Buffered, onBarrier); err != nil {
 		return err
@@ -233,6 +237,21 @@ func (run *Run) Drive() error {
 			ErrOpenLedger, inFlight, slabs, pending)
 	}
 	return nil
+}
+
+// barrier is Drive's window-barrier hook, run by the coordinator with the
+// workers parked: it refreshes every shard's held snapshot, then reports
+// progress.
+func (run *Run) barrier(now sim.Time, fired uint64) {
+	if run.snapshotHeld {
+		for s := range run.states {
+			st := &run.states[s]
+			st.held.CopyFrom(&st.received)
+		}
+	}
+	if run.progress != nil {
+		run.progress(fired, now)
+	}
 }
 
 // Close completes a single-rumor front end's NetResult (AliveCount and

@@ -15,10 +15,13 @@ import (
 // NetArena. Everything here is written by the shard's worker goroutine
 // during windows (and by the coordinator only while workers are parked);
 // received is indexed by (id − base) so no two shards ever share a bitset
-// word. The trailing pad keeps neighboring shards' hot counters off each
-// other's cache lines.
+// word. held is received as it stood at the last window barrier, copied by
+// the coordinator and only read during windows, by every worker. The
+// trailing pad keeps neighboring shards' hot counters off each other's
+// cache lines.
 type shardState struct {
 	received  bitset.Bits
+	held      bitset.Bits
 	targets   []int
 	rng       *xrand.RNG // the run stream, or split on more than one shard
 	split     xrand.RNG
@@ -61,13 +64,17 @@ type shardState struct {
 // receiving shard.
 //
 // A copy whose arrival is decided when it is sent does not queue: with no
-// inject and no probe, a copy to a mask-dead member (on any shard) or to a
-// member of the sending shard that already holds m settles at send time
-// (simnet.Network.SendSettled: the same loss and latency draws, then a
-// crash drop or a duplicate counted at once, and one Net.Settled). None
-// settles under inject, a probe, a tracer or a partition, and a copy to a
-// member of another shard that already holds m stays queued: that shard's
-// first-receipt bits are not read mid-window.
+// inject and no probe, a copy to a mask-dead member (on any shard), to a
+// member of the sending shard that already holds m, or to a member of
+// another shard that held m at the last window barrier settles at send
+// time (simnet.Network.SendSettled: the same loss and latency draws, then
+// a crash drop or a duplicate counted at once, and one Net.Settled). The
+// other shards' bits are read from a snapshot (shardState.held) that the
+// coordinator refreshes at each barrier with the workers parked, never
+// live; with no campaign no member loses m, so a stale bit is still true.
+// A copy to another shard's member that first received m inside the
+// current window queues. None settles under inject, a probe, a tracer or
+// a partition.
 //
 // Determinism contract:
 //   - a fixed shard count is byte-identical across repeated runs and
@@ -105,6 +112,7 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 		st := &states[s]
 		lo, hi := sn.Range(s)
 		st.received.Reset(hi - lo)
+		st.held.Reset(hi - lo)
 		st.delivered, st.msgs, st.wasted, st.dups = 0, 0, 0, 0
 		st.spread = 0
 		st.lat = stats.Running{}
@@ -127,8 +135,11 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 	// parked). forward draws from self's streams at key (see keyRoot); the
 	// network draws each send's loss and latency from them too. A copy
 	// whose arrival is decided settles only when nothing else can see the
-	// run: no campaign, no probe.
+	// run: no campaign, no probe. Then no member ever loses m, so one that
+	// held it at the last barrier (held, refreshed by Drive) still holds it
+	// when any copy sent in this window arrives.
 	settle := inject == nil && probe == nil
+	run.snapshotHeld = settle && len(states) > 1
 	forward := func(s, self int, key uint64) {
 		st, nw, base := &states[s], sn.Shard(s), s*block
 		st.keys.SplitInto(&st.draws, key)
@@ -142,10 +153,10 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 			if dead {
 				st.wasted++
 			}
-			switch {
+			switch d := v / block; {
 			case settle && dead:
 				nw.SendSettled(from, to, false)
-			case settle && v/block == s && st.received.Get(v-base):
+			case settle && (d == s && st.received.Get(v-base) || d != s && states[d].held.Get(v-d*block)):
 				if nw.SendSettled(from, to, true) {
 					st.dups++
 				}

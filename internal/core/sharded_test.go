@@ -192,8 +192,9 @@ func TestShardedProbeTotalsMatchResult(t *testing.T) {
 }
 
 // TestShardedArenaReuseDeterministic pins pooling: a reused arena
-// (including one resized across shard counts) replays a run
-// byte-identically against a fresh arena.
+// (resized across shard counts, then run at the same shape on other
+// draws, whose held snapshots it keeps unless Reset clears them) replays a
+// run byte-identically against a fresh arena.
 func TestShardedArenaReuseDeterministic(t *testing.T) {
 	p := shardedTestParams(256)
 	cfg := shardedTestConfig()
@@ -204,6 +205,9 @@ func TestShardedArenaReuseDeterministic(t *testing.T) {
 	}
 	sa := NewNetArena()
 	if _, err := ExecuteOnNetworkSharded(shardedTestParams(100), cfg, xrand.New(1), nil, sa, nil, ShardOptions{Shards: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ExecuteOnNetworkSharded(p, cfg, xrand.New(1), nil, sa, nil, ShardOptions{Shards: 2}); err != nil {
 		t.Fatal(err)
 	}
 	reused, err := ExecuteOnNetworkSharded(p, cfg, xrand.New(9), nil, sa, nil, ShardOptions{Shards: 2})
@@ -232,6 +236,13 @@ func spread(r NetResult) spreadOf {
 //   - every shard count gives the same NetResult, except the fabric's
 //     accounting and DeliveryLatency's mean and m2, whose per-shard
 //     partial sums merge in another association;
+//   - every copy that survives loss either fires one kernel event or
+//     settles, so Σ Fired() + Net.Settled is the one-shard run's at every
+//     shard count; and a member another shard settles against held m
+//     before the send, so no shard count settles more than one shard does
+//     when first receipts never tie (under a constant delay they do, and
+//     a shard orders a tie among its own members by its own push order,
+//     so its own bits may hold m at a tie the one-shard run does not);
 //   - every latency model, and zero latency, gives the same spread;
 //   - the BFS executor and the zero-latency, loss-free DES give the same
 //     spread, mask included.
@@ -247,11 +258,18 @@ func TestShardInvariance(t *testing.T) {
 	losses := []simnet.LossModel{simnet.NoLoss{}, simnet.BernoulliLoss{P: 0.1},
 		simnet.NewGilbertElliott(0.05, 0.3, 0.01, 0.6)}
 	// BoxedSends and Settled are the accounting counters a paper run can
-	// move (it sends no batches): a copy to a member on another shard that
-	// already holds m stays queued, since that shard's first-receipt bits
-	// are not read mid-window.
+	// move (it sends no batches). Settled depends on k only through
+	// receipts inside a window: a copy to a member of another shard settles
+	// when the member held m at the window's opening barrier, and queues
+	// when it first received m later in the same window.
 	except := []string{"DeliveryLatency.mean", "DeliveryLatency.m2", "Net.BoxedSends", "Net.Settled"}
 	arena := NewNetArena()
+	fired := func() (total uint64) {
+		for _, k := range arena.run.Kernels {
+			total += k.Fired()
+		}
+		return total
+	}
 	for _, n := range []int{17, 2000} {
 		kout, err := topology.Spec{Kind: topology.KOut, K: 6}.Build(n, xrand.New(99))
 		if err != nil {
@@ -285,11 +303,18 @@ func TestShardInvariance(t *testing.T) {
 						cfg := simnet.Config{Latency: lat.m, Loss: loss}
 						key := fmt.Sprintf("n=%d %s seed %d %T %s", n, v.name, seed, loss, lat.name)
 						one := run(cfg, 1)
+						oneCopies := fired() + uint64(one.Net.Settled)
+						_, ties := lat.m.(simnet.ConstantLatency)
 						if got := spread(one); got != zero {
 							t.Errorf("%s: spread %+v, zero latency %+v", key, got, zero)
 						}
 						for _, k := range []int{2, 3, 4, 8} {
-							golden.Equal(t, fmt.Sprintf("%s shards=%d", key, k), run(cfg, k), one, except...)
+							res := run(cfg, k)
+							golden.Equal(t, fmt.Sprintf("%s shards=%d", key, k), res, one, except...)
+							if copies := fired() + uint64(res.Net.Settled); copies != oneCopies || !ties && res.Net.Settled > one.Net.Settled {
+								t.Errorf("%s shards=%d: Σ Fired + Settled %d (Settled %d), one shard %d (Settled %d)",
+									key, k, copies, res.Net.Settled, oneCopies, one.Net.Settled)
+							}
 						}
 					}
 				}
@@ -324,13 +349,17 @@ func TestShardedReliabilityPinnedAcrossShardCounts(t *testing.T) {
 }
 
 // TestShardedProgressObserved pins the satellite progress seam: barriers
-// report monotone virtual time and nondecreasing fired-event totals.
+// report monotone virtual time and nondecreasing fired-event totals. The
+// run settles, so every shard's held snapshot is refreshed by the time
+// progress is reported (held ⊆ received, so equal counts mean equal bits):
+// a snapshot left stale is still safe and no result would show it.
 func TestShardedProgressObserved(t *testing.T) {
 	p := shardedTestParams(300)
+	arena := NewNetArena()
 	var calls int
 	var lastNow sim.Time
 	var lastFired uint64
-	_, err := ExecuteOnNetworkSharded(p, shardedTestConfig(), xrand.New(5), nil, nil, nil, ShardOptions{
+	_, err := ExecuteOnNetworkSharded(p, shardedTestConfig(), xrand.New(5), nil, arena, nil, ShardOptions{
 		Shards: 4,
 		Progress: func(events uint64, now sim.Time) {
 			calls++
@@ -341,6 +370,12 @@ func TestShardedProgressObserved(t *testing.T) {
 				t.Fatalf("fired count went backwards: %d after %d", events, lastFired)
 			}
 			lastNow, lastFired = now, events
+			for s := range arena.run.states {
+				st := &arena.run.states[s]
+				if held, got := st.held.Count(), st.received.Count(); held != got {
+					t.Fatalf("barrier at %v: shard %d holds a snapshot of %d members, received %d", now, s, held, got)
+				}
+			}
 		},
 	})
 	if err != nil {

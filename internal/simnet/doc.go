@@ -38,9 +38,10 @@
 // Settled sends: a front end that already knows a copy's fate at delivery
 // hands it to SendSettled, which makes Send's send-time draws and counts
 // the outcome at once, with no event (Stats.Settled). The paper executor
-// settles copies to mask-dead members and to members of the sending shard
-// that already hold m when the run has no campaign and no probe; none
-// settles under a tracer or a partition, nor a copy to another shard's
-// member that already holds m. The stream engine and the protocol runtime
-// queue every send.
+// settles copies to mask-dead members, to members of the sending shard that
+// already hold m, and to members of other shards that held m at the last
+// window barrier, when the run has no campaign and no probe; none settles
+// under a tracer or a partition. A settled cross-shard copy never enters
+// ShardedNet's buffers. The stream engine and the protocol runtime queue
+// every send.
 package simnet
