@@ -23,8 +23,9 @@ func shardedNetSpec() Network {
 
 // TestWithShardsDeterministicAndPinned: sharded runs are reproducible,
 // compose with WithProbe and RunMany, and report what the one-shard
-// default reports, but for the probe's Metrics, the fabric's accounting
-// counters and the latency mean and m2 that the shard merge reassociates.
+// default reports, but for the probe's Metrics, the fabric's and the
+// queue's accounting counters and the latency mean and m2 that the shard
+// merge reassociates.
 func TestWithShardsDeterministicAndPinned(t *testing.T) {
 	spec := shardedNetSpec()
 	base, err := Run(context.Background(), spec, WithSeed(5))
@@ -44,7 +45,7 @@ func TestWithShardsDeterministicAndPinned(t *testing.T) {
 	}
 	ra := a.Reports[0]
 	golden.Equal(t, "shards=2", ra, base.Reports[0], "Metrics", "Detail.DeliveryLatency.mean",
-		"Detail.DeliveryLatency.m2", "Detail.Net.BoxedSends", "Detail.Net.Settled")
+		"Detail.DeliveryLatency.m2", "Detail.Net.BoxedSends", "Detail.Net.Settled", "Detail.Queue")
 	if ra.Metrics == nil || ra.Metrics.Totals.Sent == 0 {
 		t.Errorf("sharded probe metrics missing: %+v", ra.Metrics)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"gossipkit/internal/bitset"
 	"gossipkit/internal/failure"
 	"gossipkit/internal/membership"
 	"gossipkit/internal/obs"
@@ -33,6 +34,25 @@ type NetResult struct {
 	// SurvivorReliability is DeliveredUp/UpAtEnd: delivery measured over
 	// the members that survived the whole execution.
 	SurvivorReliability float64
+	// Queue is what the shard kernels' event queues did: bookkeeping about
+	// how the run was carried out, like Net.Settled, never an outcome.
+	Queue QueueCounters `golden:"accounting"`
+}
+
+// QueueCounters is the shard kernels' exact event-queue counters for one
+// run (sim.Kernel.Fired and sim.Kernel.QueueStats), summed over the
+// shards. It holds only what a recycled arena reproduces exactly, so the
+// queue's retained bytes, which depend on earlier runs, stay out.
+type QueueCounters struct {
+	Kind  string // the shards' queue discipline, "calendar" or "heap"
+	Fired uint64 // kernel events fired: deliveries, timers and round ticks
+	// PeakPending sums each shard's most records queued at once (sampled
+	// by the calendar at each bucket gather; the heap keeps no count).
+	PeakPending int
+	// Grows, Rebases and OverflowAdmits are the calendar's corrections:
+	// bucket-width halvings, window re-anchorings and records that waited
+	// in its overflow heap.
+	Grows, Rebases, OverflowAdmits uint64
 }
 
 // NetRun exposes a running network execution to fault-injection hooks (the
@@ -106,6 +126,7 @@ type NetArena struct {
 	net      *simnet.ShardedNet
 	mask     *failure.Mask
 	states   []shardState
+	held     []bitset.Bits  // per-shard barrier snapshots (Run.held)
 	msgBits  []*MessageBits // per-shard delivery matrices (streaming runs)
 	nackBits []*MessageBits // per-shard pending-repair matrices (push-pull)
 	run      Run            // the current lease
@@ -129,6 +150,7 @@ func (a *NetArena) Sharded(shards int) *NetArena {
 	for len(a.kernels) < shards {
 		a.kernels = append(a.kernels, sim.New())
 		a.states = append(a.states, shardState{})
+		a.held = append(a.held, bitset.Bits{})
 		a.msgBits = append(a.msgBits, &MessageBits{})
 		a.nackBits = append(a.nackBits, &MessageBits{})
 	}

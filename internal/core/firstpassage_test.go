@@ -99,11 +99,13 @@ func firstPassage(p Params, lat simnet.LatencyModel, lossP float64, seed uint64)
 
 // TestDESIsFirstPassage holds the DES executor to the first-passage
 // oracle over TestShardInvariance's grid. The probe-off run settles the
-// copies whose arrival is decided at send time (SendSettled); it must
+// copies whose arrival is decided at send time (SendBefore); it must
 // still count what the oracle counts and end when the oracle's last member
 // is reached. The probed run queues every copy; the first delivery to each
 // member in its trace must come when the oracle says. On one shard, the
-// probed run fires exactly Settled more kernel events than the bare one.
+// probed run fires exactly Settled more kernel events than the bare one,
+// and under a constant delay, where no copy overtakes an earlier one, the
+// bare run fires first receipts only: Queue.Fired = Delivered − 1.
 func TestDESIsFirstPassage(t *testing.T) {
 	lats := []struct {
 		name string
@@ -141,8 +143,10 @@ func TestDESIsFirstPassage(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							bareFired := arena.kernels[0].Fired()
 							settled += bare.Net.Settled
+							if _, constant := lat.m.(simnet.ConstantLatency); constant && k == 1 && bare.Queue.Fired != uint64(bare.Delivered-1) {
+								t.Errorf("%s: fired %d events for %d first receipts", key, bare.Queue.Fired, bare.Delivered-1)
+							}
 							got := bare.Result
 							got.Reliability, got.Rounds = 0, 0 // the oracle computes neither
 							if got != want.Result || bare.SpreadTime != want.spread {
@@ -155,9 +159,9 @@ func TestDESIsFirstPassage(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							if k == 1 && arena.kernels[0].Fired() != bareFired+uint64(bare.Net.Settled) {
+							if k == 1 && probed.Queue.Fired != bare.Queue.Fired+uint64(bare.Net.Settled) {
 								t.Errorf("%s: probed run fired %d events, bare %d + Settled %d",
-									key, arena.kernels[0].Fired(), bareFired, bare.Net.Settled)
+									key, probed.Queue.Fired, bare.Queue.Fired, bare.Net.Settled)
 							}
 							if probed.Net.Settled != 0 {
 								t.Errorf("%s: probed run settled %d sends, want none", key, probed.Net.Settled)

@@ -104,7 +104,12 @@ type Run struct {
 	// matrices of streaming runs, to be Reset by their shard.
 	Bits, Nacks []*MessageBits
 
-	states   []shardState
+	states []shardState
+	// held[s] is shard s's received bits as they stood at the last window
+	// barrier: copied by the coordinator with the workers parked and only
+	// read during windows, by every worker. It lives apart from states so
+	// that no worker reads a cache line another worker writes.
+	held     []bitset.Bits
 	group    *sim.ShardGroup
 	progress func(events uint64, now sim.Time)
 	// snapshotHeld has every barrier copy each shard's received bits into
@@ -134,7 +139,7 @@ func (a *NetArena) Begin(n int, netCfg simnet.Config, r *xrand.RNG, opts ShardOp
 	a.run = Run{
 		Kernels: a.kernels[:k], Control: a.ctl, Net: a.net, Mask: a.mask,
 		Received: &states[0].received, Bits: a.msgBits[:k], Nacks: a.nackBits[:k],
-		states: states, progress: opts.Progress,
+		states: states, held: a.held[:k], progress: opts.Progress,
 		group: sim.NewShardGroup(a.kernels[:k], a.ctl, latencyFloor(netCfg.Latency)),
 	}
 	return &a.run
@@ -245,8 +250,7 @@ func (run *Run) Drive() error {
 func (run *Run) barrier(now sim.Time, fired uint64) {
 	if run.snapshotHeld {
 		for s := range run.states {
-			st := &run.states[s]
-			st.held.CopyFrom(&st.received)
+			run.held[s].CopyFrom(&run.states[s].received)
 		}
 	}
 	if run.progress != nil {
@@ -257,7 +261,8 @@ func (run *Run) barrier(now sim.Time, fired uint64) {
 // Close completes a single-rumor front end's NetResult (AliveCount and
 // Delivered already set) from the drained run: reliability, the members
 // still up and how many of those hold the message per the run's
-// first-receipt bitsets, and the fabric's final counters.
+// first-receipt bitsets, the fabric's final counters and the shard
+// kernels' queue counters.
 func (run *Run) Close(res *NetResult) {
 	run.Each(func(s int) {
 		st, nw := &run.states[s], run.Net.Shard(s)
@@ -283,4 +288,13 @@ func (run *Run) Close(res *NetResult) {
 		res.SurvivorReliability = float64(res.DeliveredUp) / float64(res.UpAtEnd)
 	}
 	res.Net = run.Net.Stats()
+	res.Queue = QueueCounters{Kind: run.Kernels[0].QueueKind()}
+	for _, k := range run.Kernels {
+		q := k.QueueStats()
+		res.Queue.Fired += k.Fired()
+		res.Queue.PeakPending += q.PeakPending
+		res.Queue.Grows += q.Grows
+		res.Queue.Rebases += q.Rebases
+		res.Queue.OverflowAdmits += q.OverflowAdmits
+	}
 }

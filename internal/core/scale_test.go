@@ -188,22 +188,26 @@ func benchmarkMillion(b *testing.B, probe *obs.Probe) {
 	runtime.ReadMemStats(&before)
 	var sent, settled int64
 	var peak int
+	var fired uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := run()
 		sent += res.Net.Sent
 		settled += res.Net.Settled
-		peak += arena.kernels[0].QueueStats().PeakPending
+		peak += res.Queue.PeakPending
+		fired += res.Queue.Fired
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
 	perIter := (after.Mallocs - before.Mallocs) / uint64(b.N)
 	b.ReportMetric(float64(perIter), "warm-allocs/op")
 	b.ReportMetric(float64(sent)/b.Elapsed().Seconds(), "msgs/sec")
-	// Sends settled at send time (simnet.Stats.Settled, none under a probe)
-	// and the event queue's high-water mark they keep down.
+	// Sends settled at send time (simnet.Stats.Settled, none under a probe),
+	// the events fired and the event queue's high-water mark they keep
+	// down (NetResult.Queue).
 	b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
+	b.ReportMetric(float64(fired)/float64(b.N), "fired/op")
 	b.ReportMetric(float64(peak)/float64(b.N), "peak-pending/op")
 	// The alloc guard applies to the probes-off path only: a probe's
 	// Metrics snapshots may allocate, the unobserved hot path must not.
@@ -285,25 +289,27 @@ func benchmarkSharded(b *testing.B, n, shards int) {
 	runtime.ReadMemStats(&before)
 	var sent, settled int64
 	var peak int
+	var fired uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := run()
 		sent += res.Net.Sent
 		settled += res.Net.Settled
-		for _, k := range arena.run.Kernels {
-			peak += k.QueueStats().PeakPending
-		}
+		peak += res.Queue.PeakPending
+		fired += res.Queue.Fired
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64((after.Mallocs-before.Mallocs)/uint64(b.N)), "warm-allocs/op")
 	b.ReportMetric(float64(sent)/b.Elapsed().Seconds(), "msgs/sec")
 	b.ReportMetric(float64(eff), "shards")
-	// Sends settled at send time and the shard queues' summed high-water
-	// marks: a copy settled against another shard's held snapshot is one
-	// event and one cross-shard buffer entry fewer.
+	// Sends settled at send time, and the shard queues' summed fired
+	// events and high-water marks (NetResult.Queue): a copy settled against
+	// another shard's held snapshot is one event and one cross-shard buffer
+	// entry fewer.
 	b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
+	b.ReportMetric(float64(fired)/float64(b.N), "fired/op")
 	b.ReportMetric(float64(peak)/float64(b.N), "peak-pending/op")
 }
 

@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"time"
 
 	"gossipkit/internal/bitset"
 	"gossipkit/internal/obs"
@@ -15,13 +18,13 @@ import (
 // NetArena. Everything here is written by the shard's worker goroutine
 // during windows (and by the coordinator only while workers are parked);
 // received is indexed by (id − base) so no two shards ever share a bitset
-// word. held is received as it stood at the last window barrier, copied by
-// the coordinator and only read during windows, by every worker. The
+// word. label is
+// indexed like received: ⌈at/labelQuantum⌉ of the earliest surviving copy
+// queued to the member from this shard in this run, 0 for none. The
 // trailing pad keeps neighboring shards' hot counters off each other's
 // cache lines.
 type shardState struct {
 	received  bitset.Bits
-	held      bitset.Bits
 	targets   []int
 	rng       *xrand.RNG // the run stream, or split on more than one shard
 	split     xrand.RNG
@@ -38,8 +41,18 @@ type shardState struct {
 	delivUp   int
 	spread    sim.Time
 	lat       stats.Running
+	label     []uint16
 	_         [64]byte
 }
+
+// labelQuantum is the resolution of shardState.label: a 16-bit label
+// reaches 65535·125 µs ≈ 8.19 s of virtual time, and an earliest arrival
+// past that horizon is not recorded. It depends on neither the shard count
+// nor the latency model.
+const labelQuantum = sim.Time(125 * time.Microsecond)
+
+// settleAll is the SendBefore cutoff that settles every surviving copy.
+const settleAll = sim.Time(math.MinInt64)
 
 // ExecuteOnNetworkSharded runs one execution of the paper's algorithm as
 // an event-driven protocol over the simulated network. It is the one DES
@@ -67,14 +80,21 @@ type shardState struct {
 // inject and no probe, a copy to a mask-dead member (on any shard), to a
 // member of the sending shard that already holds m, or to a member of
 // another shard that held m at the last window barrier settles at send
-// time (simnet.Network.SendSettled: the same loss and latency draws, then
-// a crash drop or a duplicate counted at once, and one Net.Settled). The
-// other shards' bits are read from a snapshot (shardState.held) that the
-// coordinator refreshes at each barrier with the workers parked, never
-// live; with no campaign no member loses m, so a stale bit is still true.
-// A copy to another shard's member that first received m inside the
-// current window queues. None settles under inject, a probe, a tracer or
-// a partition.
+// time (simnet.Network.SendBefore: the same loss and latency draws, then a
+// crash drop or a duplicate counted at once, and one Net.Settled). So does
+// a copy to a member of the sending shard that lands no earlier than a
+// copy the shard already queued to it: a first receipt is the earliest
+// surviving copy, so this one can only be a duplicate. The sending shard
+// keeps each of its members' earliest queued arrival as a 16-bit label in
+// units of labelQuantum, rounded up, so a copy settles only when it
+// certainly does not arrive first. The other shards' bits are read from a
+// snapshot (Run.held) that the coordinator refreshes at each
+// barrier with the workers parked, never live; with no campaign no member
+// loses m, so a stale bit is still true. A copy to another shard's member
+// that first received m inside the current window queues, and so does a
+// copy that overtakes every queued one (the earlier copy then fires as a
+// duplicate). None settles under inject, a probe, a tracer or a
+// partition.
 //
 // Determinism contract:
 //   - a fixed shard count is byte-identical across repeated runs and
@@ -105,14 +125,27 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 		arena = NewNetArena()
 	}
 	run := arena.Begin(p.N, netCfg, r, opts)
-	sn, mask, states := run.Net, run.Mask, run.states
+	sn, mask, states, held := run.Net, run.Mask, run.states, run.held
 	block := sn.Block()
 	keys := keyRoot(r)
+	// A copy whose arrival is decided settles only when nothing else can
+	// see the run: no campaign, no probe. Labels settle only on one shard:
+	// at k > 1 a shard's labels see only the copies it queued itself, so
+	// they settle about a third as many copies (n = 10⁶, two shards), and
+	// on a 2-vCPU host their per-shard arrays cost set-up time (worse in 9
+	// of 10 alternated runs) for no measured gain in run time.
+	settle := inject == nil && probe == nil
+	label := settle && len(states) == 1
 	run.Reset(rumorBudget(p.N), func(s int) {
 		st := &states[s]
 		lo, hi := sn.Range(s)
 		st.received.Reset(hi - lo)
-		st.held.Reset(hi - lo)
+		held[s].Reset(hi - lo)
+		st.label = st.label[:0]
+		if label {
+			st.label = slices.Grow(st.label, hi-lo)[:hi-lo]
+			clear(st.label)
+		}
 		st.delivered, st.msgs, st.wasted, st.dups = 0, 0, 0, 0
 		st.spread = 0
 		st.lat = stats.Running{}
@@ -133,12 +166,11 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 
 	// forward and receive run on shard s's goroutine (or with every worker
 	// parked). forward draws from self's streams at key (see keyRoot); the
-	// network draws each send's loss and latency from them too. A copy
-	// whose arrival is decided settles only when nothing else can see the
-	// run: no campaign, no probe. Then no member ever loses m, so one that
-	// held it at the last barrier (held, refreshed by Drive) still holds it
-	// when any copy sent in this window arrives.
-	settle := inject == nil && probe == nil
+	// network draws each send's loss and latency from them too. When the
+	// run settles, no member ever loses m, so one that held it at the last
+	// barrier (held, refreshed by Drive) still holds it when any copy sent
+	// in this window arrives, and a queued copy to a member alive under the
+	// mask is delivered when its label says.
 	run.snapshotHeld = settle && len(states) > 1
 	forward := func(s, self int, key uint64) {
 		st, nw, base := &states[s], sn.Shard(s), s*block
@@ -149,19 +181,32 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 		st.msgs += len(st.targets)
 		st.probe.ObserveFanout(len(st.targets))
 		for _, v := range st.targets {
-			from, to, dead := simnet.NodeID(self), simnet.NodeID(v), !mask.Alive(v)
-			if dead {
+			alive, own := mask.Alive(v), uint(v-base) < uint(block)
+			if !alive {
 				st.wasted++
 			}
-			switch d := v / block; {
-			case settle && dead:
-				nw.SendSettled(from, to, false)
-			case settle && (d == s && st.received.Get(v-base) || d != s && states[d].held.Get(v-d*block)):
-				if nw.SendSettled(from, to, true) {
-					st.dups++
+			cutoff := sim.End
+			if settle {
+				switch {
+				case !alive || own && st.received.Get(v-base):
+					cutoff = settleAll
+				case own:
+					if label && st.label[v-base] != 0 {
+						cutoff = sim.Time(st.label[v-base]) * labelQuantum
+					}
+				default:
+					if d := v / block; held[d].Get(v - d*block) {
+						cutoff = settleAll
+					}
 				}
-			default:
-				nw.Send(from, to, nil)
+			}
+			at, settled := nw.SendBefore(simnet.NodeID(self), simnet.NodeID(v), cutoff, alive)
+			switch {
+			case settled && alive:
+				st.dups++
+			case !settled && label && own && at <= math.MaxUint16*labelQuantum:
+				// Queued, so at < cutoff: the label only ever falls.
+				st.label[v-base] = uint16((at + labelQuantum - 1) / labelQuantum)
 			}
 		}
 	}

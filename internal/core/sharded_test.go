@@ -62,9 +62,10 @@ type oracleCase struct {
 // every case below, recorded when the paper algorithm's draws became keyed
 // by member; until then it held what the single-kernel executor this one
 // replaced produced. The probed run's NetResult must equal the bare one
-// except for Net.BoxedSends (a trace ring boxes its sends) and Net.Settled
-// (a probe keeps every send on the queued path), and its network counters
-// must be the probe's Totals, so Totals is asserted, not pinned again.
+// except for Net.BoxedSends (a trace ring boxes its sends), Net.Settled
+// and Queue (a probe keeps every send on the queued path), and its network
+// counters must be the probe's Totals, so Totals is asserted, not pinned
+// again.
 func TestShardedOneShardMatchesOracle(t *testing.T) {
 	const n = 300
 	g := golden.Open(t, "testdata/oracle.golden",
@@ -129,7 +130,7 @@ func TestShardedOneShardMatchesOracle(t *testing.T) {
 							if m.Totals.Sent == 0 || len(m.Infected) == 0 || len(m.Trace) == 0 || m.Hops.Total == 0 {
 								t.Fatalf("%s: degenerate telemetry %+v", key, m.Totals)
 							}
-							golden.Equal(t, key+" probed", res, bare, "Net.BoxedSends", "Net.Settled")
+							golden.Equal(t, key+" probed", res, bare, "Net.BoxedSends", "Net.Settled", "Queue")
 							if res.Net != m.Totals {
 								t.Errorf("%s: probed Net %+v, probe Totals %+v", key, res.Net, m.Totals)
 							}
@@ -237,12 +238,13 @@ func spread(r NetResult) spreadOf {
 //     accounting and DeliveryLatency's mean and m2, whose per-shard
 //     partial sums merge in another association;
 //   - every copy that survives loss either fires one kernel event or
-//     settles, so Σ Fired() + Net.Settled is the one-shard run's at every
-//     shard count; and a member another shard settles against held m
-//     before the send, so no shard count settles more than one shard does
-//     when first receipts never tie (under a constant delay they do, and
-//     a shard orders a tie among its own members by its own push order,
-//     so its own bits may hold m at a tie the one-shard run does not);
+//     settles, so Queue.Fired + Net.Settled is the one-shard run's at every
+//     shard count; and no shard count settles more than one shard does
+//     when first receipts never tie: a member another shard settles
+//     against held m before the send, and only a one-shard run settles
+//     against earliest-arrival labels (under a constant delay receipts tie, and a
+//     shard orders a tie among its own members by its own push order, so
+//     its own bits may hold m at a tie the one-shard run does not);
 //   - every latency model, and zero latency, gives the same spread;
 //   - the BFS executor and the zero-latency, loss-free DES give the same
 //     spread, mask included.
@@ -257,19 +259,15 @@ func TestShardInvariance(t *testing.T) {
 	}
 	losses := []simnet.LossModel{simnet.NoLoss{}, simnet.BernoulliLoss{P: 0.1},
 		simnet.NewGilbertElliott(0.05, 0.3, 0.01, 0.6)}
-	// BoxedSends and Settled are the accounting counters a paper run can
-	// move (it sends no batches). Settled depends on k only through
-	// receipts inside a window: a copy to a member of another shard settles
-	// when the member held m at the window's opening barrier, and queues
-	// when it first received m later in the same window.
-	except := []string{"DeliveryLatency.mean", "DeliveryLatency.m2", "Net.BoxedSends", "Net.Settled"}
+	// BoxedSends, Settled and the queue counters are the accounting a
+	// paper run can move with k (it sends no batches). Settled depends on
+	// k through receipts inside a window — a copy to a member of another
+	// shard settles when the member held m at the window's opening
+	// barrier, and queues when it first received m later in the same
+	// window — and through labels, which only a one-shard run keeps; the
+	// queue fires the copies that do not settle.
+	except := []string{"DeliveryLatency.mean", "DeliveryLatency.m2", "Net.BoxedSends", "Net.Settled", "Queue"}
 	arena := NewNetArena()
-	fired := func() (total uint64) {
-		for _, k := range arena.run.Kernels {
-			total += k.Fired()
-		}
-		return total
-	}
 	for _, n := range []int{17, 2000} {
 		kout, err := topology.Spec{Kind: topology.KOut, K: 6}.Build(n, xrand.New(99))
 		if err != nil {
@@ -303,7 +301,7 @@ func TestShardInvariance(t *testing.T) {
 						cfg := simnet.Config{Latency: lat.m, Loss: loss}
 						key := fmt.Sprintf("n=%d %s seed %d %T %s", n, v.name, seed, loss, lat.name)
 						one := run(cfg, 1)
-						oneCopies := fired() + uint64(one.Net.Settled)
+						oneCopies := one.Queue.Fired + uint64(one.Net.Settled)
 						_, ties := lat.m.(simnet.ConstantLatency)
 						if got := spread(one); got != zero {
 							t.Errorf("%s: spread %+v, zero latency %+v", key, got, zero)
@@ -311,8 +309,8 @@ func TestShardInvariance(t *testing.T) {
 						for _, k := range []int{2, 3, 4, 8} {
 							res := run(cfg, k)
 							golden.Equal(t, fmt.Sprintf("%s shards=%d", key, k), res, one, except...)
-							if copies := fired() + uint64(res.Net.Settled); copies != oneCopies || !ties && res.Net.Settled > one.Net.Settled {
-								t.Errorf("%s shards=%d: Σ Fired + Settled %d (Settled %d), one shard %d (Settled %d)",
+							if copies := res.Queue.Fired + uint64(res.Net.Settled); copies != oneCopies || !ties && res.Net.Settled > one.Net.Settled {
+								t.Errorf("%s shards=%d: Queue.Fired + Settled %d (Settled %d), one shard %d (Settled %d)",
 									key, k, copies, res.Net.Settled, oneCopies, one.Net.Settled)
 							}
 						}
@@ -371,8 +369,7 @@ func TestShardedProgressObserved(t *testing.T) {
 			}
 			lastNow, lastFired = now, events
 			for s := range arena.run.states {
-				st := &arena.run.states[s]
-				if held, got := st.held.Count(), st.received.Count(); held != got {
+				if held, got := arena.run.held[s].Count(), arena.run.states[s].received.Count(); held != got {
 					t.Fatalf("barrier at %v: shard %d holds a snapshot of %d members, received %d", now, s, held, got)
 				}
 			}

@@ -35,13 +35,17 @@
 // tracer — parks in a 40-byte in-flight slot, recycled through a free list
 // (alloc_test.go enforces this; parked_test.go pins the slot's bytes).
 //
-// Settled sends: a front end that already knows a copy's fate at delivery
-// hands it to SendSettled, which makes Send's send-time draws and counts
-// the outcome at once, with no event (Stats.Settled). The paper executor
-// settles copies to mask-dead members, to members of the sending shard that
-// already hold m, and to members of other shards that held m at the last
-// window barrier, when the run has no campaign and no probe; none settles
-// under a tracer or a partition. A settled cross-shard copy never enters
-// ShardedNet's buffers. The stream engine and the protocol runtime queue
-// every send.
+// Settled sends: SendBefore is Send with a cutoff. A copy that survives
+// loss and would arrive at or after the cutoff is one whose fate the
+// caller already knows — a duplicate, or a drop at a member down for the
+// rest of the run — so it makes Send's draws and counts the outcome at
+// once, with no event (Stats.Settled); any other copy queues as Send
+// queues it, and cutoff sim.End is Send. The paper executor settles copies
+// to mask-dead members, to members of the sending shard that already hold
+// m, to members of other shards that held m at the last window barrier,
+// and, on one shard, to members that a copy already queued reaches no
+// later, when the run has no campaign and no probe; none
+// settles under a tracer or a partition. A settled cross-shard copy never
+// enters ShardedNet's buffers. The stream engine and the protocol runtime
+// queue every send.
 package simnet

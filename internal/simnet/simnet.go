@@ -203,7 +203,7 @@ type Stats struct {
 	// are already included in Sent and resolve into Delivered or a drop
 	// counter like any other.
 	BoxedSends int64 `golden:"accounting"`
-	// Settled counts the sends SendSettled resolved at send time: accepted,
+	// Settled counts the sends SendBefore resolved at send time: accepted,
 	// past loss and already counted in Delivered or DroppedCrash, each one
 	// delivery event the kernel did not queue. Like BoxedSends it is
 	// bookkeeping about how Sent messages travelled, not an outcome.
@@ -494,7 +494,7 @@ func (nw *Network) packLimit() int64 { return 1 << min(62-2*int(nw.idBits), 31) 
 // crashed at delivery time are dropped (fail-stop: a crashed node never
 // processes anything).
 func (nw *Network) Send(from, to NodeID, payload any) {
-	nw.send(from, to, 0, payload)
+	nw.send(from, to, 0, payload, sim.End, false)
 }
 
 // SendTag queues a payload-free message carrying a small protocol message
@@ -517,82 +517,73 @@ func (nw *Network) SendTag(from, to NodeID, tag int32) {
 	if tag < 0 {
 		panic(fmt.Sprintf("simnet: negative message tag %d", tag))
 	}
-	nw.send(from, to, tag, nil)
+	nw.send(from, to, tag, nil, sim.End, false)
 }
 
-func (nw *Network) send(from, to NodeID, tag int32, payload any) {
+// SendBefore is Send for a payload-free message whose fate at delivery the
+// caller already knows should it arrive at or after cutoff: deliver says
+// whether the destination would take such a copy (its handler would find
+// it a no-op, say a duplicate) or is down for the rest of the run. It makes
+// Send's draws in Send's order, from the same streams — the Sent count, the
+// loss draw, then the latency draw — and a copy that survives loss with
+// arrival time at ≥ cutoff is counted Delivered (or DroppedCrash) and
+// Settled at once, with no event. Any other copy queues exactly as Send
+// queues it, route hook included, so with cutoff sim.End SendBefore is
+// Send. It returns the copy's arrival time (sim.End for a copy that never
+// arrives: a down sender, a partition, a loss) and whether it settled.
+// Under a tracer or a partition nothing settles: the handler then sees
+// every copy.
+func (nw *Network) SendBefore(from, to NodeID, cutoff sim.Time, deliver bool) (at sim.Time, settled bool) {
+	return nw.send(from, to, 0, nil, cutoff, deliver)
+}
+
+// send is Send, SendTag and SendBefore; Send and SendTag pass cutoff
+// sim.End, which settles nothing.
+func (nw *Network) send(from, to NodeID, tag int32, payload any, cutoff sim.Time, deliver bool) (sim.Time, bool) {
 	nw.checkID(from)
 	nw.checkID(to)
 	now := nw.kernel.Now()
 	if !nw.up.Get(int(from)) {
 		nw.stats.DroppedDown++
 		nw.trace(Event{Kind: EventDroppedDown, From: from, To: to, At: now, SentAt: now})
-		return
+		return sim.End, false
 	}
 	nw.stats.Sent++
 	nw.trace(Event{Kind: EventSent, From: from, To: to, At: now, SentAt: now})
 	if nw.partition != nil && nw.partition(from, to) {
 		nw.stats.DroppedPart++
 		nw.trace(Event{Kind: EventDroppedPartition, From: from, To: to, At: now, SentAt: now})
-		return
+		return sim.End, false
 	}
 	if nw.loss.drop(nw.rng, &nw.burst, from) {
 		nw.stats.DroppedLoss++
 		nw.trace(Event{Kind: EventDroppedLoss, From: from, To: to, At: now, SentAt: now})
-		return
+		return sim.End, false
 	}
-	d := nw.latency.Latency(nw.latRng, from, to)
-	if d < 0 {
-		d = 0
+	at := now.Add(max(nw.latency.Latency(nw.latRng, from, to), 0))
+	if cutoff != sim.End && at >= cutoff && nw.tracer == nil && nw.partition == nil {
+		nw.stats.Settled++
+		if deliver {
+			nw.stats.Delivered++
+		} else {
+			nw.stats.DroppedCrash++
+		}
+		return at, true
 	}
 	// A routed (cross-shard) destination: all send-time concerns — sender
 	// liveness, Sent count, partition and loss draws, the latency draw —
 	// have already been decided here with this shard's RNG; the hook takes
 	// over delivery scheduling on the owning shard. Only payload-free
 	// messages route (the sharded fabric carries no payloads).
-	if nw.route != nil && payload == nil && nw.route(from, to, tag, now, now.Add(d)) {
-		return
+	if nw.route != nil && payload == nil && nw.route(from, to, tag, now, at) {
+		return at, false
 	}
 	if payload == nil {
-		nw.scheduleTag(from, to, tag, now, now.Add(d))
-		return
+		nw.scheduleTag(from, to, tag, now, at)
+		return at, false
 	}
-	slot := nw.allocMsg(from, now, tag, payload)
-	nw.kernel.ScheduleAfter(d, nw.deliverID, int32(to), slot)
-}
-
-// SendSettled is Send for a payload-free message whose fate at delivery
-// the caller already knows: deliver says whether the destination will take
-// it (its handler would find it a no-op, say a duplicate) or is down for
-// the rest of the run. It makes every send-time decision Send makes, in
-// the same order and from the same streams — the Sent count, the loss
-// draw, then a latency draw whose value it discards, so the sender's
-// delay stream stays where Send leaves it — and then counts the copy
-// Delivered (or DroppedCrash) and Settled without queueing an event. It
-// returns whether the copy survived loss and was settled here, so the
-// caller accounts its arrival itself. Under a tracer, a partition or a down
-// sender it queues the message as Send does and returns false: the handler
-// then sees it.
-func (nw *Network) SendSettled(from, to NodeID, deliver bool) bool {
-	nw.checkID(from)
-	nw.checkID(to)
-	if nw.tracer != nil || nw.partition != nil || !nw.up.Get(int(from)) {
-		nw.send(from, to, 0, nil)
-		return false
-	}
-	nw.stats.Sent++
-	if nw.loss.drop(nw.rng, &nw.burst, from) {
-		nw.stats.DroppedLoss++
-		return false
-	}
-	nw.latency.Latency(nw.latRng, from, to)
-	nw.stats.Settled++
-	if deliver {
-		nw.stats.Delivered++
-	} else {
-		nw.stats.DroppedCrash++
-	}
-	return true
+	nw.kernel.Schedule(at, nw.deliverID, int32(to), nw.allocMsg(from, now, tag, payload))
+	return at, false
 }
 
 // SendBatch queues one wire message carrying every id in ids as a batch of
