@@ -213,9 +213,11 @@ func WithoutReports() Option { return func(o *runOptions) { o.noReports = true }
 // performance knob: draws are keyed by member, a burst-loss chain belongs
 // to its sender and timed actions fire ahead of every delivery at their
 // instant, so every count gives the same result but for the latency
-// moments' last bits. Stream results alone are only statistically pinned
-// across counts (per-shard stream draws), so there pass an explicit count
-// to reproduce a run on a host with other core counts.
+// moments' last bits. Stream runs draw eager and flood forwards from the
+// same member keys, per message; push and push-pull, EvictRandom and the
+// tie order among many messages draw per shard, so stream results are
+// only statistically pinned across counts: pass an explicit count to
+// reproduce a run on a host with other core counts.
 // Executions whose latency model has no positive floor always run on one
 // shard. Each replication still runs on one shard group — WithShards
 // parallelizes within a run (one n=10⁷ execution across cores),

@@ -80,7 +80,9 @@ type StreamDiscipline = stream.Discipline
 // buffer instead of one rumor.
 const (
 	// StreamEager forwards each message fanout-wise at first receipt —
-	// the paper's general gossiping algorithm per message.
+	// the paper's general gossiping algorithm per message, on the
+	// paper's member-keyed draws: a one-message stream is the Network
+	// engine's run at Source 0 with a Bernoulli mask, seed for seed.
 	StreamEager = stream.DisciplineEager
 	// StreamPush gossips the whole active buffer every round tick — the
 	// pbcast/lpbcast family.
@@ -89,7 +91,8 @@ const (
 	// recovery — the anti-entropy/RDG family.
 	StreamPushPull = stream.DisciplinePushPull
 	// StreamFlood forwards each message to the full view at first
-	// receipt — the flooding/LRG family.
+	// receipt — the flooding/LRG family: StreamEager's keyed forward at
+	// fanout n−1.
 	StreamFlood = stream.DisciplineFlood
 )
 

@@ -9,6 +9,8 @@ import (
 	"gossipkit/internal/failure"
 	"gossipkit/internal/genfunc"
 	"gossipkit/internal/membership"
+	"gossipkit/internal/sim"
+	"gossipkit/internal/simnet"
 	"gossipkit/internal/xrand"
 )
 
@@ -119,16 +121,56 @@ type Result struct {
 
 // Draws are keyed by member (Salmon et al., "Parallel random numbers: as
 // easy as 1, 2, 3", SC'11): an execution takes a key root off r before its
-// mask, and member u draws its fanout, targets and losses from
-// keys.SplitInto(·, u), its delays from index u|latencyKey, a re-gossip
-// from one marked regossipKey. Neither the executor, the shard count nor
-// the latency model changes what u draws (TestShardInvariance).
+// mask (KeyRoot), and member u's forward of message m draws its fanout,
+// targets and losses from keys.SplitInto(·, Key(u, m)), its delays from
+// Key(u, m)|latencyKey, a re-gossip from RegossipKey. The paper's one
+// message is message 0, whose key is u. Neither the executor, the shard
+// count nor the latency model changes what u draws (TestShardInvariance),
+// and a one-message eager or flood stream draws what the paper's run draws
+// (TestStreamEagerIsPaper in internal/stream).
 const latencyKey, regossipKey = 1 << 63, 1 << 62
 
-// keyRoot takes an execution's key root off r with one draw.
-func keyRoot(r *xrand.RNG) (keys xrand.RNG) {
+// KeyRoot takes an execution's key root off r with one draw.
+func KeyRoot(r *xrand.RNG) (keys xrand.RNG) {
 	r.SplitInto(&keys, r.Uint64()) // the draw advances r before SplitInto reads it
 	return keys
+}
+
+// Key is member u's key for message m, with Key(u, 0) = u. Message ids
+// below 2²⁷ (stream.MaxMessagesCap) and member ids below 2³¹ keep it clear
+// of the latencyKey and regossipKey bits.
+func Key(u, m int) uint64 { return uint64(m)<<32 | uint64(u) }
+
+// RegossipKey is member u's key for re-gossiping message m at instant
+// now: marked regossipKey, hashed from (u, m, now).
+func RegossipKey(u, m int, now sim.Time) uint64 {
+	return regossipKey | (uint64(now)*0x9e3779b97f4a7c15^Key(u, m))&(regossipKey-1)
+}
+
+// Forwarder is one forwarding member's draws on the keyed layout: it
+// derives a key's two streams off the run's key root, draws the fanout
+// and the targets from the first, and has the network draw each send's
+// loss from the first and its latency from the second. The paper's
+// executor and the stream's eager and flood disciplines forward through
+// it, so what a forward sends depends on its key alone.
+type Forwarder struct {
+	keys          xrand.RNG // the run's key root (KeyRoot)
+	draws, delays xrand.RNG // the latest key's streams
+}
+
+// Reset binds f to a run's key root and points nw's loss and latency
+// draws at f's streams.
+func (f *Forwarder) Reset(keys xrand.RNG, nw *simnet.Network) {
+	f.keys = keys
+	nw.DrawFrom(&f.draws, &f.delays)
+}
+
+// Targets derives key's streams and returns dst refilled with self's
+// targets in view for a fanout drawn from fanout.
+func (f *Forwarder) Targets(dst []int, key uint64, fanout dist.Distribution, view membership.View, self int) []int {
+	f.keys.SplitInto(&f.draws, key)
+	f.keys.SplitInto(&f.delays, key|latencyKey)
+	return view.SampleTargets(dst, self, fanout.Sample(&f.draws), &f.draws)
 }
 
 // ExecuteOnce runs one execution of the general gossiping algorithm with a
@@ -169,7 +211,7 @@ func newExecutor(p Params) *executor {
 
 // execute takes a key root and redraws the executor's mask off r, and runs.
 func (e *executor) execute(r *xrand.RNG) Result {
-	keys := keyRoot(r)
+	keys := KeyRoot(r)
 	e.params.drawMaskInto(&e.mask, r)
 	return e.run(&e.mask, &keys)
 }

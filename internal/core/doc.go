@@ -26,7 +26,7 @@
 // Every execution is a pure function of its Params, seed, injection hook
 // and shard count — results are byte-identical across worker counts and
 // arena reuse for the same GOARCH and Go release (the test suite checks
-// amd64); keyed draws (keyRoot) make it the same at every shard count (see
+// amd64); keyed draws (KeyRoot) make it the same at every shard count (see
 // ExecuteOnNetworkSharded) and its spread the same in both executors. Across
 // architectures: on arm64, ppc64le, s390x and riscv64, TestNoFusedFloat
 // keeps fused multiply-add out of this module's own float code; whether

@@ -44,7 +44,7 @@ type passage struct {
 
 // firstPassage computes a DES run of the paper's algorithm without an
 // event queue. Member u's fanout, targets, losses and the delay of each
-// copy come from u's own keyed streams (keyRoot), the same whenever u is
+// copy come from u's own keyed streams (KeyRoot), the same whenever u is
 // reached, so the run is a fixed weighted digraph and a member's first
 // receipt is its shortest distance from the source (Dijkstra). The network
 // draws a copy's loss from u's stream, then, if it survives, its delay —
@@ -52,7 +52,7 @@ type passage struct {
 // NoLoss (which draws nothing).
 func firstPassage(p Params, lat simnet.LatencyModel, lossP float64, seed uint64) passage {
 	r := xrand.New(seed)
-	keys := keyRoot(r)
+	keys := KeyRoot(r)
 	var mask failure.Mask
 	p.drawMaskInto(&mask, r)
 	view := p.view()

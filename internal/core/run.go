@@ -19,7 +19,7 @@ import (
 // Split(netSplit) of its run stream, taken by Reset. A split depends on
 // its parent's position but never advances it, so what a front end draws
 // from r itself — the failure mask, after the paper executor's key root
-// (keyRoot) — is the same for every shard count. The indices collide with
+// (KeyRoot) — is the same for every shard count. The indices collide with
 // no other split constant in the tree.
 const (
 	shardSplit = 0x5a7d00
@@ -288,13 +288,19 @@ func (run *Run) Close(res *NetResult) {
 		res.SurvivorReliability = float64(res.DeliveredUp) / float64(res.UpAtEnd)
 	}
 	res.Net = run.Net.Stats()
-	res.Queue = QueueCounters{Kind: run.Kernels[0].QueueKind()}
+	res.Queue = run.Queue()
+}
+
+// Queue sums the shard kernels' exact queue counters over the drained run.
+func (run *Run) Queue() QueueCounters {
+	qc := QueueCounters{Kind: run.Kernels[0].QueueKind()}
 	for _, k := range run.Kernels {
 		q := k.QueueStats()
-		res.Queue.Fired += k.Fired()
-		res.Queue.PeakPending += q.PeakPending
-		res.Queue.Grows += q.Grows
-		res.Queue.Rebases += q.Rebases
-		res.Queue.OverflowAdmits += q.OverflowAdmits
+		qc.Fired += k.Fired()
+		qc.PeakPending += q.PeakPending
+		qc.Grows += q.Grows
+		qc.Rebases += q.Rebases
+		qc.OverflowAdmits += q.OverflowAdmits
 	}
+	return qc
 }

@@ -29,9 +29,7 @@ type shardState struct {
 	rng       *xrand.RNG // the run stream, or split on more than one shard
 	split     xrand.RNG
 	net       xrand.RNG // the network's stream (netSplit)
-	keys      xrand.RNG // the run's key root (keyRoot)
-	draws     xrand.RNG // the forwarding member's stream, losses included
-	delays    xrand.RNG // and its latency stream
+	fw        Forwarder // the forwarding member's keyed draws
 	probe     *obs.Probe
 	delivered int
 	msgs      int
@@ -104,7 +102,7 @@ const settleAll = sim.Time(math.MinInt64)
 //     float code on arm64, ppc64le, s390x and riscv64; the standard
 //     library's math functions are not yet measured across
 //     architectures):
-//     every member draws from its own keyed streams (keyRoot), windows are
+//     every member draws from its own keyed streams (KeyRoot), windows are
 //     cut at deterministic virtual times, and barriers flush the per-pair
 //     buffers in a fixed order, so scheduling nondeterminism never reaches
 //     the simulation. testdata/oracle.golden pins one shard.
@@ -127,7 +125,7 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 	run := arena.Begin(p.N, netCfg, r, opts)
 	sn, mask, states, held := run.Net, run.Mask, run.states, run.held
 	block := sn.Block()
-	keys := keyRoot(r)
+	keys := KeyRoot(r)
 	// A copy whose arrival is decided settles only when nothing else can
 	// see the run: no campaign, no probe. Labels settle only on one shard:
 	// at k > 1 a shard's labels see only the copies it queued itself, so
@@ -150,8 +148,7 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 		st.spread = 0
 		st.lat = stats.Running{}
 		st.probe = nil
-		st.keys = keys
-		sn.Shard(s).DrawFrom(&st.draws, &st.delays)
+		st.fw.Reset(keys, sn.Shard(s))
 	})
 	// The key root, then the mask, come off r, which no split advances, so
 	// every shard count sees both.
@@ -165,7 +162,7 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 	}
 
 	// forward and receive run on shard s's goroutine (or with every worker
-	// parked). forward draws from self's streams at key (see keyRoot); the
+	// parked). forward draws from self's streams at key (Forwarder); the
 	// network draws each send's loss and latency from them too. When the
 	// run settles, no member ever loses m, so one that held it at the last
 	// barrier (held, refreshed by Drive) still holds it when any copy sent
@@ -174,10 +171,7 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 	run.snapshotHeld = settle && len(states) > 1
 	forward := func(s, self int, key uint64) {
 		st, nw, base := &states[s], sn.Shard(s), s*block
-		st.keys.SplitInto(&st.draws, key)
-		st.keys.SplitInto(&st.delays, key|latencyKey)
-		f := p.Fanout.Sample(&st.draws)
-		st.targets = view.SampleTargets(st.targets, self, f, &st.draws)
+		st.targets = st.fw.Targets(st.targets, key, p.Fanout, view, self)
 		st.msgs += len(st.targets)
 		st.probe.ObserveFanout(len(st.targets))
 		for _, v := range st.targets {
@@ -221,7 +215,7 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 			st.spread = now
 		}
 		st.probe.ObserveFirstReceipt(id, from, now)
-		forward(s, id, uint64(id))
+		forward(s, id, Key(id, 0))
 	}
 	// One shared handler per shard (index dispatch on msg.To) instead of n
 	// per-member closures; mask-failed members are down at the network
@@ -255,7 +249,7 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 			Publish: func(id int) {
 				s, now := id/block, run.Control.Now()
 				if hasReceived(id) { // re-gossip, keyed by member and instant
-					forward(s, id, regossipKey|(uint64(now)*0x9e3779b97f4a7c15^uint64(id))&(regossipKey-1))
+					forward(s, id, RegossipKey(id, 0, now))
 					return
 				}
 				receive(s, id, -1, now) // additional publisher
@@ -272,7 +266,7 @@ func ExecuteOnNetworkSharded(p Params, netCfg simnet.Config, r *xrand.RNG, injec
 		states[s].received.Set(src - s*block)
 		states[s].delivered++
 		states[s].probe.ObserveSeed(src)
-		forward(s, src, uint64(src))
+		forward(s, src, Key(src, 0))
 	}
 
 	if err := run.Drive(); err != nil {

@@ -69,7 +69,7 @@ type oracleCase struct {
 func TestShardedOneShardMatchesOracle(t *testing.T) {
 	const n = 300
 	g := golden.Open(t, "testdata/oracle.golden",
-		"core.ExecuteOnNetworkProbed on one shard with member-keyed draws (core.keyRoot); the\n"+
+		"core.ExecuteOnNetworkProbed on one shard with member-keyed draws (core.KeyRoot); the\n"+
 			"values before that layout came from the single-kernel executor of commit 53dc72f.\n"+
 			"case = inject/fanout/q/latency/view; Metrics.Totals is asserted equal to\n"+
 			"the probed run's Net, not pinned")
@@ -233,7 +233,7 @@ func spread(r NetResult) spreadOf {
 }
 
 // TestShardInvariance holds the paper algorithm's member-keyed draws (see
-// keyRoot) to what they promise, run for run on one (Params, seed):
+// KeyRoot) to what they promise, run for run on one (Params, seed):
 //   - every shard count gives the same NetResult, except the fabric's
 //     accounting and DeliveryLatency's mean and m2, whose per-shard
 //     partial sums merge in another association;

@@ -170,7 +170,7 @@ func runOneSimulation(p SuccessParams, ex *executor, receipts []int32, r *xrand.
 	mask := &ex.mask
 	out := oneSim{counts: make([]int64, p.Executions+1)}
 	for t := 0; t < p.Executions; t++ {
-		keys := keyRoot(r)
+		keys := KeyRoot(r)
 		if t == 0 || p.ResampleMask {
 			p.drawMaskInto(mask, r)
 		}

@@ -276,7 +276,7 @@ func TestRunSuccessRejectsInvalid(t *testing.T) {
 
 // TestExecuteOnNetworkMatchesFastPath: with zero latency and no loss the
 // DES draws the BFS executor's spread on every seed (member-keyed draws,
-// see keyRoot), mask included; TestShardInvariance covers views, shard
+// see KeyRoot), mask included; TestShardInvariance covers views, shard
 // counts and latency models.
 func TestExecuteOnNetworkMatchesFastPath(t *testing.T) {
 	p := poissonParams(1000, 4, 0.9)

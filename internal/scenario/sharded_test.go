@@ -65,7 +65,7 @@ func TestShardedScenarioMatrix(t *testing.T) {
 func TestShardedScenarioOneShardMatchesDefault(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	g := golden.Open(t, "testdata/suite.golden",
-		"scenario.Run over DefaultSuite() on one shard with member-keyed draws (core.keyRoot);\n"+
+		"scenario.Run over DefaultSuite() on one shard with member-keyed draws (core.KeyRoot);\n"+
 			"the values before that layout came from the single-kernel executor of commit 53dc72f.\n"+
 			"burst-loss was re-recorded when Gilbert-Elliott chains became per sender.\n"+
 			"case = scenario name")

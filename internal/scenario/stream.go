@@ -93,6 +93,7 @@ func streamNetResult(res stream.Result, fabric *simnet.ShardedNet) core.NetResul
 		SpreadTime:      res.End,
 		DeliveryLatency: res.DeliveryLatency,
 		Net:             res.Net,
+		Queue:           res.Queue,
 	}
 	out.AliveCount = res.AliveCount
 	if res.Published > 0 {

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"gossipkit/internal/core"
+	"gossipkit/internal/dist"
 	"gossipkit/internal/failure"
 	"gossipkit/internal/membership"
 	"gossipkit/internal/sim"
@@ -26,6 +27,10 @@ type runShared struct {
 	lastRound int32
 	mask      *failure.Mask
 	view      membership.View
+	// fanout is what eager and flood forward to: Config.Fanout, or for
+	// flood the whole view, n−1 (every View.SampleTargets takes a k above
+	// the member's degree as its degree).
+	fanout dist.Distribution
 	// pubState records each schedule entry's publish fate (zero until
 	// published, then pubDone or pubSkipped). Entry m is written only by the worker owning
 	// source[m] — distinct byte addresses, so concurrent shards never

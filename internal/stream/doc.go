@@ -23,9 +23,12 @@
 // RunSharded is the one runner, a front end on core.Run — the run
 // assembly (lease, random-stream layout, drive, ledger check) it shares
 // with the core executor and the protocol runtime. Like the core
-// executor it is byte-identical for a fixed shard count; unlike it, it is
-// only statistically pinned across shard counts, because its fanout and
-// latency draws come from per-shard streams. RunProbed is
+// executor it is byte-identical for a fixed shard count. Eager and flood
+// forward as the core executor does, from (member, message) keys through
+// core.Forwarder, so a one-message eager run equals the paper's run per
+// seed at every shard count; push and push-pull, EvictRandom and the tie
+// order among many messages are only statistically pinned across shard
+// counts, because they draw from per-shard streams. RunProbed is
 // RunSharded on one shard, the default. Telemetry rides the
 // obs.StreamProbe family (nil probe = zero overhead), and scenario
 // campaigns inject through the same core.NetRun seam as every other

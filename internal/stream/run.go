@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"gossipkit/internal/core"
+	"gossipkit/internal/dist"
 	"gossipkit/internal/membership"
 	"gossipkit/internal/obs"
 	"gossipkit/internal/sim"
@@ -34,8 +35,13 @@ func RunProbed(cfg Config, netCfg simnet.Config, r *xrand.RNG,
 // whatever the arena or probe state.
 //
 // RNG layout: the publish schedule comes from r.Split(publishSplit) —
-// splits never advance r — then the failure mask consumes r. Worker s
-// and its network run on shard s's streams of core.Run's layout.
+// splits never advance r — then eager and flood take the paper's key root
+// off r (core.KeyRoot), then the failure mask consumes r. Member u
+// forwards message m from the keyed streams of core.Key(u, m) through a
+// core.Forwarder, as the paper's executor forwards its one message (Key(u,
+// 0) = u). Everything else — push and push-pull's round draws, EvictRandom
+// and the network under them — runs on shard s's streams of core.Run's
+// layout.
 //
 // Determinism contract (matching core's): a fixed shard count is
 // byte-identical across repeated runs and arenas for the same GOARCH and
@@ -43,12 +49,14 @@ func RunProbed(cfg Config, netCfg simnet.Config, r *xrand.RNG,
 // TestNoFusedFloat keeps fused multiply-add out of this module's float
 // code, and the standard library's math functions are not yet measured
 // across architectures; testdata/runprobed.golden pins the one-shard
-// layout); different shard
-// counts share the publish schedule and failure mask and are
-// statistically pinned, because fanout and latency draws come from
-// per-shard streams. opts.Shards below 1 means one shard; see
-// core.EffectiveShards for the configurations that run on fewer shards
-// than asked.
+// layout). Different shard counts share the publish schedule and the
+// failure mask. A one-message eager or flood run is the paper's run at
+// every shard count, per seed (TestStreamEagerIsPaper). Push and
+// push-pull, EvictRandom, and the tie order among many messages' copies
+// arriving at one instant are only statistically pinned across shard
+// counts: they draw from, or order by, per-shard streams and queues.
+// opts.Shards below 1 means one shard; see core.EffectiveShards for the
+// configurations that run on fewer shards than asked.
 func RunSharded(cfg Config, netCfg simnet.Config, r *xrand.RNG,
 	inject func(*core.NetRun), arena *Arena, probe *obs.StreamProbe, opts core.ShardOptions) (Result, error) {
 	cfg, err := cfg.normalize()
@@ -65,16 +73,27 @@ func RunSharded(cfg Config, netCfg simnet.Config, r *xrand.RNG,
 
 	workers := arena.leaseWorkers(len(kernels))
 	pubBy := arena.publishLists(sh, len(kernels), block)
+	// Eager and flood take the key root where the paper's executor takes
+	// it, after Begin and before Reset and the mask; the round disciplines
+	// take none.
+	var keys xrand.RNG
+	if cfg.Discipline.keyed() {
+		keys = core.KeyRoot(r)
+	}
 	run.Reset(budget(cfg, sh), func(s int) {
 		w := workers[s]
 		w.rng = run.RNG(s)
+		if cfg.Discipline.keyed() {
+			w.fw.Reset(keys, sn.Shard(s))
+		}
 		lo, hi := sn.Range(s)
 		// A round puts every buffered id of every member of the block in
 		// the air fanout times over — one kernel event per id, or per
-		// batch — which is far more than the one per member the network
+		// batch where the discipline batches (eager and flood ignore
+		// Batch) — which is far more than the one per member the network
 		// assumed.
 		airborne := float64(hi-lo) * cfg.Fanout.Mean()
-		if !cfg.Batch {
+		if !cfg.Batch || cfg.Discipline.keyed() {
 			airborne *= float64(cfg.BufferCap)
 		}
 		sn.Shard(s).HintPending(int(min(airborne, math.MaxInt32)))
@@ -91,6 +110,10 @@ func RunSharded(cfg Config, netCfg simnet.Config, r *xrand.RNG,
 	sh.view = cfg.View
 	if sh.view == nil {
 		sh.view = membership.NewFullView(cfg.N)
+	}
+	sh.fanout = cfg.Fanout
+	if cfg.Discipline == DisciplineFlood {
+		sh.fanout = dist.NewFixed(cfg.N - 1)
 	}
 
 	for s, child := range probe.ShardProbes(len(kernels)) { // none for a nil probe
@@ -142,7 +165,7 @@ func RunSharded(cfg Config, netCfg simnet.Config, r *xrand.RNG,
 		}
 	}
 	probe.AdoptShards()
-	return reduce(cfg, sh, workers, sn.Stats(), end), nil
+	return reduce(cfg, sh, workers, sn.Stats(), run.Queue(), end), nil
 }
 
 // budget bounds the kernel event count — a runaway guard far above any
@@ -188,12 +211,13 @@ func hasReceivedLatest(sh *runShared, ws []*worker, n, id int, now sim.Time) boo
 // folds outcome tallies, reliability moments, and loss attribution into
 // the aggregate fields, so a summary run makes zero O(M) allocations and
 // every non-Messages field is identical to a full run's.
-func reduce(cfg Config, sh *runShared, ws []*worker, net simnet.Stats, end sim.Time) Result {
+func reduce(cfg Config, sh *runShared, ws []*worker, net simnet.Stats, queue core.QueueCounters, end sim.Time) Result {
 	res := Result{
 		N:              cfg.N,
 		AliveCount:     sh.mask.AliveCount(),
 		Scheduled:      sh.M,
 		Net:            net,
+		Queue:          queue,
 		End:            end.Duration(),
 		MinReliability: 1,
 		SummaryOnly:    cfg.SummaryOnly,

@@ -6,6 +6,7 @@ import (
 	"math"
 	"time"
 
+	"gossipkit/internal/core"
 	"gossipkit/internal/dist"
 	"gossipkit/internal/membership"
 	"gossipkit/internal/simnet"
@@ -95,7 +96,9 @@ type Discipline int
 
 const (
 	// DisciplineEager forwards each message fanout-wise at first receipt,
-	// event-driven — the paper's general gossiping algorithm per message.
+	// event-driven — the paper's general gossiping algorithm per message,
+	// drawn from the paper's member keys (core.Forwarder): a one-message
+	// eager run is the paper's run, seed for seed.
 	DisciplineEager Discipline = iota
 	// DisciplinePush gossips the whole active buffer to a fresh fanout
 	// draw of targets every round tick — the pbcast/lpbcast family.
@@ -105,9 +108,15 @@ const (
 	// buffering it answers with a repair — the anti-entropy/RDG family.
 	DisciplinePushPull
 	// DisciplineFlood forwards each message to the full view at first
-	// receipt — the flooding/LRG family.
+	// receipt — the flooding/LRG family: the eager forward at fanout n−1,
+	// which every view caps at the member's degree.
 	DisciplineFlood
 )
+
+// keyed reports whether d forwards at first receipt, the paper's forward
+// on its member-keyed draws (core.Forwarder); the round disciplines draw
+// from the shard's run stream instead.
+func (d Discipline) keyed() bool { return d == DisciplineEager || d == DisciplineFlood }
 
 // String names the discipline for labels and CSV columns.
 func (d Discipline) String() string {
@@ -385,4 +394,7 @@ type Result struct {
 	// counters.
 	Ledger Ledger
 	Net    simnet.Stats
+	// Queue is what the shard kernels' event queues did: bookkeeping about
+	// how the run was carried out, never an outcome.
+	Queue core.QueueCounters `golden:"accounting"`
 }

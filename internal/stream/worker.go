@@ -25,7 +25,8 @@ type worker struct {
 	s           int // shard index
 	base, limit int // member block [base, limit)
 	nw          *simnet.Network
-	rng         *xrand.RNG
+	rng         *xrand.RNG     // the shard's run stream: round draws, EvictRandom
+	fw          core.Forwarder // eager and flood: the paper's keyed forward
 	sh          *runShared
 	bits        *core.MessageBits // M rows × block width, local ids
 	buf         buffers
@@ -253,11 +254,8 @@ func (w *worker) receiveData(id, m int, now sim.Time, origin bool) {
 		return // late receipt: counted, not buffered or forwarded
 	}
 	w.insert(l, int32(m), now)
-	switch w.sh.cfg.Discipline {
-	case DisciplineEager:
-		w.forwardFanout(id, int32(m))
-	case DisciplineFlood:
-		w.forwardAll(id, int32(m))
+	if w.sh.cfg.Discipline.keyed() {
+		w.forward(id, int32(m), core.Key(id, m))
 	}
 }
 
@@ -276,31 +274,25 @@ func (w *worker) insert(l int, m int32, now sim.Time) {
 	}
 }
 
-// forwardFanout pushes m from id to a fresh fanout draw of targets.
-func (w *worker) forwardFanout(id int, m int32) {
-	f := w.sh.cfg.Fanout.Sample(w.rng)
-	if d := w.sh.view.Degree(id); f > d {
-		f = d
-	}
-	if f <= 0 {
-		return
-	}
-	w.targets = w.sh.view.SampleTargets(w.targets[:0], id, f, w.rng)
+// forward pushes m from id to the targets drawn for key: the paper's
+// forward (core.Forwarder) at the run's fanout.
+func (w *worker) forward(id int, m int32, key uint64) {
+	w.targets = w.fw.Targets(w.targets, key, w.sh.fanout, w.sh.view, id)
 	for _, v := range w.targets {
 		w.sendTag(id, v, m, kindData)
 	}
 }
 
-// forwardAll pushes m from id to its entire view (flooding).
-func (w *worker) forwardAll(id int, m int32) {
-	d := w.sh.view.Degree(id)
-	if d <= 0 {
-		return
+// roundTargets draws a fanout and that many of id's targets into
+// w.targets from the worker's run stream, the round disciplines' draw. It
+// reports false, drawing no targets, for a fanout of zero.
+func (w *worker) roundTargets(id int) bool {
+	f := w.sh.cfg.Fanout.Sample(w.rng)
+	if f <= 0 {
+		return false
 	}
-	w.targets = w.sh.view.SampleTargets(w.targets[:0], id, d, w.rng)
-	for _, v := range w.targets {
-		w.sendTag(id, v, m, kindData)
-	}
+	w.targets = w.sh.view.SampleTargets(w.targets[:0], id, f, w.rng)
+	return true
 }
 
 // publish bootstraps schedule entry m at its source: the origin receipt
@@ -386,18 +378,13 @@ func (w *worker) tick(now sim.Time) {
 		if !w.nw.Up(simnet.NodeID(id)) {
 			continue // crashed mid-run: buffered, but silent
 		}
-		f := sh.cfg.Fanout.Sample(w.rng)
-		if d := sh.view.Degree(id); f > d {
-			f = d
-		}
-		if f <= 0 {
+		if !w.roundTargets(id) {
 			continue
 		}
 		kind := kindData
 		if disc == DisciplinePushPull {
 			kind = kindDigest
 		}
-		w.targets = sh.view.SampleTargets(w.targets[:0], id, f, w.rng)
 		if sh.cfg.Batch {
 			// One wire message per target carrying the whole buffer:
 			// O(fanout) kernel events for this member's round instead of
@@ -423,13 +410,23 @@ func (w *worker) tick(now sim.Time) {
 // alive, NetRun.Publish saw to that): if id lacks the most recently
 // published message (latest, -1 for none) it obtains it out of band — an
 // additional publisher — otherwise it re-gossips its whole buffer in one
-// eager burst. Runs on the worker's own clock.
+// burst: eager and flood forward each entry again, keyed by member,
+// message and instant as the paper's re-gossip is; the round disciplines
+// send each entry to a fresh round draw. Runs on the worker's own clock.
 func (w *worker) scenarioPublish(id, latest int, now sim.Time) {
 	if latest >= 0 && !w.bits.Get(latest, w.local(id)) {
 		w.receiveData(id, latest, now, false)
 		return
 	}
 	for _, e := range w.buf.row(w.local(id)) {
-		w.forwardFanout(id, e.msg)
+		if w.sh.cfg.Discipline.keyed() {
+			w.forward(id, e.msg, core.RegossipKey(id, int(e.msg), now))
+			continue
+		}
+		if w.roundTargets(id) {
+			for _, v := range w.targets {
+				w.sendTag(id, v, e.msg, kindData)
+			}
+		}
 	}
 }

@@ -188,7 +188,8 @@ done
 # set; each Network splits its event record by group size now) and its
 # 8-byte tag-slot store (tagSlot, its second handler deliverTag and its
 # free-chain head freeTag; an out-of-band tag parks in the one in-flight
-# store now) are deleted;
+# store now) and the stream's own eager and flood draws (forwardFanout,
+# forwardAll; both forward through core.Forwarder now) are deleted;
 # README and ARCHITECTURE must not describe them as if they existed. Where
 # a surviving identifier contains the name (EstimateReliabilityCtx,
 # ExecuteOnNetworkArena, drawMaskInto, ZoneLatency.Zones, ...) the pattern
@@ -273,7 +274,9 @@ for gone in \
     "tagSlot" \
     "deliverTag" \
     "freeTag" \
-    "8-byte tag slot"; do
+    "8-byte tag slot" \
+    "forwardFanout" \
+    "forwardAll"; do
     if hits=$(grep -nE "$gone" README.md ARCHITECTURE.md); then
         echo "docs-lint: README/ARCHITECTURE mention the deleted '$gone':" >&2
         echo "$hits" >&2
